@@ -10,9 +10,9 @@
 //!   re-insert, today's path);
 //! * `efdb_dict`    — [`efd_core::binfmt::read_dictionary`] (validated
 //!   binary decode + thaw into an [`efd_core::EfdDictionary`]);
-//! * `efdb_snapshot`— [`efd_core::binfmt::read`] +
-//!   [`efd_serve::Snapshot::from_efdb`] (the zero-intermediate serve
-//!   path: bytes → decoded sections → published snapshot);
+//! * `efdb_snapshot`— [`efd_core::binfmt::check`] +
+//!   [`efd_serve::Snapshot::from_view`] (the daemon's cold start: bytes →
+//!   checked view → published snapshot, nothing decoded in between);
 //! * `efdb_zerocopy`— [`efd_serve::EfdbSnapshot::load`] (validate the
 //!   buffer once, serve in place: no decode, no rebuild — cold-start
 //!   cost stops scaling with key count).
@@ -144,8 +144,8 @@ fn main() {
             black_box(binfmt::read_dictionary(&bytes, &catalog).unwrap().len());
         });
         let t_snap = time_best_of(reps, || {
-            let efdb = binfmt::read(&bytes).unwrap();
-            black_box(Snapshot::from_efdb(&efdb, &catalog, 8).unwrap().len());
+            let view = binfmt::check(&bytes).unwrap();
+            black_box(Snapshot::from_view(&view, &catalog, 8).unwrap().len());
         });
         // Pre-share the buffer so the leg times validation + indexing,
         // not a byte copy (the serving path holds an `Arc<[u8]>` anyway).
@@ -168,7 +168,7 @@ fn main() {
         // original.
         let via_json = serialize::from_json(&json, &catalog).unwrap();
         let via_efdb = binfmt::read_dictionary(&bytes, &catalog).unwrap();
-        let snap = Snapshot::from_efdb(&binfmt::read(&bytes).unwrap(), &catalog, 8).unwrap();
+        let snap = Snapshot::from_view(&binfmt::check(&bytes).unwrap(), &catalog, 8).unwrap();
         let zero = EfdbSnapshot::load(std::sync::Arc::clone(&shared), &catalog).unwrap();
         for q in query_batch(1_000, keys, &metrics) {
             let expect = dict.recognize(&q);

@@ -1083,22 +1083,22 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let src = resolve_dict_source(dict_spec, args.flag("catalog"))?;
     let dict_path = src.shown.as_str();
 
-    // Load the dictionary. An EFDB file is zero-parse decoded; a JSON
-    // dump pays a text parse. The live `EfdDictionary` is always needed
-    // (oracle comparison below, and it feeds the non-snapshot backends);
-    // the snapshot fast path (decoded EFDB sections → snapshot, no
-    // intermediate dictionary) is taken only when a snapshot is actually
-    // being served.
+    // Load the dictionary. An EFDB file is checked once and thawed from
+    // the view; a JSON dump pays a text parse. The live `EfdDictionary` is
+    // always needed (oracle comparison below, and it feeds the
+    // non-snapshot backends); the snapshot fast path (checked view →
+    // snapshot, no intermediate dictionary) is taken only when a snapshot
+    // is actually being served.
     let raw = std::fs::read(&src.path).map_err(|e| format!("{dict_path}: {e}"))?;
     let is_efdb = raw.starts_with(&binfmt::MAGIC);
     let (dict, fast_snapshot) = if is_efdb {
         let t = Instant::now();
-        // Decode failures report the structured BinFormatError plus the
+        // Check failures report the structured BinFormatError plus the
         // file size, so a truncation is immediately diagnosable.
-        let efdb = binfmt::read(&raw)
+        let view = binfmt::check(&raw)
             .map_err(|e| format!("{dict_path}: {e} (file is {} bytes)", raw.len()))?;
         let decode = t.elapsed();
-        if !efdb.matches_catalog(d.catalog()) {
+        if !view.matches_catalog(d.catalog()) {
             println!(
                 "note:       writer's catalog digest differs; metrics resolved by name"
             );
@@ -1106,15 +1106,15 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         let t = Instant::now();
         let snapshot = if backend_kind == ServeBackend::Snapshot {
             Some(
-                efd_serve::Snapshot::from_efdb(&efdb, d.catalog(), shards)
+                efd_serve::Snapshot::from_view(&view, d.catalog(), shards)
                     .map_err(|e| format!("{dict_path}: {e}"))?,
             )
         } else {
             None
         };
         let build = t.elapsed();
-        let parts = efdb
-            .into_parts(d.catalog())
+        let parts = view
+            .to_parts(d.catalog())
             .map_err(|e| format!("{dict_path}: {e}"))?;
         report_loaded(
             &src,
@@ -2297,16 +2297,16 @@ fn cmd_bench_snapshot(args: &Args) -> Result<(), String> {
     legs.push(("persistence_efdb_load".into(), "dicts", secs, 1));
 
     // Serving cold start over the same canonical bytes: the owned path
-    // (decode every section, rebuild shard maps) vs the zero-copy path
-    // (validate once, serve in place). The gap is the point of
+    // (validate once, thaw the view into shard maps) vs the zero-copy
+    // path (validate once, serve in place). The gap is the point of
     // `EfdbSnapshot` — it must not scale with key count.
     let (secs, _) = best_of(Box::new({
         let efdb = efdb.clone();
         let catalog = catalog.clone();
         move || {
-            let parsed = binfmt::read(&efdb).expect("own efdb reads");
+            let view = binfmt::check(&efdb).expect("own efdb checks");
             std::hint::black_box(
-                efd_serve::Snapshot::from_efdb(&parsed, &catalog, 8)
+                efd_serve::Snapshot::from_view(&view, &catalog, 8)
                     .expect("own efdb freezes")
                     .len(),
             );
@@ -2333,7 +2333,7 @@ fn cmd_bench_snapshot(args: &Args) -> Result<(), String> {
     // misses, one reused scratch — the acceptance gate is the zero-copy
     // store staying within striking distance of the owned one.
     let owned = std::sync::Arc::new(
-        efd_serve::Snapshot::from_efdb(&binfmt::read(&efdb).expect("own efdb reads"), catalog, 8)
+        efd_serve::Snapshot::from_view(&binfmt::check(&efdb).expect("own efdb checks"), catalog, 8)
             .map_err(|e| e.to_string())?,
     );
     let zero_copy = std::sync::Arc::new(

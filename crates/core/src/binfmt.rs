@@ -246,7 +246,10 @@ impl EfdbEntry {
 /// the tables without further validation. Thaw with [`Efdb::into_parts`] /
 /// [`Efdb::to_dictionary`], or hand the decoded sections straight to the
 /// serving layer (`efd_serve::Snapshot::from_efdb`) to skip the
-/// intermediate [`EfdDictionary`] entirely.
+/// intermediate [`EfdDictionary`] entirely. A loader that starts from
+/// bytes needs no `Efdb` at all: [`check`] gives an [`EfdbView`] that
+/// `efd_serve::Snapshot::from_view` and [`EfdbView::to_parts`] thaw
+/// directly.
 #[derive(Debug, Clone, PartialEq)]
 #[must_use = "a decoded Efdb holds the validated sections; thaw or serve them"]
 pub struct Efdb {
@@ -697,7 +700,30 @@ impl<'a> EfdbView<'a> {
         self.offsets[5] as usize + 4..self.offsets[6] as usize
     }
 
-    /// Decode the owned app/label tables (apps, labels, label→app map).
+    /// Resolve every stored metric name against `catalog`, in
+    /// key-record metric-index order (file-local index → catalog
+    /// [`MetricId`]).
+    pub fn resolve_metrics(&self, catalog: &MetricCatalog) -> Result<Vec<MetricId>, BinFormatError> {
+        let strings: Vec<&str> = self.strings().collect();
+        self.metric_string_ids()
+            .map(|sid| {
+                let name = strings[sid as usize];
+                catalog
+                    .id(name)
+                    .ok_or_else(|| BinFormatError::UnknownMetric(name.to_string()))
+            })
+            .collect()
+    }
+
+    /// Decode the owned app/label tables: application names in tie-break
+    /// order, labels in [`LabelId`] order, and each label's application.
+    /// They scale with the number of labels, not keys.
+    pub fn label_tables(&self) -> (Vec<String>, Vec<AppLabel>, Vec<AppNameId>) {
+        let strings: Vec<&str> = self.strings().collect();
+        self.decode_label_tables(&strings)
+    }
+
+    /// [`EfdbView::label_tables`] over an already collected string table.
     fn decode_label_tables(
         &self,
         strings: &[&'a str],
@@ -720,17 +746,8 @@ impl<'a> EfdbView<'a> {
     /// materialization, no intermediate [`Efdb`] (metric names resolved
     /// via `catalog`).
     pub fn to_parts(&self, catalog: &MetricCatalog) -> Result<DictionaryParts, BinFormatError> {
-        let strings: Vec<&str> = self.strings().collect();
-        let metric_ids: Vec<MetricId> = self
-            .metric_string_ids()
-            .map(|sid| {
-                let name = strings[sid as usize];
-                catalog
-                    .id(name)
-                    .ok_or_else(|| BinFormatError::UnknownMetric(name.to_string()))
-            })
-            .collect::<Result<_, _>>()?;
-        let (apps, labels, label_app) = self.decode_label_tables(&strings);
+        let metric_ids = self.resolve_metrics(catalog)?;
+        let (apps, labels, label_app) = self.label_tables();
         let postings = self.postings();
         let entries = self
             .keys()
@@ -1316,6 +1333,17 @@ mod tests {
             });
         }
         d
+    }
+
+    #[test]
+    fn catalog_digest_is_pinned() {
+        // Written into every EFDB header: a changed digest would make every
+        // existing file take the name-by-name resolution path.
+        assert_eq!(catalog_digest(&small_catalog()), 0x4e35_ce75_a1ac_93d9);
+        assert_eq!(
+            catalog_digest(&efd_telemetry::catalog::taxonomist_catalog()),
+            0xbfca_ec4f_1b5b_1e4f
+        );
     }
 
     #[test]

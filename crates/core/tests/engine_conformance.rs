@@ -217,6 +217,15 @@ conformance!(exact: efdb_snapshot_behind_batch_front_end, |observations: &[Label
     ))
 });
 
+conformance!(exact: snapshot_from_view, |observations: &[LabeledObservation]| {
+    // Learned state -> canonical EFDB bytes -> checked view -> owned
+    // snapshot: the daemon's cold-start path.
+    let catalog = small_catalog();
+    let bytes = binfmt::write(&oracle(observations).to_parts(), &catalog);
+    let view = binfmt::check(&bytes).expect("canonical bytes always check");
+    Snapshot::from_view(&view, &catalog, 8).expect("every metric resolves")
+});
+
 conformance!(exact: batch_recognizer_front_end, |observations: &[LabeledObservation]| {
     BatchRecognizer::new(Arc::new(Snapshot::freeze(&oracle(observations), 8)))
 });

@@ -1,7 +1,7 @@
 //! Zero-copy serving straight over EFDB bytes.
 //!
-//! [`crate::Snapshot::from_efdb`] decodes every section of a dictionary
-//! file into owned shard maps before the first query can be answered —
+//! [`crate::Snapshot::from_view`] thaws every key of a dictionary file
+//! into owned shard maps before the first query can be answered —
 //! cold-start cost linear in dictionary size. [`EfdbSnapshot`] skips the
 //! rebuild entirely: [`efd_core::binfmt::check`] validates the buffer
 //! once, the small app/label tables are decoded (they are bounded by the
@@ -95,28 +95,17 @@ impl EfdbSnapshot {
         let bytes: Arc<[u8]> = bytes.into();
         let view = binfmt::check(&bytes)?;
 
-        let strings: Vec<&str> = view.strings().collect();
         let keys = view.keys();
-        let mut metric_spans = FxHashMap::default();
-        for (idx, sid) in view.metric_string_ids().enumerate() {
-            let name = strings[sid as usize];
-            let id = catalog
-                .id(name)
-                .ok_or_else(|| BinFormatError::UnknownMetric(name.to_string()))?;
-            let span = keys.metric_range(idx as u32);
-            metric_spans.insert(id, (span.start as u32, span.end as u32));
-        }
-
-        let apps: Vec<String> = view
-            .app_string_ids()
-            .map(|sid| strings[sid as usize].to_string())
+        let metric_spans = view
+            .resolve_metrics(catalog)?
+            .into_iter()
+            .enumerate()
+            .map(|(idx, id)| {
+                let span = keys.metric_range(idx as u32);
+                (id, (span.start as u32, span.end as u32))
+            })
             .collect();
-        let mut labels = Vec::new();
-        let mut label_app = Vec::new();
-        for (app, input) in view.label_records() {
-            labels.push(AppLabel::new(&apps[app as usize], strings[input as usize]));
-            label_app.push(AppNameId::from_index(app as usize));
-        }
+        let (apps, labels, label_app) = view.label_tables();
 
         let key_records = view.key_records_range();
         let postings_blob = view.postings_blob_range();

@@ -222,11 +222,12 @@ pub fn load_engine(
         let keys = snap.len();
         return Ok(Engine::fixed(Arc::new(snap), keys, "efdb"));
     }
-    // Snapshot fast path: EFDB sections build the snapshot directly.
+    // Snapshot fast path: the checked view thaws straight into the
+    // snapshot, with no decoded copy of the file in between.
     if backend == BackendKind::Snapshot && is_efdb {
-        let efdb = binfmt::read(&raw).map_err(|e| format!("{shown}: {e}"))?;
+        let view = binfmt::check(&raw).map_err(|e| format!("{shown}: {e}"))?;
         let snap =
-            Snapshot::from_efdb(&efdb, catalog, shards).map_err(|e| format!("{shown}: {e}"))?;
+            Snapshot::from_view(&view, catalog, shards).map_err(|e| format!("{shown}: {e}"))?;
         let keys = snap.len();
         return Ok(Engine::fixed(Arc::new(snap), keys, "snapshot"));
     }

@@ -6,7 +6,8 @@
 //! * [`hash`] — a fast FxHash-style hasher and the [`FxHashMap`]/[`FxHashSet`]
 //!   aliases used for all hot integer-keyed maps (fingerprint dictionaries,
 //!   metric interners). The default SipHash is measurably slower for the
-//!   short fixed-size keys the EFD uses.
+//!   short fixed-size keys the EFD uses; the maps' [`FxMapHasher`] folds
+//!   the high product bits down so rounded means still spread over buckets.
 //! * [`rng`] — SplitMix64 and deterministic seed *derivation*: every
 //!   stochastic component in the workspace receives a seed derived from a
 //!   master seed plus a stable tag path, so any sub-computation (one run, one
@@ -32,7 +33,7 @@ pub mod split;
 pub mod stats;
 pub mod table;
 
-pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher, FxMapHasher};
 pub use parallel::{num_threads, parallel_for_each, parallel_map, parallel_map_init};
 pub use rng::{derive_seed, str_tag, SplitMix64};
 pub use split::{stratified_k_fold_by, FoldIndices};
