@@ -20,7 +20,8 @@
 //!   (constant `1`; the label carries the information).
 //! * `efd_drift_alarm` plus the `efd_drift_*_rate` /
 //!   `efd_drift_baseline_*` / `efd_drift_window_samples` family — the
-//!   live drift monitor's judgement against the published baseline.
+//!   live drift monitor's judgement against the published baseline,
+//!   read from the monitor at scrape time ([`DaemonMetrics::observe_drift`]).
 //! * `efd_scrapes_total` — `/metrics` scrapes served.
 
 use std::sync::{Arc, Mutex};
@@ -134,7 +135,7 @@ impl DaemonMetrics {
         });
         let request_duration = registry.histogram(
             "efd_request_duration_seconds",
-            "End-to-end request latency (frame decoded to response flushed).",
+            "End-to-end request latency (frame decoded to reply buffered).",
             &[],
             &DURATION_BUCKETS,
         );
@@ -237,7 +238,8 @@ impl DaemonMetrics {
         self.version.lock().expect("version lock").clone()
     }
 
-    /// Push a drift reading into the gauge family.
+    /// Push a drift reading into the gauge family. The daemon calls this
+    /// just before it renders a scrape, not per verdict.
     pub fn observe_drift(&self, snap: &DriftSnapshot) {
         self.drift_alarm.set(i64::from(snap.state == DriftState::Alarm));
         self.drift_window_samples.set(snap.samples as i64);

@@ -55,11 +55,16 @@ use efd_core::{Recognition, Verdict};
 /// a protocol violation, not a big request.
 pub const MAX_FRAME: u32 = 1 << 20;
 
+/// Bytes a [`FrameReader`] asks the source for in one `read` while no
+/// longer frame is pending: a 32-deep pipeline of paper-shaped requests
+/// (~60–300 bytes each) fits in one read.
+pub const READ_CHUNK: usize = 16 * 1024;
+
 /// Everything that can go wrong while reading one frame.
 #[derive(Debug)]
 pub enum FrameError {
-    /// The read timed out (`WouldBlock`/`TimedOut`). Reader state is
-    /// preserved — call [`FrameReader::read_frame`] again to resume.
+    /// The read timed out (`WouldBlock`/`TimedOut`). Buffered bytes are
+    /// kept — call [`FrameReader::read_frame`] again to resume.
     /// [`FrameReader::mid_frame`] tells whether a partial frame is
     /// pending (a slow-loris indicator).
     Timeout,
@@ -89,91 +94,111 @@ impl std::fmt::Display for FrameError {
     }
 }
 
-/// A resumable frame decoder for one connection.
+/// A buffered, resumable frame decoder for one connection.
+///
+/// Bytes arrive in one `read` of up to [`READ_CHUNK`] (or of the rest of
+/// a longer pending frame) and frames are cut out of the buffer in
+/// place, so a pipelined burst costs one `read`, not two per frame.
 ///
 /// Read timeouts are how the server implements idle accounting (each
 /// worker reads with a short timeout and tallies quiet ticks), so the
 /// decoder must survive a timeout at *any* byte boundary — including
 /// inside the 4-byte prefix — and continue exactly where it stopped.
-/// All partial state lives here, not on the stack of a blocked read.
-#[derive(Debug)]
+/// Partial frames simply stay buffered between calls.
+#[derive(Debug, Default)]
 pub struct FrameReader {
-    prefix: [u8; 4],
-    prefix_got: usize,
-    payload: Vec<u8>,
-    payload_got: usize,
-    /// `Some(len)` once the prefix is complete and validated.
-    expecting: Option<usize>,
-}
-
-impl Default for FrameReader {
-    fn default() -> Self {
-        Self::new()
-    }
+    buf: Vec<u8>,
+    /// First unconsumed byte.
+    start: usize,
+    /// End of the buffered bytes.
+    end: usize,
 }
 
 impl FrameReader {
-    /// A fresh decoder positioned at a frame boundary.
+    /// A fresh decoder positioned at a frame boundary. The buffer is
+    /// allocated on the first read.
     pub fn new() -> Self {
-        FrameReader {
-            prefix: [0; 4],
-            prefix_got: 0,
-            payload: Vec::new(),
-            payload_got: 0,
-            expecting: None,
-        }
+        Self::default()
     }
 
-    /// True if a frame is partially read (prefix or payload bytes seen,
-    /// frame not complete).
+    /// True if bytes of a frame not yet returned are buffered (a prefix
+    /// or payload seen, the frame not handed out).
     pub fn mid_frame(&self) -> bool {
-        self.prefix_got > 0 || self.expecting.is_some()
+        self.end > self.start
+    }
+
+    /// True when a whole frame is already buffered, so the next
+    /// [`FrameReader::read_frame`] returns it without touching the
+    /// source. The daemon flushes its replies only when this is false:
+    /// it never blocks in a read with replies unsent.
+    pub fn frame_ready(&self) -> bool {
+        matches!(self.frame_len(), Ok(Some(n)) if self.end - self.start >= n)
+    }
+
+    /// Bytes buffered but not yet returned as a frame (the daemon hands
+    /// them to its HTTP handler when the first prefix reads as `GET `).
+    pub(crate) fn buffered(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+
+    /// Length prefix plus payload of the frame at the head of the
+    /// buffer, once its 4 prefix bytes are in; a bad prefix is refused
+    /// here, before any of its payload is waited for.
+    fn frame_len(&self) -> Result<Option<usize>, FrameError> {
+        if self.end - self.start < 4 {
+            return Ok(None);
+        }
+        let prefix = self.buf[self.start..self.start + 4]
+            .try_into()
+            .expect("4 bytes");
+        match u32::from_le_bytes(prefix) {
+            0 => Err(FrameError::Empty),
+            n if n > MAX_FRAME => Err(FrameError::Oversized(n)),
+            n => Ok(Some(4 + n as usize)),
+        }
     }
 
     /// Read until one complete frame, EOF at a frame boundary, or an
     /// error. `Ok(Some(payload))` borrows this reader and is valid
     /// until the next call; `Ok(None)` is a clean close.
     pub fn read_frame(&mut self, r: &mut impl Read) -> Result<Option<&[u8]>, FrameError> {
-        while self.expecting.is_none() {
-            match r.read(&mut self.prefix[self.prefix_got..]) {
-                Ok(0) => {
-                    return if self.prefix_got == 0 {
-                        Ok(None)
-                    } else {
-                        Err(FrameError::Torn)
-                    };
+        loop {
+            let want = match self.frame_len()? {
+                Some(n) if self.end - self.start >= n => {
+                    let payload = self.start + 4..self.start + n;
+                    self.start += n;
+                    return Ok(Some(&self.buf[payload]));
                 }
-                Ok(n) => {
-                    self.prefix_got += n;
-                    if self.prefix_got == 4 {
-                        let len = u32::from_le_bytes(self.prefix);
-                        if len > MAX_FRAME {
-                            return Err(FrameError::Oversized(len));
-                        }
-                        if len == 0 {
-                            return Err(FrameError::Empty);
-                        }
-                        self.expecting = Some(len as usize);
-                        self.payload.resize(len as usize, 0);
-                        self.payload_got = 0;
-                    }
-                }
-                Err(e) => return Err(map_io(e)),
+                Some(n) => n,
+                None => 4,
+            };
+            if self.fill(r, want)? == 0 {
+                return if self.mid_frame() {
+                    Err(FrameError::Torn)
+                } else {
+                    Ok(None)
+                };
             }
         }
-        let len = self.expecting.expect("prefix complete");
-        while self.payload_got < len {
-            match r.read(&mut self.payload[self.payload_got..len]) {
-                Ok(0) => return Err(FrameError::Torn),
-                Ok(n) => self.payload_got += n,
-                Err(e) => return Err(map_io(e)),
-            }
+    }
+
+    /// One `read` into the buffer, after moving the pending bytes to its
+    /// front and growing it to hold `want` of them (never past the
+    /// current frame, so never past `MAX_FRAME + 4`). Returns the bytes
+    /// read; 0 means the peer closed.
+    fn fill(&mut self, r: &mut impl Read, want: usize) -> Result<usize, FrameError> {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
         }
-        // Frame complete: reset to the next boundary before handing the
-        // payload out (the buffer itself survives until the next call).
-        self.prefix_got = 0;
-        self.expecting = None;
-        Ok(Some(&self.payload[..len]))
+        let cap = want.max(READ_CHUNK);
+        if self.buf.len() < cap {
+            self.buf.resize(cap, 0);
+        }
+        let n = r.read(&mut self.buf[self.end..]).map_err(map_io)?;
+        self.end += n;
+        Ok(n)
     }
 }
 
@@ -186,7 +211,8 @@ fn map_io(e: io::Error) -> FrameError {
 }
 
 /// Write one frame: length prefix + payload, no flush (callers batch
-/// behind a `BufWriter` and flush per response).
+/// behind a `BufWriter` and decide when to flush; the daemon flushes
+/// once no further request is buffered).
 ///
 /// # Panics
 ///
@@ -550,6 +576,57 @@ mod tests {
         let mut r = FrameReader::new();
         let mut cur = std::io::Cursor::new(0u32.to_le_bytes().to_vec());
         assert!(matches!(r.read_frame(&mut cur), Err(FrameError::Empty)));
+    }
+
+    #[test]
+    fn buffer_grows_to_the_current_frame_and_no_further() {
+        // A maximal frame grows the buffer to exactly MAX_FRAME + 4...
+        let mut framed = Vec::new();
+        write_frame(&mut framed, &vec![b'x'; MAX_FRAME as usize]).unwrap();
+        write_frame(&mut framed, b"PING").unwrap();
+        let mut r = FrameReader::new();
+        let mut src: &[u8] = &framed;
+        let first = r.read_frame(&mut src).unwrap().map(<[u8]>::len);
+        assert_eq!(first, Some(MAX_FRAME as usize));
+        assert_eq!(r.buf.len(), MAX_FRAME as usize + 4);
+        assert!(!r.frame_ready(), "the PING is not buffered yet");
+        assert_eq!(r.read_frame(&mut src).unwrap(), Some(&b"PING"[..]));
+        // ...while an oversized prefix is refused from the first chunk,
+        // without growing the buffer towards its claimed length.
+        let mut huge = (MAX_FRAME + 1).to_le_bytes().to_vec();
+        huge.resize(3 * READ_CHUNK, 0);
+        let mut r = FrameReader::new();
+        let mut src: &[u8] = &huge;
+        assert!(matches!(
+            r.read_frame(&mut src),
+            Err(FrameError::Oversized(_))
+        ));
+        assert_eq!(r.buf.len(), READ_CHUNK);
+    }
+
+    #[test]
+    fn a_burst_is_one_read_and_frame_ready_tracks_it() {
+        let mut framed = Vec::new();
+        for _ in 0..32 {
+            write_frame(&mut framed, b"RECOGNIZE mem_free 60 120 6000.5 6010").unwrap();
+        }
+        framed.extend_from_slice(&[9, 0]); // first bytes of one more frame
+        struct Counting<'a>(&'a [u8], usize);
+        impl Read for Counting<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.1 += 1;
+                self.0.read(buf)
+            }
+        }
+        let mut src = Counting(&framed, 0);
+        let mut r = FrameReader::new();
+        for i in 0..32 {
+            assert!(r.read_frame(&mut src).unwrap().is_some());
+            assert_eq!(r.frame_ready(), i < 31, "after frame {i}");
+        }
+        assert_eq!(src.1, 1, "the whole burst came in one read");
+        assert!(r.mid_frame());
+        assert!(matches!(r.read_frame(&mut src), Err(FrameError::Torn)));
     }
 
     #[test]

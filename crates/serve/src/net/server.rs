@@ -30,15 +30,26 @@
 //! dribbling a frame a byte at a time (slow loris) — is dropped and
 //! counted in `efd_protocol_errors_total{kind="idle-timeout"}`.
 //!
+//! ## Buffered frames, flush on drain
+//!
+//! Each connection reads through one buffered [`FrameReader`]: a single
+//! `read` pulls in a whole pipelined burst and frames are cut out of
+//! the buffer in place. Replies go into a `BufWriter`, which is flushed
+//! only when no complete frame is left in the reader
+//! ([`FrameReader::frame_ready`]). The invariant: a worker never blocks
+//! in a socket read while replies are unflushed, so a burst of N
+//! requests costs one `read` and one `write`, and a client that waits
+//! for its replies always gets them.
+//!
 //! ## One port, two protocols
 //!
-//! The first four bytes of a connection are sniffed: a valid frame
-//! prefix is ≤ [`MAX_FRAME`], while `GET `/`HEAD` decode far above it,
-//! so plain-HTTP scrapes of `/metrics` and `/healthz` share the
-//! recognition port. The sniffed bytes are consumed and replayed into
-//! whichever handler wins (a `Chain` reader for the frame path), so a
-//! peer that closes after 1–3 bytes is classified as a torn frame
-//! immediately instead of holding the worker to the idle timeout.
+//! The first frame prefix doubles as the protocol sniff: a valid prefix
+//! is ≤ [`MAX_FRAME`], while `GET `/`HEAD` decode far above it, so
+//! plain-HTTP scrapes of `/metrics` and `/healthz` share the
+//! recognition port. When the first prefix is oversized and reads as
+//! `GET `/`HEAD`, the bytes the reader already holds go to the HTTP
+//! handler. A peer that closes after 1–3 bytes is a torn frame at once
+//! instead of holding the worker to the idle timeout.
 
 use std::collections::VecDeque;
 use std::io::{self, BufWriter, Read, Write};
@@ -354,8 +365,14 @@ impl Shared {
         // rebaseline clears the window (and any standing alarm).
         self.metrics.set_version(version);
         self.drift.rebaseline(baseline);
-        self.metrics.observe_drift(&self.drift.snapshot());
         gen
+    }
+
+    /// The Prometheus exposition, with the drift gauges read from the
+    /// monitor now (the hot path only records verdicts).
+    fn render_metrics(&self) -> String {
+        self.metrics.observe_drift(&self.drift.snapshot());
+        self.metrics.render()
     }
 
     /// Build an engine from a path the way this daemon was configured
@@ -422,7 +439,6 @@ impl Server {
         metrics.set_version(engine.version.clone());
         let drift = DriftMonitor::new(cfg.drift);
         drift.rebaseline(engine.baseline);
-        metrics.observe_drift(&drift.snapshot());
         let workers = cfg.workers.max(1);
         let shared = Arc::new(Shared {
             cfg,
@@ -469,14 +485,16 @@ impl Server {
         Arc::clone(&self.shared.hup)
     }
 
-    /// The daemon's metric surface (tests read gauges directly).
+    /// The daemon's metric surface (tests read gauges directly; the
+    /// drift gauges are refreshed only by a scrape or
+    /// [`Server::metrics_text`]).
     pub fn metrics(&self) -> &DaemonMetrics {
         &self.shared.metrics
     }
 
     /// Render the Prometheus exposition (same text `/metrics` serves).
     pub fn metrics_text(&self) -> String {
-        self.shared.metrics.render()
+        self.shared.render_metrics()
     }
 
     /// Current published engine generation.
@@ -575,52 +593,6 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Serve one connection to completion (sniffs frame protocol vs HTTP).
-/// The sniffed bytes are consumed here and replayed into the winning
-/// handler.
-fn handle_conn(shared: &Shared, mut stream: TcpStream, scratch: &mut VoteScratch) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(READ_TICK))?;
-    let mut first = [0u8; 4];
-    let mut got = 0;
-    let mut idle = Duration::ZERO;
-    while got < 4 {
-        if shared.stopping() {
-            return Ok(());
-        }
-        match stream.read(&mut first[got..]) {
-            Ok(0) => {
-                // Closed before a full sniff window: silent if no byte
-                // ever arrived, torn if the prefix was cut short.
-                if got > 0 {
-                    shared.metrics.count_error("torn");
-                }
-                return Ok(());
-            }
-            Ok(n) => {
-                got += n;
-                idle = Duration::ZERO;
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                idle += READ_TICK;
-                if idle >= shared.cfg.idle_timeout {
-                    shared.metrics.count_error("idle-timeout");
-                    return Ok(());
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    if &first == b"GET " || &first == b"HEAD" {
-        return handle_http(shared, stream, &first);
-    }
-    frame_loop(shared, stream, scratch, idle, first)
-}
-
 /// Per-connection streaming state: one open [`OnlineSession`] plus the
 /// generation and wall-clock instant it was opened against.
 struct StreamState {
@@ -647,28 +619,30 @@ fn reply(text: String) -> Reply {
     }
 }
 
-fn frame_loop(
+/// Serve one connection to completion, as frames or as one HTTP request.
+fn handle_conn(
     shared: &Shared,
-    stream: TcpStream,
+    mut stream: TcpStream,
     scratch: &mut VoteScratch,
-    mut idle: Duration,
-    sniffed: [u8; 4],
 ) -> io::Result<()> {
+    stream.set_nodelay(true).ok();
+    stream.set_read_timeout(Some(READ_TICK))?;
     let mut reader = FrameReader::new();
     let mut writer = BufWriter::new(stream.try_clone()?);
-    // Replay the sniffed bytes (the first frame's length prefix) ahead
-    // of the live stream.
-    let mut src = io::Cursor::new(sniffed).chain(stream);
     let mut session: Option<StreamState> = None;
+    let mut idle = Duration::ZERO;
+    // Until the first frame decodes, its prefix is also the HTTP sniff.
+    let mut sniffing = true;
     loop {
         if shared.stopping() {
-            return Ok(());
+            return writer.flush();
         }
         let started;
-        let out = match reader.read_frame(&mut src) {
+        let out = match reader.read_frame(&mut stream) {
             Ok(None) => return Ok(()), // clean close at a frame boundary
             Ok(Some(payload)) => {
                 idle = Duration::ZERO;
+                sniffing = false;
                 started = Instant::now();
                 dispatch(shared, payload, &mut session, scratch)
             }
@@ -685,6 +659,9 @@ fn frame_loop(
                 return Ok(());
             }
             Err(FrameError::Oversized(n)) => {
+                if sniffing && matches!(reader.buffered().get(..4), Some(b"GET " | b"HEAD")) {
+                    return handle_http(shared, &mut stream, reader.buffered());
+                }
                 shared.metrics.count_error("oversized");
                 // Best-effort structured refusal; the peer may already
                 // be gone, and we drop the connection either way (the
@@ -702,11 +679,16 @@ fn frame_loop(
             Err(FrameError::Io(_)) => return Ok(()), // reset/broken pipe: clean drop
         };
         write_frame(&mut writer, out.text.as_bytes())?;
-        writer.flush()?;
         shared.metrics.request_duration.observe_duration(started.elapsed());
+        // Flush on drain: a buffered request is answered first, and the
+        // next socket read only ever happens with every reply sent.
+        if !reader.frame_ready() {
+            writer.flush()?;
+        }
         match out.action {
             Action::Continue => {}
             Action::ShutdownDaemon => {
+                writer.flush()?;
                 shared.stop();
                 return Ok(());
             }
@@ -936,7 +918,8 @@ fn stream_verdict(shared: &Shared, st: &StreamState, rec: &efd_core::Recognition
 }
 
 /// Count a verdict and feed the drift monitor; a judgement edge
-/// (ok → alarm, alarm → ok, ...) is logged exactly once.
+/// (ok → alarm, alarm → ok, ...) is logged exactly once. The drift
+/// gauges are read from the monitor at scrape time, not stored here.
 fn note_verdict(shared: &Shared, rec: &efd_core::Recognition) {
     let label = verdict_label(rec);
     shared.metrics.count_verdict(label);
@@ -952,13 +935,13 @@ fn note_verdict(shared: &Shared, rec: &efd_core::Recognition) {
             snap.samples,
         );
     }
-    shared.metrics.observe_drift(&shared.drift.snapshot());
 }
 
 /// Minimal HTTP/1.1: `GET /metrics` (Prometheus text), `GET /healthz`.
-/// One request per connection (`Connection: close`).
-fn handle_http(shared: &Shared, mut stream: TcpStream, sniffed: &[u8; 4]) -> io::Result<()> {
-    let mut head = sniffed.to_vec();
+/// One request per connection (`Connection: close`); `buffered` is what
+/// the frame reader already holds of the request head.
+fn handle_http(shared: &Shared, stream: &mut TcpStream, buffered: &[u8]) -> io::Result<()> {
+    let mut head = buffered.to_vec();
     let mut buf = [0u8; 1024];
     let mut idle = Duration::ZERO;
     loop {
@@ -996,7 +979,7 @@ fn handle_http(shared: &Shared, mut stream: TcpStream, sniffed: &[u8; 4]) -> io:
     let (status, body) = match (method, path) {
         ("GET", "/metrics") | ("HEAD", "/metrics") => {
             shared.metrics.scrapes_total.inc();
-            ("200 OK", shared.metrics.render())
+            ("200 OK", shared.render_metrics())
         }
         ("GET", "/healthz") | ("HEAD", "/healthz") => ("200 OK", "ok\n".to_string()),
         _ => ("404 Not Found", "not found\n".to_string()),

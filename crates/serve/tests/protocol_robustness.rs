@@ -10,15 +10,23 @@
 //! **single-worker** daemon, so if a malformed connection could wedge
 //! its worker, the follow-up well-formed connection would hang and the
 //! harness's 10 s receive deadline would fail the test.
+//!
+//! The buffered reader is checked on both sides: a property test feeds
+//! random frame sequences through a source that returns random chunk
+//! sizes and injects `WouldBlock`, against a one-frame-at-a-time
+//! reference decoder; and pipelined bursts against a one-worker daemon
+//! prove it flushes every reply before it blocks in a read.
 
 mod common;
 
-use std::io::Write;
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use common::*;
-use efd_serve::net::{Server, MAX_FRAME};
+use efd_serve::net::protocol::{write_frame, READ_CHUNK};
+use efd_serve::net::{FrameError, FrameReader, Server, MAX_FRAME};
+use proptest::prelude::*;
 
 /// A one-worker daemon over the harness corpus — the strictest setting
 /// for proving workers survive and recover from bad peers.
@@ -229,4 +237,233 @@ fn quiet_connection_with_no_bytes_is_also_idle_dropped() {
     assert_daemon_healthy(&server);
     server.shutdown();
     server.join();
+}
+
+/// Request frames for `lines`, back to back, as one client write.
+fn framed(lines: &[String]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for line in lines {
+        write_frame(&mut out, line.as_bytes()).expect("frame into a Vec");
+    }
+    out
+}
+
+fn recognized_ft() -> String {
+    recognize_line(&[6000.0, 6000.0])
+}
+
+#[test]
+fn replies_are_flushed_before_the_worker_blocks_on_a_partial_frame() {
+    // Three whole frames plus 2 bytes of a fourth in one write: after the
+    // third reply a partial frame is still buffered, and the worker is
+    // about to block reading the rest. A "flush only when the buffer is
+    // empty" policy would sit on all three replies and hang this test.
+    let server = one_worker_server(|_| {});
+    let mut client = Client::connect(server.local_addr());
+    let fourth = framed(&["PING".into()]);
+    let mut burst = framed(&["PING".into(), recognized_ft(), "STATS".into()]);
+    burst.extend_from_slice(&fourth[..2]);
+    client.stream.write_all(&burst).expect("burst");
+    assert_eq!(client.recv(), "PONG");
+    assert_eq!(client.recv(), "OK 1 2 2 recognized ft");
+    assert!(client.recv().starts_with("STATS gen=1 "));
+    client
+        .stream
+        .write_all(&fourth[2..])
+        .expect("rest of the fourth frame");
+    assert_eq!(client.recv(), "PONG");
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn a_pipelined_burst_of_200_is_answered_in_order() {
+    let server = one_worker_server(|_| {});
+    let mut client = Client::connect(server.local_addr());
+    let unknown = recognize_line(&[9000.0, 9000.0]);
+    let lines: Vec<String> = (0..200)
+        .map(|i| {
+            if i % 3 == 2 {
+                unknown.clone()
+            } else {
+                recognized_ft()
+            }
+        })
+        .collect();
+    client.stream.write_all(&framed(&lines)).expect("burst");
+    for i in 0..200 {
+        let want = if i % 3 == 2 {
+            "OK 1 0 2 unknown"
+        } else {
+            "OK 1 2 2 recognized ft"
+        };
+        assert_eq!(client.recv(), want, "reply {i}");
+    }
+    assert!(server
+        .metrics_text()
+        .contains("efd_requests_total{command=\"recognize\"} 200"));
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn replies_to_valid_frames_precede_the_oversized_refusal() {
+    let server = one_worker_server(|_| {});
+    let mut client = Client::connect(server.local_addr());
+    let mut burst = framed(&["PING".into(), recognized_ft(), "PING".into()]);
+    burst.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
+    client.stream.write_all(&burst).expect("burst");
+    assert_eq!(client.recv(), "PONG");
+    assert_eq!(client.recv(), "OK 1 2 2 recognized ft");
+    assert_eq!(client.recv(), "PONG");
+    let refusal = client
+        .recv_or_close()
+        .expect("structured refusal before the drop");
+    assert!(refusal.starts_with("ERR oversized"), "got {refusal:?}");
+    assert!(
+        client.recv_or_close().is_none(),
+        "connection must drop after refusal"
+    );
+    assert_eq!(error_count(&server, "oversized"), 1);
+    server.shutdown();
+    server.join();
+}
+
+/// How a decoded byte stream ended.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Ending {
+    Clean,
+    Torn,
+    Oversized(u32),
+    Empty,
+}
+
+/// The unbuffered reference: decode a whole byte stream one frame at a
+/// time, straight from the wire format.
+fn reference_decode(mut bytes: &[u8]) -> (Vec<Vec<u8>>, Ending) {
+    let mut frames = Vec::new();
+    loop {
+        if bytes.is_empty() {
+            return (frames, Ending::Clean);
+        }
+        let Some(prefix) = bytes.get(..4) else {
+            return (frames, Ending::Torn);
+        };
+        let len = u32::from_le_bytes(prefix.try_into().expect("4 bytes"));
+        if len == 0 {
+            return (frames, Ending::Empty);
+        }
+        if len > MAX_FRAME {
+            return (frames, Ending::Oversized(len));
+        }
+        let Some(payload) = bytes.get(4..4 + len as usize) else {
+            return (frames, Ending::Torn);
+        };
+        frames.push(payload.to_vec());
+        bytes = &bytes[4 + len as usize..];
+    }
+}
+
+/// A socket stand-in: every read returns a random number of bytes (often
+/// a handful, sometimes more than a chunk), and one read in four is a
+/// `WouldBlock` instead.
+struct Choppy {
+    data: Vec<u8>,
+    pos: usize,
+    rng: TestRng,
+    reads: usize,
+}
+
+impl Read for Choppy {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        assert!(!buf.is_empty(), "a zero-length read would look like EOF");
+        self.reads += 1;
+        if self.rng.next_below(4) == 0 {
+            return Err(io::Error::new(io::ErrorKind::WouldBlock, "dry"));
+        }
+        let most = if self.rng.next_below(2) == 0 {
+            16
+        } else {
+            3 * READ_CHUNK
+        };
+        let n = (1 + self.rng.next_below(most as u64) as usize)
+            .min(buf.len())
+            .min(self.data.len() - self.pos);
+        buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+/// Frame payload lengths: mostly request-sized, some longer than a read
+/// chunk so they straddle several fills.
+fn arb_lengths() -> impl Strategy<Value = Vec<usize>> {
+    prop::collection::vec(
+        prop_oneof![
+            4 => 1usize..300,
+            1 => (READ_CHUNK - 8)..(2 * READ_CHUNK + 100),
+        ],
+        0..12,
+    )
+}
+
+proptest! {
+    /// The buffered reader returns exactly the reference decoder's
+    /// payloads and ending, whatever the read sizes and wherever the
+    /// source runs dry; and a frame it calls ready never costs a read.
+    #[test]
+    fn buffered_reader_matches_the_reference_decoder(
+        lengths in arb_lengths(),
+        ending in 0u8..4,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = TestRng::new(seed);
+        let mut bytes = Vec::new();
+        for (i, &len) in lengths.iter().enumerate() {
+            let payload: Vec<u8> = (0..len).map(|k| (i * 31 + k) as u8).collect();
+            write_frame(&mut bytes, &payload).expect("frame into a Vec");
+        }
+        match ending {
+            0 => {}
+            1 => {
+                // Cut one more frame anywhere before its last byte.
+                let mut extra = Vec::new();
+                let len = 1 + rng.next_below(2 * READ_CHUNK as u64) as usize;
+                write_frame(&mut extra, &vec![b'x'; len]).expect("frame into a Vec");
+                let cut = 1 + rng.next_below(extra.len() as u64 - 1) as usize;
+                bytes.extend_from_slice(&extra[..cut]);
+            }
+            2 => {
+                let n = MAX_FRAME + 1 + rng.next_below(1 << 20) as u32;
+                bytes.extend_from_slice(&n.to_le_bytes());
+            }
+            _ => bytes.extend_from_slice(&0u32.to_le_bytes()),
+        }
+        let (want, want_end) = reference_decode(&bytes);
+        let mut src = Choppy { data: bytes, pos: 0, rng, reads: 0 };
+        let mut reader = FrameReader::new();
+        let mut got = Vec::new();
+        let got_end = loop {
+            let ready = reader.frame_ready();
+            let reads = src.reads;
+            match reader.read_frame(&mut src) {
+                Ok(Some(payload)) => got.push(payload.to_vec()),
+                Ok(None) => break Ending::Clean,
+                Err(FrameError::Timeout) => {
+                    prop_assert!(!ready, "a ready frame timed out");
+                    continue;
+                }
+                Err(FrameError::Torn) => break Ending::Torn,
+                Err(FrameError::Oversized(n)) => break Ending::Oversized(n),
+                Err(FrameError::Empty) => break Ending::Empty,
+                Err(FrameError::Io(e)) => panic!("unexpected I/O error {e}"),
+            }
+            if ready {
+                prop_assert_eq!(src.reads, reads, "a ready frame read the source");
+            }
+        };
+        prop_assert_eq!(got.len(), want.len());
+        prop_assert!(got == want, "payloads differ from the reference decoder");
+        prop_assert_eq!(got_end, want_end);
+    }
 }
