@@ -24,6 +24,14 @@
 //! Acceptance: the generic path is within noise (≥ 0.95×) of the direct
 //! path.
 //!
+//! A request-path leg replays the same stream as `RECOGNIZE` lines
+//! through the published `Arc<dyn Recognize + Send + Sync>`, two ways:
+//! the owned path (`Request::parse` → `Query::from_node_means` →
+//! `recognize_into` → `render_answer`) and the daemon's answer path
+//! (`RequestRef::parse` into a reused means buffer → `set_node_means` →
+//! `answer_into` → `write_answer` into a reused reply buffer). It prints
+//! ns per request for each and asserts the replies are byte-identical.
+//!
 //! Knobs: `EFD_SERVE_QUERIES` (default 10000), `EFD_SERVE_REPS`
 //! (default 5; best-of-N wall clock per row).
 
@@ -32,10 +40,11 @@ use std::time::Instant;
 
 use criterion::black_box;
 use efd_bench::{bench_dataset, headline_metric};
-use efd_core::engine::{Recognize, VoteScratch};
+use efd_core::engine::{Answer, Recognize, VoteScratch};
 use efd_core::observation::{LabeledObservation, Query};
 use efd_core::training::{Efd, EfdConfig};
 use efd_core::RoundingDepth;
+use efd_serve::net::protocol::{render_answer, write_answer, Request, RequestRef};
 use efd_serve::{BatchRecognizer, Snapshot};
 use efd_telemetry::trace::MetricSelection;
 use efd_telemetry::Interval;
@@ -227,4 +236,100 @@ fn main() {
         "  >= 0.95x threshold  : {}",
         if generic_ratio >= 0.95 { "PASS" } else { "MISS" }
     );
+
+    // ------------------------------------------------------------------
+    // Request path: owned parse/recognize/render vs the answer path, on
+    // the same RECOGNIZE lines, single-threaded, one reused scratch.
+    // ------------------------------------------------------------------
+    let catalog = dataset.catalog();
+    let metric_name = catalog.name(metric);
+    let lines: Vec<String> = queries
+        .iter()
+        .map(|q| {
+            let w = q.points[0].interval;
+            let means: Vec<String> = q.points.iter().map(|p| p.mean.to_string()).collect();
+            let (start, end) = (w.start, w.end);
+            format!("RECOGNIZE {metric_name} {start} {end} {}", means.join(" "))
+        })
+        .collect();
+    let engine: Arc<dyn Recognize + Send + Sync> = Arc::new(Snapshot::freeze(&dict, 8));
+
+    let owned = |line: &str, scratch: &mut VoteScratch| -> String {
+        let Ok(Request::Recognize {
+            metric,
+            start,
+            end,
+            means,
+        }) = Request::parse(line)
+        else {
+            panic!("not a RECOGNIZE line: {line}");
+        };
+        let m = catalog.id(&metric).expect("catalog metric");
+        let q = Query::from_node_means(m, Interval::new(start, end), &means);
+        render_answer("OK", 1, &engine.recognize_into(&q, scratch).normalized())
+    };
+    #[derive(Default)]
+    struct Buffers {
+        means: Vec<f64>,
+        query: Query,
+        answer: Answer,
+        reply: Vec<u8>,
+    }
+    let answer = |line: &str, scratch: &mut VoteScratch, b: &mut Buffers| {
+        let Ok(RequestRef::Recognize { metric, start, end }) =
+            RequestRef::parse(line, &mut b.means)
+        else {
+            panic!("not a RECOGNIZE line: {line}");
+        };
+        let m = catalog.id(metric).expect("catalog metric");
+        b.query
+            .set_node_means(m, Interval::new(start, end), &b.means);
+        engine.answer_into(&b.query, scratch, &mut b.answer);
+        b.reply.clear();
+        write_answer(&mut b.reply, "OK", 1, &b.answer);
+    };
+
+    // Same replies, byte for byte, before anything is timed.
+    let mut bufs = Buffers::default();
+    let mut verdicts = [0usize; 3];
+    for line in &lines {
+        let want = owned(line, &mut scratch);
+        answer(line, &mut scratch, &mut bufs);
+        assert_eq!(bufs.reply, want.as_bytes(), "reply to {line}");
+        verdicts[bufs.answer.tied().min(2)] += 1;
+    }
+    let t_owned = time_best_of(reps, || {
+        for line in &lines {
+            black_box(owned(line, &mut scratch).len());
+        }
+    });
+    let t_answer = time_best_of(reps, || {
+        for line in &lines {
+            answer(line, &mut scratch, &mut bufs);
+            black_box(bufs.reply.len());
+        }
+    });
+
+    let per_request = |t: f64| t * 1e9 / lines.len() as f64;
+    let mut path = TextTable::new(vec!["request path", "ns/request", "vs owned"]).with_title(
+        format!(
+            "RECOGNIZE request path, parse to reply bytes ({} lines: {} unknown, {} recognized, {} ambiguous)",
+            lines.len(),
+            verdicts[0],
+            verdicts[1],
+            verdicts[2]
+        ),
+    );
+    for (mode, t) in [
+        ("owned (Request::parse, recognize_into)", t_owned),
+        ("answer (RequestRef::parse, answer_into)", t_answer),
+    ] {
+        path.add_row(vec![
+            mode.to_string(),
+            format!("{:.0}", per_request(t)),
+            format!("{:.2}x", t_owned / t),
+        ]);
+    }
+    println!("\n{}", path.render());
+    println!("\nreplies: byte-identical on all {} lines", lines.len());
 }

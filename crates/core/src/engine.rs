@@ -12,10 +12,14 @@
 //! * [`Learn`] — anything that absorbs labeled observations.
 //! * [`Recognize`] — anything that answers a [`Query`] with a
 //!   [`Recognition`]. The core method is [`Recognize::recognize_into`],
-//!   which counts votes in caller-owned [`VoteScratch`] — the serving
-//!   layer's zero-allocation hot path is the trait's *native* shape, and
+//!   which counts votes in caller-owned [`VoteScratch`] — vote counting
+//!   never allocates, only the returned [`Recognition`] does — and
 //!   the convenience forms ([`Recognize::recognize`],
 //!   [`Recognize::recognize_batch`]) are provided on top.
+//!   [`Recognize::answer_into`] is the verdict-only form a server
+//!   replies with: it fills a reusable [`Answer`] (point counts and the
+//!   tied top apps) and, on the store-backed snapshots, allocates
+//!   nothing once warm.
 //! * [`ParallelRecognize`] — a blanket extension over `Recognize + Sync`
 //!   adding [`recognize_batch_parallel`](ParallelRecognize::recognize_batch_parallel)
 //!   via `efd_util`'s scoped-thread pool, one scratch per worker.
@@ -74,6 +78,9 @@ pub struct VoteScratch {
     /// Apps already credited for the current point (one vote per app per
     /// matched point, however many inputs share the entry).
     point_apps: Vec<AppNameId>,
+    /// The tied top apps of the answer [`VoteScratch::finish_answer`] is
+    /// building, sorted by name there.
+    tied: Vec<AppNameId>,
 }
 
 impl VoteScratch {
@@ -196,6 +203,41 @@ impl VoteScratch {
         best
     }
 
+    /// Drain the accumulated **app** votes into `out`: the top vote count
+    /// and every app that reached it, in name order — the verdict of
+    /// [`VoteScratch::finish`] without its vote tables. Resets the
+    /// scratch like [`VoteScratch::finish_best`]; allocates nothing once
+    /// the scratch and `out` have held an answer this size.
+    pub fn finish_answer(
+        &mut self,
+        apps: &[String],
+        matched_points: usize,
+        total_points: usize,
+        out: &mut Answer,
+    ) {
+        let top = self
+            .touched_apps
+            .iter()
+            .map(|id| self.app_counts[id.index()])
+            .max()
+            .unwrap_or(0);
+        self.tied.clear();
+        for id in self.touched_apps.drain(..) {
+            if std::mem::take(&mut self.app_counts[id.index()]) == top {
+                self.tied.push(id);
+            }
+        }
+        while let Some(id) = self.touched_labels.pop() {
+            self.drain_label_count(id.index());
+        }
+        self.tied
+            .sort_unstable_by(|a, b| apps[a.index()].cmp(&apps[b.index()]));
+        out.reset(matched_points, total_points);
+        for id in &self.tied {
+            out.push_app(&apps[id.index()]);
+        }
+    }
+
     /// Drain the accumulated votes into a [`Recognition`] in
     /// [`Recognition::normalized`] order, resetting the scratch for the
     /// next query. `labels`/`apps` resolve interned ids to names.
@@ -255,6 +297,100 @@ impl VoteScratch {
             matched_points,
             total_points,
         }
+    }
+}
+
+/// The verdict of one query without its vote tables: the matched and
+/// total point counts plus the tied top applications in name order —
+/// everything a `RECOGNIZE` reply carries.
+///
+/// An `Answer` is meant to be reused: [`Recognize::answer_into`]
+/// overwrites it, and the app names go into one `String` that keeps its
+/// capacity, so a warm `Answer` is refilled without allocating. No
+/// tied app means unknown, one means recognized, several mean ambiguous.
+///
+/// ```
+/// use efd_core::engine::{Answer, Recognize, VoteScratch};
+/// use efd_core::{EfdDictionary, LabeledObservation, Query, RoundingDepth};
+/// use efd_telemetry::{AppLabel, Interval, MetricId};
+///
+/// let mut dict = EfdDictionary::new(RoundingDepth::new(2));
+/// for app in ["sp", "bt"] {
+///     dict.learn(&LabeledObservation {
+///         label: AppLabel::new(app, "X"),
+///         query: Query::from_node_means(MetricId(0), Interval::PAPER_DEFAULT, &[7520.0]),
+///     });
+/// }
+/// let q = Query::from_node_means(MetricId(0), Interval::PAPER_DEFAULT, &[7511.0, 1.0]);
+/// let (mut scratch, mut answer) = (VoteScratch::default(), Answer::default());
+/// dict.answer_into(&q, &mut scratch, &mut answer);
+/// assert_eq!((answer.matched_points, answer.total_points), (1, 2));
+/// assert_eq!(answer.apps().collect::<Vec<_>>(), ["bt", "sp"]);
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Answer {
+    /// Query points whose fingerprint was found.
+    pub matched_points: usize,
+    /// Query points asked about.
+    pub total_points: usize,
+    /// The tied apps' names, back to back, in name order.
+    names: String,
+    /// End offset of each tied app's name in `names`.
+    ends: Vec<usize>,
+}
+
+impl Answer {
+    /// Start over with no tied app (an unknown verdict), keeping capacity.
+    fn reset(&mut self, matched_points: usize, total_points: usize) {
+        self.matched_points = matched_points;
+        self.total_points = total_points;
+        self.names.clear();
+        self.ends.clear();
+    }
+
+    /// Append one tied app; callers push in name order.
+    fn push_app(&mut self, name: &str) {
+        self.names.push_str(name);
+        self.ends.push(self.names.len());
+    }
+
+    /// Overwrite with the verdict and point counts of `rec`. An ambiguous
+    /// tie array is taken in name order whatever order `rec` holds it in.
+    pub fn set_from(&mut self, rec: &Recognition) {
+        self.reset(rec.matched_points, rec.total_points);
+        match &rec.verdict {
+            Verdict::Recognized(app) => self.push_app(app),
+            Verdict::Ambiguous(apps) => {
+                let mut sorted: Vec<&str> = apps.iter().map(String::as_str).collect();
+                sorted.sort_unstable();
+                for app in sorted {
+                    self.push_app(app);
+                }
+            }
+            Verdict::Unknown => {}
+        }
+    }
+
+    /// The tied top applications, in name order (empty when unknown).
+    pub fn apps(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        (0..self.ends.len()).map(move |i| {
+            let start = if i == 0 { 0 } else { self.ends[i - 1] };
+            &self.names[start..self.ends[i]]
+        })
+    }
+
+    /// How many applications tied for the most votes: 0 is unknown, 1 is
+    /// recognized, more is ambiguous.
+    pub fn tied(&self) -> usize {
+        self.ends.len()
+    }
+}
+
+impl From<&Recognition> for Answer {
+    fn from(rec: &Recognition) -> Answer {
+        let mut answer = Answer::default();
+        answer.set_from(rec);
+        answer
     }
 }
 
@@ -338,6 +474,17 @@ pub trait Recognize {
     /// may ignore it.
     fn recognize_into(&self, query: &Query, scratch: &mut VoteScratch) -> Recognition;
 
+    /// Answer one query with its verdict only, into caller-owned
+    /// `scratch` and `out` — the serving hot path, which needs no vote
+    /// tables. Equals `Answer::from(&self.recognize_into(query,
+    /// scratch).normalized())`, which is also the provided body, so every
+    /// backend answers correctly without overriding it; store-backed
+    /// snapshots override it to count app votes only and allocate
+    /// nothing once warm.
+    fn answer_into(&self, query: &Query, scratch: &mut VoteScratch, out: &mut Answer) {
+        out.set_from(&self.recognize_into(query, scratch).normalized());
+    }
+
     /// Recognize one query with fresh scratch (allocates; prefer
     /// [`Recognize::recognize_into`] or the batch forms on hot paths).
     fn recognize(&self, query: &Query) -> Recognition {
@@ -361,17 +508,29 @@ impl<R: Recognize + ?Sized> Recognize for &R {
     fn recognize_into(&self, query: &Query, scratch: &mut VoteScratch) -> Recognition {
         (**self).recognize_into(query, scratch)
     }
+
+    fn answer_into(&self, query: &Query, scratch: &mut VoteScratch, out: &mut Answer) {
+        (**self).answer_into(query, scratch, out)
+    }
 }
 
 impl<R: Recognize + ?Sized> Recognize for Box<R> {
     fn recognize_into(&self, query: &Query, scratch: &mut VoteScratch) -> Recognition {
         (**self).recognize_into(query, scratch)
     }
+
+    fn answer_into(&self, query: &Query, scratch: &mut VoteScratch, out: &mut Answer) {
+        (**self).answer_into(query, scratch, out)
+    }
 }
 
 impl<R: Recognize + ?Sized> Recognize for std::sync::Arc<R> {
     fn recognize_into(&self, query: &Query, scratch: &mut VoteScratch) -> Recognition {
         (**self).recognize_into(query, scratch)
+    }
+
+    fn answer_into(&self, query: &Query, scratch: &mut VoteScratch, out: &mut Answer) {
+        (**self).answer_into(query, scratch, out)
     }
 }
 
@@ -528,6 +687,59 @@ mod tests {
     }
 
     #[test]
+    fn finish_answer_is_the_verdict_of_finish_and_resets() {
+        let labels = [lab("sp", "X"), lab("bt", "X"), lab("ft", "X")];
+        let apps = ["sp".to_string(), "bt".to_string(), "ft".to_string()];
+        // Per-app votes per case: a clear winner, a two-way tie (learned
+        // in reverse name order), and nothing.
+        let cases: [&[u32]; 3] = [&[1, 3, 2], &[2, 2, 1], &[]];
+        let mut full = VoteScratch::default();
+        let mut lean = VoteScratch::default();
+        let mut answer = Answer::default();
+        for votes in cases {
+            for s in [&mut full, &mut lean] {
+                s.ensure(3, 3);
+                for (i, &n) in votes.iter().enumerate() {
+                    for _ in 0..n {
+                        s.begin_point();
+                        s.vote_label(LabelId::from_index(i));
+                        s.vote_app_deduped(AppNameId::from_index(i));
+                    }
+                }
+            }
+            let rec = full.finish(&labels, &apps, 4, 5);
+            lean.finish_answer(&apps, 4, 5, &mut answer);
+            assert_eq!(answer, Answer::from(&rec), "votes {votes:?}");
+            assert_eq!(answer.apps().next(), rec.best());
+        }
+        // Both scratches are clean: an empty finish is unknown.
+        lean.finish_answer(&apps, 0, 1, &mut answer);
+        assert_eq!(answer.tied(), 0);
+        assert!(full.finish(&labels, &apps, 0, 1).app_votes.is_empty());
+    }
+
+    #[test]
+    fn answer_sorts_a_tie_array_and_keeps_its_buffers() {
+        let rec = Recognition {
+            verdict: Verdict::Ambiguous(vec!["sp".into(), "bt".into(), "cg".into()]),
+            app_votes: vec![],
+            label_votes: vec![],
+            matched_points: 2,
+            total_points: 3,
+        };
+        let mut answer = Answer::from(&rec);
+        assert_eq!(answer.apps().collect::<Vec<_>>(), ["bt", "cg", "sp"]);
+        assert_eq!(answer.tied(), 3);
+        let cap = answer.names.capacity();
+        answer.set_from(&Recognition {
+            verdict: Verdict::Recognized("ft".into()),
+            ..rec
+        });
+        assert_eq!(answer.apps().collect::<Vec<_>>(), ["ft"]);
+        assert_eq!(answer.names.capacity(), cap, "refilled in place");
+    }
+
+    #[test]
     fn trait_recognize_matches_normalized_oracle() {
         const M: MetricId = MetricId(0);
         const W: Interval = Interval::PAPER_DEFAULT;
@@ -543,10 +755,13 @@ mod tests {
             Query::from_node_means(M, W, &[1.0; 4]),
         ];
         let mut scratch = VoteScratch::default();
+        let mut answer = Answer::default();
         for q in &queries {
             let inherent = d.recognize(q).normalized();
             assert_eq!(Recognize::recognize(&d, q), inherent);
             assert_eq!(d.recognize_into(q, &mut scratch), inherent);
+            d.answer_into(q, &mut scratch, &mut answer);
+            assert_eq!(answer, Answer::from(&inherent));
         }
         let batch = Recognize::recognize_batch(&d, &queries);
         let par = d.recognize_batch_parallel(&queries);

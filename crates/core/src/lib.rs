@@ -65,7 +65,7 @@ pub use binfmt::{BinFormatError, Efdb};
 pub use dictionary::{
     AppNameId, DictionaryParts, DictionaryStats, EfdDictionary, LabelId, Recognition, Verdict,
 };
-pub use engine::{Learn, ParallelRecognize, Recognize, VoteScratch};
+pub use engine::{Answer, Learn, ParallelRecognize, Recognize, VoteScratch};
 pub use fingerprint::Fingerprint;
 pub use observation::{LabeledObservation, ObsPoint, Query};
 pub use rounding::{round_to_depth, RoundingDepth};

@@ -58,17 +58,25 @@ impl Query {
     /// Build directly from per-node means of a single metric × interval
     /// (nodes numbered 0..n in order).
     pub fn from_node_means(metric: MetricId, interval: Interval, means: &[f64]) -> Self {
-        let points = means
-            .iter()
-            .enumerate()
-            .map(|(n, &mean)| ObsPoint {
+        let mut query = Self::default();
+        query.set_node_means(metric, interval, means);
+        query
+    }
+
+    /// Refill in place with per-node means of a single metric × interval
+    /// (nodes numbered 0..n in order), as [`Query::from_node_means`]
+    /// builds them. The point buffer keeps its capacity, so a server
+    /// reusing one `Query` per connection allocates only when a request
+    /// brings more nodes than any before it.
+    pub fn set_node_means(&mut self, metric: MetricId, interval: Interval, means: &[f64]) {
+        self.points.clear();
+        self.points
+            .extend(means.iter().enumerate().map(|(n, &mean)| ObsPoint {
                 metric,
                 node: NodeId(n as u16),
                 interval,
                 mean,
-            })
-            .collect();
-        Self { points }
+            }));
     }
 
     /// Number of points.
@@ -178,6 +186,16 @@ mod tests {
         assert_eq!(q.len(), 3);
         assert_eq!(q.points[2].node, NodeId(2));
         assert_eq!(q.points[2].mean, 7.0);
+    }
+
+    #[test]
+    fn set_node_means_refills_in_place() {
+        let mut q = Query::from_node_means(MetricId(3), Interval::PAPER_DEFAULT, &[5.0, 6.0, 7.0]);
+        let cap = q.points.capacity();
+        q.set_node_means(MetricId(4), Interval::new(0, 60), &[8.0, 9.0]);
+        let want = Query::from_node_means(MetricId(4), Interval::new(0, 60), &[8.0, 9.0]);
+        assert_eq!(q, want);
+        assert_eq!(q.points.capacity(), cap, "refilled in place");
     }
 
     #[test]

@@ -12,13 +12,16 @@
 //!   cleanly-separable queries (the eval crate's ml-classifier backends,
 //!   whose vote *counts* legitimately differ from dictionary votes).
 //!
-//! Each instantiation also cross-checks the trait's four entry points
-//! against each other: `recognize`, `recognize_into` (scratch reuse),
-//! `recognize_batch`, and `recognize_batch_parallel` must agree.
+//! Each instantiation also cross-checks the trait's entry points against
+//! each other: `recognize`, `recognize_into` (scratch reuse),
+//! `recognize_batch`, and `recognize_batch_parallel` must agree, and the
+//! verdict-only `answer_into` must equal the [`Answer`] of
+//! `recognize_into(..).normalized()` — whether the backend overrides it
+//! or runs the provided default.
 
 use std::sync::Arc;
 
-use efd_core::engine::{Learn, ParallelRecognize, Recognize, VoteScratch};
+use efd_core::engine::{Answer, Learn, ParallelRecognize, Recognize, VoteScratch};
 use efd_core::multi::ComboDictionary;
 use efd_core::{binfmt, EfdDictionary, LabeledObservation, Query, RoundingDepth};
 use efd_eval::engine::MlBackend;
@@ -93,7 +96,20 @@ fn verdict_queries() -> Vec<(Query, &'static str)> {
     ]
 }
 
-/// One backend, four trait entry points, every query: all equal to the
+/// `answer_into` on every query equals the [`Answer`] built from the
+/// same backend's normalized `recognize_into`. One scratch and one
+/// answer are reused throughout, as a server connection reuses them.
+fn assert_answers<R: Recognize>(backend: &R, queries: &[Query], label: &str) {
+    let mut scratch = VoteScratch::default();
+    let mut answer = Answer::default();
+    for (i, q) in queries.iter().enumerate() {
+        let want = Answer::from(&backend.recognize_into(q, &mut scratch).normalized());
+        backend.answer_into(q, &mut scratch, &mut answer);
+        assert_eq!(answer, want, "{label}: answer_into on query {i}");
+    }
+}
+
+/// One backend, five trait entry points, every query: all equal to the
 /// normalized oracle.
 fn assert_exact<R: Recognize + Sync>(backend: &R, label: &str) {
     let oracle = oracle(&observations());
@@ -108,6 +124,7 @@ fn assert_exact<R: Recognize + Sync>(backend: &R, label: &str) {
             "{label}: recognize_into (scratch reuse)"
         );
     }
+    assert_answers(backend, &queries, label);
     let batch = Recognize::recognize_batch(backend, &queries);
     let parallel = backend.recognize_batch_parallel(&queries);
     for (i, q) in queries.iter().enumerate() {
@@ -128,6 +145,8 @@ fn assert_verdicts<R: Recognize + Sync>(backend: &R, label: &str) {
         assert_eq!(got.verdict, expected.verdict, "{label}: verdict on {want}");
         assert_eq!(got.total_points, expected.total_points, "{label}: totals");
     }
+    let queries: Vec<Query> = verdict_queries().into_iter().map(|(q, _)| q).collect();
+    assert_answers(backend, &queries, label);
 }
 
 /// Instantiate one conformance test per backend. The builder expression

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use efd_core::binfmt::{self, BinFormatError, KeyRecords, Postings};
 use efd_core::dictionary::{AppNameId, LabelId};
-use efd_core::engine::{Recognize, VoteScratch};
+use efd_core::engine::{Answer, Recognize, VoteScratch};
 use efd_core::{Fingerprint, Query, Recognition, RoundingDepth};
 use efd_telemetry::metric::MetricCatalog;
 use efd_telemetry::{AppLabel, MetricId};
@@ -254,6 +254,10 @@ impl KeyStore for EfdbSnapshot {
 impl Recognize for EfdbSnapshot {
     fn recognize_into(&self, query: &Query, scratch: &mut VoteScratch) -> Recognition {
         keystore::recognize_with(self, query, scratch)
+    }
+
+    fn answer_into(&self, query: &Query, scratch: &mut VoteScratch, out: &mut Answer) {
+        keystore::answer_with(self, query, scratch, out)
     }
 }
 

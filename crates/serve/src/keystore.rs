@@ -5,10 +5,12 @@
 //! raw EFDB key records) answer queries through the same two-phase shape:
 //! probe a fingerprint per query point, then accumulate label and app
 //! votes in a [`VoteScratch`]. [`KeyStore`] is that shape as a trait, and
-//! [`recognize_with`] / [`best_with`] are the *single* vote kernel both
-//! backends run — probe loop, wide/scalar counter selection, and
-//! [`VoteScratch::finish`] live here once, so a fix or a fast path lands
-//! in every backend at the same time.
+//! [`recognize_with`] / [`answer_with`] / [`best_with`] are the *single*
+//! vote kernel both backends run — probe loop, wide/scalar counter
+//! selection, and the scratch's finish live here once, so a fix or a
+//! fast path lands in every backend at the same time. [`answer_with`] and
+//! [`best_with`] probe with [`KeyStore::vote_apps`] and count no label
+//! votes at all: a verdict needs only the app tallies.
 //!
 //! The kernel picks the widened SWAR counter path
 //! ([`VoteScratch::vote_label_wide`]) whenever the query is small enough
@@ -16,7 +18,7 @@
 //! per matched point, so `points.len() <= WIDE_VOTE_LIMIT` bounds every
 //! lane), and falls back to the exact scalar path otherwise.
 
-use efd_core::engine::VoteScratch;
+use efd_core::engine::{Answer, VoteScratch};
 use efd_core::{Fingerprint, Query, Recognition, RoundingDepth};
 use efd_telemetry::AppLabel;
 
@@ -86,6 +88,44 @@ pub fn recognize_with<S: KeyStore + ?Sized>(
     scratch.finish(store.labels(), store.apps(), matched, query.points.len())
 }
 
+/// Probe every query point and vote only its apps; returns the points
+/// whose key exists. App counters only — the label counters are not
+/// even grown.
+fn vote_apps_all<S: KeyStore + ?Sized>(
+    store: &S,
+    query: &Query,
+    scratch: &mut VoteScratch,
+) -> usize {
+    scratch.ensure(0, store.apps().len());
+    let depth = store.depth();
+    let mut matched = 0usize;
+    for p in &query.points {
+        let Some(fp) = Fingerprint::from_raw(p.metric, p.node, p.interval, p.mean, depth) else {
+            continue;
+        };
+        if store.vote_apps(&fp, scratch) {
+            matched += 1;
+        }
+    }
+    matched
+}
+
+/// The shared answer kernel: the verdict and point counts over any
+/// [`KeyStore`], written into a reusable [`Answer`]. Equals
+/// `Answer::from(&recognize_with(store, query, scratch))` by construction
+/// (same probes, same app tallies, same name-order tie rule) but builds
+/// no vote tables and clones no names, so a warm scratch and answer make
+/// it allocation-free.
+pub fn answer_with<S: KeyStore + ?Sized>(
+    store: &S,
+    query: &Query,
+    scratch: &mut VoteScratch,
+    out: &mut Answer,
+) {
+    let matched = vote_apps_all(store, query, scratch);
+    scratch.finish_answer(store.apps(), matched, query.points.len(), out);
+}
+
 /// The shared verdict-only kernel: the most-voted application over any
 /// [`KeyStore`] (ties broken lexicographically), `None` when nothing
 /// matched. Agrees with `recognize_with(store, query, scratch).best()`
@@ -95,13 +135,6 @@ pub fn best_with<'s, S: KeyStore + ?Sized>(
     query: &Query,
     scratch: &mut VoteScratch,
 ) -> Option<&'s str> {
-    scratch.ensure(store.labels().len(), store.apps().len());
-    let depth = store.depth();
-    for p in &query.points {
-        let Some(fp) = Fingerprint::from_raw(p.metric, p.node, p.interval, p.mean, depth) else {
-            continue;
-        };
-        store.vote_apps(&fp, scratch);
-    }
+    vote_apps_all(store, query, scratch);
     scratch.finish_best(store.apps())
 }

@@ -51,9 +51,16 @@
 //! [`ShardedDictionary`] also [`efd_core::engine::Learn`]): callers hold
 //! a `Box<dyn Recognize + Send + Sync>` or stay generic over
 //! `R: Recognize + Sync` and pick the backend at runtime. The trait's
-//! core method `recognize_into` *is* this crate's zero-allocation scratch
-//! path — [`VoteScratch`] lives in `efd_core::engine`, so core and serve
-//! share one scratch contract. This crate re-exports the traits
+//! core method `recognize_into` counts votes in caller-owned
+//! [`VoteScratch`] (it lives in `efd_core::engine`, so core and serve
+//! share one scratch contract); vote counting never allocates, but the
+//! returned `Recognition` does (7 allocations for a recognized 2-node
+//! query, 11 for an ambiguous one). The verdict-only
+//! [`Recognize::answer_into`] fills a reusable [`efd_core::Answer`]
+//! instead: [`Snapshot`] and [`EfdbSnapshot`] override it with the
+//! [`keystore::answer_with`] kernel, and a warm call makes 0 allocations,
+//! which is what the daemon answers `RECOGNIZE` with
+//! (`tests/alloc_free.rs` counts them). This crate re-exports the traits
 //! ([`Learn`], [`Recognize`], [`ParallelRecognize`], [`VoteScratch`]) for
 //! convenience.
 //!

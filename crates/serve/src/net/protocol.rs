@@ -22,6 +22,7 @@
 //! LEARN <app> <input> <metric> <start> <end> <mean0> [mean1 ...]
 //! SWAP [<path>]
 //! STATS
+//! STATUS
 //! SHUTDOWN
 //! ```
 //!
@@ -35,19 +36,33 @@
 //! ACK <collected>
 //! VERDICT <gen> <matched> <total> <same tail as OK>
 //! LEARNED <keys>
-//! SWAPPED <gen> <keys>
-//! STATS gen=<g> keys=<k> backend=<name> requests=<n>
+//! SWAPPED <gen> <keys> <version>
+//! STATS gen=<g> keys=<k> backend=<name> version=<v> connections=<c> requests=<n>
+//! STATUS gen=<g> version=<v> backend=<name> keys=<k> drift=<state> samples=<n>
+//!        unknown_rate=<r> ambiguous_rate=<r> baseline_unknown=<r|-> baseline_ambiguous=<r|->
 //! BYE
 //! ERR <kind> <message>
 //! ```
+//!
+//! (`STATUS` is one line; it is wrapped here. `<version>` is the served
+//! catalog version, or `-` outside the catalog.)
 //!
 //! Token grammar restriction: metric, application, and input names must
 //! not contain whitespace (true of every catalog metric and of the
 //! synthetic workload labels). Ambiguous verdict apps are joined with
 //! `,` and therefore must not contain commas either.
+//!
+//! There is one grammar and one renderer. [`RequestRef::parse`] reads a
+//! line in place — names borrow the line, means go into a caller-owned
+//! buffer — and [`Request::parse`] is that parse plus a copy into owned
+//! fields. [`write_answer`] appends an `OK`/`VERDICT` line for an
+//! [`Answer`] to a byte buffer, and [`render_answer`] is that renderer
+//! over a [`Recognition`]. The daemon runs the borrowed forms with
+//! per-connection buffers, so a warm `RECOGNIZE` allocates nothing.
 
 use std::io::{self, Read, Write};
 
+use efd_core::engine::Answer;
 use efd_core::{Recognition, Verdict};
 
 /// Hard ceiling on a frame payload (1 MiB). A `RECOGNIZE` for 4096
@@ -376,22 +391,96 @@ impl Request {
     }
 
     /// Parse one request line. Errors are human-readable fragments for
-    /// an `ERR malformed <why>` response.
+    /// an `ERR malformed <why>` response. This is [`RequestRef::parse`]
+    /// with its fields copied out, so both accept and reject the same
+    /// lines with the same messages.
     pub fn parse(line: &str) -> Result<Request, String> {
+        let mut means = Vec::new();
+        let req = RequestRef::parse(line, &mut means)?;
+        Ok(req.into_owned(means))
+    }
+}
+
+/// A request parsed in place: names borrow the request line, and the
+/// per-node means of `RECOGNIZE`/`LEARN` go into the buffer the caller
+/// passed to [`RequestRef::parse`]. Variants mirror [`Request`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RequestRef<'a> {
+    /// Liveness probe.
+    Ping,
+    /// One-shot recognition; the means are in the caller's buffer.
+    Recognize {
+        /// Catalog metric name.
+        metric: &'a str,
+        /// Window start (seconds).
+        start: u32,
+        /// Window end (seconds, exclusive).
+        end: u32,
+    },
+    /// Open this connection's streaming session.
+    Stream {
+        /// Catalog metric name.
+        metric: &'a str,
+        /// Number of nodes streaming samples.
+        nodes: u16,
+        /// Fingerprint window start.
+        start: u32,
+        /// Fingerprint window end.
+        end: u32,
+    },
+    /// Feed one raw 1 Hz sample into the open session.
+    Push {
+        /// Node index within the declared stream.
+        node: u16,
+        /// Sample timestamp (seconds since job start).
+        t: u32,
+        /// Sampled metric value.
+        value: f64,
+    },
+    /// Force a verdict from the open session.
+    Finish,
+    /// Write-ahead learn; the means are in the caller's buffer.
+    Learn {
+        /// Application name.
+        app: &'a str,
+        /// Input-size label.
+        input: &'a str,
+        /// Catalog metric name.
+        metric: &'a str,
+        /// Window start.
+        start: u32,
+        /// Window end.
+        end: u32,
+    },
+    /// Republish the engine from a dictionary file (empty = reload path).
+    Swap {
+        /// Dictionary path, or empty for the configured reload path.
+        path: &'a str,
+    },
+    /// One-line daemon status.
+    Stats,
+    /// Catalog version + drift judgement status line.
+    Status,
+    /// Graceful daemon shutdown.
+    Shutdown,
+}
+
+impl<'a> RequestRef<'a> {
+    /// Parse one request line without allocating on success. For
+    /// `RECOGNIZE` and `LEARN`, `means` is cleared and then holds the
+    /// per-node means; it never grows past `u16::MAX` values, however
+    /// long the line. Errors are the same fragments [`Request::parse`]
+    /// reports.
+    pub fn parse(line: &'a str, means: &mut Vec<f64>) -> Result<RequestRef<'a>, String> {
         let mut it = line.split_ascii_whitespace();
         let verb = it.next().ok_or("blank request")?;
         match verb {
-            "PING" => end(it, Request::Ping),
+            "PING" => end(it, RequestRef::Ping),
             "RECOGNIZE" => {
                 let metric = word(&mut it, "metric")?;
                 let (start, end) = window(&mut it)?;
-                let means = means(it)?;
-                Ok(Request::Recognize {
-                    metric,
-                    start,
-                    end,
-                    means,
-                })
+                parse_means(it, means)?;
+                Ok(RequestRef::Recognize { metric, start, end })
             }
             "STREAM" => {
                 let metric = word(&mut it, "metric")?;
@@ -402,7 +491,7 @@ impl Request {
                 let (start, e) = window(&mut it)?;
                 end(
                     it,
-                    Request::Stream {
+                    RequestRef::Stream {
                         metric,
                         nodes,
                         start,
@@ -417,50 +506,107 @@ impl Request {
                 if !value.is_finite() {
                     return Err("PUSH value must be finite".into());
                 }
-                end(it, Request::Push { node, t, value })
+                end(it, RequestRef::Push { node, t, value })
             }
-            "FINISH" => end(it, Request::Finish),
+            "FINISH" => end(it, RequestRef::Finish),
             "LEARN" => {
                 let app = word(&mut it, "app")?;
                 let input = word(&mut it, "input")?;
                 let metric = word(&mut it, "metric")?;
                 let (start, end) = window(&mut it)?;
-                let means = means(it)?;
-                Ok(Request::Learn {
+                parse_means(it, means)?;
+                Ok(RequestRef::Learn {
                     app,
                     input,
                     metric,
                     start,
                     end,
-                    means,
                 })
             }
             "SWAP" => {
-                let path = it.next().unwrap_or("").to_string();
-                end(it, Request::Swap { path })
+                let path = it.next().unwrap_or("");
+                end(it, RequestRef::Swap { path })
             }
-            "STATS" => end(it, Request::Stats),
-            "STATUS" => end(it, Request::Status),
-            "SHUTDOWN" => end(it, Request::Shutdown),
+            "STATS" => end(it, RequestRef::Stats),
+            "STATUS" => end(it, RequestRef::Status),
+            "SHUTDOWN" => end(it, RequestRef::Shutdown),
             other => Err(format!("unknown command {other:?}")),
+        }
+    }
+
+    /// The command this request carries (metrics label).
+    pub fn command(&self) -> Command {
+        match self {
+            RequestRef::Ping => Command::Ping,
+            RequestRef::Recognize { .. } => Command::Recognize,
+            RequestRef::Stream { .. } => Command::Stream,
+            RequestRef::Push { .. } => Command::Push,
+            RequestRef::Finish => Command::Finish,
+            RequestRef::Learn { .. } => Command::Learn,
+            RequestRef::Swap { .. } => Command::Swap,
+            RequestRef::Stats => Command::Stats,
+            RequestRef::Status => Command::Status,
+            RequestRef::Shutdown => Command::Shutdown,
+        }
+    }
+
+    /// The owned [`Request`], taking `means` (the buffer this request
+    /// was parsed with) for `RECOGNIZE` and `LEARN`.
+    pub fn into_owned(self, means: Vec<f64>) -> Request {
+        match self {
+            RequestRef::Ping => Request::Ping,
+            RequestRef::Recognize { metric, start, end } => Request::Recognize {
+                metric: metric.to_string(),
+                start,
+                end,
+                means,
+            },
+            RequestRef::Stream {
+                metric,
+                nodes,
+                start,
+                end,
+            } => Request::Stream {
+                metric: metric.to_string(),
+                nodes,
+                start,
+                end,
+            },
+            RequestRef::Push { node, t, value } => Request::Push { node, t, value },
+            RequestRef::Finish => Request::Finish,
+            RequestRef::Learn {
+                app,
+                input,
+                metric,
+                start,
+                end,
+            } => Request::Learn {
+                app: app.to_string(),
+                input: input.to_string(),
+                metric: metric.to_string(),
+                start,
+                end,
+                means,
+            },
+            RequestRef::Swap { path } => Request::Swap {
+                path: path.to_string(),
+            },
+            RequestRef::Stats => Request::Stats,
+            RequestRef::Status => Request::Status,
+            RequestRef::Shutdown => Request::Shutdown,
         }
     }
 }
 
-fn end<'a>(
-    mut it: impl Iterator<Item = &'a str>,
-    req: Request,
-) -> Result<Request, String> {
+fn end<'a, T>(mut it: impl Iterator<Item = &'a str>, req: T) -> Result<T, String> {
     match it.next() {
         None => Ok(req),
         Some(extra) => Err(format!("unexpected trailing token {extra:?}")),
     }
 }
 
-fn word<'a>(it: &mut impl Iterator<Item = &'a str>, what: &str) -> Result<String, String> {
-    it.next()
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing {what}"))
+fn word<'a>(it: &mut impl Iterator<Item = &'a str>, what: &str) -> Result<&'a str, String> {
+    it.next().ok_or_else(|| format!("missing {what}"))
 }
 
 fn num<'a, T: std::str::FromStr>(
@@ -468,52 +614,44 @@ fn num<'a, T: std::str::FromStr>(
     what: &str,
 ) -> Result<T, String> {
     let tok = it.next().ok_or_else(|| format!("missing {what}"))?;
-    tok.parse()
-        .map_err(|_| format!("bad {what} {tok:?}"))
+    tok.parse().map_err(|_| format!("bad {what} {tok:?}"))
 }
 
 fn window<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<(u32, u32), String> {
     let start: u32 = num(it, "window start")?;
     let end: u32 = num(it, "window end")?;
     if end <= start {
-        return Err(format!("bad window [{start}:{end}] (end must exceed start)"));
+        return Err(format!(
+            "bad window [{start}:{end}] (end must exceed start)"
+        ));
     }
     Ok((start, end))
 }
 
-fn means<'a>(it: impl Iterator<Item = &'a str>) -> Result<Vec<f64>, String> {
-    let mut out = Vec::new();
+/// Parse the trailing means into `out`. Every token is checked, so the
+/// first bad token is reported even past the count limit, but `out`
+/// stops growing at the limit.
+fn parse_means<'a>(it: impl Iterator<Item = &'a str>, out: &mut Vec<f64>) -> Result<(), String> {
+    const LIMIT: usize = u16::MAX as usize;
+    out.clear();
+    let mut count = 0usize;
     for tok in it {
         let v: f64 = tok.parse().map_err(|_| format!("bad mean {tok:?}"))?;
         if !v.is_finite() {
             return Err(format!("non-finite mean {tok:?}"));
         }
-        out.push(v);
+        count += 1;
+        if count <= LIMIT {
+            out.push(v);
+        }
     }
-    if out.is_empty() {
+    if count == 0 {
         return Err("need at least one mean".into());
     }
-    if out.len() > u16::MAX as usize {
+    if count > LIMIT {
         return Err("too many node means".into());
     }
-    Ok(out)
-}
-
-/// Render the verdict tail shared by `OK` and `VERDICT` responses. The
-/// recognition is normalized first so the ambiguous array is in the
-/// deterministic lexicographic order every backend agrees on.
-pub fn verdict_tail(rec: &Recognition) -> String {
-    match &rec.verdict {
-        Verdict::Recognized(app) => format!("recognized {app}"),
-        Verdict::Ambiguous(apps) => {
-            let mut sorted = apps.clone();
-            sorted.sort();
-            format!("ambiguous {}", sorted.join(","))
-        }
-        // `Verdict` is non-exhaustive: future variants degrade to the
-        // safeguard bucket rather than a protocol break.
-        _ => "unknown".to_string(),
-    }
+    Ok(())
 }
 
 /// Stable label value for per-verdict counters: `recognized`,
@@ -526,14 +664,44 @@ pub fn verdict_label(rec: &Recognition) -> &'static str {
     }
 }
 
-/// Render a full `OK`/`VERDICT` response line.
-pub fn render_answer(head: &str, gen: u64, rec: &Recognition) -> String {
-    format!(
+/// [`verdict_label`] for an [`Answer`].
+pub(crate) fn answer_label(answer: &Answer) -> &'static str {
+    match answer.tied() {
+        0 => "unknown",
+        1 => "recognized",
+        _ => "ambiguous",
+    }
+}
+
+/// Append a full `OK`/`VERDICT` response line for `answer` to `out`:
+/// `<head> <gen> <matched> <total>` and then `recognized <app>`,
+/// `ambiguous <a,b,..>` (name order) or `unknown`. Formats straight
+/// into the buffer, so a warm buffer makes this allocation-free.
+pub fn write_answer(out: &mut Vec<u8>, head: &str, gen: u64, answer: &Answer) {
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(
+        out,
         "{head} {gen} {} {} {}",
-        rec.matched_points,
-        rec.total_points,
-        verdict_tail(rec)
-    )
+        answer.matched_points,
+        answer.total_points,
+        answer_label(answer)
+    );
+    for (i, app) in answer.apps().enumerate() {
+        out.push(if i == 0 { b' ' } else { b',' });
+        out.extend_from_slice(app.as_bytes());
+    }
+}
+
+/// Render a full `OK`/`VERDICT` response line: [`write_answer`] over the
+/// [`Answer`] of `rec`, so an ambiguous tie array comes out in name
+/// order whatever order `rec` holds it in.
+pub fn render_answer(head: &str, gen: u64, rec: &Recognition) -> String {
+    let answer = Answer::from(rec);
+    // Room for the head, three numbers, the verdict word and the apps.
+    let apps: usize = answer.apps().map(|a| a.len() + 1).sum();
+    let mut out = Vec::with_capacity(head.len() + 3 * 21 + "recognized".len() + apps);
+    write_answer(&mut out, head, gen, &answer);
+    String::from_utf8(out).expect("rendered from UTF-8 parts")
 }
 
 #[cfg(test)]
@@ -717,6 +885,100 @@ mod tests {
         ] {
             assert!(Request::parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    /// The reply format before [`write_answer`]: `format!` over the
+    /// recognition, the tie array sorted and joined.
+    fn format_reply(head: &str, gen: u64, rec: &Recognition) -> String {
+        let tail = match &rec.verdict {
+            Verdict::Recognized(app) => format!("recognized {app}"),
+            Verdict::Ambiguous(apps) => {
+                let mut sorted = apps.clone();
+                sorted.sort();
+                format!("ambiguous {}", sorted.join(","))
+            }
+            _ => "unknown".to_string(),
+        };
+        let (matched, total) = (rec.matched_points, rec.total_points);
+        format!("{head} {gen} {matched} {total} {tail}")
+    }
+
+    #[test]
+    fn write_answer_bytes_equal_the_formatted_reply() {
+        let rec = |verdict, matched_points, total_points| Recognition {
+            verdict,
+            app_votes: vec![],
+            label_votes: vec![],
+            matched_points,
+            total_points,
+        };
+        let ambiguous =
+            |apps: &[&str]| Verdict::Ambiguous(apps.iter().map(|a| a.to_string()).collect());
+        let cases = [
+            rec(Verdict::Recognized("ft".into()), 4, 4),
+            rec(Verdict::Recognized("miniAMR".into()), 1, 32),
+            rec(ambiguous(&["sp", "bt"]), 4, 6),
+            rec(ambiguous(&["lu", "cg", "bt", "sp"]), 3, 3),
+            rec(ambiguous(&["b", "a"]), 0, 0),
+            rec(Verdict::Unknown, 0, 8),
+            rec(Verdict::Unknown, 3, 8),
+        ];
+        // One buffer reused across replies, as the daemon reuses it.
+        let mut out = Vec::new();
+        for (i, rec) in cases.iter().enumerate() {
+            for (head, gen) in [("OK", 1u64), ("VERDICT", u64::MAX), ("OK", i as u64)] {
+                let want = format_reply(head, gen, rec);
+                assert_eq!(render_answer(head, gen, rec), want);
+                out.clear();
+                write_answer(&mut out, head, gen, &Answer::from(rec));
+                assert_eq!(out, want.as_bytes(), "{want}");
+                assert_eq!(answer_label(&Answer::from(rec)), verdict_label(rec));
+            }
+        }
+    }
+
+    #[test]
+    fn borrowed_parse_borrows_the_line_and_reuses_the_means_buffer() {
+        let mut means = vec![9.0; 4];
+        let line = "LEARN ft X mem_free 60 120 1 2.5";
+        let req = RequestRef::parse(line, &mut means).unwrap();
+        assert_eq!(
+            req,
+            RequestRef::Learn {
+                app: "ft",
+                input: "X",
+                metric: "mem_free",
+                start: 60,
+                end: 120,
+            }
+        );
+        assert_eq!(means, [1.0, 2.5]);
+        assert_eq!(req.command(), Command::Learn);
+        assert_eq!(req.into_owned(means.clone()), Request::parse(line).unwrap());
+        assert_eq!(
+            RequestRef::parse("SWAP", &mut means).unwrap(),
+            RequestRef::Swap { path: "" }
+        );
+    }
+
+    #[test]
+    fn the_means_buffer_stops_at_the_node_limit() {
+        let limit = u16::MAX as usize;
+        let line = |n: usize, tail: &str| format!("RECOGNIZE m 0 60{}{tail}", " 1".repeat(n));
+        let mut means = Vec::new();
+        assert!(RequestRef::parse(&line(limit, ""), &mut means).is_ok());
+        assert_eq!(means.len(), limit);
+        let too_many = line(limit + 10, "");
+        assert_eq!(
+            RequestRef::parse(&too_many, &mut means),
+            Err("too many node means".to_string())
+        );
+        assert!(means.len() <= limit);
+        // A bad token past the limit is still the error reported.
+        assert_eq!(
+            Request::parse(&line(limit + 10, " NaN")),
+            Err("non-finite mean \"NaN\"".to_string())
+        );
     }
 
     #[test]

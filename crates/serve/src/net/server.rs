@@ -41,6 +41,15 @@
 //! requests costs one `read` and one `write`, and a client that waits
 //! for its replies always gets them.
 //!
+//! ## Reused request buffers
+//!
+//! A connection owns the buffers its requests are answered in: the
+//! parsed means, a [`Query`] refilled in place, an [`Answer`], and the
+//! reply bytes. A request is parsed in place ([`RequestRef::parse`]),
+//! answered with [`Recognize::answer_into`], and rendered straight into
+//! the reply buffer ([`write_answer`]), so once a connection is warm a
+//! `RECOGNIZE` against the snapshot or efdb backend allocates nothing.
+//!
 //! ## One port, two protocols
 //!
 //! The first frame prefix doubles as the protocol sniff: a valid prefix
@@ -60,14 +69,14 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use efd_core::engine::{Recognize, VoteScratch};
-use efd_core::{binfmt, serialize, LabeledObservation, Query};
+use efd_core::engine::{Answer, Recognize, VoteScratch};
+use efd_core::{binfmt, serialize, LabeledObservation, Query, Recognition};
 use efd_telemetry::{AppLabel, Interval, MetricCatalog, MetricId, NodeId};
 
 use super::drift::{DriftBaseline, DriftConfig, DriftMonitor, DriftSnapshot};
 use super::metrics::DaemonMetrics;
 use super::protocol::{
-    render_answer, verdict_label, write_frame, FrameError, FrameReader, Request, MAX_FRAME,
+    answer_label, write_answer, write_frame, FrameError, FrameReader, RequestRef, MAX_FRAME,
 };
 use crate::{ComboSnapshot, DurableDictionary, EfdbSnapshot, OnlineSession, ShardedDictionary, Snapshot};
 
@@ -602,21 +611,20 @@ struct StreamState {
     opened: Instant,
 }
 
+/// What the connection does after a reply is written.
 enum Action {
     Continue,
     ShutdownDaemon,
 }
 
-struct Reply {
-    text: String,
-    action: Action,
-}
-
-fn reply(text: String) -> Reply {
-    Reply {
-        text,
-        action: Action::Continue,
-    }
+/// The state one connection reuses across its requests: the open
+/// stream, if any, and the buffers a `RECOGNIZE` is answered in.
+#[derive(Default)]
+struct Conn {
+    session: Option<StreamState>,
+    means: Vec<f64>,
+    query: Query,
+    answer: Answer,
 }
 
 /// Serve one connection to completion, as frames or as one HTTP request.
@@ -629,7 +637,8 @@ fn handle_conn(
     stream.set_read_timeout(Some(READ_TICK))?;
     let mut reader = FrameReader::new();
     let mut writer = BufWriter::new(stream.try_clone()?);
-    let mut session: Option<StreamState> = None;
+    let mut conn = Conn::default();
+    let mut reply = Vec::new();
     let mut idle = Duration::ZERO;
     // Until the first frame decodes, its prefix is also the HTTP sniff.
     let mut sniffing = true;
@@ -638,13 +647,14 @@ fn handle_conn(
             return writer.flush();
         }
         let started;
-        let out = match reader.read_frame(&mut stream) {
+        reply.clear();
+        let action = match reader.read_frame(&mut stream) {
             Ok(None) => return Ok(()), // clean close at a frame boundary
             Ok(Some(payload)) => {
                 idle = Duration::ZERO;
                 sniffing = false;
                 started = Instant::now();
-                dispatch(shared, payload, &mut session, scratch)
+                dispatch(shared, payload, &mut conn, scratch, &mut reply)
             }
             Err(FrameError::Timeout) => {
                 idle += READ_TICK;
@@ -678,14 +688,20 @@ fn handle_conn(
             }
             Err(FrameError::Io(_)) => return Ok(()), // reset/broken pipe: clean drop
         };
-        write_frame(&mut writer, out.text.as_bytes())?;
+        if reply.len() > MAX_FRAME as usize {
+            // Only an error echoing a request token gets here: escaping
+            // can make it longer than the largest frame it came in. A new
+            // buffer also drops the oversized one.
+            reply = b"ERR malformed request token too long to echo".to_vec();
+        }
+        write_frame(&mut writer, &reply)?;
         shared.metrics.request_duration.observe_duration(started.elapsed());
         // Flush on drain: a buffered request is answered first, and the
         // next socket read only ever happens with every reply sent.
         if !reader.frame_ready() {
             writer.flush()?;
         }
-        match out.action {
+        match action {
             Action::Continue => {}
             Action::ShutdownDaemon => {
                 writer.flush()?;
@@ -696,64 +712,67 @@ fn handle_conn(
     }
 }
 
-/// Answer one request. Infallible by construction: every failure mode
-/// is a structured `ERR <kind> <message>` response.
+/// Answer one request, writing the reply line into `out` (empty on
+/// entry). Infallible by construction: every failure mode is a
+/// structured `ERR <kind> <message>` reply. Writes into a `Vec` cannot
+/// fail, so their `io::Result`s are dropped.
 fn dispatch(
     shared: &Shared,
     payload: &[u8],
-    session: &mut Option<StreamState>,
+    conn: &mut Conn,
     scratch: &mut VoteScratch,
-) -> Reply {
-    let line = match std::str::from_utf8(payload) {
-        Ok(l) => l,
-        Err(_) => {
-            shared.metrics.count_error("malformed");
-            return reply("ERR malformed payload is not UTF-8".into());
-        }
+    out: &mut Vec<u8>,
+) -> Action {
+    let Ok(line) = std::str::from_utf8(payload) else {
+        shared.metrics.count_error("malformed");
+        out.extend_from_slice(b"ERR malformed payload is not UTF-8");
+        return Action::Continue;
     };
-    let req = match Request::parse(line) {
+    let req = match RequestRef::parse(line, &mut conn.means) {
         Ok(r) => r,
         Err(why) => {
             shared.metrics.count_error("malformed");
-            return reply(format!("ERR malformed {why}"));
+            let _ = write!(out, "ERR malformed {why}");
+            return Action::Continue;
         }
     };
     shared.metrics.count_request(req.command());
     match req {
-        Request::Ping => reply("PONG".into()),
-        Request::Recognize {
-            metric,
-            start,
-            end,
-            means,
-        } => {
-            let Some(m) = shared.cfg.catalog.id(&metric) else {
-                return unknown_metric(shared, &metric);
+        RequestRef::Ping => out.extend_from_slice(b"PONG"),
+        RequestRef::Recognize { metric, start, end } => {
+            let Some(m) = shared.cfg.catalog.id(metric) else {
+                return unknown_metric(shared, metric, out);
             };
-            let q = Query::from_node_means(m, Interval::new(start, end), &means);
+            conn.query
+                .set_node_means(m, Interval::new(start, end), &conn.means);
             let p = shared.current();
-            let rec = p.engine.recognizer.recognize_into(&q, scratch).normalized();
-            note_verdict(shared, &rec);
-            reply(render_answer("OK", p.gen, &rec))
+            p.engine
+                .recognizer
+                .answer_into(&conn.query, scratch, &mut conn.answer);
+            note_verdict(shared, answer_label(&conn.answer));
+            write_answer(out, "OK", p.gen, &conn.answer);
         }
-        Request::Stream {
+        RequestRef::Stream {
             metric,
             nodes,
             start,
             end,
         } => {
-            if session.is_some() {
+            if conn.session.is_some() {
                 shared.metrics.count_error("bad-state");
-                return reply("ERR bad-state a stream is already open on this connection".into());
+                out.extend_from_slice(b"ERR bad-state a stream is already open on this connection");
+                return Action::Continue;
             }
             if nodes > MAX_STREAM_NODES {
                 shared.metrics.count_error("malformed");
-                return reply(format!(
+                let _ = write!(
+                    out,
                     "ERR malformed STREAM nodes {nodes} exceeds the {MAX_STREAM_NODES} cap"
-                ));
+                );
+                return Action::Continue;
             }
-            let Some(m) = shared.cfg.catalog.id(&metric) else {
-                return unknown_metric(shared, &metric);
+            let Some(m) = shared.cfg.catalog.id(metric) else {
+                return unknown_metric(shared, metric, out);
             };
             let p = shared.current();
             let node_ids: Vec<NodeId> = (0..nodes).map(NodeId).collect();
@@ -764,98 +783,102 @@ fn dispatch(
                 vec![Interval::new(start, end)],
             );
             let horizon = sess.horizon_s();
-            *session = Some(StreamState {
+            conn.session = Some(StreamState {
                 sess,
                 metric: m,
                 gen: p.gen,
                 opened: Instant::now(),
             });
-            reply(format!("OPENED {} {horizon}", p.gen))
+            let _ = write!(out, "OPENED {} {horizon}", p.gen);
         }
-        Request::Push { node, t, value } => {
-            let Some(st) = session.as_mut() else {
+        RequestRef::Push { node, t, value } => {
+            let Some(st) = conn.session.as_mut() else {
                 shared.metrics.count_error("bad-state");
-                return reply("ERR bad-state no open stream (send STREAM first)".into());
+                out.extend_from_slice(b"ERR bad-state no open stream (send STREAM first)");
+                return Action::Continue;
             };
             follow_swap(shared, st);
             match st.sess.push(NodeId(node), st.metric, t, value) {
                 Some(rec) => {
-                    let rec = rec.normalized();
-                    let st = session.take().expect("checked above");
-                    stream_verdict(shared, &st, &rec)
+                    let st = conn.session.take().expect("checked above");
+                    stream_verdict(shared, &st, &rec, &mut conn.answer, out);
                 }
-                None => reply(format!("ACK {}", st.sess.collected())),
+                None => {
+                    let _ = write!(out, "ACK {}", st.sess.collected());
+                }
             }
         }
-        Request::Finish => {
-            let Some(mut st) = session.take() else {
+        RequestRef::Finish => {
+            let Some(mut st) = conn.session.take() else {
                 shared.metrics.count_error("bad-state");
-                return reply("ERR bad-state no open stream to finish".into());
+                out.extend_from_slice(b"ERR bad-state no open stream to finish");
+                return Action::Continue;
             };
             follow_swap(shared, &mut st);
-            let rec = st.sess.finish().normalized();
-            stream_verdict(shared, &st, &rec)
+            let rec = st.sess.finish();
+            stream_verdict(shared, &st, &rec, &mut conn.answer, out);
         }
-        Request::Learn {
+        RequestRef::Learn {
             app,
             input,
             metric,
             start,
             end,
-            means,
         } => {
             let p = shared.current();
             let Some(learner) = p.engine.learner.as_ref() else {
                 shared.metrics.count_error("read-only");
-                return reply(
-                    "ERR read-only this daemon serves an immutable snapshot \
-                     (start with --wal to accept LEARN)"
-                        .into(),
+                out.extend_from_slice(
+                    b"ERR read-only this daemon serves an immutable snapshot \
+                      (start with --wal to accept LEARN)",
                 );
+                return Action::Continue;
             };
-            let Some(m) = shared.cfg.catalog.id(&metric) else {
-                return unknown_metric(shared, &metric);
+            let Some(m) = shared.cfg.catalog.id(metric) else {
+                return unknown_metric(shared, metric, out);
             };
             let obs = LabeledObservation {
-                label: AppLabel::new(&app, &input),
-                query: Query::from_node_means(m, Interval::new(start, end), &means),
+                label: AppLabel::new(app, input),
+                query: Query::from_node_means(m, Interval::new(start, end), &conn.means),
             };
-            match learner.learn(&obs) {
-                Ok(()) => reply(format!("LEARNED {}", learner.dictionary().len())),
-                Err(e) => reply(format!("ERR io {e}")),
-            }
+            let _ = match learner.learn(&obs) {
+                Ok(()) => write!(out, "LEARNED {}", learner.dictionary().len()),
+                Err(e) => write!(out, "ERR io {e}"),
+            };
         }
-        Request::Swap { path } => {
+        RequestRef::Swap { path } => {
             if shared.current().engine.learner.is_some() {
                 shared.metrics.count_error("bad-state");
-                return reply(
-                    "ERR bad-state durable mode learns in place; SWAP applies to \
-                     file-backed engines"
-                        .into(),
+                out.extend_from_slice(
+                    b"ERR bad-state durable mode learns in place; SWAP applies to \
+                      file-backed engines",
                 );
+                return Action::Continue;
             }
             let outcome = if path.is_empty() {
                 shared.reload()
             } else {
                 shared
-                    .load(Path::new(&path))
+                    .load(Path::new(path))
                     .map(|engine| shared.publish(engine))
             };
-            match outcome {
+            let _ = match outcome {
                 Ok(gen) => {
                     let p = shared.current();
-                    reply(format!(
+                    write!(
+                        out,
                         "SWAPPED {gen} {} {}",
                         p.engine.keys,
                         p.engine.version_label()
-                    ))
+                    )
                 }
-                Err(e) => reply(format!("ERR swap-failed {e}")),
-            }
+                Err(e) => write!(out, "ERR swap-failed {e}"),
+            };
         }
-        Request::Stats => {
+        RequestRef::Stats => {
             let p = shared.current();
-            reply(format!(
+            let _ = write!(
+                out,
                 "STATS gen={} keys={} backend={} version={} connections={} requests={}",
                 p.gen,
                 p.engine.keys_now(),
@@ -863,16 +886,17 @@ fn dispatch(
                 p.engine.version_label(),
                 shared.metrics.connections_total.get(),
                 shared.metrics.requests_total(),
-            ))
+            );
         }
-        Request::Status => {
+        RequestRef::Status => {
             let p = shared.current();
             let snap = shared.drift.snapshot();
             let (bu, ba) = match snap.baseline {
                 Some(b) => (format!("{:.4}", b.unknown_rate), format!("{:.4}", b.ambiguous_rate)),
                 None => ("-".to_string(), "-".to_string()),
             };
-            reply(format!(
+            let _ = write!(
+                out,
                 "STATUS gen={} version={} backend={} keys={} drift={} samples={} \
                  unknown_rate={:.4} ambiguous_rate={:.4} \
                  baseline_unknown={bu} baseline_ambiguous={ba}",
@@ -884,18 +908,20 @@ fn dispatch(
                 snap.samples,
                 snap.unknown_rate,
                 snap.ambiguous_rate,
-            ))
+            );
         }
-        Request::Shutdown => Reply {
-            text: "BYE".into(),
-            action: Action::ShutdownDaemon,
-        },
+        RequestRef::Shutdown => {
+            out.extend_from_slice(b"BYE");
+            return Action::ShutdownDaemon;
+        }
     }
+    Action::Continue
 }
 
-fn unknown_metric(shared: &Shared, metric: &str) -> Reply {
+fn unknown_metric(shared: &Shared, metric: &str, out: &mut Vec<u8>) -> Action {
     shared.metrics.count_error("unknown-metric");
-    reply(format!("ERR unknown-metric {metric:?} is not in the catalog"))
+    let _ = write!(out, "ERR unknown-metric {metric:?} is not in the catalog");
+    Action::Continue
 }
 
 /// Re-point an open stream at the latest publication (window means
@@ -908,20 +934,26 @@ fn follow_swap(shared: &Shared, st: &mut StreamState) {
     }
 }
 
-fn stream_verdict(shared: &Shared, st: &StreamState, rec: &efd_core::Recognition) -> Reply {
+fn stream_verdict(
+    shared: &Shared,
+    st: &StreamState,
+    rec: &Recognition,
+    answer: &mut Answer,
+    out: &mut Vec<u8>,
+) {
     shared
         .metrics
         .time_to_first_verdict
         .observe_duration(st.opened.elapsed());
-    note_verdict(shared, rec);
-    reply(render_answer("VERDICT", st.gen, rec))
+    answer.set_from(rec);
+    note_verdict(shared, answer_label(answer));
+    write_answer(out, "VERDICT", st.gen, answer);
 }
 
 /// Count a verdict and feed the drift monitor; a judgement edge
 /// (ok → alarm, alarm → ok, ...) is logged exactly once. The drift
 /// gauges are read from the monitor at scrape time, not stored here.
-fn note_verdict(shared: &Shared, rec: &efd_core::Recognition) {
-    let label = verdict_label(rec);
+fn note_verdict(shared: &Shared, label: &'static str) {
     shared.metrics.count_verdict(label);
     if let Some((from, to)) = shared.drift.record(label) {
         let snap = shared.drift.snapshot();

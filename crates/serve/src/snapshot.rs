@@ -33,7 +33,7 @@
 
 use efd_core::binfmt::{BinFormatError, Efdb, EfdbView};
 use efd_core::dictionary::{AppNameId, LabelId};
-use efd_core::engine::{Recognize, VoteScratch};
+use efd_core::engine::{Answer, Recognize, VoteScratch};
 use efd_core::{DictionaryParts, EfdDictionary, Fingerprint, Query, Recognition, RoundingDepth};
 use efd_telemetry::metric::MetricCatalog;
 use efd_telemetry::AppLabel;
@@ -48,8 +48,9 @@ use crate::{shard_bits_for, shard_of};
 /// threads, and answer-identical to the [`EfdDictionary`] it was frozen
 /// from (modulo [`Recognition::normalized`] ordering). Recognition goes
 /// through the engine API ([`Recognize`], re-exported from this crate):
-/// `recognize_into` is the zero-allocation scratch path, `recognize` /
-/// `recognize_batch` are the provided conveniences.
+/// `recognize_into` counts votes in caller-owned scratch, `answer_into`
+/// is the allocation-free verdict-only path the daemon replies with, and
+/// `recognize` / `recognize_batch` are the provided conveniences.
 ///
 /// ```
 /// use efd_core::{EfdDictionary, Query, RoundingDepth};
@@ -417,7 +418,7 @@ impl Snapshot {
 }
 
 /// The owned [`KeyStore`]: fingerprints resolve through the shard maps
-/// to their [`Slot`], and app votes come from each key's pre-deduplicated
+/// to their `Slot`, and app votes come from each key's pre-deduplicated
 /// app list (built at freeze time, so no per-point dedup set is needed).
 impl KeyStore for Snapshot {
     fn depth(&self) -> RoundingDepth {
@@ -470,6 +471,10 @@ impl KeyStore for Snapshot {
 impl Recognize for Snapshot {
     fn recognize_into(&self, query: &Query, scratch: &mut VoteScratch) -> Recognition {
         keystore::recognize_with(self, query, scratch)
+    }
+
+    fn answer_into(&self, query: &Query, scratch: &mut VoteScratch, out: &mut Answer) {
+        keystore::answer_with(self, query, scratch, out)
     }
 }
 

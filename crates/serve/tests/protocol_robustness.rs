@@ -16,6 +16,11 @@
 //! sizes and injects `WouldBlock`, against a one-frame-at-a-time
 //! reference decoder; and pipelined bursts against a one-worker daemon
 //! prove it flushes every reply before it blocks in a read.
+//!
+//! The request grammar is checked the same way: a property test runs
+//! random and mutated lines through the borrowed parse, the owned
+//! `Request::parse`, and a reference copy of the original owned parser,
+//! and requires one outcome and one error text from all three.
 
 mod common;
 
@@ -24,7 +29,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use common::*;
-use efd_serve::net::protocol::{write_frame, READ_CHUNK};
+use efd_serve::net::protocol::{write_frame, Request, RequestRef, READ_CHUNK};
 use efd_serve::net::{FrameError, FrameReader, Server, MAX_FRAME};
 use proptest::prelude::*;
 
@@ -89,12 +94,17 @@ fn oversized_prefix_gets_a_structured_refusal_then_the_connection_drops() {
         .stream
         .write_all(&(MAX_FRAME + 1).to_le_bytes())
         .expect("oversized prefix");
-    let resp = client.recv_or_close().expect("structured refusal before the drop");
+    let resp = client
+        .recv_or_close()
+        .expect("structured refusal before the drop");
     assert!(
         resp.starts_with("ERR oversized"),
         "expected ERR oversized, got {resp:?}"
     );
-    assert!(client.recv_or_close().is_none(), "connection must drop after refusal");
+    assert!(
+        client.recv_or_close().is_none(),
+        "connection must drop after refusal"
+    );
     assert_eq!(error_count(&server, "oversized"), 1);
     assert_daemon_healthy(&server);
     server.shutdown();
@@ -105,10 +115,18 @@ fn oversized_prefix_gets_a_structured_refusal_then_the_connection_drops() {
 fn zero_length_frame_gets_a_structured_refusal_then_the_connection_drops() {
     let server = one_worker_server(|_| {});
     let mut client = Client::connect(server.local_addr());
-    client.stream.write_all(&0u32.to_le_bytes()).expect("empty prefix");
-    let resp = client.recv_or_close().expect("structured refusal before the drop");
+    client
+        .stream
+        .write_all(&0u32.to_le_bytes())
+        .expect("empty prefix");
+    let resp = client
+        .recv_or_close()
+        .expect("structured refusal before the drop");
     assert!(resp.starts_with("ERR empty"), "got {resp:?}");
-    assert!(client.recv_or_close().is_none(), "connection must drop after refusal");
+    assert!(
+        client.recv_or_close().is_none(),
+        "connection must drop after refusal"
+    );
     assert_eq!(error_count(&server, "empty"), 1);
     assert_daemon_healthy(&server);
     server.shutdown();
@@ -135,17 +153,106 @@ fn malformed_payloads_answer_err_and_keep_the_connection_alive() {
     ];
     for bad in &cases {
         let resp = client.request(bad);
-        assert!(resp.starts_with("ERR malformed"), "{bad:?} answered {resp:?}");
+        assert!(
+            resp.starts_with("ERR malformed"),
+            "{bad:?} answered {resp:?}"
+        );
         // Same connection keeps working after every rejection.
         assert_eq!(client.request("PING"), "PONG");
     }
     // A frame that is not UTF-8 at all.
-    client.stream.write_all(&3u32.to_le_bytes()).expect("prefix");
-    client.stream.write_all(&[0xFF, 0xFE, 0xFD]).expect("payload");
+    client
+        .stream
+        .write_all(&3u32.to_le_bytes())
+        .expect("prefix");
+    client
+        .stream
+        .write_all(&[0xFF, 0xFE, 0xFD])
+        .expect("payload");
     let resp = client.recv();
     assert!(resp.starts_with("ERR malformed"), "got {resp:?}");
     assert_eq!(client.request("PING"), "PONG");
     assert_eq!(error_count(&server, "malformed"), cases.len() as u64 + 1);
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn malformed_recognize_replies_are_byte_exact_and_buffers_recover() {
+    let server = one_worker_server(|_| {});
+    let mut client = Client::connect(server.local_addr());
+    let want_ok = "OK 1 2 2 recognized ft";
+    let cases: Vec<(String, &str)> = vec![
+        ("RECOGNIZE".into(), "ERR malformed missing metric"),
+        (
+            format!("RECOGNIZE {METRIC}"),
+            "ERR malformed missing window start",
+        ),
+        (
+            format!("RECOGNIZE {METRIC} x 120 1"),
+            "ERR malformed bad window start \"x\"",
+        ),
+        (
+            format!("RECOGNIZE {METRIC} -1 120 1"),
+            "ERR malformed bad window start \"-1\"",
+        ),
+        (
+            format!("RECOGNIZE {METRIC} 60"),
+            "ERR malformed missing window end",
+        ),
+        (
+            format!("RECOGNIZE {METRIC} 120 60 1.0"),
+            "ERR malformed bad window [120:60] (end must exceed start)",
+        ),
+        (
+            format!("RECOGNIZE {METRIC} 60 120"),
+            "ERR malformed need at least one mean",
+        ),
+        (
+            format!("RECOGNIZE {METRIC} 60 120 NaN"),
+            "ERR malformed non-finite mean \"NaN\"",
+        ),
+        (
+            format!("RECOGNIZE {METRIC} 60 120 1e999"),
+            "ERR malformed non-finite mean \"1e999\"",
+        ),
+        (
+            format!("RECOGNIZE {METRIC} 60 120 6000 abc"),
+            "ERR malformed bad mean \"abc\"",
+        ),
+        (
+            "RECOGNIZE\tx 1 2 \u{e9}".into(),
+            "ERR malformed bad mean \"\u{e9}\"",
+        ),
+    ];
+    for (bad, want) in &cases {
+        assert_eq!(client.request(bad), *want, "{bad:?}");
+        // The means buffer a failed parse left half-filled is refilled
+        // cleanly by the next request on the same connection.
+        assert_eq!(client.request(&recognized_ft()), want_ok);
+    }
+    assert_eq!(error_count(&server, "malformed"), cases.len() as u64);
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn an_error_echoing_a_huge_token_still_fits_in_a_frame() {
+    // A 1 MiB token of quotes escapes to twice the frame limit in the
+    // `bad mean` message; the reply is replaced, not sent oversized
+    // (which would panic the worker), and the connection keeps serving.
+    let server = one_worker_server(|_| {});
+    let mut client = Client::connect(server.local_addr());
+    let head = format!("RECOGNIZE {METRIC} 60 120 ");
+    let line = head.clone() + &"\"".repeat(MAX_FRAME as usize - head.len());
+    assert_eq!(line.len(), MAX_FRAME as usize);
+    assert_eq!(
+        client.request(&line),
+        "ERR malformed request token too long to echo"
+    );
+    assert_eq!(client.request(&recognized_ft()), "OK 1 2 2 recognized ft");
+    drop(client);
+    assert_daemon_healthy(&server);
     server.shutdown();
     server.join();
 }
@@ -187,14 +294,18 @@ fn mid_stream_disconnect_frees_the_worker_without_a_verdict() {
             .request(&format!("STREAM {METRIC} 2 60 120"))
             .starts_with("OPENED "));
         for t in 60..70u32 {
-            assert!(client.request(&format!("PUSH 0 {t} 6005")).starts_with("ACK "));
+            assert!(client
+                .request(&format!("PUSH 0 {t} 6005"))
+                .starts_with("ACK "));
         }
         // Vanish with the session open and samples buffered.
     }
     // The single worker must come back for the next connection, and the
     // abandoned session must not have produced a verdict.
     assert_daemon_healthy(&server);
-    assert!(server.metrics_text().contains("efd_verdicts_total{verdict=\"recognized\"} 0"));
+    assert!(server
+        .metrics_text()
+        .contains("efd_verdicts_total{verdict=\"recognized\"} 0"));
     server.shutdown();
     server.join();
 }
@@ -465,5 +576,264 @@ proptest! {
         prop_assert_eq!(got.len(), want.len());
         prop_assert!(got == want, "payloads differ from the reference decoder");
         prop_assert_eq!(got_end, want_end);
+    }
+}
+
+/// The owned request parser as it was before the borrowed parse existed,
+/// kept as the reference the current grammar must reproduce: same
+/// accepted lines, same fields, same error text.
+mod reference {
+    use efd_serve::net::protocol::Request;
+
+    pub fn parse(line: &str) -> Result<Request, String> {
+        let mut it = line.split_ascii_whitespace();
+        let verb = it.next().ok_or("blank request")?;
+        match verb {
+            "PING" => end(it, Request::Ping),
+            "RECOGNIZE" => {
+                let metric = word(&mut it, "metric")?;
+                let (start, end) = window(&mut it)?;
+                let means = means(it)?;
+                Ok(Request::Recognize {
+                    metric,
+                    start,
+                    end,
+                    means,
+                })
+            }
+            "STREAM" => {
+                let metric = word(&mut it, "metric")?;
+                let nodes: u16 = num(&mut it, "nodes")?;
+                if nodes == 0 {
+                    return Err("STREAM needs at least one node".into());
+                }
+                let (start, e) = window(&mut it)?;
+                end(
+                    it,
+                    Request::Stream {
+                        metric,
+                        nodes,
+                        start,
+                        end: e,
+                    },
+                )
+            }
+            "PUSH" => {
+                let node: u16 = num(&mut it, "node")?;
+                let t: u32 = num(&mut it, "t")?;
+                let value: f64 = num(&mut it, "value")?;
+                if !value.is_finite() {
+                    return Err("PUSH value must be finite".into());
+                }
+                end(it, Request::Push { node, t, value })
+            }
+            "FINISH" => end(it, Request::Finish),
+            "LEARN" => {
+                let app = word(&mut it, "app")?;
+                let input = word(&mut it, "input")?;
+                let metric = word(&mut it, "metric")?;
+                let (start, end) = window(&mut it)?;
+                let means = means(it)?;
+                Ok(Request::Learn {
+                    app,
+                    input,
+                    metric,
+                    start,
+                    end,
+                    means,
+                })
+            }
+            "SWAP" => {
+                let path = it.next().unwrap_or("").to_string();
+                end(it, Request::Swap { path })
+            }
+            "STATS" => end(it, Request::Stats),
+            "STATUS" => end(it, Request::Status),
+            "SHUTDOWN" => end(it, Request::Shutdown),
+            other => Err(format!("unknown command {other:?}")),
+        }
+    }
+
+    fn end<'a>(mut it: impl Iterator<Item = &'a str>, req: Request) -> Result<Request, String> {
+        match it.next() {
+            None => Ok(req),
+            Some(extra) => Err(format!("unexpected trailing token {extra:?}")),
+        }
+    }
+
+    fn word<'a>(it: &mut impl Iterator<Item = &'a str>, what: &str) -> Result<String, String> {
+        it.next()
+            .map(str::to_string)
+            .ok_or_else(|| format!("missing {what}"))
+    }
+
+    fn num<'a, T: std::str::FromStr>(
+        it: &mut impl Iterator<Item = &'a str>,
+        what: &str,
+    ) -> Result<T, String> {
+        let tok = it.next().ok_or_else(|| format!("missing {what}"))?;
+        tok.parse().map_err(|_| format!("bad {what} {tok:?}"))
+    }
+
+    fn window<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<(u32, u32), String> {
+        let start: u32 = num(it, "window start")?;
+        let end: u32 = num(it, "window end")?;
+        if end <= start {
+            return Err(format!(
+                "bad window [{start}:{end}] (end must exceed start)"
+            ));
+        }
+        Ok((start, end))
+    }
+
+    fn means<'a>(it: impl Iterator<Item = &'a str>) -> Result<Vec<f64>, String> {
+        let mut out = Vec::new();
+        for tok in it {
+            let v: f64 = tok.parse().map_err(|_| format!("bad mean {tok:?}"))?;
+            if !v.is_finite() {
+                return Err(format!("non-finite mean {tok:?}"));
+            }
+            out.push(v);
+        }
+        if out.is_empty() {
+            return Err("need at least one mean".into());
+        }
+        if out.len() > u16::MAX as usize {
+            return Err("too many node means".into());
+        }
+        Ok(out)
+    }
+}
+
+/// Tokens that exercise every branch of the grammar: each verb (and
+/// near misses), names, in-range and out-of-range integers, finite and
+/// non-finite floats, and junk.
+const TOKENS: &[&str] = &[
+    "PING",
+    "RECOGNIZE",
+    "STREAM",
+    "PUSH",
+    "FINISH",
+    "LEARN",
+    "SWAP",
+    "STATS",
+    "STATUS",
+    "SHUTDOWN",
+    "ping",
+    "RECOGNISE",
+    "",
+    "ft",
+    "X",
+    "mem_free",
+    "nr_mapped_vmstat",
+    "/tmp/d.efdb",
+    "0",
+    "1",
+    "60",
+    "120",
+    "-1",
+    "65535",
+    "65536",
+    "4294967295",
+    "4294967296",
+    "6000",
+    "6000.5",
+    "-7.25",
+    "1e3",
+    "1e999",
+    "NaN",
+    "nan",
+    "inf",
+    "-inf",
+    "0x10",
+    "+5",
+    "1,2",
+    "\u{e9}",
+    "\"",
+    "\u{0}",
+];
+
+/// Well-formed lines the mutations start from.
+const VALID: &[&str] = &[
+    "PING",
+    "RECOGNIZE mem_free 60 120 6000.5 6010",
+    "STREAM vmstat::nr_dirty 4 60 120",
+    "PUSH 3 61 8110.25",
+    "FINISH",
+    "LEARN ft X mem_free 0 60 1 2 3",
+    "SWAP /tmp/d.efdb",
+    "SWAP",
+    "STATS",
+    "STATUS",
+    "SHUTDOWN",
+];
+
+/// Separators between tokens, including the ASCII whitespace the
+/// grammar splits on and a non-ASCII space it does not.
+const SEPARATORS: &[&str] = &[" ", " ", " ", "  ", "\t", "\n", "\u{a0}"];
+
+fn pick<'a>(rng: &mut TestRng, from: &[&'a str]) -> &'a str {
+    from[rng.next_below(from.len() as u64) as usize]
+}
+
+fn join(rng: &mut TestRng, tokens: &[&str]) -> String {
+    let mut line = String::new();
+    for (i, tok) in tokens.iter().enumerate() {
+        if i > 0 {
+            line.push_str(pick(rng, SEPARATORS));
+        }
+        line.push_str(tok);
+    }
+    line
+}
+
+/// A random line: a random verb followed by random tokens.
+fn random_line(rng: &mut TestRng) -> String {
+    let n = rng.next_below(9) as usize;
+    let tokens: Vec<&str> = (0..=n).map(|_| pick(rng, TOKENS)).collect();
+    join(rng, &tokens)
+}
+
+/// A valid line with one to three token mutations: drop, duplicate,
+/// replace, swap, or append.
+fn mutated_line(rng: &mut TestRng) -> String {
+    let mut tokens: Vec<&str> = pick(rng, VALID).split(' ').collect();
+    for _ in 0..1 + rng.next_below(3) {
+        let at = rng.next_below(tokens.len() as u64) as usize;
+        match rng.next_below(5) {
+            0 if tokens.len() > 1 => {
+                tokens.remove(at);
+            }
+            1 => tokens.insert(at, tokens[at]),
+            2 => tokens[at] = pick(rng, TOKENS),
+            3 => {
+                let other = rng.next_below(tokens.len() as u64) as usize;
+                tokens.swap(at, other);
+            }
+            _ => tokens.push(pick(rng, TOKENS)),
+        }
+    }
+    join(rng, &tokens)
+}
+
+proptest! {
+    /// Borrowed parse, owned parse and the reference parser agree on
+    /// every line: the same request, or the same error text.
+    #[test]
+    fn borrowed_and_owned_parses_agree_with_the_reference(
+        seed in any::<u64>(),
+        mutate in any::<bool>(),
+    ) {
+        let mut rng = TestRng::new(seed);
+        let mut means = vec![f64::NAN; 3]; // stale contents must not leak
+        for _ in 0..64 {
+            let line = if mutate { mutated_line(&mut rng) } else { random_line(&mut rng) };
+            let want = reference::parse(&line);
+            let owned = Request::parse(&line);
+            let borrowed =
+                RequestRef::parse(&line, &mut means).map(|r| r.into_owned(means.clone()));
+            prop_assert_eq!(&owned, &want, "Request::parse on {:?}", line);
+            prop_assert_eq!(&borrowed, &want, "RequestRef::parse on {:?}", line);
+        }
     }
 }

@@ -50,7 +50,7 @@ pub use efd_workload as workload;
 /// The types most programs need.
 pub mod prelude {
     pub use efd_core::dictionary::{DictionaryStats, EfdDictionary, Recognition, Verdict};
-    pub use efd_core::engine::{Learn, ParallelRecognize, Recognize, VoteScratch};
+    pub use efd_core::engine::{Answer, Learn, ParallelRecognize, Recognize, VoteScratch};
     pub use efd_core::fingerprint::Fingerprint;
     pub use efd_core::observation::{LabeledObservation, ObsPoint, Query};
     pub use efd_core::online::OnlineRecognizer;
