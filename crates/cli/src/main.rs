@@ -47,6 +47,8 @@ use efd_eval::experiments::{run_experiment, EvalOptions, ExperimentKind, Experim
 use efd_eval::report;
 use efd_eval::screening::screen_metrics;
 use efd_ml::taxonomist::TaxonomistConfig;
+use efd_serve::backend::decode_dictionary;
+use efd_serve::Backend;
 use efd_workload::scenario::{build as scenario_build, CleanRuns, ScenarioKind, ScenarioSpec};
 use efd_workload::{Dataset, DatasetSpec, SubsetKind};
 
@@ -613,22 +615,6 @@ fn encode_dict(
     }
 }
 
-/// Decode dictionary bytes, sniffing the format by the EFDB magic.
-fn decode_dict(
-    bytes: &[u8],
-    catalog: &efd_telemetry::MetricCatalog,
-    path: &str,
-) -> Result<(EfdDictionary, DumpFormat), String> {
-    if bytes.starts_with(&binfmt::MAGIC) {
-        let dict = binfmt::read_dictionary(bytes, catalog).map_err(|e| format!("{path}: {e}"))?;
-        Ok((dict, DumpFormat::Efdb))
-    } else {
-        let text = std::str::from_utf8(bytes).map_err(|e| format!("{path}: {e}"))?;
-        let dict = serialize::from_json(text, catalog).map_err(|e| format!("{path}: {e}"))?;
-        Ok((dict, DumpFormat::Json))
-    }
-}
-
 /// Train on every run and write the dictionary in `format`.
 fn dump_to(args: &Args, out: &str, format: DumpFormat) -> Result<(), String> {
     let d = dataset_from(args)?;
@@ -671,7 +657,12 @@ fn cmd_convert(args: &Args) -> Result<(), String> {
     let catalog = d.catalog();
 
     let input = std::fs::read(in_path).map_err(|e| format!("{in_path}: {e}"))?;
-    let (dict, in_format) = decode_dict(&input, catalog, in_path)?;
+    let dict = decode_dictionary(&input, catalog, in_path)?;
+    let in_format = if input.starts_with(&binfmt::MAGIC) {
+        DumpFormat::Efdb
+    } else {
+        DumpFormat::Json
+    };
     let out_format = match args.flag("format") {
         // Default direction: the other format.
         None if !out_path.ends_with(".json") && !out_path.ends_with(".efdb") => match in_format {
@@ -686,7 +677,7 @@ fn cmd_convert(args: &Args) -> Result<(), String> {
     // Round-trip equality check: reload what was written and compare the
     // canonical EFDB encodings (identical bytes ⇔ identical keys, label
     // intern order, and depth ⇔ identical recognition behavior).
-    let (back, _) = decode_dict(&output, catalog, out_path)?;
+    let back = decode_dictionary(&output, catalog, out_path)?;
     if binfmt::write_dictionary(&back, catalog) != binfmt::write_dictionary(&dict, catalog) {
         return Err(format!(
             "round-trip verification failed: {out_path} does not restore the input dictionary"
@@ -799,58 +790,49 @@ fn load_queries(
 /// window means with small deterministic jitter (a stream of repeated
 /// executions, as an always-on service would see).
 fn synth_queries(d: &Dataset, count: usize) -> Vec<efd_core::Query> {
-    let metric = headline(d);
-    let sel = efd_telemetry::trace::MetricSelection::single(metric);
-    let per_run: Vec<Vec<f64>> = d
-        .window_means_all(&sel, efd_telemetry::Interval::PAPER_DEFAULT)
+    synth_stream(d, count, 0x5E21E)
         .into_iter()
-        .map(|nodes| nodes.into_iter().map(|m| m[0]).collect())
-        .collect();
-    let mut rng = efd_util::SplitMix64::new(0x5E21E);
-    (0..count)
-        .map(|i| {
-            let means: Vec<f64> = per_run[i % per_run.len()]
-                .iter()
-                .map(|m| m * (1.0 + (rng.next_f64() - 0.5) * 0.004))
-                .collect();
-            efd_core::Query::from_node_means(
-                metric,
-                efd_telemetry::Interval::PAPER_DEFAULT,
-                &means,
-            )
-        })
+        .map(|o| o.query)
         .collect()
 }
 
-/// Which engine backend `efd serve` answers through — all of them behind
-/// one `Box<dyn Recognize + Send + Sync>`, so the serving loop below is
-/// backend-agnostic.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum ServeBackend {
-    /// Immutable published [`efd_serve::Snapshot`] (the default).
-    Snapshot,
-    /// Live [`efd_serve::ShardedDictionary`] (per-shard `RwLock`s).
-    Sharded,
-    /// Conjunctive [`efd_serve::ComboSnapshot`] over the same entries.
-    Combo,
-    /// Zero-copy [`efd_serve::EfdbSnapshot`] straight over the loaded
-    /// EFDB bytes (requires an `.efdb` file).
-    Efdb,
+/// What `efd serve` serves: exactly one of a WAL directory, a
+/// `recognizer.v1` manifest, or a dictionary (`--load`, alias `--dict`:
+/// a file or a catalog reference) served as a registry [`Backend`].
+enum ServeSource<'a> {
+    Wal(&'a str),
+    Manifest(&'a str),
+    Dict(&'a str, Backend),
 }
 
-impl ServeBackend {
-    fn from_args(args: &Args) -> Result<Self, String> {
-        match args.flag("backend") {
-            None | Some("snapshot") => Ok(ServeBackend::Snapshot),
-            Some("sharded") => Ok(ServeBackend::Sharded),
-            Some("combo") => Ok(ServeBackend::Combo),
-            Some("efdb") => Ok(ServeBackend::Efdb),
-            Some(other) => Err(format!(
-                "unknown --backend {other:?} (snapshot|sharded|combo|efdb)"
-            )),
+impl<'a> ServeSource<'a> {
+    /// Validated before anything is read, in batch and `--listen` mode
+    /// alike.
+    fn from_args(args: &'a Args) -> Result<Self, String> {
+        let dict = match (args.flag("dict"), args.flag("load")) {
+            (Some(_), Some(_)) => return Err("--dict and --load are mutually exclusive".into()),
+            (dict, load) => dict.or(load),
+        };
+        let backend = args.flag("backend");
+        match (args.flag("wal"), args.flag("manifest"), dict) {
+            (Some(_), Some(_), _) | (Some(_), _, Some(_)) | (_, Some(_), Some(_)) => {
+                Err("--load, --wal and --manifest are mutually exclusive".into())
+            }
+            (Some(_), _, _) | (_, Some(_), _) if backend.is_some() => {
+                Err("--backend picks how a --load dictionary is served; \
+                 --wal serves its durable dictionary and --manifest names each stage's backend"
+                    .into())
+            }
+            (Some(dir), None, None) => Ok(ServeSource::Wal(dir)),
+            (None, Some(manifest), None) => Ok(ServeSource::Manifest(manifest)),
+            (None, None, Some(spec)) => Backend::parse(backend.unwrap_or("snapshot"))
+                .map(|b| ServeSource::Dict(spec, b))
+                .map_err(|e| format!("--backend: {e}")),
+            (None, None, None) => Err("need --load <dump.json|dict.efdb>, --wal <dir> or \
+                 --manifest <stack.json> (produce a dump with `efd dump`)"
+                .into()),
         }
     }
-
 }
 
 /// Run the query batch through an engine and print the `batch:` and
@@ -930,6 +912,12 @@ fn serve_queries(args: &Args, d: &Dataset) -> Result<Vec<efd_core::Query>, Strin
 /// with small deterministic jitter (distinct from the query jitter seed,
 /// so learning keeps adding fresh keys like a live cluster would).
 fn synth_learn_stream(d: &Dataset, count: usize) -> Vec<efd_core::LabeledObservation> {
+    synth_stream(d, count, 0x1EA2)
+}
+
+/// Cycle the dataset's runs (headline metric, paper window) with a
+/// ±0.2% deterministic jitter per node mean, drawn from `seed`.
+fn synth_stream(d: &Dataset, count: usize, seed: u64) -> Vec<efd_core::LabeledObservation> {
     let metric = headline(d);
     let sel = efd_telemetry::trace::MetricSelection::single(metric);
     let per_run: Vec<Vec<f64>> = d
@@ -938,7 +926,7 @@ fn synth_learn_stream(d: &Dataset, count: usize) -> Vec<efd_core::LabeledObserva
         .map(|nodes| nodes.into_iter().map(|m| m[0]).collect())
         .collect();
     let labels = d.labels();
-    let mut rng = efd_util::SplitMix64::new(0x1EA2);
+    let mut rng = efd_util::SplitMix64::new(seed);
     (0..count)
         .map(|i| {
             let run = i % per_run.len();
@@ -958,34 +946,28 @@ fn synth_learn_stream(d: &Dataset, count: usize) -> Vec<efd_core::LabeledObserva
         .collect()
 }
 
-/// `efd serve --wal <dir>`: durable serving. Recover the directory (or
-/// start fresh), optionally learn a synthetic stream write-ahead, then
-/// answer the query batch from a published snapshot of the recovered
-/// state.
-fn cmd_serve_wal(args: &Args, dir: &str) -> Result<(), String> {
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    let d = dataset_from(args)?;
+/// Open (recover, or start fresh) a `--wal` directory and report the
+/// recovery — the one WAL path of batch and daemon serving.
+fn open_wal(
+    args: &Args,
+    d: &Dataset,
+    dir: &str,
+    shards: usize,
+) -> Result<(efd_serve::DurableDictionary, efd_core::wal::Recovery), String> {
     let depth_raw: u8 = args.flag_parsed("depth")?.unwrap_or(2);
     let depth = efd_core::RoundingDepth::try_new(depth_raw)
         .ok_or_else(|| format!("invalid --depth {depth_raw} (1..=17)"))?;
     let sync_raw = args.flag("wal-sync").unwrap_or("batch");
     let sync = efd_core::SyncPolicy::parse(sync_raw)
         .ok_or_else(|| format!("invalid --wal-sync {sync_raw:?} (always|batch|none|<n>)"))?;
-    let shards: usize = args.flag_parsed("shards")?.unwrap_or(8);
-    let repeat: usize = args.flag_parsed("repeat")?.unwrap_or(1).max(1);
-    let learn_n: usize = args.flag_parsed("learn")?.unwrap_or(0);
-
     let options = efd_core::wal::WalOptions {
         sync,
         ..Default::default()
     };
-    let t = Instant::now();
+    let t = std::time::Instant::now();
     let (served, recovery) =
-        efd_serve::DurableDictionary::open(std::path::Path::new(dir), depth, shards, d.catalog(), options)
+        efd_serve::DurableDictionary::open(Path::new(dir), depth, shards, d.catalog(), options)
             .map_err(|e| format!("{dir}: {e}"))?;
-    let open_ms = t.elapsed().as_secs_f64() * 1e3;
     if let Some(fault) = &recovery.tail_fault {
         eprintln!(
             "warning: wal tail: {fault}; discarded {} bytes past the valid prefix",
@@ -994,12 +976,32 @@ fn cmd_serve_wal(args: &Args, dir: &str) -> Result<(), String> {
     }
     println!(
         "recovered:  {dir} — segment {}, {} log records replayed, {:.2} ms (sync {sync_raw})",
-        recovery.segments, recovery.replayed, open_ms,
+        recovery.segments,
+        recovery.replayed,
+        t.elapsed().as_secs_f64() * 1e3,
     );
+    Ok((served, recovery))
+}
 
+/// `efd serve --wal <dir>`: durable serving. Recover the directory (or
+/// start fresh), optionally learn a synthetic stream write-ahead, then
+/// answer the query batch from a published snapshot of the recovered
+/// state.
+fn cmd_serve_wal(
+    args: &Args,
+    d: &Dataset,
+    dir: &str,
+    shards: usize,
+    repeat: usize,
+) -> Result<(), String> {
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    let learn_n: usize = args.flag_parsed("learn")?.unwrap_or(0);
+    let (served, recovery) = open_wal(args, d, dir, shards)?;
     let mut oracle = recovery.dictionary;
     if learn_n > 0 {
-        let stream = synth_learn_stream(&d, learn_n);
+        let stream = synth_learn_stream(d, learn_n);
         let t = Instant::now();
         for obs in &stream {
             served.learn(obs).map_err(|e| format!("{dir}: {e}"))?;
@@ -1026,123 +1028,58 @@ fn cmd_serve_wal(args: &Args, dir: &str) -> Result<(), String> {
     let snapshot = live.snapshot();
     println!("backend:    durable — served from a published snapshot of the live shards");
 
-    let queries = serve_queries(args, &d)?;
+    let queries = serve_queries(args, d)?;
     let elapsed = serve_batch(Arc::new(snapshot), &queries, repeat);
     serve_oracle(&oracle, &queries, repeat, elapsed);
     Ok(())
 }
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
-    use std::sync::Arc;
     use std::time::Instant;
 
-    if let Some(addr) = args.flag("listen") {
-        return cmd_serve_listen(args, addr);
-    }
-
-    if let Some(dir) = args.flag("wal") {
-        if args.flag("load").is_some() || args.flag("dict").is_some() {
-            return Err("--wal and --load are mutually exclusive".into());
-        }
-        return cmd_serve_wal(args, dir);
-    }
-
-    if let Some(mpath) = args.flag("manifest") {
-        if args.flag("load").is_some() || args.flag("dict").is_some() {
-            return Err("--manifest and --load are mutually exclusive".into());
-        }
-        let d = dataset_from(args)?;
-        let shards: usize = args.flag_parsed("shards")?.unwrap_or(8);
-        let repeat: usize = args.flag_parsed("repeat")?.unwrap_or(1).max(1);
-        let me = engine_from_manifest(Path::new(mpath), d.catalog(), shards)?;
-        println!("manifest:   {mpath} — stack {}", me.stack.describe());
-        for p in &me.provenance {
-            println!("provenance: {p}");
-        }
-        println!("version:    {}", me.version.as_deref().unwrap_or("-"));
-        let queries = serve_queries(args, &d)?;
-        serve_batch(Arc::new(me.stack), &queries, repeat);
-        return Ok(());
-    }
-
-    let backend_kind = ServeBackend::from_args(args)?;
-    let dict_spec = match (args.flag("dict"), args.flag("load")) {
-        (Some(p), None) | (None, Some(p)) => p,
-        (Some(_), Some(_)) => return Err("--dict and --load are mutually exclusive".into()),
-        (None, None) => {
-            return Err(
-                "need --load <dump.json|dict.efdb> or --wal <dir> (produce a dump with `efd dump`)"
-                    .into(),
-            )
-        }
-    };
+    let source = ServeSource::from_args(args)?;
     let shards: usize = args.flag_parsed("shards")?.unwrap_or(8);
+    if let Some(addr) = args.flag("listen") {
+        return cmd_serve_listen(args, addr, source, shards);
+    }
     let repeat: usize = args.flag_parsed("repeat")?.unwrap_or(1).max(1);
-
     let d = dataset_from(args)?;
-    let src = resolve_dict_source(dict_spec, args.flag("catalog"))?;
-    let dict_path = src.shown.as_str();
-
-    // Load the dictionary. An EFDB file is checked once and thawed from
-    // the view; a JSON dump pays a text parse. The live `EfdDictionary` is
-    // always needed (oracle comparison below, and it feeds the
-    // non-snapshot backends); the snapshot fast path (checked view →
-    // snapshot, no intermediate dictionary) is taken only when a snapshot
-    // is actually being served.
-    let raw = std::fs::read(&src.path).map_err(|e| format!("{dict_path}: {e}"))?;
-    let is_efdb = raw.starts_with(&binfmt::MAGIC);
-    let (dict, fast_snapshot) = if is_efdb {
-        let t = Instant::now();
-        // Check failures report the structured BinFormatError plus the
-        // file size, so a truncation is immediately diagnosable.
-        let view = binfmt::check(&raw)
-            .map_err(|e| format!("{dict_path}: {e} (file is {} bytes)", raw.len()))?;
-        let decode = t.elapsed();
-        if !view.matches_catalog(d.catalog()) {
-            println!(
-                "note:       writer's catalog digest differs; metrics resolved by name"
-            );
+    let (spec, backend) = match source {
+        ServeSource::Wal(dir) => return cmd_serve_wal(args, &d, dir, shards, repeat),
+        ServeSource::Manifest(mpath) => {
+            let (engine, report) = engine_from_manifest(Path::new(mpath), d.catalog(), shards)?;
+            for line in &report {
+                println!("{line}");
+            }
+            println!("version:    {}", engine.version_label());
+            let queries = serve_queries(args, &d)?;
+            serve_batch(engine.recognizer, &queries, repeat);
+            return Ok(());
         }
-        let t = Instant::now();
-        let snapshot = if backend_kind == ServeBackend::Snapshot {
-            Some(
-                efd_serve::Snapshot::from_view(&view, d.catalog(), shards)
-                    .map_err(|e| format!("{dict_path}: {e}"))?,
-            )
-        } else {
-            None
-        };
-        let build = t.elapsed();
-        let parts = view
-            .to_parts(d.catalog())
-            .map_err(|e| format!("{dict_path}: {e}"))?;
-        report_loaded(
-            &src,
-            &format!(
-                "{} bytes efdb, decode {:.2} ms, snapshot {:.2} ms",
-                raw.len(),
-                decode.as_secs_f64() * 1e3,
-                build.as_secs_f64() * 1e3,
-            ),
-        );
-        (EfdDictionary::from_parts(parts), snapshot)
-    } else {
-        let text = std::str::from_utf8(&raw).map_err(|e| format!("{dict_path}: {e}"))?;
-        let t = Instant::now();
-        let dict = serialize::from_json(text, d.catalog()).map_err(|e| e.to_string())?;
-        let parse = t.elapsed();
-        report_loaded(
-            &src,
-            &format!(
-                "{} bytes json, parse {:.2} ms",
-                raw.len(),
-                parse.as_secs_f64() * 1e3,
-            ),
-        );
-        (dict, None)
+        ServeSource::Dict(spec, backend) => (spec, backend),
     };
 
-    let queries = serve_queries(args, &d)?;
+    // The decoded dictionary is the oracle the speedup line compares
+    // against; the served backend is built from the same bytes through
+    // the registry, exactly as the daemon builds it.
+    let src = resolve_dict_source(spec, args.flag("catalog").map(Path::new))?;
+    let raw = std::fs::read(&src.path).map_err(|e| format!("{}: {e}", src.shown))?;
+    let format = if raw.starts_with(&binfmt::MAGIC) {
+        "efdb"
+    } else {
+        "json"
+    };
+    let t = Instant::now();
+    let dict = decode_dictionary(&raw, d.catalog(), &src.shown)?;
+    println!(
+        "loaded:     {} — {} bytes {format}, decode {:.2} ms",
+        src.shown,
+        raw.len(),
+        t.elapsed().as_secs_f64() * 1e3
+    );
+    if let Some(p) = &src.provenance {
+        println!("provenance: {p}");
+    }
     println!(
         "dictionary: {} entries, depth {}, {} labels, {} apps",
         dict.len(),
@@ -1150,62 +1087,15 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         dict.label_count(),
         dict.app_names().len()
     );
+    let t = Instant::now();
+    let (engine, keys) = backend.load(raw, d.catalog(), shards, &src.shown)?;
+    println!(
+        "backend:    {} — {keys} keys, built in {:.2} ms",
+        backend.name(),
+        t.elapsed().as_secs_f64() * 1e3,
+    );
 
-    // Runtime backend selection through the engine API: every backend is
-    // a `Recognize`, so the serving loop below is written once against
-    // an `Arc<dyn Recognize + Send + Sync>`. Only the selected backend
-    // is built.
-    let engine: Arc<dyn Recognize + Send + Sync> = match backend_kind {
-        ServeBackend::Snapshot => {
-            let snapshot =
-                fast_snapshot.unwrap_or_else(|| efd_serve::Snapshot::freeze(&dict, shards));
-            let sizes = snapshot.shard_sizes();
-            println!(
-                "backend:    snapshot — {} shards, keys/shard min {} max {}",
-                snapshot.shard_count(),
-                sizes.iter().min().unwrap_or(&0),
-                sizes.iter().max().unwrap_or(&0),
-            );
-            Arc::new(snapshot)
-        }
-        ServeBackend::Sharded => {
-            let sharded = efd_serve::ShardedDictionary::from_parts(dict.to_parts(), shards);
-            let sizes = sharded.shard_sizes();
-            println!(
-                "backend:    sharded — {} shards, keys/shard min {} max {}",
-                sharded.shard_count(),
-                sizes.iter().min().unwrap_or(&0),
-                sizes.iter().max().unwrap_or(&0),
-            );
-            Arc::new(sharded)
-        }
-        ServeBackend::Combo => {
-            let combo = efd_core::multi::ComboDictionary::from_single_metric(&dict)
-                .ok_or("--backend combo needs a non-empty single-metric dictionary")?;
-            println!("backend:    combo — {} conjunctive keys", combo.len());
-            Arc::new(efd_serve::ComboSnapshot::freeze(combo))
-        }
-        ServeBackend::Efdb => {
-            if !is_efdb {
-                return Err(
-                    "--backend efdb serves EFDB bytes in place; --load a .efdb file \
-                     (a JSON dump has no binary form to map — convert it with `efd convert`)"
-                        .into(),
-                );
-            }
-            let t = Instant::now();
-            let snapshot = efd_serve::EfdbSnapshot::load(raw, d.catalog())
-                .map_err(|e| format!("{dict_path}: {e}"))?;
-            println!(
-                "backend:    efdb — zero-copy over {} bytes, {} keys, load {:.2} ms",
-                snapshot.byte_len(),
-                snapshot.len(),
-                t.elapsed().as_secs_f64() * 1e3,
-            );
-            Arc::new(snapshot)
-        }
-    };
-
+    let queries = serve_queries(args, &d)?;
     let elapsed = serve_batch(engine, &queries, repeat);
     // Single-thread oracle loop over the same work, for the speedup line.
     serve_oracle(&dict, &queries, repeat, elapsed);
@@ -1242,104 +1132,49 @@ fn install_sighup(_flag: std::sync::Arc<std::sync::atomic::AtomicBool>) {}
 /// the batch demo above, behind a socket: frame-protocol recognition
 /// (one-shot and streaming), `/metrics` over HTTP on the same port,
 /// SIGHUP / `SWAP` hot reload, graceful shutdown via `efd ctl`.
-fn cmd_serve_listen(args: &Args, addr: &str) -> Result<(), String> {
-    use efd_serve::net::{self, BackendKind};
+fn cmd_serve_listen(
+    args: &Args,
+    addr: &str,
+    source: ServeSource<'_>,
+    shards: usize,
+) -> Result<(), String> {
+    use efd_serve::net;
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     let d = dataset_from(args)?;
-    let shards: usize = args.flag_parsed("shards")?.unwrap_or(8);
-    let backend_name = args.flag("backend").unwrap_or("snapshot");
-    let backend = BackendKind::parse(backend_name).ok_or_else(|| {
-        format!("unknown --backend {backend_name:?} (snapshot|sharded|combo|efdb)")
-    })?;
     let mut cfg = net::ServerConfig::new(d.catalog().clone());
     cfg.workers = args.flag_parsed::<usize>("workers")?.unwrap_or(4).max(1);
     cfg.idle_timeout =
         Duration::from_secs(args.flag_parsed::<u64>("idle-timeout")?.unwrap_or(30).max(1));
-    cfg.shards = shards;
-    cfg.backend = backend;
 
-    let engine = if let Some(mpath) = args.flag("manifest") {
-        if args.flag("load").is_some() || args.flag("dict").is_some() || args.flag("wal").is_some()
-        {
-            return Err("--manifest and --load/--wal are mutually exclusive".into());
-        }
-        let mpath = std::path::PathBuf::from(mpath);
-        let me = engine_from_manifest(&mpath, d.catalog(), shards)?;
-        println!("manifest:   {} — stack {}", mpath.display(), me.stack.describe());
-        for p in &me.provenance {
-            println!("provenance: {p}");
-        }
-        // SWAP / SIGHUP rebuild the whole stack from the manifest file,
-        // re-resolving `@latest` against the catalog — that is the hot
-        // swap to a re-published version.
-        cfg.reload_path = Some(mpath);
-        let loader_catalog = d.catalog().clone();
-        cfg.loader = Some(Arc::new(move |p: &std::path::Path| {
-            engine_from_manifest(p, &loader_catalog, shards).map(manifest_net_engine)
-        }));
-        manifest_net_engine(me)
-    } else if let Some(dir) = args.flag("wal") {
-        if args.flag("load").is_some() || args.flag("dict").is_some() {
-            return Err("--wal and --load are mutually exclusive".into());
-        }
-        let depth_raw: u8 = args.flag_parsed("depth")?.unwrap_or(2);
-        let depth = efd_core::RoundingDepth::try_new(depth_raw)
-            .ok_or_else(|| format!("invalid --depth {depth_raw} (1..=17)"))?;
-        let sync_raw = args.flag("wal-sync").unwrap_or("batch");
-        let sync = efd_core::SyncPolicy::parse(sync_raw)
-            .ok_or_else(|| format!("invalid --wal-sync {sync_raw:?} (always|batch|none|<n>)"))?;
-        let options = efd_core::wal::WalOptions {
-            sync,
-            ..Default::default()
-        };
-        let t = Instant::now();
-        let (served, recovery) = efd_serve::DurableDictionary::open(
-            std::path::Path::new(dir),
-            depth,
-            shards,
-            d.catalog(),
-            options,
-        )
-        .map_err(|e| format!("{dir}: {e}"))?;
-        if let Some(fault) = &recovery.tail_fault {
-            eprintln!(
-                "warning: wal tail: {fault}; discarded {} bytes past the valid prefix",
-                recovery.truncated_bytes
-            );
-        }
-        println!(
-            "recovered:  {dir} — segment {}, {} log records replayed, {:.2} ms",
-            recovery.segments,
-            recovery.replayed,
-            t.elapsed().as_secs_f64() * 1e3,
-        );
-        net::Engine::durable(Arc::new(served))
-    } else {
-        let spec = match (args.flag("dict"), args.flag("load")) {
-            (Some(p), None) | (None, Some(p)) => p,
-            (Some(_), Some(_)) => return Err("--dict and --load are mutually exclusive".into()),
-            (None, None) => {
-                return Err(
-                    "need --load <dump.json|dict.efdb> or --wal <dir> (produce a dump with `efd dump`)"
-                        .into(),
-                )
+    let engine = match source {
+        ServeSource::Wal(dir) => net::Engine::durable(Arc::new(open_wal(args, &d, dir, shards)?.0)),
+        ServeSource::Manifest(spec) | ServeSource::Dict(spec, _) => {
+            // One loader builds the start-up engine and every SWAP /
+            // SIGHUP reload: a manifest rebuilds its whole stack, and a
+            // dictionary spec re-resolves through the catalog, so
+            // `@latest` follows a publish and the version and drift
+            // baseline are re-tagged.
+            let catalog_dir = args.flag("catalog").map(PathBuf::from);
+            let backend = match source {
+                ServeSource::Dict(_, backend) => Some(backend),
+                _ => None,
+            };
+            let load = move |p: &Path, catalog: &efd_telemetry::MetricCatalog| match backend {
+                Some(backend) => dict_engine(p, backend, catalog_dir.as_deref(), catalog, shards),
+                None => engine_from_manifest(p, catalog, shards),
+            };
+            let (engine, report) = load(Path::new(spec), d.catalog())?;
+            for line in &report {
+                println!("{line}");
             }
-        };
-        let src = resolve_dict_source(spec, args.flag("catalog"))?;
-        if let Some(p) = &src.provenance {
-            println!("provenance: {p}");
+            cfg.reload_path = Some(PathBuf::from(spec));
+            cfg.loader = Arc::new(move |p: &Path, catalog: &efd_telemetry::MetricCatalog| {
+                load(p, catalog).map(|(engine, _)| engine)
+            });
+            engine
         }
-        cfg.reload_path = Some(src.path.clone());
-        let mut engine = net::load_engine(&src.path, backend, d.catalog(), shards)?;
-        if let Some(v) = src.version {
-            engine = engine.with_version(v);
-        }
-        if let Some(b) = src.baseline {
-            engine = engine.with_baseline(b);
-        }
-        engine
     };
     println!(
         "engine:     {} — {} keys (generation 1)",
@@ -1368,6 +1203,31 @@ fn cmd_serve_listen(args: &Args, addr: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// A daemon engine over a `--load` operand (file or catalog reference)
+/// built as `backend`, tagged with the artifact's version and baseline;
+/// the report lines carry its provenance.
+fn dict_engine(
+    spec: &Path,
+    backend: Backend,
+    catalog_dir: Option<&Path>,
+    catalog: &efd_telemetry::MetricCatalog,
+    shards: usize,
+) -> Result<(efd_serve::net::Engine, Vec<String>), String> {
+    let src = resolve_dict_source(&spec.to_string_lossy(), catalog_dir)?;
+    let engine = efd_serve::net::Engine::load(&src.path, backend, catalog, shards)?;
+    let report = src
+        .provenance
+        .iter()
+        .map(|p| format!("provenance: {p}"))
+        .collect();
+    let engine = efd_serve::net::Engine {
+        version: src.version,
+        baseline: src.baseline,
+        ..engine
+    };
+    Ok((engine, report))
+}
+
 /// Wall-clock seconds since the Unix epoch (artifact publish stamps).
 fn unix_now() -> u64 {
     std::time::SystemTime::now()
@@ -1385,7 +1245,9 @@ fn abstention_baseline(dict: &EfdDictionary, d: &Dataset, queries: usize) -> Bas
     use std::collections::BTreeMap;
 
     let stream = synth_learn_stream(d, queries.max(1));
-    let snapshot = efd_serve::Snapshot::freeze(dict, 8);
+    let (snapshot, _) = Backend::Snapshot
+        .from_dictionary(dict, d.catalog(), 8)
+        .expect("the snapshot backend builds from any dictionary");
     let mut scratch = efd_core::engine::VoteScratch::default();
     let (mut unknown, mut ambiguous) = (0usize, 0usize);
     // app -> (true positives, false positives, false negatives)
@@ -1457,44 +1319,40 @@ struct DictSource {
 /// `--catalog <dir>`; anything else is a file path. This is the one
 /// resolution path shared by batch `serve --load`, the daemon, and
 /// `efd diff`.
-fn resolve_dict_source(spec: &str, catalog_dir: Option<&str>) -> Result<DictSource, String> {
+fn resolve_dict_source(spec: &str, catalog_dir: Option<&Path>) -> Result<DictSource, String> {
     let reference = CatalogRef::parse(spec);
-    if let Some(reference) = reference.filter(|_| catalog_dir.is_some() || spec.contains('@')) {
-        let dir = catalog_dir.ok_or_else(|| {
-            format!("{spec:?} is a catalog reference; pass --catalog <dir> to resolve it")
-        })?;
-        let cat = Catalog::open(dir).map_err(|e| e.to_string())?;
-        let a = cat.resolve(&reference).map_err(|e| e.to_string())?;
-        // Integrity check now; serving re-reads the same verified file.
-        cat.read_bytes(a).map_err(|e| e.to_string())?;
-        Ok(DictSource {
-            path: cat.dir().join(&a.file),
-            shown: a.artifact_ref(),
-            provenance: Some(a.provenance()),
-            version: Some(a.artifact_ref()),
-            baseline: a.baseline.as_ref().map(|b| efd_serve::net::DriftBaseline {
-                unknown_rate: b.unknown_rate,
-                ambiguous_rate: b.ambiguous_rate,
-            }),
-        })
-    } else {
-        Ok(DictSource {
-            path: PathBuf::from(spec),
-            shown: spec.to_string(),
+    let Some(reference) = reference.filter(|_| catalog_dir.is_some() || spec.contains('@')) else {
+        return Ok(DictSource::file(PathBuf::from(spec)));
+    };
+    let dir = catalog_dir.ok_or_else(|| {
+        format!("{spec:?} is a catalog reference; pass --catalog <dir> to resolve it")
+    })?;
+    let cat = Catalog::open(dir).map_err(|e| e.to_string())?;
+    let a = cat.resolve(&reference).map_err(|e| e.to_string())?;
+    // Integrity check now; serving re-reads the same verified file.
+    cat.read_bytes(a).map_err(|e| e.to_string())?;
+    Ok(DictSource {
+        path: cat.dir().join(&a.file),
+        shown: a.artifact_ref(),
+        provenance: Some(a.provenance()),
+        version: Some(a.artifact_ref()),
+        baseline: a.baseline.as_ref().map(|b| efd_serve::net::DriftBaseline {
+            unknown_rate: b.unknown_rate,
+            ambiguous_rate: b.ambiguous_rate,
+        }),
+    })
+}
+
+impl DictSource {
+    /// A plain dictionary file.
+    fn file(path: PathBuf) -> DictSource {
+        DictSource {
+            shown: path.display().to_string(),
+            path,
             provenance: None,
             version: None,
             baseline: None,
-        })
-    }
-}
-
-/// The uniform load report: every path that loads a dictionary announces
-/// the source the same way and prints its catalog provenance when it has
-/// one.
-fn report_loaded(src: &DictSource, detail: &str) {
-    println!("loaded:     {} — {detail}", src.shown);
-    if let Some(p) = &src.provenance {
-        println!("provenance: {p}");
+        }
     }
 }
 
@@ -1512,7 +1370,7 @@ fn cmd_catalog(args: &Args) -> Result<(), String> {
             let from = args.flag("from").ok_or("need --from <dump.json|dict.efdb>")?;
             let d = dataset_from(args)?;
             let raw = std::fs::read(from).map_err(|e| format!("{from}: {e}"))?;
-            let (dict, _) = decode_dict(&raw, d.catalog(), from)?;
+            let dict = decode_dictionary(&raw, d.catalog(), from)?;
             let baseline = match args.flag("baseline") {
                 None | Some("auto") => {
                     let n: usize = args.flag_parsed("baseline-queries")?.unwrap_or(2000);
@@ -1732,9 +1590,9 @@ fn cmd_diff(args: &Args) -> Result<bool, String> {
     let d = dataset_from(args)?;
     let catalog = d.catalog();
     let load = |spec: &str| -> Result<(EfdDictionary, DictSource), String> {
-        let src = resolve_dict_source(spec, args.flag("catalog"))?;
+        let src = resolve_dict_source(spec, args.flag("catalog").map(Path::new))?;
         let raw = std::fs::read(&src.path).map_err(|e| format!("{}: {e}", src.path.display()))?;
-        let (dict, _) = decode_dict(&raw, catalog, &src.shown)?;
+        let dict = decode_dictionary(&raw, catalog, &src.shown)?;
         Ok((dict, src))
     };
     let (da, sa) = load(a_spec)?;
@@ -1753,25 +1611,25 @@ fn cmd_diff(args: &Args) -> Result<bool, String> {
     Ok(!r.semantically_equal())
 }
 
-/// A manifest-stacked engine, built (and rebuilt on hot reload) from one
-/// `recognizer.v1` file.
-struct ManifestEngine {
-    stack: efd_serve::StackedRecognizer,
-    /// Primary stage's key count (status lines).
-    keys: usize,
-    version: Option<String>,
-    baseline: Option<efd_serve::net::DriftBaseline>,
-    provenance: Vec<String>,
-}
+/// Train an ml fallback stage (`knn` or `gaussian-nb`) on a
+/// dictionary's own entries — how it learns the knowledge the exact
+/// stages serve (one single-point observation per key-label pair).
+fn ml_stage(
+    stage: &efd_catalog::ManifestStage,
+    raw: &[u8],
+    catalog: &efd_telemetry::MetricCatalog,
+    shown: &str,
+) -> Result<efd_serve::backend::Built, String> {
+    use efd_core::engine::Learn as _;
 
-/// Rebuild a labeled training stream from a dictionary's own entries —
-/// how an ml fallback stage learns the knowledge the exact stages serve
-/// (one single-point observation per key-label pair).
-fn dictionary_observations(dict: &EfdDictionary) -> Vec<efd_core::LabeledObservation> {
-    let mut out = Vec::new();
+    let mut ml = match stage.backend {
+        StageBackend::Knn { k } => MlBackend::knn(k, stage.min_confidence),
+        _ => MlBackend::gaussian_nb(stage.min_confidence),
+    };
+    let dict = decode_dictionary(raw, catalog, shown)?;
     for (fp, labels) in dict.entries() {
         for l in labels {
-            out.push(efd_core::LabeledObservation {
+            ml.learn(&efd_core::LabeledObservation {
                 label: (*l).clone(),
                 query: efd_core::Query {
                     points: vec![efd_core::observation::ObsPoint {
@@ -1784,134 +1642,58 @@ fn dictionary_observations(dict: &EfdDictionary) -> Vec<efd_core::LabeledObserva
             });
         }
     }
-    out
+    Ok((std::sync::Arc::new(ml), dict.len()))
 }
 
 /// Build the stacked engine a manifest declares. Every stage's artifact
 /// resolves through the manifest's catalog (or a file path relative to
-/// the manifest); the served version and drift baseline come from the
-/// primary stage's artifact record.
+/// the manifest); dictionary stages build through the backend registry
+/// and ml stages train on the artifact. The served version and drift
+/// baseline come from the primary stage's artifact record; the report
+/// lines name the stack and every artifact's provenance.
 fn engine_from_manifest(
     path: &Path,
     catalog: &efd_telemetry::MetricCatalog,
     shards: usize,
-) -> Result<ManifestEngine, String> {
-    use efd_core::engine::Learn as _;
-    use std::sync::Arc;
-
+) -> Result<(efd_serve::net::Engine, Vec<String>), String> {
     let m = Manifest::load(path).map_err(|e| e.to_string())?;
-    let cat = match &m.catalog_dir {
-        Some(dir) => Some(Catalog::open(dir.clone()).map_err(|e| e.to_string())?),
-        None => None,
-    };
+    let manifest_dir = path.parent().unwrap_or(Path::new("."));
     let mut stages = Vec::new();
     let mut provenance = Vec::new();
-    let mut version = Some(m.name.clone());
-    let mut baseline = None;
-    let mut keys = 0usize;
+    let (mut keys, mut version, mut baseline) = (0, None, None);
     for (i, stage) in m.stack.iter().enumerate() {
-        let reference = CatalogRef::parse(&stage.artifact);
-        let (raw, shown, artifact) = match (&cat, reference) {
-            (Some(cat), Some(r)) => {
-                let a = cat.resolve(&r).map_err(|e| e.to_string())?;
-                (
-                    cat.read_bytes(a).map_err(|e| e.to_string())?,
-                    a.artifact_ref(),
-                    Some(a),
-                )
-            }
-            _ => {
-                let p = if Path::new(&stage.artifact).is_relative() {
-                    path.parent().unwrap_or(Path::new(".")).join(&stage.artifact)
-                } else {
-                    PathBuf::from(&stage.artifact)
-                };
-                (
-                    std::fs::read(&p).map_err(|e| format!("{}: {e}", p.display()))?,
-                    stage.artifact.clone(),
-                    None,
-                )
-            }
+        let src = match (&m.catalog_dir, CatalogRef::parse(&stage.artifact)) {
+            (Some(dir), Some(_)) => resolve_dict_source(&stage.artifact, Some(dir))?,
+            _ => DictSource::file(manifest_dir.join(&stage.artifact)),
         };
-        let (dict, _) = decode_dict(&raw, catalog, &shown)?;
+        let raw = std::fs::read(&src.path).map_err(|e| format!("{}: {e}", src.shown))?;
+        let (engine, stage_keys) = match stage.backend.dictionary_backend() {
+            Some(name) => Backend::parse(name)?.load(raw, catalog, shards, &src.shown)?,
+            None => ml_stage(stage, &raw, catalog, &src.shown)?,
+        };
         if i == 0 {
-            keys = dict.len();
-            if let Some(a) = artifact {
-                version = Some(a.artifact_ref());
-                baseline = a.baseline.as_ref().map(|b| efd_serve::net::DriftBaseline {
-                    unknown_rate: b.unknown_rate,
-                    ambiguous_rate: b.ambiguous_rate,
-                });
-            }
+            (keys, version, baseline) = (stage_keys, src.version, src.baseline);
         }
-        if let Some(a) = artifact {
-            provenance.push(a.provenance());
-        }
-        let engine: Arc<dyn Recognize + Send + Sync> = match &stage.backend {
-            StageBackend::Exact => Arc::new(efd_serve::Snapshot::freeze(&dict, shards)),
-            StageBackend::Efdb => {
-                // Zero-copy wants canonical EFDB bytes; re-encode when
-                // the artifact was a JSON dump.
-                let bytes = if raw.starts_with(&binfmt::MAGIC) {
-                    raw.clone()
-                } else {
-                    binfmt::write_dictionary(&dict, catalog)
-                };
-                Arc::new(
-                    efd_serve::EfdbSnapshot::load(bytes, catalog)
-                        .map_err(|e| format!("{shown}: {e}"))?,
-                )
-            }
-            StageBackend::Sharded => {
-                Arc::new(efd_serve::ShardedDictionary::from_parts(dict.to_parts(), shards))
-            }
-            StageBackend::Combo => {
-                let combo = efd_core::multi::ComboDictionary::from_single_metric(&dict)
-                    .ok_or_else(|| {
-                        format!("{shown}: combo stage needs a non-empty single-metric dictionary")
-                    })?;
-                Arc::new(efd_serve::ComboSnapshot::freeze(combo))
-            }
-            StageBackend::Knn { k } => {
-                let mut ml = MlBackend::knn(*k, stage.min_confidence);
-                for obs in dictionary_observations(&dict) {
-                    ml.learn(&obs);
-                }
-                Arc::new(ml)
-            }
-            StageBackend::GaussianNb => {
-                let mut ml = MlBackend::gaussian_nb(stage.min_confidence);
-                for obs in dictionary_observations(&dict) {
-                    ml.learn(&obs);
-                }
-                Arc::new(ml)
-            }
-        };
+        provenance.extend(src.provenance.map(|p| format!("provenance: {p}")));
         stages.push(efd_serve::StackedStage {
             name: stage.backend.to_string(),
             engine,
             min_confidence: stage.min_confidence,
         });
     }
-    Ok(ManifestEngine {
-        stack: efd_serve::StackedRecognizer::new(stages),
-        keys,
-        version,
+    let stack = efd_serve::StackedRecognizer::new(stages);
+    let mut report = vec![format!(
+        "manifest:   {} — stack {}",
+        path.display(),
+        stack.describe()
+    )];
+    report.extend(provenance);
+    let engine = efd_serve::net::Engine {
+        version: version.or(Some(m.name)),
         baseline,
-        provenance,
-    })
-}
-
-/// Wrap a built manifest stack as the daemon's engine.
-fn manifest_net_engine(me: ManifestEngine) -> efd_serve::net::Engine {
-    let mut e = efd_serve::net::Engine::fixed(std::sync::Arc::new(me.stack), me.keys, "stacked");
-    if let Some(v) = me.version {
-        e = e.with_version(v);
-    }
-    if let Some(b) = me.baseline {
-        e = e.with_baseline(b);
-    }
-    e
+        ..efd_serve::net::Engine::fixed(std::sync::Arc::new(stack), keys, "stacked")
+    };
+    Ok((engine, report))
 }
 
 /// `efd loadgen --addr <a>`: drive a running daemon and report latency
@@ -2504,7 +2286,8 @@ COMMANDS
   export-dict            alias of `dump --format json`: --out <path>
   serve                  batch recognition service demo: --load <dump.json|dict.efdb>
                          [--backend snapshot|sharded|combo|efdb] [--queries <csv|json>]
-                         [--synth N] [--shards N] [--repeat N]
+                         [--synth N] [--shards N] [--repeat N]; every backend
+                         takes EFDB or a JSON dump (efdb re-encodes a dump)
                          or durable: --wal <dir> [--learn N] [--wal-sync always|batch|none|<n>]
                          [--depth D] — write-ahead logged learning, recovery on restart
                          or daemon: --listen <addr> (e.g. 127.0.0.1:7070) — TCP frame
@@ -2512,7 +2295,8 @@ COMMANDS
                          [--idle-timeout SECS]; hot reload on SIGHUP or `efd ctl swap`
                          or stacked: --manifest <stack.json> — recognizer.v1 stack
                          (exact -> combo -> ml fallback, first confident verdict
-                         wins); works batch or with --listen (hot-swappable)
+                         wins); works batch or with --listen (hot-swappable);
+                         --backend applies to --load only
                          --load also accepts a catalog ref (name@latest, name@vN)
                          with --catalog <dir>
   catalog                versioned artifact store: <publish|list|show|rollback>

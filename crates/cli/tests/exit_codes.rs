@@ -49,6 +49,33 @@ fn unknown_backend_is_a_clean_error() {
 }
 
 #[test]
+fn backend_with_wal_or_manifest_is_a_clean_error() {
+    // --backend picks how a --load dictionary is served; a WAL or a
+    // manifest chooses its own, so naming one is an error, not a no-op —
+    // rejected before the WAL directory, manifest or socket is touched.
+    let wal = std::env::temp_dir().join(format!("efd-exit-codes-no-wal-{}", std::process::id()));
+    let wal = wal.to_str().unwrap();
+    for mode in [
+        &["--wal", wal][..],
+        &["--manifest", "/nonexistent/stack.json"][..],
+    ] {
+        for listen in [&[][..], &["--listen", "127.0.0.1:0"][..]] {
+            for backend in ["bogus", "sharded"] {
+                let mut args = vec!["serve"];
+                args.extend_from_slice(mode);
+                args.extend_from_slice(listen);
+                args.extend_from_slice(&["--backend", backend]);
+                assert_clean_error(&args, "--backend");
+            }
+        }
+    }
+    assert!(
+        !std::path::Path::new(wal).exists(),
+        "the WAL directory was created"
+    );
+}
+
+#[test]
 fn unknown_format_is_a_clean_error() {
     assert_clean_error(
         &["dump", "--out", "/tmp/efd-exit-code-test.bin", "--format", "bogus"],

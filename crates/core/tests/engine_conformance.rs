@@ -7,7 +7,8 @@
 //! * `exact:` — the full [`Recognition`] equals
 //!   `oracle.recognize(q).normalized()` on every query (dictionary-family
 //!   backends: core, combo, snapshot, sharded, online session, batch
-//!   front end, boxed trait objects);
+//!   front end, boxed trait objects, and every registry `Backend` built
+//!   from EFDB and from JSON bytes);
 //! * `verdict:` — the scored answer ([`Recognition::best`]) matches on
 //!   cleanly-separable queries (the eval crate's ml-classifier backends,
 //!   whose vote *counts* legitimately differ from dictionary votes).
@@ -23,11 +24,12 @@ use std::sync::Arc;
 
 use efd_core::engine::{Answer, Learn, ParallelRecognize, Recognize, VoteScratch};
 use efd_core::multi::ComboDictionary;
-use efd_core::{binfmt, EfdDictionary, LabeledObservation, Query, RoundingDepth};
+use efd_core::{binfmt, serialize, EfdDictionary, LabeledObservation, Query, RoundingDepth};
 use efd_eval::engine::MlBackend;
 use efd_ml::taxonomist::TaxonomistConfig;
 use efd_serve::{
-    BatchRecognizer, ComboSnapshot, EfdbSnapshot, OnlineSession, ShardedDictionary, Snapshot,
+    Backend, BatchRecognizer, ComboSnapshot, EfdbSnapshot, OnlineSession, ShardedDictionary,
+    Snapshot,
 };
 use efd_telemetry::catalog::small_catalog;
 use efd_telemetry::{AppLabel, Interval, MetricId, NodeId};
@@ -260,6 +262,96 @@ conformance!(exact: arc_dyn_recognize, |observations: &[LabeledObservation]| {
         Arc::new(ShardedDictionary::from_parts(oracle(observations).to_parts(), 8));
     backend
 });
+
+// ---------------------------------------------------------------------
+// The backend registry: every `Backend` built from file bytes, canonical
+// EFDB and JSON dump alike, the way `efd serve` and the daemon build it.
+// ---------------------------------------------------------------------
+
+/// Learned state -> dictionary file bytes -> [`Backend::load`].
+fn registry_load(
+    backend: Backend,
+    observations: &[LabeledObservation],
+    json: bool,
+) -> Arc<dyn Recognize + Send + Sync> {
+    let catalog = small_catalog();
+    let dict = oracle(observations);
+    let bytes = if json {
+        serialize::to_json(&dict, &catalog).into_bytes()
+    } else {
+        binfmt::write_dictionary(&dict, &catalog)
+    };
+    let (recognizer, _keys) = backend
+        .load(bytes, &catalog, 8, "conformance")
+        .expect("the registry builds every backend from valid bytes");
+    recognizer
+}
+
+conformance!(exact: registry_snapshot_from_efdb, |o: &[LabeledObservation]| {
+    registry_load(Backend::Snapshot, o, false)
+});
+
+conformance!(exact: registry_snapshot_from_json, |o: &[LabeledObservation]| {
+    registry_load(Backend::Snapshot, o, true)
+});
+
+conformance!(exact: registry_sharded_from_efdb, |o: &[LabeledObservation]| {
+    registry_load(Backend::Sharded, o, false)
+});
+
+conformance!(exact: registry_sharded_from_json, |o: &[LabeledObservation]| {
+    registry_load(Backend::Sharded, o, true)
+});
+
+conformance!(exact: registry_combo_from_efdb, |o: &[LabeledObservation]| {
+    registry_load(Backend::Combo, o, false)
+});
+
+conformance!(exact: registry_combo_from_json, |o: &[LabeledObservation]| {
+    registry_load(Backend::Combo, o, true)
+});
+
+conformance!(exact: registry_efdb_from_efdb, |o: &[LabeledObservation]| {
+    registry_load(Backend::Efdb, o, false)
+});
+
+conformance!(exact: registry_efdb_from_json, |o: &[LabeledObservation]| {
+    // A JSON dump has no bytes to serve in place: the registry re-encodes
+    // it as canonical EFDB first.
+    registry_load(Backend::Efdb, o, true)
+});
+
+#[test]
+fn registry_rejects_unknown_backend_names() {
+    for name in ["bogus", "exact", "Snapshot", ""] {
+        let err = Backend::parse(name).expect_err(name);
+        assert!(err.contains(&format!("{name:?}")), "{err}");
+        assert!(err.contains("snapshot|sharded|combo|efdb"), "{err}");
+    }
+    for backend in Backend::ALL {
+        assert_eq!(Backend::parse(backend.name()), Ok(backend));
+    }
+}
+
+#[test]
+fn registry_errors_name_the_source() {
+    let catalog = small_catalog();
+    let mut bad_efdb = binfmt::MAGIC.to_vec();
+    bad_efdb.extend_from_slice(&[0xEE; 64]);
+    for backend in Backend::ALL {
+        for bytes in [b"not a dictionary".to_vec(), bad_efdb.clone()] {
+            let err = backend
+                .load(bytes, &catalog, 8, "garbage.bin")
+                .err()
+                .expect("garbage bytes never build");
+            assert!(
+                err.starts_with("garbage.bin: "),
+                "{}: {err}",
+                backend.name()
+            );
+        }
+    }
+}
 
 // ---------------------------------------------------------------------
 // The eval crate's classifier adapter: ml families under the same API.

@@ -28,13 +28,10 @@ use std::sync::{Arc, OnceLock};
 
 use efd_core::engine::{Learn, Recognize, VoteScratch};
 use efd_core::maintenance::AgingDictionary;
-use efd_core::multi::ComboDictionary;
 use efd_core::wal::WalOptions;
-use efd_core::{
-    binfmt, EfdDictionary, LabeledObservation, ObsPoint, Query, Recognition, RoundingDepth,
-};
+use efd_core::{EfdDictionary, LabeledObservation, ObsPoint, Query, Recognition, RoundingDepth};
 use efd_ml::taxonomist::TaxonomistConfig;
-use efd_serve::{ComboSnapshot, DurableDictionary, EfdbSnapshot, OnlineSession, ShardedDictionary, Snapshot};
+use efd_serve::{Backend, DurableDictionary, OnlineSession, Snapshot};
 use efd_telemetry::metric::MetricCatalog;
 use efd_telemetry::{Interval, MetricId, NodeId};
 use efd_workload::scenario::{split, ScenarioData};
@@ -50,11 +47,11 @@ pub enum BackendKind {
     Dict,
     /// Frozen immutable [`Snapshot`].
     Snapshot,
-    /// Concurrent [`ShardedDictionary`].
+    /// Concurrent [`efd_serve::ShardedDictionary`].
     Sharded,
-    /// Conjunctive multi-metric combo ([`ComboSnapshot`]).
+    /// Conjunctive multi-metric combo ([`efd_serve::ComboSnapshot`]).
     Combo,
-    /// Zero-copy [`EfdbSnapshot`] served off canonical EFDB bytes.
+    /// Zero-copy [`efd_serve::EfdbSnapshot`] served off canonical EFDB bytes.
     Efdb,
     /// WAL-backed [`DurableDictionary`], closed and *recovered* before
     /// serving — every cell also exercises the durability path.
@@ -158,11 +155,10 @@ impl Default for CellOptions {
 /// crash-restarted server would take.
 pub struct ScenarioBackend {
     kind: BackendKind,
-    metric: MetricId,
     opts: CellOptions,
     catalog: MetricCatalog,
     buffered: Vec<LabeledObservation>,
-    built: OnceLock<Box<dyn Recognize + Send + Sync>>,
+    built: OnceLock<Arc<dyn Recognize + Send + Sync>>,
 }
 
 impl std::fmt::Debug for ScenarioBackend {
@@ -179,12 +175,11 @@ impl std::fmt::Debug for ScenarioBackend {
 static WAL_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl ScenarioBackend {
-    /// An empty backend of `kind`; `metric` is the combo backend's key
-    /// dimension, `catalog` resolves metric names for EFDB/WAL bytes.
-    pub fn new(kind: BackendKind, metric: MetricId, catalog: MetricCatalog, opts: CellOptions) -> Self {
+    /// An empty backend of `kind`; `catalog` resolves metric names for
+    /// EFDB/WAL bytes.
+    pub fn new(kind: BackendKind, catalog: MetricCatalog, opts: CellOptions) -> Self {
         Self {
             kind,
-            metric,
             opts,
             catalog,
             buffered: Vec::new(),
@@ -207,29 +202,22 @@ impl ScenarioBackend {
         d
     }
 
-    fn build_backend(&self) -> Box<dyn Recognize + Send + Sync> {
+    /// A serving backend over the learned dictionary, built through the
+    /// serving registry exactly as `efd serve` builds it.
+    fn registry(&self, backend: Backend) -> Arc<dyn Recognize + Send + Sync> {
+        backend
+            .from_dictionary(&self.learned_dict(), &self.catalog, self.opts.shards)
+            .expect("a trained single-metric dictionary builds on every backend")
+            .0
+    }
+
+    fn build_backend(&self) -> Arc<dyn Recognize + Send + Sync> {
         match self.kind {
-            BackendKind::Dict => Box::new(self.learned_dict()),
-            BackendKind::Snapshot => {
-                Box::new(Snapshot::freeze(&self.learned_dict(), self.opts.shards))
-            }
-            BackendKind::Sharded => {
-                let s = ShardedDictionary::new(self.depth(), self.opts.shards);
-                s.learn_all(&self.buffered);
-                Box::new(s)
-            }
-            BackendKind::Combo => {
-                let mut c = ComboDictionary::new(vec![self.metric], self.depth());
-                Learn::learn_all(&mut c, &self.buffered);
-                Box::new(ComboSnapshot::freeze(c))
-            }
-            BackendKind::Efdb => {
-                let bytes = binfmt::write_dictionary(&self.learned_dict(), &self.catalog);
-                Box::new(
-                    EfdbSnapshot::load(bytes, &self.catalog)
-                        .expect("freshly written EFDB bytes must load"),
-                )
-            }
+            BackendKind::Dict => Arc::new(self.learned_dict()),
+            BackendKind::Snapshot => self.registry(Backend::Snapshot),
+            BackendKind::Sharded => self.registry(Backend::Sharded),
+            BackendKind::Combo => self.registry(Backend::Combo),
+            BackendKind::Efdb => self.registry(Backend::Efdb),
             BackendKind::Wal => {
                 let dir = std::env::temp_dir().join(format!(
                     "efd-scenario-wal-{}-{}",
@@ -263,7 +251,7 @@ impl ScenarioBackend {
                 let snapshot = served.dictionary().snapshot();
                 drop(served);
                 let _ = std::fs::remove_dir_all(&dir);
-                Box::new(snapshot)
+                Arc::new(snapshot)
             }
             BackendKind::Forest => {
                 let mut b = MlBackend::forest(TaxonomistConfig {
@@ -272,17 +260,17 @@ impl ScenarioBackend {
                     ..TaxonomistConfig::default()
                 });
                 b.learn_all(&self.buffered);
-                Box::new(b)
+                Arc::new(b)
             }
             BackendKind::Knn => {
                 let mut b = MlBackend::knn(5, self.opts.ml_confidence);
                 b.learn_all(&self.buffered);
-                Box::new(b)
+                Arc::new(b)
             }
             BackendKind::GaussianNb => {
                 let mut b = MlBackend::gaussian_nb(self.opts.ml_confidence);
                 b.learn_all(&self.buffered);
-                Box::new(b)
+                Arc::new(b)
             }
         }
     }
@@ -336,7 +324,7 @@ pub fn fit_backend(
 ) -> EngineClassifier<ScenarioBackend, impl Fn() -> ScenarioBackend> {
     let catalog = dataset.catalog().clone();
     let mut clf = EngineClassifier::with_interval(backend.name(), metric, interval, move || {
-        ScenarioBackend::new(backend, metric, catalog.clone(), opts)
+        ScenarioBackend::new(backend, catalog.clone(), opts)
     });
     let (train_idx, _) = split(dataset.len());
     crate::classifier::ExecutionClassifier::fit(&mut clf, dataset, &train_idx);

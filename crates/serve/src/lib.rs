@@ -40,6 +40,10 @@
 //! * [`StackedRecognizer`] — the served form of a `recognizer.v1`
 //!   manifest (`efd-catalog`): backends stacked in precedence order,
 //!   first confident verdict wins, primary abstention preserved.
+//! * [`Backend`] — the **registry**: a backend name plus dictionary
+//!   bytes (or a live dictionary) in, `Arc<dyn Recognize + Send + Sync>`
+//!   out. Batch serving, the daemon's load and reload, and manifest
+//!   stages all construct backends through it.
 //! * [`net`] — the **network** form: a TCP recognition daemon
 //!   (`efd serve --listen`) speaking a length-prefixed line protocol
 //!   over a fixed worker pool, with atomic engine hot-swap, a same-port
@@ -87,6 +91,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod backend;
 pub mod batch;
 pub mod combo;
 pub mod durable;
@@ -98,6 +103,7 @@ pub mod shard;
 pub mod snapshot;
 pub mod stacked;
 
+pub use backend::Backend;
 pub use batch::BatchRecognizer;
 pub use combo::ComboSnapshot;
 pub use durable::DurableDictionary;

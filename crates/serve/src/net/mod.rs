@@ -25,4 +25,4 @@ pub mod server;
 pub use drift::{DriftBaseline, DriftConfig, DriftMonitor, DriftSnapshot, DriftState};
 pub use metrics::DaemonMetrics;
 pub use protocol::{FrameError, FrameReader, Request, MAX_FRAME};
-pub use server::{load_engine, BackendKind, Engine, ServeSummary, Server, ServerConfig};
+pub use server::{Engine, EngineLoader, ServeSummary, Server, ServerConfig};

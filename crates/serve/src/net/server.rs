@@ -70,7 +70,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use efd_core::engine::{Answer, Recognize, VoteScratch};
-use efd_core::{binfmt, serialize, LabeledObservation, Query, Recognition};
+use efd_core::{LabeledObservation, Query, Recognition};
 use efd_telemetry::{AppLabel, Interval, MetricCatalog, MetricId, NodeId};
 
 use super::drift::{DriftBaseline, DriftConfig, DriftMonitor, DriftSnapshot};
@@ -78,7 +78,7 @@ use super::metrics::DaemonMetrics;
 use super::protocol::{
     answer_label, write_answer, write_frame, FrameError, FrameReader, RequestRef, MAX_FRAME,
 };
-use crate::{ComboSnapshot, DurableDictionary, EfdbSnapshot, OnlineSession, ShardedDictionary, Snapshot};
+use crate::{Backend, DurableDictionary, OnlineSession};
 
 /// Worker read-timeout tick: the granularity of idle accounting and
 /// shutdown observation.
@@ -89,42 +89,6 @@ const ACCEPT_TICK: Duration = Duration::from_millis(2);
 const MAX_STREAM_NODES: u16 = 4096;
 /// Cap on a buffered HTTP request head.
 const MAX_HTTP_HEAD: usize = 8 * 1024;
-
-/// Which engine backend the daemon serves (and reloads on `SWAP`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendKind {
-    /// Immutable published [`Snapshot`] (the default).
-    Snapshot,
-    /// Live [`ShardedDictionary`] behind per-shard `RwLock`s.
-    Sharded,
-    /// Conjunctive [`ComboSnapshot`].
-    Combo,
-    /// Zero-copy [`EfdbSnapshot`] straight over EFDB bytes.
-    Efdb,
-}
-
-impl BackendKind {
-    /// Parse a `--backend` value.
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        match s {
-            "snapshot" => Some(BackendKind::Snapshot),
-            "sharded" => Some(BackendKind::Sharded),
-            "combo" => Some(BackendKind::Combo),
-            "efdb" => Some(BackendKind::Efdb),
-            _ => None,
-        }
-    }
-
-    /// Canonical lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::Snapshot => "snapshot",
-            BackendKind::Sharded => "sharded",
-            BackendKind::Combo => "combo",
-            BackendKind::Efdb => "efdb",
-        }
-    }
-}
 
 /// A publishable engine: the recognizer every request answers through,
 /// plus the optional durable learner (`--wal` mode) that accepts
@@ -167,18 +131,6 @@ impl Engine {
         }
     }
 
-    /// Tag the engine with the catalog version it serves.
-    pub fn with_version(mut self, version: impl Into<String>) -> Self {
-        self.version = Some(version.into());
-        self
-    }
-
-    /// Attach the published version's abstention baseline.
-    pub fn with_baseline(mut self, baseline: DriftBaseline) -> Self {
-        self.baseline = Some(baseline);
-        self
-    }
-
     /// Version for status lines: the catalog ref, or `-` outside the
     /// catalog.
     pub fn version_label(&self) -> &str {
@@ -197,6 +149,19 @@ impl Engine {
             version: None,
             baseline: None,
         }
+    }
+
+    /// Load a dictionary file (EFDB or JSON dump) as `backend`.
+    pub fn load(
+        path: &Path,
+        backend: Backend,
+        catalog: &MetricCatalog,
+        shards: usize,
+    ) -> Result<Engine, String> {
+        let shown = path.display().to_string();
+        let bytes = std::fs::read(path).map_err(|e| format!("{shown}: {e}"))?;
+        let (recognizer, keys) = backend.load(bytes, catalog, shards, &shown)?;
+        Ok(Engine::fixed(recognizer, keys, backend.name()))
     }
 
     /// Current key count: live in durable mode, frozen otherwise.
@@ -220,70 +185,13 @@ impl std::fmt::Debug for Engine {
     }
 }
 
-/// Load a dictionary file into an engine of the requested backend —
-/// the same loader the `SWAP` command and SIGHUP reload use, so a
-/// republished engine is built exactly like the original.
-pub fn load_engine(
-    path: &Path,
-    backend: BackendKind,
-    catalog: &MetricCatalog,
-    shards: usize,
-) -> Result<Engine, String> {
-    let shown = path.display();
-    let raw = std::fs::read(path).map_err(|e| format!("{shown}: {e}"))?;
-    let is_efdb = raw.starts_with(&binfmt::MAGIC);
-    if backend == BackendKind::Efdb {
-        if !is_efdb {
-            return Err(format!(
-                "{shown}: --backend efdb serves EFDB bytes in place; --load a .efdb file"
-            ));
-        }
-        let snap = EfdbSnapshot::load(raw, catalog).map_err(|e| format!("{shown}: {e}"))?;
-        let keys = snap.len();
-        return Ok(Engine::fixed(Arc::new(snap), keys, "efdb"));
-    }
-    // Snapshot fast path: the checked view thaws straight into the
-    // snapshot, with no decoded copy of the file in between.
-    if backend == BackendKind::Snapshot && is_efdb {
-        let view = binfmt::check(&raw).map_err(|e| format!("{shown}: {e}"))?;
-        let snap =
-            Snapshot::from_view(&view, catalog, shards).map_err(|e| format!("{shown}: {e}"))?;
-        let keys = snap.len();
-        return Ok(Engine::fixed(Arc::new(snap), keys, "snapshot"));
-    }
-    let dict = if is_efdb {
-        binfmt::read_dictionary(&raw, catalog).map_err(|e| format!("{shown}: {e}"))?
-    } else {
-        let text = std::str::from_utf8(&raw).map_err(|e| format!("{shown}: {e}"))?;
-        serialize::from_json(text, catalog).map_err(|e| format!("{shown}: {e}"))?
-    };
-    let keys = dict.len();
-    Ok(match backend {
-        BackendKind::Snapshot => {
-            Engine::fixed(Arc::new(Snapshot::freeze(&dict, shards)), keys, "snapshot")
-        }
-        BackendKind::Sharded => Engine::fixed(
-            Arc::new(ShardedDictionary::from_parts(dict.to_parts(), shards)),
-            keys,
-            "sharded",
-        ),
-        BackendKind::Combo => {
-            let combo = efd_core::multi::ComboDictionary::from_single_metric(&dict)
-                .ok_or_else(|| {
-                    format!("{shown}: --backend combo needs a non-empty single-metric dictionary")
-                })?;
-            let keys = combo.len();
-            Engine::fixed(Arc::new(ComboSnapshot::freeze(combo)), keys, "combo")
-        }
-        BackendKind::Efdb => unreachable!("handled above"),
-    })
-}
-
-/// A pluggable engine loader: how `SWAP path` / SIGHUP rebuild an
-/// engine from a path. Manifest serving installs one that treats the
-/// path as a `recognizer.v1` manifest; without one, paths load through
-/// [`load_engine`].
-pub type EngineLoader = Arc<dyn Fn(&Path) -> Result<Engine, String> + Send + Sync>;
+/// How `SWAP path` and SIGHUP build the next engine from a path — a
+/// dictionary file, a catalog reference, or a `recognizer.v1` manifest,
+/// depending on what the daemon serves — resolving metric names through
+/// the daemon's catalog. The start-up engine is normally built by the
+/// same loader, so a republished engine is built exactly like the
+/// original.
+pub type EngineLoader = Arc<dyn Fn(&Path, &MetricCatalog) -> Result<Engine, String> + Send + Sync>;
 
 /// Daemon configuration.
 #[derive(Clone)]
@@ -292,10 +200,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Drop a connection after this much continuous quiet.
     pub idle_timeout: Duration,
-    /// Shard fan-out for snapshots built on reload.
-    pub shards: usize,
-    /// Backend built by `SWAP`/SIGHUP reloads.
-    pub backend: BackendKind,
     /// Metric-name resolution for requests.
     pub catalog: MetricCatalog,
     /// Path reloaded by SIGHUP and a bare `SWAP` (normally the daemon's
@@ -303,9 +207,8 @@ pub struct ServerConfig {
     pub reload_path: Option<PathBuf>,
     /// Drift-monitor tuning (window, warm-up floor, alarm margin).
     pub drift: DriftConfig,
-    /// Custom engine loader for reloads (manifest mode); `None` loads
-    /// dictionary files via [`load_engine`].
-    pub loader: Option<EngineLoader>,
+    /// Builds the engine for `SWAP path` and SIGHUP reloads.
+    pub loader: EngineLoader,
 }
 
 impl std::fmt::Debug for ServerConfig {
@@ -313,28 +216,24 @@ impl std::fmt::Debug for ServerConfig {
         f.debug_struct("ServerConfig")
             .field("workers", &self.workers)
             .field("idle_timeout", &self.idle_timeout)
-            .field("shards", &self.shards)
-            .field("backend", &self.backend)
             .field("reload_path", &self.reload_path)
             .field("drift", &self.drift)
-            .field("loader", &self.loader.as_ref().map(|_| "<custom>"))
             .finish_non_exhaustive()
     }
 }
 
 impl ServerConfig {
-    /// Defaults: 4 workers, 30 s idle timeout, 8 shards, snapshot
-    /// backend, no reload path, default drift tuning.
+    /// Defaults: 4 workers, 30 s idle timeout, no reload path, default
+    /// drift tuning, and a loader that serves dictionary files as an
+    /// 8-shard [`Backend::Snapshot`].
     pub fn new(catalog: MetricCatalog) -> Self {
         ServerConfig {
             workers: 4,
             idle_timeout: Duration::from_secs(30),
-            shards: 8,
-            backend: BackendKind::Snapshot,
             catalog,
             reload_path: None,
             drift: DriftConfig::default(),
-            loader: None,
+            loader: Arc::new(|path, catalog| Engine::load(path, Backend::Snapshot, catalog, 8)),
         }
     }
 }
@@ -384,15 +283,6 @@ impl Shared {
         self.metrics.render()
     }
 
-    /// Build an engine from a path the way this daemon was configured
-    /// to: through the custom loader (manifest mode) or [`load_engine`].
-    fn load(&self, path: &Path) -> Result<Engine, String> {
-        match &self.cfg.loader {
-            Some(loader) => loader(path),
-            None => load_engine(path, self.cfg.backend, &self.cfg.catalog, self.cfg.shards),
-        }
-    }
-
     fn reload(&self) -> Result<u64, String> {
         let path = self
             .cfg
@@ -402,7 +292,7 @@ impl Shared {
         if self.current().engine.learner.is_some() {
             return Err("durable mode learns in place; reload does not apply".into());
         }
-        let engine = self.load(path)?;
+        let engine = (self.cfg.loader)(path, &self.cfg.catalog)?;
         Ok(self.publish(engine))
     }
 
@@ -858,8 +748,7 @@ fn dispatch(
             let outcome = if path.is_empty() {
                 shared.reload()
             } else {
-                shared
-                    .load(Path::new(path))
+                (shared.cfg.loader)(Path::new(path), &shared.cfg.catalog)
                     .map(|engine| shared.publish(engine))
             };
             let _ = match outcome {

@@ -15,8 +15,8 @@ use common::*;
 use efd_core::wal::WalOptions;
 use efd_core::RoundingDepth;
 use efd_serve::net::protocol::render_answer;
-use efd_serve::net::load_engine;
-use efd_serve::DurableDictionary;
+use efd_serve::net::Engine;
+use efd_serve::{Backend, DurableDictionary};
 
 /// The harness corpus: distinct apps, one deliberate ambiguous pair
 /// (`aa`/`bb` at the same level).
@@ -251,7 +251,7 @@ fn swap_command_and_hup_flag_republish_from_dictionary_files() {
     let path_a = write_efdb(&dir, "a.efdb", &dict_a);
     let path_b = write_efdb(&dir, "b.efdb", &dict_b);
 
-    let engine = load_engine(&path_a, efd_serve::net::BackendKind::Snapshot, &catalog(), 4)
+    let engine = Engine::load(&path_a, Backend::Snapshot, &catalog(), 4)
         .expect("load initial engine");
     let path_a_cfg = path_a.clone();
     let server = start_server(engine, move |cfg| cfg.reload_path = Some(path_a_cfg));

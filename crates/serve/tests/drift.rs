@@ -13,12 +13,11 @@ mod common;
 use std::sync::Arc;
 
 use common::*;
-use efd_catalog::{Manifest, StageBackend};
+use efd_catalog::Manifest;
 use efd_core::engine::Recognize;
-use efd_core::multi::ComboDictionary;
 use efd_core::{EfdDictionary, LabeledObservation, Query, RoundingDepth, Verdict};
 use efd_serve::net::{DriftBaseline, DriftConfig, DriftState, Engine};
-use efd_serve::{ComboSnapshot, Snapshot, StackedRecognizer, StackedStage};
+use efd_serve::{Backend, StackedRecognizer, StackedStage};
 use efd_telemetry::Interval;
 use efd_workload::scenario::{build, CleanRuns, ScenarioKind, ScenarioSpec};
 use efd_workload::{Dataset, DatasetSpec};
@@ -44,9 +43,11 @@ fn manifest() -> Manifest {
 /// Build the manifest's stack over one dictionary and wrap it as a
 /// served engine tagged with a catalog version and its baseline.
 fn stacked_engine(dict: &EfdDictionary, version: &str, baseline: DriftBaseline) -> Engine {
-    Engine::fixed(Arc::new(stack_for(dict)), dict.len(), "stacked")
-        .with_version(version)
-        .with_baseline(baseline)
+    Engine {
+        version: Some(version.to_string()),
+        baseline: Some(baseline),
+        ..Engine::fixed(Arc::new(stack_for(dict)), dict.len(), "stacked")
+    }
 }
 
 fn stack_for(dict: &EfdDictionary) -> StackedRecognizer {
@@ -54,13 +55,13 @@ fn stack_for(dict: &EfdDictionary) -> StackedRecognizer {
         .stack
         .iter()
         .map(|s| {
-            let engine: Arc<dyn Recognize + Send + Sync> = match s.backend {
-                StageBackend::Exact => Arc::new(Snapshot::freeze(dict, 4)),
-                StageBackend::Combo => Arc::new(ComboSnapshot::freeze(
-                    ComboDictionary::from_single_metric(dict).expect("non-empty dict"),
-                )),
-                _ => unreachable!("manifest literal only stacks exact and combo"),
-            };
+            let name = s
+                .backend
+                .dictionary_backend()
+                .expect("manifest stacks dictionary stages");
+            let (engine, _keys) = Backend::parse(name)
+                .and_then(|b| b.from_dictionary(dict, &catalog(), 4))
+                .expect("registry builds every dictionary stage");
             StackedStage {
                 name: s.backend.to_string(),
                 engine,
@@ -158,7 +159,7 @@ fn concept_drift_raises_the_alarm_and_a_relearned_swap_clears_it() {
             // manifest-serving reload path — which here hands back the
             // re-learned v2 publication.
             cfg.reload_path = Some(std::path::PathBuf::from("drift-demo.manifest.json"));
-            cfg.loader = Some(Arc::new(move |_p| Ok(v2_engine.clone())));
+            cfg.loader = Arc::new(move |_path, _catalog| Ok(v2_engine.clone()));
         },
     );
     let mut client = Client::connect(server.local_addr());
@@ -272,8 +273,10 @@ fn baseline_free_engines_never_alarm_under_the_same_drift() {
     learn_runs(&mut v1, &data.train);
     let tail = &data.test[data.test.len() - data.test.len() / 4..];
 
-    let engine = Engine::fixed(Arc::new(stack_for(&v1)), v1.len(), "stacked")
-        .with_version("drift-demo@v1");
+    let engine = Engine {
+        version: Some("drift-demo@v1".to_string()),
+        ..Engine::fixed(Arc::new(stack_for(&v1)), v1.len(), "stacked")
+    };
     let server = start_server(engine, |cfg| {
         cfg.drift = DriftConfig {
             window: 64,
