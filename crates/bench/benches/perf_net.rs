@@ -12,7 +12,7 @@
 //! daemon orchestration step.
 //!
 //! Knobs: `EFD_NET_KEYS` (default 100000), `EFD_NET_SECS` per row
-//! (default 2), `EFD_NET_WORKERS` (default 4).
+//! (default 2).
 
 use std::sync::Arc;
 
@@ -86,13 +86,11 @@ fn synth_payloads(keys: usize, count: usize) -> Vec<String> {
 fn main() {
     let keys = env_usize("EFD_NET_KEYS", 100_000);
     let secs = env_usize("EFD_NET_SECS", 2);
-    let workers = env_usize("EFD_NET_WORKERS", 4);
 
     eprintln!("building {keys}-key synthetic dictionary ...");
     let dict = synth_dictionary(keys);
     let engine = Engine::fixed(Arc::new(Snapshot::freeze(&dict, 64)), dict.len(), "snapshot");
-    let mut cfg = ServerConfig::new(small_catalog());
-    cfg.workers = workers;
+    let cfg = ServerConfig::new(small_catalog());
     let server = Server::start("127.0.0.1:0", cfg, engine).expect("daemon starts");
     let addr = server.local_addr().to_string();
     let payloads = synth_payloads(keys, 512);
@@ -100,9 +98,7 @@ fn main() {
     let mut table = TextTable::new(vec![
         "conns", "pipeline", "verdicts/s", "p50 µs", "p99 µs", "errors",
     ])
-    .with_title(format!(
-        "Daemon throughput over loopback ({keys} keys, {workers} workers)"
-    ));
+    .with_title(format!("Daemon throughput over loopback ({keys} keys)"));
     for (conns, pipeline) in [(1, 1), (1, 32), (4, 32), (8, 32)] {
         let mut lg = LoadgenConfig::new(addr.clone());
         lg.connections = conns;

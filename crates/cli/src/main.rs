@@ -1144,7 +1144,6 @@ fn cmd_serve_listen(
 
     let d = dataset_from(args)?;
     let mut cfg = net::ServerConfig::new(d.catalog().clone());
-    cfg.workers = args.flag_parsed::<usize>("workers")?.unwrap_or(4).max(1);
     cfg.idle_timeout =
         Duration::from_secs(args.flag_parsed::<u64>("idle-timeout")?.unwrap_or(30).max(1));
 
@@ -1181,11 +1180,10 @@ fn cmd_serve_listen(
         engine.kind, engine.keys
     );
 
-    let workers = cfg.workers;
     let server = net::Server::start(addr, cfg, engine)?;
     install_sighup(server.hup_flag());
     println!(
-        "listening:  {} — {workers} workers; GET /metrics and /healthz on the same port",
+        "listening:  {} — GET /metrics and /healthz on the same port",
         server.local_addr()
     );
     println!(
@@ -2291,8 +2289,9 @@ COMMANDS
                          or durable: --wal <dir> [--learn N] [--wal-sync always|batch|none|<n>]
                          [--depth D] — write-ahead logged learning, recovery on restart
                          or daemon: --listen <addr> (e.g. 127.0.0.1:7070) — TCP frame
-                         protocol + GET /metrics on one port; [--workers N]
-                         [--idle-timeout SECS]; hot reload on SIGHUP or `efd ctl swap`
+                         protocol + GET /metrics on one port, one thread per
+                         connection; [--idle-timeout SECS]; hot reload on SIGHUP
+                         or `efd ctl swap`
                          or stacked: --manifest <stack.json> — recognizer.v1 stack
                          (exact -> combo -> ml fallback, first confident verdict
                          wins); works batch or with --listen (hot-swappable);

@@ -46,7 +46,7 @@
 //!   stages all construct backends through it.
 //! * [`net`] — the **network** form: a TCP recognition daemon
 //!   (`efd serve --listen`) speaking a length-prefixed line protocol
-//!   over a fixed worker pool, with atomic engine hot-swap, a same-port
+//!   with one thread per connection, atomic engine hot-swap, a same-port
 //!   Prometheus `/metrics` endpoint, and a pipelined load generator.
 //!
 //! ## The engine API

@@ -10,8 +10,7 @@
 //! * `efd_request_duration_seconds` — end-to-end request latency.
 //! * `efd_stream_time_to_first_verdict_seconds` — stream open → first
 //!   verdict.
-//! * `efd_queue_depth` — accepted connections awaiting a worker.
-//! * `efd_active_connections` — connections currently on a worker.
+//! * `efd_active_connections` — open connections, one thread each.
 //! * `efd_connections_total` — connections accepted since start.
 //! * `efd_protocol_errors_total{kind}` — frame/grammar violations.
 //! * `efd_snapshot_swaps_total` / `efd_snapshot_generation` — hot-swap
@@ -34,7 +33,7 @@ use super::protocol::{Command, COMMANDS};
 /// Latency buckets for `efd_request_duration_seconds`: 25 µs … 1 s,
 /// roughly ×2–×2.5 steps — tight enough at the bottom to resolve the
 /// ~10 µs dictionary hit from syscall overhead, wide enough at the top
-/// to catch a stalled worker.
+/// to catch a stalled connection thread.
 pub const DURATION_BUCKETS: [f64; 12] = [
     25e-6, 50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 1e-2, 5e-2, 0.25, 1.0,
 ];
@@ -71,9 +70,8 @@ pub struct DaemonMetrics {
     pub request_duration: Arc<Histogram>,
     /// Stream open → first verdict latency histogram.
     pub time_to_first_verdict: Arc<Histogram>,
-    /// Connections accepted but not yet claimed by a worker.
-    pub queue_depth: Arc<Gauge>,
-    /// Connections currently being served.
+    /// Open connections, one thread each; the acceptor holds it at or
+    /// below [`super::server::MAX_CONNECTIONS`].
     pub active_connections: Arc<Gauge>,
     /// Connections accepted since daemon start.
     pub connections_total: Arc<Counter>,
@@ -145,11 +143,6 @@ impl DaemonMetrics {
             &[],
             &TTFV_BUCKETS,
         );
-        let queue_depth = registry.gauge(
-            "efd_queue_depth",
-            "Accepted connections awaiting a worker.",
-            &[],
-        );
         let active_connections = registry.gauge(
             "efd_active_connections",
             "Connections currently being served.",
@@ -212,7 +205,6 @@ impl DaemonMetrics {
             errors,
             request_duration,
             time_to_first_verdict,
-            queue_depth,
             active_connections,
             connections_total,
             swaps_total,
@@ -310,7 +302,6 @@ mod tests {
         m.count_request(Command::Ping);
         m.count_verdict("recognized");
         m.count_error("torn");
-        m.queue_depth.set(2);
         m.request_duration.observe(0.0001);
         assert_eq!(m.requests_total(), 3);
         let text = m.render();
@@ -319,7 +310,6 @@ mod tests {
             "efd_requests_total{command=\"ping\"} 1",
             "efd_verdicts_total{verdict=\"recognized\"} 1",
             "efd_protocol_errors_total{kind=\"torn\"} 1",
-            "efd_queue_depth 2",
             "efd_request_duration_seconds_count 1",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");

@@ -2,7 +2,7 @@
 //!
 //! * [`protocol`] — length-prefixed frame codec and the line grammar
 //!   (`RECOGNIZE`, `STREAM`/`PUSH`/`FINISH`, `LEARN`, `SWAP`, ...).
-//! * [`server`] — the daemon: acceptor + fixed worker pool, hot
+//! * [`server`] — the daemon: acceptor + one thread per connection, hot
 //!   snapshot swap by `Arc` republication, idle-timeout discipline,
 //!   and a same-port HTTP `/metrics` + `/healthz` endpoint.
 //! * [`metrics`] — the Prometheus instrument set the daemon exports.

@@ -70,9 +70,9 @@ use efd_core::{Recognition, Verdict};
 /// a protocol violation, not a big request.
 pub const MAX_FRAME: u32 = 1 << 20;
 
-/// Bytes a [`FrameReader`] asks the source for in one `read` while no
-/// longer frame is pending: a 32-deep pipeline of paper-shaped requests
-/// (~60–300 bytes each) fits in one read.
+/// Most bytes a [`FrameReader`] asks the source for in one `read`: a
+/// 32-deep pipeline of paper-shaped requests (~60–300 bytes each) fits
+/// in one read.
 pub const READ_CHUNK: usize = 16 * 1024;
 
 /// Everything that can go wrong while reading one frame.
@@ -111,12 +111,14 @@ impl std::fmt::Display for FrameError {
 
 /// A buffered, resumable frame decoder for one connection.
 ///
-/// Bytes arrive in one `read` of up to [`READ_CHUNK`] (or of the rest of
-/// a longer pending frame) and frames are cut out of the buffer in
-/// place, so a pipelined burst costs one `read`, not two per frame.
+/// Bytes arrive in one `read` of up to [`READ_CHUNK`] and frames are
+/// cut out of the buffer in place, so a pipelined burst costs one
+/// `read`, not two per frame. The buffer holds at most the pending
+/// bytes plus one chunk: a frame longer than a chunk is read a chunk at
+/// a time as it arrives, and the buffer shrinks back once it is consumed.
 ///
 /// Read timeouts are how the server implements idle accounting (each
-/// worker reads with a short timeout and tallies quiet ticks), so the
+/// connection reads with a short timeout and tallies quiet ticks), so the
 /// decoder must survive a timeout at *any* byte boundary — including
 /// inside the 4-byte prefix — and continue exactly where it stopped.
 /// Partial frames simply stay buffered between calls.
@@ -198,18 +200,25 @@ impl FrameReader {
     }
 
     /// One `read` into the buffer, after moving the pending bytes to its
-    /// front and growing it to hold `want` of them (never past the
-    /// current frame, so never past `MAX_FRAME + 4`). Returns the bytes
-    /// read; 0 means the peer closed.
+    /// front and sizing it to hold at most one [`READ_CHUNK`] more than
+    /// is pending, and never past the `want` bytes of the current frame
+    /// (so never past `MAX_FRAME + 4`). The buffer grows only as bytes
+    /// arrive — a peer that declares a large frame and stalls holds no
+    /// more than it sent plus one chunk — and drops back to one chunk
+    /// once a large frame is consumed. Returns the bytes read; 0 means
+    /// the peer closed.
     fn fill(&mut self, r: &mut impl Read, want: usize) -> Result<usize, FrameError> {
         if self.start > 0 {
             self.buf.copy_within(self.start..self.end, 0);
             self.end -= self.start;
             self.start = 0;
         }
-        let cap = want.max(READ_CHUNK);
+        let cap = want.min(self.end + READ_CHUNK).max(READ_CHUNK);
         if self.buf.len() < cap {
             self.buf.resize(cap, 0);
+        } else if self.buf.len() > cap {
+            self.buf.truncate(cap);
+            self.buf.shrink_to_fit();
         }
         let n = r.read(&mut self.buf[self.end..]).map_err(map_io)?;
         self.end += n;
@@ -759,6 +768,7 @@ mod tests {
         assert_eq!(r.buf.len(), MAX_FRAME as usize + 4);
         assert!(!r.frame_ready(), "the PING is not buffered yet");
         assert_eq!(r.read_frame(&mut src).unwrap(), Some(&b"PING"[..]));
+        assert_eq!(r.buf.len(), READ_CHUNK, "shrunk back once it was consumed");
         // ...while an oversized prefix is refused from the first chunk,
         // without growing the buffer towards its claimed length.
         let mut huge = (MAX_FRAME + 1).to_le_bytes().to_vec();
@@ -770,6 +780,37 @@ mod tests {
             Err(FrameError::Oversized(_))
         ));
         assert_eq!(r.buf.len(), READ_CHUNK);
+    }
+
+    #[test]
+    fn a_stalled_large_frame_holds_only_what_arrived() {
+        // A peer declares a maximal frame, sends 100 bytes of it, and
+        // goes quiet: the buffer holds those bytes plus one chunk, not
+        // the declared 1 MiB.
+        struct Stalled<'a>(&'a [u8]);
+        impl Read for Stalled<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                match self.0.read(buf)? {
+                    0 => Err(io::ErrorKind::WouldBlock.into()),
+                    n => Ok(n),
+                }
+            }
+        }
+        let mut sent = MAX_FRAME.to_le_bytes().to_vec();
+        sent.resize(104, b'x');
+        let mut r = FrameReader::new();
+        let mut src = Stalled(&sent);
+        for _ in 0..3 {
+            assert!(matches!(r.read_frame(&mut src), Err(FrameError::Timeout)));
+        }
+        assert_eq!(r.end, 104);
+        assert_eq!(r.buf.len(), 104 + READ_CHUNK);
+        // Three chunks later it holds those bytes plus one chunk.
+        let more = vec![b'x'; 3 * READ_CHUNK];
+        let mut src = Stalled(&more);
+        assert!(matches!(r.read_frame(&mut src), Err(FrameError::Timeout)));
+        assert_eq!(r.end, 104 + 3 * READ_CHUNK);
+        assert_eq!(r.buf.len(), r.end + READ_CHUNK);
     }
 
     #[test]

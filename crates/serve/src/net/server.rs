@@ -1,16 +1,20 @@
-//! The recognition daemon: `TcpListener` + fixed worker pool over the
-//! engine API.
+//! The recognition daemon: `TcpListener` + one thread per connection
+//! over the engine API.
 //!
 //! ## Thread model
 //!
 //! One nonblocking acceptor thread polls `accept()` (and the SIGHUP
-//! reload flag) on a short tick and pushes accepted sockets onto a
-//! `Mutex<VecDeque<TcpStream>>` guarded by a condvar — the queue depth
-//! is exported as `efd_queue_depth`. A fixed pool of worker threads
-//! (each owning one reusable [`VoteScratch`]) pops connections and
-//! serves each one to completion: connections are long-lived and carry
-//! many requests, so per-connection (not per-request) dispatch keeps
-//! the hot path free of cross-thread handoff.
+//! reload flag) every `ACCEPT_TICK` (2 ms) and spawns a scoped thread
+//! per accepted connection, which serves it to completion with its own
+//! [`VoteScratch`]. Connections are long-lived and carry many requests,
+//! so per-connection (not per-request) threads keep the hot path free
+//! of cross-thread handoff, and while fewer than [`MAX_CONNECTIONS`]
+//! are open no client — idle, slow or busy — can hold up another: a
+//! `/healthz` probe or `STATUS` gets a thread of its own. At the cap
+//! the acceptor stops accepting and every further connection, control
+//! requests included, waits in the kernel backlog until one closes.
+//! The connection threads live in a `thread::scope` the acceptor runs
+//! in, so joining the acceptor joins them all.
 //!
 //! ## Hot swap
 //!
@@ -25,7 +29,7 @@
 //!
 //! ## Idle discipline
 //!
-//! Workers read with a 100 ms timeout and tally quiet ticks; a
+//! Connections read with a 100 ms timeout and tally quiet ticks; a
 //! connection idle past [`ServerConfig::idle_timeout`] — including one
 //! dribbling a frame a byte at a time (slow loris) — is dropped and
 //! counted in `efd_protocol_errors_total{kind="idle-timeout"}`.
@@ -36,19 +40,23 @@
 //! `read` pulls in a whole pipelined burst and frames are cut out of
 //! the buffer in place. Replies go into a `BufWriter`, which is flushed
 //! only when no complete frame is left in the reader
-//! ([`FrameReader::frame_ready`]). The invariant: a worker never blocks
-//! in a socket read while replies are unflushed, so a burst of N
-//! requests costs one `read` and one `write`, and a client that waits
+//! ([`FrameReader::frame_ready`]). The invariant: a connection never
+//! blocks in a socket read while replies are unflushed, so a burst of
+//! N requests costs one `read` and one `write`, and a client that waits
 //! for its replies always gets them.
 //!
 //! ## Reused request buffers
 //!
 //! A connection owns the buffers its requests are answered in: the
-//! parsed means, a [`Query`] refilled in place, an [`Answer`], and the
-//! reply bytes. A request is parsed in place ([`RequestRef::parse`]),
-//! answered with [`Recognize::answer_into`], and rendered straight into
-//! the reply buffer ([`write_answer`]), so once a connection is warm a
-//! `RECOGNIZE` against the snapshot or efdb backend allocates nothing.
+//! parsed means, a [`Query`] refilled in place, a [`VoteScratch`], an
+//! [`Answer`], and the reply bytes. A request is parsed in place
+//! ([`RequestRef::parse`]), answered with [`Recognize::answer_into`],
+//! and rendered straight into the reply buffer ([`write_answer`]), so
+//! once a connection is warm a `RECOGNIZE` against the snapshot or efdb
+//! backend allocates nothing. Buffers grown for a request longer than
+//! one read chunk ([`READ_CHUNK`], ~2000 nodes) are dropped once it is
+//! answered, so an idle connection keeps only what a chunk-sized
+//! request needs.
 //!
 //! ## One port, two protocols
 //!
@@ -58,15 +66,14 @@
 //! recognition port. When the first prefix is oversized and reads as
 //! `GET `/`HEAD`, the bytes the reader already holds go to the HTTP
 //! handler. A peer that closes after 1–3 bytes is a torn frame at once
-//! instead of holding the worker to the idle timeout.
+//! instead of holding its thread to the idle timeout.
 
-use std::collections::VecDeque;
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::thread::{self, JoinHandle};
+use std::sync::{Arc, RwLock};
+use std::thread::{self, JoinHandle, Scope};
 use std::time::{Duration, Instant};
 
 use efd_core::engine::{Answer, Recognize, VoteScratch};
@@ -77,14 +84,22 @@ use super::drift::{DriftBaseline, DriftConfig, DriftMonitor, DriftSnapshot};
 use super::metrics::DaemonMetrics;
 use super::protocol::{
     answer_label, write_answer, write_frame, FrameError, FrameReader, RequestRef, MAX_FRAME,
+    READ_CHUNK,
 };
 use crate::{Backend, DurableDictionary, OnlineSession};
 
-/// Worker read-timeout tick: the granularity of idle accounting and
-/// shutdown observation.
+/// Connection read-timeout tick: the granularity of idle accounting
+/// and shutdown observation.
 const READ_TICK: Duration = Duration::from_millis(100);
 /// Acceptor poll tick (nonblocking `accept` + reload-flag check).
 const ACCEPT_TICK: Duration = Duration::from_millis(2);
+/// Cap on open connections, each served by its own thread. Between
+/// requests a connection holds about 30–35 KiB resident, also when it
+/// is stalled partway into a frame: the read buffer holds only the bytes
+/// that arrived, and buffers grown for a request longer than one read
+/// chunk are dropped once it is answered. At the cap the acceptor stops
+/// accepting; further connections wait in the kernel backlog.
+pub const MAX_CONNECTIONS: usize = 1024;
 /// Cap on `STREAM` node counts — bounds per-session memory.
 const MAX_STREAM_NODES: u16 = 4096;
 /// Cap on a buffered HTTP request head.
@@ -196,8 +211,6 @@ pub type EngineLoader = Arc<dyn Fn(&Path, &MetricCatalog) -> Result<Engine, Stri
 /// Daemon configuration.
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Worker-thread count (min 1).
-    pub workers: usize,
     /// Drop a connection after this much continuous quiet.
     pub idle_timeout: Duration,
     /// Metric-name resolution for requests.
@@ -214,7 +227,6 @@ pub struct ServerConfig {
 impl std::fmt::Debug for ServerConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerConfig")
-            .field("workers", &self.workers)
             .field("idle_timeout", &self.idle_timeout)
             .field("reload_path", &self.reload_path)
             .field("drift", &self.drift)
@@ -223,12 +235,11 @@ impl std::fmt::Debug for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Defaults: 4 workers, 30 s idle timeout, no reload path, default
-    /// drift tuning, and a loader that serves dictionary files as an
-    /// 8-shard [`Backend::Snapshot`].
+    /// Defaults: 30 s idle timeout, no reload path, default drift
+    /// tuning, and a loader that serves dictionary files as an 8-shard
+    /// [`Backend::Snapshot`].
     pub fn new(catalog: MetricCatalog) -> Self {
         ServerConfig {
-            workers: 4,
             idle_timeout: Duration::from_secs(30),
             catalog,
             reload_path: None,
@@ -251,8 +262,6 @@ struct Shared {
     drift: DriftMonitor,
     shutdown: AtomicBool,
     hup: Arc<AtomicBool>,
-    queue: Mutex<VecDeque<TcpStream>>,
-    queue_cv: Condvar,
 }
 
 impl Shared {
@@ -302,7 +311,6 @@ impl Shared {
 
     fn stop(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        self.queue_cv.notify_all();
     }
 }
 
@@ -320,13 +328,13 @@ pub struct ServeSummary {
 pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
-    threads: Vec<JoinHandle<()>>,
+    acceptor: JoinHandle<()>,
 }
 
 impl Server {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port), publish
-    /// the initial engine as generation 1, and start the acceptor and
-    /// worker threads.
+    /// the initial engine as generation 1, and start the acceptor
+    /// thread.
     pub fn start(addr: &str, cfg: ServerConfig, engine: Engine) -> Result<Server, String> {
         let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
         let local = listener.local_addr().map_err(|e| format!("{addr}: {e}"))?;
@@ -338,7 +346,6 @@ impl Server {
         metrics.set_version(engine.version.clone());
         let drift = DriftMonitor::new(cfg.drift);
         drift.rebaseline(engine.baseline);
-        let workers = cfg.workers.max(1);
         let shared = Arc::new(Shared {
             cfg,
             published: RwLock::new(Arc::new(Published { gen: 1, engine })),
@@ -346,30 +353,16 @@ impl Server {
             drift,
             shutdown: AtomicBool::new(false),
             hup: Arc::new(AtomicBool::new(false)),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
         });
-        let mut threads = Vec::with_capacity(workers + 1);
         let s = Arc::clone(&shared);
-        threads.push(
-            thread::Builder::new()
-                .name("efd-accept".into())
-                .spawn(move || accept_loop(&s, listener))
-                .map_err(|e| format!("spawn acceptor: {e}"))?,
-        );
-        for i in 0..workers {
-            let s = Arc::clone(&shared);
-            threads.push(
-                thread::Builder::new()
-                    .name(format!("efd-worker-{i}"))
-                    .spawn(move || worker_loop(&s))
-                    .map_err(|e| format!("spawn worker: {e}"))?,
-            );
-        }
+        let acceptor = thread::Builder::new()
+            .name("efd-accept".into())
+            .spawn(move || thread::scope(|scope| accept_loop(&s, listener, scope)))
+            .map_err(|e| format!("spawn acceptor: {e}"))?;
         Ok(Server {
             shared,
             addr: local,
-            threads,
+            acceptor,
         })
     }
 
@@ -416,8 +409,8 @@ impl Server {
         self.shared.reload()
     }
 
-    /// Signal shutdown: stop accepting, let workers finish their
-    /// current connection, then exit. Idempotent.
+    /// Signal shutdown: stop accepting, and have every connection
+    /// flush its replies and close within one read tick. Idempotent.
     pub fn shutdown(&self) {
         self.shared.stop();
     }
@@ -427,11 +420,9 @@ impl Server {
         !self.shared.stopping()
     }
 
-    /// Block until every daemon thread has exited.
+    /// Block until the acceptor and every connection thread have exited.
     pub fn join(self) -> ServeSummary {
-        for t in self.threads {
-            let _ = t.join();
-        }
+        let _ = self.acceptor.join();
         ServeSummary {
             requests: self.shared.metrics.requests_total(),
             connections: self.shared.metrics.connections_total.get(),
@@ -439,7 +430,7 @@ impl Server {
     }
 }
 
-fn accept_loop(shared: &Shared, listener: TcpListener) {
+fn accept_loop<'s>(shared: &'s Shared, listener: TcpListener, scope: &'s Scope<'s, '_>) {
     while !shared.stopping() {
         if shared.hup.swap(false, Ordering::SeqCst) {
             match shared.reload() {
@@ -447,48 +438,34 @@ fn accept_loop(shared: &Shared, listener: TcpListener) {
                 Err(e) => eprintln!("warning: reload failed: {e}"),
             }
         }
+        // Only this thread raises the gauge, so the cap cannot be
+        // overshot; at the cap new peers wait in the kernel backlog.
+        if shared.metrics.active_connections.get() >= MAX_CONNECTIONS as i64 {
+            thread::sleep(ACCEPT_TICK);
+            continue;
+        }
         match listener.accept() {
             Ok((stream, _peer)) => {
                 shared.metrics.connections_total.inc();
-                let mut q = shared.queue.lock().expect("queue lock");
-                q.push_back(stream);
-                shared.metrics.queue_depth.set(q.len() as i64);
-                drop(q);
-                shared.queue_cv.notify_one();
+                shared.metrics.active_connections.add(1);
+                let spawned = thread::Builder::new()
+                    .name("efd-conn".into())
+                    .spawn_scoped(scope, move || {
+                        let _ = handle_conn(shared, stream);
+                        shared.metrics.active_connections.add(-1);
+                    });
+                if spawned.is_err() {
+                    // Out of threads: the socket was dropped with the
+                    // closure; back off and keep serving.
+                    shared.metrics.active_connections.add(-1);
+                    thread::sleep(ACCEPT_TICK);
+                }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_TICK),
             // Transient accept errors (EMFILE, aborted handshake):
             // back off and keep serving.
             Err(_) => thread::sleep(ACCEPT_TICK),
         }
-    }
-    shared.queue_cv.notify_all();
-}
-
-fn worker_loop(shared: &Shared) {
-    let mut scratch = VoteScratch::default();
-    loop {
-        let conn = {
-            let mut q = shared.queue.lock().expect("queue lock");
-            loop {
-                if let Some(s) = q.pop_front() {
-                    shared.metrics.queue_depth.set(q.len() as i64);
-                    break Some(s);
-                }
-                if shared.stopping() {
-                    break None;
-                }
-                let (guard, _timeout) = shared
-                    .queue_cv
-                    .wait_timeout(q, READ_TICK)
-                    .expect("queue lock");
-                q = guard;
-            }
-        };
-        let Some(stream) = conn else { return };
-        shared.metrics.active_connections.add(1);
-        let _ = handle_conn(shared, stream, &mut scratch);
-        shared.metrics.active_connections.add(-1);
     }
 }
 
@@ -514,19 +491,16 @@ struct Conn {
     session: Option<StreamState>,
     means: Vec<f64>,
     query: Query,
+    scratch: VoteScratch,
     answer: Answer,
 }
 
 /// Serve one connection to completion, as frames or as one HTTP request.
-fn handle_conn(
-    shared: &Shared,
-    mut stream: TcpStream,
-    scratch: &mut VoteScratch,
-) -> io::Result<()> {
+fn handle_conn(shared: &Shared, stream: TcpStream) -> io::Result<()> {
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(READ_TICK))?;
     let mut reader = FrameReader::new();
-    let mut writer = BufWriter::new(stream.try_clone()?);
+    let mut writer = BufWriter::new(&stream);
     let mut conn = Conn::default();
     let mut reply = Vec::new();
     let mut idle = Duration::ZERO;
@@ -537,14 +511,16 @@ fn handle_conn(
             return writer.flush();
         }
         let started;
+        let large;
         reply.clear();
-        let action = match reader.read_frame(&mut stream) {
+        let action = match reader.read_frame(&mut &stream) {
             Ok(None) => return Ok(()), // clean close at a frame boundary
             Ok(Some(payload)) => {
                 idle = Duration::ZERO;
                 sniffing = false;
                 started = Instant::now();
-                dispatch(shared, payload, &mut conn, scratch, &mut reply)
+                large = payload.len() > READ_CHUNK;
+                dispatch(shared, payload, &mut conn, &mut reply)
             }
             Err(FrameError::Timeout) => {
                 idle += READ_TICK;
@@ -560,7 +536,7 @@ fn handle_conn(
             }
             Err(FrameError::Oversized(n)) => {
                 if sniffing && matches!(reader.buffered().get(..4), Some(b"GET " | b"HEAD")) {
-                    return handle_http(shared, &mut stream, reader.buffered());
+                    return handle_http(shared, &stream, reader.buffered());
                 }
                 shared.metrics.count_error("oversized");
                 // Best-effort structured refusal; the peer may already
@@ -586,6 +562,16 @@ fn handle_conn(
         }
         write_frame(&mut writer, &reply)?;
         shared.metrics.request_duration.observe_duration(started.elapsed());
+        if large {
+            // Buffers grown for a request longer than one read chunk are
+            // dropped once it is answered (an open stream is kept): an
+            // idle connection keeps only what a chunk-sized request needs.
+            conn = Conn {
+                session: conn.session.take(),
+                ..Conn::default()
+            };
+            reply = Vec::new();
+        }
         // Flush on drain: a buffered request is answered first, and the
         // next socket read only ever happens with every reply sent.
         if !reader.frame_ready() {
@@ -606,13 +592,7 @@ fn handle_conn(
 /// entry). Infallible by construction: every failure mode is a
 /// structured `ERR <kind> <message>` reply. Writes into a `Vec` cannot
 /// fail, so their `io::Result`s are dropped.
-fn dispatch(
-    shared: &Shared,
-    payload: &[u8],
-    conn: &mut Conn,
-    scratch: &mut VoteScratch,
-    out: &mut Vec<u8>,
-) -> Action {
+fn dispatch(shared: &Shared, payload: &[u8], conn: &mut Conn, out: &mut Vec<u8>) -> Action {
     let Ok(line) = std::str::from_utf8(payload) else {
         shared.metrics.count_error("malformed");
         out.extend_from_slice(b"ERR malformed payload is not UTF-8");
@@ -638,7 +618,7 @@ fn dispatch(
             let p = shared.current();
             p.engine
                 .recognizer
-                .answer_into(&conn.query, scratch, &mut conn.answer);
+                .answer_into(&conn.query, &mut conn.scratch, &mut conn.answer);
             note_verdict(shared, answer_label(&conn.answer));
             write_answer(out, "OK", p.gen, &conn.answer);
         }
@@ -861,7 +841,7 @@ fn note_verdict(shared: &Shared, label: &'static str) {
 /// Minimal HTTP/1.1: `GET /metrics` (Prometheus text), `GET /healthz`.
 /// One request per connection (`Connection: close`); `buffered` is what
 /// the frame reader already holds of the request head.
-fn handle_http(shared: &Shared, stream: &mut TcpStream, buffered: &[u8]) -> io::Result<()> {
+fn handle_http(shared: &Shared, mut stream: &TcpStream, buffered: &[u8]) -> io::Result<()> {
     let mut head = buffered.to_vec();
     let mut buf = [0u8; 1024];
     let mut idle = Duration::ZERO;

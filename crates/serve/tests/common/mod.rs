@@ -83,10 +83,9 @@ pub fn snapshot_engine(dict: &EfdDictionary) -> Engine {
 }
 
 /// Start a daemon on an ephemeral port with harness defaults; `tweak`
-/// adjusts the config (idle timeout, workers, reload path, ...).
+/// adjusts the config (idle timeout, reload path, ...).
 pub fn start_server(engine: Engine, tweak: impl FnOnce(&mut ServerConfig)) -> Server {
     let mut cfg = ServerConfig::new(catalog());
-    cfg.workers = 2;
     tweak(&mut cfg);
     Server::start("127.0.0.1:0", cfg, engine).expect("daemon binds an ephemeral port")
 }
@@ -117,8 +116,8 @@ impl Client {
         self.stream.flush().expect("flush frame");
     }
 
-    /// Read one response frame (panics after 10 s — a hung worker is
-    /// exactly what these tests exist to catch).
+    /// Read one response frame (panics after 10 s — a hung connection
+    /// is exactly what these tests exist to catch).
     pub fn recv(&mut self) -> String {
         self.recv_or_close()
             .unwrap_or_else(|| panic!("daemon closed the connection instead of answering"))

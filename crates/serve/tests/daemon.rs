@@ -4,7 +4,7 @@
 //! wire protocol through [`common::Client`], and asserts against the
 //! single-threaded [`EfdDictionary`] oracle — the serving layer's
 //! equivalence contract extended across the network boundary: framing,
-//! worker handoff, and hot swaps must not change answers.
+//! per-connection threads, and hot swaps must not change answers.
 
 mod common;
 
@@ -59,7 +59,7 @@ fn concurrent_clients_match_the_single_threaded_oracle_on_every_backend() {
 
     for engine in engines_for(&dict) {
         let kind = engine.kind;
-        let server = start_server(engine, |cfg| cfg.workers = 4);
+        let server = start_server(engine, |_| {});
         let addr = server.local_addr();
         std::thread::scope(|scope| {
             for t in 0..4usize {
@@ -200,7 +200,7 @@ fn hot_swap_under_sustained_load_drops_nothing_and_never_tears() {
     assert!(want1.ends_with("unknown"));
     assert!(want2.ends_with("recognized new"));
 
-    let server = start_server(snapshot_engine(&dict_a), |cfg| cfg.workers = 4);
+    let server = start_server(snapshot_engine(&dict_a), |_| {});
     let addr = server.local_addr();
     // Pin down generation 1 before any load.
     assert_eq!(Client::connect(addr).request(&line), want1);

@@ -4,18 +4,22 @@
 //! client. The daemon's contract under all of them: a structured
 //! `ERR <kind> <message>` response or a clean connection drop, the
 //! matching `efd_protocol_errors_total{kind=...}` increment — and
-//! never a panic, a wedged worker, or a hung test.
+//! never a panic, a wedged connection, or a hung test.
 //!
-//! Worker health is proven the strict way: most tests run a
-//! **single-worker** daemon, so if a malformed connection could wedge
-//! its worker, the follow-up well-formed connection would hang and the
-//! harness's 10 s receive deadline would fail the test.
+//! Daemon health is proven after each bad peer by a well-formed request
+//! on a fresh connection, under the harness's 10 s receive deadline,
+//! and by the bad peer's connection thread having returned: the open
+//! connection count must fall to zero once the probe closes.
+//! Idle and slow-loris peers must not delay anyone else: health,
+//! metrics, `STATUS` and `RECOGNIZE` on fresh connections are answered
+//! within a second while they hold their connections open, and a
+//! shutdown closes all of them within a second.
 //!
 //! The buffered reader is checked on both sides: a property test feeds
 //! random frame sequences through a source that returns random chunk
 //! sizes and injects `WouldBlock`, against a one-frame-at-a-time
-//! reference decoder; and pipelined bursts against a one-worker daemon
-//! prove it flushes every reply before it blocks in a read.
+//! reference decoder; and pipelined bursts against a live daemon prove
+//! it flushes every reply before it blocks in a read.
 //!
 //! The request grammar is checked the same way: a property test runs
 //! random and mutated lines through the borrowed parse, the owned
@@ -26,21 +30,17 @@ mod common;
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use common::*;
 use efd_serve::net::protocol::{write_frame, Request, RequestRef, READ_CHUNK};
 use efd_serve::net::{FrameError, FrameReader, Server, MAX_FRAME};
 use proptest::prelude::*;
 
-/// A one-worker daemon over the harness corpus — the strictest setting
-/// for proving workers survive and recover from bad peers.
-fn one_worker_server(tweak: impl FnOnce(&mut efd_serve::net::ServerConfig)) -> Server {
+/// A harness daemon over a one-app corpus (`ft` at 6000).
+fn ft_server(tweak: impl FnOnce(&mut efd_serve::net::ServerConfig)) -> Server {
     let dict = dict_with(&[("ft", 6000.0)]);
-    start_server(snapshot_engine(&dict), |cfg| {
-        cfg.workers = 1;
-        tweak(cfg);
-    })
+    start_server(snapshot_engine(&dict), tweak)
 }
 
 /// Count of one error kind as currently exported by the daemon.
@@ -53,16 +53,23 @@ fn error_count(server: &Server, kind: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Prove the (single) worker is free and sane by completing a
-/// well-formed request on a fresh connection.
+/// Prove the daemon is free and sane: a well-formed request on a fresh
+/// connection is answered, and once that probe closes no connection
+/// thread is left running, so every earlier peer's thread has returned
+/// (a wedged one would outlive the 10 s wait, being short of the 30 s
+/// idle timeout). Callers drop their own connections first.
 fn assert_daemon_healthy(server: &Server) {
     let mut probe = Client::connect(server.local_addr());
     assert_eq!(probe.request("PING"), "PONG");
+    drop(probe);
+    wait_until("every connection thread to return", || {
+        server.metrics().active_connections.get() == 0
+    });
 }
 
 #[test]
 fn torn_length_prefix_is_counted_and_dropped_cleanly() {
-    let server = one_worker_server(|_| {});
+    let server = ft_server(|_| {});
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream.write_all(&[42u8, 0]).expect("2 of 4 prefix bytes");
     drop(stream); // close mid-prefix
@@ -74,7 +81,7 @@ fn torn_length_prefix_is_counted_and_dropped_cleanly() {
 
 #[test]
 fn truncated_payload_is_counted_and_dropped_cleanly() {
-    let server = one_worker_server(|_| {});
+    let server = ft_server(|_| {});
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
     // Promise 100 payload bytes, deliver 4, vanish.
     stream.write_all(&100u32.to_le_bytes()).expect("prefix");
@@ -88,7 +95,7 @@ fn truncated_payload_is_counted_and_dropped_cleanly() {
 
 #[test]
 fn oversized_prefix_gets_a_structured_refusal_then_the_connection_drops() {
-    let server = one_worker_server(|_| {});
+    let server = ft_server(|_| {});
     let mut client = Client::connect(server.local_addr());
     client
         .stream
@@ -113,7 +120,7 @@ fn oversized_prefix_gets_a_structured_refusal_then_the_connection_drops() {
 
 #[test]
 fn zero_length_frame_gets_a_structured_refusal_then_the_connection_drops() {
-    let server = one_worker_server(|_| {});
+    let server = ft_server(|_| {});
     let mut client = Client::connect(server.local_addr());
     client
         .stream
@@ -135,7 +142,7 @@ fn zero_length_frame_gets_a_structured_refusal_then_the_connection_drops() {
 
 #[test]
 fn malformed_payloads_answer_err_and_keep_the_connection_alive() {
-    let server = one_worker_server(|_| {});
+    let server = ft_server(|_| {});
     let mut client = Client::connect(server.local_addr());
     let cases: Vec<String> = vec![
         "NOPE".into(),
@@ -179,7 +186,7 @@ fn malformed_payloads_answer_err_and_keep_the_connection_alive() {
 
 #[test]
 fn malformed_recognize_replies_are_byte_exact_and_buffers_recover() {
-    let server = one_worker_server(|_| {});
+    let server = ft_server(|_| {});
     let mut client = Client::connect(server.local_addr());
     let want_ok = "OK 1 2 2 recognized ft";
     let cases: Vec<(String, &str)> = vec![
@@ -240,8 +247,9 @@ fn malformed_recognize_replies_are_byte_exact_and_buffers_recover() {
 fn an_error_echoing_a_huge_token_still_fits_in_a_frame() {
     // A 1 MiB token of quotes escapes to twice the frame limit in the
     // `bad mean` message; the reply is replaced, not sent oversized
-    // (which would panic the worker), and the connection keeps serving.
-    let server = one_worker_server(|_| {});
+    // (which would panic the connection thread), and the connection
+    // keeps serving.
+    let server = ft_server(|_| {});
     let mut client = Client::connect(server.local_addr());
     let head = format!("RECOGNIZE {METRIC} 60 120 ");
     let line = head.clone() + &"\"".repeat(MAX_FRAME as usize - head.len());
@@ -259,7 +267,7 @@ fn an_error_echoing_a_huge_token_still_fits_in_a_frame() {
 
 #[test]
 fn unknown_metric_and_bad_sequences_are_structured_errors() {
-    let server = one_worker_server(|_| {});
+    let server = ft_server(|_| {});
     let mut client = Client::connect(server.local_addr());
     let resp = client.request("RECOGNIZE not_a_metric 60 120 1.0 2.0");
     assert!(resp.starts_with("ERR unknown-metric"), "got {resp:?}");
@@ -279,7 +287,7 @@ fn unknown_metric_and_bad_sequences_are_structured_errors() {
     assert_eq!(error_count(&server, "bad-state"), 3);
     assert_eq!(error_count(&server, "unknown-metric"), 1);
     assert_eq!(error_count(&server, "read-only"), 1);
-    drop(client); // free the single worker before probing
+    drop(client);
     assert_daemon_healthy(&server);
     server.shutdown();
     server.join();
@@ -287,7 +295,7 @@ fn unknown_metric_and_bad_sequences_are_structured_errors() {
 
 #[test]
 fn mid_stream_disconnect_frees_the_worker_without_a_verdict() {
-    let server = one_worker_server(|_| {});
+    let server = ft_server(|_| {});
     {
         let mut client = Client::connect(server.local_addr());
         assert!(client
@@ -300,8 +308,8 @@ fn mid_stream_disconnect_frees_the_worker_without_a_verdict() {
         }
         // Vanish with the session open and samples buffered.
     }
-    // The single worker must come back for the next connection, and the
-    // abandoned session must not have produced a verdict.
+    // The daemon must serve the next connection, and the abandoned
+    // session must not have produced a verdict.
     assert_daemon_healthy(&server);
     assert!(server
         .metrics_text()
@@ -312,7 +320,7 @@ fn mid_stream_disconnect_frees_the_worker_without_a_verdict() {
 
 #[test]
 fn slow_loris_client_is_dropped_at_the_idle_timeout() {
-    let server = one_worker_server(|cfg| cfg.idle_timeout = Duration::from_millis(300));
+    let server = ft_server(|cfg| cfg.idle_timeout = Duration::from_millis(300));
     let mut client = Client::connect(server.local_addr());
     // Dribble two prefix bytes, then go quiet mid-frame.
     client.stream.write_all(&[9u8, 0]).expect("dribble");
@@ -323,8 +331,8 @@ fn slow_loris_client_is_dropped_at_the_idle_timeout() {
         client.recv_or_close().is_none(),
         "daemon must close the idle connection"
     );
-    // The worker is free again for honest clients, and an honest client
-    // that keeps talking is NOT idle-dropped.
+    // Honest clients are served, and an honest client that keeps
+    // talking is NOT idle-dropped.
     let mut honest = Client::connect(server.local_addr());
     for _ in 0..6 {
         assert_eq!(honest.request("PING"), "PONG");
@@ -339,7 +347,7 @@ fn slow_loris_client_is_dropped_at_the_idle_timeout() {
 fn quiet_connection_with_no_bytes_is_also_idle_dropped() {
     // Idle accounting must cover the pre-sniff window too (a peer that
     // connects and never sends a byte).
-    let server = one_worker_server(|cfg| cfg.idle_timeout = Duration::from_millis(300));
+    let server = ft_server(|cfg| cfg.idle_timeout = Duration::from_millis(300));
     let mut client = Client::connect(server.local_addr());
     wait_until("pre-sniff idle-timeout", || {
         error_count(&server, "idle-timeout") == 1
@@ -348,6 +356,89 @@ fn quiet_connection_with_no_bytes_is_also_idle_dropped() {
     assert_daemon_healthy(&server);
     server.shutdown();
     server.join();
+}
+
+/// Open `n` connections that never send a byte and `n` slow-loris
+/// connections that send 2 of a frame's 4 prefix bytes and go quiet,
+/// and wait until the daemon has accepted all of them.
+fn idle_and_slow_loris(server: &Server, n: usize) -> Vec<TcpStream> {
+    let addr = server.local_addr();
+    let mut held = Vec::new();
+    for _ in 0..n {
+        held.push(TcpStream::connect(addr).expect("idle connect"));
+        let mut loris = TcpStream::connect(addr).expect("slow-loris connect");
+        loris.write_all(&[9u8, 0]).expect("2 prefix bytes");
+        held.push(loris);
+    }
+    let want = held.len() as u64;
+    wait_until("every held connection accepted", || {
+        server.metrics().connections_total.get() >= want
+    });
+    held
+}
+
+/// Run `probe` and require it to finish in under a second.
+fn within_a_second<T>(what: &str, probe: impl FnOnce() -> T) -> T {
+    let started = Instant::now();
+    let out = probe();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "{what} took {took:?}");
+    out
+}
+
+#[test]
+fn idle_and_slow_loris_clients_cannot_starve_health_metrics_or_status() {
+    // Default 30 s idle timeout: the held connections stay open for the
+    // whole test, so every probe competes with all 16 of them.
+    let server = ft_server(|_| {});
+    let addr = server.local_addr();
+    let held = idle_and_slow_loris(&server, 8);
+
+    let (status, body) = within_a_second("GET /healthz", || http_get(addr, "/healthz"));
+    assert_eq!((status.as_str(), body.as_str()), ("HTTP/1.1 200 OK", "ok\n"));
+    let (status, body) = within_a_second("GET /metrics", || http_get(addr, "/metrics"));
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    let active: i64 = body
+        .lines()
+        .find_map(|l| l.strip_prefix("efd_active_connections "))
+        .and_then(|v| v.parse().ok())
+        .expect("efd_active_connections in the exposition");
+    assert!(active > held.len() as i64, "{active} active: held ones plus the scrape");
+    let reply = within_a_second("STATUS", || Client::connect(addr).request("STATUS"));
+    assert!(reply.starts_with("STATUS gen=1 "), "got {reply:?}");
+    let reply = within_a_second("RECOGNIZE", || {
+        Client::connect(addr).request(&recognized_ft())
+    });
+    assert_eq!(reply, "OK 1 2 2 recognized ft");
+
+    assert_eq!(error_count(&server, "idle-timeout"), 0);
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn shutdown_closes_idle_slow_and_streaming_connections_within_a_second() {
+    let server = ft_server(|_| {});
+    let held = idle_and_slow_loris(&server, 4);
+    let mut streams: Vec<Client> = (0..2)
+        .map(|_| {
+            let mut c = Client::connect(server.local_addr());
+            assert!(c
+                .request(&format!("STREAM {METRIC} 2 60 120"))
+                .starts_with("OPENED 1 "));
+            assert!(c.request("PUSH 0 60 6000").starts_with("ACK "));
+            c
+        })
+        .collect();
+
+    let summary = within_a_second("shutdown + join", || {
+        server.shutdown();
+        server.join()
+    });
+    assert_eq!(summary.connections, held.len() as u64 + 2);
+    for c in &mut streams {
+        assert!(c.recv_or_close().is_none(), "open stream must be closed");
+    }
 }
 
 /// Request frames for `lines`, back to back, as one client write.
@@ -366,10 +457,10 @@ fn recognized_ft() -> String {
 #[test]
 fn replies_are_flushed_before_the_worker_blocks_on_a_partial_frame() {
     // Three whole frames plus 2 bytes of a fourth in one write: after the
-    // third reply a partial frame is still buffered, and the worker is
-    // about to block reading the rest. A "flush only when the buffer is
+    // third reply a partial frame is still buffered, and the connection
+    // is about to block reading the rest. A "flush only when the buffer is
     // empty" policy would sit on all three replies and hang this test.
-    let server = one_worker_server(|_| {});
+    let server = ft_server(|_| {});
     let mut client = Client::connect(server.local_addr());
     let fourth = framed(&["PING".into()]);
     let mut burst = framed(&["PING".into(), recognized_ft(), "STATS".into()]);
@@ -389,7 +480,7 @@ fn replies_are_flushed_before_the_worker_blocks_on_a_partial_frame() {
 
 #[test]
 fn a_pipelined_burst_of_200_is_answered_in_order() {
-    let server = one_worker_server(|_| {});
+    let server = ft_server(|_| {});
     let mut client = Client::connect(server.local_addr());
     let unknown = recognize_line(&[9000.0, 9000.0]);
     let lines: Vec<String> = (0..200)
@@ -419,7 +510,7 @@ fn a_pipelined_burst_of_200_is_answered_in_order() {
 
 #[test]
 fn replies_to_valid_frames_precede_the_oversized_refusal() {
-    let server = one_worker_server(|_| {});
+    let server = ft_server(|_| {});
     let mut client = Client::connect(server.local_addr());
     let mut burst = framed(&["PING".into(), recognized_ft(), "PING".into()]);
     burst.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
