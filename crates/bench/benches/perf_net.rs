@@ -89,7 +89,7 @@ fn main() {
 
     eprintln!("building {keys}-key synthetic dictionary ...");
     let dict = synth_dictionary(keys);
-    let engine = Engine::fixed(Arc::new(Snapshot::freeze(&dict, 64)), dict.len(), "snapshot");
+    let engine = Engine::fixed(Arc::new(Snapshot::freeze(&dict)), dict.len(), "snapshot");
     let cfg = ServerConfig::new(small_catalog());
     let server = Server::start("127.0.0.1:0", cfg, engine).expect("daemon starts");
     let addr = server.local_addr().to_string();

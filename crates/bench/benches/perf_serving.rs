@@ -1,8 +1,8 @@
 //! Serving throughput: single-thread oracle vs sharded batch recognition.
 //!
 //! The `efd_serve` acceptance claim, quantified: freeze the trained
-//! dictionary into a [`efd_serve::Snapshot`] at several shard counts and
-//! answer a ≥ 10 000-query stream through [`efd_serve::BatchRecognizer`],
+//! dictionary into a [`efd_serve::Snapshot`] and answer a ≥ 10 000-query
+//! stream through [`efd_serve::BatchRecognizer`],
 //! against the single-threaded [`efd_core::EfdDictionary::recognize`]
 //! loop as baseline. Two served modes are measured:
 //!
@@ -121,56 +121,40 @@ fn main() {
     });
     let qps_oracle = queries.len() as f64 / t_oracle;
 
-    let mut table = TextTable::new(vec![
-        "mode", "shards", "time ms", "q/s", "speedup",
-    ])
-    .with_title("Serving throughput vs single-thread oracle".to_string());
+    let mut table = TextTable::new(vec!["mode", "time ms", "q/s", "speedup"])
+        .with_title("Serving throughput vs single-thread oracle".to_string());
     table.add_row(vec![
         "oracle_single_thread".to_string(),
-        "-".to_string(),
         format!("{:.1}", t_oracle * 1e3),
         format!("{qps_oracle:.0}"),
         "1.00x".to_string(),
     ]);
 
-    let mut speedup_at_8_full = 0.0f64;
-    let mut speedup_at_8_best = 0.0f64;
-    for shards in [1usize, 2, 4, 8, 16] {
-        let snapshot = Arc::new(Snapshot::freeze(&dict, shards));
-        let server = BatchRecognizer::new(Arc::clone(&snapshot));
-
-        let t_full = time_best_of(reps, || {
-            black_box(server.recognize_batch(&queries).len());
-        });
-        let t_best = time_best_of(reps, || {
-            black_box(server.best_batch(&queries).len());
-        });
-        for (mode, t, track) in [
-            ("batch_full", t_full, &mut speedup_at_8_full),
-            ("batch_best", t_best, &mut speedup_at_8_best),
-        ] {
-            let speedup = t_oracle / t;
-            if shards == 8 {
-                *track = speedup;
-            }
-            table.add_row(vec![
-                mode.to_string(),
-                shards.to_string(),
-                format!("{:.1}", t * 1e3),
-                format!("{:.0}", queries.len() as f64 / t),
-                format!("{speedup:.2}x"),
-            ]);
-        }
+    let server = BatchRecognizer::new(Arc::new(Snapshot::freeze(&dict)));
+    let t_full = time_best_of(reps, || {
+        black_box(server.recognize_batch(&queries).len());
+    });
+    let t_best = time_best_of(reps, || {
+        black_box(server.best_batch(&queries).len());
+    });
+    for (mode, t) in [("batch_full", t_full), ("batch_best", t_best)] {
+        table.add_row(vec![
+            mode.to_string(),
+            format!("{:.1}", t * 1e3),
+            format!("{:.0}", queries.len() as f64 / t),
+            format!("{:.2}x", t_oracle / t),
+        ]);
     }
     println!("{}", table.render());
 
+    let (speedup_full, speedup_best) = (t_oracle / t_full, t_oracle / t_best);
     println!(
-        "\nacceptance: sharded batch recognition at 8 shards on {} queries:",
+        "\nacceptance: batch recognition on {} queries:",
         queries.len()
     );
-    println!("  full-fidelity batch : {speedup_at_8_full:.2}x single-thread");
-    println!("  verdict-only batch  : {speedup_at_8_best:.2}x single-thread");
-    let ok = speedup_at_8_full.max(speedup_at_8_best) >= 2.0;
+    println!("  full-fidelity batch : {speedup_full:.2}x single-thread");
+    println!("  verdict-only batch  : {speedup_best:.2}x single-thread");
+    let ok = speedup_full.max(speedup_best) >= 2.0;
     println!(
         "  >= 2x threshold     : {}",
         if ok { "PASS" } else { "MISS" }
@@ -192,7 +176,7 @@ fn main() {
         matched
     }
 
-    let snapshot = Snapshot::freeze(&dict, 8);
+    let snapshot = Snapshot::freeze(&dict);
     let boxed: Box<dyn Recognize + Send + Sync> = Box::new(snapshot.clone());
     let mut scratch = VoteScratch::default();
 
@@ -252,7 +236,7 @@ fn main() {
             format!("RECOGNIZE {metric_name} {start} {end} {}", means.join(" "))
         })
         .collect();
-    let engine: Arc<dyn Recognize + Send + Sync> = Arc::new(Snapshot::freeze(&dict, 8));
+    let engine: Arc<dyn Recognize + Send + Sync> = Arc::new(Snapshot::freeze(&dict));
 
     let owned = |line: &str, scratch: &mut VoteScratch| -> String {
         let Ok(Request::Recognize {

@@ -39,9 +39,9 @@ pub const MANIFEST_SCHEMA: &str = "recognizer.v1";
 /// Which engine a stage runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StageBackend {
-    /// Owned in-memory snapshot of the exact dictionary.
+    /// The read-only snapshot of the exact dictionary.
     Exact,
-    /// Zero-copy snapshot served off the EFDB bytes.
+    /// The read-only snapshot, built from the artifact's EFDB bytes.
     Efdb,
     /// Sharded concurrent dictionary.
     Sharded,

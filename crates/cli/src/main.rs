@@ -26,7 +26,6 @@
 //! efd ctl <action> --addr <a>             ping|stats|status|swap|shutdown|metrics
 //! efd compact --wal <dir> [--out p]       merge WAL segments+log into canonical EFDB
 //! efd wal-verify --wal <dir>              audit a WAL directory offline
-//! efd bench-snapshot [--out f]            machine-readable perf snapshot (BENCH_7.json)
 //! efd report --out <path>                 write EXPERIMENTS.md content
 //! efd help
 //! ```
@@ -408,7 +407,7 @@ fn cmd_evaluate_scenario(args: &Args) -> Result<(), String> {
         }
     }
 
-    // Machine-readable matrix, schema mirroring BENCH_7/BENCH_8.
+    // Machine-readable matrix.
     let mut body = String::new();
     body.push_str("{\n  \"suite\": \"scenario-matrix\",\n");
     body.push_str(&format!(
@@ -631,9 +630,9 @@ fn cmd_dump(args: &Args) -> Result<(), String> {
     let out = args.flag("out").ok_or("need --out <path>")?;
     let format = DumpFormat::from_args(args, out)?;
     if let Some(keys) = args.flag_parsed::<usize>("synth-keys")? {
-        // The synthetic serving keyspace (shared with `bench-snapshot`
-        // and `loadgen --keyspace`) instead of the trained dataset —
-        // how the 1M-key daemon fixture is produced.
+        // The synthetic serving keyspace (shared with `loadgen
+        // --keyspace`) instead of the trained dataset — how the 1M-key
+        // daemon fixture is produced.
         let d = dataset_from(args)?;
         let dict = synth_keyspace_dict(keys, headline(&d));
         let bytes = encode_dict(&dict, d.catalog(), format);
@@ -1695,7 +1694,7 @@ fn engine_from_manifest(
 }
 
 /// `efd loadgen --addr <a>`: drive a running daemon and report latency
-/// percentiles (optionally into `BENCH_8.json`).
+/// percentiles (optionally into a JSON file, `--out`).
 fn cmd_loadgen(args: &Args) -> Result<(), String> {
     use efd_serve::net::loadgen::{run, LoadgenConfig};
     use std::time::Duration;
@@ -1984,9 +1983,9 @@ fn cmd_wal_verify(args: &Args) -> Result<(), String> {
 
 /// The shared synthetic keyspace: key `i` is `(headline metric,
 /// node i % 64, [60:120], mean 100_000 + i)` labeled `app{i%50}/X` at
-/// rounding depth 6 (sequential means stay distinct). `bench-snapshot`,
-/// `dump --synth-keys`, and `loadgen --keyspace` all derive from this
-/// one shape, so a loadgen against a `--synth-keys` EFDB hits real keys
+/// rounding depth 6 (sequential means stay distinct). `dump
+/// --synth-keys` and `loadgen --keyspace` both derive from this one
+/// shape, so a loadgen against a `--synth-keys` EFDB hits real keys
 /// by construction.
 fn synth_keyspace_dict(keys: usize, metric: efd_telemetry::MetricId) -> EfdDictionary {
     let mut dict = EfdDictionary::new(efd_core::RoundingDepth::new(6));
@@ -2019,228 +2018,6 @@ fn synth_keyspace_payloads(metric_name: &str, keys: usize, count: usize) -> Vec<
             s
         })
         .collect()
-}
-
-/// `efd bench-snapshot [--out BENCH_7.json]`: time the persistence,
-/// durability, and serving-cold-start hot paths and write a
-/// machine-readable snapshot (bench name, config, ns/op, throughput)
-/// for trend tracking.
-fn cmd_bench_snapshot(args: &Args) -> Result<(), String> {
-    use std::time::Instant;
-
-    let out = args.flag("out").unwrap_or("BENCH_7.json");
-    let keys: usize = args.flag_parsed("keys")?.unwrap_or(10_000);
-    let records: usize = args.flag_parsed("records")?.unwrap_or(2_000);
-    let reps: usize = args.flag_parsed("reps")?.unwrap_or(3).max(1);
-    let d = dataset_from(args)?;
-    let catalog = d.catalog();
-    let metric = headline(&d);
-    let metric_name = catalog.name(metric);
-
-    // The shared synthetic keyspace (see `synth_keyspace_dict`),
-    // mirroring the perf_persistence bench shape.
-    let depth = efd_core::RoundingDepth::new(6);
-    let dict = synth_keyspace_dict(keys, metric);
-
-    let best_of = |mut f: Box<dyn FnMut() -> usize>| -> (f64, usize) {
-        let mut best = f64::INFINITY;
-        let mut ops = 0;
-        for _ in 0..reps {
-            let t = Instant::now();
-            ops = f();
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        (best, ops)
-    };
-    let mut legs: Vec<(String, &str, f64, usize)> = Vec::new();
-
-    // Leg 1/2: full-dump persistence (JSON parse vs EFDB zero-parse load).
-    let json = serialize::to_json(&dict, catalog);
-    let (secs, _) = best_of(Box::new({
-        let json = json.clone();
-        let catalog = catalog.clone();
-        move || {
-            std::hint::black_box(serialize::from_json(&json, &catalog).expect("own dump parses"));
-            1
-        }
-    }));
-    legs.push(("persistence_json_parse".into(), "dicts", secs, 1));
-    let efdb = binfmt::write_dictionary(&dict, catalog);
-    let (secs, _) = best_of(Box::new({
-        let efdb = efdb.clone();
-        let catalog = catalog.clone();
-        move || {
-            std::hint::black_box(binfmt::read_dictionary(&efdb, &catalog).expect("own efdb reads"));
-            1
-        }
-    }));
-    legs.push(("persistence_efdb_load".into(), "dicts", secs, 1));
-
-    // Serving cold start over the same canonical bytes: the owned path
-    // (validate once, thaw the view into shard maps) vs the zero-copy
-    // path (validate once, serve in place). The gap is the point of
-    // `EfdbSnapshot` — it must not scale with key count.
-    let (secs, _) = best_of(Box::new({
-        let efdb = efdb.clone();
-        let catalog = catalog.clone();
-        move || {
-            let view = binfmt::check(&efdb).expect("own efdb checks");
-            std::hint::black_box(
-                efd_serve::Snapshot::from_view(&view, &catalog, 8)
-                    .expect("own efdb freezes")
-                    .len(),
-            );
-            1
-        }
-    }));
-    legs.push(("snapshot_coldstart".into(), "loads", secs, 1));
-    let arc_bytes: std::sync::Arc<[u8]> = efdb.clone().into();
-    let (secs, _) = best_of(Box::new({
-        let arc_bytes = std::sync::Arc::clone(&arc_bytes);
-        let catalog = catalog.clone();
-        move || {
-            std::hint::black_box(
-                efd_serve::EfdbSnapshot::load(std::sync::Arc::clone(&arc_bytes), &catalog)
-                    .expect("own efdb checks")
-                    .len(),
-            );
-            1
-        }
-    }));
-    legs.push(("efdb_coldstart".into(), "loads", secs, 1));
-
-    // Hot single-query path over both stores: 8-point queries, ~10%
-    // misses, one reused scratch — the acceptance gate is the zero-copy
-    // store staying within striking distance of the owned one.
-    let owned = std::sync::Arc::new(
-        efd_serve::Snapshot::from_view(&binfmt::check(&efdb).expect("own efdb checks"), catalog, 8)
-            .map_err(|e| e.to_string())?,
-    );
-    let zero_copy = std::sync::Arc::new(
-        efd_serve::EfdbSnapshot::load(std::sync::Arc::clone(&arc_bytes), catalog)
-            .map_err(|e| e.to_string())?,
-    );
-    let hot_queries: std::sync::Arc<Vec<efd_core::Query>> = {
-        let mut rng = efd_util::SplitMix64::new(0xEFD7);
-        std::sync::Arc::new(
-            (0..4096)
-                .map(|_| efd_core::Query {
-                    points: (0..8)
-                        .map(|_| {
-                            let i = (rng.next_u64() as usize) % (keys + keys / 10);
-                            efd_core::observation::ObsPoint {
-                                metric,
-                                node: efd_telemetry::NodeId((i % 64) as u16),
-                                interval: efd_telemetry::Interval::PAPER_DEFAULT,
-                                mean: 100_000.0 + i as f64,
-                            }
-                        })
-                        .collect(),
-                })
-                .collect(),
-        )
-    };
-    {
-        // Answers must agree before the numbers mean anything.
-        let mut scratch = efd_core::engine::VoteScratch::default();
-        for q in hot_queries.iter().take(128) {
-            let a = owned.recognize_into(q, &mut scratch);
-            let b = zero_copy.recognize_into(q, &mut scratch);
-            if a != b {
-                return Err("owned and zero-copy stores disagree on the bench query mix".into());
-            }
-        }
-    }
-    for (name, engine) in [
-        ("owned_hot_query", std::sync::Arc::clone(&owned) as std::sync::Arc<dyn Recognize + Send + Sync>),
-        ("zero_copy_hot_query", zero_copy as std::sync::Arc<dyn Recognize + Send + Sync>),
-    ] {
-        let (secs, ops) = best_of(Box::new({
-            let qs = std::sync::Arc::clone(&hot_queries);
-            move || {
-                let mut scratch = efd_core::engine::VoteScratch::default();
-                let mut matched = 0usize;
-                for q in qs.iter() {
-                    matched += engine.recognize_into(q, &mut scratch).matched_points;
-                }
-                std::hint::black_box(matched);
-                qs.len()
-            }
-        }));
-        legs.push((name.into(), "queries", secs, ops));
-    }
-    drop(owned);
-
-    // Leg: WAL append throughput and cold-start recovery replay.
-    let stream: Vec<efd_core::wal::WalRecord> = (0..records)
-        .map(|i| {
-            efd_core::wal::WalRecord::Learn(efd_core::wal::LearnRecord {
-                app: format!("app{:03}", i % 50),
-                input: "X".into(),
-                points: vec![efd_core::wal::WalPoint {
-                    metric: metric_name.to_string(),
-                    node: (i % 64) as u16,
-                    start: 60,
-                    end: 120,
-                    mean_bits: (200_000.0 + i as f64).to_bits(),
-                }],
-            })
-        })
-        .collect();
-    let wal_dir = std::env::temp_dir().join(format!("efd-bench-wal-{}", std::process::id()));
-    let mut best_append = f64::INFINITY;
-    for _ in 0..reps {
-        let _ = std::fs::remove_dir_all(&wal_dir);
-        let (mut wal, _) = efd_core::wal::WalDir::open(
-            &wal_dir,
-            depth,
-            catalog,
-            efd_core::wal::WalOptions {
-                sync: efd_core::SyncPolicy::EveryN(32),
-                ..Default::default()
-            },
-        )
-        .map_err(|e| e.to_string())?;
-        let t = Instant::now();
-        for rec in &stream {
-            wal.append(rec).map_err(|e| e.to_string())?;
-        }
-        wal.sync().map_err(|e| e.to_string())?;
-        best_append = best_append.min(t.elapsed().as_secs_f64());
-    }
-    legs.push(("wal_append".into(), "records", best_append, records));
-    let (secs, _) = best_of(Box::new({
-        let wal_dir = wal_dir.clone();
-        let catalog = catalog.clone();
-        move || {
-            let rec = efd_core::wal::recover(&wal_dir, &catalog).expect("bench wal recovers");
-            std::hint::black_box(rec.dictionary.len());
-            rec.replayed
-        }
-    }));
-    legs.push(("recovery_replay".into(), "records", secs, records));
-    let _ = std::fs::remove_dir_all(&wal_dir);
-
-    let mut body = String::new();
-    body.push_str("{\n  \"bench\": \"bench-snapshot\",\n");
-    body.push_str(&format!(
-        "  \"config\": {{ \"keys\": {keys}, \"records\": {records}, \"reps\": {reps}, \"sync\": \"batch(32)\" }},\n"
-    ));
-    body.push_str("  \"legs\": [\n");
-    for (i, (name, unit, secs, ops)) in legs.iter().enumerate() {
-        let ns_per_op = secs * 1e9 / (*ops as f64).max(1.0);
-        let per_s = *ops as f64 / secs.max(1e-12);
-        body.push_str(&format!(
-            "    {{ \"name\": \"{name}\", \"ops\": {ops}, \"unit\": \"{unit}\", \
-             \"ns_per_op\": {ns_per_op:.1}, \"ops_per_s\": {per_s:.1} }}{}\n",
-            if i + 1 < legs.len() { "," } else { "" }
-        ));
-    }
-    body.push_str("  ]\n}\n");
-    std::fs::write(out, &body).map_err(|e| format!("write {out}: {e}"))?;
-    println!("wrote {out}:");
-    print!("{body}");
-    Ok(())
 }
 
 fn cmd_report(args: &Args) -> Result<(), String> {
@@ -2307,15 +2084,12 @@ COMMANDS
                          exit 0 = semantically equal, 3 = different, 1 = error
   loadgen                drive a running daemon: --addr <host:port> [--conns N]
                          [--duration SECS] [--qps N] [--pipeline N] [--keyspace N]
-                         [--requests N] [--ping true] [--out BENCH_8.json]
+                         [--requests N] [--ping true] [--out <json>]
   ctl                    one-shot daemon control: <ping|stats|status|swap|shutdown
                          |metrics> --addr <host:port> [--path <dict>]
   compact                merge a WAL directory into one canonical EFDB segment:
                          --wal <dir> [--out <path>]
   wal-verify             audit a WAL directory offline: --wal <dir> [--strict true]
-  bench-snapshot         time persistence + serving cold-start + WAL hot paths, write
-                         machine-readable results: [--out BENCH_7.json] [--keys N]
-                         [--records N] [--reps N]
   report                 write EXPERIMENTS.md content: [--out <path>]
   help                   this text
 
@@ -2367,7 +2141,6 @@ fn main() -> ExitCode {
         "ctl" => cmd_ctl(&args),
         "compact" => cmd_compact(&args),
         "wal-verify" => cmd_wal_verify(&args),
-        "bench-snapshot" => cmd_bench_snapshot(&args),
         "report" => cmd_report(&args),
         "help" | "--help" | "-h" => {
             print!("{HELP}");

@@ -37,8 +37,9 @@
 //! ([`KeyRecords`], [`Postings`], [`Strings`]) are typed zero-copy
 //! accessors over the raw bytes; [`read`] is the owned decode on top of
 //! it, returning [`Efdb`] sections that thaw into [`DictionaryParts`].
-//! Zero-copy serving (`efd_serve::EfdbSnapshot`) keeps the checked
-//! buffer and answers queries straight from the view.
+//! The serving layer's read-only store (`efd_serve::Snapshot::load`)
+//! keeps the checked buffer and answers queries from its key records
+//! and postings in place.
 
 use std::fmt;
 
@@ -231,25 +232,15 @@ pub struct EfdbEntry {
     pub labels: Vec<LabelId>,
 }
 
-impl EfdbEntry {
-    /// The rounded mean as a float.
-    #[inline]
-    pub fn mean(&self) -> f64 {
-        f64::from_bits(self.mean_bits)
-    }
-}
-
 /// A fully validated, decoded EFDB file.
 ///
 /// Produced by [`read`]; every id is already bounds-checked, keys are
 /// strictly ascending, and the checksum verified — consumers can index
 /// the tables without further validation. Thaw with [`Efdb::into_parts`] /
-/// [`Efdb::to_dictionary`], or hand the decoded sections straight to the
-/// serving layer (`efd_serve::Snapshot::from_efdb`) to skip the
-/// intermediate [`EfdDictionary`] entirely. A loader that starts from
-/// bytes needs no `Efdb` at all: [`check`] gives an [`EfdbView`] that
-/// `efd_serve::Snapshot::from_view` and [`EfdbView::to_parts`] thaw
-/// directly.
+/// [`Efdb::to_dictionary`]. A loader that starts from bytes needs no
+/// `Efdb` at all: [`check`] gives an [`EfdbView`] that
+/// [`EfdbView::to_parts`] thaws directly and the serving layer
+/// (`efd_serve::Snapshot::load`) serves in place.
 #[derive(Debug, Clone, PartialEq)]
 #[must_use = "a decoded Efdb holds the validated sections; thaw or serve them"]
 pub struct Efdb {
@@ -438,27 +429,8 @@ pub fn write(parts: &DictionaryParts, catalog: &MetricCatalog) -> Vec<u8> {
         })
         .collect();
 
-    // Key records in canonical sort order: (metric, node, start, end,
-    // mean bits) plus the postings list to lay out.
-    type KeyRecord<'a> = (u32, u16, u32, u32, u64, &'a [LabelId]);
-    let mut keys: Vec<KeyRecord<'_>> = parts
-        .entries
-        .iter()
-        .map(|(fp, ids)| {
-            (
-                metric_idx[&fp.metric],
-                fp.node.0,
-                fp.interval.start,
-                fp.interval.end,
-                fp.mean().to_bits(),
-                ids.as_slice(),
-            )
-        })
-        .collect();
-    keys.sort_unstable_by_key(|&(m, n, s, e, b, _)| (m, n, s, e, b));
-
     // Serialize sections into a single buffer, recording offsets.
-    let mut out = Vec::with_capacity(HEADER_LEN + keys.len() * (KEY_RECORD_LEN + 8));
+    let mut out = Vec::with_capacity(HEADER_LEN + parts.entries.len() * (KEY_RECORD_LEN + 8));
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION_MAJOR.to_le_bytes());
     out.extend_from_slice(&VERSION_MINOR.to_le_bytes());
@@ -501,23 +473,10 @@ pub fn write(parts: &DictionaryParts, catalog: &MetricCatalog) -> Vec<u8> {
         out.extend_from_slice(&string_id(&label.input).to_le_bytes());
     }
 
-    // keys + postings: lay postings out in key order so the blob is
-    // deterministic and sequential to read.
+    // keys + postings
     offsets[4] = out.len() as u32;
-    out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
-    let mut postings: Vec<u8> = Vec::new();
-    for &(metric, node, start, end, mean_bits, ids) in &keys {
-        out.extend_from_slice(&metric.to_le_bytes());
-        out.extend_from_slice(&node.to_le_bytes());
-        out.extend_from_slice(&start.to_le_bytes());
-        out.extend_from_slice(&end.to_le_bytes());
-        out.extend_from_slice(&mean_bits.to_le_bytes());
-        out.extend_from_slice(&(postings.len() as u32).to_le_bytes());
-        postings.extend_from_slice(&(ids.len() as u32).to_le_bytes());
-        for id in ids {
-            postings.extend_from_slice(&(id.index() as u32).to_le_bytes());
-        }
-    }
+    out.extend_from_slice(&(parts.entries.len() as u32).to_le_bytes());
+    let postings = write_key_records(&mut out, &parts.entries, |m| metric_idx[&m]);
 
     offsets[5] = out.len() as u32;
     out.extend_from_slice(&(postings.len() as u32).to_le_bytes());
@@ -536,6 +495,55 @@ pub fn write(parts: &DictionaryParts, catalog: &MetricCatalog) -> Vec<u8> {
     let sum = efd_util::hash::hash_bytes(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
+}
+
+/// Append the keys section's records for canonical `entries` (unique
+/// keys, deduplicated label lists) to `out`, and return the postings
+/// blob they point into.
+///
+/// Records are [`KEY_RECORD_LEN`] bytes each, sorted by `(metric index,
+/// node, start, end, mean bits)` with `metric_index` giving each key's
+/// metric index; every record's last word is the offset of its
+/// count-prefixed label list in the blob, laid out in key order so the
+/// blob is deterministic and sequential to read. [`write()`] uses the
+/// file's name-table indices; the serving layer lays out an in-memory
+/// store with catalog ids as indices.
+pub fn write_key_records(
+    out: &mut Vec<u8>,
+    entries: &[(Fingerprint, Vec<LabelId>)],
+    metric_index: impl Fn(MetricId) -> u32,
+) -> Vec<u8> {
+    // (metric, node, start, end, mean bits) plus the postings to lay out.
+    type KeyRecord<'a> = (u32, u16, u32, u32, u64, &'a [LabelId]);
+    let mut keys: Vec<KeyRecord<'_>> = entries
+        .iter()
+        .map(|(fp, ids)| {
+            (
+                metric_index(fp.metric),
+                fp.node.0,
+                fp.interval.start,
+                fp.interval.end,
+                fp.mean().to_bits(),
+                ids.as_slice(),
+            )
+        })
+        .collect();
+    keys.sort_unstable_by_key(|&(m, n, s, e, b, _)| (m, n, s, e, b));
+    out.reserve(keys.len() * KEY_RECORD_LEN);
+    let mut postings: Vec<u8> = Vec::new();
+    for (metric, node, start, end, mean_bits, ids) in keys {
+        out.extend_from_slice(&metric.to_le_bytes());
+        out.extend_from_slice(&node.to_le_bytes());
+        out.extend_from_slice(&start.to_le_bytes());
+        out.extend_from_slice(&end.to_le_bytes());
+        out.extend_from_slice(&mean_bits.to_le_bytes());
+        out.extend_from_slice(&(postings.len() as u32).to_le_bytes());
+        postings.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+        for id in ids {
+            postings.extend_from_slice(&(id.index() as u32).to_le_bytes());
+        }
+    }
+    postings
 }
 
 /// Convenience: encode a live dictionary (clones its content into parts).
@@ -603,7 +611,7 @@ fn check_id(what: &'static str, id: u32, limit: usize) -> Result<(), BinFormatEr
 /// expose the raw sections with **no further validation and no
 /// allocation**. The view is `Copy`; as long as the backing bytes stay
 /// alive it can be borrowed forever, which is exactly the substrate the
-/// serving layer's zero-copy `EfdbSnapshot` answers queries from.
+/// serving layer's read-only `Snapshot` answers queries from.
 #[derive(Debug, Clone, Copy)]
 #[must_use = "a checked view borrows the validated sections; decode or serve them"]
 pub struct EfdbView<'a> {
@@ -836,16 +844,12 @@ pub struct KeyRecord {
 }
 
 /// Typed, random-access view over raw 26-byte key records: length,
-/// indexed decode, and the binary-search/prefix-fanout lookups zero-copy
-/// serving runs per query point. No allocation; every access is
+/// indexed decode and iteration. No allocation; every access is
 /// bounds-checked slicing.
 ///
 /// Normally obtained from [`EfdbView::keys`]. [`KeyRecords::over`] can
 /// rebind a view to key-record bytes a caller kept from a checked
-/// buffer; the search methods assume the records are sorted strictly
-/// ascending by `(metric, node, start, end, mean_bits)` — the invariant
-/// [`check`] enforces — and return arbitrary (but memory-safe) results
-/// over bytes that never passed validation.
+/// buffer.
 #[derive(Debug, Clone, Copy)]
 #[must_use = "a key-record view only reads; call its accessors"]
 pub struct KeyRecords<'a> {
@@ -877,32 +881,20 @@ impl<'a> KeyRecords<'a> {
         self.records
     }
 
-    /// Sort-order fields of record `i` (caller guarantees `i < len`).
-    #[inline]
-    fn ord_at(&self, i: usize) -> (u32, u16, u32, u32, u64) {
-        let r = &self.records[i * KEY_RECORD_LEN..(i + 1) * KEY_RECORD_LEN];
-        (
-            le_u32(r, 0),
-            u16::from_le_bytes(r[4..6].try_into().unwrap()),
-            le_u32(r, 6),
-            le_u32(r, 10),
-            u64::from_le_bytes(r[14..22].try_into().unwrap()),
-        )
-    }
-
     /// Decode record `i`.
     pub fn get(&self, i: usize) -> Option<KeyRecord> {
-        if i >= self.len() {
-            return None;
-        }
-        let (metric, node, start, end, mean_bits) = self.ord_at(i);
-        let postings_off = le_u32(self.records, i * KEY_RECORD_LEN + 22);
+        let r = self
+            .records
+            .get(i * KEY_RECORD_LEN..(i + 1) * KEY_RECORD_LEN)?;
         Some(KeyRecord {
-            metric,
-            node: NodeId(node),
-            interval: Interval { start, end },
-            mean_bits,
-            postings_off,
+            metric: le_u32(r, 0),
+            node: NodeId(u16::from_le_bytes(r[4..6].try_into().unwrap())),
+            interval: Interval {
+                start: le_u32(r, 6),
+                end: le_u32(r, 10),
+            },
+            mean_bits: u64::from_le_bytes(r[14..22].try_into().unwrap()),
+            postings_off: le_u32(r, 22),
         })
     }
 
@@ -910,62 +902,6 @@ impl<'a> KeyRecords<'a> {
     pub fn iter(&self) -> impl Iterator<Item = KeyRecord> + 'a {
         let v = *self;
         (0..v.len()).map(move |i| v.get(i).expect("index in range"))
-    }
-
-    /// First index whose sort key fails `keep` (a partition point over
-    /// the sorted records).
-    fn partition(&self, keep: impl Fn(&(u32, u16, u32, u32, u64)) -> bool) -> usize {
-        let (mut lo, mut hi) = (0, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if keep(&self.ord_at(mid)) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    /// Record-index range holding file-local metric index `metric` — the
-    /// prefix fan-out: resolve a query point's metric once, then search
-    /// only its contiguous span.
-    pub fn metric_range(&self, metric: u32) -> std::ops::Range<usize> {
-        self.partition(|ord| ord.0 < metric)..self.partition(|ord| ord.0 <= metric)
-    }
-
-    /// Binary-search the whole table for an exact key.
-    pub fn find(
-        &self,
-        metric: u32,
-        node: NodeId,
-        interval: Interval,
-        mean_bits: u64,
-    ) -> Option<KeyRecord> {
-        self.find_in(0..self.len(), metric, node, interval, mean_bits)
-    }
-
-    /// Binary-search for an exact key within `range` (typically a
-    /// [`KeyRecords::metric_range`]).
-    pub fn find_in(
-        &self,
-        range: std::ops::Range<usize>,
-        metric: u32,
-        node: NodeId,
-        interval: Interval,
-        mean_bits: u64,
-    ) -> Option<KeyRecord> {
-        let target = (metric, node.0, interval.start, interval.end, mean_bits);
-        let (mut lo, mut hi) = (range.start.min(self.len()), range.end.min(self.len()));
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match self.ord_at(mid).cmp(&target) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return self.get(mid),
-            }
-        }
-        None
     }
 }
 
@@ -1241,8 +1177,11 @@ pub fn check(bytes: &[u8]) -> Result<EfdbView<'_>, BinFormatError> {
 /// Decode and fully validate an EFDB byte stream.
 ///
 /// [`check`] runs the whole validation pass; the returned [`Efdb`] is
-/// the owned decode of the checked sections (zero-copy consumers skip
-/// this step and serve straight from the view).
+/// the owned decode of the checked sections (serving skips this step
+/// and keeps the checked bytes). Tools that want every key decoded use
+/// it; the benchmark's trace (`perfbench/`) times it as the decode
+/// layer, and that caller goes once the trace replays the daemon's own
+/// load path (ROADMAP, item 1).
 ///
 /// ```
 /// use efd_core::{binfmt, EfdDictionary, RoundingDepth};

@@ -192,12 +192,18 @@ conformance!(exact: combo_dictionary, |observations: &[LabeledObservation]| {
     c
 });
 
+conformance!(exact: snapshot_frozen, |observations: &[LabeledObservation]| {
+    Snapshot::freeze(&oracle(observations))
+});
+
 conformance!(exact: snapshot_single_shard, |observations: &[LabeledObservation]| {
-    Snapshot::freeze(&oracle(observations), 1)
+    // Published by a one-shard live dictionary.
+    ShardedDictionary::from_parts(oracle(observations).to_parts(), 1).snapshot()
 });
 
 conformance!(exact: snapshot_sharded, |observations: &[LabeledObservation]| {
-    Snapshot::freeze(&oracle(observations), 16)
+    // Published by a 16-shard live dictionary.
+    ShardedDictionary::from_parts(oracle(observations).to_parts(), 16).snapshot()
 });
 
 conformance!(exact: sharded_dictionary_learned, |observations: &[LabeledObservation]| {
@@ -218,13 +224,13 @@ conformance!(exact: combo_snapshot, |observations: &[LabeledObservation]| {
 
 conformance!(exact: online_session, |observations: &[LabeledObservation]| {
     // Ad-hoc queries answer against the session's current publication.
-    let snap = Arc::new(Snapshot::freeze(&oracle(observations), 4));
+    let snap = Arc::new(Snapshot::freeze(&oracle(observations)));
     OnlineSession::new(snap, &[M], &[NodeId(0)], vec![W])
 });
 
 conformance!(exact: efdb_snapshot_zero_copy, |observations: &[LabeledObservation]| {
     // Learned state -> canonical EFDB bytes -> served in place: the
-    // zero-copy store answers byte-for-byte like the oracle.
+    // daemon's cold-start path answers byte-for-byte like the oracle.
     let catalog = small_catalog();
     let bytes = binfmt::write(&oracle(observations).to_parts(), &catalog);
     EfdbSnapshot::load(bytes, &catalog).expect("canonical bytes always check")
@@ -238,22 +244,13 @@ conformance!(exact: efdb_snapshot_behind_batch_front_end, |observations: &[Label
     ))
 });
 
-conformance!(exact: snapshot_from_view, |observations: &[LabeledObservation]| {
-    // Learned state -> canonical EFDB bytes -> checked view -> owned
-    // snapshot: the daemon's cold-start path.
-    let catalog = small_catalog();
-    let bytes = binfmt::write(&oracle(observations).to_parts(), &catalog);
-    let view = binfmt::check(&bytes).expect("canonical bytes always check");
-    Snapshot::from_view(&view, &catalog, 8).expect("every metric resolves")
-});
-
 conformance!(exact: batch_recognizer_front_end, |observations: &[LabeledObservation]| {
-    BatchRecognizer::new(Arc::new(Snapshot::freeze(&oracle(observations), 8)))
+    BatchRecognizer::new(Arc::new(Snapshot::freeze(&oracle(observations))))
 });
 
 conformance!(exact: boxed_dyn_recognize, |observations: &[LabeledObservation]| {
     let backend: Box<dyn Recognize + Send + Sync> =
-        Box::new(Snapshot::freeze(&oracle(observations), 8));
+        Box::new(Snapshot::freeze(&oracle(observations)));
     backend
 });
 
@@ -406,7 +403,7 @@ fn traits_are_object_safe() {
     let catalog = small_catalog();
     let backends: Vec<Box<dyn Recognize + Send + Sync>> = vec![
         Box::new(oracle(&observations())),
-        Box::new(Snapshot::freeze(&oracle(&observations()), 4)),
+        Box::new(Snapshot::freeze(&oracle(&observations()))),
         Box::new(ShardedDictionary::from_parts(
             oracle(&observations()).to_parts(),
             2,

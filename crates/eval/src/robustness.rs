@@ -2,7 +2,7 @@
 //!
 //! `efd_workload::scenario` builds the hostile inputs; this module runs
 //! them against **every** engine backend — the whole dictionary family
-//! (in-memory oracle, frozen snapshot, sharded, combo, zero-copy EFDB,
+//! (in-memory oracle, frozen snapshot, sharded, combo, EFDB-loaded,
 //! WAL-recovered) and the ml family (forest / kNN / Gaussian NB) — and
 //! scores each cell with [`crate::scoring`]'s abstention-quality metrics.
 //!
@@ -51,7 +51,8 @@ pub enum BackendKind {
     Sharded,
     /// Conjunctive multi-metric combo ([`efd_serve::ComboSnapshot`]).
     Combo,
-    /// Zero-copy [`efd_serve::EfdbSnapshot`] served off canonical EFDB bytes.
+    /// The read-only [`efd_serve::Snapshot`] loaded from canonical EFDB
+    /// bytes.
     Efdb,
     /// WAL-backed [`DurableDictionary`], closed and *recovered* before
     /// serving — every cell also exercises the durability path.
@@ -383,7 +384,7 @@ pub fn drift_relearn(
             query: query_from_means(metric, interval, &run.means),
         });
     }
-    let mut current = Arc::new(Snapshot::freeze(aging.dictionary(), opts.shards));
+    let mut current = Arc::new(Snapshot::freeze(aging.dictionary()));
     let mut previous = Arc::clone(&current);
 
     let mut scored = Vec::with_capacity(data.test.len());
@@ -427,7 +428,7 @@ pub fn drift_relearn(
         // up at their next swap point.
         aging.advance();
         previous = current;
-        current = Arc::new(Snapshot::freeze(aging.dictionary(), opts.shards));
+        current = Arc::new(Snapshot::freeze(aging.dictionary()));
     }
     score(&scored)
 }

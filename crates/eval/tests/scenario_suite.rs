@@ -6,7 +6,7 @@
 //!   report is bit-identical to the clean baseline (the scoring-side half
 //!   of the byte-identity property in `efd_workload`).
 //! * **Backend conformance** — every dictionary-family backend (in-memory,
-//!   snapshot, sharded, combo, EFDB zero-copy, WAL-recovered) produces the
+//!   snapshot, sharded, combo, EFDB-loaded, WAL-recovered) produces the
 //!   *identical verdict histogram* on the masquerade scenario at a fixed
 //!   seed: they are serving representations of one dictionary, not six
 //!   classifiers.

@@ -45,7 +45,7 @@ fn stack_over(train: &[efd_workload::scenario::ScenarioRun]) -> (EfdDictionary, 
     let stack = StackedRecognizer::new(vec![
         StackedStage {
             name: "exact".into(),
-            engine: Arc::new(Snapshot::freeze(&dict, 4)),
+            engine: Arc::new(Snapshot::freeze(&dict)),
             min_confidence: EXACT_BAR,
         },
         StackedStage {
@@ -103,7 +103,7 @@ fn stack_agrees_with_exact_wherever_exact_is_confident() {
         train.get_or_insert(data.train);
     }
     let (dict, stack) = stack_over(&train.expect("at least one scenario built"));
-    let exact = Snapshot::freeze(&dict, 4);
+    let exact = Snapshot::freeze(&dict);
 
     let (mut confident, mut fallthrough, mut augmented) = (0usize, 0usize, 0usize);
     for q in &queries {

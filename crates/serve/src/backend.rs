@@ -35,7 +35,7 @@ use efd_core::multi::ComboDictionary;
 use efd_core::{binfmt, serialize, EfdDictionary};
 use efd_telemetry::MetricCatalog;
 
-use crate::{ComboSnapshot, EfdbSnapshot, ShardedDictionary, Snapshot};
+use crate::{ComboSnapshot, ShardedDictionary, Snapshot};
 
 /// A built backend: the recognizer every request answers through, and
 /// its key count (conjunctive keys for [`Backend::Combo`]).
@@ -43,16 +43,19 @@ pub type Built = (Arc<dyn Recognize + Send + Sync>, usize);
 
 /// A dictionary-serving backend. All four answer identically (the
 /// `engine_conformance` suite); they differ in load cost, probe cost
-/// and whether they accept learns.
+/// and whether they accept learns. `snapshot` and `efdb` build the same
+/// read-only [`Snapshot`]; they differ only over a live dictionary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Immutable [`Snapshot`] with owned hash shards (the default).
+    /// The read-only [`Snapshot`] (the default); over a live dictionary
+    /// it lays the keys out in memory.
     Snapshot,
     /// Live [`ShardedDictionary`] behind per-shard `RwLock`s.
     Sharded,
     /// Conjunctive [`ComboSnapshot`] over a single-metric dictionary.
     Combo,
-    /// Zero-copy [`EfdbSnapshot`] over canonical EFDB bytes.
+    /// The read-only [`Snapshot`] over canonical EFDB bytes; over a live
+    /// dictionary it encodes them first ([`binfmt::write_dictionary`]).
     Efdb,
 }
 
@@ -86,11 +89,11 @@ impl Backend {
     /// Build from the bytes of a dictionary file — EFDB (sniffed by its
     /// magic) or a JSON dump. `source` names the bytes in errors.
     ///
-    /// Over EFDB the snapshot backend checks the bytes once and thaws
-    /// the view, and the efdb backend serves the moved buffer in place;
-    /// neither decodes an [`EfdDictionary`]. Every other pairing decodes
-    /// and goes through [`Backend::from_dictionary`], so `efdb` over a
-    /// JSON dump serves its canonical re-encoding.
+    /// Over EFDB the snapshot and efdb backends both serve the moved
+    /// buffer in place ([`Snapshot::load`]) and decode no
+    /// [`EfdDictionary`]. Every other pairing decodes and goes through
+    /// [`Backend::from_dictionary`], so `efdb` over a JSON dump serves
+    /// its canonical re-encoding.
     pub fn load(
         self,
         bytes: Vec<u8>,
@@ -100,21 +103,10 @@ impl Backend {
     ) -> Result<Built, String> {
         let size = bytes.len();
         let efdb_err = |e: binfmt::BinFormatError| format!("{source}: {e} (file is {size} bytes)");
-        if bytes.starts_with(&binfmt::MAGIC) {
-            match self {
-                Backend::Efdb => {
-                    let snap = EfdbSnapshot::load(bytes, catalog).map_err(efdb_err)?;
-                    let keys = snap.len();
-                    return Ok((Arc::new(snap), keys));
-                }
-                Backend::Snapshot => {
-                    let view = binfmt::check(&bytes).map_err(efdb_err)?;
-                    let snap = Snapshot::from_view(&view, catalog, shards).map_err(efdb_err)?;
-                    let keys = snap.len();
-                    return Ok((Arc::new(snap), keys));
-                }
-                Backend::Sharded | Backend::Combo => {}
-            }
+        if bytes.starts_with(&binfmt::MAGIC) && matches!(self, Backend::Snapshot | Backend::Efdb) {
+            let snap = Snapshot::load(bytes, catalog).map_err(efdb_err)?;
+            let keys = snap.len();
+            return Ok((Arc::new(snap), keys));
         }
         let dict = decode_dictionary(&bytes, catalog, source)?;
         self.from_dictionary(&dict, catalog, shards)
@@ -129,7 +121,7 @@ impl Backend {
         shards: usize,
     ) -> Result<Built, String> {
         Ok(match self {
-            Backend::Snapshot => (Arc::new(Snapshot::freeze(dict, shards)), dict.len()),
+            Backend::Snapshot => (Arc::new(Snapshot::freeze(dict)), dict.len()),
             Backend::Sharded => (
                 Arc::new(ShardedDictionary::from_parts(dict.to_parts(), shards)),
                 dict.len(),
@@ -142,7 +134,7 @@ impl Backend {
             }
             Backend::Efdb => {
                 let bytes = binfmt::write_dictionary(dict, catalog);
-                let snap = EfdbSnapshot::load(bytes, catalog).map_err(|e| e.to_string())?;
+                let snap = Snapshot::load(bytes, catalog).map_err(|e| e.to_string())?;
                 (Arc::new(snap), dict.len())
             }
         })

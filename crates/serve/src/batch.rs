@@ -38,7 +38,7 @@ use crate::snapshot::Snapshot;
 /// let mut dict = EfdDictionary::new(RoundingDepth::new(2));
 /// dict.insert_raw(MetricId(0), NodeId(0), Interval::PAPER_DEFAULT, 6020.0,
 ///                 &AppLabel::new("ft", "X"));
-/// let server = BatchRecognizer::new(Arc::new(Snapshot::freeze(&dict, 8)));
+/// let server = BatchRecognizer::new(Arc::new(Snapshot::freeze(&dict)));
 ///
 /// // 64 noisy queries; every mean still rounds to the 6000.0 key at depth 2.
 /// let batch: Vec<Query> = (0..64)
@@ -62,7 +62,7 @@ use crate::snapshot::Snapshot;
 /// dict.insert_raw(MetricId(0), NodeId(0), Interval::PAPER_DEFAULT, 6020.0,
 ///                 &AppLabel::new("ft", "X"));
 /// let backend: Arc<dyn Recognize + Send + Sync> = if true {
-///     Arc::new(Snapshot::freeze(&dict, 8))
+///     Arc::new(Snapshot::freeze(&dict))
 /// } else {
 ///     Arc::new(ShardedDictionary::from_parts(dict.to_parts(), 8))
 /// };
@@ -202,7 +202,7 @@ mod tests {
                 query: Query::from_node_means(M, W, &[mean; 4]),
             });
         }
-        Arc::new(Snapshot::freeze(&d, 8))
+        Arc::new(Snapshot::freeze(&d))
     }
 
     #[test]
@@ -257,7 +257,7 @@ mod tests {
             label: AppLabel::new("kripke", "L"),
             query: Query::from_node_means(M, W, &[9985.0; 4]),
         });
-        server.swap(Arc::new(Snapshot::freeze(&d, 8)));
+        server.swap(Arc::new(Snapshot::freeze(&d)));
         assert_eq!(
             server.recognize_batch(std::slice::from_ref(&q))[0].best(),
             Some("kripke")

@@ -1,16 +1,18 @@
-//! One `KeyStore` contract behind every snapshot vote path.
+//! The `KeyStore` contract and the vote kernel of the read-only store.
 //!
-//! The owned [`crate::Snapshot`] (hash-partitioned maps of decoded
-//! entries) and the zero-copy [`crate::EfdbSnapshot`] (binary search over
-//! raw EFDB key records) answer queries through the same two-phase shape:
-//! probe a fingerprint per query point, then accumulate label and app
-//! votes in a [`VoteScratch`]. [`KeyStore`] is that shape as a trait, and
-//! [`recognize_with`] / [`answer_with`] / [`best_with`] are the *single*
-//! vote kernel both backends run — probe loop, wide/scalar counter
-//! selection, and the scratch's finish live here once, so a fix or a
-//! fast path lands in every backend at the same time. [`answer_with`] and
-//! [`best_with`] probe with [`KeyStore::vote_apps`] and count no label
-//! votes at all: a verdict needs only the app tallies.
+//! [`crate::Snapshot`] answers queries in two phases: probe a
+//! fingerprint per query point, then accumulate label and app votes in a
+//! [`VoteScratch`]. [`KeyStore`] is that shape as a trait, and
+//! [`recognize_with`] / [`answer_with`] / [`best_with`] are the vote
+//! kernel over it — probe loop, wide/scalar counter selection, and the
+//! scratch's finish. [`answer_with`] and [`best_with`] probe with
+//! [`KeyStore::vote_apps`] and count no label votes at all: a verdict
+//! needs only the app tallies.
+//!
+//! `Snapshot` is the trait's one implementation. The trait stays public
+//! only because the benchmark's trace (`perfbench/`) votes through it
+//! to time probe and vote apart; it goes once that trace replays the
+//! daemon's own calls (ROADMAP, item 1).
 //!
 //! The kernel picks the widened SWAR counter path
 //! ([`VoteScratch::vote_label_wide`]) whenever the query is small enough
@@ -23,12 +25,11 @@ use efd_core::{Fingerprint, Query, Recognition, RoundingDepth};
 use efd_telemetry::AppLabel;
 
 /// The storage contract behind a served snapshot: resolve a fingerprint
-/// and vote its stored labels/apps, whatever the backing representation
-/// (decoded shard maps, raw EFDB bytes, …).
+/// and vote its stored labels/apps.
 ///
 /// Implementations supply per-key *voting*, not per-key *data access*, so
-/// a zero-copy store can walk its postings in place without materializing
-/// a label list. The shared kernels [`recognize_with`] and [`best_with`]
+/// the store walks its postings in place without materializing a label
+/// list. The shared kernels [`recognize_with`] and [`best_with`]
 /// turn any `KeyStore` into the engine API's recognition semantics; a
 /// backend's `Recognize::recognize_into` is one call into them.
 pub trait KeyStore {

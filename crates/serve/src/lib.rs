@@ -14,16 +14,15 @@
 //!   one shard at a time, and readers recognize concurrently under
 //!   per-shard `RwLock`s. Many threads can learn and recognize at once.
 //! * [`Snapshot`] — the **published** form: an immutable, `Arc`-shareable
-//!   freeze of a dictionary. Reads are lock-free; recognition uses dense
+//!   read-only store. It keeps a dictionary in the EFDB key-record
+//!   layout (a loaded file's own buffer, or the same records laid out in
+//!   memory by a freeze) behind a load-time hash index, so cold start
+//!   costs one checked pass over the file and resident memory is the
+//!   file plus the index. Reads are lock-free; recognition uses dense
 //!   per-thread vote counters instead of per-query hash maps, so the
 //!   single-query path is also measurably faster than the core oracle
-//!   (see the `perf_serving` bench).
-//! * [`EfdbSnapshot`] — the **zero-copy** form: serves straight from
-//!   validated EFDB bytes (binary search over the raw key records,
-//!   postings iterated in place), so cold-start stops scaling with
-//!   dictionary size. [`Snapshot`] and [`EfdbSnapshot`] are two
-//!   implementations of one [`KeyStore`] contract and share one vote
-//!   kernel ([`keystore`]).
+//!   (see the `perf_serving` bench). [`EfdbSnapshot`] is an alias of
+//!   it.
 //! * [`BatchRecognizer`] — fans a `&[Query]` out over
 //!   [`efd_util::parallel_map_init`] with per-thread scratch, answering
 //!   batches at full hardware parallelism.
@@ -61,7 +60,7 @@
 //! returned `Recognition` does (7 allocations for a recognized 2-node
 //! query, 11 for an ambiguous one). The verdict-only
 //! [`Recognize::answer_into`] fills a reusable [`efd_core::Answer`]
-//! instead: [`Snapshot`] and [`EfdbSnapshot`] override it with the
+//! instead: [`Snapshot`] overrides it with the
 //! [`keystore::answer_with`] kernel, and a warm call makes 0 allocations,
 //! which is what the daemon answers `RECOGNIZE` with
 //! (`tests/alloc_free.rs` counts them). This crate re-exports the traits

@@ -6,8 +6,7 @@
 //! otherwise cap a closed loop at `connections / RTT` regardless of
 //! server capacity. With `target_qps` set, sends are paced on a fixed
 //! schedule split evenly across connections and the measured latency
-//! includes any queueing the daemon builds up at that rate — the
-//! number `BENCH_8.json` reports.
+//! includes any queueing the daemon builds up at that rate.
 
 use std::collections::VecDeque;
 use std::io::{BufWriter, Write};

@@ -8,8 +8,8 @@
 //! * [`metrics`] — the Prometheus instrument set the daemon exports.
 //! * [`drift`] — the sliding-window drift monitor judging live verdict
 //!   rates against the served catalog version's published baseline.
-//! * [`loadgen`] — the pipelined/paced client that produces
-//!   `BENCH_8.json`.
+//! * [`loadgen`] — the pipelined/paced load client behind
+//!   `efd loadgen`.
 //!
 //! Everything here is `std`-only: `TcpListener`, threads, atomics. The
 //! protocol is deliberately small enough to speak from a test with raw

@@ -61,6 +61,7 @@
 //! per-connection buffers, so a warm `RECOGNIZE` allocates nothing.
 
 use std::io::{self, Read, Write};
+use std::time::Instant;
 
 use efd_core::engine::Answer;
 use efd_core::{Recognition, Verdict};
@@ -78,8 +79,10 @@ pub const READ_CHUNK: usize = 16 * 1024;
 /// Everything that can go wrong while reading one frame.
 #[derive(Debug)]
 pub enum FrameError {
-    /// The read timed out (`WouldBlock`/`TimedOut`). Buffered bytes are
-    /// kept — call [`FrameReader::read_frame`] again to resume.
+    /// The read timed out (`WouldBlock`/`TimedOut`), or a frame was still
+    /// incomplete at its [`FrameReader::read_frame_before`] deadline.
+    /// Buffered bytes are kept — call [`FrameReader::read_frame`] again
+    /// to resume.
     /// [`FrameReader::mid_frame`] tells whether a partial frame is
     /// pending (a slow-loris indicator).
     Timeout,
@@ -117,11 +120,12 @@ impl std::fmt::Display for FrameError {
 /// bytes plus one chunk: a frame longer than a chunk is read a chunk at
 /// a time as it arrives, and the buffer shrinks back once it is consumed.
 ///
-/// Read timeouts are how the server implements idle accounting (each
-/// connection reads with a short timeout and tallies quiet ticks), so the
-/// decoder must survive a timeout at *any* byte boundary — including
-/// inside the 4-byte prefix — and continue exactly where it stopped.
-/// Partial frames simply stay buffered between calls.
+/// Read timeouts and frame deadlines are how the server implements idle
+/// accounting (each connection reads with a short timeout and checks
+/// its deadline when a read times out or leaves a frame incomplete), so
+/// the decoder must survive a timeout at *any* byte boundary —
+/// including inside the 4-byte prefix — and continue exactly where it
+/// stopped. Partial frames simply stay buffered between calls.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
@@ -179,6 +183,22 @@ impl FrameReader {
     /// error. `Ok(Some(payload))` borrows this reader and is valid
     /// until the next call; `Ok(None)` is a clean close.
     pub fn read_frame(&mut self, r: &mut impl Read) -> Result<Option<&[u8]>, FrameError> {
+        self.read_frame_before(r, None)
+    }
+
+    /// [`FrameReader::read_frame`] with a deadline for the frame: once a
+    /// read has returned bytes and the frame is still incomplete at
+    /// `deadline`, give up with [`FrameError::Timeout`] (buffered bytes
+    /// kept) instead of reading on. A peer that dribbles a frame faster
+    /// than the source's read timeout never times a read out, so this is
+    /// what bounds it. The clock is read only after such a partial read:
+    /// a frame already buffered, or arriving in one read, costs none.
+    pub fn read_frame_before(
+        &mut self,
+        r: &mut impl Read,
+        deadline: Option<Instant>,
+    ) -> Result<Option<&[u8]>, FrameError> {
+        let mut partial = false;
         loop {
             let want = match self.frame_len()? {
                 Some(n) if self.end - self.start >= n => {
@@ -189,6 +209,9 @@ impl FrameReader {
                 Some(n) => n,
                 None => 4,
             };
+            if partial && deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(FrameError::Timeout);
+            }
             if self.fill(r, want)? == 0 {
                 return if self.mid_frame() {
                     Err(FrameError::Torn)
@@ -196,6 +219,7 @@ impl FrameReader {
                     Ok(None)
                 };
             }
+            partial = true;
         }
     }
 

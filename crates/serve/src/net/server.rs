@@ -29,10 +29,15 @@
 //!
 //! ## Idle discipline
 //!
-//! Connections read with a 100 ms timeout and tally quiet ticks; a
-//! connection idle past [`ServerConfig::idle_timeout`] — including one
-//! dribbling a frame a byte at a time (slow loris) — is dropped and
-//! counted in `efd_protocol_errors_total{kind="idle-timeout"}`.
+//! A frame (or an HTTP request head) must complete within
+//! [`ServerConfig::idle_timeout`] of the last completed frame, or of
+//! the connect. A connection that misses that deadline — quiet, stalled
+//! mid-frame, or dribbling a frame a byte at a time faster than the
+//! 100 ms read timeout (slow loris) — is dropped and counted in
+//! `efd_protocol_errors_total{kind="idle-timeout"}`. The deadline is
+//! checked when a read times out or returns part of a frame
+//! ([`FrameReader::read_frame_before`]), so a request that arrives
+//! whole costs no extra clock read.
 //!
 //! ## Buffered frames, flush on drain
 //!
@@ -88,8 +93,8 @@ use super::protocol::{
 };
 use crate::{Backend, DurableDictionary, OnlineSession};
 
-/// Connection read-timeout tick: the granularity of idle accounting
-/// and shutdown observation.
+/// Connection read-timeout tick: how often a quiet connection checks
+/// its idle deadline and the shutdown flag.
 const READ_TICK: Duration = Duration::from_millis(100);
 /// Acceptor poll tick (nonblocking `accept` + reload-flag check).
 const ACCEPT_TICK: Duration = Duration::from_millis(2);
@@ -503,7 +508,9 @@ fn handle_conn(shared: &Shared, stream: TcpStream) -> io::Result<()> {
     let mut writer = BufWriter::new(&stream);
     let mut conn = Conn::default();
     let mut reply = Vec::new();
-    let mut idle = Duration::ZERO;
+    // The next frame must complete by this instant (none if the idle
+    // timeout is too long to represent).
+    let mut deadline = Instant::now().checked_add(shared.cfg.idle_timeout);
     // Until the first frame decodes, its prefix is also the HTTP sniff.
     let mut sniffing = true;
     loop {
@@ -513,18 +520,17 @@ fn handle_conn(shared: &Shared, stream: TcpStream) -> io::Result<()> {
         let started;
         let large;
         reply.clear();
-        let action = match reader.read_frame(&mut &stream) {
+        let action = match reader.read_frame_before(&mut &stream, deadline) {
             Ok(None) => return Ok(()), // clean close at a frame boundary
             Ok(Some(payload)) => {
-                idle = Duration::ZERO;
                 sniffing = false;
                 started = Instant::now();
+                deadline = started.checked_add(shared.cfg.idle_timeout);
                 large = payload.len() > READ_CHUNK;
                 dispatch(shared, payload, &mut conn, &mut reply)
             }
             Err(FrameError::Timeout) => {
-                idle += READ_TICK;
-                if idle >= shared.cfg.idle_timeout {
+                if deadline.is_some_and(|d| Instant::now() >= d) {
                     shared.metrics.count_error("idle-timeout");
                     return Ok(());
                 }
@@ -536,7 +542,7 @@ fn handle_conn(shared: &Shared, stream: TcpStream) -> io::Result<()> {
             }
             Err(FrameError::Oversized(n)) => {
                 if sniffing && matches!(reader.buffered().get(..4), Some(b"GET " | b"HEAD")) {
-                    return handle_http(shared, &stream, reader.buffered());
+                    return handle_http(shared, &stream, reader.buffered(), deadline);
                 }
                 shared.metrics.count_error("oversized");
                 // Best-effort structured refusal; the peer may already
@@ -840,11 +846,16 @@ fn note_verdict(shared: &Shared, label: &'static str) {
 
 /// Minimal HTTP/1.1: `GET /metrics` (Prometheus text), `GET /healthz`.
 /// One request per connection (`Connection: close`); `buffered` is what
-/// the frame reader already holds of the request head.
-fn handle_http(shared: &Shared, mut stream: &TcpStream, buffered: &[u8]) -> io::Result<()> {
+/// the frame reader already holds of the request head, and the rest of
+/// the head must arrive by `deadline`.
+fn handle_http(
+    shared: &Shared,
+    mut stream: &TcpStream,
+    buffered: &[u8],
+    deadline: Option<Instant>,
+) -> io::Result<()> {
     let mut head = buffered.to_vec();
     let mut buf = [0u8; 1024];
-    let mut idle = Duration::ZERO;
     loop {
         if head.windows(4).any(|w| w == b"\r\n\r\n") || head.len() > MAX_HTTP_HEAD {
             break;
@@ -852,23 +863,18 @@ fn handle_http(shared: &Shared, mut stream: &TcpStream, buffered: &[u8]) -> io::
         if shared.stopping() {
             return Ok(());
         }
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            shared.metrics.count_error("idle-timeout");
+            return Ok(());
+        }
         match stream.read(&mut buf) {
             Ok(0) => break,
-            Ok(n) => {
-                head.extend_from_slice(&buf[..n]);
-                idle = Duration::ZERO;
-            }
+            Ok(n) => head.extend_from_slice(&buf[..n]),
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                idle += READ_TICK;
-                if idle >= shared.cfg.idle_timeout {
-                    shared.metrics.count_error("idle-timeout");
-                    return Ok(());
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+                ) => {}
             Err(_) => return Ok(()),
         }
     }

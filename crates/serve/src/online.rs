@@ -193,7 +193,7 @@ mod tests {
                 query: Query::from_node_means(M, W, &[mean, mean]),
             });
         }
-        Arc::new(Snapshot::freeze(&d, 4))
+        Arc::new(Snapshot::freeze(&d))
     }
 
     #[test]

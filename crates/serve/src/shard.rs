@@ -271,7 +271,7 @@ impl ShardedDictionary {
     /// being copied; a learner interning a **new** label needs the interner
     /// write lock and therefore waits for the whole copy.
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot::from_parts(self.to_parts(), self.shard_count())
+        Snapshot::from_parts(self.to_parts())
     }
 
     /// Copy the current state out as [`DictionaryParts`] — the input to

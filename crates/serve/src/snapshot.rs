@@ -1,52 +1,68 @@
-//! The published, immutable form of a dictionary.
+//! The published, immutable form of a dictionary: the one read-only
+//! store every frozen dictionary is served from.
 //!
 //! A [`Snapshot`] is what the serving read path actually touches: no
-//! locks, no interior mutability — just hash-partitioned maps behind an
-//! `Arc`. Publication follows the classic read-copy-update shape: a
-//! learner (an [`crate::ShardedDictionary`] or a plain
-//! [`EfdDictionary`]) freezes its current state, the new `Arc<Snapshot>`
-//! is swapped into the serving path, and in-flight readers finish on the
-//! old one.
+//! locks, no interior mutability. Publication follows the classic
+//! read-copy-update shape: a learner (an [`crate::ShardedDictionary`] or
+//! a plain [`EfdDictionary`]) freezes its current state, the new
+//! `Arc<Snapshot>` is swapped into the serving path, and in-flight
+//! readers finish on the old one.
 //!
 //! ## Layout
 //!
-//! The shard maps hold `Fingerprint → Slot`, and every key's postings
-//! live either in its slot or in one contiguous `u32` arena:
+//! The store keeps its keys in the EFDB layout (`docs/FORMAT.md`): the
+//! fixed 26-byte key records and the postings blob they point into. A
+//! loaded file keeps its checked buffer as is ([`Snapshot::load`] moves
+//! it in, nothing is copied); a frozen dictionary lays out the same two
+//! sections in memory, with catalog ids as metric indices. A hash index
+//! built at load time in one pass over the records finds a key:
 //!
 //! ```text
-//! shards[shard_of(fp)] : FxHashMap<Fingerprint, Slot>
-//!     Slot [label, app]       one label: its id and its app, inline
-//!     Slot [offset, ARENA] ──┐  any other label count
-//!                            v
-//! arena : … | n | m | label_0 … label_{n-1} | app_0 … app_{m-1} | …
+//! metrics : MetricId -> metric index of the records (dense table)
+//! index   : [record, app] per slot, open addressing, linear probing
+//!             app = the key's one application when all its labels
+//!                   belong to it, MULTI otherwise
+//!                  │ record
+//!                  v
+//! bytes   : … | metric node start end mean_bits postings_off | …   (records)
+//!           … | n label_0 … label_{n-1} | …                        (postings)
 //! ```
 //!
-//! `n` labels are stored in the dictionary's order, followed by their `m`
-//! deduplicated applications in first-occurrence order (mirroring the
-//! oracle's per-point vote dedup), so the recognition inner loop does zero
-//! label→app indirection. Most keys hold one label, and the 24-byte
-//! fingerprint pads a map slot to 32 bytes anyway, so those keys cost no
-//! arena words and a probe that hits one touches no memory beyond the map.
-//! One arena instead of two boxed slices per key keeps a 1M-key snapshot
-//! to a handful of allocations, and the maps are presized so a load never
-//! rehashes.
+//! A probe hashes the record's first 22 bytes (read as three `u64`
+//! words) with `FxMapHasher`, walks the slots, and compares those words
+//! with the record a slot points at. The index has at least twice as
+//! many slots as keys, so probe chains stay short. Most keys belong to
+//! one application, and the verdict-only path ([`Recognize::answer_into`])
+//! votes a slot's inline app without touching the postings; full
+//! recognition and keys of several apps walk the postings in place.
 
-use efd_core::binfmt::{BinFormatError, Efdb, EfdbView};
+use std::hash::Hasher;
+use std::ops::Range;
+
+use efd_core::binfmt::{self, BinFormatError, Efdb, KeyRecords, Postings, KEY_RECORD_LEN};
 use efd_core::dictionary::{AppNameId, LabelId};
 use efd_core::engine::{Answer, Recognize, VoteScratch};
 use efd_core::{DictionaryParts, EfdDictionary, Fingerprint, Query, Recognition, RoundingDepth};
 use efd_telemetry::metric::MetricCatalog;
-use efd_telemetry::AppLabel;
-use efd_util::FxHashMap;
+use efd_telemetry::{AppLabel, MetricId};
+use efd_util::hash::FxMapHasher;
 
 use crate::keystore::{self, KeyStore};
-use crate::{shard_bits_for, shard_of};
 
-/// An immutable, shard-partitioned freeze of a dictionary.
+/// The record word of a vacant index slot, and the metrics-table entry
+/// of a catalog metric the store holds no key for.
+const VACANT: u32 = u32::MAX;
+
+/// The app word of an index slot whose key's labels span several
+/// applications (or none): votes walk its postings.
+const MULTI: u32 = u32::MAX;
+
+/// An immutable dictionary served from EFDB-layout bytes through a
+/// load-time hash index.
 ///
 /// Cheap to share (`Arc<Snapshot>`), safe to read from any number of
-/// threads, and answer-identical to the [`EfdDictionary`] it was frozen
-/// from (modulo [`Recognition::normalized`] ordering). Recognition goes
+/// threads, and answer-identical to the [`EfdDictionary`] it holds
+/// (modulo [`Recognition::normalized`] ordering). Recognition goes
 /// through the engine API ([`Recognize`], re-exported from this crate):
 /// `recognize_into` counts votes in caller-owned scratch, `answer_into`
 /// is the allocation-free verdict-only path the daemon replies with, and
@@ -62,7 +78,7 @@ use crate::{shard_bits_for, shard_of};
 ///     dict.insert_raw(MetricId(0), NodeId(node as u16), Interval::PAPER_DEFAULT,
 ///                     mean, &AppLabel::new("ft", "X"));
 /// }
-/// let snap = Snapshot::freeze(&dict, 8);
+/// let snap = Snapshot::freeze(&dict);
 /// let q = Query::from_node_means(MetricId(0), Interval::PAPER_DEFAULT, &[6001.0, 5999.0]);
 /// // Same verdict as the live dictionary, from an immutable shared form.
 /// assert_eq!(snap.recognize(&q).verdict, dict.recognize(&q).verdict);
@@ -71,145 +87,101 @@ use crate::{shard_bits_for, shard_of};
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     depth: RoundingDepth,
-    shard_bits: u32,
-    /// Per shard: fingerprint → its postings, inline or in `arena`.
-    shards: Box<[FxHashMap<Fingerprint, Slot>]>,
-    /// `[n, m, n labels, m apps]` postings of every key whose slot does
-    /// not hold them inline, back to back.
-    arena: Box<[u32]>,
+    /// Holds the key records and the postings blob: a whole checked
+    /// EFDB file, or just those two sections laid out in memory.
+    bytes: Vec<u8>,
+    records: Range<usize>,
+    postings: Range<usize>,
+    /// Open-addressed `[record index, app]` slots, a power of two long.
+    index: Box<[[u32; 2]]>,
+    /// Catalog [`MetricId`] → the records' metric index, [`VACANT`]
+    /// for a metric no key uses.
+    metrics: Box<[u32]>,
+    /// The records' metric index → catalog [`MetricId`].
+    metric_ids: Vec<MetricId>,
     labels: Vec<AppLabel>,
     apps: Vec<String>,
     label_app: Vec<AppNameId>,
 }
 
-/// A key's postings: `[label, app]` inline when the key holds exactly one
-/// label, `[arena offset, ARENA]` otherwise. App ids index the snapshot's
-/// app table, so they never reach [`ARENA`].
-type Slot = [u32; 2];
+/// The first 22 bytes of a key record (metric index, node, interval,
+/// mean bits) as three little-endian words, the last one 6 bytes wide.
+#[inline]
+fn record_words(r: &[u8]) -> [u64; 3] {
+    let word = |at: usize| u64::from_le_bytes(r[at..at + 8].try_into().expect("8 bytes"));
+    [word(0), word(8), word(16) & 0xFFFF_FFFF_FFFF]
+}
 
-/// The second word of a [`Slot`] whose postings live in the arena.
-const ARENA: u32 = u32::MAX;
+/// [`record_words`] of the record `fp` would have under metric index
+/// `metric`.
+#[inline]
+fn key_words(metric: u32, fp: &Fingerprint) -> [u64; 3] {
+    let start = u64::from(fp.interval.start);
+    let end = u64::from(fp.interval.end);
+    let mean = fp.mean().to_bits();
+    [
+        u64::from(metric) | u64::from(fp.node.0) << 32 | (start & 0xFFFF) << 48,
+        start >> 16 | end << 16 | (mean & 0xFFFF) << 48,
+        mean >> 16,
+    ]
+}
 
-/// Capacity for each of `shards` maps sharing `keys` keys: the mean share
-/// plus a margin for hash imbalance (a shard's share is binomial, with a
-/// standard deviation of about √mean), so that no shard rehashes while a
-/// snapshot is assembled.
-fn shard_capacity(keys: usize, shards: usize) -> usize {
-    let mean = keys.div_ceil(shards);
-    mean + 4 * mean.isqrt() + 8
+/// Home slot of a key's words in an index of `mask + 1` slots.
+#[inline]
+fn home_slot(words: &[u64; 3], mask: usize) -> usize {
+    let mut h = FxMapHasher::default();
+    for &w in words {
+        h.write_u64(w);
+    }
+    h.finish() as usize & mask
 }
 
 impl Snapshot {
-    /// Freeze [`DictionaryParts`] into `shards` hash partitions (rounded
-    /// up to a power of two, clamped to [`crate::MAX_SHARD_BITS`] bits).
-    /// Duplicate fingerprints across entries (hand-concatenated parts)
-    /// merge their label lists, duplicates pruned — same semantics as
-    /// [`EfdDictionary::from_parts`].
+    /// Freeze [`DictionaryParts`]. Duplicate fingerprints across entries
+    /// (hand-concatenated parts) merge their label lists, duplicates
+    /// pruned — same semantics as [`EfdDictionary::from_parts`].
     ///
     /// # Panics
     ///
     /// Panics if the parts are internally inconsistent (out-of-range ids),
     /// like [`EfdDictionary::from_parts`]. Parts produced by
     /// [`EfdDictionary::into_parts`] are always consistent.
-    pub fn from_parts(parts: DictionaryParts, shards: usize) -> Self {
+    pub fn from_parts(parts: DictionaryParts) -> Self {
         // Canonicalize through the core dictionary: one shared
         // implementation of key merging, per-list dedup, and consistency
         // validation (which is where the documented panics originate).
         let parts = EfdDictionary::from_parts(parts).into_parts();
+        let mut bytes = Vec::new();
+        let postings = binfmt::write_key_records(&mut bytes, &parts.entries, |m| m.0);
+        let records = 0..bytes.len();
+        bytes.extend_from_slice(&postings);
+        let postings = records.end..bytes.len();
+        let metrics = parts.entries.iter().map(|(fp, _)| fp.metric.0 + 1).max();
         Self::assemble(
             parts.depth,
-            parts.entries.into_iter(),
-            parts.labels,
-            parts.apps,
-            parts.label_app,
-            shards,
+            bytes,
+            records,
+            postings,
+            (0..metrics.unwrap_or(0)).map(MetricId).collect(),
+            (parts.apps, parts.labels, parts.label_app),
         )
-    }
-
-    /// The one build every constructor funnels through: presized shard
-    /// maps over one postings arena. `entries` must already be canonical
-    /// (unique keys, deduplicated label lists) — guaranteed by
-    /// [`EfdDictionary::from_parts`] or a checked EFDB file — and its
-    /// `size_hint` lower bound is the key count the maps are sized for.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arena outgrows `u32` offsets (billions of postings)
-    /// or the app table reaches [`ARENA`] entries.
-    fn assemble<L: IntoIterator<Item = LabelId>>(
-        depth: RoundingDepth,
-        entries: impl Iterator<Item = (Fingerprint, L)>,
-        labels: Vec<AppLabel>,
-        apps: Vec<String>,
-        label_app: Vec<AppNameId>,
-        shards: usize,
-    ) -> Self {
-        assert!(
-            apps.len() < ARENA as usize,
-            "app table too large for inline slots"
-        );
-        let shard_bits = shard_bits_for(shards);
-        let keys = entries.size_hint().0;
-        let capacity = shard_capacity(keys, 1 << shard_bits);
-        let mut maps: Vec<FxHashMap<Fingerprint, Slot>> = (0..(1usize << shard_bits))
-            .map(|_| FxHashMap::with_capacity_and_hasher(capacity, Default::default()))
-            .collect();
-        let mut arena: Vec<u32> = Vec::new();
-        for (fp, ids) in entries {
-            let at = arena.len();
-            let offset = u32::try_from(at).expect("postings arena exceeds u32 offsets");
-            arena.extend([0, 0]);
-            arena.extend(ids.into_iter().map(|id| id.index() as u32));
-            let apps_at = arena.len();
-            let slot = if apps_at == at + 3 {
-                let label = arena[at + 2];
-                arena.truncate(at);
-                [label, label_app[label as usize].index() as u32]
-            } else {
-                for i in at + 2..apps_at {
-                    let app = label_app[arena[i] as usize].index() as u32;
-                    if !arena[apps_at..].contains(&app) {
-                        arena.push(app);
-                    }
-                }
-                arena[at] = (apps_at - at - 2) as u32;
-                arena[at + 1] = (arena.len() - apps_at) as u32;
-                [offset, ARENA]
-            };
-            let prev = maps[shard_of(&fp, shard_bits)].insert(fp, slot);
-            debug_assert!(prev.is_none(), "assemble needs unique keys");
-        }
-        Self {
-            depth,
-            shard_bits,
-            shards: maps.into_boxed_slice(),
-            arena: arena.into_boxed_slice(),
-            labels,
-            apps,
-            label_app,
-        }
     }
 
     /// Freeze a live dictionary without consuming it (clones the content;
     /// the dictionary can keep learning and re-publish later).
-    pub fn freeze(dict: &EfdDictionary, shards: usize) -> Self {
-        Self::from_parts(dict.to_parts(), shards)
+    pub fn freeze(dict: &EfdDictionary) -> Self {
+        Self::from_parts(dict.to_parts())
     }
 
-    /// Build a snapshot **straight from a checked EFDB view** — the serve
-    /// cold-start path (daemon startup, `SWAP`, SIGHUP).
+    /// Serve an EFDB file: check the bytes once, then keep the buffer
+    /// itself — it is moved in, not copied — and index its key records
+    /// in place. The daemon's cold start, `SWAP` and SIGHUP all load
+    /// through here.
     ///
-    /// [`efd_core::binfmt::check`] already guarantees unique,
-    /// bounds-checked keys and a consistent label table, so this
-    /// constructor decodes nothing it does not keep: metric names resolve
-    /// to ids once, the small label tables are decoded, and then every key
-    /// record becomes one map insert (plus one arena append when it holds
-    /// several labels), its postings read in place. No [`Efdb`] and no [`EfdDictionary`] is built. The
-    /// only failure mode left is a metric name absent from `catalog`
-    /// ([`BinFormatError::UnknownMetric`]).
-    ///
-    /// Answer-identical to [`Snapshot::from_efdb`] and to loading the same
-    /// file through [`efd_core::binfmt::read_dictionary`] and
+    /// Fails with the [`BinFormatError`] [`binfmt::check`] reports on
+    /// corrupt bytes, or [`BinFormatError::UnknownMetric`] when the file
+    /// names a metric `catalog` does not know. Answer-identical to
+    /// loading the same file through [`binfmt::read_dictionary`] and
     /// [`Snapshot::freeze`].
     ///
     /// ```
@@ -227,51 +199,33 @@ impl Snapshot {
     /// }
     /// let bytes = binfmt::write(&dict.to_parts(), &catalog);
     ///
-    /// // Cold start: check the bytes once, thaw the view.
-    /// let view = binfmt::check(&bytes).unwrap();
-    /// let snap = Snapshot::from_view(&view, &catalog, 8).unwrap();
+    /// // Cold start: check the bytes once and serve them.
+    /// let snap = Snapshot::load(bytes, &catalog).unwrap();
     /// let q = Query::from_node_means(metric, Interval::PAPER_DEFAULT, &[6001.0, 5999.0]);
     /// assert_eq!(snap.recognize(&q).verdict, dict.recognize(&q).verdict);
     /// assert_eq!(snap.len(), dict.len());
     /// ```
-    pub fn from_view(
-        view: &EfdbView<'_>,
-        catalog: &MetricCatalog,
-        shards: usize,
-    ) -> Result<Self, BinFormatError> {
+    pub fn load(bytes: Vec<u8>, catalog: &MetricCatalog) -> Result<Self, BinFormatError> {
+        let view = binfmt::check(&bytes)?;
         let metric_ids = view.resolve_metrics(catalog)?;
-        let (apps, labels, label_app) = view.label_tables();
-        let postings = view.postings();
-        let entries = view.keys().iter().map(|r| {
-            let fp = Fingerprint::from_rounded(
-                metric_ids[r.metric as usize],
-                r.node,
-                r.interval,
-                f64::from_bits(r.mean_bits),
-            );
-            let ids = postings
-                .label_ids(r.postings_off)
-                .map(|id| LabelId::from_index(id as usize));
-            (fp, ids)
-        });
-        Ok(Self::assemble(
+        let tables = view.label_tables();
+        let (depth, records, postings) = (
             view.depth(),
-            entries,
-            labels,
-            apps,
-            label_app,
-            shards,
+            view.key_records_range(),
+            view.postings_blob_range(),
+        );
+        Ok(Self::assemble(
+            depth, bytes, records, postings, metric_ids, tables,
         ))
     }
 
-    /// Build a snapshot from an already decoded EFDB file.
+    /// Build a snapshot from an already decoded EFDB file. `shards` is
+    /// ignored: the store has no partitions.
     ///
-    /// A validated [`Efdb`] guarantees the same invariants as a checked
-    /// view, so this is [`Snapshot::from_view`] over the decoded sections:
-    /// metric names resolve to ids once, then every entry becomes one map
-    /// insert. Fails only with [`BinFormatError::UnknownMetric`]. Prefer
-    /// [`Snapshot::from_view`] when all you have is bytes: it skips the
-    /// decoded copy of every key.
+    /// Kept only for the benchmark's trace (`perfbench/`), which still
+    /// times a decode-then-thaw load; it goes once that trace replays
+    /// [`Snapshot::load`] (ROADMAP, item 1). Fails only with
+    /// [`BinFormatError::UnknownMetric`].
     ///
     /// ```
     /// use efd_core::{binfmt, EfdDictionary, Query, RoundingDepth};
@@ -297,59 +251,121 @@ impl Snapshot {
     pub fn from_efdb(
         efdb: &Efdb,
         catalog: &MetricCatalog,
-        shards: usize,
+        _shards: usize,
     ) -> Result<Self, BinFormatError> {
-        let metric_ids = efdb.resolve_metrics(catalog)?;
-        let entries = efdb.entries().iter().map(|e| {
-            let fp = Fingerprint::from_rounded(
-                metric_ids[e.metric as usize],
-                e.node,
-                e.interval,
-                e.mean(),
-            );
-            (fp, e.labels.iter().copied())
-        });
-        Ok(Self::assemble(
-            efdb.depth(),
-            entries,
-            efdb.labels().to_vec(),
-            efdb.apps().to_vec(),
-            efdb.label_app().to_vec(),
-            shards,
-        ))
+        Ok(Self::from_parts(efdb.to_dictionary(catalog)?.into_parts()))
     }
 
-    /// The `(labels, apps)` postings of `fp`, if the key exists.
-    #[inline]
-    fn postings(&self, fp: &Fingerprint) -> Option<(&[u32], &[u32])> {
-        let slot = self.shards[shard_of(fp, self.shard_bits)].get(fp)?;
-        Some(self.postings_of(slot))
-    }
-
-    /// The `(labels, apps)` postings a [`Slot`] holds or points at.
-    #[inline]
-    fn postings_of<'s>(&'s self, slot: &'s Slot) -> (&'s [u32], &'s [u32]) {
-        let [first, second] = slot;
-        if *second != ARENA {
-            return (std::slice::from_ref(first), std::slice::from_ref(second));
+    /// The one build every constructor funnels through: index the
+    /// key records `bytes[records]` (canonical: unique keys, label ids
+    /// in range, postings offsets into `bytes[postings]`) in one pass.
+    /// `metric_ids` maps the records' metric indices to catalog ids, and
+    /// `tables` holds the app names, labels and each label's app, as
+    /// [`binfmt::EfdbView::label_tables`] returns them.
+    fn assemble(
+        depth: RoundingDepth,
+        bytes: Vec<u8>,
+        records: Range<usize>,
+        postings: Range<usize>,
+        metric_ids: Vec<MetricId>,
+        (apps, labels, label_app): (Vec<String>, Vec<AppLabel>, Vec<AppNameId>),
+    ) -> Self {
+        assert!(
+            apps.len() < MULTI as usize,
+            "app table too large for inline slots"
+        );
+        let width = metric_ids.iter().map(|m| m.0 as usize + 1).max();
+        let mut metrics = vec![VACANT; width.unwrap_or(0)].into_boxed_slice();
+        for (at, id) in metric_ids.iter().enumerate() {
+            metrics[id.0 as usize] = at as u32;
         }
-        let at = *first as usize;
-        let (n, m) = (self.arena[at] as usize, self.arena[at + 1] as usize);
-        self.arena[at + 2..at + 2 + n + m].split_at(n)
+
+        let keys = KeyRecords::over(&bytes[records.clone()]);
+        let blob = Postings::over(&bytes[postings.clone()]);
+        let mut index = vec![[VACANT, MULTI]; (2 * keys.len()).next_power_of_two()];
+        let mask = index.len() - 1;
+        for (i, r) in keys.bytes().chunks_exact(KEY_RECORD_LEN).enumerate() {
+            let off = u32::from_le_bytes(r[22..26].try_into().expect("4 bytes"));
+            let mut apps = blob.label_ids(off).map(|id| label_app[id as usize]);
+            let app = match apps.next() {
+                Some(first) if apps.all(|a| a == first) => first.index() as u32,
+                _ => MULTI,
+            };
+            let mut slot = home_slot(&record_words(r), mask);
+            while index[slot][0] != VACANT {
+                slot = (slot + 1) & mask;
+            }
+            index[slot] = [i as u32, app];
+        }
+        Self {
+            depth,
+            bytes,
+            records,
+            postings,
+            index: index.into_boxed_slice(),
+            metrics,
+            metric_ids,
+            labels,
+            apps,
+            label_app,
+        }
+    }
+
+    /// The raw key records.
+    #[inline]
+    fn keys(&self) -> &[u8] {
+        &self.bytes[self.records.clone()]
+    }
+
+    /// The postings blob the key records point into.
+    #[inline]
+    fn blob(&self) -> Postings<'_> {
+        Postings::over(&self.bytes[self.postings.clone()])
+    }
+
+    /// `fp`'s postings offset and inline app ([`MULTI`] if none), if
+    /// the key exists.
+    #[inline]
+    fn find(&self, fp: &Fingerprint) -> Option<(u32, u32)> {
+        let metric = *self.metrics.get(fp.metric.0 as usize)?;
+        if metric == VACANT {
+            return None;
+        }
+        let key = key_words(metric, fp);
+        let keys = self.keys();
+        let mask = self.index.len() - 1;
+        let mut slot = home_slot(&key, mask);
+        loop {
+            let [record, app] = self.index[slot];
+            if record == VACANT {
+                return None;
+            }
+            let at = record as usize * KEY_RECORD_LEN;
+            let r = &keys[at..at + KEY_RECORD_LEN];
+            if record_words(r) == key {
+                let off = u32::from_le_bytes(r[22..26].try_into().expect("4 bytes"));
+                return Some((off, app));
+            }
+            slot = (slot + 1) & mask;
+        }
     }
 
     /// Thaw back into a mutable [`EfdDictionary`] — e.g. to keep learning
     /// from a published artifact. Entries are emitted in deterministic
     /// packed-key order (the concurrent learn order is not recorded).
     pub fn to_dictionary(&self) -> EfdDictionary {
-        let mut entries: Vec<(Fingerprint, Vec<LabelId>)> = self
-            .shards
+        let blob = self.blob();
+        let mut entries: Vec<(Fingerprint, Vec<LabelId>)> = KeyRecords::over(self.keys())
             .iter()
-            .flat_map(|m| m.iter())
-            .map(|(fp, slot)| {
-                let (labels, _) = self.postings_of(slot);
-                let ids = labels.iter().map(|&id| LabelId::from_index(id as usize));
-                (*fp, ids.collect())
+            .map(|r| {
+                let fp = Fingerprint::from_rounded(
+                    self.metric_ids[r.metric as usize],
+                    r.node,
+                    r.interval,
+                    f64::from_bits(r.mean_bits),
+                );
+                let ids = blob.label_ids(r.postings_off);
+                (fp, ids.map(|id| LabelId::from_index(id as usize)).collect())
             })
             .collect();
         entries.sort_by_key(|(fp, _)| fp.pack());
@@ -367,24 +383,20 @@ impl Snapshot {
         self.depth
     }
 
-    /// Total number of keys across all shards.
+    /// Number of keys.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(FxHashMap::len).sum()
+        self.records.len() / KEY_RECORD_LEN
     }
 
     /// Whether the snapshot holds no keys.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(FxHashMap::is_empty)
+        self.records.is_empty()
     }
 
-    /// Number of hash partitions.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Keys per shard, for load-balance inspection.
-    pub fn shard_sizes(&self) -> Vec<usize> {
-        self.shards.iter().map(FxHashMap::len).collect()
+    /// Bytes held resident: the buffer (a loaded file in full) plus the
+    /// hash index.
+    pub fn byte_len(&self) -> usize {
+        self.bytes.len() + std::mem::size_of_val(&*self.index)
     }
 
     /// Distinct application names, in interned order.
@@ -417,9 +429,10 @@ impl Snapshot {
     }
 }
 
-/// The owned [`KeyStore`]: fingerprints resolve through the shard maps
-/// to their `Slot`, and app votes come from each key's pre-deduplicated
-/// app list (built at freeze time, so no per-point dedup set is needed).
+/// Probes go through the hash index; label votes stream from the
+/// postings blob, and app votes dedup per point through the scratch
+/// ([`VoteScratch::vote_app_deduped`]), exactly the oracle's semantics.
+/// [`KeyStore::vote_apps`] votes a key's inline app directly.
 impl KeyStore for Snapshot {
     fn depth(&self) -> RoundingDepth {
         self.depth
@@ -435,39 +448,42 @@ impl KeyStore for Snapshot {
 
     #[inline]
     fn vote(&self, fp: &Fingerprint, scratch: &mut VoteScratch, wide: bool) -> bool {
-        let Some((labels, apps)) = self.postings(fp) else {
+        let Some((off, _)) = self.find(fp) else {
             return false;
         };
-        if wide {
-            for &id in labels {
-                scratch.vote_label_wide(LabelId::from_index(id as usize));
+        scratch.begin_point();
+        self.blob().for_each_label(off, |id| {
+            let label = LabelId::from_index(id as usize);
+            if wide {
+                scratch.vote_label_wide(label);
+            } else {
+                scratch.vote_label(label);
             }
-        } else {
-            for &id in labels {
-                scratch.vote_label(LabelId::from_index(id as usize));
-            }
-        }
-        for &app in apps {
-            scratch.vote_app(AppNameId::from_index(app as usize));
-        }
+            scratch.vote_app_deduped(self.label_app[id as usize]);
+        });
         true
     }
 
     #[inline]
     fn vote_apps(&self, fp: &Fingerprint, scratch: &mut VoteScratch) -> bool {
-        let Some((_, apps)) = self.postings(fp) else {
+        let Some((off, app)) = self.find(fp) else {
             return false;
         };
-        for &app in apps {
+        if app != MULTI {
             scratch.vote_app(AppNameId::from_index(app as usize));
+            return true;
         }
+        scratch.begin_point();
+        self.blob().for_each_label(off, |id| {
+            scratch.vote_app_deduped(self.label_app[id as usize]);
+        });
         true
     }
 }
 
 /// The published form as an engine backend — `recognize_into` runs the
-/// shared [`keystore`] vote kernel over the shard maps: dense per-thread
-/// vote counters, no locks, answers in [`Recognition::normalized`] order.
+/// shared [`keystore`] vote kernel: dense per-thread vote counters, no
+/// locks, answers in [`Recognition::normalized`] order.
 impl Recognize for Snapshot {
     fn recognize_into(&self, query: &Query, scratch: &mut VoteScratch) -> Recognition {
         keystore::recognize_with(self, query, scratch)
@@ -481,6 +497,7 @@ impl Recognize for Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardedDictionary;
     use efd_core::LabeledObservation;
     use efd_telemetry::{AppLabel, Interval, MetricId, NodeId};
 
@@ -515,30 +532,29 @@ mod tests {
 
     #[test]
     fn matches_oracle_on_every_query_at_every_shard_count() {
+        // Frozen directly, and published by a live sharded dictionary of
+        // any shard count: one store, one set of answers.
         let dict = toy_dict();
+        let mut snaps = vec![("freeze".to_string(), Snapshot::freeze(&dict))];
         for shards in [1usize, 2, 4, 8, 64] {
-            let snap = Snapshot::freeze(&dict, shards);
+            let live = ShardedDictionary::from_parts(dict.to_parts(), shards);
+            snaps.push((format!("shards={shards}"), live.snapshot()));
+        }
+        for (how, snap) in snaps {
             assert_eq!(snap.len(), dict.len());
             for q in queries() {
                 let served = snap.recognize(&q);
                 let oracle = dict.recognize(&q).normalized();
-                assert_eq!(served, oracle, "shards={shards}");
-                assert_eq!(snap.best(&q), oracle.best(), "shards={shards}");
+                assert_eq!(served, oracle, "{how}");
+                assert_eq!(snap.best(&q), oracle.best(), "{how}");
             }
         }
     }
 
     #[test]
-    fn shard_sizes_partition_all_keys() {
-        let snap = Snapshot::freeze(&toy_dict(), 8);
-        assert_eq!(snap.shard_count(), 8);
-        assert_eq!(snap.shard_sizes().iter().sum::<usize>(), snap.len());
-    }
-
-    #[test]
     fn thaw_preserves_answers_and_supports_further_learning() {
         let dict = toy_dict();
-        let snap = Snapshot::freeze(&dict, 4);
+        let snap = Snapshot::freeze(&dict);
         let mut thawed = snap.to_dictionary();
         for q in queries() {
             assert_eq!(
@@ -557,14 +573,14 @@ mod tests {
 
     #[test]
     fn from_parts_merges_duplicate_fingerprints_like_core() {
-        use efd_core::dictionary::LabelId;
-
         let dict = toy_dict();
         let mut parts = dict.to_parts();
         let fp = parts.entries[0].0;
-        parts.entries.push((fp, vec![LabelId::from_index(1), LabelId::from_index(0)]));
+        parts
+            .entries
+            .push((fp, vec![LabelId::from_index(1), LabelId::from_index(0)]));
 
-        let snap = Snapshot::from_parts(parts.clone(), 4);
+        let snap = Snapshot::from_parts(parts.clone());
         let oracle = EfdDictionary::from_parts(parts);
         assert_eq!(snap.len(), oracle.len());
         for q in queries() {
@@ -576,95 +592,111 @@ mod tests {
     fn from_efdb_matches_freeze_on_every_query() {
         let catalog = efd_telemetry::catalog::small_catalog();
         let dict = toy_dict();
-        let bytes = efd_core::binfmt::write(&dict.to_parts(), &catalog);
-        let efdb = efd_core::binfmt::read(&bytes).unwrap();
-        for shards in [1usize, 4, 16] {
-            let via_efdb = Snapshot::from_efdb(&efdb, &catalog, shards).unwrap();
-            let via_freeze = Snapshot::freeze(&dict, shards);
-            assert_eq!(via_efdb.len(), via_freeze.len());
-            assert_eq!(via_efdb.depth(), dict.depth());
-            assert_eq!(via_efdb.app_names(), via_freeze.app_names());
-            for q in queries() {
-                assert_eq!(
-                    via_efdb.recognize(&q),
-                    via_freeze.recognize(&q),
-                    "shards={shards}"
-                );
-                assert_eq!(via_efdb.best(&q), via_freeze.best(&q));
-            }
+        let bytes = binfmt::write(&dict.to_parts(), &catalog);
+        let efdb = binfmt::read(&bytes).unwrap();
+        let via_efdb = Snapshot::from_efdb(&efdb, &catalog, 4).unwrap();
+        let via_freeze = Snapshot::freeze(&dict);
+        assert_eq!(via_efdb.len(), via_freeze.len());
+        assert_eq!(via_efdb.depth(), dict.depth());
+        assert_eq!(via_efdb.app_names(), via_freeze.app_names());
+        for q in queries() {
+            assert_eq!(via_efdb.recognize(&q), via_freeze.recognize(&q));
+            assert_eq!(via_efdb.best(&q), via_freeze.best(&q));
         }
     }
 
     #[test]
     fn from_efdb_rejects_unresolvable_metric() {
         let catalog = efd_telemetry::catalog::small_catalog();
-        let bytes = efd_core::binfmt::write(&toy_dict().to_parts(), &catalog);
-        let efdb = efd_core::binfmt::read(&bytes).unwrap();
+        let bytes = binfmt::write(&toy_dict().to_parts(), &catalog);
+        let efdb = binfmt::read(&bytes).unwrap();
         let empty = efd_telemetry::MetricCatalog::new();
         assert!(matches!(
             Snapshot::from_efdb(&efdb, &empty, 4),
-            Err(efd_core::BinFormatError::UnknownMetric(_))
+            Err(BinFormatError::UnknownMetric(_))
         ));
     }
 
     #[test]
-    fn from_view_rejects_unresolvable_metric() {
-        let catalog = efd_telemetry::catalog::small_catalog();
-        let bytes = efd_core::binfmt::write(&toy_dict().to_parts(), &catalog);
-        let view = efd_core::binfmt::check(&bytes).unwrap();
-        let empty = efd_telemetry::MetricCatalog::new();
-        assert!(matches!(
-            Snapshot::from_view(&view, &empty, 4),
-            Err(efd_core::BinFormatError::UnknownMetric(_))
-        ));
-    }
-
-    #[test]
-    fn from_view_matches_from_efdb_and_freeze() {
+    fn load_matches_from_efdb_and_freeze() {
         let catalog = efd_telemetry::catalog::small_catalog();
         let dict = toy_dict();
-        let bytes = efd_core::binfmt::write(&dict.to_parts(), &catalog);
-        let view = efd_core::binfmt::check(&bytes).unwrap();
-        let efdb = efd_core::binfmt::read(&bytes).unwrap();
-        for shards in [1usize, 4, 16] {
-            let via_view = Snapshot::from_view(&view, &catalog, shards).unwrap();
-            let via_efdb = Snapshot::from_efdb(&efdb, &catalog, shards).unwrap();
-            assert_eq!(via_view.len(), dict.len());
-            assert_eq!(via_view.shard_sizes(), via_efdb.shard_sizes());
-            assert_eq!(
-                via_view.arena, via_efdb.arena,
-                "same file order, same arena"
-            );
-            for q in queries() {
-                assert_eq!(
-                    via_view.recognize(&q),
-                    via_efdb.recognize(&q),
-                    "shards={shards}"
-                );
-                assert_eq!(via_view.recognize(&q), dict.recognize(&q).normalized());
-            }
+        let bytes = binfmt::write(&dict.to_parts(), &catalog);
+        let efdb = binfmt::read(&bytes).unwrap();
+        let file = bytes.as_ptr();
+        let loaded = Snapshot::load(bytes, &catalog).unwrap();
+        assert_eq!(loaded.bytes.as_ptr(), file, "the file buffer is moved in");
+        let via_efdb = Snapshot::from_efdb(&efdb, &catalog, 1).unwrap();
+        assert_eq!(loaded.len(), dict.len());
+        // Same records and postings, whichever way they were laid out.
+        assert_eq!(loaded.blob().bytes(), via_efdb.blob().bytes());
+        for q in queries() {
+            assert_eq!(loaded.recognize(&q), via_efdb.recognize(&q));
+            assert_eq!(loaded.recognize(&q), dict.recognize(&q).normalized());
         }
     }
 
     #[test]
-    fn arena_dedups_apps_in_first_occurrence_order() {
-        // One key, four labels over two apps: ft, sp, ft, sp.
+    fn inline_app_only_for_keys_of_one_app() {
+        // Key A: four labels over two apps (ft, sp, ft, sp). Key B: two
+        // labels of one app. Key C: one label.
         let mut dict = EfdDictionary::new(RoundingDepth::new(2));
         for (app, input) in [("ft", "X"), ("sp", "X"), ("ft", "Y"), ("sp", "Y")] {
             dict.insert_raw(M, NodeId(0), W, 6020.0, &AppLabel::new(app, input));
         }
-        // A second key with one label stays inline, off the arena.
-        dict.insert_raw(M, NodeId(1), W, 6020.0, &AppLabel::new("sp", "Y"));
-        let snap = Snapshot::freeze(&dict, 2);
-        assert_eq!(&*snap.arena, &[4, 2, 0, 1, 2, 3, 0, 1]);
-        let q = Query::from_node_means(M, W, &[6001.0, 5990.0]);
+        for input in ["X", "Y"] {
+            dict.insert_raw(M, NodeId(1), W, 6020.0, &AppLabel::new("sp", input));
+        }
+        dict.insert_raw(M, NodeId(2), W, 6020.0, &AppLabel::new("ft", "X"));
+        let snap = Snapshot::freeze(&dict);
+        let fp = |node| Fingerprint::from_rounded(M, NodeId(node), W, 6000.0);
+        assert_eq!(snap.find(&fp(0)).map(|(_, app)| app), Some(MULTI));
+        assert_eq!(snap.find(&fp(1)).map(|(_, app)| app), Some(1), "sp");
+        assert_eq!(snap.find(&fp(2)).map(|(_, app)| app), Some(0), "ft");
+        assert_eq!(snap.find(&fp(3)), None);
+        let q = Query::from_node_means(M, W, &[6001.0, 5990.0, 6010.0]);
         assert_eq!(snap.recognize(&q), dict.recognize(&q).normalized());
-        assert_eq!(snap.to_dictionary().to_parts().entries.len(), 2);
+        let mut answer = Answer::default();
+        snap.answer_into(&q, &mut VoteScratch::default(), &mut answer);
+        assert_eq!(answer, Answer::from(&dict.recognize(&q)));
+        assert_eq!(snap.to_dictionary().to_parts().entries.len(), 3);
+    }
+
+    #[test]
+    fn adjacent_keys_form_probe_chains_that_resolve() {
+        // Consecutive means on one metric and node: keys that differ only
+        // in a few mean bits.
+        let mut dict = EfdDictionary::new(RoundingDepth::new(6));
+        for i in 0..4096 {
+            let label = AppLabel::new(format!("app{}", i % 7), "X");
+            dict.insert_raw(M, NodeId(0), W, 100_000.0 + i as f64, &label);
+        }
+        let snap = Snapshot::freeze(&dict);
+        let mask = snap.index.len() - 1;
+        let displaced = snap
+            .index
+            .iter()
+            .enumerate()
+            .filter(|(slot, [record, _])| {
+                let at = *record as usize * KEY_RECORD_LEN;
+                *record != VACANT
+                    && home_slot(&record_words(&snap.keys()[at..at + KEY_RECORD_LEN]), mask)
+                        != *slot
+            })
+            .count();
+        assert!(displaced > 100, "only {displaced} keys off their home slot");
+        for i in 0..4096 {
+            let fp = Fingerprint::from_rounded(M, NodeId(0), W, 100_000.0 + i as f64);
+            let (_, app) = snap.find(&fp).expect("every key resolves");
+            assert_eq!(app, (i % 7) as u32);
+        }
+        let miss = Fingerprint::from_rounded(M, NodeId(0), W, 104_096.0);
+        assert_eq!(snap.find(&miss), None);
     }
 
     #[test]
     fn empty_snapshot_answers_unknown() {
-        let snap = Snapshot::freeze(&EfdDictionary::new(RoundingDepth::new(2)), 8);
+        let snap = Snapshot::freeze(&EfdDictionary::new(RoundingDepth::new(2)));
         assert!(snap.is_empty());
         let r = snap.recognize(&Query::from_node_means(M, W, &[1.0]));
         assert_eq!(r.verdict, efd_core::Verdict::Unknown);

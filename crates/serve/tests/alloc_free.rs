@@ -135,7 +135,7 @@ fn store_backends(dict: &EfdDictionary) -> Vec<(&'static str, Arc<dyn Recognize 
     let cat = catalog();
     let bytes = binfmt::write_dictionary(dict, &cat);
     vec![
-        ("snapshot", Arc::new(Snapshot::freeze(dict, 4))),
+        ("snapshot", Arc::new(Snapshot::freeze(dict))),
         (
             "efdb",
             Arc::new(EfdbSnapshot::load(bytes, &cat).expect("round-tripped EFDB bytes")),

@@ -62,7 +62,7 @@ pub fn engines_for(dict: &EfdDictionary) -> Vec<Engine> {
     let efdb = binfmt::write_dictionary(dict, &cat);
     let combo = ComboDictionary::from_single_metric(dict).expect("non-empty single-metric dict");
     vec![
-        Engine::fixed(Arc::new(Snapshot::freeze(dict, 4)), keys, "snapshot"),
+        Engine::fixed(Arc::new(Snapshot::freeze(dict)), keys, "snapshot"),
         Engine::fixed(
             Arc::new(ShardedDictionary::from_parts(dict.to_parts(), 4)),
             keys,
@@ -79,7 +79,7 @@ pub fn engines_for(dict: &EfdDictionary) -> Vec<Engine> {
 
 /// Snapshot engine shorthand for tests that only need one backend.
 pub fn snapshot_engine(dict: &EfdDictionary) -> Engine {
-    Engine::fixed(Arc::new(Snapshot::freeze(dict, 4)), dict.len(), "snapshot")
+    Engine::fixed(Arc::new(Snapshot::freeze(dict)), dict.len(), "snapshot")
 }
 
 /// Start a daemon on an ephemeral port with harness defaults; `tweak`

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use efd_core::{EfdDictionary, LabeledObservation, Query, Recognition, RoundingDepth};
-use efd_serve::{BatchRecognizer, Recognize, ShardedDictionary, Snapshot};
+use efd_serve::{BatchRecognizer, Recognize, ShardedDictionary};
 use efd_telemetry::{AppLabel, Interval, MetricId};
 use efd_util::SplitMix64;
 
@@ -147,8 +147,10 @@ fn snapshot_batch_matches_oracle_at_every_shard_count() {
         .map(|q| oracle.recognize(q).normalized())
         .collect();
 
+    // Published by a live dictionary of each shard count.
     for shards in [1usize, 2, 8, 32] {
-        let snap = Arc::new(Snapshot::freeze(&oracle, shards));
+        let live = ShardedDictionary::from_parts(oracle.to_parts(), shards);
+        let snap = Arc::new(live.snapshot());
         assert_eq!(snap.len(), oracle.len(), "shards={shards}");
         let server = BatchRecognizer::new(Arc::clone(&snap));
         let answers = server.recognize_batch(&probe_queries);

@@ -1,7 +1,8 @@
 //! Adversarial wire-protocol tests: torn and truncated frames,
 //! oversized length prefixes, malformed payloads, bad command
-//! sequences, abrupt mid-stream disconnects, and a slow-loris idle
-//! client. The daemon's contract under all of them: a structured
+//! sequences, abrupt mid-stream disconnects, and slow-loris idle
+//! clients (stalled, or dribbling a frame a byte at a time). The
+//! daemon's contract under all of them: a structured
 //! `ERR <kind> <message>` response or a clean connection drop, the
 //! matching `efd_protocol_errors_total{kind=...}` increment — and
 //! never a panic, a wedged connection, or a hung test.
@@ -339,6 +340,39 @@ fn slow_loris_client_is_dropped_at_the_idle_timeout() {
         std::thread::sleep(Duration::from_millis(100));
     }
     assert_eq!(error_count(&server, "idle-timeout"), 1);
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn a_frame_dribbled_a_byte_every_50_ms_still_idles_out() {
+    // A byte every 50 ms never lets a 100 ms read tick pass quietly, so
+    // only a per-frame deadline can drop this peer: the declared 1 KiB
+    // frame must complete within the 1 s idle timeout, and it would take
+    // 51 s at this rate.
+    let server = ft_server(|cfg| cfg.idle_timeout = Duration::from_secs(1));
+    let mut peer = TcpStream::connect(server.local_addr()).expect("connect");
+    peer.write_all(&1024u32.to_le_bytes())
+        .expect("1 KiB prefix");
+    let declared = Instant::now();
+    let dribbler = std::thread::spawn(move || {
+        while declared.elapsed() < Duration::from_secs(4) && peer.write_all(b"x").is_ok() {
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    });
+    wait_until("the dribbling peer accepted", || {
+        server.metrics().connections_total.get() == 1
+    });
+    while server.metrics().active_connections.get() != 0 {
+        assert!(
+            declared.elapsed() < Duration::from_secs(2),
+            "a dribbling peer still holds its connection after 2 s"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(error_count(&server, "idle-timeout"), 1);
+    dribbler.join().expect("dribbler");
+    assert_daemon_healthy(&server);
     server.shutdown();
     server.join();
 }

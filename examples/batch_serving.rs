@@ -43,7 +43,7 @@ fn main() {
     // Publish behind the object-safe engine trait. This is the whole
     // point of the API: the serving loop below never names a concrete
     // backend type.
-    let snapshot = Arc::new(Snapshot::freeze(dict, 8));
+    let snapshot = Arc::new(Snapshot::freeze(dict));
     let backend: Arc<dyn Recognize + Send + Sync> = match backend_kind.as_str() {
         "snapshot" => Arc::clone(&snapshot) as _,
         "sharded" => Arc::new(ShardedDictionary::from_parts(dict.to_parts(), 8)) as _,

@@ -34,7 +34,7 @@ fn main() {
 
     // Publish once; the streaming session holds the Arc and can swap to a
     // newer publication mid-stream.
-    let snapshot = Arc::new(Snapshot::freeze(efd.dictionary(), 8));
+    let snapshot = Arc::new(Snapshot::freeze(efd.dictionary()));
 
     // "Live" job: materialize the full trace, then replay it as a stream —
     // exactly what an LDMS subscriber would deliver.

@@ -28,7 +28,7 @@ fn served_pipeline_matches_oracle_on_dataset() {
         .map(|t| Query::from_trace(t, &[metric], &[Interval::PAPER_DEFAULT]))
         .collect();
 
-    let snapshot = Arc::new(Snapshot::freeze(dict, 8));
+    let snapshot = Arc::new(Snapshot::freeze(dict));
     assert_eq!(snapshot.len(), dict.len());
     let server = BatchRecognizer::new(Arc::clone(&snapshot));
     let answers = server.recognize_batch(&queries);
@@ -57,7 +57,7 @@ fn online_session_through_facade() {
         label: AppLabel::new("ft", "X"),
         query: Query::from_node_means(MetricId(0), Interval::PAPER_DEFAULT, &[6000.0, 6000.0]),
     });
-    let snap = Arc::new(Snapshot::freeze(&dict, 4));
+    let snap = Arc::new(Snapshot::freeze(&dict));
 
     let mut session = OnlineSession::new(
         snap,
