@@ -68,19 +68,6 @@ impl StageBackend {
             StageBackend::GaussianNb => "gaussian-nb",
         }
     }
-
-    /// The serving-registry name (`efd_serve::Backend`) a dictionary
-    /// stage builds through; `None` for the ml stages, which train on
-    /// the dictionary instead of serving it.
-    pub fn dictionary_backend(&self) -> Option<&'static str> {
-        match self {
-            StageBackend::Exact => Some("snapshot"),
-            StageBackend::Efdb => Some("efdb"),
-            StageBackend::Sharded => Some("sharded"),
-            StageBackend::Combo => Some("combo"),
-            StageBackend::Knn { .. } | StageBackend::GaussianNb => None,
-        }
-    }
 }
 
 impl fmt::Display for StageBackend {

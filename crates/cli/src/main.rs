@@ -47,7 +47,7 @@ use efd_eval::report;
 use efd_eval::screening::screen_metrics;
 use efd_ml::taxonomist::TaxonomistConfig;
 use efd_serve::backend::decode_dictionary;
-use efd_serve::Backend;
+use efd_serve::{Backend, DictSource};
 use efd_workload::scenario::{build as scenario_build, CleanRuns, ScenarioKind, ScenarioSpec};
 use efd_workload::{Dataset, DatasetSpec, SubsetKind};
 
@@ -796,8 +796,8 @@ fn synth_queries(d: &Dataset, count: usize) -> Vec<efd_core::Query> {
 }
 
 /// What `efd serve` serves: exactly one of a WAL directory, a
-/// `recognizer.v1` manifest, or a dictionary (`--load`, alias `--dict`:
-/// a file or a catalog reference) served as a registry [`Backend`].
+/// `recognizer.v1` manifest, or a dictionary (`--load`: a file or a
+/// catalog reference) served as a registry [`Backend`].
 enum ServeSource<'a> {
     Wal(&'a str),
     Manifest(&'a str),
@@ -808,12 +808,8 @@ impl<'a> ServeSource<'a> {
     /// Validated before anything is read, in batch and `--listen` mode
     /// alike.
     fn from_args(args: &'a Args) -> Result<Self, String> {
-        let dict = match (args.flag("dict"), args.flag("load")) {
-            (Some(_), Some(_)) => return Err("--dict and --load are mutually exclusive".into()),
-            (dict, load) => dict.or(load),
-        };
         let backend = args.flag("backend");
-        match (args.flag("wal"), args.flag("manifest"), dict) {
+        match (args.flag("wal"), args.flag("manifest"), args.flag("load")) {
             (Some(_), Some(_), _) | (Some(_), _, Some(_)) | (_, Some(_), Some(_)) => {
                 Err("--load, --wal and --manifest are mutually exclusive".into())
             }
@@ -1061,19 +1057,18 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     // The decoded dictionary is the oracle the speedup line compares
     // against; the served backend is built from the same bytes through
     // the registry, exactly as the daemon builds it.
-    let src = resolve_dict_source(spec, args.flag("catalog").map(Path::new))?;
-    let raw = std::fs::read(&src.path).map_err(|e| format!("{}: {e}", src.shown))?;
-    let format = if raw.starts_with(&binfmt::MAGIC) {
+    let src = DictSource::open(spec, args.flag("catalog").map(Path::new))?;
+    let format = if src.bytes.starts_with(&binfmt::MAGIC) {
         "efdb"
     } else {
         "json"
     };
     let t = Instant::now();
-    let dict = decode_dictionary(&raw, d.catalog(), &src.shown)?;
+    let dict = decode_dictionary(&src.bytes, d.catalog(), &src.shown)?;
     println!(
         "loaded:     {} — {} bytes {format}, decode {:.2} ms",
         src.shown,
-        raw.len(),
+        src.bytes.len(),
         t.elapsed().as_secs_f64() * 1e3
     );
     if let Some(p) = &src.provenance {
@@ -1087,7 +1082,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         dict.app_names().len()
     );
     let t = Instant::now();
-    let (engine, keys) = backend.load(raw, d.catalog(), shards, &src.shown)?;
+    let (engine, keys) = backend.load(src.bytes, d.catalog(), shards, &src.shown)?;
     println!(
         "backend:    {} — {keys} keys, built in {:.2} ms",
         backend.name(),
@@ -1160,7 +1155,15 @@ fn cmd_serve_listen(
                 _ => None,
             };
             let load = move |p: &Path, catalog: &efd_telemetry::MetricCatalog| match backend {
-                Some(backend) => dict_engine(p, backend, catalog_dir.as_deref(), catalog, shards),
+                Some(backend) => {
+                    let src = DictSource::open(&p.to_string_lossy(), catalog_dir.as_deref())?;
+                    let report = src
+                        .provenance
+                        .iter()
+                        .map(|p| format!("provenance: {p}"))
+                        .collect();
+                    Ok((net::Engine::load(src, backend, catalog, shards)?, report))
+                }
                 None => engine_from_manifest(p, catalog, shards),
             };
             let (engine, report) = load(Path::new(spec), d.catalog())?;
@@ -1200,31 +1203,6 @@ fn cmd_serve_listen(
     Ok(())
 }
 
-/// A daemon engine over a `--load` operand (file or catalog reference)
-/// built as `backend`, tagged with the artifact's version and baseline;
-/// the report lines carry its provenance.
-fn dict_engine(
-    spec: &Path,
-    backend: Backend,
-    catalog_dir: Option<&Path>,
-    catalog: &efd_telemetry::MetricCatalog,
-    shards: usize,
-) -> Result<(efd_serve::net::Engine, Vec<String>), String> {
-    let src = resolve_dict_source(&spec.to_string_lossy(), catalog_dir)?;
-    let engine = efd_serve::net::Engine::load(&src.path, backend, catalog, shards)?;
-    let report = src
-        .provenance
-        .iter()
-        .map(|p| format!("provenance: {p}"))
-        .collect();
-    let engine = efd_serve::net::Engine {
-        version: src.version,
-        baseline: src.baseline,
-        ..engine
-    };
-    Ok((engine, report))
-}
-
 /// Wall-clock seconds since the Unix epoch (artifact publish stamps).
 fn unix_now() -> u64 {
     std::time::SystemTime::now()
@@ -1242,9 +1220,7 @@ fn abstention_baseline(dict: &EfdDictionary, d: &Dataset, queries: usize) -> Bas
     use std::collections::BTreeMap;
 
     let stream = synth_learn_stream(d, queries.max(1));
-    let (snapshot, _) = Backend::Snapshot
-        .from_dictionary(dict, d.catalog(), 8)
-        .expect("the snapshot backend builds from any dictionary");
+    let snapshot = efd_serve::Snapshot::freeze(dict);
     let mut scratch = efd_core::engine::VoteScratch::default();
     let (mut unknown, mut ambiguous) = (0usize, 0usize);
     // app -> (true positives, false positives, false negatives)
@@ -1293,63 +1269,6 @@ fn abstention_baseline(dict: &EfdDictionary, d: &Dataset, queries: usize) -> Bas
         unknown_rate: unknown as f64 / n,
         ambiguous_rate: ambiguous as f64 / n,
         macro_f1,
-    }
-}
-
-/// Where a dictionary operand's bytes live after resolution: a plain
-/// file path, or a published catalog artifact — digest-verified and
-/// resolved to its on-disk file, so daemon hot reload can re-read it.
-struct DictSource {
-    path: PathBuf,
-    /// Display name for report lines: the canonical catalog ref, or the
-    /// path as given.
-    shown: String,
-    /// Provenance line when the source is a published artifact.
-    provenance: Option<String>,
-    /// Catalog version ref and publish-time baseline (daemon surfaces).
-    version: Option<String>,
-    baseline: Option<efd_serve::net::DriftBaseline>,
-}
-
-/// Resolve a `--load`/`diff` operand. A string that parses as a catalog
-/// reference (`name`, `name@latest`, `name@vN`) resolves against
-/// `--catalog <dir>`; anything else is a file path. This is the one
-/// resolution path shared by batch `serve --load`, the daemon, and
-/// `efd diff`.
-fn resolve_dict_source(spec: &str, catalog_dir: Option<&Path>) -> Result<DictSource, String> {
-    let reference = CatalogRef::parse(spec);
-    let Some(reference) = reference.filter(|_| catalog_dir.is_some() || spec.contains('@')) else {
-        return Ok(DictSource::file(PathBuf::from(spec)));
-    };
-    let dir = catalog_dir.ok_or_else(|| {
-        format!("{spec:?} is a catalog reference; pass --catalog <dir> to resolve it")
-    })?;
-    let cat = Catalog::open(dir).map_err(|e| e.to_string())?;
-    let a = cat.resolve(&reference).map_err(|e| e.to_string())?;
-    // Integrity check now; serving re-reads the same verified file.
-    cat.read_bytes(a).map_err(|e| e.to_string())?;
-    Ok(DictSource {
-        path: cat.dir().join(&a.file),
-        shown: a.artifact_ref(),
-        provenance: Some(a.provenance()),
-        version: Some(a.artifact_ref()),
-        baseline: a.baseline.as_ref().map(|b| efd_serve::net::DriftBaseline {
-            unknown_rate: b.unknown_rate,
-            ambiguous_rate: b.ambiguous_rate,
-        }),
-    })
-}
-
-impl DictSource {
-    /// A plain dictionary file.
-    fn file(path: PathBuf) -> DictSource {
-        DictSource {
-            shown: path.display().to_string(),
-            path,
-            provenance: None,
-            version: None,
-            baseline: None,
-        }
     }
 }
 
@@ -1587,9 +1506,8 @@ fn cmd_diff(args: &Args) -> Result<bool, String> {
     let d = dataset_from(args)?;
     let catalog = d.catalog();
     let load = |spec: &str| -> Result<(EfdDictionary, DictSource), String> {
-        let src = resolve_dict_source(spec, args.flag("catalog").map(Path::new))?;
-        let raw = std::fs::read(&src.path).map_err(|e| format!("{}: {e}", src.path.display()))?;
-        let dict = decode_dictionary(&raw, catalog, &src.shown)?;
+        let src = DictSource::open(spec, args.flag("catalog").map(Path::new))?;
+        let dict = decode_dictionary(&src.bytes, catalog, &src.shown)?;
         Ok((dict, src))
     };
     let (da, sa) = load(a_spec)?;
@@ -1660,13 +1578,12 @@ fn engine_from_manifest(
     let (mut keys, mut version, mut baseline) = (0, None, None);
     for (i, stage) in m.stack.iter().enumerate() {
         let src = match (&m.catalog_dir, CatalogRef::parse(&stage.artifact)) {
-            (Some(dir), Some(_)) => resolve_dict_source(&stage.artifact, Some(dir))?,
-            _ => DictSource::file(manifest_dir.join(&stage.artifact)),
+            (Some(dir), Some(_)) => DictSource::open(&stage.artifact, Some(dir))?,
+            _ => DictSource::open(&manifest_dir.join(&stage.artifact).to_string_lossy(), None)?,
         };
-        let raw = std::fs::read(&src.path).map_err(|e| format!("{}: {e}", src.shown))?;
-        let (engine, stage_keys) = match stage.backend.dictionary_backend() {
-            Some(name) => Backend::parse(name)?.load(raw, catalog, shards, &src.shown)?,
-            None => ml_stage(stage, &raw, catalog, &src.shown)?,
+        let (engine, stage_keys) = match Backend::for_stage(&stage.backend) {
+            Some(backend) => backend.load(src.bytes, catalog, shards, &src.shown)?,
+            None => ml_stage(stage, &src.bytes, catalog, &src.shown)?,
         };
         if i == 0 {
             (keys, version, baseline) = (stage_keys, src.version, src.baseline);
@@ -2074,7 +1991,7 @@ COMMANDS
                          wins); works batch or with --listen (hot-swappable);
                          --backend applies to --load only
                          --load also accepts a catalog ref (name@latest, name@vN)
-                         with --catalog <dir>
+                         with --catalog <dir>; its digest is checked on every load
   catalog                versioned artifact store: <publish|list|show|rollback>
                          --dir <dir>; publish: --name <n> --from <dump>
                          [--baseline auto|none] [--baseline-queries N (default 2000)]

@@ -1,7 +1,8 @@
 //! A daemon serving a catalog reference follows the catalog on reload:
 //! a bare `SWAP` re-resolves `name@latest`, and the republished engine
 //! carries the new version and its published drift baseline — the same
-//! re-tagging manifest serving does.
+//! re-tagging manifest serving does. A reload whose artifact fails its
+//! digest check is refused, and the current generation keeps serving.
 
 use std::io::{BufRead, BufReader};
 use std::path::Path;
@@ -32,7 +33,7 @@ struct Daemon {
 impl Daemon {
     fn spawn(args: &[&str]) -> Daemon {
         let mut child = Command::new(env!("CARGO_BIN_EXE_efd"))
-            .args(["serve", "--listen", "127.0.0.1:0", "--workers", "1"])
+            .args(["serve", "--listen", "127.0.0.1:0"])
             .args(args)
             .stdin(Stdio::null())
             .stdout(Stdio::piped())
@@ -132,6 +133,56 @@ fn swap_follows_latest_and_retags_version_and_baseline() {
         metrics.contains("efd_catalog_info{version=\"hpc-apps@v2\"} 1"),
         "{metrics}"
     );
+
+    assert_eq!(daemon.ctl("shutdown").trim(), "BYE");
+    assert!(daemon.child.wait().expect("daemon exit").success());
+    drop(daemon);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn swap_refuses_a_tampered_artifact_and_keeps_serving() {
+    let dir = std::env::temp_dir().join(format!("efd-catalog-tamper-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let catalog = dir.join("catalog");
+    let dict = dir.join("synth.efdb");
+    efd_ok(&["dump", "--out", path_str(&dict), "--synth-keys", "64"]);
+    efd_ok(&[
+        "catalog",
+        "publish",
+        "--dir",
+        path_str(&catalog),
+        "--name",
+        "tiny",
+        "--from",
+        path_str(&dict),
+        "--baseline",
+        "none",
+    ]);
+
+    let mut daemon = Daemon::spawn(&["--load", "tiny@latest", "--catalog", path_str(&catalog)]);
+    let status = daemon.ctl("status");
+    assert!(status.contains("STATUS gen=1 version=tiny@v1 "), "{status}");
+
+    // Flip one byte of the served artifact after start-up.
+    let published = efd_catalog::Catalog::open(&catalog).expect("catalog index");
+    let file = catalog.join(&published.latest("tiny").expect("tiny@v1").file);
+    let mut bytes = std::fs::read(&file).expect("published artifact");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&file, bytes).unwrap();
+
+    let swap = Command::new(env!("CARGO_BIN_EXE_efd"))
+        .args(["ctl", "swap", "--addr", &daemon.addr])
+        .output()
+        .expect("spawn efd ctl");
+    let reply = String::from_utf8_lossy(&swap.stdout);
+    assert!(!swap.status.success(), "{reply}");
+    assert!(reply.starts_with("ERR swap-failed"), "{reply}");
+    assert!(reply.contains("digest"), "{reply}");
+    let status = daemon.ctl("status");
+    assert!(status.contains("STATUS gen=1 version=tiny@v1 "), "{status}");
 
     assert_eq!(daemon.ctl("shutdown").trim(), "BYE");
     assert!(daemon.child.wait().expect("daemon exit").success());

@@ -11,8 +11,9 @@ fn efd(args: &[&str]) -> Output {
 }
 
 /// Asserts the invocation failed cleanly: nonzero exit, a single
-/// `error: …` line on stderr, and no panic/backtrace spew.
-fn assert_clean_error(args: &[&str], expect_in_stderr: &str) {
+/// `error: …` line on stderr, and no panic/backtrace spew. Returns the
+/// output for further checks.
+fn assert_clean_error(args: &[&str], expect_in_stderr: &str) -> Output {
     let out = efd(args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
@@ -37,6 +38,7 @@ fn assert_clean_error(args: &[&str], expect_in_stderr: &str) {
         "{args:?}: error line {:?} does not mention {expect_in_stderr:?}",
         error_lines[0]
     );
+    out
 }
 
 #[test]
@@ -366,6 +368,48 @@ fn serve_catalog_ref_without_catalog_dir_is_a_clean_error() {
     // `name@vN` only resolves through a catalog; without --catalog the
     // error must say which flag is missing, not "file not found".
     assert_clean_error(&["serve", "--load", "hpc-apps@v1"], "--catalog");
+}
+
+#[test]
+fn a_tampered_catalog_artifact_is_refused_in_batch_and_daemon_mode() {
+    // Publish a tiny dictionary, then flip one byte of the artifact file:
+    // `serve --load name@latest` must refuse it before serving anything,
+    // batch and daemon alike, with the digest mismatch as the reason.
+    let dir = wal_fixture_dir("tampered-artifact");
+    let catalog_dir = dir.join("catalog");
+    let catalog = catalog_dir.to_str().unwrap();
+    let dict = synth_dict(&dir);
+    let out = efd(&[
+        "catalog",
+        "publish",
+        "--dir",
+        catalog,
+        "--name",
+        "tiny",
+        "--from",
+        dict.to_str().unwrap(),
+        "--baseline",
+        "none",
+    ]);
+    assert!(
+        out.status.success(),
+        "publish: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let published = efd_catalog::Catalog::open(&catalog_dir).unwrap();
+    let file = catalog_dir.join(&published.latest("tiny").unwrap().file);
+    let mut bytes = std::fs::read(&file).unwrap();
+    *bytes.last_mut().unwrap() ^= 0x01;
+    std::fs::write(&file, bytes).unwrap();
+
+    for listen in [&[][..], &["--listen", "127.0.0.1:0"][..]] {
+        let mut args = vec!["serve", "--load", "tiny@latest", "--catalog", catalog];
+        args.extend_from_slice(listen);
+        let out = assert_clean_error(&args, "does not match index");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("digest"));
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

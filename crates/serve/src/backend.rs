@@ -1,11 +1,14 @@
 //! The backend registry: the one construction path from a backend name
 //! plus a dictionary (file bytes or a live [`EfdDictionary`]) to a
-//! served `Arc<dyn Recognize + Send + Sync>`.
+//! served `Arc<dyn Recognize + Send + Sync>`, and the one loader,
+//! [`DictSource::open`], that reads those file bytes.
 //!
 //! Batch `efd serve`, the daemon's start-up load and its `SWAP`/SIGHUP
 //! reloads, manifest stages and the scenario matrix all build through
 //! [`Backend::load`] or [`Backend::from_dictionary`], so one backend
-//! name means one construction everywhere.
+//! name means one construction everywhere. Every served dictionary file
+//! is read once, by [`DictSource::open`]: a catalog artifact's bytes are
+//! the very buffer its digest was checked over, moved into the backend.
 //!
 //! ```
 //! use efd_core::{binfmt, EfdDictionary, Query, RoundingDepth};
@@ -28,13 +31,16 @@
 //! assert!(Backend::parse("bogus").unwrap_err().contains("snapshot|sharded|combo|efdb"));
 //! ```
 
+use std::path::Path;
 use std::sync::Arc;
 
+use efd_catalog::{Catalog, CatalogRef, StageBackend};
 use efd_core::engine::Recognize;
 use efd_core::multi::ComboDictionary;
 use efd_core::{binfmt, serialize, EfdDictionary};
 use efd_telemetry::MetricCatalog;
 
+use crate::net::DriftBaseline;
 use crate::{ComboSnapshot, ShardedDictionary, Snapshot};
 
 /// A built backend: the recognizer every request answers through, and
@@ -74,6 +80,18 @@ impl Backend {
             .into_iter()
             .find(|b| b.name() == name)
             .ok_or_else(|| format!("unknown backend {name:?} (snapshot|sharded|combo|efdb)"))
+    }
+
+    /// The backend a `recognizer.v1` dictionary stage serves through;
+    /// `None` for the ml stages, which train on the dictionary instead.
+    pub fn for_stage(stage: &StageBackend) -> Option<Backend> {
+        match stage {
+            StageBackend::Exact => Some(Backend::Snapshot),
+            StageBackend::Efdb => Some(Backend::Efdb),
+            StageBackend::Sharded => Some(Backend::Sharded),
+            StageBackend::Combo => Some(Backend::Combo),
+            StageBackend::Knn { .. } | StageBackend::GaussianNb => None,
+        }
     }
 
     /// Canonical lowercase name.
@@ -137,6 +155,57 @@ impl Backend {
                 let snap = Snapshot::load(bytes, catalog).map_err(|e| e.to_string())?;
                 (Arc::new(snap), dict.len())
             }
+        })
+    }
+}
+
+/// A served dictionary operand, read once: a plain file, or a published
+/// catalog artifact whose digest was checked over exactly these bytes.
+pub struct DictSource {
+    /// The file's bytes (EFDB or a JSON dump), for [`Backend::load`].
+    pub bytes: Vec<u8>,
+    /// Display name for report and error lines: the canonical catalog
+    /// ref, or the path as given.
+    pub shown: String,
+    /// Provenance line when the source is a published artifact.
+    pub provenance: Option<String>,
+    /// Catalog version ref (`hpc-apps@v3`) of a published artifact.
+    pub version: Option<String>,
+    /// Abstention baseline recorded when the artifact was published.
+    pub baseline: Option<DriftBaseline>,
+}
+
+impl DictSource {
+    /// Resolve and read a `--load`/`diff` operand. A spec that parses as
+    /// a catalog reference (`name`, `name@latest`, `name@vN`) resolves
+    /// against `catalog_dir` when one is given or the spec contains `@`;
+    /// anything else is a file path.
+    pub fn open(spec: &str, catalog_dir: Option<&Path>) -> Result<DictSource, String> {
+        let reference =
+            CatalogRef::parse(spec).filter(|_| catalog_dir.is_some() || spec.contains('@'));
+        let Some(reference) = reference else {
+            return Ok(DictSource {
+                bytes: std::fs::read(spec).map_err(|e| format!("{spec}: {e}"))?,
+                shown: spec.to_string(),
+                provenance: None,
+                version: None,
+                baseline: None,
+            });
+        };
+        let dir = catalog_dir.ok_or_else(|| {
+            format!("{spec:?} is a catalog reference; pass --catalog <dir> to resolve it")
+        })?;
+        let cat = Catalog::open(dir).map_err(|e| e.to_string())?;
+        let a = cat.resolve(&reference).map_err(|e| e.to_string())?;
+        Ok(DictSource {
+            bytes: cat.read_bytes(a).map_err(|e| e.to_string())?,
+            shown: a.artifact_ref(),
+            provenance: Some(a.provenance()),
+            version: Some(a.artifact_ref()),
+            baseline: a.baseline.as_ref().map(|b| DriftBaseline {
+                unknown_rate: b.unknown_rate,
+                ambiguous_rate: b.ambiguous_rate,
+            }),
         })
     }
 }

@@ -42,7 +42,9 @@
 //! * [`Backend`] — the **registry**: a backend name plus dictionary
 //!   bytes (or a live dictionary) in, `Arc<dyn Recognize + Send + Sync>`
 //!   out. Batch serving, the daemon's load and reload, and manifest
-//!   stages all construct backends through it.
+//!   stages all construct backends through it, from the bytes one
+//!   loader, [`DictSource::open`], read (and, for a catalog artifact,
+//!   digest-verified) once.
 //! * [`net`] — the **network** form: a TCP recognition daemon
 //!   (`efd serve --listen`) speaking a length-prefixed line protocol
 //!   with one thread per connection, atomic engine hot-swap, a same-port
@@ -102,7 +104,7 @@ pub mod shard;
 pub mod snapshot;
 pub mod stacked;
 
-pub use backend::Backend;
+pub use backend::{Backend, DictSource};
 pub use batch::BatchRecognizer;
 pub use combo::ComboSnapshot;
 pub use durable::DurableDictionary;

@@ -91,7 +91,7 @@ use super::protocol::{
     answer_label, write_answer, write_frame, FrameError, FrameReader, RequestRef, MAX_FRAME,
     READ_CHUNK,
 };
-use crate::{Backend, DurableDictionary, OnlineSession};
+use crate::{Backend, DictSource, DurableDictionary, OnlineSession};
 
 /// Connection read-timeout tick: how often a quiet connection checks
 /// its idle deadline and the shutdown flag.
@@ -171,17 +171,21 @@ impl Engine {
         }
     }
 
-    /// Load a dictionary file (EFDB or JSON dump) as `backend`.
+    /// Serve a loaded dictionary operand as `backend`, tagged with its
+    /// catalog version and drift baseline. The source's bytes move into
+    /// [`Backend::load`] uncopied.
     pub fn load(
-        path: &Path,
+        src: DictSource,
         backend: Backend,
         catalog: &MetricCatalog,
         shards: usize,
     ) -> Result<Engine, String> {
-        let shown = path.display().to_string();
-        let bytes = std::fs::read(path).map_err(|e| format!("{shown}: {e}"))?;
-        let (recognizer, keys) = backend.load(bytes, catalog, shards, &shown)?;
-        Ok(Engine::fixed(recognizer, keys, backend.name()))
+        let (recognizer, keys) = backend.load(src.bytes, catalog, shards, &src.shown)?;
+        Ok(Engine {
+            version: src.version,
+            baseline: src.baseline,
+            ..Engine::fixed(recognizer, keys, backend.name())
+        })
     }
 
     /// Current key count: live in durable mode, frozen otherwise.
@@ -241,7 +245,7 @@ impl std::fmt::Debug for ServerConfig {
 
 impl ServerConfig {
     /// Defaults: 30 s idle timeout, no reload path, default drift
-    /// tuning, and a loader that serves dictionary files as an 8-shard
+    /// tuning, and a loader that serves a dictionary file as a
     /// [`Backend::Snapshot`].
     pub fn new(catalog: MetricCatalog) -> Self {
         ServerConfig {
@@ -249,7 +253,10 @@ impl ServerConfig {
             catalog,
             reload_path: None,
             drift: DriftConfig::default(),
-            loader: Arc::new(|path, catalog| Engine::load(path, Backend::Snapshot, catalog, 8)),
+            loader: Arc::new(|path, catalog| {
+                let src = DictSource::open(&path.to_string_lossy(), None)?;
+                Engine::load(src, Backend::Snapshot, catalog, 1)
+            }),
         }
     }
 }

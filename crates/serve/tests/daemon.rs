@@ -16,7 +16,7 @@ use efd_core::wal::WalOptions;
 use efd_core::RoundingDepth;
 use efd_serve::net::protocol::render_answer;
 use efd_serve::net::Engine;
-use efd_serve::{Backend, DurableDictionary};
+use efd_serve::{Backend, DictSource, DurableDictionary};
 
 /// The harness corpus: distinct apps, one deliberate ambiguous pair
 /// (`aa`/`bb` at the same level).
@@ -251,8 +251,8 @@ fn swap_command_and_hup_flag_republish_from_dictionary_files() {
     let path_a = write_efdb(&dir, "a.efdb", &dict_a);
     let path_b = write_efdb(&dir, "b.efdb", &dict_b);
 
-    let engine = Engine::load(&path_a, Backend::Snapshot, &catalog(), 4)
-        .expect("load initial engine");
+    let src = DictSource::open(path_a.to_str().unwrap(), None).expect("read initial dictionary");
+    let engine = Engine::load(src, Backend::Snapshot, &catalog(), 4).expect("load initial engine");
     let path_a_cfg = path_a.clone();
     let server = start_server(engine, move |cfg| cfg.reload_path = Some(path_a_cfg));
     let mut client = Client::connect(server.local_addr());

@@ -55,12 +55,9 @@ fn stack_for(dict: &EfdDictionary) -> StackedRecognizer {
         .stack
         .iter()
         .map(|s| {
-            let name = s
-                .backend
-                .dictionary_backend()
-                .expect("manifest stacks dictionary stages");
-            let (engine, _keys) = Backend::parse(name)
-                .and_then(|b| b.from_dictionary(dict, &catalog(), 4))
+            let (engine, _keys) = Backend::for_stage(&s.backend)
+                .expect("manifest stacks dictionary stages")
+                .from_dictionary(dict, &catalog(), 4)
                 .expect("registry builds every dictionary stage");
             StackedStage {
                 name: s.backend.to_string(),
