@@ -62,8 +62,8 @@
 //! returned `Recognition` does (7 allocations for a recognized 2-node
 //! query, 11 for an ambiguous one). The verdict-only
 //! [`Recognize::answer_into`] fills a reusable [`efd_core::Answer`]
-//! instead: [`Snapshot`] overrides it with the
-//! [`keystore::answer_with`] kernel, and a warm call makes 0 allocations,
+//! instead: [`Snapshot`] overrides it with its probe pipeline, counting
+//! no label votes, and a warm call makes 0 allocations,
 //! which is what the daemon answers `RECOGNIZE` with
 //! (`tests/alloc_free.rs` counts them). This crate re-exports the traits
 //! ([`Learn`], [`Recognize`], [`ParallelRecognize`], [`VoteScratch`]) for

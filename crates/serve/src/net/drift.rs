@@ -141,11 +141,19 @@ impl std::fmt::Debug for DriftMonitor {
 
 impl DriftMonitor {
     /// A monitor with no baseline yet (never alarms until
-    /// [`DriftMonitor::rebaseline`] installs one).
+    /// [`DriftMonitor::rebaseline`] installs one). `window` is at least 1,
+    /// and `min_samples` at most `window`: the window never holds more
+    /// verdicts than that, so a larger threshold would keep it warming
+    /// forever.
     pub fn new(cfg: DriftConfig) -> Self {
         let window = cfg.window.max(1);
+        let min_samples = cfg.min_samples.min(window);
         Self {
-            cfg: DriftConfig { window, ..cfg },
+            cfg: DriftConfig {
+                window,
+                min_samples,
+                ..cfg
+            },
             inner: Mutex::new(Window {
                 ring: Vec::with_capacity(window),
                 head: 0,
@@ -312,6 +320,20 @@ mod tests {
         assert!(cleared);
         assert_eq!(m.snapshot().state, DriftState::Ok);
         assert_eq!(m.snapshot().unknown_rate, 0.0);
+    }
+
+    #[test]
+    fn min_samples_above_the_window_still_judges_a_full_window() {
+        let m = DriftMonitor::new(cfg(64, 128, 0.1));
+        m.rebaseline(Some(DriftBaseline {
+            unknown_rate: 0.0,
+            ambiguous_rate: 0.0,
+        }));
+        for _ in 0..64 {
+            m.record("unknown");
+        }
+        assert_eq!(m.snapshot().state, DriftState::Alarm);
+        assert_eq!(m.config().min_samples, 64);
     }
 
     #[test]

@@ -35,6 +35,26 @@
 //! one application, and the verdict-only path ([`Recognize::answer_into`])
 //! votes a slot's inline app without touching the postings; full
 //! recognition and keys of several apps walk the postings in place.
+//!
+//! ## Probe pipeline
+//!
+//! `recognize_into`, `answer_into` and `best_with` all run one pipeline.
+//! It takes the query's points in chunks of up to `PROBE_CHUNK` (16)
+//! and makes four passes over each chunk:
+//!
+//! 1. round and hash every point (a metric the store has no key for,
+//!    or a NaN or infinite mean, is a miss here);
+//! 2. read every point's home slot of the index;
+//! 3. compare records and walk probe chains;
+//! 4. vote the matched keys in point order.
+//!
+//! No load of pass 2 or 3 depends on another point's, so on a store
+//! larger than the CPU caches (a 1M-key store is 48 MiB) a chunk's
+//! index and record misses are in flight together instead of one after
+//! another. Pass 4 runs in point order, so the votes, and so the
+//! answers, are those of a point-at-a-time loop. A single probe
+//! ([`KeyStore::vote`], [`KeyStore::vote_apps`]) is the one-point case:
+//! it reads its home slot and walks the chain through the same helper.
 
 use std::hash::Hasher;
 use std::ops::Range;
@@ -47,7 +67,7 @@ use efd_telemetry::metric::MetricCatalog;
 use efd_telemetry::{AppLabel, MetricId};
 use efd_util::hash::FxMapHasher;
 
-use crate::keystore::{self, KeyStore};
+use crate::keystore::KeyStore;
 
 /// The record word of a vacant index slot, and the metrics-table entry
 /// of a catalog metric the store holds no key for.
@@ -56,6 +76,20 @@ const VACANT: u32 = u32::MAX;
 /// The app word of an index slot whose key's labels span several
 /// applications (or none): votes walk its postings.
 const MULTI: u32 = u32::MAX;
+
+/// Query points probed as one batch: enough independent index and
+/// record loads in flight to overlap their cache misses, few enough
+/// that a chunk's keys stay on the stack.
+const PROBE_CHUNK: usize = 16;
+
+/// What the pipeline's last pass counts for each matched point.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Votes {
+    /// Only the deduplicated apps: a verdict needs no label tallies.
+    Apps,
+    /// Labels and deduplicated apps, for a full [`Recognition`].
+    Labels,
+}
 
 /// An immutable dictionary served from EFDB-layout bytes through a
 /// load-time hash index.
@@ -323,31 +357,129 @@ impl Snapshot {
         Postings::over(&self.bytes[self.postings.clone()])
     }
 
-    /// `fp`'s postings offset and inline app ([`MULTI`] if none), if
-    /// the key exists.
+    /// The record words `fp` would have here and their home slot;
+    /// `None` when no key uses `fp`'s metric.
     #[inline]
-    fn find(&self, fp: &Fingerprint) -> Option<(u32, u32)> {
+    fn home(&self, fp: &Fingerprint) -> Option<([u64; 3], usize)> {
         let metric = *self.metrics.get(fp.metric.0 as usize)?;
         if metric == VACANT {
             return None;
         }
         let key = key_words(metric, fp);
+        Some((key, home_slot(&key, self.index.len() - 1)))
+    }
+
+    /// The chain walk every probe goes through: starting at `slot`,
+    /// whose entry `entry` the caller has already read, compare records
+    /// and step to the next slot until `key`'s record or a vacant slot.
+    /// Returns the key's postings offset and inline app ([`MULTI`] if
+    /// none), if it exists.
+    #[inline]
+    fn walk(&self, key: &[u64; 3], mut slot: usize, mut entry: [u32; 2]) -> Option<(u32, u32)> {
         let keys = self.keys();
         let mask = self.index.len() - 1;
-        let mut slot = home_slot(&key, mask);
         loop {
-            let [record, app] = self.index[slot];
+            let [record, app] = entry;
             if record == VACANT {
                 return None;
             }
             let at = record as usize * KEY_RECORD_LEN;
             let r = &keys[at..at + KEY_RECORD_LEN];
-            if record_words(r) == key {
+            if record_words(r) == *key {
                 let off = u32::from_le_bytes(r[22..26].try_into().expect("4 bytes"));
                 return Some((off, app));
             }
             slot = (slot + 1) & mask;
+            entry = self.index[slot];
         }
+    }
+
+    /// `fp`'s postings offset and inline app, if the key exists: the
+    /// pipeline's one-point case.
+    #[inline]
+    fn find(&self, fp: &Fingerprint) -> Option<(u32, u32)> {
+        let (key, slot) = self.home(fp)?;
+        self.walk(&key, slot, self.index[slot])
+    }
+
+    /// Vote a found key's labels (wide SWAR counters when `wide` is set)
+    /// and its deduplicated apps.
+    #[inline]
+    fn vote_labels(&self, off: u32, scratch: &mut VoteScratch, wide: bool) {
+        scratch.begin_point();
+        self.blob().for_each_label(off, |id| {
+            let label = LabelId::from_index(id as usize);
+            if wide {
+                scratch.vote_label_wide(label);
+            } else {
+                scratch.vote_label(label);
+            }
+            scratch.vote_app_deduped(self.label_app[id as usize]);
+        });
+    }
+
+    /// Vote a found key's deduplicated apps: its inline app, or the apps
+    /// of its postings when its labels span several.
+    #[inline]
+    fn vote_apps_of(&self, off: u32, app: u32, scratch: &mut VoteScratch) {
+        if app != MULTI {
+            scratch.vote_app(AppNameId::from_index(app as usize));
+            return;
+        }
+        scratch.begin_point();
+        self.blob().for_each_label(off, |id| {
+            scratch.vote_app_deduped(self.label_app[id as usize]);
+        });
+    }
+
+    /// The probe pipeline (module docs): probe every point of `query`
+    /// chunk by chunk and vote the matched keys into `scratch` in point
+    /// order. Returns the points whose key exists. Label votes use the
+    /// widened counters whenever no label's 16-bit lane can saturate
+    /// (one vote per label per matched point, so
+    /// `points <= WIDE_VOTE_LIMIT` bounds every lane); with
+    /// [`Votes::Apps`] the label counters are not even grown.
+    fn vote_points(&self, query: &Query, scratch: &mut VoteScratch, votes: Votes) -> usize {
+        let labels = if votes == Votes::Labels {
+            self.labels.len()
+        } else {
+            0
+        };
+        scratch.ensure(labels, self.apps.len());
+        let wide = query.points.len() <= VoteScratch::WIDE_VOTE_LIMIT;
+        let mut matched = 0usize;
+        for chunk in query.points.chunks(PROBE_CHUNK) {
+            let n = chunk.len();
+            // 1. Round and hash every point.
+            let mut homes = [None; PROBE_CHUNK];
+            for (home, p) in homes.iter_mut().zip(chunk) {
+                *home = Fingerprint::from_raw(p.metric, p.node, p.interval, p.mean, self.depth)
+                    .and_then(|fp| self.home(&fp));
+            }
+            // 2. Read every home slot.
+            let mut entries = [[VACANT, MULTI]; PROBE_CHUNK];
+            for (entry, home) in entries.iter_mut().zip(&homes[..n]) {
+                if let Some((_, slot)) = *home {
+                    *entry = self.index[slot];
+                }
+            }
+            // 3. Compare records and walk probe chains.
+            let mut found = [None; PROBE_CHUNK];
+            for ((hit, home), &entry) in found.iter_mut().zip(&homes[..n]).zip(&entries) {
+                if let Some((key, slot)) = home {
+                    *hit = self.walk(key, *slot, entry);
+                }
+            }
+            // 4. Vote in point order.
+            for &(off, app) in found[..n].iter().flatten() {
+                matched += 1;
+                match votes {
+                    Votes::Apps => self.vote_apps_of(off, app, scratch),
+                    Votes::Labels => self.vote_labels(off, scratch, wide),
+                }
+            }
+        }
+        matched
     }
 
     /// Thaw back into a mutable [`EfdDictionary`] — e.g. to keep learning
@@ -425,12 +557,13 @@ impl Snapshot {
     /// and a final scan. This is what
     /// [`crate::BatchRecognizer::best_batch`] runs per worker thread.
     pub fn best_with<'s>(&'s self, query: &Query, scratch: &mut VoteScratch) -> Option<&'s str> {
-        keystore::best_with(self, query, scratch)
+        self.vote_points(query, scratch, Votes::Apps);
+        scratch.finish_best(&self.apps)
     }
 }
 
-/// Probes go through the hash index; label votes stream from the
-/// postings blob, and app votes dedup per point through the scratch
+/// One probe through the pipeline's chain walk; label votes stream from
+/// the postings blob, and app votes dedup per point through the scratch
 /// ([`VoteScratch::vote_app_deduped`]), exactly the oracle's semantics.
 /// [`KeyStore::vote_apps`] votes a key's inline app directly.
 impl KeyStore for Snapshot {
@@ -451,16 +584,7 @@ impl KeyStore for Snapshot {
         let Some((off, _)) = self.find(fp) else {
             return false;
         };
-        scratch.begin_point();
-        self.blob().for_each_label(off, |id| {
-            let label = LabelId::from_index(id as usize);
-            if wide {
-                scratch.vote_label_wide(label);
-            } else {
-                scratch.vote_label(label);
-            }
-            scratch.vote_app_deduped(self.label_app[id as usize]);
-        });
+        self.vote_labels(off, scratch, wide);
         true
     }
 
@@ -469,28 +593,24 @@ impl KeyStore for Snapshot {
         let Some((off, app)) = self.find(fp) else {
             return false;
         };
-        if app != MULTI {
-            scratch.vote_app(AppNameId::from_index(app as usize));
-            return true;
-        }
-        scratch.begin_point();
-        self.blob().for_each_label(off, |id| {
-            scratch.vote_app_deduped(self.label_app[id as usize]);
-        });
+        self.vote_apps_of(off, app, scratch);
         true
     }
 }
 
-/// The published form as an engine backend — `recognize_into` runs the
-/// shared [`keystore`] vote kernel: dense per-thread vote counters, no
-/// locks, answers in [`Recognition::normalized`] order.
+/// The published form as an engine backend — every call runs the probe
+/// pipeline: dense per-thread vote counters, no locks, answers in
+/// [`Recognition::normalized`] order. `answer_into` counts no label
+/// votes, so a warm scratch and answer make it allocation-free.
 impl Recognize for Snapshot {
     fn recognize_into(&self, query: &Query, scratch: &mut VoteScratch) -> Recognition {
-        keystore::recognize_with(self, query, scratch)
+        let matched = self.vote_points(query, scratch, Votes::Labels);
+        scratch.finish(&self.labels, &self.apps, matched, query.points.len())
     }
 
     fn answer_into(&self, query: &Query, scratch: &mut VoteScratch, out: &mut Answer) {
-        keystore::answer_with(self, query, scratch, out)
+        let matched = self.vote_points(query, scratch, Votes::Apps);
+        scratch.finish_answer(&self.apps, matched, query.points.len(), out);
     }
 }
 

@@ -8,7 +8,7 @@
 //! and drives exactly that path over the store-backed backends
 //! (`Snapshot`, `EfdbSnapshot`). After one warm-up pass it requires zero
 //! allocations per request for recognized, ambiguous and unknown
-//! payloads. Going through the trait object also shows that the
+//! payloads, and for a request longer than one probe chunk. Going through the trait object also shows that the
 //! forwarding impls reach each backend's own `answer_into`: the provided
 //! default builds a whole `Recognition` and would allocate.
 
@@ -20,10 +20,10 @@ use std::sync::Arc;
 
 use common::*;
 use efd_core::engine::{Answer, Recognize, VoteScratch};
-use efd_core::{binfmt, EfdDictionary, Query};
+use efd_core::{binfmt, EfdDictionary, LabeledObservation, Query};
 use efd_serve::net::protocol::{render_answer, write_answer, write_frame, Request, RequestRef};
 use efd_serve::{EfdbSnapshot, Snapshot};
-use efd_telemetry::{Interval, MetricCatalog};
+use efd_telemetry::{AppLabel, Interval, MetricCatalog};
 
 /// The system allocator, counting the calls made by the current thread
 /// (the test harness runs tests on parallel threads).
@@ -72,22 +72,40 @@ fn allocations(f: impl FnOnce()) -> u64 {
     CALLS.with(Cell::get) - before
 }
 
-/// `ft` alone, `aa`/`bb` tied at one level, and nothing near 1234.
+/// Nodes of the long request, more than two probe chunks of 16 points.
+const LONG: usize = 40;
+
+/// `ft` alone, `aa`/`bb` tied at one level, nothing near 1234, and `lu`
+/// at 9000 on each of [`LONG`] nodes.
 fn corpus_dict() -> EfdDictionary {
-    dict_with(&[
+    let mut dict = dict_with(&[
         ("ft", 6000.0),
         ("cg", 8110.0),
         ("aa", 7500.0),
         ("bb", 7500.0),
-    ])
+    ]);
+    dict.learn(&LabeledObservation {
+        label: AppLabel::new("lu", "X"),
+        query: Query::from_node_means(M, W, &[9000.0; LONG]),
+    });
+    dict
 }
 
-/// One payload per verdict kind, with the reply each must produce.
+/// One payload per verdict kind, and a [`LONG`]-mean request whose hits
+/// (`lu`) and misses (1234.5) span three probe chunks, with the verdict
+/// each must produce.
 fn payloads() -> Vec<(&'static str, Vec<u8>)> {
+    let long = (0..LONG)
+        .map(|node| match node % 3 {
+            2 => 1234.5,
+            _ => 9000.0 + node as f64,
+        })
+        .collect();
     [
-        ("recognized", [6010.0, 6000.0]),
-        ("ambiguous", [7500.0, 7500.0]),
-        ("unknown", [1234.5, 999.0]),
+        ("recognized", vec![6010.0, 6000.0]),
+        ("ambiguous", vec![7500.0, 7500.0]),
+        ("unknown", vec![1234.5, 999.0]),
+        ("recognized", long),
     ]
     .into_iter()
     .map(|(kind, means)| (kind, recognize_line(&means).into_bytes()))
@@ -169,7 +187,7 @@ fn warm_recognize_makes_no_allocations_on_store_backends() {
             else {
                 unreachable!()
             };
-            let want = render_answer("OK", 1, &dict.recognize(&query(&[means[0], means[1]])));
+            let want = render_answer("OK", 1, &dict.recognize(&query(&means)));
             let mut framed = Vec::new();
             write_frame(&mut framed, want.as_bytes()).unwrap();
             assert_eq!(path.wire, framed, "{backend}: {kind} reply");

@@ -44,14 +44,20 @@ pub fn dict_with(apps: &[(&str, f64)]) -> EfdDictionary {
     d
 }
 
-/// A two-node query over [`W`] on the harness metric.
-pub fn query(means: &[f64; 2]) -> Query {
+/// A query of `means` on nodes 0, 1, … over [`W`] on the harness
+/// metric.
+pub fn query(means: &[f64]) -> Query {
     Query::from_node_means(M, W, means)
 }
 
-/// The `RECOGNIZE` line for [`query`] with the same means.
-pub fn recognize_line(means: &[f64; 2]) -> String {
-    format!("RECOGNIZE {METRIC} {} {} {} {}", W.start, W.end, means[0], means[1])
+/// The `RECOGNIZE` line asking about `means` on nodes 0, 1, … over
+/// [`W`]: the line of [`query`] with the same means.
+pub fn recognize_line(means: &[f64]) -> String {
+    let mut line = format!("RECOGNIZE {METRIC} {} {}", W.start, W.end);
+    for mean in means {
+        line.push_str(&format!(" {mean}"));
+    }
+    line
 }
 
 /// One engine per backend kind, all built from the same dictionary, so
