@@ -2,15 +2,20 @@
 //!
 //! The `efd_serve` acceptance claim, quantified: freeze the trained
 //! dictionary into a [`efd_serve::Snapshot`] and answer a ≥ 10 000-query
-//! stream through [`efd_serve::BatchRecognizer`],
-//! against the single-threaded [`efd_core::EfdDictionary::recognize`]
-//! loop as baseline. Two served modes are measured:
+//! stream across worker threads, against the single-threaded
+//! [`efd_core::EfdDictionary::recognize`] loop as baseline. Two served
+//! modes are measured:
 //!
 //! * `batch_full` — full [`efd_core::Recognition`] per query (vote
-//!   tables, normalized ordering): answer-identical to the oracle.
-//! * `batch_best` — the zero-allocation verdict path
-//!   ([`efd_serve::BatchRecognizer::best_batch`]): only the application
-//!   name the paper's evaluation scores.
+//!   tables, normalized ordering) through
+//!   [`efd_core::engine::ParallelRecognize::recognize_batch_parallel`]:
+//!   answer-identical to the oracle.
+//! * `batch_best` — the verdict-only path: each worker of
+//!   [`efd_util::parallel_map_init`] runs
+//!   [`efd_core::engine::Recognize::answer_into`] into its own reused
+//!   scratch and [`efd_core::engine::Answer`] (no allocation once warm)
+//!   and keeps only the application name the paper's evaluation scores,
+//!   `Answer::apps().next()`.
 //!
 //! Speedup comes from two independent levers: worker parallelism
 //! (`EFD_THREADS`, default = available cores) and the dense-counter read
@@ -40,15 +45,15 @@ use std::time::Instant;
 
 use criterion::black_box;
 use efd_bench::{bench_dataset, headline_metric};
-use efd_core::engine::{Answer, Recognize, VoteScratch};
+use efd_core::engine::{Answer, ParallelRecognize, Recognize, VoteScratch};
 use efd_core::observation::{LabeledObservation, Query};
 use efd_core::training::{Efd, EfdConfig};
 use efd_core::RoundingDepth;
 use efd_serve::net::protocol::{render_answer, write_answer, Request, RequestRef};
-use efd_serve::{BatchRecognizer, Snapshot};
+use efd_serve::Snapshot;
 use efd_telemetry::trace::MetricSelection;
 use efd_telemetry::Interval;
-use efd_util::{num_threads, SplitMix64, TextTable};
+use efd_util::{num_threads, parallel_map_init, SplitMix64, TextTable};
 
 fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key)
@@ -130,12 +135,20 @@ fn main() {
         "1.00x".to_string(),
     ]);
 
-    let server = BatchRecognizer::new(Arc::new(Snapshot::freeze(&dict)));
+    let snapshot = Snapshot::freeze(&dict);
     let t_full = time_best_of(reps, || {
-        black_box(server.recognize_batch(&queries).len());
+        black_box(snapshot.recognize_batch_parallel(&queries).len());
     });
     let t_best = time_best_of(reps, || {
-        black_box(server.best_batch(&queries).len());
+        let best = parallel_map_init(
+            &queries,
+            || (VoteScratch::default(), Answer::default()),
+            |(scratch, answer), q| {
+                snapshot.answer_into(q, scratch, answer);
+                answer.apps().next().map(str::to_string)
+            },
+        );
+        black_box(best.len());
     });
     for (mode, t) in [("batch_full", t_full), ("batch_best", t_best)] {
         table.add_row(vec![
@@ -166,8 +179,8 @@ fn main() {
     // one reused scratch, so the only variable is the dispatch mechanism.
     // ------------------------------------------------------------------
 
-    /// Generic driver: monomorphizes per backend — this is what
-    /// `BatchRecognizer<R>` and every `R: Recognize` call site compile to.
+    /// Generic driver: monomorphizes per backend — this is what every
+    /// `R: Recognize` call site compiles to.
     fn drive<R: Recognize>(backend: &R, queries: &[Query], scratch: &mut VoteScratch) -> usize {
         let mut matched = 0usize;
         for q in queries {
@@ -176,7 +189,6 @@ fn main() {
         matched
     }
 
-    let snapshot = Snapshot::freeze(&dict);
     let boxed: Box<dyn Recognize + Send + Sync> = Box::new(snapshot.clone());
     let mut scratch = VoteScratch::default();
 

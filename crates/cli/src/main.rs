@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use efd_catalog::{Baseline, Catalog, CatalogRef, Manifest, StageBackend};
-use efd_core::engine::Recognize;
+use efd_core::engine::{ParallelRecognize, Recognize};
 use efd_core::{binfmt, serialize, EfdDictionary};
 use efd_eval::classifier::{EfdClassifier, ExecutionClassifier, TaxonomistClassifier};
 use efd_eval::engine::{EngineClassifier, MlBackend};
@@ -295,7 +295,7 @@ fn scenario_backends(arg: &str) -> Result<Vec<efd_eval::BackendKind>, String> {
 /// shares), then scored on every requested scenario × intensity cell.
 /// `concept-drift` cells grow an extra online-relearning arm
 /// (`snapshot+relearn`): the same drifted sequence served live through
-/// `OnlineSession` with aging/eviction maintenance between chunks.
+/// `OnlineRecognizer` with aging/eviction maintenance between chunks.
 fn cmd_evaluate_scenario(args: &Args) -> Result<(), String> {
     let kinds = scenario_kinds(args.flag("scenario").expect("checked by caller"))?;
     let backends = scenario_backends(args.flag("backend").unwrap_or("all"))?;
@@ -839,11 +839,10 @@ fn serve_batch(
     queries: &[efd_core::Query],
     repeat: usize,
 ) -> std::time::Duration {
-    let server = efd_serve::BatchRecognizer::new(engine);
     let start = std::time::Instant::now();
     let mut answers = Vec::new();
     for _ in 0..repeat {
-        answers = server.recognize_batch(queries);
+        answers = engine.recognize_batch_parallel(queries);
     }
     let elapsed = start.elapsed();
     let total = queries.len() * repeat;

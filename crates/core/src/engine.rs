@@ -3,8 +3,8 @@
 //! The repository grew several recognition backends — the single-threaded
 //! [`EfdDictionary`](crate::EfdDictionary) oracle, the conjunctive
 //! [`ComboDictionary`](crate::multi::ComboDictionary), and the serving
-//! forms in `efd-serve` (snapshots, sharded dictionaries, streaming
-//! sessions) — each of which used to expose its own inherent
+//! forms in `efd-serve` (snapshots, sharded, durable and stacked
+//! dictionaries) — each of which used to expose its own inherent
 //! `learn`/`recognize` signatures. SIREN (Jakobsche et al., 2025) frames
 //! HPC recognition as a pipeline of *interchangeable* identification
 //! methods; this module is that contract:
@@ -179,35 +179,11 @@ impl VoteScratch {
         }
     }
 
-    /// Drain the accumulated **app** votes into the answer the paper's
-    /// evaluation scores ([`Recognition::best`]): the most-voted
-    /// application, breaking ties by lexicographically smallest name.
-    /// `None` when nothing matched. Resets the scratch; never allocates.
-    pub fn finish_best<'a>(&mut self, apps: &'a [String]) -> Option<&'a str> {
-        let mut top = 0u32;
-        let mut best: Option<&'a str> = None;
-        for &id in &self.touched_apps {
-            let votes = self.app_counts[id.index()];
-            let name = apps[id.index()].as_str();
-            if votes > top || (votes == top && best.is_some_and(|b| name < b)) {
-                top = votes;
-                best = Some(name);
-            }
-        }
-        for id in self.touched_apps.drain(..) {
-            self.app_counts[id.index()] = 0;
-        }
-        while let Some(id) = self.touched_labels.pop() {
-            self.drain_label_count(id.index());
-        }
-        best
-    }
-
     /// Drain the accumulated **app** votes into `out`: the top vote count
     /// and every app that reached it, in name order — the verdict of
     /// [`VoteScratch::finish`] without its vote tables. Resets the
-    /// scratch like [`VoteScratch::finish_best`]; allocates nothing once
-    /// the scratch and `out` have held an answer this size.
+    /// scratch, label counters included; allocates nothing once the
+    /// scratch and `out` have held an answer this size.
     pub fn finish_answer(
         &mut self,
         apps: &[String],
@@ -671,14 +647,16 @@ mod tests {
     }
 
     #[test]
-    fn finish_best_resets_wide_counters() {
+    fn finish_answer_resets_wide_counters() {
         let apps = ["ft".to_string()];
         let mut s = VoteScratch::default();
+        let mut answer = Answer::default();
         s.ensure(1, 1);
         s.vote_label_wide(LabelId::from_index(0));
         s.begin_point();
         s.vote_app_deduped(AppNameId::from_index(0));
-        assert_eq!(s.finish_best(&apps), Some("ft"));
+        s.finish_answer(&apps, 1, 1, &mut answer);
+        assert_eq!(answer.apps().next(), Some("ft"));
         // The wide counter was drained: a scalar-path reuse sees zero.
         s.vote_label(LabelId::from_index(0));
         let labels = [lab("ft", "X")];

@@ -2,23 +2,34 @@
 //!
 //! The paper's pitch is low latency: a verdict within the first two
 //! minutes, *while the job is still running*. [`OnlineRecognizer`] wires
-//! the telemetry stream into the dictionary: samples are fed as they
-//! arrive (per node, per metric, per second); window aggregators emit
-//! means the moment each fingerprint window closes; when every stream's
-//! windows have closed, the recognizer emits its verdict. No raw series
-//! are buffered — memory is O(nodes × metrics).
+//! the telemetry stream into an engine: samples are fed as they arrive
+//! (per node, per metric, per second); window aggregators emit means the
+//! moment each fingerprint window closes; when every stream's windows
+//! have closed, the recognizer emits its verdict. No raw series are
+//! buffered — memory is O(nodes × metrics).
+//!
+//! The recognizer holds its engine by value and works with any
+//! [`Recognize`] backend through the engine API's forwarding impls: a
+//! borrowed `&EfdDictionary` in a lab harness, or an owned
+//! `Arc<Snapshot>` / `Arc<dyn Recognize + Send + Sync>` in a service,
+//! which makes the session `'static` and `Send` and lets it
+//! [`swap`](OnlineRecognizer::swap) to a newer publication mid-stream.
+//! Verdicts come through the trait, so they are in
+//! [`Recognition::normalized`] order whatever the engine.
 
 use efd_telemetry::streaming::MultiWindowAggregator;
 use efd_telemetry::{Interval, MetricId, NodeId};
 use efd_util::FxHashMap;
 
-use crate::dictionary::{EfdDictionary, Recognition};
+use crate::dictionary::Recognition;
+use crate::engine::Recognize;
 use crate::observation::{ObsPoint, Query};
 
-/// Incremental recognizer over live telemetry streams.
+/// Incremental recognizer over live telemetry streams, answering through
+/// the engine `E` it holds.
 #[derive(Debug, Clone)]
-pub struct OnlineRecognizer<'d> {
-    dict: &'d EfdDictionary,
+pub struct OnlineRecognizer<E> {
+    engine: E,
     intervals: Vec<Interval>,
     aggs: FxHashMap<(NodeId, MetricId), MultiWindowAggregator>,
     points: Vec<ObsPoint>,
@@ -26,10 +37,15 @@ pub struct OnlineRecognizer<'d> {
     emitted: bool,
 }
 
-impl<'d> OnlineRecognizer<'d> {
-    /// Set up streams for `nodes × metrics`, fingerprinting `intervals`.
+impl<E: Recognize> OnlineRecognizer<E> {
+    /// Set up streams for `nodes × metrics`, fingerprinting `intervals`,
+    /// answered by `engine`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `intervals` is empty.
     pub fn new(
-        dict: &'d EfdDictionary,
+        engine: E,
         metrics: &[MetricId],
         nodes: &[NodeId],
         intervals: Vec<Interval>,
@@ -43,7 +59,7 @@ impl<'d> OnlineRecognizer<'d> {
         }
         let expected_summaries = nodes.len() * metrics.len() * intervals.len();
         Self {
-            dict,
+            engine,
             intervals,
             aggs,
             points: Vec::new(),
@@ -52,20 +68,37 @@ impl<'d> OnlineRecognizer<'d> {
         }
     }
 
+    /// The engine verdicts are currently computed against.
+    pub fn engine(&self) -> &E {
+        &self.engine
+    }
+
+    /// Point the session at another engine (a newer publication). Window
+    /// means collected so far are kept — only the dictionary behind the
+    /// verdict changes.
+    pub fn swap(&mut self, engine: E) {
+        self.engine = engine;
+    }
+
     /// Seconds after which all windows have closed (worst case).
     pub fn horizon_s(&self) -> u32 {
         self.intervals.iter().map(|iv| iv.end).max().unwrap_or(0)
     }
 
     /// Feed one sample. Returns the final recognition exactly once — when
-    /// the last open window across all streams closes.
-    pub fn push(&mut self, node: NodeId, metric: MetricId, t: u32, value: f64) -> Option<Recognition> {
+    /// the last open window across all streams closes. Samples for
+    /// undeclared `(node, metric)` streams are ignored.
+    pub fn push(
+        &mut self,
+        node: NodeId,
+        metric: MetricId,
+        t: u32,
+        value: f64,
+    ) -> Option<Recognition> {
         if self.emitted {
             return None;
         }
-        let Some(agg) = self.aggs.get_mut(&(node, metric)) else {
-            return None; // undeclared stream: ignore
-        };
+        let agg = self.aggs.get_mut(&(node, metric))?;
         for summary in agg.push(t, value) {
             self.points.push(ObsPoint {
                 metric,
@@ -117,14 +150,16 @@ impl<'d> OnlineRecognizer<'d> {
         let q = Query {
             points: self.points.clone(),
         };
-        self.dict.recognize(&q)
+        self.engine.recognize(&q)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use crate::dictionary::Verdict;
+    use crate::dictionary::{EfdDictionary, Verdict};
     use crate::observation::LabeledObservation;
     use crate::rounding::RoundingDepth;
     use efd_telemetry::AppLabel;
@@ -132,13 +167,27 @@ mod tests {
     const M: MetricId = MetricId(0);
     const W: Interval = Interval::PAPER_DEFAULT;
 
-    fn dict() -> EfdDictionary {
+    /// The engine a service streams against: owned, shared, picked at
+    /// runtime.
+    type Served = Arc<dyn Recognize + Send + Sync>;
+
+    fn dict_with(apps: &[(&str, f64)]) -> EfdDictionary {
         let mut d = EfdDictionary::new(RoundingDepth::new(2));
-        d.learn(&LabeledObservation {
-            label: AppLabel::new("ft", "X"),
-            query: Query::from_node_means(M, W, &[6000.0, 6000.0]),
-        });
+        for &(app, mean) in apps {
+            d.learn(&LabeledObservation {
+                label: AppLabel::new(app, "X"),
+                query: Query::from_node_means(M, W, &[mean, mean]),
+            });
+        }
         d
+    }
+
+    fn dict() -> EfdDictionary {
+        dict_with(&[("ft", 6000.0)])
+    }
+
+    fn served(apps: &[(&str, f64)]) -> Served {
+        Arc::new(dict_with(apps))
     }
 
     #[test]
@@ -193,6 +242,7 @@ mod tests {
         let mut rec = OnlineRecognizer::new(&d, &[M], &[NodeId(0)], vec![W]);
         assert!(rec.push(NodeId(9), M, 0, 1.0).is_none());
         assert_eq!(rec.collected(), 0);
+        assert_eq!(rec.current().verdict, Verdict::Unknown);
     }
 
     #[test]
@@ -206,5 +256,44 @@ mod tests {
             }
         }
         assert_eq!(emitted, 1);
+    }
+
+    #[test]
+    fn session_is_send_and_static() {
+        // An owned engine makes the session `'static` and `Send`: it can
+        // move to another thread while streaming.
+        let mut rec = OnlineRecognizer::new(served(&[("ft", 6000.0)]), &[M], &[NodeId(0)], vec![W]);
+        for t in 0..90u32 {
+            rec.push(NodeId(0), M, t, 6005.0);
+        }
+        let handle = std::thread::spawn(move || rec.finish());
+        let r = handle.join().expect("session thread");
+        assert_eq!(r.verdict, Verdict::Recognized("ft".into()));
+    }
+
+    #[test]
+    fn swap_mid_stream_uses_newer_dictionary() {
+        // Stream an app the first publication does not know yet.
+        let mut rec = OnlineRecognizer::new(served(&[("ft", 6000.0)]), &[M], &[NodeId(0)], vec![W]);
+        for t in 0..100u32 {
+            rec.push(NodeId(0), M, t, 8110.0);
+        }
+        assert_eq!(rec.finish().verdict, Verdict::Unknown);
+
+        // Same stream, but the dictionary learned "cg" mid-flight.
+        let mut rec = OnlineRecognizer::new(served(&[("ft", 6000.0)]), &[M], &[NodeId(0)], vec![W]);
+        for t in 0..100u32 {
+            rec.push(NodeId(0), M, t, 8110.0);
+            if t == 50 {
+                rec.swap(served(&[("ft", 6000.0), ("cg", 8110.0)]));
+            }
+        }
+        assert_eq!(
+            rec.engine()
+                .recognize(&Query::from_node_means(M, W, &[8110.0]))
+                .best(),
+            Some("cg")
+        );
+        assert_eq!(rec.finish().verdict, Verdict::Recognized("cg".into()));
     }
 }

@@ -181,6 +181,14 @@ pub enum WalError {
         /// The underlying format error.
         error: BinFormatError,
     },
+    /// Append: a string of the record is longer than its `u16` length
+    /// prefix can say. Nothing was written.
+    StringTooLong {
+        /// Which field (`app`, `input` or `metric`).
+        what: &'static str,
+        /// Its length in bytes.
+        len: usize,
+    },
     /// An I/O operation failed (message carries `std::io::Error` text).
     Io {
         /// Path the operation touched.
@@ -236,6 +244,11 @@ impl fmt::Display for WalError {
                 "missing segments: log requires segment {expected}, newest on disk is {found}"
             ),
             WalError::Segment { path, error } => write!(f, "segment {path}: {error}"),
+            WalError::StringTooLong { what, len } => write!(
+                f,
+                "{what} of {len} bytes is over the WAL's {}-byte string limit",
+                u16::MAX
+            ),
             WalError::Io { path, message } => write!(f, "{path}: {message}"),
         }
     }
@@ -378,13 +391,44 @@ const KIND_LEARN: u8 = 1;
 const KIND_FORGET_APP: u8 = 2;
 const KIND_FORGET_LABEL: u8 = 3;
 
+impl WalRecord {
+    /// Refuse a record with a string its `u16` length prefix cannot
+    /// hold; [`WalDir::append`] checks this before writing a byte.
+    fn check_strings(&self) -> Result<(), WalError> {
+        let fits = |what, s: &str| {
+            if s.len() > u16::MAX as usize {
+                Err(WalError::StringTooLong { what, len: s.len() })
+            } else {
+                Ok(())
+            }
+        };
+        match self {
+            WalRecord::Learn(l) => {
+                fits("app", &l.app)?;
+                fits("input", &l.input)?;
+                l.points.iter().try_for_each(|p| fits("metric", &p.metric))
+            }
+            WalRecord::ForgetApp { app } => fits("app", app),
+            WalRecord::ForgetLabel { app, input } => {
+                fits("app", app)?;
+                fits("input", input)
+            }
+        }
+    }
+}
+
 fn push_str(out: &mut Vec<u8>, s: &str) {
-    debug_assert!(s.len() <= u16::MAX as usize, "WAL string over 64 KiB");
-    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
+    let len = u16::try_from(s.len()).expect("WAL string over 65535 bytes (append refuses these)");
+    out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(s.as_bytes());
 }
 
 /// Encode a record's payload (everything after the `len`+`crc` frame).
+///
+/// # Panics
+///
+/// Panics if a string of the record is over 65 535 bytes;
+/// [`WalDir::append`] refuses such a record before encoding it.
 pub fn encode_payload(rec: &WalRecord) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     match rec {
@@ -906,8 +950,11 @@ impl WalDir {
     }
 
     /// Append one operation record under the sync policy. On `Ok`, the
-    /// record is written (and synced, policy permitting).
+    /// record is written (and synced, policy permitting). A record with a
+    /// string over 65 535 bytes is refused with
+    /// [`WalError::StringTooLong`] and leaves the log untouched.
     pub fn append(&mut self, rec: &WalRecord) -> Result<(), WalError> {
+        rec.check_strings()?;
         let log_path = self.dir.join(LOG_FILE);
         let frame = frame_record(rec);
         self.file

@@ -27,12 +27,9 @@ use efd_core::multi::ComboDictionary;
 use efd_core::{binfmt, serialize, EfdDictionary, LabeledObservation, Query, RoundingDepth};
 use efd_eval::engine::MlBackend;
 use efd_ml::taxonomist::TaxonomistConfig;
-use efd_serve::{
-    Backend, BatchRecognizer, ComboSnapshot, EfdbSnapshot, OnlineSession, ShardedDictionary,
-    Snapshot,
-};
+use efd_serve::{Backend, EfdbSnapshot, ShardedDictionary, Snapshot};
 use efd_telemetry::catalog::small_catalog;
-use efd_telemetry::{AppLabel, Interval, MetricId, NodeId};
+use efd_telemetry::{AppLabel, Interval, MetricId};
 
 const M: MetricId = MetricId(0);
 const W: Interval = Interval::PAPER_DEFAULT;
@@ -216,36 +213,12 @@ conformance!(exact: sharded_dictionary_from_parts, |observations: &[LabeledObser
     ShardedDictionary::from_parts(oracle(observations).to_parts(), 4)
 });
 
-conformance!(exact: combo_snapshot, |observations: &[LabeledObservation]| {
-    let mut c = ComboDictionary::new(vec![M], depth());
-    c.learn_all(observations);
-    ComboSnapshot::freeze(c)
-});
-
-conformance!(exact: online_session, |observations: &[LabeledObservation]| {
-    // Ad-hoc queries answer against the session's current publication.
-    let snap = Arc::new(Snapshot::freeze(&oracle(observations)));
-    OnlineSession::new(snap, &[M], &[NodeId(0)], vec![W])
-});
-
 conformance!(exact: efdb_snapshot_zero_copy, |observations: &[LabeledObservation]| {
     // Learned state -> canonical EFDB bytes -> served in place: the
     // daemon's cold-start path answers byte-for-byte like the oracle.
     let catalog = small_catalog();
     let bytes = binfmt::write(&oracle(observations).to_parts(), &catalog);
     EfdbSnapshot::load(bytes, &catalog).expect("canonical bytes always check")
-});
-
-conformance!(exact: efdb_snapshot_behind_batch_front_end, |observations: &[LabeledObservation]| {
-    let catalog = small_catalog();
-    let bytes = binfmt::write(&oracle(observations).to_parts(), &catalog);
-    BatchRecognizer::new(Arc::new(
-        EfdbSnapshot::load(bytes, &catalog).expect("canonical bytes always check"),
-    ))
-});
-
-conformance!(exact: batch_recognizer_front_end, |observations: &[LabeledObservation]| {
-    BatchRecognizer::new(Arc::new(Snapshot::freeze(&oracle(observations))))
 });
 
 conformance!(exact: boxed_dyn_recognize, |observations: &[LabeledObservation]| {

@@ -9,7 +9,7 @@
 //!   Taxonomist, kNN, Gaussian naive Bayes) as engine backends: it
 //!   implements [`Learn`]/[`Recognize`], so a feature classifier can be
 //!   dropped anywhere a dictionary backend goes (conformance harness,
-//!   `BatchRecognizer`, a `Box<dyn Recognize>` behind the CLI).
+//!   `recognize_batch_parallel`, a `Box<dyn Recognize>` behind the CLI).
 //! * [`EngineClassifier`] — the reverse direction: wraps **any**
 //!   `Learn + Recognize` engine as an [`ExecutionClassifier`], so engine
 //!   backends run under the paper's five-experiment evaluation harness

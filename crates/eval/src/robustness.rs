@@ -17,21 +17,22 @@
 //!
 //! [`drift_relearn`] is the online-relearning arm of `concept-drift`: an
 //! [`AgingDictionary`] keeps learning each drifted run after its verdict,
-//! republishing [`Snapshot`]s that live [`OnlineSession`]s [`swap`] to
+//! republishing [`Snapshot`]s that live [`OnlineRecognizer`]s [`swap`] to
 //! mid-stream, with epoch advances aging out stale keys — the
 //! learn-while-serve loop a production deployment would run.
 //!
-//! [`swap`]: OnlineSession::swap
+//! [`swap`]: OnlineRecognizer::swap
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use efd_core::engine::{Learn, Recognize, VoteScratch};
 use efd_core::maintenance::AgingDictionary;
+use efd_core::online::OnlineRecognizer;
 use efd_core::wal::WalOptions;
 use efd_core::{EfdDictionary, LabeledObservation, ObsPoint, Query, Recognition, RoundingDepth};
 use efd_ml::taxonomist::TaxonomistConfig;
-use efd_serve::{Backend, DurableDictionary, OnlineSession, Snapshot};
+use efd_serve::{Backend, DurableDictionary, Snapshot};
 use efd_telemetry::metric::MetricCatalog;
 use efd_telemetry::{Interval, MetricId, NodeId};
 use efd_workload::scenario::{split, ScenarioData};
@@ -49,7 +50,7 @@ pub enum BackendKind {
     Snapshot,
     /// Concurrent [`efd_serve::ShardedDictionary`].
     Sharded,
-    /// Conjunctive multi-metric combo ([`efd_serve::ComboSnapshot`]).
+    /// Conjunctive multi-metric combo ([`efd_core::multi::ComboDictionary`]).
     Combo,
     /// The read-only [`efd_serve::Snapshot`] loaded from canonical EFDB
     /// bytes.
@@ -360,7 +361,7 @@ where
 /// The online-relearning arm of `concept-drift`.
 ///
 /// Serves the drifted test sequence the way a live deployment would:
-/// each run streams its samples into an [`OnlineSession`] against the
+/// each run streams its samples into an [`OnlineRecognizer`] against the
 /// current [`Snapshot`] publication (swapping to the newest publication
 /// mid-stream, at the fingerprint window's open), is scored, and is then
 /// learned — labeled with its ground truth — into an [`AgingDictionary`].
@@ -401,7 +402,7 @@ pub fn drift_relearn(
             // swaps to the newest one mid-stream, exactly when the
             // fingerprint window opens — the learn-while-serve handoff.
             let mut session =
-                OnlineSession::new(Arc::clone(&previous), &[metric], &nodes, vec![interval]);
+                OnlineRecognizer::new(Arc::clone(&previous), &[metric], &nodes, vec![interval]);
             for t in 0..=interval.end {
                 if t == interval.start {
                     session.swap(Arc::clone(&current));

@@ -13,7 +13,7 @@ use efd_core::engine::Recognize;
 use efd_core::multi::ComboDictionary;
 use efd_core::{EfdDictionary, LabeledObservation, Query, RoundingDepth, Verdict};
 use efd_eval::MlBackend;
-use efd_serve::{ComboSnapshot, Snapshot, StackedRecognizer, StackedStage};
+use efd_serve::{Snapshot, StackedRecognizer, StackedStage};
 use efd_telemetry::catalog::small_catalog;
 use efd_telemetry::{Interval, MetricId};
 use efd_workload::scenario::{build, CleanRuns, ScenarioKind, ScenarioSpec};
@@ -50,7 +50,7 @@ fn stack_over(train: &[efd_workload::scenario::ScenarioRun]) -> (EfdDictionary, 
         },
         StackedStage {
             name: "combo".into(),
-            engine: Arc::new(ComboSnapshot::freeze(combo)),
+            engine: Arc::new(combo),
             min_confidence: 0.5,
         },
         StackedStage {

@@ -41,7 +41,7 @@ use efd_core::{binfmt, serialize, EfdDictionary};
 use efd_telemetry::MetricCatalog;
 
 use crate::net::DriftBaseline;
-use crate::{ComboSnapshot, ShardedDictionary, Snapshot};
+use crate::{ShardedDictionary, Snapshot};
 
 /// A built backend: the recognizer every request answers through, and
 /// its key count (conjunctive keys for [`Backend::Combo`]).
@@ -58,7 +58,7 @@ pub enum Backend {
     Snapshot,
     /// Live [`ShardedDictionary`] behind per-shard `RwLock`s.
     Sharded,
-    /// Conjunctive [`ComboSnapshot`] over a single-metric dictionary.
+    /// Conjunctive [`ComboDictionary`] over a single-metric dictionary.
     Combo,
     /// The read-only [`Snapshot`] over canonical EFDB bytes; over a live
     /// dictionary it encodes them first ([`binfmt::write_dictionary`]).
@@ -148,7 +148,7 @@ impl Backend {
                 let combo = ComboDictionary::from_single_metric(dict)
                     .ok_or("the combo backend needs a non-empty single-metric dictionary")?;
                 let keys = combo.len();
-                (Arc::new(ComboSnapshot::freeze(combo)), keys)
+                (Arc::new(combo), keys)
             }
             Backend::Efdb => {
                 let bytes = binfmt::write_dictionary(dict, catalog);

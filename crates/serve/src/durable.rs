@@ -256,4 +256,40 @@ mod tests {
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    #[test]
+    fn over_long_name_is_refused_and_the_log_stays_clean() {
+        let catalog = small_catalog();
+        let dir = std::env::temp_dir().join(format!("efd-durable-long-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let depth = RoundingDepth::new(2);
+        let options = WalOptions {
+            sync: SyncPolicy::Always,
+            ..WalOptions::default()
+        };
+        let q_cg = Query::from_node_means(MetricId(0), Interval::PAPER_DEFAULT, &[8110.0; 4]);
+
+        {
+            let (served, _) = DurableDictionary::open(&dir, depth, 4, &catalog, options).unwrap();
+            let long = "a".repeat(70_000);
+            for (app, input) in [(long.as_str(), "X"), ("ft", long.as_str())] {
+                let err = served.learn(&obs(app, input, &[6020.0; 4])).unwrap_err();
+                assert!(
+                    matches!(err, WalError::StringTooLong { len: 70_000, .. }),
+                    "{err}"
+                );
+            }
+            assert!(
+                served.dictionary().is_empty(),
+                "a refused learn is not applied"
+            );
+            served.learn(&obs("cg", "X", &[8110.0; 4])).unwrap();
+        }
+
+        let (served, rec) = DurableDictionary::open(&dir, depth, 4, &catalog, options).unwrap();
+        assert_eq!(rec.tail_fault, None);
+        assert_eq!(rec.replayed, 1);
+        assert_eq!(served.recognize(&q_cg).best(), Some("cg"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -35,7 +35,8 @@ pub type EfdbSnapshot = crate::Snapshot;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Recognize, Snapshot};
+    use crate::{Recognize, Snapshot, VoteScratch};
+    use efd_core::engine::Answer;
     use efd_core::{
         binfmt, BinFormatError, EfdDictionary, LabeledObservation, Query, RoundingDepth,
     };
@@ -81,7 +82,9 @@ mod tests {
             let oracle = dict.recognize(&q).normalized();
             assert_eq!(loaded.recognize(&q), oracle);
             assert_eq!(frozen.recognize(&q), oracle);
-            assert_eq!(loaded.best(&q), oracle.best());
+            let mut answer = Answer::default();
+            loaded.answer_into(&q, &mut VoteScratch::default(), &mut answer);
+            assert_eq!(answer, Answer::from(&oracle));
         }
     }
 
@@ -121,7 +124,6 @@ mod tests {
         assert!(loaded.is_empty());
         let q = Query::from_node_means(m, W, &[1.0]);
         assert_eq!(loaded.recognize(&q).verdict, efd_core::Verdict::Unknown);
-        assert_eq!(loaded.best(&q), None);
     }
 
     #[test]

@@ -45,8 +45,8 @@ pub trait KeyStore {
     /// path otherwise. Returns whether the key exists.
     fn vote(&self, fp: &Fingerprint, scratch: &mut VoteScratch, wide: bool) -> bool;
 
-    /// Probe `fp` and vote only its deduplicated apps — the verdict-only
-    /// fast path behind `best`-style calls. Returns whether the key
-    /// exists.
+    /// Probe `fp` and vote only its deduplicated apps — the one-point
+    /// case of the verdict-only path behind `answer_into`. Returns
+    /// whether the key exists.
     fn vote_apps(&self, fp: &Fingerprint, scratch: &mut VoteScratch) -> bool;
 }

@@ -23,16 +23,6 @@
 //!   single-query path is also measurably faster than the core oracle
 //!   (see the `perf_serving` bench). [`EfdbSnapshot`] is an alias of
 //!   it.
-//! * [`BatchRecognizer`] — fans a `&[Query]` out over
-//!   [`efd_util::parallel_map_init`] with per-thread scratch, answering
-//!   batches at full hardware parallelism.
-//! * [`ComboSnapshot`] — the served form of
-//!   [`efd_core::multi::ComboDictionary`]: conjunctive multi-metric voting
-//!   against an immutable snapshot.
-//! * [`OnlineSession`] — the served form of
-//!   [`efd_core::online::OnlineRecognizer`]: a `'static` streaming session
-//!   holding an `Arc<Snapshot>`, so live jobs keep recognizing while the
-//!   dictionary behind them is re-published.
 //! * [`DurableDictionary`] — a [`ShardedDictionary`] whose learns are
 //!   written ahead to an [`efd_core::wal`] directory: crash the process,
 //!   reopen, and serve exactly the durably-acknowledged state.
@@ -69,6 +59,16 @@
 //! ([`Learn`], [`Recognize`], [`ParallelRecognize`], [`VoteScratch`]) for
 //! convenience.
 //!
+//! The traits are also the whole serving API; no wrapper type repeats
+//! them. A batch is [`ParallelRecognize::recognize_batch_parallel`] on
+//! the published engine (one scratch per worker thread, answers in input
+//! order). A live stream is an [`efd_core::online::OnlineRecognizer`]
+//! holding an `Arc` of the engine, which makes it `'static` and lets it
+//! `swap` to a newer publication mid-stream. The conjunctive
+//! [`efd_core::multi::ComboDictionary`] is served as
+//! `Arc<ComboDictionary>`. A verdict-only caller reads
+//! `Answer::apps().next()` after [`Recognize::answer_into`].
+//!
 //! ## Equivalence contract
 //!
 //! Serving must not change answers. Every recognition produced here equals
@@ -82,8 +82,8 @@
 //! ## Typical lifecycle
 //!
 //! ```text
-//! EfdDictionary --to_parts()--> DictionaryParts --freeze--> Snapshot --Arc--> BatchRecognizer
-//!        ^                                                     |
+//! EfdDictionary --to_parts()--> DictionaryParts --freeze--> Snapshot --Arc--+--> recognize_batch_parallel
+//!        ^                                                     |            +--> OnlineRecognizer
 //!        |                     ShardedDictionary --snapshot()--+
 //!        |                        ^  (concurrent learn)
 //!        +---- to_dictionary() ---+
@@ -93,24 +93,18 @@
 #![warn(rust_2018_idioms)]
 
 pub mod backend;
-pub mod batch;
-pub mod combo;
 pub mod durable;
 pub mod efdb;
 pub mod keystore;
 pub mod net;
-pub mod online;
 pub mod shard;
 pub mod snapshot;
 pub mod stacked;
 
 pub use backend::{Backend, DictSource};
-pub use batch::BatchRecognizer;
-pub use combo::ComboSnapshot;
 pub use durable::DurableDictionary;
 pub use efdb::EfdbSnapshot;
 pub use keystore::KeyStore;
-pub use online::OnlineSession;
 pub use shard::ShardedDictionary;
 pub use snapshot::Snapshot;
 pub use stacked::{StackedRecognizer, StackedStage};

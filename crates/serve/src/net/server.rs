@@ -82,6 +82,8 @@ use std::thread::{self, JoinHandle, Scope};
 use std::time::{Duration, Instant};
 
 use efd_core::engine::{Answer, Recognize, VoteScratch};
+use efd_core::online::OnlineRecognizer;
+use efd_core::wal::WalError;
 use efd_core::{LabeledObservation, Query, Recognition};
 use efd_telemetry::{AppLabel, Interval, MetricCatalog, MetricId, NodeId};
 
@@ -91,7 +93,7 @@ use super::protocol::{
     answer_label, write_answer, write_frame, FrameError, FrameReader, RequestRef, MAX_FRAME,
     READ_CHUNK,
 };
-use crate::{Backend, DictSource, DurableDictionary, OnlineSession};
+use crate::{Backend, DictSource, DurableDictionary};
 
 /// Connection read-timeout tick: how often a quiet connection checks
 /// its idle deadline and the shutdown flag.
@@ -481,10 +483,11 @@ fn accept_loop<'s>(shared: &'s Shared, listener: TcpListener, scope: &'s Scope<'
     }
 }
 
-/// Per-connection streaming state: one open [`OnlineSession`] plus the
-/// generation and wall-clock instant it was opened against.
+/// Per-connection streaming state: one open [`OnlineRecognizer`] over
+/// the published engine plus the generation and wall-clock instant it
+/// was opened against.
 struct StreamState {
-    sess: OnlineSession<dyn Recognize + Send + Sync>,
+    sess: OnlineRecognizer<Arc<dyn Recognize + Send + Sync>>,
     metric: MetricId,
     gen: u64,
     opened: Instant,
@@ -659,7 +662,7 @@ fn dispatch(shared: &Shared, payload: &[u8], conn: &mut Conn, out: &mut Vec<u8>)
             };
             let p = shared.current();
             let node_ids: Vec<NodeId> = (0..nodes).map(NodeId).collect();
-            let sess = OnlineSession::new(
+            let sess = OnlineRecognizer::new(
                 Arc::clone(&p.engine.recognizer),
                 &[m],
                 &node_ids,
@@ -726,6 +729,10 @@ fn dispatch(shared: &Shared, payload: &[u8], conn: &mut Conn, out: &mut Vec<u8>)
             };
             let _ = match learner.learn(&obs) {
                 Ok(()) => write!(out, "LEARNED {}", learner.dictionary().len()),
+                Err(e @ WalError::StringTooLong { .. }) => {
+                    shared.metrics.count_error("malformed");
+                    write!(out, "ERR malformed {e}")
+                }
                 Err(e) => write!(out, "ERR io {e}"),
             };
         }

@@ -38,7 +38,7 @@
 //!
 //! ## Probe pipeline
 //!
-//! `recognize_into`, `answer_into` and `best_with` all run one pipeline.
+//! `recognize_into` and `answer_into` both run one pipeline.
 //! It takes the query's points in chunks of up to `PROBE_CHUNK` (16)
 //! and makes four passes over each chunk:
 //!
@@ -540,26 +540,6 @@ impl Snapshot {
     pub fn label_count(&self) -> usize {
         self.labels.len()
     }
-
-    /// Fast-path recognition that skips building the full [`Recognition`]:
-    /// returns only what the paper's evaluation scores
-    /// ([`Recognition::best`]) — the recognized application, the
-    /// lexicographically smallest tied application, or `None` for unknown.
-    ///
-    /// Agrees with `recognize(query).best()` by construction.
-    pub fn best(&self, query: &Query) -> Option<&str> {
-        let mut scratch = VoteScratch::default();
-        self.best_with(query, &mut scratch)
-    }
-
-    /// [`Snapshot::best`] with caller-owned scratch: the zero-allocation
-    /// serving hot path. No vote tables, no strings — dense app counters
-    /// and a final scan. This is what
-    /// [`crate::BatchRecognizer::best_batch`] runs per worker thread.
-    pub fn best_with<'s>(&'s self, query: &Query, scratch: &mut VoteScratch) -> Option<&'s str> {
-        self.vote_points(query, scratch, Votes::Apps);
-        scratch.finish_best(&self.apps)
-    }
 }
 
 /// One probe through the pipeline's chain walk; label votes stream from
@@ -624,6 +604,13 @@ mod tests {
     const M: MetricId = MetricId(0);
     const W: Interval = Interval::PAPER_DEFAULT;
 
+    /// The verdict-only answer, through fresh scratch.
+    fn answer(snap: &Snapshot, q: &Query) -> Answer {
+        let mut out = Answer::default();
+        snap.answer_into(q, &mut VoteScratch::default(), &mut out);
+        out
+    }
+
     fn toy_dict() -> EfdDictionary {
         let mut d = EfdDictionary::new(RoundingDepth::new(2));
         for (app, input, means) in [
@@ -666,7 +653,7 @@ mod tests {
                 let served = snap.recognize(&q);
                 let oracle = dict.recognize(&q).normalized();
                 assert_eq!(served, oracle, "{how}");
-                assert_eq!(snap.best(&q), oracle.best(), "{how}");
+                assert_eq!(answer(&snap, &q), Answer::from(&oracle), "{how}");
             }
         }
     }
@@ -721,7 +708,7 @@ mod tests {
         assert_eq!(via_efdb.app_names(), via_freeze.app_names());
         for q in queries() {
             assert_eq!(via_efdb.recognize(&q), via_freeze.recognize(&q));
-            assert_eq!(via_efdb.best(&q), via_freeze.best(&q));
+            assert_eq!(answer(&via_efdb, &q), answer(&via_freeze, &q));
         }
     }
 
@@ -820,6 +807,6 @@ mod tests {
         assert!(snap.is_empty());
         let r = snap.recognize(&Query::from_node_means(M, W, &[1.0]));
         assert_eq!(r.verdict, efd_core::Verdict::Unknown);
-        assert_eq!(snap.best(&Query::from_node_means(M, W, &[1.0])), None);
+        assert_eq!(answer(&snap, &Query::from_node_means(M, W, &[1.0])).tied(), 0);
     }
 }

@@ -14,7 +14,7 @@ use efd_core::multi::ComboDictionary;
 use efd_core::{binfmt, EfdDictionary, LabeledObservation, Query, RoundingDepth};
 use efd_serve::net::protocol::{write_frame, FrameError, FrameReader};
 use efd_serve::net::{Engine, Server, ServerConfig};
-use efd_serve::{ComboSnapshot, EfdbSnapshot, ShardedDictionary, Snapshot};
+use efd_serve::{EfdbSnapshot, ShardedDictionary, Snapshot};
 use efd_telemetry::catalog::small_catalog;
 use efd_telemetry::{AppLabel, Interval, MetricCatalog, MetricId};
 
@@ -74,7 +74,7 @@ pub fn engines_for(dict: &EfdDictionary) -> Vec<Engine> {
             keys,
             "sharded",
         ),
-        Engine::fixed(Arc::new(ComboSnapshot::freeze(combo)), keys, "combo"),
+        Engine::fixed(Arc::new(combo), keys, "combo"),
         Engine::fixed(
             Arc::new(EfdbSnapshot::load(efdb, &cat).expect("round-tripped EFDB bytes")),
             keys,

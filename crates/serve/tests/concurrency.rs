@@ -4,12 +4,12 @@
 //! [`EfdDictionary`] that learned the same observations.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
+use efd_core::engine::Answer;
 use efd_core::{EfdDictionary, LabeledObservation, Query, Recognition, RoundingDepth};
-use efd_serve::{BatchRecognizer, Recognize, ShardedDictionary};
+use efd_serve::{ParallelRecognize, Recognize, ShardedDictionary, VoteScratch};
 use efd_telemetry::{AppLabel, Interval, MetricId};
-use efd_util::SplitMix64;
+use efd_util::{parallel_map_init, SplitMix64};
 
 const M: MetricId = MetricId(0);
 const W: Interval = Interval::PAPER_DEFAULT;
@@ -150,15 +150,22 @@ fn snapshot_batch_matches_oracle_at_every_shard_count() {
     // Published by a live dictionary of each shard count.
     for shards in [1usize, 2, 8, 32] {
         let live = ShardedDictionary::from_parts(oracle.to_parts(), shards);
-        let snap = Arc::new(live.snapshot());
+        let snap = live.snapshot();
         assert_eq!(snap.len(), oracle.len(), "shards={shards}");
-        let server = BatchRecognizer::new(Arc::clone(&snap));
-        let answers = server.recognize_batch(&probe_queries);
+        let answers = snap.recognize_batch_parallel(&probe_queries);
         assert_eq!(answers, expected, "shards={shards}");
-        // The verdict-only fast path agrees with the full path.
-        let bests = server.best_batch(&probe_queries);
-        for (b, e) in bests.iter().zip(&expected) {
-            assert_eq!(b.as_deref(), e.best(), "shards={shards}");
+        // The verdict-only path agrees with the full path, per worker.
+        let verdicts = parallel_map_init(
+            &probe_queries,
+            || (VoteScratch::default(), Answer::default()),
+            |(scratch, answer), q| {
+                snap.answer_into(q, scratch, answer);
+                answer.clone()
+            },
+        );
+        for (got, e) in verdicts.iter().zip(&expected) {
+            assert_eq!(got, &Answer::from(e), "shards={shards}");
+            assert_eq!(got.apps().next(), e.best(), "shards={shards}");
         }
     }
 }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::*;
-use efd_core::wal::WalOptions;
+use efd_core::wal::{SyncPolicy, WalOptions};
 use efd_core::RoundingDepth;
 use efd_serve::net::protocol::render_answer;
 use efd_serve::net::Engine;
@@ -312,6 +312,48 @@ fn durable_daemon_learns_over_the_wire_and_refuses_swaps() {
 
     server.shutdown();
     server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn durable_daemon_refuses_an_over_long_learn_and_keeps_serving() {
+    let dir = scratch_dir("wal-long");
+    let open = || {
+        DurableDictionary::open(
+            &dir,
+            RoundingDepth::new(2),
+            4,
+            &catalog(),
+            WalOptions {
+                sync: SyncPolicy::Always,
+                ..WalOptions::default()
+            },
+        )
+        .expect("open WAL dir")
+    };
+    let server = start_server(efd_serve::net::Engine::durable(Arc::new(open().0)), |_| {});
+    let mut client = Client::connect(server.local_addr());
+    let (start, end) = (W.start, W.end);
+
+    // A 70 000-byte app name fits a frame but not the WAL's u16 length.
+    let long = "a".repeat(70_000);
+    let resp = client.request(&format!("LEARN {long} X {METRIC} {start} {end} 6000 6000"));
+    assert!(resp.starts_with("ERR malformed"), "got {resp:?}");
+    assert_eq!(
+        client.request(&format!("LEARN ft X {METRIC} {start} {end} 6000 6000")),
+        "LEARNED 2"
+    );
+    assert_eq!(
+        client.request(&recognize_line(&[6000.0, 6000.0])),
+        "OK 1 2 2 recognized ft"
+    );
+    server.shutdown();
+    server.join();
+
+    // The refused learn left no record behind: recovery replays one.
+    let (_, recovery) = open();
+    assert_eq!(recovery.tail_fault, None);
+    assert_eq!(recovery.replayed, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

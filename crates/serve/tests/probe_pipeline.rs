@@ -7,7 +7,7 @@
 //! hits, misses, NaN and infinite means and metrics the store lacks, so
 //! the chunk edges at 15/16/17 and 32/33 points are crossed. The
 //! `freeze` and `load` forms must agree with the [`EfdDictionary`]
-//! oracle through `recognize_into`, `answer_into` and `best_with`.
+//! oracle through `recognize_into` and `answer_into`.
 
 use efd_core::engine::Answer;
 use efd_core::observation::ObsPoint;
@@ -106,12 +106,7 @@ proptest! {
                 );
                 snap.answer_into(&q, &mut scratch, &mut answer);
                 prop_assert_eq!(&answer, &Answer::from(&oracle), "{} answer_into", form);
-                prop_assert_eq!(
-                    snap.best_with(&q, &mut scratch),
-                    oracle.best(),
-                    "{} best_with",
-                    form
-                );
+                prop_assert_eq!(answer.apps().next(), oracle.best(), "{} scored verdict", form);
             }
         }
     }

@@ -130,9 +130,9 @@ fn assert_agree(what: &str, oracle: &EfdDictionary, queries: &[Query]) -> usize 
                 "{what}, query #{i}: {name} answer"
             );
             assert_eq!(
-                snap.best_with(q, &mut scratch),
+                answer.apps().next(),
                 expected.best(),
-                "{what}, query #{i}: {name} verdict fast path"
+                "{what}, query #{i}: {name} scored verdict"
             );
         }
         matched += usize::from(expected.matched_points > 0);
@@ -258,11 +258,13 @@ fn every_form_of_an_empty_dictionary_answers_unknown() {
     let forms = every_form(&oracle);
     assert!(forms.iter().all(|(_, snap)| snap.is_empty()));
     let mut scratch = VoteScratch::default();
+    let mut answer = Answer::default();
     for q in random_queries(4, catalog.len(), 50, 7) {
         let expected = oracle.recognize(&q).normalized();
         for (name, snap) in &forms {
             assert_eq!(snap.recognize_into(&q, &mut scratch), expected, "{name}");
-            assert_eq!(snap.best_with(&q, &mut scratch), None, "{name}");
+            snap.answer_into(&q, &mut scratch, &mut answer);
+            assert_eq!(answer.apps().next(), None, "{name}");
         }
     }
 }

@@ -7,12 +7,12 @@
 //!
 //! The serving lifecycle on top of the paper's pipeline: train an EFD on
 //! the synthetic dataset, publish it as a runtime-selected
-//! `Box<dyn Recognize + Send + Sync>` (an immutable [`Snapshot`], a live
-//! [`ShardedDictionary`], or a conjunctive `ComboSnapshot` — the same
+//! `Arc<dyn Recognize + Send + Sync>` (an immutable [`Snapshot`], a live
+//! [`ShardedDictionary`], or a conjunctive `ComboDictionary` — the same
 //! loop serves all three), fan a 10 000-query stream over worker threads
-//! with the generic [`BatchRecognizer`], then learn a *new* application
-//! concurrently and re-publish — the paper's "learning new applications
-//! is as simple as adding new keys", done live.
+//! with [`ParallelRecognize::recognize_batch_parallel`], then learn a
+//! *new* application concurrently and re-publish — the paper's "learning
+//! new applications is as simple as adding new keys", done live.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -50,7 +50,7 @@ fn main() {
         "combo" => {
             let combo = efd::core::multi::ComboDictionary::from_single_metric(dict)
                 .expect("trained dictionary is single-metric");
-            Arc::new(efd::serve::ComboSnapshot::freeze(combo)) as _
+            Arc::new(combo) as _
         }
         other => {
             eprintln!("unknown backend {other:?} (snapshot|sharded|combo)");
@@ -75,11 +75,10 @@ fn main() {
         })
         .collect();
 
-    // The batch front end is generic over `R: Recognize + Sync`; here R is
-    // the trait object itself.
-    let server = BatchRecognizer::new(Arc::clone(&backend));
+    // Every `Recognize + Sync` engine batches in parallel; here it is the
+    // trait object itself.
     let t = Instant::now();
-    let answers = server.recognize_batch(&stream);
+    let answers = backend.recognize_batch_parallel(&stream);
     let dt = t.elapsed();
     let recognized = answers.iter().filter(|r| r.best().is_some()).count();
     println!(
@@ -100,7 +99,7 @@ fn main() {
     }
 
     // Live learning: thaw into a sharded dictionary, learn a brand-new
-    // app from two threads, re-publish, swap it into the server.
+    // app from two threads, re-publish, serve the new publication.
     let sharded = ShardedDictionary::from_parts(snapshot.to_dictionary().into_parts(), 8);
     let novel = Query::from_node_means(metric, Interval::PAPER_DEFAULT, &[123_456.0; 4]);
     std::thread::scope(|s| {
@@ -115,9 +114,8 @@ fn main() {
             });
         }
     });
-    let mut server = server;
-    server.swap(Arc::new(sharded.snapshot()) as _);
-    let verdict = server.recognize_batch(std::slice::from_ref(&novel));
+    let backend: Arc<dyn Recognize + Send + Sync> = Arc::new(sharded.snapshot());
+    let verdict = backend.recognize_batch_parallel(std::slice::from_ref(&novel));
     assert_eq!(verdict[0].best(), Some("newapp"));
     println!(
         "re-published: verdict for the live-learned app = {:?}",

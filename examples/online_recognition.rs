@@ -6,12 +6,11 @@
 //!
 //! The paper's pitch is low latency: related work waits for the whole
 //! execution, the EFD answers two minutes in. This example streams a
-//! job's telemetry sample by sample into a served [`OnlineSession`]
-//! (the `'static`, snapshot-backed streaming form) and prints the moment
-//! the verdict drops. Because the session also implements the engine
-//! API's [`Recognize`] trait, the same object answers ad-hoc queries
-//! against its current publication — a session table doubles as a fleet
-//! of ordinary backends.
+//! job's telemetry sample by sample into an [`OnlineRecognizer`] that
+//! holds an `Arc` of a published [`Snapshot`] (so the session is
+//! `'static` and could swap to a newer publication mid-stream), and
+//! prints the moment the verdict drops. The engine it holds answers
+//! ad-hoc queries through the same [`Recognize`] trait.
 
 use std::sync::Arc;
 
@@ -47,7 +46,7 @@ fn main() {
     );
 
     let nodes: Vec<NodeId> = job.nodes.iter().map(|n| n.node).collect();
-    let mut session = OnlineSession::new(
+    let mut session = OnlineRecognizer::new(
         Arc::clone(&snapshot),
         &[metric],
         &nodes,
@@ -74,17 +73,17 @@ fn main() {
     }
     println!("ground truth was: {}", job.label);
 
-    // The session is an engine backend too: ad-hoc queries answer against
-    // the publication it currently serves, identically to the snapshot.
+    // Ad-hoc queries answer against the publication the session
+    // currently holds, identically to the snapshot itself.
     let probe = Query::from_trace(
         &dataset.materialize_prefix(0, &selection, 120),
         &[metric],
         &[Interval::PAPER_DEFAULT],
     );
-    let via_session = Recognize::recognize(&session, &probe);
+    let via_session = session.engine().recognize(&probe);
     assert_eq!(via_session, Recognize::recognize(&snapshot, &probe));
     println!(
-        "ad-hoc query through the session (engine API): {:?}",
+        "ad-hoc query through the session's engine: {:?}",
         via_session.verdict
     );
 }

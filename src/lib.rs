@@ -56,7 +56,7 @@ pub mod prelude {
     pub use efd_core::online::OnlineRecognizer;
     pub use efd_core::rounding::{round_to_depth, RoundingDepth};
     pub use efd_core::training::{DepthPolicy, Efd, EfdConfig};
-    pub use efd_serve::{BatchRecognizer, OnlineSession, ShardedDictionary, Snapshot};
+    pub use efd_serve::{ShardedDictionary, Snapshot};
     pub use efd_telemetry::trace::{ExecutionTrace, MetricSelection, NodeTrace};
     pub use efd_telemetry::{AppLabel, Interval, MetricCatalog, MetricId, NodeId, TimeSeries};
     pub use efd_workload::{AppId, Dataset, DatasetSpec, InputSize, SubsetKind};

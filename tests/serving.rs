@@ -1,7 +1,7 @@
 //! Facade-level serving test: the full pipeline (synthetic dataset →
-//! training → freeze → sharded batch) answers exactly like the
-//! single-threaded dictionary, and the serve re-exports are reachable
-//! through `efd::prelude` / `efd::serve`.
+//! training → freeze → parallel batch) answers exactly like the
+//! single-threaded dictionary, and the serving types are reachable
+//! through `efd::prelude`.
 
 use std::sync::Arc;
 
@@ -30,13 +30,14 @@ fn served_pipeline_matches_oracle_on_dataset() {
 
     let snapshot = Arc::new(Snapshot::freeze(dict));
     assert_eq!(snapshot.len(), dict.len());
-    let server = BatchRecognizer::new(Arc::clone(&snapshot));
-    let answers = server.recognize_batch(&queries);
+    let answers = snapshot.recognize_batch_parallel(&queries);
 
+    let (mut scratch, mut answer) = (VoteScratch::default(), Answer::default());
     for (q, served) in queries.iter().zip(&answers) {
         let oracle = dict.recognize(q).normalized();
         assert_eq!(served, &oracle);
-        assert_eq!(snapshot.best(q), oracle.best());
+        snapshot.answer_into(q, &mut scratch, &mut answer);
+        assert_eq!(answer.apps().next(), oracle.best());
     }
 
     // Training data recognizes itself (sanity that the pipeline is live).
@@ -50,8 +51,6 @@ fn served_pipeline_matches_oracle_on_dataset() {
 
 #[test]
 fn online_session_through_facade() {
-    use efd::serve::OnlineSession;
-
     let mut dict = EfdDictionary::new(RoundingDepth::new(2));
     dict.learn(&LabeledObservation {
         label: AppLabel::new("ft", "X"),
@@ -59,7 +58,7 @@ fn online_session_through_facade() {
     });
     let snap = Arc::new(Snapshot::freeze(&dict));
 
-    let mut session = OnlineSession::new(
+    let mut session = OnlineRecognizer::new(
         snap,
         &[MetricId(0)],
         &[NodeId(0), NodeId(1)],
