@@ -212,6 +212,27 @@ mod tests {
     }
 
     #[test]
+    fn emits_once_when_window_closes() {
+        // A shared served engine, streamed well past the horizon: exactly
+        // one verdict, at window close.
+        let mut rec = OnlineRecognizer::new(served(&[("ft", 6000.0)]), &[M], &[NodeId(0), NodeId(1)], vec![W]);
+        assert_eq!(rec.horizon_s(), 120);
+        let mut verdict = None;
+        for t in 0..=150u32 {
+            for n in [NodeId(0), NodeId(1)] {
+                let v = if t < 60 { 50_000.0 } else { 6010.0 };
+                if let Some(r) = rec.push(n, M, t, v) {
+                    assert!(verdict.is_none(), "double emit");
+                    verdict = Some((t, r));
+                }
+            }
+        }
+        let (t, r) = verdict.expect("no verdict by horizon");
+        assert_eq!(t, 120);
+        assert_eq!(r.verdict, Verdict::Recognized("ft".into()));
+    }
+
+    #[test]
     fn current_is_unknown_before_any_window_closes() {
         let d = dict();
         let mut rec = OnlineRecognizer::new(&d, &[M], &[NodeId(0)], vec![W]);
