@@ -26,13 +26,25 @@
 //! plain `--load` outside the catalog) the monitor never alarms — there
 //! is nothing sound to compare to.
 //!
-//! The monitor is a fixed ring of verdict classes under a `Mutex`; a
-//! few dozen nanoseconds per verdict against a mutex held for a handful
-//! of instructions, which is noise next to a socket round trip. State
-//! transitions are returned from [`DriftMonitor::record`] so the server
-//! can log them exactly once per edge, not per request.
+//! The monitor is a fixed ring of verdict kinds under a `Mutex`. The
+//! daemon does not take that lock per verdict: each connection keeps
+//! the kinds of a pipelined burst in order and hands them over in one
+//! [`DriftMonitor::record_batch`], one lock per burst, before the
+//! burst's replies are flushed. The batch is judged verdict by verdict
+//! under that lock, so it crosses exactly the edges that recording its
+//! verdicts one at a time would, and every [`DriftEdge`] comes back to
+//! be logged once, outside the lock.
+//!
+//! A window belongs to one publication. [`DriftMonitor::rebaseline_for`]
+//! stamps it with the generation it now judges, and a batch carries the
+//! generation its verdicts were answered against; a batch from any
+//! other generation is dropped under the same lock, so verdicts answered
+//! by the old version just before a swap never count against the new
+//! version's baseline.
 
 use std::sync::Mutex;
+
+use super::protocol::VerdictKind;
 
 /// The published version's reference rates.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,17 +113,22 @@ pub struct DriftSnapshot {
     pub baseline: Option<DriftBaseline>,
 }
 
-/// Verdict classes the window tracks (the tie/`Ambiguous` rate is the
-/// paper's tie-array case; `Recognized` is everything else).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Class {
-    Recognized,
-    Ambiguous,
-    Unknown,
+/// A judgement change, with the window as it read right after the
+/// verdict that caused it (what the daemon logs).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DriftEdge {
+    /// Judgement before the verdict.
+    pub from: DriftState,
+    /// Judgement after it.
+    pub to: DriftState,
+    /// The window reading at the edge.
+    pub at: DriftSnapshot,
 }
 
 struct Window {
-    ring: Vec<Class>,
+    /// Verdict kinds; the tie/`Ambiguous` rate is the paper's tie-array
+    /// case, `Recognized` everything else that matched.
+    ring: Vec<VerdictKind>,
     /// Next write position.
     head: usize,
     /// Entries filled (saturates at ring capacity).
@@ -121,6 +138,21 @@ struct Window {
     baseline: Option<DriftBaseline>,
     /// Last judged state, for edge detection.
     last: DriftState,
+    /// The publication generation this window judges.
+    gen: u64,
+}
+
+impl Window {
+    /// Empty the window and judge against `baseline` from now on.
+    fn reset(&mut self, baseline: Option<DriftBaseline>) {
+        self.ring.clear();
+        self.head = 0;
+        self.filled = 0;
+        self.unknown = 0;
+        self.ambiguous = 0;
+        self.baseline = baseline;
+        self.last = DriftState::Warming;
+    }
 }
 
 /// Sliding-window drift monitor (see module docs).
@@ -162,6 +194,7 @@ impl DriftMonitor {
                 ambiguous: 0,
                 baseline: None,
                 last: DriftState::Warming,
+                gen: 0,
             }),
         }
     }
@@ -173,16 +206,17 @@ impl DriftMonitor {
 
     /// Install a new baseline and clear the window — called on every
     /// publication, so the new version is judged only by traffic it
-    /// answered itself.
+    /// answered itself. The window keeps its generation.
     pub fn rebaseline(&self, baseline: Option<DriftBaseline>) {
+        self.inner.lock().expect("drift lock").reset(baseline);
+    }
+
+    /// [`DriftMonitor::rebaseline`] for publication `gen`: from now on
+    /// only batches answered against `gen` are recorded.
+    pub fn rebaseline_for(&self, gen: u64, baseline: Option<DriftBaseline>) {
         let mut w = self.inner.lock().expect("drift lock");
-        w.ring.clear();
-        w.head = 0;
-        w.filled = 0;
-        w.unknown = 0;
-        w.ambiguous = 0;
-        w.baseline = baseline;
-        w.last = DriftState::Warming;
+        w.reset(baseline);
+        w.gen = gen;
     }
 
     /// Record one verdict by its stable label (`recognized` /
@@ -190,31 +224,58 @@ impl DriftMonitor {
     /// verdict changed the judgement — the server logs exactly those
     /// edges.
     pub fn record(&self, verdict_label: &str) -> Option<(DriftState, DriftState)> {
-        let class = match verdict_label {
-            "unknown" => Class::Unknown,
-            "ambiguous" => Class::Ambiguous,
-            _ => Class::Recognized,
-        };
         let mut w = self.inner.lock().expect("drift lock");
+        self.push(&mut w, VerdictKind::from_label(verdict_label))
+    }
+
+    /// Record a burst of verdicts, in answer order, under one lock, if
+    /// they were answered against the generation the window judges;
+    /// otherwise drop them and return `false`. Every judgement edge the
+    /// batch crosses is appended to `edges`.
+    pub fn record_batch(
+        &self,
+        gen: u64,
+        verdicts: &[VerdictKind],
+        edges: &mut Vec<DriftEdge>,
+    ) -> bool {
+        let mut w = self.inner.lock().expect("drift lock");
+        if w.gen != gen {
+            return false;
+        }
+        for &v in verdicts {
+            if let Some((from, to)) = self.push(&mut w, v) {
+                edges.push(DriftEdge {
+                    from,
+                    to,
+                    at: self.read(&w),
+                });
+            }
+        }
+        true
+    }
+
+    /// Slide one verdict into the window; the judgement edge it causes,
+    /// if any.
+    fn push(&self, w: &mut Window, v: VerdictKind) -> Option<(DriftState, DriftState)> {
         if w.ring.len() < self.cfg.window {
-            w.ring.push(class);
+            w.ring.push(v);
         } else {
             let head = w.head;
             match w.ring[head] {
-                Class::Unknown => w.unknown -= 1,
-                Class::Ambiguous => w.ambiguous -= 1,
-                Class::Recognized => {}
+                VerdictKind::Unknown => w.unknown -= 1,
+                VerdictKind::Ambiguous => w.ambiguous -= 1,
+                VerdictKind::Recognized => {}
             }
-            w.ring[head] = class;
+            w.ring[head] = v;
         }
         w.head = (w.head + 1) % self.cfg.window;
         w.filled = (w.filled + 1).min(self.cfg.window);
-        match class {
-            Class::Unknown => w.unknown += 1,
-            Class::Ambiguous => w.ambiguous += 1,
-            Class::Recognized => {}
+        match v {
+            VerdictKind::Unknown => w.unknown += 1,
+            VerdictKind::Ambiguous => w.ambiguous += 1,
+            VerdictKind::Recognized => {}
         }
-        let state = self.judge(&w);
+        let state = self.judge(w);
         if state != w.last {
             let from = w.last;
             w.last = state;
@@ -249,10 +310,13 @@ impl DriftMonitor {
 
     /// Current judgement and window rates.
     pub fn snapshot(&self) -> DriftSnapshot {
-        let w = self.inner.lock().expect("drift lock");
+        self.read(&self.inner.lock().expect("drift lock"))
+    }
+
+    fn read(&self, w: &Window) -> DriftSnapshot {
         let n = w.filled.max(1) as f64;
         DriftSnapshot {
-            state: self.judge(&w),
+            state: self.judge(w),
             samples: w.filled,
             unknown_rate: if w.filled == 0 { 0.0 } else { w.unknown as f64 / n },
             ambiguous_rate: if w.filled == 0 { 0.0 } else { w.ambiguous as f64 / n },
@@ -365,6 +429,64 @@ mod tests {
         let snap = m.snapshot();
         assert_eq!(snap.state, DriftState::Warming);
         assert_eq!(snap.samples, 0);
+    }
+
+    #[test]
+    fn a_batch_crosses_the_same_edges_as_single_records() {
+        use VerdictKind::{Ambiguous, Recognized, Unknown};
+        let baseline = Some(DriftBaseline {
+            unknown_rate: 0.1,
+            ambiguous_rate: 0.1,
+        });
+        // Warm up, alarm on unknowns, recover, alarm on ties, recover.
+        let mut verdicts = vec![Recognized; 5];
+        verdicts.extend([Unknown; 6]);
+        verdicts.extend([Recognized; 8]);
+        verdicts.extend([Ambiguous, Recognized, Ambiguous, Ambiguous, Ambiguous]);
+        verdicts.extend([Recognized; 9]);
+
+        let single = DriftMonitor::new(cfg(8, 4, 0.2));
+        single.rebaseline(baseline);
+        let mut want = Vec::new();
+        for v in &verdicts {
+            if let Some(edge) = single.record(v.label()) {
+                want.push(edge);
+            }
+        }
+        assert!(want.len() >= 5, "the mix must cross several edges: {want:?}");
+
+        // Split into uneven batches, as bursts arrive.
+        let batched = DriftMonitor::new(cfg(8, 4, 0.2));
+        batched.rebaseline_for(3, baseline);
+        let mut edges = Vec::new();
+        for chunk in verdicts.chunks(7) {
+            assert!(batched.record_batch(3, chunk, &mut edges));
+        }
+        let got: Vec<_> = edges.iter().map(|e| (e.from, e.to)).collect();
+        assert_eq!(got, want);
+        assert_eq!(batched.snapshot(), single.snapshot());
+        // Each edge carries the window as it read at that verdict.
+        let last = edges.last().expect("edges");
+        assert_eq!(last.at.state, last.to);
+    }
+
+    #[test]
+    fn a_stale_generation_batch_after_a_rebaseline_is_dropped() {
+        let m = DriftMonitor::new(cfg(8, 4, 0.1));
+        m.rebaseline_for(1, None);
+        let mut edges = Vec::new();
+        assert!(m.record_batch(1, &[VerdictKind::Unknown; 2], &mut edges));
+        assert_eq!(m.snapshot().samples, 2);
+        // Generation 2 is published while a burst answered by
+        // generation 1 is still being tallied; its batch arrives late.
+        m.rebaseline_for(2, None);
+        assert!(!m.record_batch(1, &[VerdictKind::Unknown; 6], &mut edges));
+        let snap = m.snapshot();
+        assert_eq!(snap.samples, 0, "the new version judged by old traffic");
+        assert_eq!(snap.state, DriftState::Warming);
+        assert!(edges.is_empty());
+        assert!(m.record_batch(2, &[VerdictKind::Recognized], &mut edges));
+        assert_eq!(m.snapshot().samples, 1);
     }
 
     #[test]

@@ -1,6 +1,14 @@
 //! The daemon's metric surface: every instrument the server touches,
-//! pre-registered at start so the hot path is pure atomics (no registry
-//! lock, no name lookup per request).
+//! pre-registered at start, so updating one is an atomic add with no
+//! registry lock and no name lookup.
+//!
+//! The `RECOGNIZE` hot path does not touch these shared instruments at
+//! all. Each connection counts its requests, verdicts and durations in
+//! a [`RequestTally`] of plain integers it owns, and merges that into
+//! the instruments once per burst ([`DaemonMetrics::merge`]), before
+//! the burst's replies are flushed. So every reply a client has received
+//! is already counted, and a scrape never sees a reply counted twice or
+//! a request missing once its reply arrived.
 //!
 //! Exported families (all documented with example queries in
 //! `docs/METRICS.md`):
@@ -24,11 +32,12 @@
 //! * `efd_scrapes_total` — `/metrics` scrapes served.
 
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
-use efd_telemetry::prom::{Counter, FloatGauge, Gauge, Histogram, Registry};
+use efd_telemetry::prom::{bucket_index, Counter, FloatGauge, Gauge, Histogram, Registry};
 
 use super::drift::{DriftSnapshot, DriftState};
-use super::protocol::{Command, COMMANDS};
+use super::protocol::{Command, VerdictKind, COMMANDS};
 
 /// Latency buckets for `efd_request_duration_seconds`: 25 µs … 1 s,
 /// roughly ×2–×2.5 steps — tight enough at the bottom to resolve the
@@ -56,8 +65,81 @@ pub const ERROR_KINDS: [&str; 8] = [
     "idle-timeout",
 ];
 
-/// Verdict label values, in registration order.
-pub const VERDICT_KINDS: [&str; 3] = ["recognized", "ambiguous", "unknown"];
+/// Verdict label values, in registration order ([`VerdictKind::index`]).
+pub const VERDICT_KINDS: [&str; 3] = [
+    VerdictKind::Recognized.label(),
+    VerdictKind::Ambiguous.label(),
+    VerdictKind::Unknown.label(),
+];
+
+/// One connection's bookkeeping for the requests it answered since its
+/// last merge, in plain integers only that connection writes:
+/// `RECOGNIZE` requests, verdicts by kind, request durations by
+/// histogram slot plus their sum, and the verdict kinds in answer order
+/// for the drift monitor. [`DaemonMetrics::merge`] adds it to the
+/// shared instruments in one go.
+///
+/// Its verdicts all belong to one publication generation; the server
+/// merges before it answers against another.
+#[derive(Debug, Default)]
+pub struct RequestTally {
+    recognize: u64,
+    durations: [u64; DURATION_BUCKETS.len() + 1],
+    duration_sum: f64,
+    observed: u64,
+    kinds: Vec<VerdictKind>,
+    gen: u64,
+}
+
+impl RequestTally {
+    /// Count one `RECOGNIZE` request.
+    #[inline]
+    pub fn count_recognize(&mut self) {
+        self.recognize += 1;
+    }
+
+    /// Count a verdict answered against generation `gen`.
+    #[inline]
+    pub fn count_verdict(&mut self, gen: u64, kind: VerdictKind) {
+        debug_assert!(
+            self.kinds.is_empty() || self.gen == gen,
+            "a tally holds one generation's verdicts"
+        );
+        self.gen = gen;
+        self.kinds.push(kind);
+    }
+
+    /// Observe one request's end-to-end latency.
+    #[inline]
+    pub fn observe_duration(&mut self, d: Duration) {
+        let secs = d.as_secs_f64();
+        self.durations[bucket_index(&DURATION_BUCKETS, secs)] += 1;
+        self.duration_sum += secs;
+        self.observed += 1;
+    }
+
+    /// True when nothing was counted since the last [`RequestTally::clear`].
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.observed == 0 && self.recognize == 0 && self.kinds.is_empty()
+    }
+
+    /// The verdict kinds in answer order, and the generation they were
+    /// answered against.
+    pub fn verdicts(&self) -> (u64, &[VerdictKind]) {
+        (self.gen, &self.kinds)
+    }
+
+    /// Forget everything counted (keeps the verdict buffer's capacity).
+    pub fn clear(&mut self) {
+        let mut kinds = std::mem::take(&mut self.kinds);
+        kinds.clear();
+        *self = RequestTally {
+            kinds,
+            ..RequestTally::default()
+        };
+    }
+}
 
 /// All daemon instruments, handle-cached over one [`Registry`].
 #[derive(Debug)]
@@ -250,6 +332,26 @@ impl DaemonMetrics {
         self.requests[c.index()].inc();
     }
 
+    /// Add a connection's [`RequestTally`] to the shared instruments:
+    /// one atomic add per non-zero counter and one
+    /// [`Histogram::merge`]. The drift monitor takes the tally's verdict
+    /// kinds separately.
+    pub fn merge(&self, t: &RequestTally) {
+        if t.recognize > 0 {
+            self.requests[Command::Recognize.index()].add(t.recognize);
+        }
+        let mut verdicts = [0; VERDICT_KINDS.len()];
+        for kind in &t.kinds {
+            verdicts[kind.index()] += 1;
+        }
+        for (counter, n) in self.verdicts.iter().zip(verdicts) {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
+        self.request_duration.merge(&t.durations, t.duration_sum);
+    }
+
     /// Count one verdict by its label (`recognized`/`ambiguous`/`unknown`).
     pub fn count_verdict(&self, label: &str) {
         if let Some(i) = VERDICT_KINDS.iter().position(|k| *k == label) {
@@ -313,6 +415,45 @@ mod tests {
             "efd_request_duration_seconds_count 1",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
+        }
+    }
+
+    #[test]
+    fn a_merged_tally_renders_like_per_request_counting() {
+        let direct = DaemonMetrics::new();
+        let merged = DaemonMetrics::new();
+        let mut tally = RequestTally::default();
+        let mix = [
+            (VerdictKind::Recognized, 20u64),
+            (VerdictKind::Unknown, 40),
+            (VerdictKind::Recognized, 3000),
+            (VerdictKind::Ambiguous, 2_000_000),
+        ];
+        for (kind, us) in mix {
+            // Both sides add the same durations in the same order, so
+            // even `_sum` renders identically.
+            let d = Duration::from_micros(us);
+            direct.count_request(Command::Recognize);
+            direct.count_verdict(kind.label());
+            direct.request_duration.observe_duration(d);
+            tally.count_recognize();
+            tally.count_verdict(7, kind);
+            tally.observe_duration(d);
+        }
+        assert!(!tally.is_empty());
+        merged.merge(&tally);
+        assert_eq!(merged.render(), direct.render());
+        assert_eq!(tally.verdicts().0, 7);
+        assert_eq!(tally.verdicts().1.len(), mix.len());
+        tally.clear();
+        assert!(tally.is_empty());
+        assert_eq!(tally.verdicts().1, &[]);
+    }
+
+    #[test]
+    fn verdict_kinds_index_their_labels() {
+        for kind in [VerdictKind::Recognized, VerdictKind::Ambiguous, VerdictKind::Unknown] {
+            assert_eq!(VERDICT_KINDS[kind.index()], kind.label());
         }
     }
 

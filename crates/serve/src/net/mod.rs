@@ -22,7 +22,7 @@ pub mod metrics;
 pub mod protocol;
 pub mod server;
 
-pub use drift::{DriftBaseline, DriftConfig, DriftMonitor, DriftSnapshot, DriftState};
+pub use drift::{DriftBaseline, DriftConfig, DriftEdge, DriftMonitor, DriftSnapshot, DriftState};
 pub use metrics::DaemonMetrics;
 pub use protocol::{FrameError, FrameReader, Request, MAX_FRAME};
 pub use server::{Engine, EngineLoader, ServeSummary, Server, ServerConfig};

@@ -331,9 +331,10 @@ impl Command {
         }
     }
 
-    /// Index into [`COMMANDS`]-ordered metric arrays.
+    /// Index into [`COMMANDS`]-ordered metric arrays: the declaration
+    /// order, which [`COMMANDS`] follows.
     pub fn index(self) -> usize {
-        COMMANDS.iter().position(|c| *c == self).expect("in COMMANDS")
+        self as usize
     }
 }
 
@@ -687,6 +688,56 @@ fn parse_means<'a>(it: impl Iterator<Item = &'a str>, out: &mut Vec<f64>) -> Res
     Ok(())
 }
 
+/// The three verdict kinds a reply, a counter or the drift window
+/// tells apart. Declared in `efd_verdicts_total` registration order, so
+/// [`VerdictKind::index`] indexes per-verdict arrays directly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VerdictKind {
+    /// One application won the vote.
+    Recognized,
+    /// Several applications tied (the paper's tie array).
+    Ambiguous,
+    /// No key matched.
+    Unknown,
+}
+
+impl VerdictKind {
+    /// The kind of an [`Answer`], by the size of its tie array.
+    #[inline]
+    pub fn of(answer: &Answer) -> VerdictKind {
+        match answer.tied() {
+            0 => VerdictKind::Unknown,
+            1 => VerdictKind::Recognized,
+            _ => VerdictKind::Ambiguous,
+        }
+    }
+
+    /// The kind named by a stable label; anything but `unknown` and
+    /// `ambiguous` reads as recognized.
+    pub fn from_label(label: &str) -> VerdictKind {
+        match label {
+            "unknown" => VerdictKind::Unknown,
+            "ambiguous" => VerdictKind::Ambiguous,
+            _ => VerdictKind::Recognized,
+        }
+    }
+
+    /// Stable label value: `recognized`, `ambiguous` or `unknown`.
+    pub const fn label(self) -> &'static str {
+        match self {
+            VerdictKind::Recognized => "recognized",
+            VerdictKind::Ambiguous => "ambiguous",
+            VerdictKind::Unknown => "unknown",
+        }
+    }
+
+    /// Index into per-verdict arrays (declaration order).
+    #[inline]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// Stable label value for per-verdict counters: `recognized`,
 /// `ambiguous`, or `unknown`.
 pub fn verdict_label(rec: &Recognition) -> &'static str {
@@ -694,15 +745,6 @@ pub fn verdict_label(rec: &Recognition) -> &'static str {
         Verdict::Recognized(_) => "recognized",
         Verdict::Ambiguous(_) => "ambiguous",
         _ => "unknown",
-    }
-}
-
-/// [`verdict_label`] for an [`Answer`].
-pub(crate) fn answer_label(answer: &Answer) -> &'static str {
-    match answer.tied() {
-        0 => "unknown",
-        1 => "recognized",
-        _ => "ambiguous",
     }
 }
 
@@ -717,7 +759,7 @@ pub fn write_answer(out: &mut Vec<u8>, head: &str, gen: u64, answer: &Answer) {
         "{head} {gen} {} {} {}",
         answer.matched_points,
         answer.total_points,
-        answer_label(answer)
+        VerdictKind::of(answer).label()
     );
     for (i, app) in answer.apps().enumerate() {
         out.push(if i == 0 { b' ' } else { b',' });
@@ -997,7 +1039,9 @@ mod tests {
                 out.clear();
                 write_answer(&mut out, head, gen, &Answer::from(rec));
                 assert_eq!(out, want.as_bytes(), "{want}");
-                assert_eq!(answer_label(&Answer::from(rec)), verdict_label(rec));
+                let kind = VerdictKind::of(&Answer::from(rec));
+                assert_eq!(kind.label(), verdict_label(rec));
+                assert_eq!(VerdictKind::from_label(kind.label()), kind);
             }
         }
     }
@@ -1057,5 +1101,12 @@ mod tests {
         };
         assert_eq!(render_answer("OK", 7, &rec), "OK 7 4 6 ambiguous bt,sp");
         assert_eq!(verdict_label(&rec), "ambiguous");
+    }
+
+    #[test]
+    fn command_index_is_its_place_in_commands() {
+        for (i, c) in COMMANDS.iter().enumerate() {
+            assert_eq!(c.index(), i, "{}", c.name());
+        }
     }
 }

@@ -19,13 +19,24 @@
 //! ## Hot swap
 //!
 //! The engine lives behind `RwLock<Arc<Published>>`, where `Published`
-//! pairs the engine with a monotonically increasing generation. A
-//! request clones the `Arc` once and computes its whole answer against
-//! that publication — republication ([`Server::publish`], the `SWAP`
-//! command, or SIGHUP via [`Server::hup_flag`]) swaps the `Arc` and
-//! can never tear an in-flight answer. Every response carries the
-//! generation it was computed against, which is what the hot-swap test
-//! asserts on.
+//! pairs the engine with a monotonically increasing generation, and a
+//! shared generation word mirrors that generation. Republication
+//! ([`Server::publish`], the `SWAP` command, or SIGHUP via
+//! [`Server::hup_flag`]) swaps the `Arc` and then stores the new
+//! generation in the word (Release), both under the write lock.
+//!
+//! Each connection caches the `Arc<Published>` it last answered
+//! against. A request does one Acquire load of the generation word and
+//! takes the read lock to refresh its cache only when the word has
+//! moved, so a warm request takes no lock and clones no `Arc`. The
+//! whole answer is computed against the cached publication, so a swap
+//! never tears an in-flight answer, and a connection never steps back
+//! to an older generation. Every response carries the generation it was
+//! computed against, which is what the hot-swap test asserts on. An
+//! open stream re-points at the cached publication on its next `PUSH`
+//! or `FINISH`. An idle connection drops its cached publication on the
+//! first read tick after the word moves, so a quiet client cannot keep
+//! a swapped-out store alive.
 //!
 //! ## Idle discipline
 //!
@@ -49,6 +60,17 @@
 //! blocks in a socket read while replies are unflushed, so a burst of
 //! N requests costs one `read` and one `write`, and a client that waits
 //! for its replies always gets them.
+//!
+//! A burst's bookkeeping is batched the same way. The connection counts
+//! its `RECOGNIZE` requests, verdicts and durations in a
+//! [`RequestTally`] it owns, and merges it into the shared metrics and
+//! the drift monitor in one go: just before the replies are flushed
+//! (so every reply a client holds is already counted), before any
+//! other command is dispatched (so `STATS`, `STATUS`, `SWAP` and
+//! `SHUTDOWN` see the burst), before grown buffers are dropped, when
+//! the cached generation moves, and whenever the connection ends.
+//! Between merges a warm `RECOGNIZE` writes only to state its own
+//! connection owns.
 //!
 //! ## Reused request buffers
 //!
@@ -76,7 +98,7 @@
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::thread::{self, JoinHandle, Scope};
 use std::time::{Duration, Instant};
@@ -88,10 +110,10 @@ use efd_core::{LabeledObservation, Query, Recognition};
 use efd_telemetry::{AppLabel, Interval, MetricCatalog, MetricId, NodeId};
 
 use super::drift::{DriftBaseline, DriftConfig, DriftMonitor, DriftSnapshot};
-use super::metrics::DaemonMetrics;
+use super::metrics::{DaemonMetrics, RequestTally};
 use super::protocol::{
-    answer_label, write_answer, write_frame, FrameError, FrameReader, RequestRef, MAX_FRAME,
-    READ_CHUNK,
+    write_answer, write_frame, Command, FrameError, FrameReader, RequestRef, VerdictKind,
+    MAX_FRAME, READ_CHUNK,
 };
 use crate::{Backend, DictSource, DurableDictionary};
 
@@ -272,6 +294,10 @@ struct Published {
 struct Shared {
     cfg: ServerConfig,
     published: RwLock<Arc<Published>>,
+    /// The generation of `published`, stored (Release) under its write
+    /// lock after each swap; connections poll it to keep their cached
+    /// publication current.
+    generation: AtomicU64,
     metrics: DaemonMetrics,
     drift: DriftMonitor,
     shutdown: AtomicBool,
@@ -289,13 +315,16 @@ impl Shared {
         let mut w = self.published.write().expect("published lock");
         let gen = w.gen + 1;
         *w = Arc::new(Published { gen, engine });
+        // The new version is judged only by traffic it answered itself:
+        // rebaseline clears the window (and any standing alarm) and
+        // stamps it with `gen` before any connection can answer against
+        // `gen`, so verdicts the old version answered are dropped.
+        self.drift.rebaseline_for(gen, baseline);
+        self.generation.store(gen, Ordering::Release);
         drop(w);
         self.metrics.generation.set(gen as i64);
         self.metrics.swaps_total.inc();
-        // The new version is judged only by traffic it answered itself:
-        // rebaseline clears the window (and any standing alarm).
         self.metrics.set_version(version);
-        self.drift.rebaseline(baseline);
         gen
     }
 
@@ -359,10 +388,11 @@ impl Server {
         metrics.generation.set(1);
         metrics.set_version(engine.version.clone());
         let drift = DriftMonitor::new(cfg.drift);
-        drift.rebaseline(engine.baseline);
+        drift.rebaseline_for(1, engine.baseline);
         let shared = Arc::new(Shared {
             cfg,
             published: RwLock::new(Arc::new(Published { gen: 1, engine })),
+            generation: AtomicU64::new(1),
             metrics,
             drift,
             shutdown: AtomicBool::new(false),
@@ -500,23 +530,71 @@ enum Action {
 }
 
 /// The state one connection reuses across its requests: the open
-/// stream, if any, and the buffers a `RECOGNIZE` is answered in.
+/// stream, if any, the publication it last answered against, the tally
+/// of requests not yet merged into the shared metrics, and the buffers a
+/// `RECOGNIZE` is answered in.
 #[derive(Default)]
 struct Conn {
     session: Option<StreamState>,
+    published: Option<Arc<Published>>,
+    /// Holds at most one burst: it is merged before the replies are
+    /// flushed, and a burst is what one read chunk holds.
+    tally: RequestTally,
     means: Vec<f64>,
     query: Query,
     scratch: VoteScratch,
     answer: Answer,
 }
 
+impl Conn {
+    /// Merge the tally, then send the buffered replies: a client never
+    /// holds a reply whose request is not counted yet.
+    fn flush(&mut self, shared: &Shared, writer: &mut BufWriter<&TcpStream>) -> io::Result<()> {
+        merge_tally(shared, &mut self.tally);
+        writer.flush()
+    }
+
+    /// Drop the cached publication if it has been swapped out, so an
+    /// idle connection does not keep the old engine alive.
+    fn release_stale(&mut self, shared: &Shared) {
+        let gen = shared.generation.load(Ordering::Acquire);
+        if self.published.as_ref().is_some_and(|p| p.gen != gen) {
+            self.published = None;
+        }
+    }
+}
+
+/// The current publication, from `cached` while the generation word
+/// still names it; one Acquire load on that path. When the word has
+/// moved, the tally (answered against the old publication) is merged
+/// first and the cache is refreshed under the read lock.
+fn current<'c>(
+    shared: &Shared,
+    cached: &'c mut Option<Arc<Published>>,
+    tally: &mut RequestTally,
+) -> &'c Published {
+    let gen = shared.generation.load(Ordering::Acquire);
+    if cached.as_ref().is_none_or(|p| p.gen != gen) {
+        merge_tally(shared, tally);
+        *cached = Some(shared.current());
+    }
+    cached.as_deref().expect("cached above")
+}
+
 /// Serve one connection to completion, as frames or as one HTTP request.
+/// Whichever way it ends, what it answered is merged into the metrics.
 fn handle_conn(shared: &Shared, stream: TcpStream) -> io::Result<()> {
+    let mut conn = Conn::default();
+    let served = serve_conn(shared, &stream, &mut conn);
+    merge_tally(shared, &mut conn.tally);
+    served
+}
+
+fn serve_conn(shared: &Shared, stream: &TcpStream, conn: &mut Conn) -> io::Result<()> {
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(READ_TICK))?;
     let mut reader = FrameReader::new();
-    let mut writer = BufWriter::new(&stream);
-    let mut conn = Conn::default();
+    let mut writer = BufWriter::new(stream);
     let mut reply = Vec::new();
     // The next frame must complete by this instant (none if the idle
     // timeout is too long to represent).
@@ -525,25 +603,26 @@ fn handle_conn(shared: &Shared, stream: TcpStream) -> io::Result<()> {
     let mut sniffing = true;
     loop {
         if shared.stopping() {
-            return writer.flush();
+            return conn.flush(shared, &mut writer);
         }
         let started;
         let large;
         reply.clear();
-        let action = match reader.read_frame_before(&mut &stream, deadline) {
+        let action = match reader.read_frame_before(&mut &*stream, deadline) {
             Ok(None) => return Ok(()), // clean close at a frame boundary
             Ok(Some(payload)) => {
                 sniffing = false;
                 started = Instant::now();
                 deadline = started.checked_add(shared.cfg.idle_timeout);
                 large = payload.len() > READ_CHUNK;
-                dispatch(shared, payload, &mut conn, &mut reply)
+                dispatch(shared, payload, conn, &mut reply)
             }
             Err(FrameError::Timeout) => {
                 if deadline.is_some_and(|d| Instant::now() >= d) {
                     shared.metrics.count_error("idle-timeout");
                     return Ok(());
                 }
+                conn.release_stale(shared);
                 continue;
             }
             Err(FrameError::Torn) => {
@@ -552,20 +631,21 @@ fn handle_conn(shared: &Shared, stream: TcpStream) -> io::Result<()> {
             }
             Err(FrameError::Oversized(n)) => {
                 if sniffing && matches!(reader.buffered().get(..4), Some(b"GET " | b"HEAD")) {
-                    return handle_http(shared, &stream, reader.buffered(), deadline);
+                    return handle_http(shared, stream, reader.buffered(), deadline);
                 }
                 shared.metrics.count_error("oversized");
                 // Best-effort structured refusal; the peer may already
                 // be gone, and we drop the connection either way (the
                 // stream position is unrecoverable).
                 let msg = format!("ERR oversized frame length {n} exceeds {MAX_FRAME} bytes");
-                let _ = write_frame(&mut writer, msg.as_bytes()).and_then(|_| writer.flush());
+                let _ = write_frame(&mut writer, msg.as_bytes())
+                    .and_then(|_| conn.flush(shared, &mut writer));
                 return Ok(());
             }
             Err(FrameError::Empty) => {
                 shared.metrics.count_error("empty");
                 let _ = write_frame(&mut writer, b"ERR empty zero-length frame")
-                    .and_then(|_| writer.flush());
+                    .and_then(|_| conn.flush(shared, &mut writer));
                 return Ok(());
             }
             Err(FrameError::Io(_)) => return Ok(()), // reset/broken pipe: clean drop
@@ -577,13 +657,16 @@ fn handle_conn(shared: &Shared, stream: TcpStream) -> io::Result<()> {
             reply = b"ERR malformed request token too long to echo".to_vec();
         }
         write_frame(&mut writer, &reply)?;
-        shared.metrics.request_duration.observe_duration(started.elapsed());
+        conn.tally.observe_duration(started.elapsed());
         if large {
             // Buffers grown for a request longer than one read chunk are
-            // dropped once it is answered (an open stream is kept): an
-            // idle connection keeps only what a chunk-sized request needs.
-            conn = Conn {
+            // dropped once it is answered (an open stream and the cached
+            // publication are kept, the tally merged first): an idle
+            // connection keeps only what a chunk-sized request needs.
+            merge_tally(shared, &mut conn.tally);
+            *conn = Conn {
                 session: conn.session.take(),
+                published: conn.published.take(),
                 ..Conn::default()
             };
             reply = Vec::new();
@@ -591,12 +674,12 @@ fn handle_conn(shared: &Shared, stream: TcpStream) -> io::Result<()> {
         // Flush on drain: a buffered request is answered first, and the
         // next socket read only ever happens with every reply sent.
         if !reader.frame_ready() {
-            writer.flush()?;
+            conn.flush(shared, &mut writer)?;
         }
         match action {
             Action::Continue => {}
             Action::ShutdownDaemon => {
-                writer.flush()?;
+                conn.flush(shared, &mut writer)?;
                 shared.stop();
                 return Ok(());
             }
@@ -622,7 +705,15 @@ fn dispatch(shared: &Shared, payload: &[u8], conn: &mut Conn, out: &mut Vec<u8>)
             return Action::Continue;
         }
     };
-    shared.metrics.count_request(req.command());
+    match req.command() {
+        Command::Recognize => conn.tally.count_recognize(),
+        // Every other command sees, and is counted after, each request
+        // this connection answered before it.
+        command => {
+            merge_tally(shared, &mut conn.tally);
+            shared.metrics.count_request(command);
+        }
+    }
     match req {
         RequestRef::Ping => out.extend_from_slice(b"PONG"),
         RequestRef::Recognize { metric, start, end } => {
@@ -631,11 +722,11 @@ fn dispatch(shared: &Shared, payload: &[u8], conn: &mut Conn, out: &mut Vec<u8>)
             };
             conn.query
                 .set_node_means(m, Interval::new(start, end), &conn.means);
-            let p = shared.current();
+            let p = current(shared, &mut conn.published, &mut conn.tally);
             p.engine
                 .recognizer
                 .answer_into(&conn.query, &mut conn.scratch, &mut conn.answer);
-            note_verdict(shared, answer_label(&conn.answer));
+            conn.tally.count_verdict(p.gen, VerdictKind::of(&conn.answer));
             write_answer(out, "OK", p.gen, &conn.answer);
         }
         RequestRef::Stream {
@@ -660,7 +751,7 @@ fn dispatch(shared: &Shared, payload: &[u8], conn: &mut Conn, out: &mut Vec<u8>)
             let Some(m) = shared.cfg.catalog.id(metric) else {
                 return unknown_metric(shared, metric, out);
             };
-            let p = shared.current();
+            let p = current(shared, &mut conn.published, &mut conn.tally);
             let node_ids: Vec<NodeId> = (0..nodes).map(NodeId).collect();
             let sess = OnlineRecognizer::new(
                 Arc::clone(&p.engine.recognizer),
@@ -683,11 +774,11 @@ fn dispatch(shared: &Shared, payload: &[u8], conn: &mut Conn, out: &mut Vec<u8>)
                 out.extend_from_slice(b"ERR bad-state no open stream (send STREAM first)");
                 return Action::Continue;
             };
-            follow_swap(shared, st);
+            follow_swap(current(shared, &mut conn.published, &mut conn.tally), st);
             match st.sess.push(NodeId(node), st.metric, t, value) {
                 Some(rec) => {
                     let st = conn.session.take().expect("checked above");
-                    stream_verdict(shared, &st, &rec, &mut conn.answer, out);
+                    stream_verdict(shared, &st, &rec, conn, out);
                 }
                 None => {
                     let _ = write!(out, "ACK {}", st.sess.collected());
@@ -700,9 +791,9 @@ fn dispatch(shared: &Shared, payload: &[u8], conn: &mut Conn, out: &mut Vec<u8>)
                 out.extend_from_slice(b"ERR bad-state no open stream to finish");
                 return Action::Continue;
             };
-            follow_swap(shared, &mut st);
+            follow_swap(current(shared, &mut conn.published, &mut conn.tally), &mut st);
             let rec = st.sess.finish();
-            stream_verdict(shared, &st, &rec, &mut conn.answer, out);
+            stream_verdict(shared, &st, &rec, conn, out);
         }
         RequestRef::Learn {
             app,
@@ -711,7 +802,7 @@ fn dispatch(shared: &Shared, payload: &[u8], conn: &mut Conn, out: &mut Vec<u8>)
             start,
             end,
         } => {
-            let p = shared.current();
+            let p = current(shared, &mut conn.published, &mut conn.tally);
             let Some(learner) = p.engine.learner.as_ref() else {
                 shared.metrics.count_error("read-only");
                 out.extend_from_slice(
@@ -813,10 +904,10 @@ fn unknown_metric(shared: &Shared, metric: &str, out: &mut Vec<u8>) -> Action {
     Action::Continue
 }
 
-/// Re-point an open stream at the latest publication (window means
-/// collected so far are kept — only the dictionary changes).
-fn follow_swap(shared: &Shared, st: &mut StreamState) {
-    let p = shared.current();
+/// Re-point an open stream at the connection's current publication
+/// (window means collected so far are kept — only the dictionary
+/// changes).
+fn follow_swap(p: &Published, st: &mut StreamState) {
     if p.gen != st.gen {
         st.sess.swap(Arc::clone(&p.engine.recognizer));
         st.gen = p.gen;
@@ -827,35 +918,45 @@ fn stream_verdict(
     shared: &Shared,
     st: &StreamState,
     rec: &Recognition,
-    answer: &mut Answer,
+    conn: &mut Conn,
     out: &mut Vec<u8>,
 ) {
     shared
         .metrics
         .time_to_first_verdict
         .observe_duration(st.opened.elapsed());
-    answer.set_from(rec);
-    note_verdict(shared, answer_label(answer));
-    write_answer(out, "VERDICT", st.gen, answer);
+    conn.answer.set_from(rec);
+    conn.tally.count_verdict(st.gen, VerdictKind::of(&conn.answer));
+    write_answer(out, "VERDICT", st.gen, &conn.answer);
 }
 
-/// Count a verdict and feed the drift monitor; a judgement edge
-/// (ok → alarm, alarm → ok, ...) is logged exactly once. The drift
-/// gauges are read from the monitor at scrape time, not stored here.
-fn note_verdict(shared: &Shared, label: &'static str) {
-    shared.metrics.count_verdict(label);
-    if let Some((from, to)) = shared.drift.record(label) {
-        let snap = shared.drift.snapshot();
-        eprintln!(
-            "drift: {} -> {} (version={} unknown_rate={:.3} ambiguous_rate={:.3} window={})",
-            from.name(),
-            to.name(),
-            shared.metrics.version().as_deref().unwrap_or("-"),
-            snap.unknown_rate,
-            snap.ambiguous_rate,
-            snap.samples,
-        );
+/// Merge a connection's tally into the shared metrics and feed its
+/// verdicts to the drift monitor in one batch; each judgement edge
+/// (ok → alarm, alarm → ok, ...) the batch crosses is logged exactly
+/// once, after the monitor's lock is released. The drift gauges are
+/// read from the monitor at scrape time, not stored here.
+fn merge_tally(shared: &Shared, tally: &mut RequestTally) {
+    if tally.is_empty() {
+        return;
     }
+    shared.metrics.merge(tally);
+    let (gen, verdicts) = tally.verdicts();
+    if !verdicts.is_empty() {
+        let mut edges = Vec::new();
+        shared.drift.record_batch(gen, verdicts, &mut edges);
+        for e in edges {
+            eprintln!(
+                "drift: {} -> {} (version={} unknown_rate={:.3} ambiguous_rate={:.3} window={})",
+                e.from.name(),
+                e.to.name(),
+                shared.metrics.version().as_deref().unwrap_or("-"),
+                e.at.unknown_rate,
+                e.at.ambiguous_rate,
+                e.at.samples,
+            );
+        }
+    }
+    tally.clear();
 }
 
 /// Minimal HTTP/1.1: `GET /metrics` (Prometheus text), `GET /healthz`.

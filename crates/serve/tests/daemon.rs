@@ -8,15 +8,16 @@
 
 mod common;
 
+use std::io::Write;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use common::*;
 use efd_core::wal::{SyncPolicy, WalOptions};
 use efd_core::RoundingDepth;
-use efd_serve::net::protocol::render_answer;
+use efd_serve::net::protocol::{render_answer, write_frame, READ_CHUNK};
 use efd_serve::net::Engine;
-use efd_serve::{Backend, DictSource, DurableDictionary};
+use efd_serve::{Backend, DictSource, DurableDictionary, Snapshot};
 
 /// The harness corpus: distinct apps, one deliberate ambiguous pair
 /// (`aa`/`bb` at the same level).
@@ -239,6 +240,103 @@ fn hot_swap_under_sustained_load_drops_nothing_and_never_tears() {
 
     assert_eq!(server.generation(), 2);
     assert!(server.metrics_text().contains("efd_snapshot_swaps_total 1"));
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn pipelined_bursts_keep_every_counter_exact() {
+    let dict = dict_with(&corpus());
+    let server = start_server(snapshot_engine(&dict), |_| {});
+    let addr = server.local_addr();
+
+    // 64 mixed-verdict frames with one longer than a read chunk in the
+    // middle (its buffers are dropped mid-burst), closed by STATS.
+    let mix = query_mix();
+    let mut queries: Vec<Vec<f64>> = (0..64).map(|i| mix[i % mix.len()].to_vec()).collect();
+    queries.insert(32, vec![6000.25; 2500]);
+    let lines: Vec<String> = queries.iter().map(|q| recognize_line(q)).collect();
+    assert!(lines[32].len() > READ_CHUNK);
+    let expected: Vec<String> = queries
+        .iter()
+        .map(|q| render_answer("OK", 1, &dict.recognize(&query(q)).normalized()))
+        .collect();
+    let mut verdicts = [("recognized", 0u64), ("ambiguous", 0), ("unknown", 0)];
+    for want in &expected {
+        let kind = want.split(' ').nth(4).expect("verdict word");
+        verdicts.iter_mut().find(|(k, _)| *k == kind).expect("known verdict").1 += 1;
+    }
+    assert!(verdicts.iter().all(|&(_, n)| n > 0), "the mix hits every verdict");
+    let mut burst = Vec::new();
+    for line in lines.iter().map(String::as_str).chain(["STATS"]) {
+        write_frame(&mut burst, line.as_bytes()).expect("frame into a Vec");
+    }
+    let n = lines.len() as u64;
+
+    // Each connection writes its whole burst at once and reads back
+    // every reply; the STATS pipelined behind the burst counts all of
+    // it, and itself.
+    let read_burst = |client: &mut Client| -> u64 {
+        for want in &expected {
+            assert_eq!(&client.recv(), want);
+        }
+        let stats = client.recv();
+        let requests = stats.rsplit("requests=").next().expect("requests field");
+        requests.parse().unwrap_or_else(|_| panic!("bad STATS line {stats:?}"))
+    };
+    let mut clients = [Client::connect(addr), Client::connect(addr)];
+    // One after the other: each STATS is exact.
+    for (i, client) in clients.iter_mut().enumerate() {
+        client.stream.write_all(&burst).expect("write burst");
+        assert_eq!(read_burst(client), (i as u64 + 1) * (n + 1));
+    }
+    // Both at once: each STATS sees at least its own burst.
+    for client in &mut clients {
+        client.stream.write_all(&burst).expect("write burst");
+    }
+    for client in &mut clients {
+        let requests = read_burst(client);
+        assert!((3 * (n + 1)..=4 * (n + 1)).contains(&requests), "{requests}");
+    }
+
+    let (_, body) = http_get(addr, "/metrics");
+    let mut needles = vec![
+        format!("efd_requests_total{{command=\"recognize\"}} {}", 4 * n),
+        "efd_requests_total{command=\"stats\"} 4".to_string(),
+        format!("efd_request_duration_seconds_count {}", 4 * (n + 1)),
+        format!("efd_request_duration_seconds_bucket{{le=\"+Inf\"}} {}", 4 * (n + 1)),
+    ];
+    for (kind, count) in verdicts {
+        needles.push(format!("efd_verdicts_total{{verdict=\"{kind}\"}} {}", 4 * count));
+    }
+    for needle in needles {
+        assert!(body.contains(&needle), "missing {needle:?} in scrape:\n{body}");
+    }
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn an_idle_connection_releases_a_swapped_out_engine() {
+    let dict = dict_with(&corpus());
+    let old = Arc::new(Snapshot::freeze(&dict));
+    let weak = Arc::downgrade(&old);
+    let server = start_server(Engine::fixed(old, dict.len(), "snapshot"), |_| {});
+    let mut client = Client::connect(server.local_addr());
+    let line = recognize_line(&[6000.0, 6000.0]);
+    assert_eq!(client.request(&line), "OK 1 2 2 recognized ft");
+
+    // The connection answered against generation 1 and now idles.
+    assert_eq!(server.publish(snapshot_engine(&dict)), 2);
+    let deadline = Instant::now() + Duration::from_secs(1);
+    while weak.upgrade().is_some() {
+        assert!(
+            Instant::now() < deadline,
+            "an idle connection kept the swapped-out engine alive for 1 s"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(client.request(&line), "OK 2 2 2 recognized ft");
     server.shutdown();
     server.join();
 }

@@ -14,7 +14,9 @@
 //!   ratios); stored as atomic bits, rendered as a `gauge`.
 //! * [`Histogram`] — explicit-bucket latency histogram with a
 //!   CAS-maintained `f64` sum; buckets render cumulatively with the
-//!   conventional `le` label, closed by `+Inf`.
+//!   conventional `le` label, closed by `+Inf`. A thread that records
+//!   many observations can count them in plain integers (slot by
+//!   [`bucket_index`]) and add them in one [`Histogram::merge`].
 //!
 //! All three are lock-free atomics, safe to update from any worker
 //! thread while another thread renders. A [`Registry`] owns the metric
@@ -119,6 +121,15 @@ impl FloatGauge {
     }
 }
 
+/// The histogram slot a value lands in: the first finite bound `>= v`
+/// (Prometheus `le` semantics), or `bounds.len()` for the `+Inf`
+/// overflow. NaN also maps to the overflow slot; [`Histogram::observe`]
+/// drops NaN before it gets here.
+#[inline]
+pub fn bucket_index(bounds: &[f64], v: f64) -> usize {
+    bounds.partition_point(|b| *b < v)
+}
+
 /// An explicit-bucket histogram.
 ///
 /// `bounds` are the finite upper bounds, strictly increasing; an
@@ -166,9 +177,37 @@ impl Histogram {
         if v.is_nan() {
             return;
         }
-        let idx = self.bounds.partition_point(|b| *b < v);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_index(&self.bounds, v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
+        self.add_sum(v);
+    }
+
+    /// Add a batch of observations counted elsewhere: `counts[i]` more
+    /// in slot `i` (numbered by [`bucket_index`] over this histogram's
+    /// bounds, `+Inf` last), whose values sum to `sum`. However large the
+    /// batch, this is one `fetch_add` per non-empty slot, one for the
+    /// count and one CAS loop for the sum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `counts` does not have one entry per slot (the finite
+    /// bounds plus `+Inf`).
+    pub fn merge(&self, counts: &[u64], sum: f64) {
+        assert_eq!(counts.len(), self.buckets.len(), "one count per histogram slot");
+        let mut total = 0;
+        for (slot, &n) in self.buckets.iter().zip(counts) {
+            if n > 0 {
+                slot.fetch_add(n, Ordering::Relaxed);
+                total += n;
+            }
+        }
+        if total > 0 {
+            self.count.fetch_add(total, Ordering::Relaxed);
+            self.add_sum(sum);
+        }
+    }
+
+    fn add_sum(&self, v: f64) {
         let mut cur = self.sum_bits.load(Ordering::Relaxed);
         loop {
             let next = (f64::from_bits(cur) + v).to_bits();
@@ -541,6 +580,38 @@ mod tests {
         );
         assert_eq!(h.count(), 5);
         assert!((h.sum() - 3.05).abs() < 1e-12);
+    }
+
+    #[test]
+    fn merge_matches_one_observation_at_a_time() {
+        let bounds = [0.125, 0.5, 1.0, 4.0];
+        // Dyadic values sum exactly in any order, so `_sum` must match
+        // bit for bit; the bounds themselves check `le` inclusivity.
+        let values = [0.0625, 0.125, 0.25, 0.5, 0.5, 0.75, 1.0, 2.0, 8.0, 16.0, 0.125];
+        let one_by_one = Histogram::new(&bounds);
+        let mut counts = [0u64; 5];
+        let mut sum = 0.0;
+        for v in values {
+            one_by_one.observe(v);
+            counts[bucket_index(&bounds, v)] += 1;
+            sum += v;
+        }
+        let merged = Histogram::new(&bounds);
+        merged.merge(&counts, sum);
+        assert_eq!(merged.cumulative(), one_by_one.cumulative());
+        assert_eq!(merged.count(), one_by_one.count());
+        assert_eq!(merged.sum().to_bits(), one_by_one.sum().to_bits());
+        // Merging more batches keeps accumulating; an empty one is a no-op.
+        merged.merge(&counts, sum);
+        merged.merge(&[0; 5], 0.0);
+        assert_eq!(merged.count(), 2 * values.len() as u64);
+        assert_eq!(merged.sum(), 2.0 * sum);
+    }
+
+    #[test]
+    #[should_panic(expected = "one count per histogram slot")]
+    fn merge_refuses_a_batch_of_another_shape() {
+        Histogram::new(&[0.1, 0.5]).merge(&[1, 2], 0.3);
     }
 
     #[test]
