@@ -22,6 +22,39 @@
 //! excessive pruning (depth 1) yields generic fingerprints with high
 //! repetition but low exclusiveness — the trade-off the inner
 //! cross-validation of [`crate::training`] navigates.
+//!
+//! ## Exactness
+//!
+//! A rounded mean is a dictionary key, so [`round_to_depth`] must return
+//! the same bits on every path: the reference computation takes the
+//! magnitude as `log10(|v|).floor()` and the scale factor as
+//! `10f64.powi(shift)`. The fast path gets both without libm:
+//!
+//! - **Table.** `POW10` holds 10^0 ..= 10^22, each exact in f64, so
+//!   `10f64.powi(k)` (repeated squaring through exact intermediates) is
+//!   bit-for-bit `POW10[k]` for k ≤ 22. `POW10_NEG` holds the nearest
+//!   f64 to 10^-1 ..= 10^-22.
+//! - **Magnitude.** For |v| = a in [1e-22, 1e22) with binary exponent
+//!   e, log10(a) lies in [e, e + 1) · log10(2), so floor(log10(a)) is
+//!   floor(e · log10(2)) or one more; one comparison with the table
+//!   decides. Only the comparison with a `POW10_NEG` entry can err, and
+//!   only for a within one rounding (~1.1e-16, relative) of the power.
+//! - **Band.** Where a lies within 1e-9 (relative) of a power of ten the
+//!   fast path does not decide: it calls the libm computation itself.
+//!   Outside the band, log10(a) is at least 1e-9 / ln(10) ≈ 4.3e-10 away
+//!   from an integer, while libm's `log10` is within a few ULPs of the
+//!   true value (≤ ~1e-14 absolute for magnitudes up to 22), so libm's
+//!   floor is the true floor, which the table finds too. The band is
+//!   about four orders of magnitude wider than either error.
+//! - **Fallback.** Values outside [1e-22, 1e22), and shifts beyond ±22
+//!   (where `powi` leaves the exact powers), take the libm computation
+//!   unchanged.
+//!
+//! `crates/core/tests/rounding_exact.rs` checks the result bit for bit
+//! against a copy of the reference: ±128 ULPs around every power of ten
+//! from 10^-330 to 10^330 at every depth and both signs, both sides of
+//! every band edge, and arbitrary bit patterns; its ignored sweep (run in
+//! CI) widens that to ±3000 ULPs and 20M random values.
 
 use std::fmt;
 
@@ -50,6 +83,71 @@ pub fn round_to_depth(v: f64, depth: u8) -> f64 {
     if depth >= 16 {
         return v;
     }
+    let Some(magnitude) = table_magnitude(v.abs()) else {
+        return round_by_libm(v, depth);
+    };
+    let shift = depth as i32 - 1 - magnitude;
+    // Same arithmetic as `round_by_libm`, with the scale factor read
+    // from the table: `10f64.powi(k)` is exactly `POW10[k]` for k <= 22.
+    match POW10.get(shift.unsigned_abs() as usize) {
+        Some(&factor) if shift >= 0 => (v * factor).round() / factor,
+        Some(&factor) => (v / factor).round() * factor,
+        None => round_by_libm(v, depth),
+    }
+}
+
+/// 10^0 ..= 10^22: every power of ten that is exact in f64.
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// The nearest f64 to 10^-k for k = 0 ..= 22 (not exact for k >= 1).
+const POW10_NEG: [f64; 23] = [
+    1e0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14,
+    1e-15, 1e-16, 1e-17, 1e-18, 1e-19, 1e-20, 1e-21, 1e-22,
+];
+
+/// Half-width of the band around each power of ten, relative, in which
+/// the table defers to libm's `log10` (module docs, "Exactness").
+const BAND: f64 = 1e-9;
+
+/// The table's entry for 10^k, k in -22 ..= 22.
+#[inline]
+fn pow10(k: i32) -> f64 {
+    if k >= 0 {
+        POW10[k as usize]
+    } else {
+        POW10_NEG[k.unsigned_abs() as usize]
+    }
+}
+
+/// `floor(log10(a))` for positive `a`, from `a`'s exponent bits and the
+/// power-of-ten table; `None` when `a` lies outside [1e-22, 1e22) or
+/// within [`BAND`] of a power of ten, where the caller falls back to
+/// libm.
+#[inline]
+fn table_magnitude(a: f64) -> Option<i32> {
+    if !(1e-22..1e22).contains(&a) {
+        return None;
+    }
+    // `a` is normal here: 2^e <= a < 2^(e+1).
+    let e = ((a.to_bits() >> 52) & 0x7ff) as i32 - 1023;
+    // floor(e * log10(2)) for |e| <= 74 (78913 / 2^18 ≈ log10(2));
+    // log10(a) lies in [e, e + 1) * log10(2), an interval narrower than
+    // one, so the magnitude is this or the next integer.
+    let mut m = (e * 78913) >> 18;
+    if a >= pow10(m + 1) {
+        m += 1;
+    }
+    let near_power = a < pow10(m) * (1.0 + BAND) || a > pow10(m + 1) * (1.0 - BAND);
+    (!near_power).then_some(m)
+}
+
+/// The reference rounding: magnitude from libm's `log10`, scale factor
+/// from `powi`. [`round_to_depth`] gives the same bits without libm
+/// wherever the table decides the magnitude, and calls this elsewhere.
+fn round_by_libm(v: f64, depth: u8) -> f64 {
     let magnitude = v.abs().log10().floor() as i32;
     let shift = depth as i32 - 1 - magnitude;
     // Above ~10^300 the scale factor itself would overflow; such

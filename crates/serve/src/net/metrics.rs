@@ -15,7 +15,8 @@
 //!
 //! * `efd_requests_total{command}` — requests answered, per command.
 //! * `efd_verdicts_total{verdict}` — recognition verdicts returned.
-//! * `efd_request_duration_seconds` — end-to-end request latency.
+//! * `efd_request_duration_seconds` — request latency up to the reply
+//!   being buffered.
 //! * `efd_stream_time_to_first_verdict_seconds` — stream open → first
 //!   verdict.
 //! * `efd_active_connections` — open connections, one thread each.
@@ -39,12 +40,13 @@ use efd_telemetry::prom::{bucket_index, Counter, FloatGauge, Gauge, Histogram, R
 use super::drift::{DriftSnapshot, DriftState};
 use super::protocol::{Command, VerdictKind, COMMANDS};
 
-/// Latency buckets for `efd_request_duration_seconds`: 25 µs … 1 s,
-/// roughly ×2–×2.5 steps — tight enough at the bottom to resolve the
-/// ~10 µs dictionary hit from syscall overhead, wide enough at the top
-/// to catch a stalled connection thread.
-pub const DURATION_BUCKETS: [f64; 12] = [
-    25e-6, 50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 1e-2, 5e-2, 0.25, 1.0,
+/// Latency buckets for `efd_request_duration_seconds`: 1 µs … 1 s,
+/// roughly ×2–×2.5 steps — tight enough at the bottom to resolve a warm
+/// `RECOGNIZE` (~2 µs) from one that waited on a socket read or a cold
+/// cache, wide enough at the top to catch a stalled connection thread.
+pub const DURATION_BUCKETS: [f64; 16] = [
+    1e-6, 2.5e-6, 5e-6, 10e-6, 25e-6, 50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 1e-2,
+    5e-2, 0.25, 1.0,
 ];
 
 /// Buckets for `efd_stream_time_to_first_verdict_seconds`: a stream's
@@ -148,7 +150,7 @@ pub struct DaemonMetrics {
     requests: [Arc<Counter>; COMMANDS.len()],
     verdicts: [Arc<Counter>; VERDICT_KINDS.len()],
     errors: [Arc<Counter>; ERROR_KINDS.len()],
-    /// End-to-end request latency histogram.
+    /// Request latency histogram (see `docs/METRICS.md` for the span).
     pub request_duration: Arc<Histogram>,
     /// Stream open → first verdict latency histogram.
     pub time_to_first_verdict: Arc<Histogram>,
@@ -215,7 +217,8 @@ impl DaemonMetrics {
         });
         let request_duration = registry.histogram(
             "efd_request_duration_seconds",
-            "End-to-end request latency (frame decoded to reply buffered).",
+            "Request latency to reply buffered, from frame decoded (or, pipelined, \
+             from the previous reply buffered).",
             &[],
             &DURATION_BUCKETS,
         );

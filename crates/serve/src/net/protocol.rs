@@ -750,21 +750,40 @@ pub fn verdict_label(rec: &Recognition) -> &'static str {
 
 /// Append a full `OK`/`VERDICT` response line for `answer` to `out`:
 /// `<head> <gen> <matched> <total>` and then `recognized <app>`,
-/// `ambiguous <a,b,..>` (name order) or `unknown`. Formats straight
-/// into the buffer, so a warm buffer makes this allocation-free.
+/// `ambiguous <a,b,..>` (name order) or `unknown`. Writes straight into
+/// the buffer without `core::fmt`, so a warm buffer makes this
+/// allocation-free and the numbers cost a few divisions each.
 pub fn write_answer(out: &mut Vec<u8>, head: &str, gen: u64, answer: &Answer) {
-    // Writing into a `Vec` cannot fail.
-    let _ = write!(
-        out,
-        "{head} {gen} {} {} {}",
-        answer.matched_points,
-        answer.total_points,
-        VerdictKind::of(answer).label()
-    );
+    out.extend_from_slice(head.as_bytes());
+    for n in [
+        gen,
+        answer.matched_points as u64,
+        answer.total_points as u64,
+    ] {
+        out.push(b' ');
+        push_decimal(out, n);
+    }
+    out.push(b' ');
+    out.extend_from_slice(VerdictKind::of(answer).label().as_bytes());
     for (i, app) in answer.apps().enumerate() {
         out.push(if i == 0 { b' ' } else { b',' });
         out.extend_from_slice(app.as_bytes());
     }
+}
+
+/// Append `n` in decimal, as `{n}` would format it.
+fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
 }
 
 /// Render a full `OK`/`VERDICT` response line: [`write_answer`] over the
@@ -1043,6 +1062,46 @@ mod tests {
                 assert_eq!(kind.label(), verdict_label(rec));
                 assert_eq!(VerdictKind::from_label(kind.label()), kind);
             }
+        }
+    }
+
+    /// Point counts and generations at the edges of the integer writer
+    /// (0, one digit, ten digits, the type's maximum) and anywhere.
+    fn edgy_u64() -> impl proptest::strategy::Strategy<Value = u64> {
+        use proptest::prelude::*;
+        prop_oneof![
+            Just(0u64),
+            Just(u64::MAX),
+            1u64..10,
+            999_999_999u64..10_000_000_001,
+            any::<u64>(),
+        ]
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn write_answer_bytes_equal_format_on_arbitrary_inputs(
+            gen in edgy_u64(),
+            matched in edgy_u64(),
+            total in edgy_u64(),
+            apps in proptest::collection::vec("[a-zA-Z0-9_]{1,12}", 0..6),
+            head in proptest::sample::select(vec!["OK", "VERDICT"]),
+        ) {
+            let verdict = match apps.len() {
+                0 => Verdict::Unknown,
+                1 => Verdict::Recognized(apps[0].clone()),
+                _ => Verdict::Ambiguous(apps.clone()),
+            };
+            let rec = Recognition {
+                verdict,
+                app_votes: vec![],
+                label_votes: vec![],
+                matched_points: matched as usize,
+                total_points: total as usize,
+            };
+            let mut out = Vec::new();
+            write_answer(&mut out, head, gen, &Answer::from(&rec));
+            proptest::prop_assert_eq!(out, format_reply(head, gen, &rec).into_bytes());
         }
     }
 

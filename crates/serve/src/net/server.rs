@@ -3,10 +3,12 @@
 //!
 //! ## Thread model
 //!
-//! One nonblocking acceptor thread polls `accept()` (and the SIGHUP
-//! reload flag) every `ACCEPT_TICK` (2 ms) and spawns a scoped thread
-//! per accepted connection, which serves it to completion with its own
-//! [`VoteScratch`]. Connections are long-lived and carry many requests,
+//! One acceptor thread waits in `poll(2)` for the nonblocking listener
+//! to turn readable, for at most `ACCEPT_TICK` so that it also notices
+//! a SIGHUP reload request and shutdown, and spawns a scoped thread per
+//! accepted connection, which serves it to completion with its own
+//! [`VoteScratch`]. (Off unix, and at the connection cap, it sleeps the
+//! tick instead.) Connections are long-lived and carry many requests,
 //! so per-connection (not per-request) threads keep the hot path free
 //! of cross-thread handoff, and while fewer than [`MAX_CONNECTIONS`]
 //! are open no client — idle, slow or busy — can hold up another: a
@@ -49,6 +51,16 @@
 //! checked when a read times out or returns part of a frame
 //! ([`FrameReader::read_frame_before`]), so a request that arrives
 //! whole costs no extra clock read.
+//!
+//! ## One clock read per request
+//!
+//! A request's duration runs from its start to its reply being
+//! buffered, and the clock is read once per request: when the reply is
+//! buffered. A request read from the socket starts when its frame is
+//! decoded (one more read, for the first request of a burst); a request
+//! already buffered behind the previous one starts when that reply was
+//! buffered. So the spans of a pipelined burst follow one another
+//! without overlap, and each request is observed exactly once.
 //!
 //! ## Buffered frames, flush on drain
 //!
@@ -120,7 +132,8 @@ use crate::{Backend, DictSource, DurableDictionary};
 /// Connection read-timeout tick: how often a quiet connection checks
 /// its idle deadline and the shutdown flag.
 const READ_TICK: Duration = Duration::from_millis(100);
-/// Acceptor poll tick (nonblocking `accept` + reload-flag check).
+/// Longest the acceptor waits for a connection before it checks the
+/// reload and shutdown flags again.
 const ACCEPT_TICK: Duration = Duration::from_millis(2);
 /// Cap on open connections, each served by its own thread. Between
 /// requests a connection holds about 30–35 KiB resident, also when it
@@ -505,12 +518,52 @@ fn accept_loop<'s>(shared: &'s Shared, listener: TcpListener, scope: &'s Scope<'
                     thread::sleep(ACCEPT_TICK);
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_TICK),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                wait_for_peer(&listener, ACCEPT_TICK)
+            }
             // Transient accept errors (EMFILE, aborted handshake):
             // back off and keep serving.
             Err(_) => thread::sleep(ACCEPT_TICK),
         }
     }
+}
+
+/// Wait until `listener` has a connection to accept, or `tick` passes.
+/// A failed or interrupted wait just ends early; the caller loops.
+#[cfg(unix)]
+fn wait_for_peer(listener: &TcpListener, tick: Duration) {
+    use std::os::raw::c_int;
+    use std::os::unix::io::AsRawFd;
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: i16,
+        revents: i16,
+    }
+    #[cfg(target_os = "linux")]
+    type NFds = std::os::raw::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type NFds = std::os::raw::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: NFds, timeout: c_int) -> c_int;
+    }
+    const POLLIN: i16 = 0x1;
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let timeout = c_int::try_from(tick.as_millis()).unwrap_or(c_int::MAX);
+    // SAFETY: `fd` is one initialised pollfd that outlives the call, and
+    // the listener keeps its descriptor open throughout.
+    unsafe {
+        poll(&mut fd, 1, timeout);
+    }
+}
+
+#[cfg(not(unix))]
+fn wait_for_peer(_listener: &TcpListener, tick: Duration) {
+    thread::sleep(tick);
 }
 
 /// Per-connection streaming state: one open [`OnlineRecognizer`] over
@@ -601,6 +654,9 @@ fn serve_conn(shared: &Shared, stream: &TcpStream, conn: &mut Conn) -> io::Resul
     let mut deadline = Instant::now().checked_add(shared.cfg.idle_timeout);
     // Until the first frame decodes, its prefix is also the HTTP sniff.
     let mut sniffing = true;
+    // When a reply is buffered with the next frame already in the
+    // reader, that instant is the next request's start.
+    let mut chained: Option<Instant> = None;
     loop {
         if shared.stopping() {
             return conn.flush(shared, &mut writer);
@@ -612,7 +668,7 @@ fn serve_conn(shared: &Shared, stream: &TcpStream, conn: &mut Conn) -> io::Resul
             Ok(None) => return Ok(()), // clean close at a frame boundary
             Ok(Some(payload)) => {
                 sniffing = false;
-                started = Instant::now();
+                started = chained.take().unwrap_or_else(Instant::now);
                 deadline = started.checked_add(shared.cfg.idle_timeout);
                 large = payload.len() > READ_CHUNK;
                 dispatch(shared, payload, conn, &mut reply)
@@ -657,7 +713,9 @@ fn serve_conn(shared: &Shared, stream: &TcpStream, conn: &mut Conn) -> io::Resul
             reply = b"ERR malformed request token too long to echo".to_vec();
         }
         write_frame(&mut writer, &reply)?;
-        conn.tally.observe_duration(started.elapsed());
+        let buffered = Instant::now();
+        conn.tally
+            .observe_duration(buffered.duration_since(started));
         if large {
             // Buffers grown for a request longer than one read chunk are
             // dropped once it is answered (an open stream and the cached
@@ -673,7 +731,9 @@ fn serve_conn(shared: &Shared, stream: &TcpStream, conn: &mut Conn) -> io::Resul
         }
         // Flush on drain: a buffered request is answered first, and the
         // next socket read only ever happens with every reply sent.
-        if !reader.frame_ready() {
+        if reader.frame_ready() {
+            chained = Some(buffered);
+        } else {
             conn.flush(shared, &mut writer)?;
         }
         match action {

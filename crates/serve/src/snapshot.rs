@@ -42,8 +42,9 @@
 //! It takes the query's points in chunks of up to `PROBE_CHUNK` (16)
 //! and makes four passes over each chunk:
 //!
-//! 1. round and hash every point (a metric the store has no key for,
-//!    or a NaN or infinite mean, is a miss here);
+//! 1. round and hash every point (a metric the store has no key for is
+//!    a miss here before its mean is rounded, and so is a NaN or
+//!    infinite mean);
 //! 2. read every point's home slot of the index;
 //! 3. compare records and walk probe chains;
 //! 4. vote the matched keys in point order.
@@ -357,16 +358,20 @@ impl Snapshot {
         Postings::over(&self.bytes[self.postings.clone()])
     }
 
-    /// The record words `fp` would have here and their home slot;
-    /// `None` when no key uses `fp`'s metric.
+    /// The records' metric index of `metric`; `None` when no key uses
+    /// it.
     #[inline]
-    fn home(&self, fp: &Fingerprint) -> Option<([u64; 3], usize)> {
-        let metric = *self.metrics.get(fp.metric.0 as usize)?;
-        if metric == VACANT {
-            return None;
-        }
+    fn metric_index(&self, metric: MetricId) -> Option<u32> {
+        let index = *self.metrics.get(metric.0 as usize)?;
+        (index != VACANT).then_some(index)
+    }
+
+    /// The record words `fp` would have under metric index `metric`,
+    /// and their home slot.
+    #[inline]
+    fn home(&self, metric: u32, fp: &Fingerprint) -> ([u64; 3], usize) {
         let key = key_words(metric, fp);
-        Some((key, home_slot(&key, self.index.len() - 1)))
+        (key, home_slot(&key, self.index.len() - 1))
     }
 
     /// The chain walk every probe goes through: starting at `slot`,
@@ -398,7 +403,7 @@ impl Snapshot {
     /// pipeline's one-point case.
     #[inline]
     fn find(&self, fp: &Fingerprint) -> Option<(u32, u32)> {
-        let (key, slot) = self.home(fp)?;
+        let (key, slot) = self.home(self.metric_index(fp.metric)?, fp);
         self.walk(&key, slot, self.index[slot])
     }
 
@@ -450,11 +455,15 @@ impl Snapshot {
         let mut matched = 0usize;
         for chunk in query.points.chunks(PROBE_CHUNK) {
             let n = chunk.len();
-            // 1. Round and hash every point.
+            // 1. Round and hash every point whose metric some key uses
+            //    (no other point can match, so it is not rounded).
             let mut homes = [None; PROBE_CHUNK];
             for (home, p) in homes.iter_mut().zip(chunk) {
-                *home = Fingerprint::from_raw(p.metric, p.node, p.interval, p.mean, self.depth)
-                    .and_then(|fp| self.home(&fp));
+                *home = self.metric_index(p.metric).and_then(|metric| {
+                    let fp =
+                        Fingerprint::from_raw(p.metric, p.node, p.interval, p.mean, self.depth)?;
+                    Some(self.home(metric, &fp))
+                });
             }
             // 2. Read every home slot.
             let mut entries = [[VACANT, MULTI]; PROBE_CHUNK];

@@ -316,6 +316,61 @@ fn pipelined_bursts_keep_every_counter_exact() {
     server.join();
 }
 
+/// `efd_request_duration_seconds`' `_count` and `_sum` in a scrape.
+fn duration_totals(scrape: &str) -> (u64, f64) {
+    let sample = |name: &str| -> &str {
+        scrape
+            .lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no {name} in scrape:\n{scrape}"))
+    };
+    let count = sample("efd_request_duration_seconds_count");
+    let sum = sample("efd_request_duration_seconds_sum");
+    (
+        count.parse().expect("integer count"),
+        sum.parse().expect("float sum"),
+    )
+}
+
+#[test]
+fn a_pipelined_burst_observes_one_duration_per_request_without_overlap() {
+    let dict = dict_with(&corpus());
+    let server = start_server(snapshot_engine(&dict), |_| {});
+    let mut client = Client::connect(server.local_addr());
+    assert_eq!(
+        client.request(&recognize_line(&[6000.0, 6000.0])),
+        "OK 1 2 2 recognized ft"
+    );
+    let (count0, sum0) = duration_totals(&server.metrics_text());
+
+    // One burst, written at once: after its first request, each request
+    // starts where the reply before it was buffered.
+    let mix = query_mix();
+    let n = 300usize;
+    let mut burst = Vec::new();
+    for i in 0..n {
+        write_frame(&mut burst, recognize_line(&mix[i % mix.len()]).as_bytes())
+            .expect("frame into a Vec");
+    }
+    let sent = Instant::now();
+    client.stream.write_all(&burst).expect("write burst");
+    for _ in 0..n {
+        assert!(client.recv().starts_with("OK 1 "));
+    }
+    let wall = sent.elapsed().as_secs_f64();
+
+    let (count, sum) = duration_totals(&server.metrics_text());
+    assert_eq!(count - count0, n as u64, "one observation per request");
+    assert!(
+        sum - sum0 <= wall,
+        "the burst's durations sum to {}s, more than the {wall}s from first send to last \
+         reply: the spans overlap",
+        sum - sum0
+    );
+    server.shutdown();
+    server.join();
+}
+
 #[test]
 fn an_idle_connection_releases_a_swapped_out_engine() {
     let dict = dict_with(&corpus());
