@@ -39,12 +39,9 @@ pub const MANIFEST_SCHEMA: &str = "recognizer.v1";
 /// Which engine a stage runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StageBackend {
-    /// The read-only snapshot of the exact dictionary.
+    /// The read-only snapshot of the exact dictionary. `efdb` and
+    /// `sharded`, names older manifests may carry, read as this.
     Exact,
-    /// The read-only snapshot, built from the artifact's EFDB bytes.
-    Efdb,
-    /// Sharded concurrent dictionary.
-    Sharded,
     /// Combinatorial (multi-point) fingerprint snapshot.
     Combo,
     /// k-nearest-neighbour fallback with abstention.
@@ -57,12 +54,13 @@ pub enum StageBackend {
 }
 
 impl StageBackend {
+    /// Every stage backend's manifest name, in `docs/FORMAT.md` order.
+    pub const NAMES: [&'static str; 4] = ["exact", "combo", "knn", "gaussian-nb"];
+
     /// The manifest's string form.
     pub fn name(&self) -> &'static str {
         match self {
             StageBackend::Exact => "exact",
-            StageBackend::Efdb => "efdb",
-            StageBackend::Sharded => "sharded",
             StageBackend::Combo => "combo",
             StageBackend::Knn { .. } => "knn",
             StageBackend::GaussianNb => "gaussian-nb",
@@ -114,9 +112,7 @@ fn parse_stage(i: usize, v: &serde::Value) -> Result<ManifestStage, CatalogError
         .and_then(|b| b.as_str())
         .ok_or_else(|| invalid(format!("stack[{i}]: missing string field \"backend\"")))?;
     let backend = match backend_name {
-        "exact" => StageBackend::Exact,
-        "efdb" => StageBackend::Efdb,
-        "sharded" => StageBackend::Sharded,
+        "exact" | "efdb" | "sharded" => StageBackend::Exact,
         "combo" => StageBackend::Combo,
         "knn" => {
             let k = match v.get("k") {
@@ -132,7 +128,8 @@ fn parse_stage(i: usize, v: &serde::Value) -> Result<ManifestStage, CatalogError
         "gaussian-nb" => StageBackend::GaussianNb,
         other => {
             return Err(invalid(format!(
-                "stack[{i}]: unknown backend {other:?} (want exact|efdb|sharded|combo|knn|gaussian-nb)"
+                "stack[{i}]: unknown backend {other:?} (want {})",
+                StageBackend::NAMES.join("|")
             )))
         }
     };
@@ -253,6 +250,24 @@ mod tests {
     }
 
     #[test]
+    fn listed_names_parse_and_retired_store_names_read_as_exact() {
+        let stage = |name: &str| {
+            let text = format!(
+                r#"{{"schema":"recognizer.v1","name":"x","stack":[{{"backend":"{name}","artifact":"a"}}]}}"#
+            );
+            Manifest::parse(&text).unwrap().primary().backend.clone()
+        };
+        for name in StageBackend::NAMES {
+            assert_eq!(stage(name).name(), name);
+        }
+        // `recognizer.v1` files are persisted: the store names older
+        // manifests carry must keep loading, as `exact`.
+        for name in ["efdb", "sharded"] {
+            assert_eq!(stage(name), StageBackend::Exact, "{name}");
+        }
+    }
+
+    #[test]
     fn load_resolves_relative_catalog_dir() {
         let dir = std::env::temp_dir().join(format!("efd-manifest-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
@@ -271,7 +286,7 @@ mod tests {
             (r#"{"schema":"recognizer.v1","name":"x","stack":[]}"#, "at least one"),
             (
                 r#"{"schema":"recognizer.v1","name":"x","stack":[{"backend":"nope","artifact":"a"}]}"#,
-                "unknown backend",
+                "unknown backend \"nope\" (want exact|combo|knn|gaussian-nb)",
             ),
             (
                 r#"{"schema":"recognizer.v1","name":"x","stack":[{"backend":"exact"}]}"#,

@@ -12,7 +12,7 @@
 //! efd convert --in <a> --out <b>          JSON ↔ EFDB, round-trip verified
 //! efd export-dict --out <path>            alias of `dump --format json`
 //! efd serve --load <path> [--queries f]   batch recognition service demo
-//!           [--backend snapshot|sharded|combo|efdb]  (one engine API, any backend)
+//!           [--backend snapshot|combo]    (one engine API, either store)
 //! efd serve --wal <dir> [--learn N]       durable serving: write-ahead logged
 //!           [--wal-sync always|batch|none]      learning, crash recovery on restart
 //! efd serve --listen <addr> ...           the network daemon: TCP frame protocol,
@@ -946,7 +946,6 @@ fn open_wal(
     args: &Args,
     d: &Dataset,
     dir: &str,
-    shards: usize,
 ) -> Result<(efd_serve::DurableDictionary, efd_core::wal::Recovery), String> {
     let depth_raw: u8 = args.flag_parsed("depth")?.unwrap_or(2);
     let depth = efd_core::RoundingDepth::try_new(depth_raw)
@@ -960,7 +959,7 @@ fn open_wal(
     };
     let t = std::time::Instant::now();
     let (served, recovery) =
-        efd_serve::DurableDictionary::open(Path::new(dir), depth, shards, d.catalog(), options)
+        efd_serve::DurableDictionary::open(Path::new(dir), depth, d.catalog(), options)
             .map_err(|e| format!("{dir}: {e}"))?;
     if let Some(fault) = &recovery.tail_fault {
         eprintln!(
@@ -981,18 +980,12 @@ fn open_wal(
 /// start fresh), optionally learn a synthetic stream write-ahead, then
 /// answer the query batch from a published snapshot of the recovered
 /// state.
-fn cmd_serve_wal(
-    args: &Args,
-    d: &Dataset,
-    dir: &str,
-    shards: usize,
-    repeat: usize,
-) -> Result<(), String> {
+fn cmd_serve_wal(args: &Args, d: &Dataset, dir: &str, repeat: usize) -> Result<(), String> {
     use std::sync::Arc;
     use std::time::Instant;
 
     let learn_n: usize = args.flag_parsed("learn")?.unwrap_or(0);
-    let (served, recovery) = open_wal(args, d, dir, shards)?;
+    let (served, recovery) = open_wal(args, d, dir)?;
     let mut oracle = recovery.dictionary;
     if learn_n > 0 {
         let stream = synth_learn_stream(d, learn_n);
@@ -1032,16 +1025,15 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     use std::time::Instant;
 
     let source = ServeSource::from_args(args)?;
-    let shards: usize = args.flag_parsed("shards")?.unwrap_or(8);
     if let Some(addr) = args.flag("listen") {
-        return cmd_serve_listen(args, addr, source, shards);
+        return cmd_serve_listen(args, addr, source);
     }
     let repeat: usize = args.flag_parsed("repeat")?.unwrap_or(1).max(1);
     let d = dataset_from(args)?;
     let (spec, backend) = match source {
-        ServeSource::Wal(dir) => return cmd_serve_wal(args, &d, dir, shards, repeat),
+        ServeSource::Wal(dir) => return cmd_serve_wal(args, &d, dir, repeat),
         ServeSource::Manifest(mpath) => {
-            let (engine, report) = engine_from_manifest(Path::new(mpath), d.catalog(), shards)?;
+            let (engine, report) = engine_from_manifest(Path::new(mpath), d.catalog())?;
             for line in &report {
                 println!("{line}");
             }
@@ -1081,7 +1073,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         dict.app_names().len()
     );
     let t = Instant::now();
-    let (engine, keys) = backend.load(src.bytes, d.catalog(), shards, &src.shown)?;
+    let (engine, keys) = backend.load(src.bytes, d.catalog(), &src.shown)?;
     println!(
         "backend:    {} — {keys} keys, built in {:.2} ms",
         backend.name(),
@@ -1125,12 +1117,7 @@ fn install_sighup(_flag: std::sync::Arc<std::sync::atomic::AtomicBool>) {}
 /// the batch demo above, behind a socket: frame-protocol recognition
 /// (one-shot and streaming), `/metrics` over HTTP on the same port,
 /// SIGHUP / `SWAP` hot reload, graceful shutdown via `efd ctl`.
-fn cmd_serve_listen(
-    args: &Args,
-    addr: &str,
-    source: ServeSource<'_>,
-    shards: usize,
-) -> Result<(), String> {
+fn cmd_serve_listen(args: &Args, addr: &str, source: ServeSource<'_>) -> Result<(), String> {
     use efd_serve::net;
     use std::sync::Arc;
     use std::time::Duration;
@@ -1141,7 +1128,7 @@ fn cmd_serve_listen(
         Duration::from_secs(args.flag_parsed::<u64>("idle-timeout")?.unwrap_or(30).max(1));
 
     let engine = match source {
-        ServeSource::Wal(dir) => net::Engine::durable(Arc::new(open_wal(args, &d, dir, shards)?.0)),
+        ServeSource::Wal(dir) => net::Engine::durable(Arc::new(open_wal(args, &d, dir)?.0)),
         ServeSource::Manifest(spec) | ServeSource::Dict(spec, _) => {
             // One loader builds the start-up engine and every SWAP /
             // SIGHUP reload: a manifest rebuilds its whole stack, and a
@@ -1161,9 +1148,9 @@ fn cmd_serve_listen(
                         .iter()
                         .map(|p| format!("provenance: {p}"))
                         .collect();
-                    Ok((net::Engine::load(src, backend, catalog, shards)?, report))
+                    Ok((net::Engine::load(src, backend, catalog)?, report))
                 }
-                None => engine_from_manifest(p, catalog, shards),
+                None => engine_from_manifest(p, catalog),
             };
             let (engine, report) = load(Path::new(spec), d.catalog())?;
             for line in &report {
@@ -1568,7 +1555,6 @@ fn ml_stage(
 fn engine_from_manifest(
     path: &Path,
     catalog: &efd_telemetry::MetricCatalog,
-    shards: usize,
 ) -> Result<(efd_serve::net::Engine, Vec<String>), String> {
     let m = Manifest::load(path).map_err(|e| e.to_string())?;
     let manifest_dir = path.parent().unwrap_or(Path::new("."));
@@ -1581,7 +1567,7 @@ fn engine_from_manifest(
             _ => DictSource::open(&manifest_dir.join(&stage.artifact).to_string_lossy(), None)?,
         };
         let (engine, stage_keys) = match Backend::for_stage(&stage.backend) {
-            Some(backend) => backend.load(src.bytes, catalog, shards, &src.shown)?,
+            Some(backend) => backend.load(src.bytes, catalog, &src.shown)?,
             None => ml_stage(stage, &src.bytes, catalog, &src.shown)?,
         };
         if i == 0 {
@@ -1961,8 +1947,8 @@ COMMANDS
                          or the adversarial & drift matrix: --scenario
                          <all|cryptomining-masquerade|metric-dropout|node-heterogeneity
                          |input-extrapolation|concept-drift> (comma lists ok)
-                         [--backend all|dict|snapshot|sharded|combo|efdb|wal|forest|knn
-                         |gaussian-nb] [--intensity X in [0,1], default grid 0..1 by .25]
+                         [--backend all|dict|snapshot|combo|wal|forest|knn|gaussian-nb]
+                         [--intensity X in [0,1], default grid 0..1 by .25]
                          [--seed <u64>] [--out SCENARIO_9.json]
   screen                 rank all 562 metrics by normal-fold F-score [--top N]
   recognize              leave-one-out recognition demo: --run <idx>
@@ -1976,9 +1962,9 @@ COMMANDS
                          [--format efdb|json]; verifies the output round-trips
   export-dict            alias of `dump --format json`: --out <path>
   serve                  batch recognition service demo: --load <dump.json|dict.efdb>
-                         [--backend snapshot|sharded|combo|efdb] [--queries <csv|json>]
-                         [--synth N] [--shards N] [--repeat N]; every backend
-                         takes EFDB or a JSON dump (efdb re-encodes a dump)
+                         [--backend snapshot|combo] [--queries <csv|json>]
+                         [--synth N] [--repeat N]; either backend takes EFDB
+                         or a JSON dump
                          or durable: --wal <dir> [--learn N] [--wal-sync always|batch|none|<n>]
                          [--depth D] — write-ahead logged learning, recovery on restart
                          or daemon: --listen <addr> (e.g. 127.0.0.1:7070) — TCP frame

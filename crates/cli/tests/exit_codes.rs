@@ -43,11 +43,16 @@ fn assert_clean_error(args: &[&str], expect_in_stderr: &str) -> Output {
 
 #[test]
 fn unknown_backend_is_a_clean_error() {
-    // --backend is validated before --load is touched.
-    assert_clean_error(
-        &["serve", "--load", "/nonexistent.efdb", "--backend", "bogus"],
-        "--backend",
-    );
+    // --backend is validated before --load is touched; the retired
+    // `sharded` and `efdb` names are unknown like any other.
+    for name in ["bogus", "sharded", "efdb"] {
+        let out = assert_clean_error(
+            &["serve", "--load", "/nonexistent.efdb", "--backend", name],
+            "--backend",
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("(snapshot|combo)"), "{stderr}");
+    }
 }
 
 #[test]
@@ -121,8 +126,8 @@ fn flag_without_value_is_a_clean_error() {
 #[test]
 fn bad_numeric_flag_is_a_clean_error() {
     assert_clean_error(
-        &["serve", "--load", "/nonexistent.efdb", "--shards", "many"],
-        "--shards",
+        &["serve", "--load", "/nonexistent.efdb", "--repeat", "many"],
+        "--repeat",
     );
 }
 
@@ -439,5 +444,5 @@ fn help_exits_zero() {
     let out = efd(&["help"]);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("--backend snapshot|sharded|combo"), "{stdout}");
+    assert!(stdout.contains("--backend snapshot|combo]"), "{stdout}");
 }

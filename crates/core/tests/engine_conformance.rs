@@ -252,7 +252,7 @@ fn registry_load(
         binfmt::write_dictionary(&dict, &catalog)
     };
     let (recognizer, _keys) = backend
-        .load(bytes, &catalog, 8, "conformance")
+        .load(bytes, &catalog, "conformance")
         .expect("the registry builds every backend from valid bytes");
     recognizer
 }
@@ -265,14 +265,6 @@ conformance!(exact: registry_snapshot_from_json, |o: &[LabeledObservation]| {
     registry_load(Backend::Snapshot, o, true)
 });
 
-conformance!(exact: registry_sharded_from_efdb, |o: &[LabeledObservation]| {
-    registry_load(Backend::Sharded, o, false)
-});
-
-conformance!(exact: registry_sharded_from_json, |o: &[LabeledObservation]| {
-    registry_load(Backend::Sharded, o, true)
-});
-
 conformance!(exact: registry_combo_from_efdb, |o: &[LabeledObservation]| {
     registry_load(Backend::Combo, o, false)
 });
@@ -281,22 +273,14 @@ conformance!(exact: registry_combo_from_json, |o: &[LabeledObservation]| {
     registry_load(Backend::Combo, o, true)
 });
 
-conformance!(exact: registry_efdb_from_efdb, |o: &[LabeledObservation]| {
-    registry_load(Backend::Efdb, o, false)
-});
-
-conformance!(exact: registry_efdb_from_json, |o: &[LabeledObservation]| {
-    // A JSON dump has no bytes to serve in place: the registry re-encodes
-    // it as canonical EFDB first.
-    registry_load(Backend::Efdb, o, true)
-});
-
 #[test]
 fn registry_rejects_unknown_backend_names() {
-    for name in ["bogus", "exact", "Snapshot", ""] {
+    let names = Backend::ALL.map(Backend::name).join("|");
+    assert_eq!(names, "snapshot|combo");
+    for name in ["bogus", "exact", "Snapshot", "", "sharded", "efdb"] {
         let err = Backend::parse(name).expect_err(name);
         assert!(err.contains(&format!("{name:?}")), "{err}");
-        assert!(err.contains("snapshot|sharded|combo|efdb"), "{err}");
+        assert!(err.contains(&format!("({names})")), "{err}");
     }
     for backend in Backend::ALL {
         assert_eq!(Backend::parse(backend.name()), Ok(backend));
@@ -311,7 +295,7 @@ fn registry_errors_name_the_source() {
     for backend in Backend::ALL {
         for bytes in [b"not a dictionary".to_vec(), bad_efdb.clone()] {
             let err = backend
-                .load(bytes, &catalog, 8, "garbage.bin")
+                .load(bytes, &catalog, "garbage.bin")
                 .err()
                 .expect("garbage bytes never build");
             assert!(

@@ -2,12 +2,12 @@
 //!
 //! `efd_workload::scenario` builds the hostile inputs; this module runs
 //! them against **every** engine backend — the whole dictionary family
-//! (in-memory oracle, frozen snapshot, sharded, combo, EFDB-loaded,
-//! WAL-recovered) and the ml family (forest / kNN / Gaussian NB) — and
+//! (in-memory oracle, EFDB-loaded snapshot, combo, WAL-recovered) and
+//! the ml family (forest / kNN / Gaussian NB) — and
 //! scores each cell with [`crate::scoring`]'s abstention-quality metrics.
 //!
 //! The plumbing is PR 5's engine API end to end: one concrete
-//! [`ScenarioBackend`] type wraps all nine [`BackendKind`]s behind
+//! [`ScenarioBackend`] type wraps all seven [`BackendKind`]s behind
 //! [`Learn`]`+`[`Recognize`] (freeze-style backends buffer observations
 //! and build lazily on first recognition, the WAL backend additionally
 //! round-trips through close-and-recover), so a single
@@ -30,7 +30,9 @@ use efd_core::engine::{Learn, Recognize, VoteScratch};
 use efd_core::maintenance::AgingDictionary;
 use efd_core::online::OnlineRecognizer;
 use efd_core::wal::WalOptions;
-use efd_core::{EfdDictionary, LabeledObservation, ObsPoint, Query, Recognition, RoundingDepth};
+use efd_core::{
+    binfmt, EfdDictionary, LabeledObservation, ObsPoint, Query, Recognition, RoundingDepth,
+};
 use efd_ml::taxonomist::TaxonomistConfig;
 use efd_serve::{Backend, DurableDictionary, Snapshot};
 use efd_telemetry::metric::MetricCatalog;
@@ -46,15 +48,11 @@ use crate::scoring::{score, AbstentionReport, ScoredQuery};
 pub enum BackendKind {
     /// The single-threaded in-memory oracle ([`EfdDictionary`]).
     Dict,
-    /// Frozen immutable [`Snapshot`].
+    /// The read-only [`Snapshot`], loaded from canonical EFDB bytes
+    /// through [`Backend::load`] — the daemon's own load path.
     Snapshot,
-    /// Concurrent [`efd_serve::ShardedDictionary`].
-    Sharded,
     /// Conjunctive multi-metric combo ([`efd_core::multi::ComboDictionary`]).
     Combo,
-    /// The read-only [`efd_serve::Snapshot`] loaded from canonical EFDB
-    /// bytes.
-    Efdb,
     /// WAL-backed [`DurableDictionary`], closed and *recovered* before
     /// serving — every cell also exercises the durability path.
     Wal,
@@ -68,12 +66,10 @@ pub enum BackendKind {
 
 impl BackendKind {
     /// Every backend, in canonical (report) order.
-    pub const ALL: [BackendKind; 9] = [
+    pub const ALL: [BackendKind; 7] = [
         BackendKind::Dict,
         BackendKind::Snapshot,
-        BackendKind::Sharded,
         BackendKind::Combo,
-        BackendKind::Efdb,
         BackendKind::Wal,
         BackendKind::Forest,
         BackendKind::Knn,
@@ -85,9 +81,7 @@ impl BackendKind {
         match self {
             BackendKind::Dict => "dict",
             BackendKind::Snapshot => "snapshot",
-            BackendKind::Sharded => "sharded",
             BackendKind::Combo => "combo",
-            BackendKind::Efdb => "efdb",
             BackendKind::Wal => "wal",
             BackendKind::Forest => "forest",
             BackendKind::Knn => "knn",
@@ -122,8 +116,6 @@ impl std::fmt::Display for BackendKind {
 pub struct CellOptions {
     /// Rounding depth of every dictionary-family backend.
     pub depth: u8,
-    /// Shard count (sharded / snapshot backends).
-    pub shards: usize,
     /// Trees in the forest backend.
     pub forest_trees: usize,
     /// Abstention threshold of the ml backends.
@@ -138,7 +130,6 @@ impl Default for CellOptions {
     fn default() -> Self {
         Self {
             depth: 2,
-            shards: 8,
             forest_trees: 20,
             ml_confidence: 0.5,
             drift_max_age: 3,
@@ -147,7 +138,7 @@ impl Default for CellOptions {
     }
 }
 
-/// Any of the nine backends as one `Learn + Recognize` type, so a single
+/// Any of the seven backends as one `Learn + Recognize` type, so a single
 /// [`EngineClassifier`] can host the whole matrix.
 ///
 /// Learning buffers observations; the actual backend is built lazily on
@@ -204,22 +195,24 @@ impl ScenarioBackend {
         d
     }
 
-    /// A serving backend over the learned dictionary, built through the
-    /// serving registry exactly as `efd serve` builds it.
-    fn registry(&self, backend: Backend) -> Arc<dyn Recognize + Send + Sync> {
-        backend
-            .from_dictionary(&self.learned_dict(), &self.catalog, self.opts.shards)
-            .expect("a trained single-metric dictionary builds on every backend")
-            .0
-    }
-
     fn build_backend(&self) -> Arc<dyn Recognize + Send + Sync> {
         match self.kind {
             BackendKind::Dict => Arc::new(self.learned_dict()),
-            BackendKind::Snapshot => self.registry(Backend::Snapshot),
-            BackendKind::Sharded => self.registry(Backend::Sharded),
-            BackendKind::Combo => self.registry(Backend::Combo),
-            BackendKind::Efdb => self.registry(Backend::Efdb),
+            // The registry backends build exactly as `efd serve` builds
+            // them: the snapshot from a dictionary file's bytes.
+            BackendKind::Snapshot => {
+                let bytes = binfmt::write_dictionary(&self.learned_dict(), &self.catalog);
+                Backend::Snapshot
+                    .load(bytes, &self.catalog, "scenario")
+                    .expect("canonical EFDB bytes load")
+                    .0
+            }
+            BackendKind::Combo => {
+                Backend::Combo
+                    .from_dictionary(&self.learned_dict())
+                    .expect("a trained single-metric dictionary builds a combo")
+                    .0
+            }
             BackendKind::Wal => {
                 let dir = std::env::temp_dir().join(format!(
                     "efd-scenario-wal-{}-{}",
@@ -231,7 +224,6 @@ impl ScenarioBackend {
                     let (served, _recovery) = DurableDictionary::open(
                         &dir,
                         self.depth(),
-                        self.opts.shards,
                         &self.catalog,
                         WalOptions::default(),
                     )
@@ -245,7 +237,6 @@ impl ScenarioBackend {
                 let (served, _recovery) = DurableDictionary::open(
                     &dir,
                     self.depth(),
-                    self.opts.shards,
                     &self.catalog,
                     WalOptions::default(),
                 )
@@ -479,7 +470,7 @@ mod tests {
     fn clean_baseline_recognizes_well_on_every_dictionary_backend() {
         let (d, metric, clean) = fixture();
         let data = build(&clean, &spec(ScenarioKind::MetricDropout, 0.0));
-        for kind in [BackendKind::Dict, BackendKind::Efdb, BackendKind::Wal] {
+        for kind in [BackendKind::Dict, BackendKind::Snapshot, BackendKind::Wal] {
             let clf = fit_backend(kind, &d, metric, Interval::PAPER_DEFAULT, CellOptions::default());
             let r = run_cell(&clf, &data, metric, Interval::PAPER_DEFAULT);
             assert!(

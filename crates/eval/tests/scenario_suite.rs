@@ -6,11 +6,10 @@
 //!   report is bit-identical to the clean baseline (the scoring-side half
 //!   of the byte-identity property in `efd_workload`).
 //! * **Backend conformance** — every dictionary-family backend (in-memory,
-//!   snapshot, sharded, combo, EFDB-loaded, WAL-recovered) produces the
-//!   *identical verdict histogram* on the masquerade scenario at a fixed
-//!   seed: they are serving representations of one dictionary, not six
-//!   classifiers.
-//! * **Blessed clean baseline** — the intensity-0 cells for all six
+//!   EFDB-loaded snapshot, combo, WAL-recovered) produces the *identical
+//!   verdict histogram* on the masquerade scenario at a fixed seed: they
+//!   are serving representations of one dictionary, not four classifiers.
+//! * **Blessed clean baseline** — the intensity-0 cells for all four
 //!   dictionary-family backends, pinned to a fixture file. Re-bless after
 //!   an intentional change with `EFD_BLESS=1 cargo test -p efd-eval`.
 
@@ -127,7 +126,7 @@ fn dictionary_family_backends_agree_on_masquerade_verdicts() {
             }
         }
     }
-    // All six dictionary-family backends actually ran.
+    // All four dictionary-family backends actually ran.
     let (_, expected) = reference.expect("at least one dictionary-family backend");
     assert!(expected.n > 0);
 }

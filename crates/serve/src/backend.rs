@@ -23,12 +23,12 @@
 //!                 &AppLabel::new("ft", "X"));
 //! let bytes = binfmt::write_dictionary(&dict, &catalog);
 //!
-//! let backend = Backend::parse("efdb").unwrap();
-//! let (recognizer, keys) = backend.load(bytes, &catalog, 8, "ft.efdb").unwrap();
+//! let backend = Backend::parse("snapshot").unwrap();
+//! let (recognizer, keys) = backend.load(bytes, &catalog, "ft.efdb").unwrap();
 //! let q = Query::from_node_means(metric, Interval::PAPER_DEFAULT, &[6004.0]);
 //! assert_eq!(keys, 1);
 //! assert_eq!(recognizer.recognize(&q).best(), Some("ft"));
-//! assert!(Backend::parse("bogus").unwrap_err().contains("snapshot|sharded|combo|efdb"));
+//! assert!(Backend::parse("efdb").unwrap_err().contains("(snapshot|combo)"));
 //! ```
 
 use std::path::Path;
@@ -41,45 +41,38 @@ use efd_core::{binfmt, serialize, EfdDictionary};
 use efd_telemetry::MetricCatalog;
 
 use crate::net::DriftBaseline;
-use crate::{ShardedDictionary, Snapshot};
+use crate::Snapshot;
 
 /// A built backend: the recognizer every request answers through, and
 /// its key count (conjunctive keys for [`Backend::Combo`]).
 pub type Built = (Arc<dyn Recognize + Send + Sync>, usize);
 
-/// A dictionary-serving backend. All four answer identically (the
-/// `engine_conformance` suite); they differ in load cost, probe cost
-/// and whether they accept learns. `snapshot` and `efdb` build the same
-/// read-only [`Snapshot`]; they differ only over a live dictionary.
+/// A dictionary-serving backend: one per store whose keys differ. Both
+/// answer identically (the `engine_conformance` suite); they differ in
+/// what they count as a key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// The read-only [`Snapshot`] (the default); over a live dictionary
-    /// it lays the keys out in memory.
+    /// The read-only [`Snapshot`] (the default): over EFDB bytes it
+    /// serves the buffer in place, over a live dictionary it lays the
+    /// keys out in memory.
     Snapshot,
-    /// Live [`ShardedDictionary`] behind per-shard `RwLock`s.
-    Sharded,
     /// Conjunctive [`ComboDictionary`] over a single-metric dictionary.
     Combo,
-    /// The read-only [`Snapshot`] over canonical EFDB bytes; over a live
-    /// dictionary it encodes them first ([`binfmt::write_dictionary`]).
-    Efdb,
 }
 
 impl Backend {
     /// Every backend, in `--backend` help order.
-    pub const ALL: [Backend; 4] = [
-        Backend::Snapshot,
-        Backend::Sharded,
-        Backend::Combo,
-        Backend::Efdb,
-    ];
+    pub const ALL: [Backend; 2] = [Backend::Snapshot, Backend::Combo];
 
     /// Parse a backend name; the error lists the accepted names.
     pub fn parse(name: &str) -> Result<Backend, String> {
         Backend::ALL
             .into_iter()
             .find(|b| b.name() == name)
-            .ok_or_else(|| format!("unknown backend {name:?} (snapshot|sharded|combo|efdb)"))
+            .ok_or_else(|| {
+                let names = Backend::ALL.map(Backend::name).join("|");
+                format!("unknown backend {name:?} ({names})")
+            })
     }
 
     /// The backend a `recognizer.v1` dictionary stage serves through;
@@ -87,8 +80,6 @@ impl Backend {
     pub fn for_stage(stage: &StageBackend) -> Option<Backend> {
         match stage {
             StageBackend::Exact => Some(Backend::Snapshot),
-            StageBackend::Efdb => Some(Backend::Efdb),
-            StageBackend::Sharded => Some(Backend::Sharded),
             StageBackend::Combo => Some(Backend::Combo),
             StageBackend::Knn { .. } | StageBackend::GaussianNb => None,
         }
@@ -98,62 +89,42 @@ impl Backend {
     pub fn name(self) -> &'static str {
         match self {
             Backend::Snapshot => "snapshot",
-            Backend::Sharded => "sharded",
             Backend::Combo => "combo",
-            Backend::Efdb => "efdb",
         }
     }
 
     /// Build from the bytes of a dictionary file — EFDB (sniffed by its
     /// magic) or a JSON dump. `source` names the bytes in errors.
     ///
-    /// Over EFDB the snapshot and efdb backends both serve the moved
-    /// buffer in place ([`Snapshot::load`]) and decode no
-    /// [`EfdDictionary`]. Every other pairing decodes and goes through
-    /// [`Backend::from_dictionary`], so `efdb` over a JSON dump serves
-    /// its canonical re-encoding.
+    /// Over EFDB the snapshot backend serves the moved buffer in place
+    /// ([`Snapshot::load`]) and decodes no [`EfdDictionary`]. Every
+    /// other pairing decodes and goes through [`Backend::from_dictionary`].
     pub fn load(
         self,
         bytes: Vec<u8>,
         catalog: &MetricCatalog,
-        shards: usize,
         source: &str,
     ) -> Result<Built, String> {
-        let size = bytes.len();
-        let efdb_err = |e: binfmt::BinFormatError| format!("{source}: {e} (file is {size} bytes)");
-        if bytes.starts_with(&binfmt::MAGIC) && matches!(self, Backend::Snapshot | Backend::Efdb) {
-            let snap = Snapshot::load(bytes, catalog).map_err(efdb_err)?;
+        if bytes.starts_with(&binfmt::MAGIC) && self == Backend::Snapshot {
+            let size = bytes.len();
+            let snap = Snapshot::load(bytes, catalog)
+                .map_err(|e| format!("{source}: {e} (file is {size} bytes)"))?;
             let keys = snap.len();
             return Ok((Arc::new(snap), keys));
         }
         let dict = decode_dictionary(&bytes, catalog, source)?;
-        self.from_dictionary(&dict, catalog, shards)
-            .map_err(|e| format!("{source}: {e}"))
+        self.from_dictionary(&dict).map_err(|e| format!("{source}: {e}"))
     }
 
     /// Build from a live dictionary.
-    pub fn from_dictionary(
-        self,
-        dict: &EfdDictionary,
-        catalog: &MetricCatalog,
-        shards: usize,
-    ) -> Result<Built, String> {
+    pub fn from_dictionary(self, dict: &EfdDictionary) -> Result<Built, String> {
         Ok(match self {
             Backend::Snapshot => (Arc::new(Snapshot::freeze(dict)), dict.len()),
-            Backend::Sharded => (
-                Arc::new(ShardedDictionary::from_parts(dict.to_parts(), shards)),
-                dict.len(),
-            ),
             Backend::Combo => {
                 let combo = ComboDictionary::from_single_metric(dict)
                     .ok_or("the combo backend needs a non-empty single-metric dictionary")?;
                 let keys = combo.len();
                 (Arc::new(combo), keys)
-            }
-            Backend::Efdb => {
-                let bytes = binfmt::write_dictionary(dict, catalog);
-                let snap = Snapshot::load(bytes, catalog).map_err(|e| e.to_string())?;
-                (Arc::new(snap), dict.len())
             }
         })
     }

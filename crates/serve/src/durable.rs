@@ -36,6 +36,10 @@ use efd_telemetry::metric::MetricCatalog;
 
 use crate::ShardedDictionary;
 
+/// Hash shards of the live dictionary; `perfbench`'s trace replays the
+/// same count.
+const SHARDS: usize = 8;
+
 /// A sharded dictionary with write-ahead durability.
 ///
 /// ```no_run
@@ -48,7 +52,6 @@ use crate::ShardedDictionary;
 /// let (served, recovery) = DurableDictionary::open(
 ///     "wal-dir".as_ref(),
 ///     RoundingDepth::new(2),
-///     8,
 ///     &catalog,
 ///     WalOptions::default(),
 /// ).unwrap();
@@ -64,7 +67,8 @@ pub struct DurableDictionary {
 impl DurableDictionary {
     /// Open (or create) the WAL directory and serve its recovered state.
     ///
-    /// A fresh directory starts empty at `default_depth`; an existing
+    /// The live dictionary is split into eight hash shards. A fresh
+    /// directory starts empty at `default_depth`; an existing
     /// one recovers at its logged depth (torn tails truncated, the fault
     /// reported in the returned [`Recovery`]). Segment bytes are loaded
     /// through the checked-buffer view (`efd_core::binfmt::check`): the
@@ -73,12 +77,11 @@ impl DurableDictionary {
     pub fn open(
         dir: &Path,
         default_depth: RoundingDepth,
-        shards: usize,
         catalog: &MetricCatalog,
         options: WalOptions,
     ) -> Result<(DurableDictionary, Recovery), WalError> {
         let (wal, recovery) = WalDir::open(dir, default_depth, catalog, options)?;
-        let dict = ShardedDictionary::from_parts(recovery.dictionary.to_parts(), shards);
+        let dict = ShardedDictionary::from_parts(recovery.dictionary.to_parts(), SHARDS);
         Ok((
             DurableDictionary {
                 dict,
@@ -231,7 +234,7 @@ mod tests {
 
         {
             let (served, rec) =
-                DurableDictionary::open(&dir, depth, 4, &catalog, options).unwrap();
+                DurableDictionary::open(&dir, depth, &catalog, options).unwrap();
             assert_eq!(rec.replayed, 0);
             served.learn(&obs("ft", "X", &[6020.0; 4])).unwrap();
             served.learn(&obs("cg", "X", &[8110.0; 4])).unwrap();
@@ -240,7 +243,7 @@ mod tests {
             // made every operation durable.
         }
 
-        let (served, rec) = DurableDictionary::open(&dir, depth, 4, &catalog, options).unwrap();
+        let (served, rec) = DurableDictionary::open(&dir, depth, &catalog, options).unwrap();
         assert_eq!(rec.replayed, 3);
         let q_ft = Query::from_node_means(
             MetricId(0),
@@ -270,7 +273,7 @@ mod tests {
         let q_cg = Query::from_node_means(MetricId(0), Interval::PAPER_DEFAULT, &[8110.0; 4]);
 
         {
-            let (served, _) = DurableDictionary::open(&dir, depth, 4, &catalog, options).unwrap();
+            let (served, _) = DurableDictionary::open(&dir, depth, &catalog, options).unwrap();
             let long = "a".repeat(70_000);
             for (app, input) in [(long.as_str(), "X"), ("ft", long.as_str())] {
                 let err = served.learn(&obs(app, input, &[6020.0; 4])).unwrap_err();
@@ -286,7 +289,7 @@ mod tests {
             served.learn(&obs("cg", "X", &[8110.0; 4])).unwrap();
         }
 
-        let (served, rec) = DurableDictionary::open(&dir, depth, 4, &catalog, options).unwrap();
+        let (served, rec) = DurableDictionary::open(&dir, depth, &catalog, options).unwrap();
         assert_eq!(rec.tail_fault, None);
         assert_eq!(rec.replayed, 1);
         assert_eq!(served.recognize(&q_cg).best(), Some("cg"));

@@ -12,7 +12,8 @@
 //! * [`ShardedDictionary`] — the **live** form: fingerprint keys are
 //!   partitioned across N shards by hash (`efd_util::hash`), writers lock
 //!   one shard at a time, and readers recognize concurrently under
-//!   per-shard `RwLock`s. Many threads can learn and recognize at once.
+//!   per-shard `RwLock`s. Many threads can learn and recognize at once;
+//!   it is what a [`DurableDictionary`] serves.
 //! * [`Snapshot`] — the **published** form: an immutable, `Arc`-shareable
 //!   read-only store. It keeps a dictionary in the EFDB key-record
 //!   layout (a loaded file's own buffer, or the same records laid out in
@@ -29,9 +30,9 @@
 //! * [`StackedRecognizer`] — the served form of a `recognizer.v1`
 //!   manifest (`efd-catalog`): backends stacked in precedence order,
 //!   first confident verdict wins, primary abstention preserved.
-//! * [`Backend`] — the **registry**: a backend name plus dictionary
-//!   bytes (or a live dictionary) in, `Arc<dyn Recognize + Send + Sync>`
-//!   out. Batch serving, the daemon's load and reload, and manifest
+//! * [`Backend`] — the **registry**: a backend name (`snapshot|combo`,
+//!   one per store whose keys differ) plus dictionary bytes (or a live
+//!   dictionary) in, `Arc<dyn Recognize + Send + Sync>` out. Batch serving, the daemon's load and reload, and manifest
 //!   stages all construct backends through it, from the bytes one
 //!   loader, [`DictSource::open`], read (and, for a catalog artifact,
 //!   digest-verified) once.

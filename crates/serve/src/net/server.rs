@@ -215,9 +215,8 @@ impl Engine {
         src: DictSource,
         backend: Backend,
         catalog: &MetricCatalog,
-        shards: usize,
     ) -> Result<Engine, String> {
-        let (recognizer, keys) = backend.load(src.bytes, catalog, shards, &src.shown)?;
+        let (recognizer, keys) = backend.load(src.bytes, catalog, &src.shown)?;
         Ok(Engine {
             version: src.version,
             baseline: src.baseline,
@@ -292,7 +291,7 @@ impl ServerConfig {
             drift: DriftConfig::default(),
             loader: Arc::new(|path, catalog| {
                 let src = DictSource::open(&path.to_string_lossy(), None)?;
-                Engine::load(src, Backend::Snapshot, catalog, 1)
+                Engine::load(src, Backend::Snapshot, catalog)
             }),
         }
     }

@@ -405,7 +405,7 @@ fn swap_command_and_hup_flag_republish_from_dictionary_files() {
     let path_b = write_efdb(&dir, "b.efdb", &dict_b);
 
     let src = DictSource::open(path_a.to_str().unwrap(), None).expect("read initial dictionary");
-    let engine = Engine::load(src, Backend::Snapshot, &catalog(), 4).expect("load initial engine");
+    let engine = Engine::load(src, Backend::Snapshot, &catalog()).expect("load initial engine");
     let path_a_cfg = path_a.clone();
     let server = start_server(engine, move |cfg| cfg.reload_path = Some(path_a_cfg));
     let mut client = Client::connect(server.local_addr());
@@ -438,7 +438,6 @@ fn durable_daemon_learns_over_the_wire_and_refuses_swaps() {
     let (durable, recovery) = DurableDictionary::open(
         &dir,
         RoundingDepth::new(2),
-        4,
         &catalog(),
         WalOptions::default(),
     )
@@ -475,7 +474,6 @@ fn durable_daemon_refuses_an_over_long_learn_and_keeps_serving() {
         DurableDictionary::open(
             &dir,
             RoundingDepth::new(2),
-            4,
             &catalog(),
             WalOptions {
                 sync: SyncPolicy::Always,

@@ -47,7 +47,7 @@ fn the_served_bytes_are_the_verified_bytes() {
         "the probes must tell A from B"
     );
     for (backend, src) in Backend::ALL.into_iter().zip(sources) {
-        let engine = Engine::load(src, backend, &catalog(), 4).expect("engine from the source");
+        let engine = Engine::load(src, backend, &catalog()).expect("engine from the source");
         assert_eq!(engine.version.as_deref(), Some("apps@v1"));
         for means in &probes {
             let q = query(means);

@@ -57,7 +57,7 @@ fn stack_for(dict: &EfdDictionary) -> StackedRecognizer {
         .map(|s| {
             let (engine, _keys) = Backend::for_stage(&s.backend)
                 .expect("manifest stacks dictionary stages")
-                .from_dictionary(dict, &catalog(), 4)
+                .from_dictionary(dict)
                 .expect("registry builds every dictionary stage");
             StackedStage {
                 name: s.backend.to_string(),

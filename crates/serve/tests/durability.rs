@@ -282,14 +282,14 @@ fn crash_reopen_cycles_preserve_every_acknowledged_operation() {
         let dir = tmp_dir(&format!("crash{crash_after}"));
         {
             let (served, _) =
-                DurableDictionary::open(&dir, depth, 4, &catalog, options).unwrap();
+                DurableDictionary::open(&dir, depth, &catalog, options).unwrap();
             for o in &stream[..crash_after] {
                 served.learn(o).unwrap();
             }
             // `served` dropped here without sync/freeze: the "crash".
         }
         let (served, recovery) =
-            DurableDictionary::open(&dir, depth, 4, &catalog, options).unwrap();
+            DurableDictionary::open(&dir, depth, &catalog, options).unwrap();
         assert_eq!(recovery.replayed, crash_after);
         assert!(recovery.tail_fault.is_none());
         let oracle = oracle_for_prefix(&stream, crash_after);
@@ -321,7 +321,7 @@ fn eviction_composes_with_replay_and_does_not_resurrect() {
     let dir = tmp_dir("evict");
 
     {
-        let (served, _) = DurableDictionary::open(&dir, depth, 4, &catalog, options).unwrap();
+        let (served, _) = DurableDictionary::open(&dir, depth, &catalog, options).unwrap();
         for o in &stream[..6] {
             served.learn(o).unwrap();
         }
@@ -338,7 +338,7 @@ fn eviction_composes_with_replay_and_does_not_resurrect() {
         served.forget_app("cg").unwrap();
     }
 
-    let (served, recovery) = DurableDictionary::open(&dir, depth, 4, &catalog, options).unwrap();
+    let (served, recovery) = DurableDictionary::open(&dir, depth, &catalog, options).unwrap();
     assert_eq!(recovery.segments, 1);
 
     // Oracle: same operations on the single-threaded maintenance path.
@@ -423,7 +423,7 @@ fn on_disk_corruption_is_truncated_once_and_heals_on_append() {
     let dir = tmp_dir("heal");
 
     {
-        let (served, _) = DurableDictionary::open(&dir, depth, 4, &catalog, options).unwrap();
+        let (served, _) = DurableDictionary::open(&dir, depth, &catalog, options).unwrap();
         for o in &stream[..6] {
             served.learn(o).unwrap();
         }
@@ -442,7 +442,7 @@ fn on_disk_corruption_is_truncated_once_and_heals_on_append() {
 
     {
         let (served, recovery) =
-            DurableDictionary::open(&dir, depth, 4, &catalog, options).unwrap();
+            DurableDictionary::open(&dir, depth, &catalog, options).unwrap();
         assert_eq!(recovery.replayed, 4, "stop at last valid record");
         assert!(
             matches!(recovery.tail_fault, Some(WalError::CorruptRecord { offset, .. })
@@ -455,7 +455,7 @@ fn on_disk_corruption_is_truncated_once_and_heals_on_append() {
             served.learn(o).unwrap();
         }
     }
-    let (served, recovery) = DurableDictionary::open(&dir, depth, 4, &catalog, options).unwrap();
+    let (served, recovery) = DurableDictionary::open(&dir, depth, &catalog, options).unwrap();
     assert!(recovery.tail_fault.is_none(), "log healed by truncation");
     assert_eq!(recovery.replayed, 6, "4 surviving + 2 new records");
     let mut oracle = oracle_for_prefix(&stream, 4);
@@ -486,7 +486,7 @@ fn compaction_output_is_canonical_bytes_equal_to_a_from_scratch_dump() {
     };
 
     {
-        let (served, _) = DurableDictionary::open(&dir, depth, 4, &catalog, options).unwrap();
+        let (served, _) = DurableDictionary::open(&dir, depth, &catalog, options).unwrap();
         for o in &stream {
             served.learn(o).unwrap();
         }

@@ -2,14 +2,14 @@
 //! backend.
 //!
 //! ```sh
-//! cargo run --release --example batch_serving [snapshot|sharded|combo]
+//! cargo run --release --example batch_serving [snapshot|combo]
 //! ```
 //!
 //! The serving lifecycle on top of the paper's pipeline: train an EFD on
-//! the synthetic dataset, publish it as a runtime-selected
-//! `Arc<dyn Recognize + Send + Sync>` (an immutable [`Snapshot`], a live
-//! [`ShardedDictionary`], or a conjunctive `ComboDictionary` — the same
-//! loop serves all three), fan a 10 000-query stream over worker threads
+//! the synthetic dataset, publish it through the backend registry as a
+//! runtime-selected `Arc<dyn Recognize + Send + Sync>` (an immutable
+//! [`Snapshot`] or a conjunctive `ComboDictionary` — the same loop serves
+//! both), fan a 10 000-query stream over worker threads
 //! with [`ParallelRecognize::recognize_batch_parallel`], then learn a
 //! *new* application concurrently and re-publish — the paper's "learning
 //! new applications is as simple as adding new keys", done live.
@@ -18,10 +18,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use efd::prelude::*;
+use efd::serve::Backend;
 use efd_telemetry::catalog::small_catalog;
 use efd_util::SplitMix64;
 
-fn main() {
+fn main() -> Result<(), String> {
     let backend_kind = std::env::args().nth(1).unwrap_or_else(|| "snapshot".into());
 
     // Train exactly like the quickstart: one metric, first two minutes.
@@ -40,23 +41,10 @@ fn main() {
         dict.app_names().len()
     );
 
-    // Publish behind the object-safe engine trait. This is the whole
-    // point of the API: the serving loop below never names a concrete
-    // backend type.
-    let snapshot = Arc::new(Snapshot::freeze(dict));
-    let backend: Arc<dyn Recognize + Send + Sync> = match backend_kind.as_str() {
-        "snapshot" => Arc::clone(&snapshot) as _,
-        "sharded" => Arc::new(ShardedDictionary::from_parts(dict.to_parts(), 8)) as _,
-        "combo" => {
-            let combo = efd::core::multi::ComboDictionary::from_single_metric(dict)
-                .expect("trained dictionary is single-metric");
-            Arc::new(combo) as _
-        }
-        other => {
-            eprintln!("unknown backend {other:?} (snapshot|sharded|combo)");
-            std::process::exit(1);
-        }
-    };
+    // Publish behind the object-safe engine trait, built by name through
+    // the registry `efd serve` uses. This is the whole point of the API:
+    // the serving loop below never names a concrete backend type.
+    let (backend, _keys) = Backend::parse(&backend_kind)?.from_dictionary(dict)?;
     println!("published: backend = {backend_kind}");
 
     // A 10k-query stream: the dataset's runs with small jitter.
@@ -100,6 +88,7 @@ fn main() {
 
     // Live learning: thaw into a sharded dictionary, learn a brand-new
     // app from two threads, re-publish, serve the new publication.
+    let snapshot = Snapshot::freeze(dict);
     let sharded = ShardedDictionary::from_parts(snapshot.to_dictionary().into_parts(), 8);
     let novel = Query::from_node_means(metric, Interval::PAPER_DEFAULT, &[123_456.0; 4]);
     std::thread::scope(|s| {
@@ -121,4 +110,5 @@ fn main() {
         "re-published: verdict for the live-learned app = {:?}",
         verdict[0].verdict
     );
+    Ok(())
 }
