@@ -77,12 +77,21 @@ fn fixtures() -> &'static Path {
         if std::env::var_os("EFD_BLESS").is_some() {
             std::fs::create_dir_all(&dir).expect("fixtures dir");
             let cat = small_catalog();
-            std::fs::write(dir.join("base.efdb"), binfmt::write_dictionary(&base_dict(), &cat))
-                .expect("bless base.efdb");
-            std::fs::write(dir.join("next.efdb"), binfmt::write_dictionary(&next_dict(), &cat))
-                .expect("bless next.efdb");
-            std::fs::write(dir.join("base.json"), serialize::to_json(&base_dict(), &cat))
-                .expect("bless base.json");
+            std::fs::write(
+                dir.join("base.efdb"),
+                binfmt::write_dictionary(&base_dict(), &cat),
+            )
+            .expect("bless base.efdb");
+            std::fs::write(
+                dir.join("next.efdb"),
+                binfmt::write_dictionary(&next_dict(), &cat),
+            )
+            .expect("bless next.efdb");
+            std::fs::write(
+                dir.join("base.json"),
+                serialize::to_json(&base_dict(), &cat),
+            )
+            .expect("bless base.json");
         }
         assert!(
             dir.join("base.efdb").exists(),
@@ -108,9 +117,8 @@ fn assert_matches_golden(args: &[&str], golden: &str, expect_code: i32) -> Strin
     if std::env::var_os("EFD_BLESS").is_some() {
         std::fs::write(&path, &stdout).expect("bless golden");
     }
-    let blessed = std::fs::read_to_string(&path).unwrap_or_else(|_| {
-        panic!("golden {golden} missing — re-bless with EFD_BLESS=1")
-    });
+    let blessed = std::fs::read_to_string(&path)
+        .unwrap_or_else(|_| panic!("golden {golden} missing — re-bless with EFD_BLESS=1"));
     assert_eq!(
         stdout, blessed,
         "{args:?} diverged from {golden}: if the report format change is \
@@ -121,11 +129,7 @@ fn assert_matches_golden(args: &[&str], golden: &str, expect_code: i32) -> Strin
 
 #[test]
 fn table_report_matches_the_blessed_golden_and_exits_3() {
-    let report = assert_matches_golden(
-        &["diff", "base.efdb", "next.efdb"],
-        "diff_table.golden",
-        3,
-    );
+    let report = assert_matches_golden(&["diff", "base.efdb", "next.efdb"], "diff_table.golden", 3);
     // The fixture pair exercises every change class — spot-check that
     // the blessed report actually contains all of them.
     for needle in [
@@ -146,8 +150,7 @@ fn json_report_matches_the_blessed_golden_and_exits_3() {
         3,
     );
     assert!(report.contains("\"semantically_equal\": false"), "{report}");
-    let parsed: serde_json::Value =
-        serde_json::from_str(&report).expect("JSON report must parse");
+    let parsed: serde_json::Value = serde_json::from_str(&report).expect("JSON report must parse");
     let field = |k: &str| {
         parsed
             .get(k)
@@ -164,7 +167,10 @@ fn identical_artifacts_diff_empty_and_exit_zero() {
     let out = efd_in(fixtures(), &["diff", "base.efdb", "base.efdb"]);
     assert_eq!(out.status.code(), Some(0));
     let report = String::from_utf8_lossy(&out.stdout);
-    assert!(report.contains("0 added, 0 removed, 0 relabelled"), "{report}");
+    assert!(
+        report.contains("0 added, 0 removed, 0 relabelled"),
+        "{report}"
+    );
     assert!(report.contains("semantically equal"), "{report}");
 }
 

@@ -1,7 +1,9 @@
 //! CLI argument error paths: bad flag values must produce a one-line
 //! `error: …` on stderr and a nonzero exit code — never a panic backtrace.
 
-use std::process::{Command, Output};
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn efd(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_efd"))
@@ -85,14 +87,23 @@ fn backend_with_wal_or_manifest_is_a_clean_error() {
 #[test]
 fn unknown_format_is_a_clean_error() {
     assert_clean_error(
-        &["dump", "--out", "/tmp/efd-exit-code-test.bin", "--format", "bogus"],
+        &[
+            "dump",
+            "--out",
+            "/tmp/efd-exit-code-test.bin",
+            "--format",
+            "bogus",
+        ],
         "--format",
     );
 }
 
 #[test]
 fn missing_load_file_is_a_clean_error() {
-    assert_clean_error(&["serve", "--load", "/nonexistent/efd.dump"], "/nonexistent");
+    assert_clean_error(
+        &["serve", "--load", "/nonexistent/efd.dump"],
+        "/nonexistent",
+    );
 }
 
 #[test]
@@ -113,7 +124,13 @@ fn unknown_experiment_is_a_clean_error() {
 #[test]
 fn unknown_classifier_is_a_clean_error() {
     assert_clean_error(
-        &["evaluate", "--experiment", "normal-fold", "--classifier", "bogus"],
+        &[
+            "evaluate",
+            "--experiment",
+            "normal-fold",
+            "--classifier",
+            "bogus",
+        ],
         "classifier",
     );
 }
@@ -147,7 +164,10 @@ fn truncated_efdb_load_reports_the_byte_count() {
     let dir = wal_fixture_dir("truncated-efdb");
     let path = dir.join("torn.efdb");
     std::fs::write(&path, b"EFDB\x01\x00").unwrap();
-    assert_clean_error(&["serve", "--load", path.to_str().unwrap()], "file is 6 bytes");
+    assert_clean_error(
+        &["serve", "--load", path.to_str().unwrap()],
+        "file is 6 bytes",
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -209,12 +229,21 @@ fn wal_verify_strict_fails_on_a_corrupt_log_tail() {
     // Non-strict: the audit tolerates the tail fault (exit zero)...
     let out = efd(&["wal-verify", "--wal", dir.to_str().unwrap()]);
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "non-strict audit must tolerate: {stdout}");
+    assert!(
+        out.status.success(),
+        "non-strict audit must tolerate: {stdout}"
+    );
     assert!(stdout.contains("corrupt record"), "{stdout}");
 
     // ...strict mode turns the same fault into a nonzero exit.
     assert_clean_error(
-        &["wal-verify", "--wal", dir.to_str().unwrap(), "--strict", "true"],
+        &[
+            "wal-verify",
+            "--wal",
+            dir.to_str().unwrap(),
+            "--strict",
+            "true",
+        ],
         "corrupt record",
     );
     std::fs::remove_dir_all(&dir).unwrap();
@@ -248,7 +277,13 @@ fn serve_wal_with_a_missing_segment_is_a_clean_error() {
 /// that must get past engine loading to the bind step).
 fn synth_dict(dir: &std::path::Path) -> std::path::PathBuf {
     let path = dir.join("synth.efdb");
-    let out = efd(&["dump", "--out", path.to_str().unwrap(), "--synth-keys", "64"]);
+    let out = efd(&[
+        "dump",
+        "--out",
+        path.to_str().unwrap(),
+        "--synth-keys",
+        "64",
+    ]);
     assert!(
         out.status.success(),
         "dump --synth-keys failed: {}",
@@ -262,7 +297,13 @@ fn listen_on_a_malformed_address_is_a_clean_error() {
     let dir = wal_fixture_dir("bad-addr");
     let dict = synth_dict(&dir);
     assert_clean_error(
-        &["serve", "--listen", "not-an-address", "--load", dict.to_str().unwrap()],
+        &[
+            "serve",
+            "--listen",
+            "not-an-address",
+            "--load",
+            dict.to_str().unwrap(),
+        ],
         "bind not-an-address",
     );
     std::fs::remove_dir_all(&dir).unwrap();
@@ -291,7 +332,15 @@ fn dead_addr() -> String {
 #[test]
 fn loadgen_against_a_dead_daemon_is_a_clean_error() {
     assert_clean_error(
-        &["loadgen", "--addr", &dead_addr(), "--duration", "0.2", "--ping", "true"],
+        &[
+            "loadgen",
+            "--addr",
+            &dead_addr(),
+            "--duration",
+            "0.2",
+            "--ping",
+            "true",
+        ],
         "connect",
     );
 }
@@ -326,7 +375,13 @@ fn diff_without_operands_is_a_clean_error() {
 fn diff_unknown_format_is_a_clean_error() {
     // The format is validated before either side is loaded.
     assert_clean_error(
-        &["diff", "/nonexistent/a.efdb", "/nonexistent/b.efdb", "--format", "bogus"],
+        &[
+            "diff",
+            "/nonexistent/a.efdb",
+            "/nonexistent/b.efdb",
+            "--format",
+            "bogus",
+        ],
         "--format",
     );
 }
@@ -347,15 +402,28 @@ fn catalog_without_action_is_a_clean_error() {
 
 #[test]
 fn catalog_unknown_action_is_a_clean_error() {
-    assert_clean_error(&["catalog", "frobnicate", "--dir", "/tmp"], "unknown catalog action");
+    assert_clean_error(
+        &["catalog", "frobnicate", "--dir", "/tmp"],
+        "unknown catalog action",
+    );
 }
 
 #[test]
 fn catalog_publish_without_required_flags_is_a_clean_error() {
     assert_clean_error(&["catalog", "publish"], "--dir");
-    assert_clean_error(&["catalog", "publish", "--dir", "/tmp/efd-no-such-catalog"], "--name");
     assert_clean_error(
-        &["catalog", "publish", "--dir", "/tmp/efd-no-such-catalog", "--name", "x"],
+        &["catalog", "publish", "--dir", "/tmp/efd-no-such-catalog"],
+        "--name",
+    );
+    assert_clean_error(
+        &[
+            "catalog",
+            "publish",
+            "--dir",
+            "/tmp/efd-no-such-catalog",
+            "--name",
+            "x",
+        ],
         "--from",
     );
 }
@@ -363,7 +431,13 @@ fn catalog_publish_without_required_flags_is_a_clean_error() {
 #[test]
 fn catalog_show_rejects_an_invalid_reference() {
     assert_clean_error(
-        &["catalog", "show", "not a ref!", "--dir", "/tmp/efd-no-such-catalog"],
+        &[
+            "catalog",
+            "show",
+            "not a ref!",
+            "--dir",
+            "/tmp/efd-no-such-catalog",
+        ],
         "invalid catalog reference",
     );
 }
@@ -420,12 +494,24 @@ fn a_tampered_catalog_artifact_is_refused_in_batch_and_daemon_mode() {
 #[test]
 fn serve_manifest_conflicts_with_load_and_wal() {
     assert_clean_error(
-        &["serve", "--manifest", "/tmp/m.json", "--load", "/tmp/x.efdb"],
+        &[
+            "serve",
+            "--manifest",
+            "/tmp/m.json",
+            "--load",
+            "/tmp/x.efdb",
+        ],
         "mutually exclusive",
     );
     assert_clean_error(
         &[
-            "serve", "--listen", "127.0.0.1:0", "--manifest", "/tmp/m.json", "--wal", "/tmp/w",
+            "serve",
+            "--listen",
+            "127.0.0.1:0",
+            "--manifest",
+            "/tmp/m.json",
+            "--wal",
+            "/tmp/w",
         ],
         "mutually exclusive",
     );
@@ -445,4 +531,120 @@ fn help_exits_zero() {
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("--backend snapshot|combo]"), "{stdout}");
+}
+
+/// The EFDB golden fixture (a 2-app dictionary).
+const FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../core/tests/fixtures/two_apps.efdb"
+);
+
+/// Run `efd` to completion, or kill it and panic if it is still running
+/// after 20 s (a daemon that got past its checks serves forever).
+fn efd_within_20s(args: &[&str]) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_efd"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn efd");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while child.try_wait().expect("poll efd").is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("{args:?} was still running after 20 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("collect efd output")
+}
+
+#[test]
+fn undeclared_flag_is_a_clean_error() {
+    // A misspelt or retired flag is refused before the command reads a
+    // file, writes one or binds a socket: nothing reaches stdout, and
+    // the one error line names the flag and the command.
+    let dir = wal_fixture_dir("undeclared-flag");
+    let dump = dir.join("dict.json");
+    let dump = dump.to_str().unwrap();
+    let dead = dead_addr();
+    let cases: [&[&str]; 5] = [
+        &["serve", "--load", FIXTURE, "--backnd", "combo"],
+        &["serve", "--load", FIXTURE, "--shards", "8"],
+        &[
+            "serve",
+            "--listen",
+            "127.0.0.1:0",
+            "--load",
+            FIXTURE,
+            "--shardz",
+            "8",
+        ],
+        &["dump", "--out", dump, "--fromat", "json"],
+        &["ctl", "ping", "--addr", &dead, "--seed", "1"],
+    ];
+    for args in cases {
+        let out = efd_within_20s(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success(),
+            "{args:?} succeeded; stderr: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?} printed to stdout: {stderr}"
+        );
+        let errors: Vec<&str> = stderr
+            .lines()
+            .filter(|l| l.starts_with("error: "))
+            .collect();
+        let flag = args[args.len() - 2];
+        let command = format!("efd {}", args[0]);
+        assert!(
+            errors.len() == 1 && errors[0].contains(flag) && errors[0].contains(&command),
+            "{args:?}: expected one error line naming {flag} and `{command}`, got:\n{stderr}"
+        );
+    }
+    assert!(!std::path::Path::new(dump).exists(), "dump wrote its file");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn serve_listen_accepts_workers_and_answers_ping() {
+    // perfbench starts every daemon with `--workers N` and reads its
+    // address as the first token after `listening:`.
+    let dir = wal_fixture_dir("workers");
+    let dict = synth_dict(&dir);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_efd"))
+        .args(["serve", "--listen", "127.0.0.1:0", "--load"])
+        .args([dict.to_str().unwrap(), "--workers", "2"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn daemon");
+    // Keep reading stdout until the daemon exits: it prints as it shuts down.
+    let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut lines = stdout.lines().map(|l| l.expect("daemon stdout"));
+    let listening = lines.find_map(|l| Some(l.strip_prefix("listening:")?.to_string()));
+    let Some(addr) = listening
+        .as_deref()
+        .and_then(|l| l.split_whitespace().next())
+    else {
+        let _ = child.kill();
+        panic!("daemon exited before listening");
+    };
+    let ping = efd(&["ctl", "ping", "--addr", addr]);
+    let shutdown = efd(&["ctl", "shutdown", "--addr", addr]);
+    if !shutdown.status.success() {
+        let _ = child.kill();
+    }
+    lines.for_each(drop);
+    let status = child.wait().expect("daemon exit");
+    assert!(ping.status.success(), "ping: {ping:?}");
+    assert_eq!(String::from_utf8_lossy(&ping.stdout).trim(), "PONG");
+    assert!(
+        shutdown.status.success() && status.success(),
+        "{shutdown:?} {status:?}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
