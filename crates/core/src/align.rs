@@ -139,7 +139,9 @@ mod tests {
     /// 8400, …). A constant app sits at 6000 in every window.
     fn train_dict(tiling: &[Interval]) -> EfdDictionary {
         let mut d = EfdDictionary::new(RoundingDepth::new(2));
-        let ramp: Vec<f64> = (0..tiling.len()).map(|i| 7800.0 + 200.0 * i as f64).collect();
+        let ramp: Vec<f64> = (0..tiling.len())
+            .map(|i| 7800.0 + 200.0 * i as f64)
+            .collect();
         let mut q = Query::default();
         for (i, &iv) in tiling.iter().enumerate() {
             q.points.push(crate::observation::ObsPoint {

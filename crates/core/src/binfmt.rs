@@ -158,7 +158,10 @@ impl fmt::Display for BinFormatError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BinFormatError::Truncated { what, need, have } => {
-                write!(f, "truncated while reading {what}: need {need} bytes, have {have}")
+                write!(
+                    f,
+                    "truncated while reading {what}: need {need} bytes, have {have}"
+                )
             }
             BinFormatError::BadMagic { found } => {
                 write!(f, "bad magic {found:02x?} (expected \"EFDB\")")
@@ -180,10 +183,16 @@ impl fmt::Display for BinFormatError {
                 write!(f, "{what} id {id} out of range (table has {limit} entries)")
             }
             BinFormatError::UnsortedStrings { index } => {
-                write!(f, "string #{index} is not strictly greater than its predecessor")
+                write!(
+                    f,
+                    "string #{index} is not strictly greater than its predecessor"
+                )
             }
             BinFormatError::UnsortedKeys { index } => {
-                write!(f, "key #{index} is not strictly greater than its predecessor")
+                write!(
+                    f,
+                    "key #{index} is not strictly greater than its predecessor"
+                )
             }
             BinFormatError::EmptyInterval { start, end } => {
                 write!(f, "empty interval [{start}:{end}] in key record")
@@ -309,7 +318,10 @@ impl Efdb {
 
     /// Resolve every stored metric name against `catalog`, in
     /// [`Efdb::metrics`] order.
-    pub fn resolve_metrics(&self, catalog: &MetricCatalog) -> Result<Vec<MetricId>, BinFormatError> {
+    pub fn resolve_metrics(
+        &self,
+        catalog: &MetricCatalog,
+    ) -> Result<Vec<MetricId>, BinFormatError> {
         self.metrics
             .iter()
             .map(|name| {
@@ -414,9 +426,7 @@ pub fn write(parts: &DictionaryParts, catalog: &MetricCatalog) -> Vec<u8> {
         .collect();
     strings.sort_unstable();
     strings.dedup();
-    let string_id = |s: &str| -> u32 {
-        strings.binary_search(&s).expect("string interned") as u32
-    };
+    let string_id = |s: &str| -> u32 { strings.binary_search(&s).expect("string interned") as u32 };
     let metric_idx: efd_util::FxHashMap<MetricId, u32> = parts
         .entries
         .iter()
@@ -711,7 +721,10 @@ impl<'a> EfdbView<'a> {
     /// Resolve every stored metric name against `catalog`, in
     /// key-record metric-index order (file-local index → catalog
     /// [`MetricId`]).
-    pub fn resolve_metrics(&self, catalog: &MetricCatalog) -> Result<Vec<MetricId>, BinFormatError> {
+    pub fn resolve_metrics(
+        &self,
+        catalog: &MetricCatalog,
+    ) -> Result<Vec<MetricId>, BinFormatError> {
         let strings: Vec<&str> = self.strings().collect();
         self.metric_string_ids()
             .map(|sid| {
@@ -1024,8 +1037,17 @@ pub fn check(bytes: &[u8]) -> Result<EfdbView<'_>, BinFormatError> {
     let digest = c.u64("catalog_digest")?;
     let mut offsets = [0u32; 7];
     for (i, off) in offsets.iter_mut().enumerate() {
-        *off = c.u32(["strings_off", "metrics_off", "apps_off", "labels_off",
-                      "keys_off", "postings_off", "checksum_off"][i])?;
+        *off = c.u32(
+            [
+                "strings_off",
+                "metrics_off",
+                "apps_off",
+                "labels_off",
+                "keys_off",
+                "postings_off",
+                "checksum_off",
+            ][i],
+        )?;
     }
 
     // Layout sanity before touching section contents: offsets ascend,
@@ -1249,7 +1271,9 @@ pub fn read_dictionary(
     bytes: &[u8],
     catalog: &MetricCatalog,
 ) -> Result<EfdDictionary, BinFormatError> {
-    check(bytes)?.to_parts(catalog).map(EfdDictionary::from_parts)
+    check(bytes)?
+        .to_parts(catalog)
+        .map(EfdDictionary::from_parts)
 }
 
 #[cfg(test)]
@@ -1324,18 +1348,45 @@ mod tests {
         let sp = [7617.0, 7520.0, 7520.0, 7121.0];
         let bt = [6038.0, 6040.0, 6041.0, 6042.0];
         for (n, &mean) in sp.iter().enumerate() {
-            forward.insert_raw(m, NodeId(n as u16), Interval::PAPER_DEFAULT, mean, &order[0]);
+            forward.insert_raw(
+                m,
+                NodeId(n as u16),
+                Interval::PAPER_DEFAULT,
+                mean,
+                &order[0],
+            );
         }
         for (n, &mean) in bt.iter().enumerate() {
-            forward.insert_raw(m, NodeId(n as u16), Interval::PAPER_DEFAULT, mean, &order[1]);
+            forward.insert_raw(
+                m,
+                NodeId(n as u16),
+                Interval::PAPER_DEFAULT,
+                mean,
+                &order[1],
+            );
         }
         for (n, &mean) in bt.iter().enumerate() {
-            reverse.insert_raw(m, NodeId(n as u16), Interval::PAPER_DEFAULT, mean, &order[1]);
+            reverse.insert_raw(
+                m,
+                NodeId(n as u16),
+                Interval::PAPER_DEFAULT,
+                mean,
+                &order[1],
+            );
         }
         for (n, &mean) in sp.iter().enumerate() {
-            reverse.insert_raw(m, NodeId(n as u16), Interval::PAPER_DEFAULT, mean, &order[0]);
+            reverse.insert_raw(
+                m,
+                NodeId(n as u16),
+                Interval::PAPER_DEFAULT,
+                mean,
+                &order[0],
+            );
         }
-        assert_eq!(write_dictionary(&forward, &c), write_dictionary(&reverse, &c));
+        assert_eq!(
+            write_dictionary(&forward, &c),
+            write_dictionary(&reverse, &c)
+        );
     }
 
     #[test]
@@ -1363,7 +1414,15 @@ mod tests {
         let ord: Vec<_> = f
             .entries()
             .iter()
-            .map(|e| (e.metric, e.node.0, e.interval.start, e.interval.end, e.mean_bits))
+            .map(|e| {
+                (
+                    e.metric,
+                    e.node.0,
+                    e.interval.start,
+                    e.interval.end,
+                    e.mean_bits,
+                )
+            })
             .collect();
         let mut sorted = ord.clone();
         sorted.sort_unstable();
@@ -1394,9 +1453,7 @@ mod tests {
         bytes[0] = b'X';
         assert_eq!(
             read(&bytes).unwrap_err(),
-            BinFormatError::BadMagic {
-                found: *b"XFDB"
-            }
+            BinFormatError::BadMagic { found: *b"XFDB" }
         );
     }
 
@@ -1468,7 +1525,10 @@ mod tests {
         let bad = corrupt_and_restamp(&bytes, apps_off + 4, 0xFF);
         assert!(matches!(
             read(&bad).unwrap_err(),
-            BinFormatError::IdOutOfRange { what: "app string", .. }
+            BinFormatError::IdOutOfRange {
+                what: "app string",
+                ..
+            }
         ));
     }
 

@@ -408,8 +408,7 @@ impl EfdDictionary {
 
         let mut entry_apps: Vec<AppNameId> = Vec::new();
         for p in &query.points {
-            let Some(fp) =
-                Fingerprint::from_raw(p.metric, p.node, p.interval, p.mean, self.depth)
+            let Some(fp) = Fingerprint::from_raw(p.metric, p.node, p.interval, p.mean, self.depth)
             else {
                 continue;
             };
@@ -717,8 +716,7 @@ impl crate::engine::Recognize for EfdDictionary {
         scratch.ensure(self.labels.len(), self.apps.len());
         let mut matched = 0usize;
         for p in &query.points {
-            let Some(fp) =
-                Fingerprint::from_raw(p.metric, p.node, p.interval, p.mean, self.depth)
+            let Some(fp) = Fingerprint::from_raw(p.metric, p.node, p.interval, p.mean, self.depth)
             else {
                 continue;
             };
@@ -824,8 +822,14 @@ mod tests {
         }
         let q = query([7601.0, 7512.0, 7533.0, 7098.0]);
         let (f, r) = (forward.recognize(&q), reverse.recognize(&q));
-        assert_eq!(f.verdict, Verdict::Ambiguous(vec!["sp".into(), "bt".into()]));
-        assert_eq!(r.verdict, Verdict::Ambiguous(vec!["bt".into(), "sp".into()]));
+        assert_eq!(
+            f.verdict,
+            Verdict::Ambiguous(vec!["sp".into(), "bt".into()])
+        );
+        assert_eq!(
+            r.verdict,
+            Verdict::Ambiguous(vec!["bt".into(), "sp".into()])
+        );
         assert_eq!(f.best(), Some("bt"));
         assert_eq!(r.best(), Some("bt"));
         // And the normalized forms are fully equal.
@@ -840,7 +844,9 @@ mod tests {
         let mut parts = d.to_parts();
         let fp = parts.entries[0].0; // 6000.0/node0, labels [ft X, ft Y]
         let sp_id = LabelId::from_index(2); // "sp X" in toy_dict learn order
-        parts.entries.push((fp, vec![sp_id, LabelId::from_index(0)]));
+        parts
+            .entries
+            .push((fp, vec![sp_id, LabelId::from_index(0)]));
         let merged = EfdDictionary::from_parts(parts);
         assert_eq!(merged.len(), d.len(), "no new key, merged in place");
         let labels = merged.lookup(&fp).unwrap();
@@ -956,7 +962,9 @@ mod tests {
     #[test]
     fn render_table4_shape() {
         let d = toy_dict();
-        let s = d.render_table4(&efd_telemetry::catalog::small_catalog()).render();
+        let s = d
+            .render_table4(&efd_telemetry::catalog::small_catalog())
+            .render();
         assert!(s.contains("nr_mapped_vmstat"), "{s}");
         assert!(s.contains("sp X, bt X"), "{s}");
         assert!(s.contains("11000.0"), "{s}");

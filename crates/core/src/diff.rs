@@ -160,19 +160,17 @@ pub fn render_verdict(r: &Recognition) -> String {
 
 /// Label set of one entry: sorted, deduplicated `app/input` strings.
 fn label_set(labels: &[&efd_telemetry::AppLabel]) -> Vec<String> {
-    let mut set: Vec<String> = labels.iter().map(|l| format!("{}/{}", l.app, l.input)).collect();
+    let mut set: Vec<String> = labels
+        .iter()
+        .map(|l| format!("{}/{}", l.app, l.input))
+        .collect();
     set.sort();
     set.dedup();
     set
 }
 
 /// Index one dictionary: key → sorted label set, plus per-app key counts.
-fn index_of(
-    d: &EfdDictionary,
-) -> (
-    HashMap<Fingerprint, Vec<String>>,
-    HashMap<String, usize>,
-) {
+fn index_of(d: &EfdDictionary) -> (HashMap<Fingerprint, Vec<String>>, HashMap<String, usize>) {
     let mut keys = HashMap::with_capacity(d.len());
     let mut apps: HashMap<String, usize> = HashMap::new();
     for (fp, labels) in d.entries() {
@@ -207,8 +205,16 @@ pub fn diff(
     let (keys_a, apps_a) = index_of(a);
     let (keys_b, apps_b) = index_of(b);
 
-    let mut added: Vec<Fingerprint> = keys_b.keys().filter(|k| !keys_a.contains_key(k)).copied().collect();
-    let mut removed: Vec<Fingerprint> = keys_a.keys().filter(|k| !keys_b.contains_key(k)).copied().collect();
+    let mut added: Vec<Fingerprint> = keys_b
+        .keys()
+        .filter(|k| !keys_a.contains_key(k))
+        .copied()
+        .collect();
+    let mut removed: Vec<Fingerprint> = keys_a
+        .keys()
+        .filter(|k| !keys_b.contains_key(k))
+        .copied()
+        .collect();
     let mut relabelled: Vec<Fingerprint> = keys_a
         .iter()
         .filter(|(k, set)| keys_b.get(k).is_some_and(|other| other != *set))
@@ -368,8 +374,16 @@ mod tests {
         let mut reversed: Vec<_> = xs.to_vec();
         reversed.reverse();
         let backward = dict(&reversed);
-        let r = diff(&forward, &backward, &small_catalog(), &DiffOptions::default());
-        assert!(r.semantically_equal(), "label order is representation: {r:?}");
+        let r = diff(
+            &forward,
+            &backward,
+            &small_catalog(),
+            &DiffOptions::default(),
+        );
+        assert!(
+            r.semantically_equal(),
+            "label order is representation: {r:?}"
+        );
         assert_eq!(r.divergence.diverged, 0);
     }
 
@@ -381,8 +395,8 @@ mod tests {
             obs("bt", "Z", 3000.0),
         ]);
         let b = dict(&[
-            obs("ft", "X", 1000.0),   // unchanged
-            obs("sp", "L", 2000.0),   // relabelled (input Y -> L)
+            obs("ft", "X", 1000.0),      // unchanged
+            obs("sp", "L", 2000.0),      // relabelled (input Y -> L)
             obs("miniAMR", "X", 4000.0), // added; 3000 key removed
         ]);
         let r = diff(&a, &b, &small_catalog(), &DiffOptions::default());
@@ -393,9 +407,17 @@ mod tests {
         assert_eq!(r.added_examples.len(), 1);
         assert_eq!(r.relabel_examples[0].labels_a, vec!["sp/Y"]);
         assert_eq!(r.relabel_examples[0].labels_b, vec!["sp/L"]);
-        let sp = r.coverage.iter().find(|c| c.app == "sp").expect("sp coverage");
+        let sp = r
+            .coverage
+            .iter()
+            .find(|c| c.app == "sp")
+            .expect("sp coverage");
         assert_eq!((sp.keys_a, sp.keys_b), (1, 1));
-        let bt = r.coverage.iter().find(|c| c.app == "bt").expect("bt coverage");
+        let bt = r
+            .coverage
+            .iter()
+            .find(|c| c.app == "bt")
+            .expect("bt coverage");
         assert_eq!((bt.keys_a, bt.keys_b, bt.delta()), (1, 0, -1));
     }
 
@@ -413,7 +435,13 @@ mod tests {
     #[test]
     fn divergence_sampling_is_deterministic_and_capped() {
         let many: Vec<_> = (0..300)
-            .map(|i| obs(if i % 2 == 0 { "ft" } else { "sp" }, "X", 1000.0 + i as f64 * 10.0))
+            .map(|i| {
+                obs(
+                    if i % 2 == 0 { "ft" } else { "sp" },
+                    "X",
+                    1000.0 + i as f64 * 10.0,
+                )
+            })
             .collect();
         let a = dict(&many);
         let b = dict(&many[..150]);
@@ -426,8 +454,14 @@ mod tests {
         assert_eq!(r1, r2, "seeded sampling must be reproducible");
         // Depth-2 rounding collapses the 300 means into fewer keys; the
         // sample covers the whole union when it fits under the cap.
-        assert!(r1.divergence.sampled > 0 && r1.divergence.sampled <= 64, "{r1:?}");
-        assert!(r1.divergence.diverged > 0, "removed keys answer unknown on B");
+        assert!(
+            r1.divergence.sampled > 0 && r1.divergence.sampled <= 64,
+            "{r1:?}"
+        );
+        assert!(
+            r1.divergence.diverged > 0,
+            "removed keys answer unknown on B"
+        );
     }
 
     #[test]

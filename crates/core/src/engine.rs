@@ -590,7 +590,10 @@ mod tests {
         }
         let r = s.finish(&labels, &apps, 2, 2);
         // normalized(): lexicographic tie array.
-        assert_eq!(r.verdict, Verdict::Ambiguous(vec!["bt".into(), "sp".into()]));
+        assert_eq!(
+            r.verdict,
+            Verdict::Ambiguous(vec!["bt".into(), "sp".into()])
+        );
         assert_eq!(r.best(), Some("bt"));
     }
 
@@ -639,10 +642,7 @@ mod tests {
         let r = s.finish(&labels, &apps, 1, 1);
         assert_eq!(
             r.label_votes,
-            vec![
-                (lab("hot", "X"), u16::MAX as u32),
-                (lab("cold", "X"), 1),
-            ]
+            vec![(lab("hot", "X"), u16::MAX as u32), (lab("cold", "X"), 1),]
         );
     }
 

@@ -186,12 +186,8 @@ mod tests {
     #[test]
     fn keys_distinguish_all_components() {
         let base = fp(6000.0, 2).unwrap();
-        let other_metric = Fingerprint::from_rounded(
-            MetricId(1),
-            NodeId(0),
-            Interval::PAPER_DEFAULT,
-            6000.0,
-        );
+        let other_metric =
+            Fingerprint::from_rounded(MetricId(1), NodeId(0), Interval::PAPER_DEFAULT, 6000.0);
         let other_node =
             Fingerprint::from_rounded(MetricId(0), NodeId(1), Interval::PAPER_DEFAULT, 6000.0);
         let other_interval =
@@ -203,12 +199,8 @@ mod tests {
 
     #[test]
     fn pack_roundtrip() {
-        let f = Fingerprint::from_rounded(
-            MetricId(561),
-            NodeId(31),
-            Interval::new(120, 180),
-            10980.0,
-        );
+        let f =
+            Fingerprint::from_rounded(MetricId(561), NodeId(31), Interval::new(120, 180), 10980.0);
         assert_eq!(Fingerprint::unpack(&f.pack()), f);
     }
 }

@@ -60,10 +60,7 @@ impl std::error::Error for MaintenanceError {}
 /// Merge `incoming` into `dict`: every (key, label) pair of `incoming` is
 /// inserted into `dict` (idempotent for duplicates). Existing tie-break
 /// order in `dict` is preserved; incoming labels append after.
-pub fn merge(
-    dict: &mut EfdDictionary,
-    incoming: &EfdDictionary,
-) -> Result<(), MaintenanceError> {
+pub fn merge(dict: &mut EfdDictionary, incoming: &EfdDictionary) -> Result<(), MaintenanceError> {
     if dict.depth() != incoming.depth() {
         return Err(MaintenanceError::DepthMismatch {
             ours: dict.depth().get(),
@@ -258,7 +255,8 @@ impl AgingDictionary {
                 }
             }
             self.dict = fresh;
-            self.stamps.retain(|_, &mut stamp| epoch - stamp <= self.max_age);
+            self.stamps
+                .retain(|_, &mut stamp| epoch - stamp <= self.max_age);
         }
         EvictionReport {
             epoch,
@@ -282,8 +280,7 @@ impl Learn for AgingDictionary {
     fn learn(&mut self, obs: &LabeledObservation) {
         let depth = self.dict.depth();
         for p in &obs.query.points {
-            if let Some(fp) = Fingerprint::from_raw(p.metric, p.node, p.interval, p.mean, depth)
-            {
+            if let Some(fp) = Fingerprint::from_raw(p.metric, p.node, p.interval, p.mean, depth) {
                 self.stamps.insert(fp, self.epoch);
             }
         }
@@ -299,7 +296,12 @@ impl Recognize for AgingDictionary {
 
 /// Convenience: a query probing a single fingerprint (used by maintenance
 /// tooling and tests).
-pub fn probe(metric: MetricId, node: efd_telemetry::NodeId, interval: efd_telemetry::Interval, mean: f64) -> Query {
+pub fn probe(
+    metric: MetricId,
+    node: efd_telemetry::NodeId,
+    interval: efd_telemetry::Interval,
+    mean: f64,
+) -> Query {
     Query {
         points: vec![ObsPoint {
             metric,
@@ -413,7 +415,11 @@ mod tests {
         }];
         relearn_app(&mut d, "cg", &new_obs);
         let q = Query::from_node_means(M, W, &[6800.0]);
-        assert_eq!(d.recognize(&q).verdict, Verdict::Unknown, "old cg forgotten");
+        assert_eq!(
+            d.recognize(&q).verdict,
+            Verdict::Unknown,
+            "old cg forgotten"
+        );
         let q = Query::from_node_means(M, W, &[9100.0]);
         assert_eq!(d.recognize(&q).best(), Some("cg"));
         let q = Query::from_node_means(M, W, &[6000.0]);
@@ -507,7 +513,10 @@ mod tests {
         let report = aging.advance();
         assert!(report.evicted.is_empty());
         let r = aging.recognize(&q);
-        assert_eq!(r.verdict, Verdict::Ambiguous(vec!["bt".into(), "sp".into()]));
+        assert_eq!(
+            r.verdict,
+            Verdict::Ambiguous(vec!["bt".into(), "sp".into()])
+        );
     }
 
     #[test]

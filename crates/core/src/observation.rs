@@ -141,11 +141,7 @@ mod tests {
     #[test]
     fn from_trace_builds_all_points() {
         let t = trace_two_metrics();
-        let q = Query::from_trace(
-            &t,
-            &[MetricId(7), MetricId(9)],
-            &[Interval::PAPER_DEFAULT],
-        );
+        let q = Query::from_trace(&t, &[MetricId(7), MetricId(9)], &[Interval::PAPER_DEFAULT]);
         assert_eq!(q.len(), 4); // 2 metrics × 2 nodes × 1 interval
         let p = &q.points[0];
         assert_eq!(p.metric, MetricId(7));

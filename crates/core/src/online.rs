@@ -215,7 +215,12 @@ mod tests {
     fn emits_once_when_window_closes() {
         // A shared served engine, streamed well past the horizon: exactly
         // one verdict, at window close.
-        let mut rec = OnlineRecognizer::new(served(&[("ft", 6000.0)]), &[M], &[NodeId(0), NodeId(1)], vec![W]);
+        let mut rec = OnlineRecognizer::new(
+            served(&[("ft", 6000.0)]),
+            &[M],
+            &[NodeId(0), NodeId(1)],
+            vec![W],
+        );
         assert_eq!(rec.horizon_s(), 120);
         let mut verdict = None;
         for t in 0..=150u32 {

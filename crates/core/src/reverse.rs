@@ -46,11 +46,7 @@ impl UsagePrediction {
 /// All predictions for `app`, sorted by (interval, metric, node).
 /// Filters by application *name*, aggregating over input sizes unless
 /// `input` is given.
-pub fn predict_usage(
-    dict: &EfdDictionary,
-    app: &str,
-    input: Option<&str>,
-) -> Vec<UsagePrediction> {
+pub fn predict_usage(dict: &EfdDictionary, app: &str, input: Option<&str>) -> Vec<UsagePrediction> {
     let mut groups: FxHashMap<(MetricId, NodeId, Interval), Vec<f64>> = FxHashMap::default();
     for (fp, labels) in dict.entries() {
         let matches = labels
@@ -84,11 +80,7 @@ pub fn predict_usage(
 /// input sizes; prefer [`predict_timeline_for`] when the input size was
 /// predicted too (inputs can shift footprints by large factors, e.g.
 /// miniAMR L).
-pub fn predict_timeline(
-    dict: &EfdDictionary,
-    app: &str,
-    metric: MetricId,
-) -> Vec<(Interval, f64)> {
+pub fn predict_timeline(dict: &EfdDictionary, app: &str, metric: MetricId) -> Vec<(Interval, f64)> {
     predict_timeline_for(dict, app, None, metric)
 }
 

@@ -200,9 +200,8 @@ impl Serialize for RoundingDepth {
 impl Deserialize for RoundingDepth {
     fn from_value(v: &Value) -> Result<Self, Error> {
         let depth = u8::from_value(v)?;
-        RoundingDepth::try_new(depth).ok_or_else(|| {
-            Error::msg(format!("rounding depth {depth} outside 1..={}", Self::MAX))
-        })
+        RoundingDepth::try_new(depth)
+            .ok_or_else(|| Error::msg(format!("rounding depth {depth} outside 1..={}", Self::MAX)))
     }
 }
 
@@ -215,9 +214,8 @@ impl RoundingDepth {
 
     /// Construct a depth; panics outside `1..=17`.
     pub fn new(depth: u8) -> Self {
-        Self::try_new(depth).unwrap_or_else(|| {
-            panic!("rounding depth must be in 1..={}, got {depth}", Self::MAX)
-        })
+        Self::try_new(depth)
+            .unwrap_or_else(|| panic!("rounding depth must be in 1..={}, got {depth}", Self::MAX))
     }
 
     /// Construct a depth, `None` outside `1..=17` — the single validation

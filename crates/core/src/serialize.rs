@@ -46,7 +46,8 @@ impl Deserialize for DictionaryDump {
     fn from_value(v: &Value) -> Result<Self, Error> {
         Ok(DictionaryDump {
             depth: RoundingDepth::from_value(
-                v.get("depth").ok_or_else(|| Error::msg("missing field `depth`"))?,
+                v.get("depth")
+                    .ok_or_else(|| Error::msg("missing field `depth`"))?,
             )?
             .get(),
             label_order: match v.get("label_order") {
@@ -164,8 +165,7 @@ pub fn restore(
 ) -> Result<EfdDictionary, RestoreError> {
     // Hand-constructed dumps can carry any u8; validate instead of letting
     // `RoundingDepth::new` panic inside a Result-returning API.
-    let depth =
-        RoundingDepth::try_new(dump.depth).ok_or(RestoreError::InvalidDepth(dump.depth))?;
+    let depth = RoundingDepth::try_new(dump.depth).ok_or(RestoreError::InvalidDepth(dump.depth))?;
     let mut dict = EfdDictionary::new(depth);
     let order: Vec<AppLabel> = dump
         .label_order
@@ -179,7 +179,13 @@ pub fn restore(
             .ok_or_else(|| RestoreError::UnknownMetric(e.metric.clone()))?;
         let interval = Interval::new(e.start, e.end);
         for (app, input) in &e.labels {
-            dict.insert_raw(metric, NodeId(e.node), interval, e.mean, &AppLabel::new(app, input));
+            dict.insert_raw(
+                metric,
+                NodeId(e.node),
+                interval,
+                e.mean,
+                &AppLabel::new(app, input),
+            );
         }
     }
     Ok(dict)
@@ -234,7 +240,6 @@ mod tests {
     use super::*;
     use crate::observation::{LabeledObservation, Query};
     use efd_telemetry::catalog::small_catalog;
-    
 
     fn sample_dict(c: &MetricCatalog) -> EfdDictionary {
         let m = c.id("nr_mapped_vmstat").unwrap();
@@ -262,7 +267,11 @@ mod tests {
         assert_eq!(back.len(), d.len());
         assert_eq!(back.depth(), d.depth());
         // Tie array order (sp first) survives.
-        let q = Query::from_node_means(m, Interval::PAPER_DEFAULT, &[7600.0, 7500.0, 7500.0, 7100.0]);
+        let q = Query::from_node_means(
+            m,
+            Interval::PAPER_DEFAULT,
+            &[7600.0, 7500.0, 7500.0, 7100.0],
+        );
         let (a, b) = (d.recognize(&q), back.recognize(&q));
         assert_eq!(a.verdict, b.verdict);
         // sp/bt tie: best() is the lexicographic minimum of the tied set.
@@ -280,7 +289,10 @@ mod tests {
         let first = &dmp.entries[0];
         assert_eq!(
             first.labels,
-            vec![("sp".to_string(), "X".to_string()), ("bt".to_string(), "X".to_string())]
+            vec![
+                ("sp".to_string(), "X".to_string()),
+                ("bt".to_string(), "X".to_string())
+            ]
         );
     }
 

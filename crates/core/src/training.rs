@@ -230,9 +230,7 @@ mod tests {
                 ("bt", 7540.0),
                 ("lu", 8330.0),
             ] {
-                let means: Vec<f64> = (0..4)
-                    .map(|_| base + rng.next_gaussian() * 2.0)
-                    .collect();
+                let means: Vec<f64> = (0..4).map(|_| base + rng.next_gaussian() * 2.0).collect();
                 out.push(LabeledObservation {
                     label: AppLabel::new(app, "X"),
                     query: Query::from_node_means(M, W, &means),

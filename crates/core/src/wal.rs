@@ -202,7 +202,10 @@ impl fmt::Display for WalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             WalError::Truncated { what, need, have } => {
-                write!(f, "truncated while reading {what}: need {need} bytes, have {have}")
+                write!(
+                    f,
+                    "truncated while reading {what}: need {need} bytes, have {have}"
+                )
             }
             WalError::BadMagic { found } => {
                 write!(f, "bad magic {found:02x?} (expected \"EFDW\")")
@@ -289,7 +292,11 @@ impl SyncPolicy {
             "always" => Some(SyncPolicy::Always),
             "batch" => Some(SyncPolicy::EveryN(32)),
             "none" => Some(SyncPolicy::Never),
-            n => n.parse::<u32>().ok().filter(|&n| n > 0).map(SyncPolicy::EveryN),
+            n => n
+                .parse::<u32>()
+                .ok()
+                .filter(|&n| n > 0)
+                .map(SyncPolicy::EveryN),
         }
     }
 }
@@ -632,8 +639,7 @@ pub fn read_log(bytes: &[u8]) -> Result<LogReplay, WalError> {
     if major != WAL_VERSION_MAJOR || minor > WAL_VERSION_MINOR {
         return Err(WalError::UnsupportedVersion { major, minor });
     }
-    let depth =
-        RoundingDepth::try_new(bytes[8]).ok_or(WalError::InvalidDepth(bytes[8]))?;
+    let depth = RoundingDepth::try_new(bytes[8]).ok_or(WalError::InvalidDepth(bytes[8]))?;
     let base_segments = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
 
     let mut records = Vec::new();
@@ -703,10 +709,12 @@ pub fn apply_record(
         WalRecord::Learn(l) => {
             let label = AppLabel::new(&l.app, &l.input);
             for p in &l.points {
-                let metric = catalog.id(&p.metric).ok_or_else(|| WalError::UnknownMetric {
-                    record: index,
-                    metric: p.metric.clone(),
-                })?;
+                let metric = catalog
+                    .id(&p.metric)
+                    .ok_or_else(|| WalError::UnknownMetric {
+                        record: index,
+                        metric: p.metric.clone(),
+                    })?;
                 dict.insert_raw(
                     metric,
                     NodeId(p.node),
@@ -1050,7 +1058,12 @@ pub struct CompactReport {
 /// correctness oracle the durability tests assert.
 pub fn compact_in_place(dir: &Path, catalog: &MetricCatalog) -> Result<CompactReport, WalError> {
     let recovery = recover(dir, catalog)?;
-    let (mut wal, _) = WalDir::open(dir, recovery.dictionary.depth(), catalog, WalOptions::default())?;
+    let (mut wal, _) = WalDir::open(
+        dir,
+        recovery.dictionary.depth(),
+        catalog,
+        WalOptions::default(),
+    )?;
     let parts = recovery.dictionary.to_parts();
     let keys = parts.entries.len();
     let segment = wal.freeze(&parts, catalog)?;
@@ -1274,7 +1287,11 @@ mod tests {
         let at = WAL_HEADER_LEN + first + RECORD_FRAME_LEN + 3;
         bytes[at] ^= 0x40;
         let replay = read_log(&bytes).unwrap();
-        assert_eq!(replay.records.len(), 1, "replay stops at the last valid record");
+        assert_eq!(
+            replay.records.len(),
+            1,
+            "replay stops at the last valid record"
+        );
         assert!(matches!(
             replay.fault,
             Some(WalError::CorruptRecord { offset, .. })
@@ -1288,7 +1305,10 @@ mod tests {
         let bytes = encode_log(RoundingDepth::new(2), 0, &learn_records(&catalog));
         assert!(matches!(
             read_log(&[]).unwrap_err(),
-            WalError::Truncated { what: "wal header", .. }
+            WalError::Truncated {
+                what: "wal header",
+                ..
+            }
         ));
         let mut bad_magic = bytes.clone();
         bad_magic[0] = b'X';
@@ -1322,11 +1342,14 @@ mod tests {
         // Session 1: learn two observations, freeze after the first.
         let mut oracle = EfdDictionary::new(depth);
         {
-            let (mut wal, rec) = WalDir::open(&dir, depth, &catalog, WalOptions::default()).unwrap();
+            let (mut wal, rec) =
+                WalDir::open(&dir, depth, &catalog, WalOptions::default()).unwrap();
             assert!(rec.dictionary.is_empty());
             for (i, o) in observations[..2].iter().enumerate() {
-                wal.append(&WalRecord::Learn(LearnRecord::from_observation(o, &catalog)))
-                    .unwrap();
+                wal.append(&WalRecord::Learn(LearnRecord::from_observation(
+                    o, &catalog,
+                )))
+                .unwrap();
                 oracle.learn(o);
                 if i == 0 {
                     wal.freeze(&oracle.to_parts(), &catalog).unwrap();
@@ -1338,7 +1361,8 @@ mod tests {
 
         // Session 2: recovery = segment + log tail; keep learning.
         {
-            let (mut wal, rec) = WalDir::open(&dir, depth, &catalog, WalOptions::default()).unwrap();
+            let (mut wal, rec) =
+                WalDir::open(&dir, depth, &catalog, WalOptions::default()).unwrap();
             assert_eq!(rec.segments, 1);
             assert_eq!(rec.replayed, 1);
             assert_eq!(rec.dictionary.len(), oracle.len());
@@ -1386,8 +1410,10 @@ mod tests {
             let (mut wal, _) = WalDir::open(&dir, depth, &catalog, WalOptions::default()).unwrap();
             let mut d = EfdDictionary::new(depth);
             let o = obs("sp", "X", &[7617.0]);
-            wal.append(&WalRecord::Learn(LearnRecord::from_observation(&o, &catalog)))
-                .unwrap();
+            wal.append(&WalRecord::Learn(LearnRecord::from_observation(
+                &o, &catalog,
+            )))
+            .unwrap();
             d.learn(&o);
             wal.freeze(&d.to_parts(), &catalog).unwrap();
         }
@@ -1415,7 +1441,10 @@ mod tests {
         assert!(w.write_all(&[2u8; 8]).is_err());
         assert_eq!(w.bytes().len(), 10, "partial bytes land before the error");
 
-        let mut w = FaultyWriter::new(Fault::BitFlipAt { offset: 3, mask: 0x80 });
+        let mut w = FaultyWriter::new(Fault::BitFlipAt {
+            offset: 3,
+            mask: 0x80,
+        });
         w.write_all(&[0u8; 8]).unwrap();
         assert_eq!(w.bytes()[3], 0x80);
     }

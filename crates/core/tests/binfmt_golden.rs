@@ -21,10 +21,7 @@ use efd_telemetry::catalog::small_catalog;
 use efd_telemetry::metric::MetricCatalog;
 use efd_telemetry::{AppLabel, Interval};
 
-const FIXTURE: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/fixtures/two_apps.efdb"
-);
+const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/two_apps.efdb");
 
 /// The fixture dictionary: SP and BT at rounding depth 2, where every key
 /// collides (the paper's §5 narrative pair), 4 nodes each.
@@ -99,7 +96,16 @@ fn truncated_fixture_reports_truncation_not_garbage() {
     let bytes = golden_bytes();
     // A handful of interesting cut points: inside the magic, the header,
     // each section, and just before the checksum trailer.
-    for len in [0, 2, 10, 47, 60, bytes.len() / 2, bytes.len() - 9, bytes.len() - 1] {
+    for len in [
+        0,
+        2,
+        10,
+        47,
+        60,
+        bytes.len() / 2,
+        bytes.len() - 9,
+        bytes.len() - 1,
+    ] {
         let err = binfmt::read(&bytes[..len]).unwrap_err();
         assert!(
             matches!(

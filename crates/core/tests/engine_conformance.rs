@@ -116,7 +116,11 @@ fn assert_exact<R: Recognize + Sync>(backend: &R, label: &str) {
     let mut scratch = VoteScratch::default();
     for q in &queries {
         let expected = oracle.recognize(q).normalized();
-        assert_eq!(Recognize::recognize(backend, q), expected, "{label}: recognize");
+        assert_eq!(
+            Recognize::recognize(backend, q),
+            expected,
+            "{label}: recognize"
+        );
         assert_eq!(
             backend.recognize_into(q, &mut scratch),
             expected,
@@ -129,7 +133,10 @@ fn assert_exact<R: Recognize + Sync>(backend: &R, label: &str) {
     for (i, q) in queries.iter().enumerate() {
         let expected = oracle.recognize(q).normalized();
         assert_eq!(batch[i], expected, "{label}: recognize_batch[{i}]");
-        assert_eq!(parallel[i], expected, "{label}: recognize_batch_parallel[{i}]");
+        assert_eq!(
+            parallel[i], expected,
+            "{label}: recognize_batch_parallel[{i}]"
+        );
     }
 }
 
@@ -347,7 +354,9 @@ fn traits_are_object_safe() {
     // …then recognize through `Box<dyn Recognize>` (no auto-trait bounds
     // required for object safety itself).
     let plain: Box<dyn Recognize> = Box::new(dict.clone());
-    let expected = oracle(&observations()).recognize(&exact_queries()[0]).normalized();
+    let expected = oracle(&observations())
+        .recognize(&exact_queries()[0])
+        .normalized();
     assert_eq!(plain.recognize(&exact_queries()[0]), expected);
 
     // The Send + Sync flavor additionally gets the parallel batch path.

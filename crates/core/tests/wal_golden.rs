@@ -19,8 +19,8 @@
 //! before the fault, report the fault and its byte offset".
 
 use efd_core::wal::{
-    self, encode_log, frame_record, read_log, LearnRecord, WalError, WalRecord,
-    RECORD_FRAME_LEN, WAL_HEADER_LEN,
+    self, encode_log, frame_record, read_log, LearnRecord, WalError, WalRecord, RECORD_FRAME_LEN,
+    WAL_HEADER_LEN,
 };
 use efd_core::{EfdDictionary, LabeledObservation, Query, RoundingDepth};
 use efd_telemetry::catalog::small_catalog;
@@ -167,7 +167,11 @@ fn flipped_crc_byte_stops_at_the_last_valid_record() {
     assert_eq!(replay.records.len(), 1, "only record #0 survives");
     assert_eq!(replay.valid_len, offsets[1] as u64);
     match replay.fault {
-        Some(WalError::CorruptRecord { offset, stored, computed }) => {
+        Some(WalError::CorruptRecord {
+            offset,
+            stored,
+            computed,
+        }) => {
             assert_eq!(offset, offsets[1] as u64);
             assert_ne!(stored, computed);
         }
@@ -254,7 +258,10 @@ fn empty_file_and_broken_headers_are_hard_errors() {
         assert!(
             matches!(
                 read_log(&bytes[..len]).unwrap_err(),
-                WalError::Truncated { what: "wal header", .. }
+                WalError::Truncated {
+                    what: "wal header",
+                    ..
+                }
             ),
             "header prefix of {len} bytes"
         );
@@ -276,7 +283,10 @@ fn empty_file_and_broken_headers_are_hard_errors() {
 
     let mut bad_depth = bytes;
     bad_depth[8] = 99;
-    assert_eq!(read_log(&bad_depth).unwrap_err(), WalError::InvalidDepth(99));
+    assert_eq!(
+        read_log(&bad_depth).unwrap_err(),
+        WalError::InvalidDepth(99)
+    );
 }
 
 #[test]

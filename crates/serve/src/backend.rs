@@ -113,7 +113,8 @@ impl Backend {
             return Ok((Arc::new(snap), keys));
         }
         let dict = decode_dictionary(&bytes, catalog, source)?;
-        self.from_dictionary(&dict).map_err(|e| format!("{source}: {e}"))
+        self.from_dictionary(&dict)
+            .map_err(|e| format!("{source}: {e}"))
     }
 
     /// Build from a live dictionary.

@@ -100,7 +100,11 @@ impl DurableDictionary {
     /// Append a record, apply `apply` to the shards, and freeze a segment
     /// if the log crossed its threshold — all under the WAL mutex (see
     /// the module docs for why apply happens under the lock).
-    fn logged(&self, rec: &WalRecord, apply: impl FnOnce(&ShardedDictionary)) -> Result<(), WalError> {
+    fn logged(
+        &self,
+        rec: &WalRecord,
+        apply: impl FnOnce(&ShardedDictionary),
+    ) -> Result<(), WalError> {
         let mut wal = self.wal.lock().expect("wal poisoned");
         wal.append(rec)?;
         apply(&self.dict);
@@ -123,7 +127,9 @@ impl DurableDictionary {
     pub fn forget_app(&self, app: &str) -> Result<usize, WalError> {
         let mut dropped = 0;
         self.logged(
-            &WalRecord::ForgetApp { app: app.to_string() },
+            &WalRecord::ForgetApp {
+                app: app.to_string(),
+            },
             |d| dropped = d.forget_app(app),
         )?;
         Ok(dropped)
@@ -203,7 +209,8 @@ impl Recognize for DurableDictionary {
 /// inherent fallible [`DurableDictionary::learn`].
 impl Learn for DurableDictionary {
     fn learn(&mut self, obs: &LabeledObservation) {
-        DurableDictionary::learn(self, obs).expect("WAL append failed; durability guarantee broken");
+        DurableDictionary::learn(self, obs)
+            .expect("WAL append failed; durability guarantee broken");
     }
 }
 
@@ -233,8 +240,7 @@ mod tests {
         };
 
         {
-            let (served, rec) =
-                DurableDictionary::open(&dir, depth, &catalog, options).unwrap();
+            let (served, rec) = DurableDictionary::open(&dir, depth, &catalog, options).unwrap();
             assert_eq!(rec.replayed, 0);
             served.learn(&obs("ft", "X", &[6020.0; 4])).unwrap();
             served.learn(&obs("cg", "X", &[8110.0; 4])).unwrap();

@@ -175,12 +175,8 @@ mod tests {
         // Sequential node ids / means must not all land in one shard.
         let mut seen = std::collections::HashSet::new();
         for n in 0..64u16 {
-            let fp = Fingerprint::from_rounded(
-                MetricId(0),
-                NodeId(n),
-                Interval::PAPER_DEFAULT,
-                6000.0,
-            );
+            let fp =
+                Fingerprint::from_rounded(MetricId(0), NodeId(n), Interval::PAPER_DEFAULT, 6000.0);
             seen.insert(shard_of(&fp, 3));
         }
         assert!(seen.len() >= 4, "only {} of 8 shards used", seen.len());

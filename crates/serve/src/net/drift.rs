@@ -318,8 +318,16 @@ impl DriftMonitor {
         DriftSnapshot {
             state: self.judge(w),
             samples: w.filled,
-            unknown_rate: if w.filled == 0 { 0.0 } else { w.unknown as f64 / n },
-            ambiguous_rate: if w.filled == 0 { 0.0 } else { w.ambiguous as f64 / n },
+            unknown_rate: if w.filled == 0 {
+                0.0
+            } else {
+                w.unknown as f64 / n
+            },
+            ambiguous_rate: if w.filled == 0 {
+                0.0
+            } else {
+                w.ambiguous as f64 / n
+            },
             baseline: w.baseline,
         }
     }
@@ -406,7 +414,11 @@ mod tests {
         for _ in 0..16 {
             m.record("unknown");
         }
-        assert_eq!(m.snapshot().state, DriftState::Ok, "nothing to compare against");
+        assert_eq!(
+            m.snapshot().state,
+            DriftState::Ok,
+            "nothing to compare against"
+        );
     }
 
     #[test]
@@ -453,7 +465,10 @@ mod tests {
                 want.push(edge);
             }
         }
-        assert!(want.len() >= 5, "the mix must cross several edges: {want:?}");
+        assert!(
+            want.len() >= 5,
+            "the mix must cross several edges: {want:?}"
+        );
 
         // Split into uneven batches, as bursts arrive.
         let batched = DriftMonitor::new(cfg(8, 4, 0.2));

@@ -111,7 +111,10 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
                 scope.spawn(move || drive(cfg, i, interval, deadline))
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("loadgen thread")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("loadgen thread"))
+            .collect()
     });
 
     let mut total = ConnStats::default();
@@ -131,8 +134,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
         }
     }
     if total.received == 0 {
-        return Err(first_err
-            .unwrap_or_else(|| format!("no responses from {}", cfg.addr)));
+        return Err(first_err.unwrap_or_else(|| format!("no responses from {}", cfg.addr)));
     }
     total
         .latency_s
@@ -211,8 +213,15 @@ fn drive(
         }
         if inflight.is_empty() {
             // Paced and not due yet: sleep out the gap.
-            let until = interval.map(|_| next_send).unwrap_or(deadline).min(deadline);
-            std::thread::sleep(until.saturating_duration_since(now).min(Duration::from_millis(5)));
+            let until = interval
+                .map(|_| next_send)
+                .unwrap_or(deadline)
+                .min(deadline);
+            std::thread::sleep(
+                until
+                    .saturating_duration_since(now)
+                    .min(Duration::from_millis(5)),
+            );
             continue;
         }
         match reader.read_frame(&mut stream) {
@@ -247,13 +256,11 @@ fn record(st: &mut ConnStats, inflight: &mut VecDeque<Instant>, payload: &[u8]) 
     let text = String::from_utf8_lossy(payload);
     let mut toks = text.split_ascii_whitespace();
     match toks.next() {
-        Some("OK") | Some("VERDICT") => {
-            match toks.nth(3) {
-                Some("recognized") => st.verdicts[0] += 1,
-                Some("ambiguous") => st.verdicts[1] += 1,
-                _ => st.verdicts[2] += 1,
-            }
-        }
+        Some("OK") | Some("VERDICT") => match toks.nth(3) {
+            Some("recognized") => st.verdicts[0] += 1,
+            Some("ambiguous") => st.verdicts[1] += 1,
+            _ => st.verdicts[2] += 1,
+        },
         Some("ERR") => st.errors += 1,
         _ => {} // PONG/ACK/STATS/...: counted as received only
     }

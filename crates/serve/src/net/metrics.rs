@@ -318,7 +318,8 @@ impl DaemonMetrics {
     /// Push a drift reading into the gauge family. The daemon calls this
     /// just before it renders a scrape, not per verdict.
     pub fn observe_drift(&self, snap: &DriftSnapshot) {
-        self.drift_alarm.set(i64::from(snap.state == DriftState::Alarm));
+        self.drift_alarm
+            .set(i64::from(snap.state == DriftState::Alarm));
         self.drift_window_samples.set(snap.samples as i64);
         self.drift_unknown_rate.set(snap.unknown_rate);
         self.drift_ambiguous_rate.set(snap.ambiguous_rate);
@@ -455,7 +456,11 @@ mod tests {
 
     #[test]
     fn verdict_kinds_index_their_labels() {
-        for kind in [VerdictKind::Recognized, VerdictKind::Ambiguous, VerdictKind::Unknown] {
+        for kind in [
+            VerdictKind::Recognized,
+            VerdictKind::Ambiguous,
+            VerdictKind::Unknown,
+        ] {
             assert_eq!(VERDICT_KINDS[kind.index()], kind.label());
         }
     }

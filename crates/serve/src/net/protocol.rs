@@ -995,7 +995,9 @@ mod tests {
         );
         assert_eq!(
             Request::parse("SWAP").unwrap(),
-            Request::Swap { path: String::new() }
+            Request::Swap {
+                path: String::new()
+            }
         );
         for bad in [
             "",

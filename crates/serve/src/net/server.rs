@@ -504,12 +504,13 @@ fn accept_loop<'s>(shared: &'s Shared, listener: TcpListener, scope: &'s Scope<'
             Ok((stream, _peer)) => {
                 shared.metrics.connections_total.inc();
                 shared.metrics.active_connections.add(1);
-                let spawned = thread::Builder::new()
-                    .name("efd-conn".into())
-                    .spawn_scoped(scope, move || {
-                        let _ = handle_conn(shared, stream);
-                        shared.metrics.active_connections.add(-1);
-                    });
+                let spawned =
+                    thread::Builder::new()
+                        .name("efd-conn".into())
+                        .spawn_scoped(scope, move || {
+                            let _ = handle_conn(shared, stream);
+                            shared.metrics.active_connections.add(-1);
+                        });
                 if spawned.is_err() {
                     // Out of threads: the socket was dropped with the
                     // closure; back off and keep serving.
@@ -785,7 +786,8 @@ fn dispatch(shared: &Shared, payload: &[u8], conn: &mut Conn, out: &mut Vec<u8>)
             p.engine
                 .recognizer
                 .answer_into(&conn.query, &mut conn.scratch, &mut conn.answer);
-            conn.tally.count_verdict(p.gen, VerdictKind::of(&conn.answer));
+            conn.tally
+                .count_verdict(p.gen, VerdictKind::of(&conn.answer));
             write_answer(out, "OK", p.gen, &conn.answer);
         }
         RequestRef::Stream {
@@ -850,7 +852,10 @@ fn dispatch(shared: &Shared, payload: &[u8], conn: &mut Conn, out: &mut Vec<u8>)
                 out.extend_from_slice(b"ERR bad-state no open stream to finish");
                 return Action::Continue;
             };
-            follow_swap(current(shared, &mut conn.published, &mut conn.tally), &mut st);
+            follow_swap(
+                current(shared, &mut conn.published, &mut conn.tally),
+                &mut st,
+            );
             let rec = st.sess.finish();
             stream_verdict(shared, &st, &rec, conn, out);
         }
@@ -931,7 +936,10 @@ fn dispatch(shared: &Shared, payload: &[u8], conn: &mut Conn, out: &mut Vec<u8>)
             let p = shared.current();
             let snap = shared.drift.snapshot();
             let (bu, ba) = match snap.baseline {
-                Some(b) => (format!("{:.4}", b.unknown_rate), format!("{:.4}", b.ambiguous_rate)),
+                Some(b) => (
+                    format!("{:.4}", b.unknown_rate),
+                    format!("{:.4}", b.ambiguous_rate),
+                ),
                 None => ("-".to_string(), "-".to_string()),
             };
             let _ = write!(
@@ -985,7 +993,8 @@ fn stream_verdict(
         .time_to_first_verdict
         .observe_duration(st.opened.elapsed());
     conn.answer.set_from(rec);
-    conn.tally.count_verdict(st.gen, VerdictKind::of(&conn.answer));
+    conn.tally
+        .count_verdict(st.gen, VerdictKind::of(&conn.answer));
     write_answer(out, "VERDICT", st.gen, &conn.answer);
 }
 
@@ -1047,7 +1056,9 @@ fn handle_http(
             Err(e)
                 if matches!(
                     e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
                 ) => {}
             Err(_) => return Ok(()),
         }

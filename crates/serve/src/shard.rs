@@ -205,7 +205,10 @@ impl ShardedDictionary {
         {
             return id;
         }
-        self.table.write().expect("label table poisoned").intern(label)
+        self.table
+            .write()
+            .expect("label table poisoned")
+            .intern(label)
     }
 
     /// Insert an interned label under a key, taking exactly that key's

@@ -816,6 +816,9 @@ mod tests {
         assert!(snap.is_empty());
         let r = snap.recognize(&Query::from_node_means(M, W, &[1.0]));
         assert_eq!(r.verdict, efd_core::Verdict::Unknown);
-        assert_eq!(answer(&snap, &Query::from_node_means(M, W, &[1.0])).tied(), 0);
+        assert_eq!(
+            answer(&snap, &Query::from_node_means(M, W, &[1.0])).tied(),
+            0
+        );
     }
 }

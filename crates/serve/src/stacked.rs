@@ -69,7 +69,10 @@ impl StackedRecognizer {
     /// Panics on an empty stack — a manifest is validated to have at
     /// least one stage before it gets here.
     pub fn new(stages: Vec<StackedStage>) -> Self {
-        assert!(!stages.is_empty(), "a recognizer stack needs at least one stage");
+        assert!(
+            !stages.is_empty(),
+            "a recognizer stack needs at least one stage"
+        );
         Self { stages }
     }
 
@@ -176,7 +179,10 @@ mod tests {
             stage("fallback", fallback, 0.0),
         ]);
         // Primary knows the answer: fallback must never flip it.
-        assert_eq!(stack.recognize(&query(&[1000.0, 1000.0])).best(), Some("ft"));
+        assert_eq!(
+            stack.recognize(&query(&[1000.0, 1000.0])).best(),
+            Some("ft")
+        );
     }
 
     #[test]
@@ -190,7 +196,10 @@ mod tests {
             stage("exact", primary, 0.6),
             stage("fallback", fallback, 0.0),
         ]);
-        assert_eq!(stack.recognize(&query(&[1000.0, 2000.0])).best(), Some("sp"));
+        assert_eq!(
+            stack.recognize(&query(&[1000.0, 2000.0])).best(),
+            Some("sp")
+        );
     }
 
     #[test]

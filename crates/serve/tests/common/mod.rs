@@ -188,7 +188,9 @@ pub fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("read timeout");
     stream
-        .write_all(format!("GET {path} HTTP/1.1\r\nHost: efd\r\nConnection: close\r\n\r\n").as_bytes())
+        .write_all(
+            format!("GET {path} HTTP/1.1\r\nHost: efd\r\nConnection: close\r\n\r\n").as_bytes(),
+        )
         .expect("write http request");
     let mut raw = Vec::new();
     use std::io::Read;

@@ -114,14 +114,18 @@ fn streaming_session_emits_the_oracle_verdict_when_windows_close() {
     assert_eq!((*t, *node), (120, 1), "emitted when the last window closes");
     assert_eq!(tail, "1 2 2 recognized ft");
     // The session is consumed by its verdict.
-    assert!(client.request("PUSH 0 121 6005").starts_with("ERR bad-state"));
+    assert!(client
+        .request("PUSH 0 121 6005")
+        .starts_with("ERR bad-state"));
 
     // Early FINISH flushes open windows and forces the verdict.
     let mut early = Client::connect(server.local_addr());
     early.request(&format!("STREAM {METRIC} 2 {} {}", W.start, W.end));
     for t in 60..=80u32 {
         for node in 0..2u16 {
-            assert!(early.request(&format!("PUSH {node} {t} 6005")).starts_with("ACK "));
+            assert!(early
+                .request(&format!("PUSH {node} {t} 6005"))
+                .starts_with("ACK "));
         }
     }
     assert_eq!(early.request("FINISH"), "VERDICT 1 2 2 recognized ft");
@@ -141,14 +145,22 @@ fn metrics_scrape_reports_exact_counters_for_a_known_mix() {
         assert_eq!(client.request("PING"), "PONG");
     }
     for _ in 0..4 {
-        assert!(client.request(&recognize_line(&[6000.0, 6000.0])).contains("recognized"));
+        assert!(client
+            .request(&recognize_line(&[6000.0, 6000.0]))
+            .contains("recognized"));
     }
     for _ in 0..2 {
-        assert!(client.request(&recognize_line(&[111.0, 222.0])).contains("unknown"));
+        assert!(client
+            .request(&recognize_line(&[111.0, 222.0]))
+            .contains("unknown"));
     }
-    assert!(client.request(&recognize_line(&[7500.0, 7500.0])).contains("ambiguous"));
+    assert!(client
+        .request(&recognize_line(&[7500.0, 7500.0]))
+        .contains("ambiguous"));
     assert!(client.request("STATS").starts_with("STATS "));
-    assert!(client.request("BOGUS nonsense").starts_with("ERR malformed"));
+    assert!(client
+        .request("BOGUS nonsense")
+        .starts_with("ERR malformed"));
 
     let (status, body) = http_get(addr, "/metrics");
     assert!(status.contains("200"), "bad scrape status {status:?}");
@@ -171,7 +183,10 @@ fn metrics_scrape_reports_exact_counters_for_a_known_mix() {
         "efd_connections_total 2",
         "efd_scrapes_total 1",
     ] {
-        assert!(body.contains(needle), "missing {needle:?} in scrape:\n{body}");
+        assert!(
+            body.contains(needle),
+            "missing {needle:?} in scrape:\n{body}"
+        );
     }
 
     // A second scrape sees itself counted.
@@ -196,8 +211,16 @@ fn hot_swap_under_sustained_load_drops_nothing_and_never_tears() {
     let dict_a = dict_with(&[("old", 5000.0)]);
     let dict_b = dict_with(&[("old", 5000.0), ("new", 7000.0)]);
     let line = recognize_line(&[7000.0, 7000.0]);
-    let want1 = render_answer("OK", 1, &dict_a.recognize(&query(&[7000.0, 7000.0])).normalized());
-    let want2 = render_answer("OK", 2, &dict_b.recognize(&query(&[7000.0, 7000.0])).normalized());
+    let want1 = render_answer(
+        "OK",
+        1,
+        &dict_a.recognize(&query(&[7000.0, 7000.0])).normalized(),
+    );
+    let want2 = render_answer(
+        "OK",
+        2,
+        &dict_b.recognize(&query(&[7000.0, 7000.0])).normalized(),
+    );
     assert!(want1.ends_with("unknown"));
     assert!(want2.ends_with("recognized new"));
 
@@ -234,7 +257,10 @@ fn hot_swap_under_sustained_load_drops_nothing_and_never_tears() {
             .collect();
         std::thread::sleep(Duration::from_millis(30));
         assert_eq!(server.publish(snapshot_engine(&dict_b)), 2);
-        let total: u64 = workers.into_iter().map(|h| h.join().expect("load thread")).sum();
+        let total: u64 = workers
+            .into_iter()
+            .map(|h| h.join().expect("load thread"))
+            .sum();
         assert!(total > 0);
     });
 
@@ -264,9 +290,16 @@ fn pipelined_bursts_keep_every_counter_exact() {
     let mut verdicts = [("recognized", 0u64), ("ambiguous", 0), ("unknown", 0)];
     for want in &expected {
         let kind = want.split(' ').nth(4).expect("verdict word");
-        verdicts.iter_mut().find(|(k, _)| *k == kind).expect("known verdict").1 += 1;
+        verdicts
+            .iter_mut()
+            .find(|(k, _)| *k == kind)
+            .expect("known verdict")
+            .1 += 1;
     }
-    assert!(verdicts.iter().all(|&(_, n)| n > 0), "the mix hits every verdict");
+    assert!(
+        verdicts.iter().all(|&(_, n)| n > 0),
+        "the mix hits every verdict"
+    );
     let mut burst = Vec::new();
     for line in lines.iter().map(String::as_str).chain(["STATS"]) {
         write_frame(&mut burst, line.as_bytes()).expect("frame into a Vec");
@@ -282,7 +315,9 @@ fn pipelined_bursts_keep_every_counter_exact() {
         }
         let stats = client.recv();
         let requests = stats.rsplit("requests=").next().expect("requests field");
-        requests.parse().unwrap_or_else(|_| panic!("bad STATS line {stats:?}"))
+        requests
+            .parse()
+            .unwrap_or_else(|_| panic!("bad STATS line {stats:?}"))
     };
     let mut clients = [Client::connect(addr), Client::connect(addr)];
     // One after the other: each STATS is exact.
@@ -296,7 +331,10 @@ fn pipelined_bursts_keep_every_counter_exact() {
     }
     for client in &mut clients {
         let requests = read_burst(client);
-        assert!((3 * (n + 1)..=4 * (n + 1)).contains(&requests), "{requests}");
+        assert!(
+            (3 * (n + 1)..=4 * (n + 1)).contains(&requests),
+            "{requests}"
+        );
     }
 
     let (_, body) = http_get(addr, "/metrics");
@@ -304,13 +342,22 @@ fn pipelined_bursts_keep_every_counter_exact() {
         format!("efd_requests_total{{command=\"recognize\"}} {}", 4 * n),
         "efd_requests_total{command=\"stats\"} 4".to_string(),
         format!("efd_request_duration_seconds_count {}", 4 * (n + 1)),
-        format!("efd_request_duration_seconds_bucket{{le=\"+Inf\"}} {}", 4 * (n + 1)),
+        format!(
+            "efd_request_duration_seconds_bucket{{le=\"+Inf\"}} {}",
+            4 * (n + 1)
+        ),
     ];
     for (kind, count) in verdicts {
-        needles.push(format!("efd_verdicts_total{{verdict=\"{kind}\"}} {}", 4 * count));
+        needles.push(format!(
+            "efd_verdicts_total{{verdict=\"{kind}\"}} {}",
+            4 * count
+        ));
     }
     for needle in needles {
-        assert!(body.contains(&needle), "missing {needle:?} in scrape:\n{body}");
+        assert!(
+            body.contains(&needle),
+            "missing {needle:?} in scrape:\n{body}"
+        );
     }
     server.shutdown();
     server.join();
@@ -423,7 +470,9 @@ fn swap_command_and_hup_flag_republish_from_dictionary_files() {
     assert!(resp.starts_with("ERR swap-failed"), "got {resp:?}");
     assert_eq!(server.generation(), 2);
     // The SIGHUP flag reloads the configured path (back to dict A).
-    server.hup_flag().store(true, std::sync::atomic::Ordering::SeqCst);
+    server
+        .hup_flag()
+        .store(true, std::sync::atomic::Ordering::SeqCst);
     wait_until("SIGHUP reload", || server.generation() == 3);
     assert_eq!(client.request(&line), "OK 3 0 2 unknown");
 
@@ -514,12 +563,10 @@ fn shutdown_command_stops_the_daemon_and_frees_the_port() {
     let server = start_server(snapshot_engine(&dict), |_| {});
     let addr = server.local_addr();
     let mut client = Client::connect(addr);
-    assert!(client
-        .request("STATS")
-        .starts_with(&format!(
-            "STATS gen=1 keys={} backend=snapshot version=-",
-            dict.len()
-        )));
+    assert!(client.request("STATS").starts_with(&format!(
+        "STATS gen=1 keys={} backend=snapshot version=-",
+        dict.len()
+    )));
     assert_eq!(client.request("SHUTDOWN"), "BYE");
     let summary = server.join();
     assert!(summary.requests >= 2);

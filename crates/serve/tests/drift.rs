@@ -98,10 +98,16 @@ fn learn_runs(dict: &mut EfdDictionary, runs: &[efd_workload::scenario::Scenario
 
 /// Offline abstention rates of `engine` over `runs` — what `efd catalog
 /// publish` measures and stores as the version's baseline.
-fn measure_baseline(engine: &dyn Recognize, runs: &[efd_workload::scenario::ScenarioRun]) -> DriftBaseline {
+fn measure_baseline(
+    engine: &dyn Recognize,
+    runs: &[efd_workload::scenario::ScenarioRun],
+) -> DriftBaseline {
     let (mut unknown, mut ambiguous) = (0usize, 0usize);
     for run in runs {
-        match engine.recognize(&Query::from_node_means(M, W, &run.means)).verdict {
+        match engine
+            .recognize(&Query::from_node_means(M, W, &run.means))
+            .verdict
+        {
             Verdict::Recognized(_) => {}
             Verdict::Ambiguous(_) => ambiguous += 1,
             _ => unknown += 1,
@@ -115,7 +121,12 @@ fn measure_baseline(engine: &dyn Recognize, runs: &[efd_workload::scenario::Scen
 
 fn recognize_run_line(means: &[f64]) -> String {
     let rendered: Vec<String> = means.iter().map(|m| m.to_string()).collect();
-    format!("RECOGNIZE {METRIC} {} {} {}", W.start, W.end, rendered.join(" "))
+    format!(
+        "RECOGNIZE {METRIC} {} {} {}",
+        W.start,
+        W.end,
+        rendered.join(" ")
+    )
 }
 
 #[test]
@@ -212,7 +223,10 @@ fn concept_drift_raises_the_alarm_and_a_relearned_swap_clears_it() {
             baseline_v1.unknown_rate
         ),
     ] {
-        assert!(body.contains(needle), "missing {needle:?} in scrape:\n{body}");
+        assert!(
+            body.contains(needle),
+            "missing {needle:?} in scrape:\n{body}"
+        );
     }
 
     // SWAP to the re-learned version: the loader rebuilds the stack,
@@ -241,7 +255,11 @@ fn concept_drift_raises_the_alarm_and_a_relearned_swap_clears_it() {
         }
     }
     let snap = server.drift_snapshot();
-    assert_eq!(snap.state, DriftState::Ok, "relearned version clears the alarm: {snap:?}");
+    assert_eq!(
+        snap.state,
+        DriftState::Ok,
+        "relearned version clears the alarm: {snap:?}"
+    );
     let status = client.request("STATUS");
     assert!(
         status.starts_with("STATUS gen=2 version=drift-demo@v2 backend=stacked"),
@@ -293,10 +311,16 @@ fn baseline_free_engines_never_alarm_under_the_same_drift() {
         DriftState::Ok,
         "no baseline ⇒ no judgement to alarm against: {snap:?}"
     );
-    assert!(snap.unknown_rate > 0.5, "the drifted tail IS mostly unknown: {snap:?}");
+    assert!(
+        snap.unknown_rate > 0.5,
+        "the drifted tail IS mostly unknown: {snap:?}"
+    );
     assert!(snap.baseline.is_none());
     let status = client.request("STATUS");
-    assert!(status.contains("baseline_unknown=- baseline_ambiguous=-"), "{status:?}");
+    assert!(
+        status.contains("baseline_unknown=- baseline_ambiguous=-"),
+        "{status:?}"
+    );
 
     server.shutdown();
     server.join();

@@ -37,10 +37,7 @@ use efd_telemetry::{AppLabel, Interval, MetricId};
 const DEPTH: u8 = 2;
 
 fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "efd-durability-{tag}-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("efd-durability-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     dir
 }
@@ -141,7 +138,10 @@ fn truncation_sweep_recovers_exactly_the_durable_prefix() {
 
     for cut in WAL_HEADER_LEN..=image.len() {
         let (dict, n, fault) = replay_image(&image[..cut], &catalog);
-        let expect_n = bounds.iter().filter(|&&b| b > WAL_HEADER_LEN && b <= cut).count();
+        let expect_n = bounds
+            .iter()
+            .filter(|&&b| b > WAL_HEADER_LEN && b <= cut)
+            .count();
         assert_eq!(n, expect_n, "cut at {cut}");
         assert_eq!(
             fault.is_none(),
@@ -281,15 +281,13 @@ fn crash_reopen_cycles_preserve_every_acknowledged_operation() {
     for crash_after in 0..=stream.len() {
         let dir = tmp_dir(&format!("crash{crash_after}"));
         {
-            let (served, _) =
-                DurableDictionary::open(&dir, depth, &catalog, options).unwrap();
+            let (served, _) = DurableDictionary::open(&dir, depth, &catalog, options).unwrap();
             for o in &stream[..crash_after] {
                 served.learn(o).unwrap();
             }
             // `served` dropped here without sync/freeze: the "crash".
         }
-        let (served, recovery) =
-            DurableDictionary::open(&dir, depth, &catalog, options).unwrap();
+        let (served, recovery) = DurableDictionary::open(&dir, depth, &catalog, options).unwrap();
         assert_eq!(recovery.replayed, crash_after);
         assert!(recovery.tail_fault.is_none());
         let oracle = oracle_for_prefix(&stream, crash_after);
@@ -354,8 +352,8 @@ fn eviction_composes_with_replay_and_does_not_resurrect() {
     assert_eq!(got.len(), oracle.len());
     let w = Interval::PAPER_DEFAULT;
     for (means, expect) in [
-        ([7821.0, 7819.0, 7820.0, 7822.0], None),      // miniAMR evicted
-        ([8110.0, 8105.0, 8120.0, 8099.0], None),      // cg evicted post-freeze
+        ([7821.0, 7819.0, 7820.0, 7822.0], None), // miniAMR evicted
+        ([8110.0, 8105.0, 8120.0, 8099.0], None), // cg evicted post-freeze
         ([5503.0, 5512.0, 5521.0, 5508.0], Some("lu")), // learned post-freeze
         ([6020.0, 6020.0, 6020.0, 6020.0], Some("ft")), // ft X survives ft/Y eviction
     ] {
@@ -441,8 +439,7 @@ fn on_disk_corruption_is_truncated_once_and_heals_on_append() {
     fs::write(&log_path, &bytes).unwrap();
 
     {
-        let (served, recovery) =
-            DurableDictionary::open(&dir, depth, &catalog, options).unwrap();
+        let (served, recovery) = DurableDictionary::open(&dir, depth, &catalog, options).unwrap();
         assert_eq!(recovery.replayed, 4, "stop at last valid record");
         assert!(
             matches!(recovery.tail_fault, Some(WalError::CorruptRecord { offset, .. })
@@ -465,7 +462,11 @@ fn on_disk_corruption_is_truncated_once_and_heals_on_append() {
     let got = served.dictionary();
     assert_eq!(got.len(), oracle.len());
     for (i, q) in probe_queries().iter().enumerate() {
-        assert_eq!(got.recognize(q), oracle.recognize(q).normalized(), "probe #{i}");
+        assert_eq!(
+            got.recognize(q),
+            oracle.recognize(q).normalized(),
+            "probe #{i}"
+        );
     }
     fs::remove_dir_all(&dir).unwrap();
 }

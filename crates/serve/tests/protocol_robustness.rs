@@ -429,7 +429,10 @@ fn idle_and_slow_loris_clients_cannot_starve_health_metrics_or_status() {
     let held = idle_and_slow_loris(&server, 8);
 
     let (status, body) = within_a_second("GET /healthz", || http_get(addr, "/healthz"));
-    assert_eq!((status.as_str(), body.as_str()), ("HTTP/1.1 200 OK", "ok\n"));
+    assert_eq!(
+        (status.as_str(), body.as_str()),
+        ("HTTP/1.1 200 OK", "ok\n")
+    );
     let (status, body) = within_a_second("GET /metrics", || http_get(addr, "/metrics"));
     assert_eq!(status, "HTTP/1.1 200 OK");
     let active: i64 = body
@@ -437,7 +440,10 @@ fn idle_and_slow_loris_clients_cannot_starve_health_metrics_or_status() {
         .find_map(|l| l.strip_prefix("efd_active_connections "))
         .and_then(|v| v.parse().ok())
         .expect("efd_active_connections in the exposition");
-    assert!(active > held.len() as i64, "{active} active: held ones plus the scrape");
+    assert!(
+        active > held.len() as i64,
+        "{active} active: held ones plus the scrape"
+    );
     let reply = within_a_second("STATUS", || Client::connect(addr).request("STATUS"));
     assert!(reply.starts_with("STATUS gen=1 "), "got {reply:?}");
     let reply = within_a_second("RECOGNIZE", || {
