@@ -12,7 +12,9 @@
 //!   binary decode + thaw into an [`efd_core::EfdDictionary`]);
 //! * `efdb_load`    — [`efd_serve::Snapshot::load`] (the daemon's cold
 //!   start: check the buffer once, keep it, and build the hash index
-//!   over its key records; nothing decoded).
+//!   over its key records; nothing decoded);
+//! * `efdb_check`   — [`efd_core::binfmt::check`] alone, the first step
+//!   of `efdb_load`: the rest of `efdb_load` is the index build.
 //!
 //! Acceptance: EFDB load ≥ 5× faster than JSON parse on the 10k-key
 //! dictionary, and every restored form answers a 1 000-query batch
@@ -117,6 +119,7 @@ fn main() {
         "json parse ms",
         "efdb dict ms",
         "efdb load ms",
+        "efdb check ms",
         "load speedup",
     ])
     .with_title("Persistence: JSON parse vs EFDB load (best-of-N)".to_string());
@@ -146,6 +149,9 @@ fn main() {
             let copy = copies.pop().expect("one copy per rep");
             black_box(Snapshot::load(copy, &catalog).unwrap().len());
         });
+        let t_check = time_best_of(reps, || {
+            black_box(binfmt::check(&bytes).unwrap().len());
+        });
 
         let speedup = t_json / t_efdb;
         if keys == 10_000 {
@@ -172,6 +178,7 @@ fn main() {
             format!("{:.2}", t_json * 1e3),
             format!("{:.2}", t_efdb * 1e3),
             format!("{:.2}", t_load * 1e3),
+            format!("{:.2}", t_check * 1e3),
             format!("{speedup:.1}x"),
         ]);
     }

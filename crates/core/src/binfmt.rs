@@ -70,6 +70,12 @@ pub const HEADER_LEN: usize = 48;
 /// Size of one fixed key record in the keys section.
 pub const KEY_RECORD_LEN: usize = 26;
 
+/// Buffers at least this long get their checksum computed on a second
+/// thread while [`check`] validates the sections: on a 34 MB file the
+/// checksum is ~10 ms of a ~26 ms check, while a thread spawn costs tens
+/// of microseconds, which only pays off on large files.
+const CONCURRENT_CHECKSUM_MIN: usize = 1 << 20;
+
 /// Errors decoding an EFDB byte stream.
 ///
 /// Marked `#[non_exhaustive]`: future format validations may add variants
@@ -994,7 +1000,13 @@ impl<'a> Postings<'a> {
 /// sections (string table UTF-8 **and lexicographic sort**, ids in
 /// bounds, key ordering, postings bounds). The first failure is returned
 /// as a structured [`BinFormatError`]; a returned view is internally
-/// consistent by construction and allocates nothing.
+/// consistent by construction.
+///
+/// On a buffer of at least 1 MiB the checksum runs on a scoped thread
+/// while the calling thread checks the depth and the sections; the
+/// result is still the first failure in the order above (a checksum
+/// mismatch wins over any section error). Below 1 MiB everything runs
+/// on the calling thread and `check` allocates nothing.
 ///
 /// ```
 /// use efd_core::{binfmt, EfdDictionary, RoundingDepth};
@@ -1077,10 +1089,46 @@ pub fn check(bytes: &[u8]) -> Result<EfdbView<'_>, BinFormatError> {
         });
     }
     let stored = u64::from_le_bytes(bytes[checksum_off..checksum_off + 8].try_into().unwrap());
-    let computed = efd_util::hash::hash_bytes(&bytes[..checksum_off]);
-    if stored != computed {
-        return Err(BinFormatError::ChecksumMismatch { stored, computed });
+    let body = &bytes[..checksum_off];
+    let verify = |computed: u64| {
+        if stored == computed {
+            Ok(())
+        } else {
+            Err(BinFormatError::ChecksumMismatch { stored, computed })
+        }
+    };
+    if bytes.len() < CONCURRENT_CHECKSUM_MIN {
+        verify(efd_util::hash::hash_bytes(body))?;
+        return check_sections(c, offsets, depth_byte, digest);
     }
+    // Both halves read the buffer and nothing else, so the checksum runs
+    // on a scoped thread beside the section checks; its verdict is
+    // applied first, as if it had run first. If no thread can be
+    // started, the checksum runs here after the sections.
+    let (computed, view) = std::thread::scope(|s| {
+        let sum = std::thread::Builder::new().spawn_scoped(s, || efd_util::hash::hash_bytes(body));
+        let view = check_sections(c, offsets, depth_byte, digest);
+        let computed = match sum {
+            Ok(sum) => sum.join().unwrap_or_else(|e| std::panic::resume_unwind(e)),
+            Err(_) => efd_util::hash::hash_bytes(body),
+        };
+        (computed, view)
+    });
+    verify(computed)?;
+    view
+}
+
+/// The part of [`check`] after the checksum: depth, then every section
+/// in file order. `c` stands at the end of the header, and `offsets`
+/// have passed the layout checks.
+fn check_sections(
+    mut c: Cursor<'_>,
+    offsets: [u32; 7],
+    depth_byte: u8,
+    digest: u64,
+) -> Result<EfdbView<'_>, BinFormatError> {
+    let bytes = c.bytes;
+    let checksum_off = offsets[6] as usize;
     let depth =
         RoundingDepth::try_new(depth_byte).ok_or(BinFormatError::InvalidDepth(depth_byte))?;
 

@@ -207,3 +207,100 @@ fn invalid_depth_is_detected() {
         BinFormatError::InvalidDepth(0)
     );
 }
+
+// --- Files of at least 1 MiB: `check` computes the checksum on a second
+// thread while it validates the sections, and must report exactly what
+// the one-thread order reports (checksum first). The same bytes must
+// fail `Snapshot::load`, the daemon's load path, with the same error.
+
+/// A synthetic 50,000-key dictionary (~1.7 MB as EFDB): 50 nodes times
+/// 1,000 means, each key one of 7 apps.
+fn large_bytes() -> Vec<u8> {
+    let catalog = small_catalog();
+    let metric = catalog.id("nr_mapped_vmstat").unwrap();
+    let mut dict = EfdDictionary::new(RoundingDepth::new(6));
+    for i in 0..50_000u32 {
+        let label = AppLabel::new(format!("app{}", i % 7), "X");
+        let node = efd_telemetry::NodeId((i % 50) as u16);
+        let mean = 100_000.0 + f64::from(i / 50);
+        dict.insert_raw(metric, node, Interval::PAPER_DEFAULT, mean, &label);
+    }
+    let bytes = binfmt::write(&dict.to_parts(), &catalog);
+    assert!(bytes.len() >= 1 << 20, "{} bytes", bytes.len());
+    bytes
+}
+
+/// The `i`-th little-endian u32 of the header's section-offset table
+/// (0 strings, …, 4 keys, 5 postings, 6 checksum).
+fn section_offset(bytes: &[u8], i: usize) -> usize {
+    let at = 20 + 4 * i;
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize
+}
+
+/// Write a fresh checksum trailer over the body.
+fn restamp(bytes: &mut [u8]) {
+    let body = bytes.len() - 8;
+    let sum = efd_util::hash::hash_bytes(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// `binfmt::check`'s error on `bytes`, after asserting that
+/// `Snapshot::load` fails with the same one.
+fn check_and_load_error(bytes: &[u8]) -> BinFormatError {
+    let checked = binfmt::check(bytes).unwrap_err();
+    let loaded = efd_serve::Snapshot::load(bytes.to_vec(), &small_catalog()).unwrap_err();
+    assert_eq!(loaded, checked, "Snapshot::load and binfmt::check disagree");
+    checked
+}
+
+/// Swap key records `k` and `k + 1`: record `k + 1` is then no greater
+/// than its predecessor.
+fn swap_key_records(bytes: &mut [u8], k: usize) {
+    let at = section_offset(bytes, 4) + 4 + k * binfmt::KEY_RECORD_LEN;
+    let (a, b) = bytes[at..at + 2 * binfmt::KEY_RECORD_LEN].split_at_mut(binfmt::KEY_RECORD_LEN);
+    a.swap_with_slice(b);
+}
+
+#[test]
+fn large_file_checks_clean_on_both_paths() {
+    let bytes = large_bytes();
+    assert_eq!(binfmt::check(&bytes).unwrap().len(), 50_000);
+    assert_eq!(
+        efd_serve::Snapshot::load(bytes, &small_catalog())
+            .unwrap()
+            .len(),
+        50_000
+    );
+}
+
+#[test]
+fn large_file_structural_fault_with_stale_checksum_is_a_checksum_mismatch() {
+    let mut bytes = large_bytes();
+    swap_key_records(&mut bytes, 25_000);
+    assert!(matches!(
+        check_and_load_error(&bytes),
+        BinFormatError::ChecksumMismatch { .. }
+    ));
+}
+
+#[test]
+fn large_file_structural_fault_with_fresh_checksum_reports_the_fault() {
+    let mut bytes = large_bytes();
+    swap_key_records(&mut bytes, 25_000);
+    restamp(&mut bytes);
+    assert_eq!(
+        check_and_load_error(&bytes),
+        BinFormatError::UnsortedKeys { index: 25_001 }
+    );
+}
+
+#[test]
+fn large_file_flipped_postings_byte_is_a_checksum_mismatch() {
+    let mut bytes = large_bytes();
+    let (blob, end) = (section_offset(&bytes, 5) + 4, section_offset(&bytes, 6));
+    bytes[(blob + end) / 2] ^= 0x01;
+    assert!(matches!(
+        check_and_load_error(&bytes),
+        BinFormatError::ChecksumMismatch { .. }
+    ));
+}

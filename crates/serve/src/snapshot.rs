@@ -15,7 +15,7 @@
 //! loaded file keeps its checked buffer as is ([`Snapshot::load`] moves
 //! it in, nothing is copied); a frozen dictionary lays out the same two
 //! sections in memory, with catalog ids as metric indices. A hash index
-//! built at load time in one pass over the records finds a key:
+//! built at load time over the records (see "Index build") finds a key:
 //!
 //! ```text
 //! metrics : MetricId -> metric index of the records (dense table)
@@ -56,6 +56,24 @@
 //! answers, are those of a point-at-a-time loop. A single probe
 //! ([`KeyStore::vote`], [`KeyStore::vote_apps`]) is the one-point case:
 //! it reads its home slot and walks the chain through the same helper.
+//!
+//! ## Index build
+//!
+//! Every constructor builds the index the same way, in the probe
+//! pipeline's shape. It takes the records in chunks of `BUILD_CHUNK`
+//! (32) and makes three passes over each chunk:
+//!
+//! 1. read each record's words and postings for its home slot and
+//!    inline app;
+//! 2. read every home slot;
+//! 3. place the records in record order, each at the first vacant slot
+//!    from its home (linear probing).
+//!
+//! The reads of pass 2 are independent, so a chunk's misses into a
+//! table larger than the caches (16 MiB for 1M keys) overlap. A slot
+//! once taken stays taken, so pass 3 places every record where a
+//! record-at-a-time build would: the index comes out slot for slot the
+//! same.
 
 use std::hash::Hasher;
 use std::ops::Range;
@@ -82,6 +100,11 @@ const MULTI: u32 = u32::MAX;
 /// record loads in flight to overlap their cache misses, few enough
 /// that a chunk's keys stay on the stack.
 const PROBE_CHUNK: usize = 16;
+
+/// Key records placed as one batch when the index is built: enough
+/// independent home-slot reads in flight to overlap their cache misses,
+/// few enough that a chunk's homes stay on the stack.
+const BUILD_CHUNK: usize = 32;
 
 /// What the pipeline's last pass counts for each matched point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,6 +192,58 @@ fn home_slot(words: &[u64; 3], mask: usize) -> usize {
         h.write_u64(w);
     }
     h.finish() as usize & mask
+}
+
+/// The inline app of the key record `r`: the one app all its labels
+/// belong to, or [`MULTI`].
+#[inline]
+fn inline_app(r: &[u8], blob: Postings<'_>, label_app: &[AppNameId]) -> u32 {
+    let off = u32::from_le_bytes(r[22..26].try_into().expect("4 bytes"));
+    let mut apps = blob.label_ids(off).map(|id| label_app[id as usize]);
+    match apps.next() {
+        Some(first) if apps.all(|a| a == first) => first.index() as u32,
+        _ => MULTI,
+    }
+}
+
+/// The `[record, app]` index over `keys` (module docs, "Index build"):
+/// at least twice as many slots as keys, a power of two, each record at
+/// the first vacant slot from its home in record order.
+fn build_index(
+    keys: KeyRecords<'_>,
+    blob: Postings<'_>,
+    label_app: &[AppNameId],
+) -> Box<[[u32; 2]]> {
+    let mut index = vec![[VACANT, MULTI]; (2 * keys.len()).next_power_of_two()];
+    let mask = index.len() - 1;
+    let chunks = keys.bytes().chunks(BUILD_CHUNK * KEY_RECORD_LEN);
+    for (first, chunk) in (0..).step_by(BUILD_CHUNK).zip(chunks) {
+        let n = chunk.len() / KEY_RECORD_LEN;
+        // 1. Home slot and inline app of every record.
+        let mut homes = [(0, MULTI); BUILD_CHUNK];
+        for (home, r) in homes.iter_mut().zip(chunk.chunks_exact(KEY_RECORD_LEN)) {
+            *home = (
+                home_slot(&record_words(r), mask),
+                inline_app(r, blob, label_app),
+            );
+        }
+        // 2. Read every home slot. A slot that is taken stays taken, so
+        //    a record whose home an earlier chunk took starts its probe
+        //    one slot on.
+        let mut taken = [false; BUILD_CHUNK];
+        for (taken, &(slot, _)) in taken.iter_mut().zip(&homes[..n]) {
+            *taken = index[slot][0] != VACANT;
+        }
+        // 3. Place the records in record order.
+        for (i, (&(home, app), &taken)) in homes[..n].iter().zip(&taken).enumerate() {
+            let mut slot = if taken { (home + 1) & mask } else { home };
+            while index[slot][0] != VACANT {
+                slot = (slot + 1) & mask;
+            }
+            index[slot] = [(first + i) as u32, app];
+        }
+    }
+    index.into_boxed_slice()
 }
 
 impl Snapshot {
@@ -293,7 +368,8 @@ impl Snapshot {
 
     /// The one build every constructor funnels through: index the
     /// key records `bytes[records]` (canonical: unique keys, label ids
-    /// in range, postings offsets into `bytes[postings]`) in one pass.
+    /// in range, postings offsets into `bytes[postings]`) with
+    /// [`build_index`].
     /// `metric_ids` maps the records' metric indices to catalog ids, and
     /// `tables` holds the app names, labels and each label's app, as
     /// [`binfmt::EfdbView::label_tables`] returns them.
@@ -315,29 +391,17 @@ impl Snapshot {
             metrics[id.0 as usize] = at as u32;
         }
 
-        let keys = KeyRecords::over(&bytes[records.clone()]);
-        let blob = Postings::over(&bytes[postings.clone()]);
-        let mut index = vec![[VACANT, MULTI]; (2 * keys.len()).next_power_of_two()];
-        let mask = index.len() - 1;
-        for (i, r) in keys.bytes().chunks_exact(KEY_RECORD_LEN).enumerate() {
-            let off = u32::from_le_bytes(r[22..26].try_into().expect("4 bytes"));
-            let mut apps = blob.label_ids(off).map(|id| label_app[id as usize]);
-            let app = match apps.next() {
-                Some(first) if apps.all(|a| a == first) => first.index() as u32,
-                _ => MULTI,
-            };
-            let mut slot = home_slot(&record_words(r), mask);
-            while index[slot][0] != VACANT {
-                slot = (slot + 1) & mask;
-            }
-            index[slot] = [i as u32, app];
-        }
+        let index = build_index(
+            KeyRecords::over(&bytes[records.clone()]),
+            Postings::over(&bytes[postings.clone()]),
+            &label_app,
+        );
         Self {
             depth,
             bytes,
             records,
             postings,
-            index: index.into_boxed_slice(),
+            index,
             metrics,
             metric_ids,
             labels,
@@ -778,16 +842,20 @@ mod tests {
         assert_eq!(snap.to_dictionary().to_parts().entries.len(), 3);
     }
 
-    #[test]
-    fn adjacent_keys_form_probe_chains_that_resolve() {
-        // Consecutive means on one metric and node: keys that differ only
-        // in a few mean bits.
+    /// `n` keys with consecutive means on one metric and node: keys that
+    /// differ only in a few mean bits. Key `i` belongs to app `i % 7`.
+    fn adjacent_keys(n: usize) -> EfdDictionary {
         let mut dict = EfdDictionary::new(RoundingDepth::new(6));
-        for i in 0..4096 {
+        for i in 0..n {
             let label = AppLabel::new(format!("app{}", i % 7), "X");
             dict.insert_raw(M, NodeId(0), W, 100_000.0 + i as f64, &label);
         }
-        let snap = Snapshot::freeze(&dict);
+        dict
+    }
+
+    #[test]
+    fn adjacent_keys_form_probe_chains_that_resolve() {
+        let snap = Snapshot::freeze(&adjacent_keys(4096));
         let mask = snap.index.len() - 1;
         let displaced = snap
             .index
@@ -808,6 +876,79 @@ mod tests {
         }
         let miss = Fingerprint::from_rounded(M, NodeId(0), W, 104_096.0);
         assert_eq!(snap.find(&miss), None);
+    }
+
+    /// The index a record-at-a-time build makes: each record, in record
+    /// order, at the first vacant slot from its home.
+    fn index_one_at_a_time(snap: &Snapshot) -> Vec<[u32; 2]> {
+        let mut index = vec![[VACANT, MULTI]; (2 * snap.len()).next_power_of_two()];
+        let mask = index.len() - 1;
+        for (i, r) in snap.keys().chunks_exact(KEY_RECORD_LEN).enumerate() {
+            let off = u32::from_le_bytes(r[22..26].try_into().unwrap());
+            let mut apps = snap
+                .blob()
+                .label_ids(off)
+                .map(|id| snap.label_app[id as usize]);
+            let app = match apps.next() {
+                Some(first) if apps.all(|a| a == first) => first.index() as u32,
+                _ => MULTI,
+            };
+            let mut slot = home_slot(&record_words(r), mask);
+            while index[slot][0] != VACANT {
+                slot = (slot + 1) & mask;
+            }
+            index[slot] = [i as u32, app];
+        }
+        index
+    }
+
+    #[test]
+    fn chunked_index_build_matches_a_record_at_a_time_build() {
+        // Keys of one app, of two inputs of one app, and of two apps.
+        let mut mixed = EfdDictionary::new(RoundingDepth::new(6));
+        for i in 0..1000 {
+            let (node, mean) = (NodeId((i % 3) as u16), 100_000.0 + i as f64);
+            let (app, other) = (i % 5, i % 5 + 1);
+            let labels = match i % 4 {
+                1 => vec![(app, "X"), (app, "Y")],
+                2 => vec![(app, "X"), (other, "X")],
+                _ => vec![(app, "X")],
+            };
+            for (app, input) in labels {
+                let label = AppLabel::new(format!("app{app}"), input);
+                mixed.insert_raw(M, node, W, mean, &label);
+            }
+        }
+        let inline: Vec<u32> = Snapshot::freeze(&mixed)
+            .index
+            .iter()
+            .filter(|[record, _]| *record != VACANT)
+            .map(|[_, app]| *app)
+            .collect();
+        assert!(inline.contains(&MULTI) && inline.iter().any(|&app| app != MULTI));
+        let stores = [
+            ("empty", adjacent_keys(0)),
+            ("1 key", adjacent_keys(1)),
+            ("31 keys", adjacent_keys(31)),
+            ("32 keys", adjacent_keys(32)),
+            ("33 keys", adjacent_keys(33)),
+            ("4096 adjacent keys", adjacent_keys(4096)),
+            ("mixed one-app and multi-app keys", mixed),
+        ];
+        let catalog = efd_telemetry::catalog::small_catalog();
+        for (name, dict) in stores {
+            let bytes = binfmt::write(&dict.to_parts(), &catalog);
+            for snap in [
+                Snapshot::freeze(&dict),
+                Snapshot::load(bytes, &catalog).unwrap(),
+            ] {
+                assert_eq!(snap.len(), dict.len(), "{name}");
+                assert!(
+                    *snap.index == *index_one_at_a_time(&snap),
+                    "{name}: the chunked build placed some record elsewhere"
+                );
+            }
+        }
     }
 
     #[test]
