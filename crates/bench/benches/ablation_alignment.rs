@@ -68,7 +68,12 @@ fn main() {
         "offset recovered",
     ])
     .with_title("Ablation: temporal alignment under late monitoring attachment")
-    .with_aligns(vec![ColAlign::Left, ColAlign::Right, ColAlign::Right, ColAlign::Right]);
+    .with_aligns(vec![
+        ColAlign::Left,
+        ColAlign::Right,
+        ColAlign::Right,
+        ColAlign::Right,
+    ]);
 
     for offset in 0..3usize {
         let observable = tiling.len() - offset; // windows we get to see

@@ -85,10 +85,8 @@ fn run_config(
                 (preds, d.len())
             }
             Mode::Combo => {
-                let mut d = ComboDictionary::new(
-                    cache.metrics[..k].to_vec(),
-                    RoundingDepth::new(DEPTH),
-                );
+                let mut d =
+                    ComboDictionary::new(cache.metrics[..k].to_vec(), RoundingDepth::new(DEPTH));
                 d.learn_all(&obs(train));
                 let preds = test
                     .iter()
@@ -117,9 +115,7 @@ fn run_config(
     // Hard unknown.
     let mut hard = Vec::new();
     for (app, removed) in leave_one_app_out(labels) {
-        let train: Vec<usize> = (0..labels.len())
-            .filter(|i| !removed.contains(i))
-            .collect();
+        let train: Vec<usize> = (0..labels.len()).filter(|i| !removed.contains(i)).collect();
         let (preds, _) = recognize(&train, &removed);
         let truth = vec![UNKNOWN_LABEL; removed.len()];
         hard.push(evaluate(&truth, &preds).macro_f1_present());

@@ -60,10 +60,7 @@ fn bench(c: &mut Criterion) {
     // measured once by the figure2 bench.
     let small = efd_telemetry::catalog::small_catalog();
     let small_sel = MetricSelection::new(small.ids().collect());
-    let small_ds = efd_workload::Dataset::with_catalog(
-        efd_workload::DatasetSpec::default(),
-        small,
-    );
+    let small_ds = efd_workload::Dataset::with_catalog(efd_workload::DatasetSpec::default(), small);
     let mut fm = FeatureMatrix::default();
     for i in 0..small_ds.len() {
         let trace = small_ds.materialize(i, &small_sel);

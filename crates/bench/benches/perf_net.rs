@@ -96,7 +96,12 @@ fn main() {
     let payloads = synth_payloads(keys, 512);
 
     let mut table = TextTable::new(vec![
-        "conns", "pipeline", "verdicts/s", "p50 µs", "p99 µs", "errors",
+        "conns",
+        "pipeline",
+        "verdicts/s",
+        "p50 µs",
+        "p99 µs",
+        "errors",
     ])
     .with_title(format!("Daemon throughput over loopback ({keys} keys)"));
     for (conns, pipeline) in [(1, 1), (1, 32), (4, 32), (8, 32)] {

@@ -222,10 +222,8 @@ fn main() {
         ("batch", SyncPolicy::EveryN(32)),
         ("none", SyncPolicy::Never),
     ] {
-        let dir = std::env::temp_dir().join(format!(
-            "efd-persist-wal-{name}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("efd-persist-wal-{name}-{}", std::process::id()));
         let options = WalOptions {
             sync,
             // Keep the whole run in one log: this leg times append +
@@ -234,8 +232,7 @@ fn main() {
         };
         let t_append = time_best_of(reps, || {
             let _ = std::fs::remove_dir_all(&dir);
-            let (mut w, _) =
-                WalDir::open(&dir, RoundingDepth::new(6), &catalog, options).unwrap();
+            let (mut w, _) = WalDir::open(&dir, RoundingDepth::new(6), &catalog, options).unwrap();
             for r in &records {
                 w.append(r).unwrap();
             }
@@ -261,7 +258,11 @@ fn main() {
     println!("\nacceptance:");
     println!(
         "  EFDB load vs JSON parse, 10k keys : {speedup_at_10k:.1}x (threshold 5x) — {}",
-        if speedup_at_10k >= 5.0 { "PASS" } else { "MISS" }
+        if speedup_at_10k >= 5.0 {
+            "PASS"
+        } else {
+            "MISS"
+        }
     );
     println!(
         "  1k-query round-trip equivalence   : {}",

@@ -6,9 +6,7 @@ use efd_util::SplitMix64;
 
 fn bench(c: &mut Criterion) {
     let mut rng = SplitMix64::new(7);
-    let values: Vec<f64> = (0..4096)
-        .map(|_| (rng.next_f64() - 0.5) * 2e7)
-        .collect();
+    let values: Vec<f64> = (0..4096).map(|_| (rng.next_f64() - 0.5) * 2e7).collect();
 
     let mut group = c.benchmark_group("rounding");
     for depth in [1u8, 3, 6] {

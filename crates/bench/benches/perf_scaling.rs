@@ -69,11 +69,7 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("scaling");
     for entries in [100usize, 10_000, 1_000_000] {
         let d = dict_with(entries);
-        let q = Query::from_node_means(
-            MetricId(0),
-            Interval::PAPER_DEFAULT,
-            &[5e6, 6e6, 7e6, 8e6],
-        );
+        let q = Query::from_node_means(MetricId(0), Interval::PAPER_DEFAULT, &[5e6, 6e6, 7e6, 8e6]);
         group.bench_with_input(
             BenchmarkId::new("recognize_vs_entries", entries),
             &entries,

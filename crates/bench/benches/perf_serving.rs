@@ -230,7 +230,11 @@ fn main() {
     println!("  dyn box             : {:.2}x direct", t_direct / t_dyn);
     println!(
         "  >= 0.95x threshold  : {}",
-        if generic_ratio >= 0.95 { "PASS" } else { "MISS" }
+        if generic_ratio >= 0.95 {
+            "PASS"
+        } else {
+            "MISS"
+        }
     );
 
     // ------------------------------------------------------------------

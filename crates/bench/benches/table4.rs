@@ -39,7 +39,11 @@ fn main() {
         } else {
             "NO (!)"
         },
-        if amr_means.len() >= 3 { "YES" } else { "NO (!)" },
+        if amr_means.len() >= 3 {
+            "YES"
+        } else {
+            "NO (!)"
+        },
         amr_means.len()
     );
 }

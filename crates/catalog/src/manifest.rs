@@ -115,14 +115,13 @@ fn parse_stage(i: usize, v: &serde::Value) -> Result<ManifestStage, CatalogError
         "exact" | "efdb" | "sharded" => StageBackend::Exact,
         "combo" => StageBackend::Combo,
         "knn" => {
-            let k = match v.get("k") {
-                None => 3,
-                Some(k) => k
-                    .as_u64()
-                    .filter(|k| *k >= 1)
-                    .ok_or_else(|| invalid(format!("stack[{i}]: \"k\" must be an integer >= 1")))?
-                    as usize,
-            };
+            let k =
+                match v.get("k") {
+                    None => 3,
+                    Some(k) => k.as_u64().filter(|k| *k >= 1).ok_or_else(|| {
+                        invalid(format!("stack[{i}]: \"k\" must be an integer >= 1"))
+                    })? as usize,
+                };
             StageBackend::Knn { k }
         }
         "gaussian-nb" => StageBackend::GaussianNb,
@@ -139,7 +138,9 @@ fn parse_stage(i: usize, v: &serde::Value) -> Result<ManifestStage, CatalogError
         .ok_or_else(|| invalid(format!("stack[{i}]: missing string field \"artifact\"")))?
         .to_string();
     if artifact.is_empty() {
-        return Err(invalid(format!("stack[{i}]: \"artifact\" must be non-empty")));
+        return Err(invalid(format!(
+            "stack[{i}]: \"artifact\" must be non-empty"
+        )));
     }
     let min_confidence = match v.get("min_confidence") {
         None => 0.0,
@@ -147,7 +148,9 @@ fn parse_stage(i: usize, v: &serde::Value) -> Result<ManifestStage, CatalogError
             .as_f64()
             .filter(|c| c.is_finite() && (0.0..=1.0).contains(c))
             .ok_or_else(|| {
-                invalid(format!("stack[{i}]: \"min_confidence\" must be a number in [0, 1]"))
+                invalid(format!(
+                    "stack[{i}]: \"min_confidence\" must be a number in [0, 1]"
+                ))
             })?,
     };
     Ok(ManifestStage {
@@ -168,7 +171,9 @@ impl Manifest {
             .and_then(|s| s.as_str())
             .ok_or_else(|| invalid("missing string field \"schema\""))?;
         if schema != MANIFEST_SCHEMA {
-            return Err(invalid(format!("schema {schema:?}, want {MANIFEST_SCHEMA:?}")));
+            return Err(invalid(format!(
+                "schema {schema:?}, want {MANIFEST_SCHEMA:?}"
+            )));
         }
         let name = root
             .get("name")
@@ -177,9 +182,11 @@ impl Manifest {
             .to_string();
         let catalog_dir = match root.get("catalog") {
             None | Some(serde::Value::Null) => None,
-            Some(c) => Some(PathBuf::from(
-                c.as_str().ok_or_else(|| invalid("\"catalog\" must be a string path"))?,
-            )),
+            Some(c) => {
+                Some(PathBuf::from(c.as_str().ok_or_else(|| {
+                    invalid("\"catalog\" must be a string path")
+                })?))
+            }
         };
         let stack = root
             .get("stack")
@@ -206,8 +213,7 @@ impl Manifest {
     pub fn load(path: &Path) -> Result<Manifest, CatalogError> {
         let text = fs::read_to_string(path)
             .map_err(|e| CatalogError::Io(format!("{}: {e}", path.display())))?;
-        let mut m = Self::parse(&text)
-            .map_err(|e| invalid(format!("{}: {e}", path.display())))?;
+        let mut m = Self::parse(&text).map_err(|e| invalid(format!("{}: {e}", path.display())))?;
         if let Some(dir) = &m.catalog_dir {
             if dir.is_relative() {
                 let base = path.parent().unwrap_or(Path::new("."));
@@ -282,8 +288,14 @@ mod tests {
     fn rejects_malformed_manifests() {
         let cases = [
             ("{}", "schema"),
-            (r#"{"schema":"recognizer.v2","name":"x","stack":[]}"#, "schema"),
-            (r#"{"schema":"recognizer.v1","name":"x","stack":[]}"#, "at least one"),
+            (
+                r#"{"schema":"recognizer.v2","name":"x","stack":[]}"#,
+                "schema",
+            ),
+            (
+                r#"{"schema":"recognizer.v1","name":"x","stack":[]}"#,
+                "at least one",
+            ),
             (
                 r#"{"schema":"recognizer.v1","name":"x","stack":[{"backend":"nope","artifact":"a"}]}"#,
                 "unknown backend \"nope\" (want exact|combo|knn|gaussian-nb)",

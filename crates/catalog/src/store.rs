@@ -279,7 +279,11 @@ impl Catalog {
     pub fn resolve(&self, r: &CatalogRef) -> Result<&Artifact> {
         match r.version {
             Some(v) => self.get(&r.name, v).ok_or_else(|| {
-                CatalogError::NotFound(format!("no artifact {}@v{v} in {}", r.name, self.dir.display()))
+                CatalogError::NotFound(format!(
+                    "no artifact {}@v{v} in {}",
+                    r.name,
+                    self.dir.display()
+                ))
             }),
             None => self.latest(&r.name).ok_or_else(|| {
                 CatalogError::NotFound(format!(
@@ -398,7 +402,10 @@ impl Catalog {
     fn save(&self) -> Result<()> {
         fs::create_dir_all(&self.dir)
             .map_err(|e| CatalogError::Io(format!("{}: {e}", self.dir.display())))?;
-        write_atomic(&self.dir.join(INDEX_FILE), render_index(&self.artifacts).as_bytes())
+        write_atomic(
+            &self.dir.join(INDEX_FILE),
+            render_index(&self.artifacts).as_bytes(),
+        )
     }
 }
 
@@ -537,7 +544,10 @@ fn parse_artifact(v: &serde::Value) -> std::result::Result<Artifact, String> {
         labels: uint(v, "labels")? as usize,
         parent: match field(v, "parent")? {
             serde::Value::Null => None,
-            p => Some(p.as_u64().ok_or("field \"parent\" must be null or integer")? as u32),
+            p => Some(
+                p.as_u64()
+                    .ok_or("field \"parent\" must be null or integer")? as u32,
+            ),
         },
         source: string(v, "source")?,
         created_unix: uint(v, "created_unix")?,
@@ -625,7 +635,12 @@ mod tests {
         assert_eq!(latest.version, 2);
         assert_eq!(reopened.read_bytes(latest).unwrap(), b"v2 bytes");
         assert_eq!(
-            reopened.latest("hpc-apps").unwrap().baseline.unwrap().ambiguous_rate,
+            reopened
+                .latest("hpc-apps")
+                .unwrap()
+                .baseline
+                .unwrap()
+                .ambiguous_rate,
             0.125
         );
         let _ = fs::remove_dir_all(&dir);
@@ -641,12 +656,26 @@ mod tests {
         assert_eq!((retired, now), (2, Some(1)));
         // v2 is still resolvable by pin, just not by @latest.
         assert!(c.get("apps", 2).unwrap().retired);
-        assert_eq!(c.resolve(&CatalogRef::parse("apps@v2").unwrap()).unwrap().version, 2);
-        assert_eq!(c.resolve(&CatalogRef::parse("apps").unwrap()).unwrap().version, 1);
+        assert_eq!(
+            c.resolve(&CatalogRef::parse("apps@v2").unwrap())
+                .unwrap()
+                .version,
+            2
+        );
+        assert_eq!(
+            c.resolve(&CatalogRef::parse("apps").unwrap())
+                .unwrap()
+                .version,
+            1
+        );
         // The next publish skips the retired number.
         let a3 = c.publish("apps", b"three", meta("c")).unwrap();
         assert_eq!(a3.version, 3);
-        assert_eq!(a3.parent, Some(1), "parent is the live latest, not the retired v2");
+        assert_eq!(
+            a3.parent,
+            Some(1),
+            "parent is the live latest, not the retired v2"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -666,7 +695,9 @@ mod tests {
 
         // Hand-edit the index: open must refuse.
         let index = dir.join(INDEX_FILE);
-        let text = fs::read_to_string(&index).unwrap().replace("\"keys\":10", "\"keys\":99");
+        let text = fs::read_to_string(&index)
+            .unwrap()
+            .replace("\"keys\":10", "\"keys\":99");
         fs::write(&index, text).unwrap();
         let err = Catalog::open(&dir).unwrap_err();
         assert!(matches!(err, CatalogError::Corrupt(_)), "{err}");
@@ -677,17 +708,35 @@ mod tests {
     fn refs_parse_and_reject() {
         assert_eq!(
             CatalogRef::parse("hpc-apps@v3"),
-            Some(CatalogRef { name: "hpc-apps".into(), version: Some(3) })
+            Some(CatalogRef {
+                name: "hpc-apps".into(),
+                version: Some(3)
+            })
         );
         assert_eq!(
             CatalogRef::parse("hpc-apps@latest"),
-            Some(CatalogRef { name: "hpc-apps".into(), version: None })
+            Some(CatalogRef {
+                name: "hpc-apps".into(),
+                version: None
+            })
         );
         assert_eq!(
             CatalogRef::parse("hpc_apps"),
-            Some(CatalogRef { name: "hpc_apps".into(), version: None })
+            Some(CatalogRef {
+                name: "hpc_apps".into(),
+                version: None
+            })
         );
-        for bad in ["dump.json", "a/b", "apps@3", "apps@v0", "apps@vx", "", "@v1", "a b"] {
+        for bad in [
+            "dump.json",
+            "a/b",
+            "apps@3",
+            "apps@v0",
+            "apps@vx",
+            "",
+            "@v1",
+            "a b",
+        ] {
             assert_eq!(CatalogRef::parse(bad), None, "{bad:?} must not parse");
         }
     }

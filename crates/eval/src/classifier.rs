@@ -109,11 +109,14 @@ impl ExecutionClassifier for EfdClassifier {
                 query: Query::from_node_means(self.metric, self.interval, &means[i]),
             })
             .collect();
-        self.model = Some(Efd::fit(EfdConfig {
-            metrics: vec![self.metric],
-            intervals: vec![self.interval],
-            depth: efd_core::training::DepthPolicy::default(),
-        }, &observations));
+        self.model = Some(Efd::fit(
+            EfdConfig {
+                metrics: vec![self.metric],
+                intervals: vec![self.interval],
+                depth: efd_core::training::DepthPolicy::default(),
+            },
+            &observations,
+        ));
     }
 
     fn predict_batch(&self, dataset: &Dataset, test_idx: &[usize]) -> Vec<String> {
@@ -185,11 +188,7 @@ impl ExecutionClassifier for TaxonomistClassifier {
         let all = self.features_for(dataset);
         let train_set: efd_util::FxHashSet<usize> = train_idx.iter().copied().collect();
         let mut subset = FeatureMatrix::default();
-        for (row, (label, &exec)) in all
-            .rows
-            .iter()
-            .zip(all.labels.iter().zip(&all.exec_of_row))
-        {
+        for (row, (label, &exec)) in all.rows.iter().zip(all.labels.iter().zip(&all.exec_of_row)) {
             if train_set.contains(&exec) {
                 subset.rows.push(row.clone());
                 subset.labels.push(label.clone());
@@ -286,8 +285,12 @@ mod tests {
         let mut c = EfdClassifier::new(metric);
         let labels = d.labels();
         // Train without kripke.
-        let train: Vec<usize> = (0..d.len()).filter(|&i| labels[i].app != "kripke").collect();
-        let kripke: Vec<usize> = (0..d.len()).filter(|&i| labels[i].app == "kripke").collect();
+        let train: Vec<usize> = (0..d.len())
+            .filter(|&i| labels[i].app != "kripke")
+            .collect();
+        let kripke: Vec<usize> = (0..d.len())
+            .filter(|&i| labels[i].app == "kripke")
+            .collect();
         c.fit(&d, &train);
         let preds = c.predict_batch(&d, &kripke);
         let unknown = preds.iter().filter(|p| *p == UNKNOWN_LABEL).count();

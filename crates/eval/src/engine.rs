@@ -231,13 +231,16 @@ impl Recognize for MlBackend {
             let (best, conf) = proba
                 .iter()
                 .enumerate()
-                .fold((0usize, 0.0f64), |acc, (i, &v)| {
-                    if v > acc.1 {
-                        (i, v)
-                    } else {
-                        acc
-                    }
-                });
+                .fold(
+                    (0usize, 0.0f64),
+                    |acc, (i, &v)| {
+                        if v > acc.1 {
+                            (i, v)
+                        } else {
+                            acc
+                        }
+                    },
+                );
             if conf < self.confidence_threshold {
                 continue; // abstain: the unknown-application safeguard
             }

@@ -254,7 +254,12 @@ mod tests {
     fn normal_fold_is_near_perfect_on_curated_metric() {
         let d = dataset();
         let mut c = efd(&d);
-        let r = run_experiment(ExperimentKind::NormalFold, &mut c, &d, &EvalOptions::default());
+        let r = run_experiment(
+            ExperimentKind::NormalFold,
+            &mut c,
+            &d,
+            &EvalOptions::default(),
+        );
         assert_eq!(r.per_variant.len(), 5);
         assert!(
             r.mean_f1 > 0.95,
@@ -285,7 +290,12 @@ mod tests {
     fn unknown_experiments_score_unknown_as_correct() {
         let d = dataset();
         let mut c = efd(&d);
-        let hard = run_experiment(ExperimentKind::HardUnknown, &mut c, &d, &EvalOptions::default());
+        let hard = run_experiment(
+            ExperimentKind::HardUnknown,
+            &mut c,
+            &d,
+            &EvalOptions::default(),
+        );
         assert_eq!(hard.per_variant.len(), 11);
         // The EFD's safeguard should make this clearly better than chance,
         // but SP/BT-style twins keep it below the soft scores.

@@ -57,13 +57,7 @@ pub const HEADLINE_METRIC: &str = "nr_mapped_vmstat";
 pub const TABLE1: [(f64, [Option<f64>; 5]); 3] = [
     (
         1358.0,
-        [
-            None,
-            Some(1358.0),
-            Some(1360.0),
-            Some(1400.0),
-            Some(1000.0),
-        ],
+        [None, Some(1358.0), Some(1360.0), Some(1400.0), Some(1000.0)],
     ),
     (5.28, [None, None, Some(5.28), Some(5.3), Some(5.0)]),
     (0.038, [None, None, None, Some(0.038), Some(0.04)]),

@@ -223,7 +223,9 @@ pub fn experiments_markdown(
     md.push_str(&dataset.table2().render_markdown());
     md.push('\n');
 
-    md.push_str("## Figure 2 — the five experiments (`cargo bench -p efd-bench --bench figure2`)\n\n");
+    md.push_str(
+        "## Figure 2 — the five experiments (`cargo bench -p efd-bench --bench figure2`)\n\n",
+    );
     md.push_str(&render_figure2(figure2).render_markdown());
     md.push_str(
         "\nPaper bars are digitized (±0.02). Shape criteria: normal fold ≈ 1.0; \

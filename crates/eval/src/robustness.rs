@@ -457,11 +457,7 @@ mod tests {
 
     #[test]
     fn query_from_means_skips_lost_sensors() {
-        let q = query_from_means(
-            MetricId(0),
-            Interval::PAPER_DEFAULT,
-            &[1.0, f64::NAN, 3.0],
-        );
+        let q = query_from_means(MetricId(0), Interval::PAPER_DEFAULT, &[1.0, f64::NAN, 3.0]);
         assert_eq!(q.points.len(), 2);
         assert_eq!(q.points[1].node, NodeId(2), "node identity preserved");
     }
@@ -471,7 +467,13 @@ mod tests {
         let (d, metric, clean) = fixture();
         let data = build(&clean, &spec(ScenarioKind::MetricDropout, 0.0));
         for kind in [BackendKind::Dict, BackendKind::Snapshot, BackendKind::Wal] {
-            let clf = fit_backend(kind, &d, metric, Interval::PAPER_DEFAULT, CellOptions::default());
+            let clf = fit_backend(
+                kind,
+                &d,
+                metric,
+                Interval::PAPER_DEFAULT,
+                CellOptions::default(),
+            );
             let r = run_cell(&clf, &data, metric, Interval::PAPER_DEFAULT);
             assert!(
                 r.macro_f1 > 0.6,
@@ -519,7 +521,13 @@ mod tests {
         let (d, metric, clean) = fixture();
         let data = build(&clean, &spec(ScenarioKind::ConceptDrift, 1.0));
         let opts = CellOptions::default();
-        let clf = fit_backend(BackendKind::Snapshot, &d, metric, Interval::PAPER_DEFAULT, opts);
+        let clf = fit_backend(
+            BackendKind::Snapshot,
+            &d,
+            metric,
+            Interval::PAPER_DEFAULT,
+            opts,
+        );
         let static_arm = run_cell(&clf, &data, metric, Interval::PAPER_DEFAULT);
         let relearn_arm = drift_relearn(&data, metric, Interval::PAPER_DEFAULT, &opts);
         assert!(

@@ -165,7 +165,11 @@ pub fn score(queries: &[ScoredQuery]) -> AbstentionReport {
         evaluate(&truth, &predicted).macro_f1_present()
     };
     let correct = queries.iter().filter(|q| q.predicted == q.truth).count();
-    let accuracy = if n == 0 { 0.0 } else { correct as f64 / n as f64 };
+    let accuracy = if n == 0 {
+        0.0
+    } else {
+        correct as f64 / n as f64
+    };
 
     // Unknown detection: "should abstain" is the positive class.
     let truth_unknown = queries.iter().filter(|q| q.truth == UNKNOWN_LABEL).count();
@@ -357,7 +361,11 @@ mod tests {
         //   bin4 [.8,1]:   #1(1,✓) #3(1,✓) #8(.8,✓) → |2.8/3-1|·3/8
         // ECE = (1 + 0.25 + 0.5 + 0.75)/8 + (0.2/3)·(3/8) = 0.3375
         let r = score(&golden());
-        assert!((r.calibration_error - 0.3375).abs() < 1e-12, "{}", r.calibration_error);
+        assert!(
+            (r.calibration_error - 0.3375).abs() < 1e-12,
+            "{}",
+            r.calibration_error
+        );
     }
 
     #[test]
@@ -424,7 +432,10 @@ mod tests {
             q("cg", "cg", VerdictKind::Recognized, 1.0),
         ];
         let r = score(&queries);
-        assert_eq!(r.unknown_precision, 0.0, "abstention existed but was never claimed");
+        assert_eq!(
+            r.unknown_precision, 0.0,
+            "abstention existed but was never claimed"
+        );
         assert_eq!(r.unknown_recall, 0.0);
         assert_eq!(r.unknown_f1, 0.0);
     }

@@ -48,7 +48,10 @@ pub fn screen_metrics(
     let mut scores: Vec<MetricScore> = parallel_map(&positions, |&pos| {
         let metric = all_ids[pos];
         let node_means = |run: usize| -> Vec<f64> {
-            means[run].iter().map(|per_metric| per_metric[pos]).collect()
+            means[run]
+                .iter()
+                .map(|per_metric| per_metric[pos])
+                .collect()
         };
         let mut fold_f1 = Vec::with_capacity(folds.len());
         for fold in &folds {
@@ -57,11 +60,7 @@ pub fn screen_metrics(
                 .iter()
                 .map(|&i| LabeledObservation {
                     label: labels[i].clone(),
-                    query: Query::from_node_means(
-                        metric,
-                        Interval::PAPER_DEFAULT,
-                        &node_means(i),
-                    ),
+                    query: Query::from_node_means(metric, Interval::PAPER_DEFAULT, &node_means(i)),
                 })
                 .collect();
             let efd = Efd::fit(
@@ -77,8 +76,7 @@ pub fn screen_metrics(
                 .test
                 .iter()
                 .map(|&i| {
-                    let q =
-                        Query::from_node_means(metric, Interval::PAPER_DEFAULT, &node_means(i));
+                    let q = Query::from_node_means(metric, Interval::PAPER_DEFAULT, &node_means(i));
                     efd.recognize(&q)
                         .best()
                         .map(str::to_string)
@@ -114,7 +112,10 @@ mod tests {
             assert!(w[0].f1 >= w[1].f1);
         }
         // The curated metric must score essentially perfectly…
-        let nr_mapped = scores.iter().find(|s| s.name == "nr_mapped_vmstat").unwrap();
+        let nr_mapped = scores
+            .iter()
+            .find(|s| s.name == "nr_mapped_vmstat")
+            .unwrap();
         assert!(nr_mapped.f1 > 0.95, "nr_mapped F1 {}", nr_mapped.f1);
         // …and clearly beat the weak-tier load average.
         let load = scores.iter().find(|s| s.name == "load1_loadavg").unwrap();

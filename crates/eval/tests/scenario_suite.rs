@@ -101,7 +101,10 @@ fn dictionary_family_backends_agree_on_masquerade_verdicts() {
     let data = build(&fix.clean, &spec);
 
     let mut reference: Option<(BackendKind, AbstentionReport)> = None;
-    for backend in BackendKind::ALL.into_iter().filter(|b| b.dictionary_family()) {
+    for backend in BackendKind::ALL
+        .into_iter()
+        .filter(|b| b.dictionary_family())
+    {
         let clf = fit_backend(
             backend,
             &fix.dataset,
@@ -132,8 +135,7 @@ fn dictionary_family_backends_agree_on_masquerade_verdicts() {
 }
 
 fn baseline_fixture_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures/clean_baseline.txt")
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/clean_baseline.txt")
 }
 
 fn render_baseline_line(backend: BackendKind, r: &AbstentionReport) -> String {
@@ -164,7 +166,10 @@ fn clean_baseline_matches_blessed_fixture() {
     let data = build(&fix.clean, &spec);
 
     let mut lines = Vec::new();
-    for backend in BackendKind::ALL.into_iter().filter(|b| b.dictionary_family()) {
+    for backend in BackendKind::ALL
+        .into_iter()
+        .filter(|b| b.dictionary_family())
+    {
         let clf = fit_backend(
             backend,
             &fix.dataset,
@@ -186,13 +191,13 @@ fn clean_baseline_matches_blessed_fixture() {
     let blessed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
             "missing blessed baseline {} ({e}); run `EFD_BLESS=1 cargo test -p efd-eval` \
-             to create it"
-        ,
+             to create it",
             path.display()
         )
     });
     assert_eq!(
-        rendered, blessed,
+        rendered,
+        blessed,
         "clean-baseline cells diverged from {}; if the change is intentional, \
          re-bless with `EFD_BLESS=1 cargo test -p efd-eval`",
         path.display()

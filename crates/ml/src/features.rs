@@ -51,7 +51,12 @@ impl FeatureMatrix {
     /// Append all node rows of one execution trace (`exec_idx` is the
     /// caller's identifier for the execution). Features cover `window`
     /// (or the whole series when `None`).
-    pub fn push_trace(&mut self, trace: &ExecutionTrace, exec_idx: usize, window: Option<Interval>) {
+    pub fn push_trace(
+        &mut self,
+        trace: &ExecutionTrace,
+        exec_idx: usize,
+        window: Option<Interval>,
+    ) {
         for node in &trace.nodes {
             let mut row = Vec::with_capacity(node.series.len() * STATS_PER_METRIC);
             for series in &node.series {
@@ -200,7 +205,9 @@ mod tests {
                 .map(|n| NodeTrace {
                     node: NodeId(n),
                     series: vec![
-                        TimeSeries::from_values((0..100).map(|i| level + (i % 10) as f64).collect()),
+                        TimeSeries::from_values(
+                            (0..100).map(|i| level + (i % 10) as f64).collect(),
+                        ),
                         TimeSeries::from_values(vec![level * 2.0; 100]),
                     ],
                 })

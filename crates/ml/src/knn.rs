@@ -31,11 +31,7 @@ impl KNearestNeighbors {
             .iter()
             .zip(&self.y)
             .map(|(xi, &yi)| {
-                let dist: f64 = xi
-                    .iter()
-                    .zip(row)
-                    .map(|(a, b)| (a - b) * (a - b))
-                    .sum();
+                let dist: f64 = xi.iter().zip(row).map(|(a, b)| (a - b) * (a - b)).sum();
                 (dist, yi)
             })
             .collect();

@@ -151,8 +151,16 @@ pub fn evaluate<T: AsRef<str>, P: AsRef<str>>(truth: &[T], pred: &[P]) -> Classi
         let pred_c: usize = (0..k).map(|t| confusion[t][c]).sum();
         let true_c: usize = confusion[c].iter().sum();
         support[c] = true_c;
-        precision[c] = if pred_c == 0 { 0.0 } else { tp as f64 / pred_c as f64 };
-        recall[c] = if true_c == 0 { 0.0 } else { tp as f64 / true_c as f64 };
+        precision[c] = if pred_c == 0 {
+            0.0
+        } else {
+            tp as f64 / pred_c as f64
+        };
+        recall[c] = if true_c == 0 {
+            0.0
+        } else {
+            tp as f64 / true_c as f64
+        };
         f1[c] = if precision[c] + recall[c] == 0.0 {
             0.0
         } else {

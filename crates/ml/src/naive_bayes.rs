@@ -173,7 +173,12 @@ mod tests {
 
     #[test]
     fn constant_features_do_not_nan() {
-        let x = vec![vec![1.0, 5.0], vec![1.0, 5.0], vec![2.0, 5.0], vec![2.0, 5.0]];
+        let x = vec![
+            vec![1.0, 5.0],
+            vec![1.0, 5.0],
+            vec![2.0, 5.0],
+            vec![2.0, 5.0],
+        ];
         let y = vec![0, 0, 1, 1];
         let nb = GaussianNb::fit(&x, &y, 2);
         let p = nb.predict_proba(&[1.0, 5.0]);

@@ -89,16 +89,17 @@ impl Taxonomist {
     /// Classify one node sample: `(label-or-unknown, confidence)`.
     pub fn predict_node(&self, row: &[f64]) -> (String, f64) {
         let p = self.forest.predict_proba(row);
-        let (best, conf) = p
-            .iter()
-            .enumerate()
-            .fold((0usize, 0.0f64), |acc, (i, &v)| {
-                if v > acc.1 {
-                    (i, v)
-                } else {
-                    acc
-                }
-            });
+        let (best, conf) =
+            p.iter().enumerate().fold(
+                (0usize, 0.0f64),
+                |acc, (i, &v)| {
+                    if v > acc.1 {
+                        (i, v)
+                    } else {
+                        acc
+                    }
+                },
+            );
         if conf < self.cfg.confidence_threshold {
             (UNKNOWN_LABEL.to_string(), conf)
         } else {

@@ -315,10 +315,7 @@ mod tests {
         let mut y = Vec::new();
         for (c, &(cx, cy)) in centers.iter().enumerate() {
             for _ in 0..n_per {
-                x.push(vec![
-                    cx + rng.next_gaussian(),
-                    cy + rng.next_gaussian(),
-                ]);
+                x.push(vec![cx + rng.next_gaussian(), cy + rng.next_gaussian()]);
                 y.push(c);
             }
         }

@@ -173,7 +173,13 @@ pub const NIC_FIELDS: &[&str] = &[
 
 /// `/proc/net/dev` fields, expanded per interface.
 pub const NETDEV_FIELDS: &[&str] = &[
-    "rx_bytes", "tx_bytes", "rx_packets", "tx_packets", "rx_errs", "tx_errs", "rx_drop",
+    "rx_bytes",
+    "tx_bytes",
+    "rx_packets",
+    "tx_packets",
+    "rx_errs",
+    "tx_errs",
+    "rx_drop",
     "tx_drop",
 ];
 
@@ -330,11 +336,7 @@ mod tests {
     fn every_category_represented() {
         let c = taxonomist_catalog();
         for cat in MetricCategory::ALL {
-            assert!(
-                !c.ids_in(cat).is_empty(),
-                "category {} missing",
-                cat.name()
-            );
+            assert!(!c.ids_in(cat).is_empty(), "category {} missing", cat.name());
         }
     }
 

@@ -104,14 +104,14 @@ pub fn read_node_csv<R: BufRead>(r: R) -> Result<NodeCsv, StorageError> {
                     "app" => app = value.to_string(),
                     "input" => input = value.to_string(),
                     "node" => {
-                        node = value.parse().map_err(|_| {
-                            StorageError::Format(format!("bad node id {value:?}"))
-                        })?
+                        node = value
+                            .parse()
+                            .map_err(|_| StorageError::Format(format!("bad node id {value:?}")))?
                     }
                     "exec_id" => {
-                        exec_id = value.parse().map_err(|_| {
-                            StorageError::Format(format!("bad exec_id {value:?}"))
-                        })?
+                        exec_id = value
+                            .parse()
+                            .map_err(|_| StorageError::Format(format!("bad exec_id {value:?}")))?
                     }
                     _ => {} // unknown metadata: ignore
                 }

@@ -21,7 +21,10 @@ serde::impl_serde_struct!(Interval { start, end });
 
 impl Interval {
     /// The paper's default fingerprinting window, `[60:120]`.
-    pub const PAPER_DEFAULT: Interval = Interval { start: 60, end: 120 };
+    pub const PAPER_DEFAULT: Interval = Interval {
+        start: 60,
+        end: 120,
+    };
 
     /// Construct a window; panics if `end <= start`.
     pub fn new(start: u32, end: u32) -> Self {

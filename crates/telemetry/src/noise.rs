@@ -205,10 +205,16 @@ mod tests {
         let sd = (xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64).sqrt();
         let expect_sd = p.stationary_sd();
         assert!(mean.abs() < 0.3, "mean {mean}");
-        assert!((sd - expect_sd).abs() / expect_sd < 0.1, "sd {sd} vs {expect_sd}");
+        assert!(
+            (sd - expect_sd).abs() / expect_sd < 0.1,
+            "sd {sd} vs {expect_sd}"
+        );
 
         // Lag-1 autocorrelation should be ≈ exp(-theta) ≈ 0.9835.
-        let lag1: f64 = xs.windows(2).map(|w| (w[0] - mean) * (w[1] - mean)).sum::<f64>()
+        let lag1: f64 = xs
+            .windows(2)
+            .map(|w| (w[0] - mean) * (w[1] - mean))
+            .sum::<f64>()
             / ((xs.len() - 1) as f64 * sd * sd);
         assert!(lag1 > 0.95, "lag-1 autocorrelation {lag1}");
     }
@@ -225,7 +231,7 @@ mod tests {
     #[test]
     fn composite_sums_parts() {
         let mut c = Composite::new(vec![
-            Box::new(Gaussian::new(0.0, 1)), // zero-sigma: contributes 0
+            Box::new(Gaussian::new(0.0, 1)),         // zero-sigma: contributes 0
             Box::new(Spikes::new(0.0, 1.0, 5.0, 2)), // zero-rate: contributes 0
         ]);
         for t in 0..100 {

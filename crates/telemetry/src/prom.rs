@@ -193,7 +193,11 @@ impl Histogram {
     /// Panics if `counts` does not have one entry per slot (the finite
     /// bounds plus `+Inf`).
     pub fn merge(&self, counts: &[u64], sum: f64) {
-        assert_eq!(counts.len(), self.buckets.len(), "one count per histogram slot");
+        assert_eq!(
+            counts.len(),
+            self.buckets.len(),
+            "one count per histogram slot"
+        );
         let mut total = 0;
         for (slot, &n) in self.buckets.iter().zip(counts) {
             if n > 0 {
@@ -211,10 +215,12 @@ impl Histogram {
         let mut cur = self.sum_bits.load(Ordering::Relaxed);
         loop {
             let next = (f64::from_bits(cur) + v).to_bits();
-            match self
-                .sum_bits
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
+            match self.sum_bits.compare_exchange_weak(
+                cur,
+                next,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
                 Ok(_) => break,
                 Err(now) => cur = now,
             }
@@ -510,8 +516,22 @@ impl Registry {
                                 &cum.to_string(),
                             );
                         }
-                        push_sample(&mut out, &f.name, "_sum", &s.labels, None, &render_f64(h.sum()));
-                        push_sample(&mut out, &f.name, "_count", &s.labels, None, &h.count().to_string());
+                        push_sample(
+                            &mut out,
+                            &f.name,
+                            "_sum",
+                            &s.labels,
+                            None,
+                            &render_f64(h.sum()),
+                        );
+                        push_sample(
+                            &mut out,
+                            &f.name,
+                            "_count",
+                            &s.labels,
+                            None,
+                            &h.count().to_string(),
+                        );
                     }
                 }
             }
@@ -587,7 +607,9 @@ mod tests {
         let bounds = [0.125, 0.5, 1.0, 4.0];
         // Dyadic values sum exactly in any order, so `_sum` must match
         // bit for bit; the bounds themselves check `le` inclusivity.
-        let values = [0.0625, 0.125, 0.25, 0.5, 0.5, 0.75, 1.0, 2.0, 8.0, 16.0, 0.125];
+        let values = [
+            0.0625, 0.125, 0.25, 0.5, 0.5, 0.75, 1.0, 2.0, 8.0, 16.0, 0.125,
+        ];
         let one_by_one = Histogram::new(&bounds);
         let mut counts = [0u64; 5];
         let mut sum = 0.0;
@@ -641,7 +663,11 @@ mod tests {
         assert!(text.contains("# TYPE rate gauge"), "{text}");
         assert!(text.contains("rate{window=\"live\"} 0.125"), "{text}");
         let again = reg.float_gauge("rate", "Live rate.", &[("window", "live")]);
-        assert_eq!(again.get(), 0.125, "idempotent registration shares the handle");
+        assert_eq!(
+            again.get(),
+            0.125,
+            "idempotent registration shares the handle"
+        );
     }
 
     #[test]

@@ -148,10 +148,7 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let cfg = CollectorConfig::default();
-        let collect = |seed| {
-            LdmsCollector::new(cfg, seed)
-                .collect(&mut |t: f64| t.sin(), 100)
-        };
+        let collect = |seed| LdmsCollector::new(cfg, seed).collect(&mut |t: f64| t.sin(), 100);
         let (a, b, c) = (collect(9), collect(9), collect(10));
         assert_eq!(a, b);
         assert_ne!(a, c);

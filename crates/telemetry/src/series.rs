@@ -29,7 +29,13 @@ impl Serialize for TimeSeries {
         Value::Arr(
             self.values
                 .iter()
-                .map(|&x| if x.is_finite() { Value::F64(x) } else { Value::Null })
+                .map(|&x| {
+                    if x.is_finite() {
+                        Value::F64(x)
+                    } else {
+                        Value::Null
+                    }
+                })
                 .collect(),
         )
     }

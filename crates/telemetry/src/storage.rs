@@ -10,9 +10,9 @@ use std::io::{self, Read, Write};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::trace::{AppLabel, ExecutionTrace, MetricSelection, NodeId, NodeTrace};
 use crate::metric::MetricId;
 use crate::series::TimeSeries;
+use crate::trace::{AppLabel, ExecutionTrace, MetricSelection, NodeId, NodeTrace};
 
 /// Magic bytes of the binary trace format.
 const MAGIC: &[u8; 4] = b"EFDT";
@@ -108,7 +108,9 @@ pub fn from_bytes(mut buf: &[u8]) -> Result<ExecutionTrace, StorageError> {
     }
     let version = buf.get_u16_le();
     if version != VERSION {
-        return Err(StorageError::Format(format!("unsupported version {version}")));
+        return Err(StorageError::Format(format!(
+            "unsupported version {version}"
+        )));
     }
     need(buf, 8, "exec_id")?;
     let exec_id = buf.get_u64_le();

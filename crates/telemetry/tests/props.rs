@@ -13,16 +13,15 @@ fn arb_trace() -> impl Strategy<Value = ExecutionTrace> {
         8 => (-1e9f64..1e9).prop_map(Some),
         1 => Just(None), // missing sample
     ];
-    let series = prop::collection::vec(sample, 1..40)
-        .prop_map(|v| TimeSeries::from_values(
-            v.into_iter().map(|x| x.unwrap_or(f64::NAN)).collect(),
-        ));
+    let series = prop::collection::vec(sample, 1..40).prop_map(|v| {
+        TimeSeries::from_values(v.into_iter().map(|x| x.unwrap_or(f64::NAN)).collect())
+    });
     (
-        1u16..4,                       // nodes
-        1usize..4,                     // metrics
-        "[a-z]{1,8}",                  // app
-        "[A-Z]{1}",                    // input
-        any::<u64>(),                  // exec id
+        1u16..4,      // nodes
+        1usize..4,    // metrics
+        "[a-z]{1,8}", // app
+        "[A-Z]{1}",   // input
+        any::<u64>(), // exec id
     )
         .prop_flat_map(move |(nodes, metrics, app, input, exec_id)| {
             prop::collection::vec(
@@ -30,8 +29,7 @@ fn arb_trace() -> impl Strategy<Value = ExecutionTrace> {
                 nodes as usize..=nodes as usize,
             )
             .prop_map(move |node_series| {
-                let selection =
-                    MetricSelection::new((0..metrics as u32).map(MetricId).collect());
+                let selection = MetricSelection::new((0..metrics as u32).map(MetricId).collect());
                 let duration = node_series[0][0].len() as u32;
                 ExecutionTrace {
                     exec_id,

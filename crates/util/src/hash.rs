@@ -176,7 +176,10 @@ mod tests {
     #[test]
     fn deterministic() {
         assert_eq!(hash_u64(42), hash_u64(42));
-        assert_eq!(hash_bytes(b"nr_mapped_vmstat"), hash_bytes(b"nr_mapped_vmstat"));
+        assert_eq!(
+            hash_bytes(b"nr_mapped_vmstat"),
+            hash_bytes(b"nr_mapped_vmstat")
+        );
     }
 
     #[test]

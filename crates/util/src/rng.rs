@@ -90,7 +90,8 @@ pub fn derive_seed(master: u64, tags: &[u64]) -> u64 {
     let mut acc = mix64(master ^ 0xA076_1D64_78BD_642F);
     for (i, &t) in tags.iter().enumerate() {
         // Mix in the position as well so [a, b] != [b, a].
-        acc = mix64(acc ^ mix64(t.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1))));
+        acc =
+            mix64(acc ^ mix64(t.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1))));
     }
     acc
 }

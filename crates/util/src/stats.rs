@@ -73,8 +73,7 @@ impl OnlineStats {
         let delta_n2 = delta_n * delta_n;
         let term1 = delta * delta_n * n1;
         self.mean += delta_n;
-        self.m4 += term1 * delta_n2 * (n * n - 3.0 * n + 3.0)
-            + 6.0 * delta_n2 * self.m2
+        self.m4 += term1 * delta_n2 * (n * n - 3.0 * n + 3.0) + 6.0 * delta_n2 * self.m2
             - 4.0 * delta_n * self.m3;
         self.m3 += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * self.m2;
         self.m2 += term1;
@@ -381,7 +380,10 @@ mod tests {
         assert_close(s.skewness(), skew, 1e-6, "skewness");
         assert_close(s.kurtosis(), kurt, 1e-6, "kurtosis");
         assert_eq!(s.min(), xs.iter().copied().fold(f64::INFINITY, f64::min));
-        assert_eq!(s.max(), xs.iter().copied().fold(f64::NEG_INFINITY, f64::max));
+        assert_eq!(
+            s.max(),
+            xs.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+        );
     }
 
     #[test]

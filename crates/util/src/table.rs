@@ -173,8 +173,8 @@ mod tests {
 
     #[test]
     fn renders_with_alignment() {
-        let mut t = TextTable::new(vec!["name", "value"])
-            .with_aligns(vec![Align::Left, Align::Right]);
+        let mut t =
+            TextTable::new(vec!["name", "value"]).with_aligns(vec![Align::Left, Align::Right]);
         t.add_row(vec!["alpha", "1"]);
         t.add_row(vec!["b", "12345"]);
         let s = t.render();

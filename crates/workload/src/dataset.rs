@@ -19,9 +19,9 @@ use efd_telemetry::metric::MetricCatalog;
 use efd_telemetry::sampler::CollectorConfig;
 use efd_telemetry::trace::{ExecutionTrace, MetricSelection};
 use efd_telemetry::{AppLabel, Interval};
+use efd_util::parallel_map;
 use efd_util::rng::derive_seed;
 use efd_util::table::TextTable;
-use efd_util::parallel_map;
 
 use crate::apps::{AppId, InputSize};
 use crate::profile::GeneratorKnobs;
@@ -108,7 +108,13 @@ impl Dataset {
         for app in AppId::ALL {
             for input in [InputSize::X, InputSize::Y, InputSize::Z] {
                 for rep in 0..spec.reps_xyz() {
-                    runs.push(Self::run_spec(&spec, app, input, rep, Self::nodes_for(input)));
+                    runs.push(Self::run_spec(
+                        &spec,
+                        app,
+                        input,
+                        rep,
+                        Self::nodes_for(input),
+                    ));
                 }
             }
             if app.has_large_input() {
@@ -138,7 +144,13 @@ impl Dataset {
         }
     }
 
-    fn run_spec(spec: &DatasetSpec, app: AppId, input: InputSize, rep: u32, n_nodes: u16) -> RunSpec {
+    fn run_spec(
+        spec: &DatasetSpec,
+        app: AppId,
+        input: InputSize,
+        rep: u32,
+        n_nodes: u16,
+    ) -> RunSpec {
         let seed = derive_seed(spec.master_seed, &[app.tag(), input.tag(), rep as u64]);
         // Durations scale with input and wobble a little per run.
         let duration_s = spec.duration_base_s + 60 * input.step() + (seed % 21) as u32;

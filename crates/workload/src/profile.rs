@@ -306,10 +306,7 @@ fn node_factor(app: AppId, node: NodeId, n_nodes: u16) -> f64 {
             }
         }
         // LU: mild root-node bump (Table 4: 8400 vs 8300).
-        AppId::Lu
-            if node.0 == 0 => {
-                1.012
-            }
+        AppId::Lu if node.0 == 0 => 1.012,
         _ => 1.0,
     }
 }
@@ -344,7 +341,10 @@ pub fn steady_level(
         // BT's level is SP's with a small metric-specific offset: the NPB
         // twins stay within a rounding grain of each other everywhere.
         let (level_app, twin_offset) = if app == AppId::Bt {
-            (AppId::Sp, knobs.bt_offset * unit(derive_seed(metric.salt, &[AppId::Bt.tag(), 0x7717])))
+            (
+                AppId::Sp,
+                knobs.bt_offset * unit(derive_seed(metric.salt, &[AppId::Bt.tag(), 0x7717])),
+            )
         } else {
             (app, 0.0)
         };
@@ -477,14 +477,17 @@ mod tests {
         let c = catalog();
         let m = nr_mapped(&c);
         let k = GeneratorKnobs::default();
-        for app in [AppId::Ft, AppId::Mg, AppId::Sp, AppId::Lu, AppId::Bt, AppId::Cg] {
+        for app in [
+            AppId::Ft,
+            AppId::Mg,
+            AppId::Sp,
+            AppId::Lu,
+            AppId::Bt,
+            AppId::Cg,
+        ] {
             let x = steady_level(app, InputSize::X, &m, NodeId(1), 4, &k);
             let z = steady_level(app, InputSize::Z, &m, NodeId(1), 4, &k);
-            assert!(
-                (z / x - 1.0).abs() < 0.005,
-                "{app}: Z/X = {}",
-                z / x
-            );
+            assert!((z / x - 1.0).abs() < 0.005, "{app}: Z/X = {}", z / x);
         }
     }
 

@@ -112,8 +112,7 @@ impl MetricSource for SignalSource {
         let ramp = 1.0 + self.ramp_per_s * (t - 90.0);
         let mut v = self.level * init * ramp;
         if self.period_s > 0.0 {
-            v += self.period_amp
-                * (std::f64::consts::TAU * t / self.period_s + self.phase).sin();
+            v += self.period_amp * (std::f64::consts::TAU * t / self.period_s + self.phase).sin();
         }
         let mut n = self.noise.sample(t);
         if t < 60.0 {
@@ -163,8 +162,7 @@ pub fn materialize_prefix(
                         signal_params(spec.app, spec.input, info, node, spec.n_nodes, knobs);
                     let seed = stream_seed(spec, node, info.salt);
                     let mut source = SignalSource::new(&params, seed);
-                    let mut ldms =
-                        LdmsCollector::new(collector, derive_seed(seed, &[0xC011]));
+                    let mut ldms = LdmsCollector::new(collector, derive_seed(seed, &[0xC011]));
                     ldms.collect(&mut source, horizon)
                 })
                 .collect();
@@ -203,7 +201,6 @@ mod tests {
     use super::*;
     use crate::profile::steady_level;
     use efd_telemetry::catalog::small_catalog;
-    
 
     fn spec() -> RunSpec {
         RunSpec {
@@ -250,14 +247,7 @@ mod tests {
         let k = GeneratorKnobs::default();
         let id = sel.ids()[0];
         let t = materialize(&spec(), &c, &sel, CollectorConfig::ideal(), &k);
-        let expect = steady_level(
-            AppId::Ft,
-            InputSize::X,
-            c.info(id),
-            NodeId(0),
-            4,
-            &k,
-        );
+        let expect = steady_level(AppId::Ft, InputSize::X, c.info(id), NodeId(0), 4, &k);
         let mean = t
             .series(NodeId(0), id)
             .unwrap()

@@ -207,13 +207,10 @@ pub fn build(clean: &CleanRuns, spec: &ScenarioSpec) -> ScenarioData {
     match spec.kind {
         ScenarioKind::CryptominingMasquerade => {
             let n_victims = test.len();
-            let n_miners =
-                (spec.intensity * MASQUERADE_MAX_MINERS as f64).round() as usize;
+            let n_miners = (spec.intensity * MASQUERADE_MAX_MINERS as f64).round() as usize;
             for k in 0..n_miners {
-                let mut rng = SplitMix64::new(derive_seed(
-                    spec.seed,
-                    &[str_tag("masquerade"), k as u64],
-                ));
+                let mut rng =
+                    SplitMix64::new(derive_seed(spec.seed, &[str_tag("masquerade"), k as u64]));
                 let victim = (rng.next_u64() % n_victims as u64) as usize;
                 let means = test[victim]
                     .means
@@ -239,10 +236,8 @@ pub fn build(clean: &CleanRuns, spec: &ScenarioSpec) -> ScenarioData {
         }
         ScenarioKind::MetricDropout => {
             for (t, run) in test.iter_mut().enumerate() {
-                let mut rng = SplitMix64::new(derive_seed(
-                    spec.seed,
-                    &[str_tag("dropout"), t as u64],
-                ));
+                let mut rng =
+                    SplitMix64::new(derive_seed(spec.seed, &[str_tag("dropout"), t as u64]));
                 for m in run.means.iter_mut() {
                     if rng.next_f64() < spec.intensity {
                         *m = f64::NAN;
@@ -256,10 +251,8 @@ pub fn build(clean: &CleanRuns, spec: &ScenarioSpec) -> ScenarioData {
                     if !m.is_finite() {
                         continue;
                     }
-                    let mut rng = SplitMix64::new(derive_seed(
-                        spec.seed,
-                        &[str_tag("hetero"), n as u64],
-                    ));
+                    let mut rng =
+                        SplitMix64::new(derive_seed(spec.seed, &[str_tag("hetero"), n as u64]));
                     let skew = 2.0 * rng.next_f64() - 1.0;
                     *m *= 1.0 + spec.intensity * HETEROGENEITY_MAX * skew;
                 }
@@ -441,7 +434,10 @@ mod tests {
             assert!(factor >= last - 1e-12, "ramp not monotone");
             last = factor;
         }
-        assert!((last - (1.0 + DRIFT_MAX)).abs() < 1e-9, "final factor {last}");
+        assert!(
+            (last - (1.0 + DRIFT_MAX)).abs() < 1e-9,
+            "final factor {last}"
+        );
     }
 
     #[test]

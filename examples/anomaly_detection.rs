@@ -61,7 +61,11 @@ fn main() {
     // The job starts healthy, is recognized at t = 120 s…
     let mut job = dataset.materialize(target, &selection);
     let early = Query::from_trace(&job, &[metric], &[Interval::PAPER_DEFAULT]);
-    let app = efd.recognize(&early).best().expect("recognized").to_string();
+    let app = efd
+        .recognize(&early)
+        .best()
+        .expect("recognized")
+        .to_string();
     println!("t = 120 s: job recognized as '{app}'");
 
     // …then a memory leak sets in.

@@ -75,7 +75,10 @@ fn main() -> Result<(), String> {
         dt.as_secs_f64() * 1e3,
         stream.len() as f64 / dt.as_secs_f64()
     );
-    assert!(recognized * 10 >= stream.len() * 9, "jitter broke recognition");
+    assert!(
+        recognized * 10 >= stream.len() * 9,
+        "jitter broke recognition"
+    );
 
     // Every backend answers like the single-threaded oracle (the engine
     // contract, asserted across the board by `engine_conformance`).

@@ -25,8 +25,10 @@ fn miner_trace(exec_id: u64, nodes: u16, duration_s: u32, seed: u64) -> Executio
         .map(|n| {
             let mut noise = Composite::standard(12.0, 4.0, 0.0, derive_seed(seed, &[n as u64]));
             let mut source = move |t: f64| 23_370.0 + noise.sample(t);
-            let mut collector =
-                LdmsCollector::new(CollectorConfig::default(), derive_seed(seed, &[n as u64, 9]));
+            let mut collector = LdmsCollector::new(
+                CollectorConfig::default(),
+                derive_seed(seed, &[n as u64, 9]),
+            );
             NodeTrace {
                 node: NodeId(n),
                 series: vec![collector.collect(&mut source, duration_s)],
@@ -61,17 +63,16 @@ fn main() {
     // A legitimate job is recognized…
     let legit = dataset.materialize_prefix(3, &selection, 120);
     let r = sanctioned.recognize_trace(&legit);
-    println!(
-        "job A -> {:?} (truth: {})",
-        r.verdict,
-        dataset.labels()[3]
-    );
+    println!("job A -> {:?} (truth: {})", r.verdict, dataset.labels()[3]);
     assert!(matches!(r.verdict, Verdict::Recognized(_)));
 
     // …the miner is not.
     let miner = miner_trace(0xBAD, 4, 150, 0xC0FFEE);
     let r = sanctioned.recognize_trace(&miner);
-    println!("job B -> {:?}  << ALERT: no known application matches", r.verdict);
+    println!(
+        "job B -> {:?}  << ALERT: no known application matches",
+        r.verdict
+    );
     assert_eq!(r.verdict, Verdict::Unknown);
 
     // Second line of defense: a dictionary of *known-malicious* signatures

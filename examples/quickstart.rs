@@ -75,6 +75,8 @@ fn main() {
     println!(
         "run {probe}: true '{}', predicted label '{}'",
         dataset.labels()[probe],
-        rec.predicted_label().map(|l| l.to_string()).unwrap_or_default()
+        rec.predicted_label()
+            .map(|l| l.to_string())
+            .unwrap_or_default()
     );
 }

@@ -26,7 +26,10 @@ fn taxonomist_normal_fold_is_high() {
         ExperimentKind::NormalFold,
         &mut c,
         &d,
-        &EvalOptions { folds: 3, seed: 0x7A } ,
+        &EvalOptions {
+            folds: 3,
+            seed: 0x7A,
+        },
     );
     assert!(r.mean_f1 > 0.9, "baseline normal fold {}", r.mean_f1);
 }

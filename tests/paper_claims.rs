@@ -150,12 +150,8 @@ fn unknown_applications_fall_through_to_unknown() {
     let d = dataset();
     let mut c = EfdClassifier::new(headline(&d));
     let labels = d.labels();
-    let train: Vec<usize> = (0..d.len())
-        .filter(|&i| labels[i].app != "CoMD")
-        .collect();
-    let held_out: Vec<usize> = (0..d.len())
-        .filter(|&i| labels[i].app == "CoMD")
-        .collect();
+    let train: Vec<usize> = (0..d.len()).filter(|&i| labels[i].app != "CoMD").collect();
+    let held_out: Vec<usize> = (0..d.len()).filter(|&i| labels[i].app == "CoMD").collect();
     c.fit(&d, &train);
     let preds = c.predict_batch(&d, &held_out);
     let unknown = preds.iter().filter(|p| *p == "unknown").count();

@@ -92,7 +92,10 @@ fn efdb_encoding_is_canonical_across_round_trips() {
     let (dict, _) = build_dict(&catalog);
     let bytes = binfmt::write_dictionary(&dict, &catalog);
     // EFDB → JSON → EFDB reproduces identical bytes.
-    let json = serialize::to_json(&binfmt::read_dictionary(&bytes, &catalog).unwrap(), &catalog);
+    let json = serialize::to_json(
+        &binfmt::read_dictionary(&bytes, &catalog).unwrap(),
+        &catalog,
+    );
     let again = binfmt::write_dictionary(&serialize::from_json(&json, &catalog).unwrap(), &catalog);
     assert_eq!(bytes, again);
     // And EFDB is the compact form.

@@ -121,7 +121,9 @@ fn incremental_learning_extends_a_live_dictionary() {
             &[Interval::PAPER_DEFAULT],
         ));
     }
-    let kripke_runs: Vec<usize> = (0..d.len()).filter(|&i| labels[i].app == "kripke").collect();
+    let kripke_runs: Vec<usize> = (0..d.len())
+        .filter(|&i| labels[i].app == "kripke")
+        .collect();
     let probe = {
         let trace = d.materialize_prefix(kripke_runs[0], &selection, 120);
         Query::from_trace(&trace, &[metric], &[Interval::PAPER_DEFAULT])
