@@ -7,7 +7,7 @@
 //! later windows match `[60:120]`, shorter windows lose averaging.
 
 use efd_bench::{bench_dataset, headline_metric};
-use efd_eval::classifier::EfdClassifier;
+use efd_eval::classifier::efd_classifier;
 use efd_eval::experiments::{run_experiment, EvalOptions, ExperimentKind};
 use efd_telemetry::Interval;
 use efd_util::table::{fmt_score, TextTable};
@@ -32,7 +32,7 @@ fn main() {
         (Interval::new(60, 75), "very short (15 s)"),
     ];
     for (w, note) in windows {
-        let mut c = EfdClassifier::with_interval(metric, w);
+        let mut c = efd_classifier(metric, w);
         let r = run_experiment(ExperimentKind::NormalFold, &mut c, &dataset, &opts);
         table.add_row(vec![w.to_string(), fmt_score(r.mean_f1), note.to_string()]);
     }

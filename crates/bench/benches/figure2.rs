@@ -6,10 +6,11 @@
 //! (the repository's EXPERIMENTS.md is generated this way).
 
 use efd_bench::{bench_dataset, bench_taxonomist_config, headline_metric, timed};
-use efd_eval::classifier::{EfdClassifier, TaxonomistClassifier};
+use efd_eval::classifier::{efd_classifier, TaxonomistClassifier};
 use efd_eval::experiments::{run_experiment, EvalOptions, ExperimentKind, ExperimentResult};
 use efd_eval::report::render_figure2;
 use efd_eval::screening::screen_metrics;
+use efd_telemetry::Interval;
 
 fn main() {
     let dataset = bench_dataset();
@@ -17,7 +18,7 @@ fn main() {
     let metric = headline_metric(&dataset);
     let mut results: Vec<ExperimentResult> = Vec::new();
 
-    let mut efd = EfdClassifier::new(metric);
+    let mut efd = efd_classifier(metric, Interval::PAPER_DEFAULT);
     for kind in ExperimentKind::ALL {
         let r = timed(&format!("EFD {kind}"), || {
             run_experiment(kind, &mut efd, &dataset, &opts)

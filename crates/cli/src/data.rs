@@ -1,8 +1,11 @@
 //! Dataset CSV export and ingest, dictionary dumps, JSON ↔ EFDB.
 
-use efd_core::{binfmt, serialize, EfdDictionary};
-use efd_eval::classifier::{EfdClassifier, ExecutionClassifier};
+use efd_core::training::Efd;
+use efd_core::{binfmt, serialize, EfdDictionary, LabeledObservation};
+use efd_eval::classifier::{efd_classifier, ExecutionClassifier};
+use efd_eval::engine::EngineClassifier;
 use efd_serve::backend::decode_dictionary;
+use efd_telemetry::Interval;
 use efd_workload::Dataset;
 
 use crate::{dataset_from, headline, Args};
@@ -66,7 +69,10 @@ pub(crate) fn ingest_csv(args: &Args) -> Result<(), String> {
     );
 
     // Recognize it against a dictionary trained on the synthetic dataset.
-    let rec = fit_all(&d).model().expect("fitted").recognize_trace(&trace);
+    let rec = fit_all(&d)
+        .engine()
+        .expect("fitted")
+        .recognize_trace(&trace);
     println!("verdict: {:?}", rec.verdict);
     Ok(())
 }
@@ -114,8 +120,8 @@ fn encode_dict(
 }
 
 /// An EFD trained on every run of the dataset.
-fn fit_all(d: &Dataset) -> EfdClassifier {
-    let mut c = EfdClassifier::new(headline(d));
+fn fit_all(d: &Dataset) -> EngineClassifier<Efd, impl Fn(&[LabeledObservation]) -> Efd> {
+    let mut c = efd_classifier(headline(d), Interval::PAPER_DEFAULT);
     let all: Vec<usize> = (0..d.len()).collect();
     c.fit(d, &all);
     c
@@ -137,7 +143,10 @@ pub(crate) fn dump(args: &Args) -> Result<(), String> {
         }
         None => {
             trained = fit_all(&d);
-            (trained.model().expect("fitted").dictionary(), String::new())
+            (
+                trained.engine().expect("fitted").dictionary(),
+                String::new(),
+            )
         }
     };
     let bytes = encode_dict(dict, d.catalog(), format);
@@ -208,7 +217,7 @@ fn synth_keyspace_dict(keys: usize, metric: efd_telemetry::MetricId) -> EfdDicti
         dict.insert_raw(
             metric,
             efd_telemetry::NodeId((i % 64) as u16),
-            efd_telemetry::Interval::PAPER_DEFAULT,
+            Interval::PAPER_DEFAULT,
             100_000.0 + i as f64,
             &efd_telemetry::AppLabel::new(format!("app{:03}", i % 50), "X"),
         );

@@ -1,13 +1,14 @@
 //! The paper's tables and Figure 2, its experiments, the scenario
 //! matrix, metric screening, the recognize demo and EXPERIMENTS.md.
 
-use efd_eval::classifier::{EfdClassifier, ExecutionClassifier, TaxonomistClassifier};
-use efd_eval::engine::{EngineClassifier, MlBackend};
+use efd_eval::classifier::{efd_classifier, ExecutionClassifier, TaxonomistClassifier};
+use efd_eval::engine::{EngineClassifier, MlBackend, MlFamily};
 use efd_eval::experiments::{run_experiment, EvalOptions, ExperimentKind, ExperimentResult};
 use efd_eval::report;
 use efd_eval::screening::screen_metrics;
 use efd_eval::BackendKind;
 use efd_ml::taxonomist::TaxonomistConfig;
+use efd_telemetry::Interval;
 use efd_workload::scenario::{build as scenario_build, CleanRuns, ScenarioKind, ScenarioSpec};
 use efd_workload::Dataset;
 
@@ -41,7 +42,7 @@ fn run_all_experiments(dataset: &Dataset, cfg: TaxonomistConfig) -> Vec<Experime
     let opts = EvalOptions::default();
     let metric = headline(dataset);
     let mut results = Vec::new();
-    let mut efd = EfdClassifier::new(metric);
+    let mut efd = efd_classifier(metric, Interval::PAPER_DEFAULT);
     for kind in ExperimentKind::ALL {
         eprintln!("running EFD {kind}…");
         results.push(run_experiment(kind, &mut efd, dataset, &opts));
@@ -100,29 +101,31 @@ pub(crate) fn evaluate(args: &Args) -> Result<(), String> {
     let opts = EvalOptions::default();
     let metric = headline(&d);
     // `knn` / `gaussian-nb` run through the engine API: an `MlBackend`
-    // (the ml family as a `Learn`/`Recognize` backend) adapted into the
+    // (the ml family fitted as a `Recognize` backend) adapted into the
     // experiment harness by `EngineClassifier` — the same plumbing that
-    // would host any other engine backend.
+    // hosts the EFD and would host any other engine backend.
+    let ml = |name, family| {
+        EngineClassifier::new(name, metric, move |train| {
+            MlBackend::fit(family, 0.5, train)
+        })
+    };
     let result = match args.flag("classifier").unwrap_or("efd") {
-        "efd" => run_experiment(kind, &mut EfdClassifier::new(metric), &d, &opts),
+        "efd" => run_experiment(
+            kind,
+            &mut efd_classifier(metric, Interval::PAPER_DEFAULT),
+            &d,
+            &opts,
+        ),
         "taxonomist" => run_experiment(
             kind,
             &mut TaxonomistClassifier::new(taxonomist_cfg(args)?),
             &d,
             &opts,
         ),
-        "knn" => run_experiment(
-            kind,
-            &mut EngineClassifier::new("kNN", metric, || MlBackend::knn(5, 0.5)),
-            &d,
-            &opts,
-        ),
-        "gaussian-nb" => run_experiment(
-            kind,
-            &mut EngineClassifier::new("GaussianNB", metric, || MlBackend::gaussian_nb(0.5)),
-            &d,
-            &opts,
-        ),
+        "knn" => run_experiment(kind, &mut ml("kNN", MlFamily::Knn { k: 5 }), &d, &opts),
+        "gaussian-nb" => {
+            run_experiment(kind, &mut ml("GaussianNB", MlFamily::GaussianNb), &d, &opts)
+        }
         other => {
             return Err(format!(
                 "unknown classifier {other:?} (efd|taxonomist|knn|gaussian-nb)"
@@ -195,7 +198,7 @@ fn evaluate_scenario(args: &Args) -> Result<(), String> {
 
     let d = dataset_from(args)?;
     let metric = headline(&d);
-    let interval = efd_telemetry::Interval::PAPER_DEFAULT;
+    let interval = Interval::PAPER_DEFAULT;
     let opts = efd_eval::CellOptions::default();
     let clean = CleanRuns::from_dataset(&d, metric, interval);
 
@@ -369,10 +372,10 @@ pub(crate) fn recognize(args: &Args) -> Result<(), String> {
         return Err(format!("run index {run} out of range (0..{})", d.len()));
     }
     let metric = headline(&d);
-    let mut c = EfdClassifier::new(metric);
+    let mut c = efd_classifier(metric, Interval::PAPER_DEFAULT);
     let train: Vec<usize> = (0..d.len()).filter(|&i| i != run).collect();
     c.fit(&d, &train);
-    let model = c.model().expect("fitted");
+    let model = c.engine().expect("fitted");
     // The EFD's data diet: only the first two minutes of the test run.
     let trace = d.materialize_prefix(
         run,

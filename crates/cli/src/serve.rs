@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 use efd_catalog::{CatalogRef, Manifest, StageBackend};
 use efd_core::engine::{ParallelRecognize, Recognize};
 use efd_core::{binfmt, EfdDictionary};
-use efd_eval::engine::MlBackend;
+use efd_eval::engine::{MlBackend, MlFamily};
 use efd_serve::backend::decode_dictionary;
 use efd_serve::{Backend, DictSource};
 use efd_workload::Dataset;
@@ -466,22 +466,29 @@ fn serve_listen(args: &Args, addr: &str, source: ServeSource<'_>) -> Result<(), 
 
 /// Train an ml fallback stage (`knn` or `gaussian-nb`) on a
 /// dictionary's own entries — how it learns the knowledge the exact
-/// stages serve (one single-point observation per key-label pair).
+/// stages serve (one single-point observation per key-label pair). The
+/// stage is fitted here, at load, so no request pays for training.
 fn ml_stage(
     stage: &efd_catalog::ManifestStage,
     src: &DictSource,
     catalog: &efd_telemetry::MetricCatalog,
 ) -> Result<efd_serve::backend::Built, String> {
-    use efd_core::engine::Learn as _;
-
-    let mut ml = match stage.backend {
-        StageBackend::Knn { k } => MlBackend::knn(k, stage.min_confidence),
-        _ => MlBackend::gaussian_nb(stage.min_confidence),
+    let family = match stage.backend {
+        StageBackend::Knn { k } => MlFamily::Knn { k },
+        StageBackend::GaussianNb => MlFamily::GaussianNb,
+        StageBackend::Exact | StageBackend::Combo => {
+            return Err(format!(
+                "{}: stage backend {} is not an ml family",
+                src.shown,
+                stage.backend.name()
+            ))
+        }
     };
     let dict = decode_dictionary(&src.bytes, catalog, &src.shown)?;
+    let mut train = Vec::new();
     for (fp, labels) in dict.entries() {
         for l in labels {
-            ml.learn(&efd_core::LabeledObservation {
+            train.push(efd_core::LabeledObservation {
                 label: (*l).clone(),
                 query: efd_core::Query {
                     points: vec![efd_core::observation::ObsPoint {
@@ -494,6 +501,7 @@ fn ml_stage(
             });
         }
     }
+    let ml = MlBackend::fit(family, stage.min_confidence, &train);
     Ok((std::sync::Arc::new(ml), dict.len()))
 }
 

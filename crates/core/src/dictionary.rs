@@ -690,16 +690,6 @@ impl EfdDictionary {
     }
 }
 
-impl crate::engine::Learn for EfdDictionary {
-    fn learn(&mut self, obs: &LabeledObservation) {
-        EfdDictionary::learn(self, obs);
-    }
-
-    fn learn_all(&mut self, observations: &[LabeledObservation]) {
-        EfdDictionary::learn_all(self, observations);
-    }
-}
-
 /// The oracle as an engine backend.
 ///
 /// Unlike the inherent [`EfdDictionary::recognize`] (which preserves the

@@ -1,15 +1,17 @@
-//! The engine API: one `Learn`/`Recognize` contract over every backend.
+//! The engine API: one `Recognize` contract over every backend.
 //!
 //! The repository grew several recognition backends — the single-threaded
 //! [`EfdDictionary`](crate::EfdDictionary) oracle, the conjunctive
 //! [`ComboDictionary`](crate::multi::ComboDictionary), and the serving
 //! forms in `efd-serve` (snapshots, sharded, durable and stacked
 //! dictionaries) — each of which used to expose its own inherent
-//! `learn`/`recognize` signatures. SIREN (Jakobsche et al., 2025) frames
+//! `recognize` signature. SIREN (Jakobsche et al., 2025) frames
 //! HPC recognition as a pipeline of *interchangeable* identification
-//! methods; this module is that contract:
+//! methods; this module is that contract. Learning stays inherent: each
+//! backend's own `learn` (infallible on the in-memory dictionaries,
+//! fallible on the WAL-backed one), and the evaluation harness builds a
+//! fitted engine from its training set in one call.
 //!
-//! * [`Learn`] — anything that absorbs labeled observations.
 //! * [`Recognize`] — anything that answers a [`Query`] with a
 //!   [`Recognition`]. The core method is [`Recognize::recognize_into`],
 //!   which counts votes in caller-owned [`VoteScratch`] — vote counting
@@ -24,7 +26,7 @@
 //!   adding [`recognize_batch_parallel`](ParallelRecognize::recognize_batch_parallel)
 //!   via `efd_util`'s scoped-thread pool, one scratch per worker.
 //!
-//! Both traits are **object-safe**: backends can be selected at runtime as
+//! [`Recognize`] is **object-safe**: backends can be selected at runtime as
 //! `Box<dyn Recognize + Send + Sync>` (the CLI's `efd serve --backend`
 //! does exactly that), and forwarding impls for `&R`, `Box<R>`, and
 //! `Arc<R>` keep smart-pointer-wrapped backends usable wherever a
@@ -44,7 +46,7 @@ use efd_telemetry::AppLabel;
 use efd_util::parallel_map_init;
 
 use crate::dictionary::{AppNameId, LabelId, Recognition, Verdict};
-use crate::observation::{LabeledObservation, Query};
+use crate::observation::Query;
 
 /// Reusable dense vote counters — the scratch contract shared by core and
 /// the serving layer.
@@ -367,47 +369,6 @@ impl From<&Recognition> for Answer {
         let mut answer = Answer::default();
         answer.set_from(rec);
         answer
-    }
-}
-
-/// A recognition system that absorbs labeled observations.
-///
-/// Learning is incremental — "learning new applications is as simple as
-/// adding new keys" (paper §4) — and implementations may intern, index,
-/// or buffer however they like, as long as a subsequent [`Recognize`]
-/// call reflects everything learned so far.
-///
-/// ```
-/// use efd_core::engine::{Learn, Recognize};
-/// use efd_core::{EfdDictionary, LabeledObservation, Query, RoundingDepth};
-/// use efd_telemetry::{AppLabel, Interval, MetricId};
-///
-/// // Generic over any learnable backend:
-/// fn teach<E: Learn>(engine: &mut E) {
-///     engine.learn(&LabeledObservation {
-///         label: AppLabel::new("ft", "X"),
-///         query: Query::from_node_means(MetricId(0), Interval::PAPER_DEFAULT,
-///                                       &[6020.0, 6019.0]),
-///     });
-/// }
-///
-/// let mut dict = EfdDictionary::new(RoundingDepth::new(2));
-/// teach(&mut dict);
-/// let q = Query::from_node_means(MetricId(0), Interval::PAPER_DEFAULT, &[6001.0]);
-/// assert_eq!(Recognize::recognize(&dict, &q).best(), Some("ft"));
-/// ```
-pub trait Learn {
-    /// Absorb one labeled observation.
-    fn learn(&mut self, obs: &LabeledObservation);
-
-    /// Absorb a batch (dataset order = insertion order, which fixes the
-    /// paper's first-learned tie-array ordering where a backend records
-    /// it). Implementations that fit a model once over the whole batch
-    /// (e.g. classifier adapters) may override this to defer work.
-    fn learn_all(&mut self, observations: &[LabeledObservation]) {
-        for o in observations {
-            self.learn(o);
-        }
     }
 }
 

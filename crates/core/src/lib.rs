@@ -25,8 +25,8 @@
 //!   (future work §6): recognition robust to unknown start offsets.
 //! * [`reverse`] — reverse lookup: predict future resource usage of a known
 //!   application from its stored fingerprints (future work §6).
-//! * [`engine`] — the engine API: object-safe [`Learn`]/[`Recognize`]
-//!   traits (and the [`VoteScratch`] dense-vote contract) unifying every
+//! * [`engine`] — the engine API: the object-safe [`Recognize`] trait
+//!   (and the [`VoteScratch`] dense-vote contract) unifying every
 //!   backend — core dictionaries, combo keys, and the `efd-serve` forms —
 //!   behind one interface.
 //! * [`online`] — streaming recognizer: feed live samples, get a verdict
@@ -65,7 +65,7 @@ pub use binfmt::{BinFormatError, Efdb};
 pub use dictionary::{
     AppNameId, DictionaryParts, DictionaryStats, EfdDictionary, LabelId, Recognition, Verdict,
 };
-pub use engine::{Answer, Learn, ParallelRecognize, Recognize, VoteScratch};
+pub use engine::{Answer, ParallelRecognize, Recognize, VoteScratch};
 pub use fingerprint::Fingerprint;
 pub use observation::{LabeledObservation, ObsPoint, Query};
 pub use rounding::{round_to_depth, RoundingDepth};

@@ -25,7 +25,7 @@ use efd_telemetry::MetricId;
 use efd_util::FxHashMap;
 
 use crate::dictionary::EfdDictionary;
-use crate::engine::{Learn, Recognize, VoteScratch};
+use crate::engine::{Recognize, VoteScratch};
 use crate::fingerprint::Fingerprint;
 use crate::observation::LabeledObservation;
 use crate::observation::{ObsPoint, Query};
@@ -176,7 +176,7 @@ impl EvictionReport {
 ///
 /// ```
 /// use efd_core::maintenance::AgingDictionary;
-/// use efd_core::engine::{Learn, Recognize};
+/// use efd_core::engine::Recognize;
 /// use efd_core::{LabeledObservation, Query, RoundingDepth, Verdict};
 /// use efd_telemetry::{AppLabel, Interval, MetricId};
 ///
@@ -274,10 +274,10 @@ impl AgingDictionary {
         self.stamps.retain(|fp, _| live.contains(fp));
         dropped
     }
-}
 
-impl Learn for AgingDictionary {
-    fn learn(&mut self, obs: &LabeledObservation) {
+    /// Learn `obs` into the wrapped dictionary, stamping each of its keys
+    /// with the current epoch.
+    pub fn learn(&mut self, obs: &LabeledObservation) {
         let depth = self.dict.depth();
         for p in &obs.query.points {
             if let Some(fp) = Fingerprint::from_raw(p.metric, p.node, p.interval, p.mean, depth) {
@@ -437,7 +437,7 @@ mod tests {
 
     #[test]
     fn aging_evicts_only_stale_keys() {
-        use crate::engine::{Learn, Recognize};
+        use crate::engine::Recognize;
         let mut aging = AgingDictionary::new(RoundingDepth::new(2), 1);
         aging.learn(&labeled("old", 6000.0)); // epoch 0
         aging.advance(); // epoch 1
@@ -454,7 +454,7 @@ mod tests {
 
     #[test]
     fn relearning_refreshes_the_stamp() {
-        use crate::engine::{Learn, Recognize};
+        use crate::engine::Recognize;
         let mut aging = AgingDictionary::new(RoundingDepth::new(2), 1);
         aging.learn(&labeled("ft", 6000.0)); // epoch 0
         aging.advance(); // epoch 1: age 1, still alive
@@ -467,7 +467,6 @@ mod tests {
 
     #[test]
     fn eviction_order_is_oldest_first_and_deterministic() {
-        use crate::engine::Learn;
         let build = || {
             let mut aging = AgingDictionary::new(RoundingDepth::new(2), 2);
             aging.learn(&labeled("a", 9900.0)); // epoch 0 — oldest
@@ -493,7 +492,7 @@ mod tests {
 
     #[test]
     fn shared_key_survives_through_either_apps_refresh() {
-        use crate::engine::{Learn, Recognize};
+        use crate::engine::Recognize;
         let mut aging = AgingDictionary::new(RoundingDepth::new(2), 1);
         aging.learn(&labeled("sp", 7500.0));
         aging.learn(&labeled("bt", 7500.0)); // same key, second label
@@ -521,7 +520,7 @@ mod tests {
 
     #[test]
     fn eviction_during_online_relearning_never_resurrects_forgotten_keys() {
-        use crate::engine::{Learn, Recognize};
+        use crate::engine::Recognize;
         // The in-memory mirror of the PR 6 WAL no-resurrect property:
         // forget an app, keep relearning others (the online-relearning
         // loop), advance epochs — the forgotten footprint must never

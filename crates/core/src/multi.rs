@@ -255,16 +255,6 @@ impl ComboDictionary {
     }
 }
 
-impl crate::engine::Learn for ComboDictionary {
-    fn learn(&mut self, obs: &LabeledObservation) {
-        ComboDictionary::learn(self, obs);
-    }
-
-    fn learn_all(&mut self, observations: &[LabeledObservation]) {
-        ComboDictionary::learn_all(self, observations);
-    }
-}
-
 /// Conjunctive keys as an engine backend.
 ///
 /// The combo path groups points into per-(node, interval) tuples before

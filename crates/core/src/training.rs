@@ -18,6 +18,7 @@ use efd_telemetry::{Interval, MetricId};
 use efd_util::split::stratified_k_fold_by;
 
 use crate::dictionary::{EfdDictionary, Recognition};
+use crate::engine::{Recognize, VoteScratch};
 use crate::observation::{LabeledObservation, Query};
 use crate::rounding::RoundingDepth;
 
@@ -148,6 +149,13 @@ impl Efd {
     /// Mean inner-CV score per candidate depth (empty for fixed policy).
     pub fn depth_scores(&self) -> &[(RoundingDepth, f64)] {
         &self.depth_scores
+    }
+}
+
+/// A trained EFD answers through its dictionary.
+impl Recognize for Efd {
+    fn recognize_into(&self, query: &Query, scratch: &mut VoteScratch) -> Recognition {
+        self.dictionary.recognize_into(query, scratch)
     }
 }
 

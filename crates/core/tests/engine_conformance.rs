@@ -22,10 +22,10 @@
 
 use std::sync::Arc;
 
-use efd_core::engine::{Answer, Learn, ParallelRecognize, Recognize, VoteScratch};
+use efd_core::engine::{Answer, ParallelRecognize, Recognize, VoteScratch};
 use efd_core::multi::ComboDictionary;
 use efd_core::{binfmt, serialize, EfdDictionary, LabeledObservation, Query, RoundingDepth};
-use efd_eval::engine::MlBackend;
+use efd_eval::engine::{MlBackend, MlFamily};
 use efd_ml::taxonomist::TaxonomistConfig;
 use efd_serve::{Backend, EfdbSnapshot, ShardedDictionary, Snapshot};
 use efd_telemetry::catalog::small_catalog;
@@ -184,7 +184,7 @@ macro_rules! conformance {
 
 conformance!(exact: efd_dictionary, |observations: &[LabeledObservation]| {
     let mut d = EfdDictionary::new(depth());
-    Learn::learn_all(&mut d, observations);
+    d.learn_all(observations);
     d
 });
 
@@ -192,7 +192,7 @@ conformance!(exact: combo_dictionary, |observations: &[LabeledObservation]| {
     // Single-metric conjunctive keys degenerate to the base dictionary's
     // semantics, so the combo backend is exactly oracle-equivalent here.
     let mut c = ComboDictionary::new(vec![M], depth());
-    Learn::learn_all(&mut c, observations);
+    c.learn_all(observations);
     c
 });
 
@@ -211,8 +211,8 @@ conformance!(exact: snapshot_sharded, |observations: &[LabeledObservation]| {
 });
 
 conformance!(exact: sharded_dictionary_learned, |observations: &[LabeledObservation]| {
-    let mut s = ShardedDictionary::new(depth(), 8);
-    Learn::learn_all(&mut s, observations);
+    let s = ShardedDictionary::new(depth(), 8);
+    s.learn_all(observations);
     s
 });
 
@@ -319,40 +319,30 @@ fn registry_errors_name_the_source() {
 // ---------------------------------------------------------------------
 
 conformance!(verdict: ml_backend_knn, |observations: &[LabeledObservation]| {
-    let mut b = MlBackend::knn(3, 0.5);
-    b.learn_all(observations);
-    b
+    MlBackend::fit(MlFamily::Knn { k: 3 }, 0.5, observations)
 });
 
 conformance!(verdict: ml_backend_gaussian_nb, |observations: &[LabeledObservation]| {
-    let mut b = MlBackend::gaussian_nb(0.5);
-    b.learn_all(observations);
-    b
+    MlBackend::fit(MlFamily::GaussianNb, 0.5, observations)
 });
 
 conformance!(verdict: ml_backend_forest, |observations: &[LabeledObservation]| {
-    let mut b = MlBackend::forest(TaxonomistConfig {
+    let cfg = TaxonomistConfig {
         n_trees: 15,
         ..Default::default()
-    });
-    b.learn_all(observations);
-    b
+    };
+    MlBackend::fit(MlFamily::Forest(cfg), cfg.confidence_threshold, observations)
 });
 
 // ---------------------------------------------------------------------
-// Object safety: both traits must be usable as trait objects.
+// Object safety: `Recognize` must be usable as a trait object.
 // ---------------------------------------------------------------------
 
 #[test]
 fn traits_are_object_safe() {
-    // Learn through `&mut dyn Learn`…
-    let mut dict = EfdDictionary::new(depth());
-    {
-        let learner: &mut dyn Learn = &mut dict;
-        learner.learn_all(&observations());
-    }
-    // …then recognize through `Box<dyn Recognize>` (no auto-trait bounds
+    // Recognize through `Box<dyn Recognize>` (no auto-trait bounds
     // required for object safety itself).
+    let dict = oracle(&observations());
     let plain: Box<dyn Recognize> = Box::new(dict.clone());
     let expected = oracle(&observations())
         .recognize(&exact_queries()[0])

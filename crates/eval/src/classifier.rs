@@ -13,15 +13,16 @@
 
 use std::sync::OnceLock;
 
-use efd_core::observation::{LabeledObservation, Query};
+use efd_core::observation::LabeledObservation;
 use efd_core::training::{Efd, EfdConfig};
 use efd_ml::features::FeatureMatrix;
-use efd_ml::metrics::UNKNOWN_LABEL;
 use efd_ml::taxonomist::{Taxonomist, TaxonomistConfig};
 use efd_telemetry::trace::MetricSelection;
 use efd_telemetry::{Interval, MetricId};
 use efd_util::parallel_map;
 use efd_workload::Dataset;
+
+use crate::engine::EngineClassifier;
 
 /// A system that learns from labeled runs and predicts application names.
 pub trait ExecutionClassifier {
@@ -31,108 +32,28 @@ pub trait ExecutionClassifier {
     /// Learn from the given run indices of `dataset`.
     fn fit(&mut self, dataset: &Dataset, train_idx: &[usize]);
 
-    /// Predict application names (or [`UNKNOWN_LABEL`]) for test runs.
+    /// Predict application names (or
+    /// [`UNKNOWN_LABEL`](efd_ml::metrics::UNKNOWN_LABEL)) for test runs.
     fn predict_batch(&self, dataset: &Dataset, test_idx: &[usize]) -> Vec<String>;
 }
 
-/// The EFD under test: one metric, the `[60:120]` window, auto depth.
-pub struct EfdClassifier {
+/// The EFD under test: one metric over `interval` (the paper's
+/// `[60:120]` in every experiment, others in the interval ablation), auto
+/// depth, reported as "EFD".
+pub fn efd_classifier(
     metric: MetricId,
     interval: Interval,
-    /// Cached per-run node means: `means[run][node]`.
-    means: OnceLock<Vec<Vec<f64>>>,
-    dataset_fingerprint: OnceLock<u64>,
-    model: Option<Efd>,
-    display_name: String,
-}
-
-impl EfdClassifier {
-    /// EFD over `metric` with the paper's `[60:120]` window.
-    pub fn new(metric: MetricId) -> Self {
-        Self::with_interval(metric, Interval::PAPER_DEFAULT)
-    }
-
-    /// EFD over `metric` with a custom window (interval ablations).
-    pub fn with_interval(metric: MetricId, interval: Interval) -> Self {
-        Self {
-            metric,
-            interval,
-            means: OnceLock::new(),
-            dataset_fingerprint: OnceLock::new(),
-            model: None,
-            display_name: "EFD".to_string(),
-        }
-    }
-
-    /// The trained model of the most recent [`ExecutionClassifier::fit`].
-    pub fn model(&self) -> Option<&Efd> {
-        self.model.as_ref()
-    }
-
-    fn means_for(&self, dataset: &Dataset) -> &Vec<Vec<f64>> {
-        let fp = self
-            .dataset_fingerprint
-            .get_or_init(|| dataset.spec().master_seed ^ dataset.len() as u64);
-        assert_eq!(
-            *fp,
-            dataset.spec().master_seed ^ dataset.len() as u64,
-            "classifier reused across datasets"
-        );
-        self.means.get_or_init(|| {
-            let sel = MetricSelection::single(self.metric);
-            dataset
-                .window_means_all(&sel, self.interval)
-                .into_iter()
-                .map(|per_node| per_node.into_iter().map(|m| m[0]).collect())
-                .collect()
-        })
-    }
-
-    fn query_for(&self, dataset: &Dataset, run: usize) -> Query {
-        let means = self.means_for(dataset);
-        Query::from_node_means(self.metric, self.interval, &means[run])
-    }
-}
-
-impl ExecutionClassifier for EfdClassifier {
-    fn name(&self) -> &str {
-        &self.display_name
-    }
-
-    fn fit(&mut self, dataset: &Dataset, train_idx: &[usize]) {
-        let means = self.means_for(dataset);
-        let labels = dataset.labels();
-        let observations: Vec<LabeledObservation> = train_idx
-            .iter()
-            .map(|&i| LabeledObservation {
-                label: labels[i].clone(),
-                query: Query::from_node_means(self.metric, self.interval, &means[i]),
-            })
-            .collect();
-        self.model = Some(Efd::fit(
+) -> EngineClassifier<Efd, impl Fn(&[LabeledObservation]) -> Efd> {
+    EngineClassifier::with_interval("EFD", metric, interval, move |train| {
+        Efd::fit(
             EfdConfig {
-                metrics: vec![self.metric],
-                intervals: vec![self.interval],
+                metrics: vec![metric],
+                intervals: vec![interval],
                 depth: efd_core::training::DepthPolicy::default(),
             },
-            &observations,
-        ));
-    }
-
-    fn predict_batch(&self, dataset: &Dataset, test_idx: &[usize]) -> Vec<String> {
-        let model = self.model.as_ref().expect("fit() before predict");
-        test_idx
-            .iter()
-            .map(|&i| {
-                let q = self.query_for(dataset, i);
-                model
-                    .recognize(&q)
-                    .best()
-                    .map(str::to_string)
-                    .unwrap_or_else(|| UNKNOWN_LABEL.to_string())
-            })
-            .collect()
-    }
+            train,
+        )
+    })
 }
 
 /// The Taxonomist baseline: all catalog metrics × whole-execution features
@@ -218,6 +139,7 @@ impl ExecutionClassifier for TaxonomistClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use efd_ml::metrics::UNKNOWN_LABEL;
     use efd_telemetry::catalog::small_catalog;
     use efd_workload::{DatasetSpec, SubsetKind};
 
@@ -234,7 +156,7 @@ mod tests {
     fn efd_classifier_end_to_end() {
         let d = tiny_dataset();
         let metric = d.catalog().id("nr_mapped_vmstat").unwrap();
-        let mut c = EfdClassifier::new(metric);
+        let mut c = efd_classifier(metric, Interval::PAPER_DEFAULT);
         let train: Vec<usize> = (0..d.len()).filter(|i| i % 5 != 0).collect();
         let test: Vec<usize> = (0..d.len()).filter(|i| i % 5 == 0).collect();
         c.fit(&d, &train);
@@ -282,7 +204,7 @@ mod tests {
     fn efd_unknown_for_unseen_app() {
         let d = tiny_dataset();
         let metric = d.catalog().id("nr_mapped_vmstat").unwrap();
-        let mut c = EfdClassifier::new(metric);
+        let mut c = efd_classifier(metric, Interval::PAPER_DEFAULT);
         let labels = d.labels();
         // Train without kripke.
         let train: Vec<usize> = (0..d.len())

@@ -6,24 +6,25 @@
 //! module provides the two adapters that make that real here:
 //!
 //! * [`MlBackend`] — runs the ml baseline families (random forest à la
-//!   Taxonomist, kNN, Gaussian naive Bayes) as engine backends: it
-//!   implements [`Learn`]/[`Recognize`], so a feature classifier can be
-//!   dropped anywhere a dictionary backend goes (conformance harness,
-//!   `recognize_batch_parallel`, a `Box<dyn Recognize>` behind the CLI).
-//! * [`EngineClassifier`] — the reverse direction: wraps **any**
-//!   `Learn + Recognize` engine as an [`ExecutionClassifier`], so engine
-//!   backends run under the paper's five-experiment evaluation harness
-//!   next to [`crate::EfdClassifier`] and
+//!   Taxonomist, kNN, Gaussian naive Bayes) as engine backends: it is
+//!   fitted once on a training set and implements [`Recognize`], so a
+//!   feature classifier can be dropped anywhere a dictionary backend goes
+//!   (conformance harness, `recognize_batch_parallel`, a
+//!   `Box<dyn Recognize>` behind the CLI).
+//! * [`EngineClassifier`] — the reverse direction: wraps any [`Recognize`]
+//!   engine built from a training set as an [`ExecutionClassifier`], so
+//!   engine backends run under the paper's five-experiment evaluation
+//!   harness next to [`crate::efd_classifier`] and
 //!   [`crate::TaxonomistClassifier`].
 //!
 //! Together: the EFD, Taxonomist-style forests, kNN, and GaussianNb all
 //! answer through one `Recognize` interface *and* all score under one
 //! evaluation harness.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use efd_core::dictionary::AppNameId;
-use efd_core::engine::{Learn, Recognize, VoteScratch};
+use efd_core::engine::{Recognize, VoteScratch};
 use efd_core::observation::{LabeledObservation, Query};
 use efd_core::Recognition;
 use efd_ml::metrics::UNKNOWN_LABEL;
@@ -38,7 +39,7 @@ use crate::classifier::ExecutionClassifier;
 /// Which ml family an [`MlBackend`] trains.
 #[derive(Debug, Clone, Copy)]
 pub enum MlFamily {
-    /// Bagged random forest with Taxonomist's tree/threshold settings.
+    /// Bagged random forest with Taxonomist's tree settings.
     Forest(TaxonomistConfig),
     /// Brute-force k-nearest-neighbors with `k` neighbors.
     Knn {
@@ -49,185 +50,112 @@ pub enum MlFamily {
     GaussianNb,
 }
 
-impl MlFamily {
-    fn name(&self) -> &'static str {
-        match self {
-            MlFamily::Forest(_) => "forest",
-            MlFamily::Knn { .. } => "knn",
-            MlFamily::GaussianNb => "gaussian-nb",
-        }
-    }
-}
-
-/// A model fitted over everything learned so far.
-struct Fitted {
-    /// Sorted application names; class `c` is `classes[c]`.
-    classes: Vec<String>,
-    model: Box<dyn Classifier + Send + Sync>,
-}
-
 /// An ml classifier family behind the engine API.
 ///
-/// [`Learn`] buffers each observation point as one single-feature row
-/// (`[window mean]`) labeled with the observation's application;
-/// [`Recognize`] classifies every query point and lets confident
-/// predictions vote, Taxonomist-style — a prediction whose probability
-/// falls below the confidence threshold abstains (the unknown-application
-/// safeguard), and a query where every point abstains is
-/// [`efd_core::Verdict::Unknown`].
-///
-/// Fitting is lazy: the model is (re)trained on first recognition after a
-/// learn, so `learn_all` over a large corpus costs one fit, not N.
+/// [`MlBackend::fit`] trains on each observation point as one
+/// single-feature row (`[window mean]`) labeled with the observation's
+/// application; [`Recognize`] classifies every query point and lets
+/// confident predictions vote, Taxonomist-style — a prediction whose
+/// probability falls below the confidence threshold abstains (the
+/// unknown-application safeguard), and a query where every point abstains
+/// is [`efd_core::Verdict::Unknown`].
 ///
 /// ```
-/// use efd_core::engine::{Learn, Recognize};
+/// use efd_core::engine::Recognize;
 /// use efd_core::{LabeledObservation, Query};
-/// use efd_eval::engine::MlBackend;
+/// use efd_eval::engine::{MlBackend, MlFamily};
 /// use efd_telemetry::{AppLabel, Interval, MetricId};
 ///
-/// let mut knn = MlBackend::knn(3, 0.5);
-/// for (app, mean) in [("ft", 6020.0), ("cg", 8110.0)] {
-///     knn.learn(&LabeledObservation {
+/// let train: Vec<LabeledObservation> = [("ft", 6020.0), ("cg", 8110.0)]
+///     .into_iter()
+///     .map(|(app, mean)| LabeledObservation {
 ///         label: AppLabel::new(app, "X"),
-///         query: Query::from_node_means(MetricId(0), Interval::PAPER_DEFAULT,
-///                                       &[mean; 4]),
-///     });
-/// }
+///         query: Query::from_node_means(MetricId(0), Interval::PAPER_DEFAULT, &[mean; 4]),
+///     })
+///     .collect();
+/// let knn = MlBackend::fit(MlFamily::Knn { k: 3 }, 0.5, &train);
 /// let q = Query::from_node_means(MetricId(0), Interval::PAPER_DEFAULT, &[8100.0; 4]);
 /// assert_eq!(Recognize::recognize(&knn, &q).best(), Some("cg"));
 /// ```
 pub struct MlBackend {
-    family: MlFamily,
     /// Below this per-point confidence a prediction abstains.
     confidence_threshold: f64,
-    rows: Vec<Vec<f64>>,
-    apps: Vec<String>,
-    /// Fitted-model cache, invalidated by learning (interior mutability:
-    /// `Recognize` takes `&self`).
-    fitted: Mutex<Option<Arc<Fitted>>>,
-}
-
-impl std::fmt::Debug for MlBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MlBackend")
-            .field("family", &self.family)
-            .field("rows", &self.rows.len())
-            .finish_non_exhaustive()
-    }
+    /// Sorted application names; class `c` is `classes[c]`.
+    classes: Vec<String>,
+    /// `None` when the training set held no finite point: every query
+    /// is then [`efd_core::Verdict::Unknown`].
+    model: Option<Box<dyn Classifier + Send + Sync>>,
 }
 
 impl MlBackend {
-    /// A backend training `family`, abstaining below
-    /// `confidence_threshold`.
-    pub fn new(family: MlFamily, confidence_threshold: f64) -> Self {
-        Self {
-            family,
-            confidence_threshold,
-            rows: Vec::new(),
-            apps: Vec::new(),
-            fitted: Mutex::new(None),
-        }
-    }
-
-    /// Random-forest backend with Taxonomist's configuration (the
-    /// threshold comes from `cfg.confidence_threshold`).
-    pub fn forest(cfg: TaxonomistConfig) -> Self {
-        Self::new(MlFamily::Forest(cfg), cfg.confidence_threshold)
-    }
-
-    /// kNN backend (`k` neighbors, abstain below `confidence_threshold`).
-    pub fn knn(k: usize, confidence_threshold: f64) -> Self {
-        Self::new(MlFamily::Knn { k }, confidence_threshold)
-    }
-
-    /// Gaussian-naive-Bayes backend.
-    pub fn gaussian_nb(confidence_threshold: f64) -> Self {
-        Self::new(MlFamily::GaussianNb, confidence_threshold)
-    }
-
-    /// Family display name (`forest` / `knn` / `gaussian-nb`).
-    pub fn family_name(&self) -> &'static str {
-        self.family.name()
-    }
-
-    /// Training rows buffered so far.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Fit (or reuse) the model over everything learned so far.
-    fn fitted(&self) -> Option<Arc<Fitted>> {
-        if self.rows.is_empty() {
-            return None;
-        }
-        let mut guard = self.fitted.lock().expect("fitted cache poisoned");
-        if let Some(f) = guard.as_ref() {
-            return Some(Arc::clone(f));
-        }
-        let mut classes = self.apps.clone();
-        classes.sort();
-        classes.dedup();
-        let y: Vec<usize> = self
-            .apps
-            .iter()
-            .map(|a| classes.binary_search(a).expect("class interned"))
-            .collect();
-        let model: Box<dyn Classifier + Send + Sync> = match self.family {
-            MlFamily::Forest(cfg) => Box::new(RandomForest::fit(
-                RandomForestParams {
-                    n_trees: cfg.n_trees,
-                    tree: efd_ml::TreeParams {
-                        max_depth: cfg.max_depth,
-                        ..efd_ml::TreeParams::default()
-                    },
-                    seed: cfg.seed,
-                    bootstrap: true,
-                },
-                &self.rows,
-                &y,
-                classes.len(),
-            )),
-            MlFamily::Knn { k } => Box::new(KNearestNeighbors::fit(
-                k,
-                self.rows.clone(),
-                y,
-                classes.len(),
-            )),
-            MlFamily::GaussianNb => Box::new(GaussianNb::fit(&self.rows, &y, classes.len())),
-        };
-        let fitted = Arc::new(Fitted { classes, model });
-        *guard = Some(Arc::clone(&fitted));
-        Some(fitted)
-    }
-}
-
-impl Learn for MlBackend {
-    fn learn(&mut self, obs: &LabeledObservation) {
-        for p in &obs.query.points {
-            if !p.mean.is_finite() {
-                continue;
+    /// Train `family` on every finite point of `observations`, abstaining
+    /// below `confidence_threshold` (a forest's own
+    /// `TaxonomistConfig::confidence_threshold` is not read).
+    pub fn fit(
+        family: MlFamily,
+        confidence_threshold: f64,
+        observations: &[LabeledObservation],
+    ) -> Self {
+        let mut rows: Vec<Vec<f64>> = Vec::new();
+        let mut apps: Vec<&str> = Vec::new();
+        for obs in observations {
+            for p in &obs.query.points {
+                if p.mean.is_finite() {
+                    rows.push(vec![p.mean]);
+                    apps.push(&obs.label.app);
+                }
             }
-            self.rows.push(vec![p.mean]);
-            self.apps.push(obs.label.app.clone());
         }
-        // Invalidate the fitted model; the next recognition refits.
-        *self.fitted.get_mut().expect("fitted cache poisoned") = None;
+        let mut classes = apps.clone();
+        classes.sort_unstable();
+        classes.dedup();
+        let model: Option<Box<dyn Classifier + Send + Sync>> = if rows.is_empty() {
+            None
+        } else {
+            let y: Vec<usize> = apps
+                .iter()
+                .map(|a| classes.binary_search(a).expect("class interned"))
+                .collect();
+            Some(match family {
+                MlFamily::Forest(cfg) => Box::new(RandomForest::fit(
+                    RandomForestParams {
+                        n_trees: cfg.n_trees,
+                        tree: efd_ml::TreeParams {
+                            max_depth: cfg.max_depth,
+                            ..efd_ml::TreeParams::default()
+                        },
+                        seed: cfg.seed,
+                        bootstrap: true,
+                    },
+                    &rows,
+                    &y,
+                    classes.len(),
+                )),
+                MlFamily::Knn { k } => Box::new(KNearestNeighbors::fit(k, rows, y, classes.len())),
+                MlFamily::GaussianNb => Box::new(GaussianNb::fit(&rows, &y, classes.len())),
+            })
+        };
+        Self {
+            confidence_threshold,
+            classes: classes.into_iter().map(str::to_string).collect(),
+            model,
+        }
     }
 }
 
 impl Recognize for MlBackend {
     fn recognize_into(&self, query: &Query, scratch: &mut VoteScratch) -> Recognition {
         let total = query.points.len();
-        let Some(fitted) = self.fitted() else {
+        let Some(model) = &self.model else {
             return scratch.finish(&[], &[], 0, total);
         };
-        scratch.ensure(0, fitted.classes.len());
+        scratch.ensure(0, self.classes.len());
         let mut matched = 0usize;
         for p in &query.points {
             if !p.mean.is_finite() {
                 continue;
             }
-            let proba = fitted.model.predict_proba(&[p.mean]);
+            let proba = model.predict_proba(&[p.mean]);
             let (best, conf) = proba
                 .iter()
                 .enumerate()
@@ -247,33 +175,35 @@ impl Recognize for MlBackend {
             matched += 1;
             scratch.vote_app(AppNameId::from_index(best));
         }
-        scratch.finish(&[], &fitted.classes, matched, total)
+        scratch.finish(&[], &self.classes, matched, total)
     }
 }
 
 /// Any engine behind the evaluation harness.
 ///
-/// Adapts a `Learn + Recognize` backend into an [`ExecutionClassifier`]:
-/// `fit` rebuilds a fresh engine (via the factory) and feeds it the
-/// training runs' window means over one metric/interval — the same data
-/// diet as [`crate::EfdClassifier`] — and `predict_batch` recognizes each
-/// test run, scoring [`Recognition::best`] (or [`UNKNOWN_LABEL`]).
-/// Per-run means are cached, since experiments refit dozens of times on
-/// subsets of the same runs.
+/// Adapts a [`Recognize`] engine into an [`ExecutionClassifier`]: `fit`
+/// reduces the training runs to their window means over one
+/// metric/interval and has the factory build a fitted engine from those
+/// observations, and `predict_batch` recognizes each test run, scoring
+/// [`Recognition::best`] (or [`UNKNOWN_LABEL`]). Per-run means are
+/// cached, since experiments refit dozens of times on subsets of the same
+/// runs.
 ///
 /// ```no_run
 /// use efd_core::{EfdDictionary, RoundingDepth};
-/// use efd_eval::engine::{EngineClassifier, MlBackend};
+/// use efd_eval::engine::{EngineClassifier, MlBackend, MlFamily};
 /// use efd_eval::{run_experiment, EvalOptions, ExperimentKind};
 /// use efd_telemetry::MetricId;
 /// # let dataset: efd_workload::Dataset = unimplemented!();
 ///
 /// // The EFD and a kNN classifier under the *same* experiment harness:
-/// let mut efd = EngineClassifier::new("EFD(engine)", MetricId(0), || {
-///     EfdDictionary::new(RoundingDepth::new(2))
+/// let mut efd = EngineClassifier::new("EFD(engine)", MetricId(0), |train| {
+///     let mut dict = EfdDictionary::new(RoundingDepth::new(2));
+///     dict.learn_all(train);
+///     dict
 /// });
-/// let mut knn = EngineClassifier::new("kNN(engine)", MetricId(0), || {
-///     MlBackend::knn(5, 0.5)
+/// let mut knn = EngineClassifier::new("kNN(engine)", MetricId(0), |train| {
+///     MlBackend::fit(MlFamily::Knn { k: 5 }, 0.5, train)
 /// });
 /// for c in [&mut efd as &mut dyn efd_eval::ExecutionClassifier, &mut knn] {
 ///     let r = run_experiment(ExperimentKind::NormalFold, c, &dataset,
@@ -294,11 +224,12 @@ pub struct EngineClassifier<E, F> {
 
 impl<E, F> EngineClassifier<E, F>
 where
-    E: Learn + Recognize,
-    F: Fn() -> E,
+    E: Recognize,
+    F: Fn(&[LabeledObservation]) -> E,
 {
     /// Classifier over `metric` with the paper's `[60:120]` window; each
-    /// `fit` builds a fresh engine from `factory`.
+    /// `fit` has `factory` build a fitted engine from the training
+    /// observations.
     pub fn new(name: impl Into<String>, metric: MetricId, factory: F) -> Self {
         Self::with_interval(name, metric, Interval::PAPER_DEFAULT, factory)
     }
@@ -348,8 +279,8 @@ where
 
 impl<E, F> ExecutionClassifier for EngineClassifier<E, F>
 where
-    E: Learn + Recognize,
-    F: Fn() -> E,
+    E: Recognize,
+    F: Fn(&[LabeledObservation]) -> E,
 {
     fn name(&self) -> &str {
         &self.display_name
@@ -365,9 +296,7 @@ where
                 query: Query::from_node_means(self.metric, self.interval, &means[i]),
             })
             .collect();
-        let mut engine = (self.factory)();
-        engine.learn_all(&observations);
-        self.engine = Some(engine);
+        self.engine = Some((self.factory)(&observations));
     }
 
     fn predict_batch(&self, dataset: &Dataset, test_idx: &[usize]) -> Vec<String> {
@@ -406,49 +335,43 @@ mod tests {
         }
     }
 
-    fn backends() -> Vec<MlBackend> {
-        vec![
-            MlBackend::forest(TaxonomistConfig {
+    fn families() -> [MlFamily; 3] {
+        [
+            MlFamily::Forest(TaxonomistConfig {
                 n_trees: 10,
                 ..Default::default()
             }),
-            MlBackend::knn(3, 0.5),
-            MlBackend::gaussian_nb(0.5),
+            MlFamily::Knn { k: 3 },
+            MlFamily::GaussianNb,
         ]
     }
 
     #[test]
     fn every_family_learns_and_recognizes() {
-        for mut b in backends() {
-            for (app, mean) in [("ft", 6020.0), ("cg", 8110.0), ("lu", 4320.0)] {
-                b.learn(&obs(app, mean));
-            }
+        let train: Vec<LabeledObservation> = [("ft", 6020.0), ("cg", 8110.0), ("lu", 4320.0)]
+            .into_iter()
+            .map(|(app, mean)| obs(app, mean))
+            .collect();
+        for family in families() {
+            let b = MlBackend::fit(family, 0.5, &train);
             for (app, mean) in [("ft", 6015.0), ("cg", 8100.0), ("lu", 4310.0)] {
                 let q = Query::from_node_means(M, W, &[mean; 4]);
                 let r = Recognize::recognize(&b, &q);
-                assert_eq!(r.best(), Some(app), "{}", b.family_name());
+                assert_eq!(r.best(), Some(app), "{family:?}");
                 assert_eq!(r.total_points, 4);
-                assert_eq!(r.matched_points, 4, "{}", b.family_name());
+                assert_eq!(r.matched_points, 4, "{family:?}");
             }
         }
     }
 
     #[test]
-    fn unfitted_backend_answers_unknown() {
-        let b = MlBackend::knn(1, 0.5);
-        let r = Recognize::recognize(&b, &Query::from_node_means(M, W, &[1.0; 2]));
-        assert_eq!(r.verdict, Verdict::Unknown);
-        assert_eq!(r.total_points, 2);
-    }
-
-    #[test]
-    fn learning_invalidates_the_fitted_model() {
-        let mut b = MlBackend::knn(1, 0.5);
-        b.learn(&obs("ft", 6020.0));
-        let q = Query::from_node_means(M, W, &[9000.0; 4]);
-        assert_eq!(Recognize::recognize(&b, &q).best(), Some("ft"));
-        b.learn(&obs("hpcg", 9000.0));
-        assert_eq!(Recognize::recognize(&b, &q).best(), Some("hpcg"));
+    fn fit_on_no_observations_answers_unknown() {
+        for family in families() {
+            let b = MlBackend::fit(family, 0.5, &[]);
+            let r = Recognize::recognize(&b, &Query::from_node_means(M, W, &[1.0; 2]));
+            assert_eq!(r.verdict, Verdict::Unknown, "{family:?}");
+            assert_eq!(r.total_points, 2);
+        }
     }
 
     #[test]
@@ -456,11 +379,13 @@ mod tests {
         // Gaussian NB halfway between two symmetric classes is ~50/50 —
         // below the 90% threshold every point abstains (the Taxonomist
         // unknown-application safeguard, ported to the engine API).
-        let mut b = MlBackend::gaussian_nb(0.9);
-        b.learn(&obs("ft", 6000.0));
-        b.learn(&obs("ft", 6040.0));
-        b.learn(&obs("cg", 8100.0));
-        b.learn(&obs("cg", 8140.0));
+        let train = [
+            obs("ft", 6000.0),
+            obs("ft", 6040.0),
+            obs("cg", 8100.0),
+            obs("cg", 8140.0),
+        ];
+        let b = MlBackend::fit(MlFamily::GaussianNb, 0.9, &train);
         let r = Recognize::recognize(&b, &Query::from_node_means(M, W, &[7070.0; 4]));
         assert_eq!(r.verdict, Verdict::Unknown, "votes: {:?}", r.app_votes);
         assert_eq!(r.matched_points, 0);
@@ -481,10 +406,14 @@ mod tests {
         let test: Vec<usize> = (0..d.len()).filter(|i| i % 5 == 0).collect();
         let labels = d.labels();
 
-        let mut efd = EngineClassifier::new("EFD(engine)", metric, || {
-            EfdDictionary::new(RoundingDepth::new(3))
+        let mut efd = EngineClassifier::new("EFD(engine)", metric, |train| {
+            let mut dict = EfdDictionary::new(RoundingDepth::new(3));
+            dict.learn_all(train);
+            dict
         });
-        let mut knn = EngineClassifier::new("kNN(engine)", metric, || MlBackend::knn(5, 0.5));
+        let mut knn = EngineClassifier::new("kNN(engine)", metric, |train| {
+            MlBackend::fit(MlFamily::Knn { k: 5 }, 0.5, train)
+        });
         let classifiers: [&mut dyn ExecutionClassifier; 2] = [&mut efd, &mut knn];
         for c in classifiers {
             c.fit(&d, &train);

@@ -238,16 +238,20 @@ fn hard(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classifier::EfdClassifier;
+    use crate::classifier::efd_classifier;
     use efd_telemetry::catalog::small_catalog;
+    use efd_telemetry::Interval;
     use efd_workload::DatasetSpec;
 
     fn dataset() -> Dataset {
         Dataset::with_catalog(DatasetSpec::default(), small_catalog())
     }
 
-    fn efd(d: &Dataset) -> EfdClassifier {
-        EfdClassifier::new(d.catalog().id("nr_mapped_vmstat").unwrap())
+    fn efd(d: &Dataset) -> impl ExecutionClassifier {
+        efd_classifier(
+            d.catalog().id("nr_mapped_vmstat").unwrap(),
+            Interval::PAPER_DEFAULT,
+        )
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //! and paper-vs-measured reporting.
 //!
 //! * [`classifier`] — one trait over both systems (EFD and the Taxonomist
-//!   baseline) so every experiment runs them identically, plus feature /
-//!   window-mean caches so repeated fits don't regenerate telemetry.
+//!   baseline) so every experiment runs them identically, plus the
+//!   baseline's feature cache so repeated fits don't regenerate telemetry.
 //! * [`engine`] — adapters between the engine API and the harness:
-//!   ml classifier families (forest / kNN / Gaussian NB) as
-//!   `Learn`/`Recognize` backends, and any engine backend as an
-//!   [`ExecutionClassifier`].
+//!   ml classifier families (forest / kNN / Gaussian NB) fitted once as
+//!   `Recognize` backends, and any engine built from a training set as an
+//!   [`ExecutionClassifier`] (with the window-mean cache).
 //! * [`experiments`] — normal fold, soft/hard input, soft/hard unknown
 //!   (paper §4), scored with scikit-learn-compatible macro F1.
 //! * [`scoring`] — abstention-quality scoring: unknown-detection
@@ -34,12 +34,11 @@ pub mod robustness;
 pub mod scoring;
 pub mod screening;
 
-pub use classifier::{EfdClassifier, ExecutionClassifier, TaxonomistClassifier};
+pub use classifier::{efd_classifier, ExecutionClassifier, TaxonomistClassifier};
 pub use engine::{EngineClassifier, MlBackend, MlFamily};
 pub use experiments::{run_experiment, EvalOptions, ExperimentKind, ExperimentResult};
 pub use robustness::{
     drift_relearn, fit_backend, query_from_means, run_cell, BackendKind, CellOptions,
-    ScenarioBackend,
 };
 pub use scoring::{score, AbstentionReport, ScoredQuery, VerdictHistogram, VerdictKind};
 pub use screening::{screen_metrics, MetricScore};

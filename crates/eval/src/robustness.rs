@@ -6,14 +6,13 @@
 //! the ml family (forest / kNN / Gaussian NB) — and
 //! scores each cell with [`crate::scoring`]'s abstention-quality metrics.
 //!
-//! The plumbing is PR 5's engine API end to end: one concrete
-//! [`ScenarioBackend`] type wraps all seven [`BackendKind`]s behind
-//! [`Learn`]`+`[`Recognize`] (freeze-style backends buffer observations
-//! and build lazily on first recognition, the WAL backend additionally
-//! round-trips through close-and-recover), so a single
-//! [`EngineClassifier`] drives the full matrix. Dictionary-family cells
-//! must produce identical verdict histograms — the conformance suite pins
-//! that on the masquerade scenario.
+//! The plumbing is the engine API end to end: [`fit_backend`] has an
+//! [`EngineClassifier`] build each of the seven [`BackendKind`]s from the
+//! training observations as an `Arc<dyn Recognize + Send + Sync>` (the
+//! WAL backend round-trips through close-and-recover), and [`run_cell`]
+//! scores any of them. Dictionary-family cells must produce identical
+//! verdict histograms — the conformance suite pins that on the
+//! masquerade scenario.
 //!
 //! [`drift_relearn`] is the online-relearning arm of `concept-drift`: an
 //! [`AgingDictionary`] keeps learning each drifted run after its verdict,
@@ -24,15 +23,13 @@
 //! [`swap`]: OnlineRecognizer::swap
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use efd_core::engine::{Learn, Recognize, VoteScratch};
+use efd_core::engine::{Recognize, VoteScratch};
 use efd_core::maintenance::AgingDictionary;
 use efd_core::online::OnlineRecognizer;
 use efd_core::wal::WalOptions;
-use efd_core::{
-    binfmt, EfdDictionary, LabeledObservation, ObsPoint, Query, Recognition, RoundingDepth,
-};
+use efd_core::{binfmt, EfdDictionary, LabeledObservation, ObsPoint, Query, RoundingDepth};
 use efd_ml::taxonomist::TaxonomistConfig;
 use efd_serve::{Backend, DurableDictionary, Snapshot};
 use efd_telemetry::metric::MetricCatalog;
@@ -40,7 +37,8 @@ use efd_telemetry::{Interval, MetricId, NodeId};
 use efd_workload::scenario::{split, ScenarioData};
 use efd_workload::Dataset;
 
-use crate::engine::{EngineClassifier, MlBackend};
+use crate::classifier::ExecutionClassifier;
+use crate::engine::{EngineClassifier, MlBackend, MlFamily};
 use crate::scoring::{score, AbstentionReport, ScoredQuery};
 
 /// Every engine backend the matrix can run a scenario against.
@@ -138,151 +136,74 @@ impl Default for CellOptions {
     }
 }
 
-/// Any of the seven backends as one `Learn + Recognize` type, so a single
-/// [`EngineClassifier`] can host the whole matrix.
-///
-/// Learning buffers observations; the actual backend is built lazily on
-/// first recognition (freeze-style backends need the full training set
-/// before they exist). The WAL variant writes a real log in a scratch
-/// directory, closes it, and *recovers* — the answer path is the one a
-/// crash-restarted server would take.
-pub struct ScenarioBackend {
-    kind: BackendKind,
-    opts: CellOptions,
-    catalog: MetricCatalog,
-    buffered: Vec<LabeledObservation>,
-    built: OnceLock<Arc<dyn Recognize + Send + Sync>>,
-}
-
-impl std::fmt::Debug for ScenarioBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScenarioBackend")
-            .field("kind", &self.kind)
-            .field("buffered", &self.buffered.len())
-            .field("built", &self.built.get().is_some())
-            .finish_non_exhaustive()
-    }
-}
-
 /// Distinguishes concurrent WAL scratch directories within one process.
 static WAL_SEQ: AtomicU64 = AtomicU64::new(0);
 
-impl ScenarioBackend {
-    /// An empty backend of `kind`; `catalog` resolves metric names for
-    /// EFDB/WAL bytes.
-    pub fn new(kind: BackendKind, catalog: MetricCatalog, opts: CellOptions) -> Self {
-        Self {
-            kind,
-            opts,
-            catalog,
-            buffered: Vec::new(),
-            built: OnceLock::new(),
-        }
-    }
-
-    /// Which backend this is.
-    pub fn kind(&self) -> BackendKind {
-        self.kind
-    }
-
-    fn depth(&self) -> RoundingDepth {
-        RoundingDepth::new(self.opts.depth)
-    }
-
-    fn learned_dict(&self) -> EfdDictionary {
-        let mut d = EfdDictionary::new(self.depth());
-        d.learn_all(&self.buffered);
+/// `kind` built from the training `observations`; `catalog` resolves
+/// metric names for EFDB/WAL bytes. The WAL variant writes a real log in
+/// a scratch directory, closes it, and *recovers* — the answer path is
+/// the one a crash-restarted server would take.
+fn build_backend(
+    kind: BackendKind,
+    catalog: &MetricCatalog,
+    opts: CellOptions,
+    observations: &[LabeledObservation],
+) -> Arc<dyn Recognize + Send + Sync> {
+    let depth = RoundingDepth::new(opts.depth);
+    let learned_dict = || {
+        let mut d = EfdDictionary::new(depth);
+        d.learn_all(observations);
         d
-    }
-
-    fn build_backend(&self) -> Arc<dyn Recognize + Send + Sync> {
-        match self.kind {
-            BackendKind::Dict => Arc::new(self.learned_dict()),
-            // The registry backends build exactly as `efd serve` builds
-            // them: the snapshot from a dictionary file's bytes.
-            BackendKind::Snapshot => {
-                let bytes = binfmt::write_dictionary(&self.learned_dict(), &self.catalog);
-                Backend::Snapshot
-                    .load(bytes, &self.catalog, "scenario")
-                    .expect("canonical EFDB bytes load")
-                    .0
-            }
-            BackendKind::Combo => {
-                Backend::Combo
-                    .from_dictionary(&self.learned_dict())
-                    .expect("a trained single-metric dictionary builds a combo")
-                    .0
-            }
-            BackendKind::Wal => {
-                let dir = std::env::temp_dir().join(format!(
-                    "efd-scenario-wal-{}-{}",
-                    std::process::id(),
-                    WAL_SEQ.fetch_add(1, Ordering::Relaxed),
-                ));
-                let _ = std::fs::remove_dir_all(&dir);
-                {
-                    let (served, _recovery) = DurableDictionary::open(
-                        &dir,
-                        self.depth(),
-                        &self.catalog,
-                        WalOptions::default(),
-                    )
-                    .expect("open scratch WAL");
-                    for obs in &self.buffered {
-                        served.learn(obs).expect("WAL learn");
-                    }
-                    served.sync().expect("WAL sync");
-                }
-                // Reopen: the serving state is the *recovered* one.
-                let (served, _recovery) = DurableDictionary::open(
-                    &dir,
-                    self.depth(),
-                    &self.catalog,
-                    WalOptions::default(),
-                )
-                .expect("recover scratch WAL");
-                let snapshot = served.dictionary().snapshot();
-                drop(served);
-                let _ = std::fs::remove_dir_all(&dir);
-                Arc::new(snapshot)
-            }
-            BackendKind::Forest => {
-                let mut b = MlBackend::forest(TaxonomistConfig {
-                    n_trees: self.opts.forest_trees,
-                    confidence_threshold: self.opts.ml_confidence,
-                    ..TaxonomistConfig::default()
-                });
-                b.learn_all(&self.buffered);
-                Arc::new(b)
-            }
-            BackendKind::Knn => {
-                let mut b = MlBackend::knn(5, self.opts.ml_confidence);
-                b.learn_all(&self.buffered);
-                Arc::new(b)
-            }
-            BackendKind::GaussianNb => {
-                let mut b = MlBackend::gaussian_nb(self.opts.ml_confidence);
-                b.learn_all(&self.buffered);
-                Arc::new(b)
-            }
+    };
+    let ml = |family| Arc::new(MlBackend::fit(family, opts.ml_confidence, observations));
+    match kind {
+        BackendKind::Dict => Arc::new(learned_dict()),
+        // The registry backends build exactly as `efd serve` builds
+        // them: the snapshot from a dictionary file's bytes.
+        BackendKind::Snapshot => {
+            let bytes = binfmt::write_dictionary(&learned_dict(), catalog);
+            Backend::Snapshot
+                .load(bytes, catalog, "scenario")
+                .expect("canonical EFDB bytes load")
+                .0
         }
-    }
-}
-
-impl Learn for ScenarioBackend {
-    fn learn(&mut self, obs: &LabeledObservation) {
-        // Invalidate a built backend: freeze-style backends rebuild from
-        // the full buffer on the next recognition.
-        self.built.take();
-        self.buffered.push(obs.clone());
-    }
-}
-
-impl Recognize for ScenarioBackend {
-    fn recognize_into(&self, query: &Query, scratch: &mut VoteScratch) -> Recognition {
-        self.built
-            .get_or_init(|| self.build_backend())
-            .recognize_into(query, scratch)
+        BackendKind::Combo => {
+            Backend::Combo
+                .from_dictionary(&learned_dict())
+                .expect("a trained single-metric dictionary builds a combo")
+                .0
+        }
+        BackendKind::Wal => {
+            let dir = std::env::temp_dir().join(format!(
+                "efd-scenario-wal-{}-{}",
+                std::process::id(),
+                WAL_SEQ.fetch_add(1, Ordering::Relaxed),
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            {
+                let (served, _recovery) =
+                    DurableDictionary::open(&dir, depth, catalog, WalOptions::default())
+                        .expect("open scratch WAL");
+                for obs in observations {
+                    served.learn(obs).expect("WAL learn");
+                }
+                served.sync().expect("WAL sync");
+            }
+            // Reopen: the serving state is the *recovered* one.
+            let (served, _recovery) =
+                DurableDictionary::open(&dir, depth, catalog, WalOptions::default())
+                    .expect("recover scratch WAL");
+            let snapshot = served.dictionary().snapshot();
+            drop(served);
+            let _ = std::fs::remove_dir_all(&dir);
+            Arc::new(snapshot)
+        }
+        BackendKind::Forest => ml(MlFamily::Forest(TaxonomistConfig {
+            n_trees: opts.forest_trees,
+            ..TaxonomistConfig::default()
+        })),
+        BackendKind::Knn => ml(MlFamily::Knn { k: 5 }),
+        BackendKind::GaussianNb => ml(MlFamily::GaussianNb),
     }
 }
 
@@ -304,38 +225,34 @@ pub fn query_from_means(metric: MetricId, interval: Interval, means: &[f64]) -> 
     }
 }
 
-/// A fitted matrix harness: `backend` trained on the dataset's canonical
-/// clean training split (run `i` trains iff `i % 5 != 0` — the same split
-/// every scenario's test sequence is built against), via
-/// [`EngineClassifier`], the adapter every engine backend shares.
+/// `backend` fitted on the dataset's canonical clean training split (run
+/// `i` trains iff `i % 5 != 0` — the same split every scenario's test
+/// sequence is built against), via [`EngineClassifier`], the adapter
+/// every engine backend shares.
 pub fn fit_backend(
     backend: BackendKind,
     dataset: &Dataset,
     metric: MetricId,
     interval: Interval,
     opts: CellOptions,
-) -> EngineClassifier<ScenarioBackend, impl Fn() -> ScenarioBackend> {
-    let catalog = dataset.catalog().clone();
-    let mut clf = EngineClassifier::with_interval(backend.name(), metric, interval, move || {
-        ScenarioBackend::new(backend, catalog.clone(), opts)
+) -> Arc<dyn Recognize + Send + Sync> {
+    let catalog = dataset.catalog();
+    let mut clf = EngineClassifier::with_interval(backend.name(), metric, interval, |train| {
+        build_backend(backend, catalog, opts, train)
     });
     let (train_idx, _) = split(dataset.len());
-    crate::classifier::ExecutionClassifier::fit(&mut clf, dataset, &train_idx);
-    clf
+    clf.fit(dataset, &train_idx);
+    Arc::clone(clf.engine().expect("fitted"))
 }
 
 /// Score one matrix cell: every test run of `data` recognized by the
-/// fitted backend, abstention-quality metrics over the verdicts.
-pub fn run_cell<F>(
-    clf: &EngineClassifier<ScenarioBackend, F>,
+/// fitted `engine`, abstention-quality metrics over the verdicts.
+pub fn run_cell(
+    engine: &dyn Recognize,
     data: &ScenarioData,
     metric: MetricId,
     interval: Interval,
-) -> AbstentionReport
-where
-    F: Fn() -> ScenarioBackend,
-{
-    let engine = clf.engine().expect("fit_backend() fits before scoring");
+) -> AbstentionReport {
     let mut scratch = VoteScratch::default();
     let scored: Vec<ScoredQuery> = data
         .test

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use efd_core::engine::Recognize;
 use efd_core::multi::ComboDictionary;
 use efd_core::{EfdDictionary, LabeledObservation, Query, RoundingDepth, Verdict};
-use efd_eval::MlBackend;
+use efd_eval::{MlBackend, MlFamily};
 use efd_serve::{Snapshot, StackedRecognizer, StackedStage};
 use efd_telemetry::catalog::small_catalog;
 use efd_telemetry::{Interval, MetricId};
@@ -33,14 +33,18 @@ fn obs(label: &efd_telemetry::AppLabel, means: &[f64]) -> LabeledObservation {
 
 /// Train the three backends of the canonical stack on the same runs.
 fn stack_over(train: &[efd_workload::scenario::ScenarioRun]) -> (EfdDictionary, StackedRecognizer) {
+    let observations: Vec<LabeledObservation> = train
+        .iter()
+        .map(|run| {
+            obs(
+                run.truth.as_ref().expect("training runs are labeled"),
+                &run.means,
+            )
+        })
+        .collect();
     let mut dict = EfdDictionary::new(RoundingDepth::new(3));
-    let mut knn = MlBackend::knn(3, 0.5);
-    for run in train {
-        let label = run.truth.clone().expect("training runs are labeled");
-        let o = obs(&label, &run.means);
-        dict.learn(&o);
-        efd_core::engine::Learn::learn(&mut knn, &o);
-    }
+    dict.learn_all(&observations);
+    let knn = MlBackend::fit(MlFamily::Knn { k: 3 }, 0.5, &observations);
     let combo = ComboDictionary::from_single_metric(&dict).expect("non-empty dict");
     let stack = StackedRecognizer::new(vec![
         StackedStage {

@@ -29,7 +29,7 @@
 use std::path::Path;
 use std::sync::Mutex;
 
-use efd_core::engine::{Learn, Recognize, VoteScratch};
+use efd_core::engine::{Recognize, VoteScratch};
 use efd_core::wal::{self, LearnRecord, Recovery, WalDir, WalError, WalOptions, WalRecord};
 use efd_core::{LabeledObservation, Query, Recognition, RoundingDepth};
 use efd_telemetry::metric::MetricCatalog;
@@ -196,21 +196,6 @@ impl DurableDictionary {
 impl Recognize for DurableDictionary {
     fn recognize_into(&self, query: &Query, scratch: &mut VoteScratch) -> Recognition {
         self.dict.recognize_into(query, scratch)
-    }
-}
-
-/// Engine-contract learning.
-///
-/// # Panics
-///
-/// The trait's `learn` is infallible, but durability is not: a WAL
-/// append failure here **panics** rather than silently dropping the
-/// write-ahead guarantee. Callers that want to handle I/O errors use the
-/// inherent fallible [`DurableDictionary::learn`].
-impl Learn for DurableDictionary {
-    fn learn(&mut self, obs: &LabeledObservation) {
-        DurableDictionary::learn(self, obs)
-            .expect("WAL append failed; durability guarantee broken");
     }
 }
 

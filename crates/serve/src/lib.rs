@@ -43,8 +43,9 @@
 //!
 //! ## The engine API
 //!
-//! Every serving form implements [`efd_core::engine::Recognize`] (and
-//! [`ShardedDictionary`] also [`efd_core::engine::Learn`]): callers hold
+//! Every serving form implements [`efd_core::engine::Recognize`], and
+//! the learnable ones learn through their own inherent `learn` (the
+//! WAL-backed one fallibly): callers hold
 //! a `Box<dyn Recognize + Send + Sync>` or stay generic over
 //! `R: Recognize + Sync` and pick the backend at runtime. The trait's
 //! core method `recognize_into` counts votes in caller-owned
@@ -57,7 +58,7 @@
 //! no label votes, and a warm call makes 0 allocations,
 //! which is what the daemon answers `RECOGNIZE` with
 //! (`tests/alloc_free.rs` counts them). This crate re-exports the traits
-//! ([`Learn`], [`Recognize`], [`ParallelRecognize`], [`VoteScratch`]) for
+//! ([`Recognize`], [`ParallelRecognize`], [`VoteScratch`]) for
 //! convenience.
 //!
 //! The traits are also the whole serving API; no wrapper type repeats
@@ -110,7 +111,7 @@ pub use shard::ShardedDictionary;
 pub use snapshot::Snapshot;
 pub use stacked::{StackedRecognizer, StackedStage};
 
-pub use efd_core::engine::{Learn, ParallelRecognize, Recognize, VoteScratch};
+pub use efd_core::engine::{ParallelRecognize, Recognize, VoteScratch};
 
 use efd_core::Fingerprint;
 use efd_util::FxHasher;

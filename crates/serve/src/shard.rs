@@ -16,7 +16,7 @@
 use std::sync::RwLock;
 
 use efd_core::dictionary::{AppNameId, LabelId};
-use efd_core::engine::{Learn, Recognize, VoteScratch};
+use efd_core::engine::{Recognize, VoteScratch};
 use efd_core::{
     DictionaryParts, EfdDictionary, Fingerprint, LabeledObservation, Query, Recognition,
     RoundingDepth,
@@ -406,20 +406,6 @@ impl Recognize for ShardedDictionary {
             }
         }
         scratch.finish(&table.labels, &table.apps, matched, query.points.len())
-    }
-}
-
-/// Exclusive-access learning via the engine contract. The inherent
-/// [`ShardedDictionary::learn`] family stays the concurrent API (`&self`,
-/// callable from many threads); the trait form simply forwards, so the
-/// sharded dictionary slots into any `E: Learn` harness.
-impl Learn for ShardedDictionary {
-    fn learn(&mut self, obs: &LabeledObservation) {
-        ShardedDictionary::learn(self, obs);
-    }
-
-    fn learn_all(&mut self, observations: &[LabeledObservation]) {
-        ShardedDictionary::learn_all(self, observations);
     }
 }
 

@@ -13,9 +13,9 @@
 //!   (JSON dumps and the EFDB binary format, spec in `docs/FORMAT.md`),
 //!   plus the paper's future-work extensions (combinatorial fingerprints,
 //!   temporal alignment, reverse lookup, streaming recognition) — and the
-//!   **engine API** (`efd_core::engine`): object-safe
-//!   [`Learn`](prelude::Learn)/[`Recognize`](prelude::Recognize) traits
-//!   unifying every backend, re-exported through the [`prelude`].
+//!   **engine API** (`efd_core::engine`): the object-safe
+//!   [`Recognize`](prelude::Recognize) trait unifying every backend,
+//!   re-exported through the [`prelude`].
 //! * [`telemetry`] (`efd-telemetry`) — the simulated LDMS substrate:
 //!   562-metric catalog, 1 Hz sampling, noise processes, traces.
 //! * [`workload`] (`efd-workload`) — synthetic application models and the
@@ -50,7 +50,7 @@ pub use efd_workload as workload;
 /// The types most programs need.
 pub mod prelude {
     pub use efd_core::dictionary::{DictionaryStats, EfdDictionary, Recognition, Verdict};
-    pub use efd_core::engine::{Answer, Learn, ParallelRecognize, Recognize, VoteScratch};
+    pub use efd_core::engine::{Answer, ParallelRecognize, Recognize, VoteScratch};
     pub use efd_core::fingerprint::Fingerprint;
     pub use efd_core::observation::{LabeledObservation, ObsPoint, Query};
     pub use efd_core::online::OnlineRecognizer;

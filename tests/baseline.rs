@@ -1,10 +1,11 @@
 //! The Taxonomist baseline, end to end on generated telemetry (reduced
 //! forest size — these tests run unoptimized).
 
-use efd_eval::classifier::{EfdClassifier, ExecutionClassifier, TaxonomistClassifier};
+use efd_eval::classifier::{efd_classifier, ExecutionClassifier, TaxonomistClassifier};
 use efd_eval::experiments::{run_experiment, EvalOptions, ExperimentKind};
 use efd_ml::taxonomist::TaxonomistConfig;
 use efd_telemetry::catalog::small_catalog;
+use efd_telemetry::Interval;
 use efd_workload::{Dataset, DatasetSpec};
 
 fn dataset() -> Dataset {
@@ -41,7 +42,7 @@ fn both_systems_agree_on_easy_runs_with_different_data_diets() {
     let train: Vec<usize> = (0..d.len()).filter(|i| i % 3 != 0).collect();
     let test: Vec<usize> = (0..d.len()).filter(|i| i % 3 == 0).take(20).collect();
 
-    let mut efd = EfdClassifier::new(metric);
+    let mut efd = efd_classifier(metric, Interval::PAPER_DEFAULT);
     efd.fit(&d, &train);
     let efd_preds = efd.predict_batch(&d, &test);
 

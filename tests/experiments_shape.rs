@@ -5,9 +5,10 @@
 //! result: normal fold ≈ 1, soft experiments high, hard experiments
 //! clearly lower.
 
-use efd_eval::classifier::EfdClassifier;
+use efd_eval::classifier::efd_classifier;
 use efd_eval::experiments::{run_experiment, EvalOptions, ExperimentKind};
 use efd_telemetry::catalog::small_catalog;
+use efd_telemetry::Interval;
 use efd_workload::{Dataset, DatasetSpec};
 
 #[test]
@@ -15,7 +16,7 @@ fn figure2_shape_holds_for_the_efd() {
     let d = Dataset::with_catalog(DatasetSpec::default(), small_catalog());
     let metric = d.catalog().id("nr_mapped_vmstat").unwrap();
     let opts = EvalOptions::default();
-    let mut c = EfdClassifier::new(metric);
+    let mut c = efd_classifier(metric, Interval::PAPER_DEFAULT);
 
     let mut f = std::collections::HashMap::new();
     for kind in ExperimentKind::ALL {
@@ -55,13 +56,13 @@ fn efd_results_are_deterministic() {
     let opts = EvalOptions::default();
     let r1 = run_experiment(
         ExperimentKind::NormalFold,
-        &mut EfdClassifier::new(metric),
+        &mut efd_classifier(metric, Interval::PAPER_DEFAULT),
         &d,
         &opts,
     );
     let r2 = run_experiment(
         ExperimentKind::NormalFold,
-        &mut EfdClassifier::new(metric),
+        &mut efd_classifier(metric, Interval::PAPER_DEFAULT),
         &d,
         &opts,
     );

@@ -4,7 +4,7 @@
 
 use efd::prelude::*;
 use efd_core::observation::LabeledObservation;
-use efd_eval::classifier::{EfdClassifier, ExecutionClassifier};
+use efd_eval::classifier::{efd_classifier, ExecutionClassifier};
 use efd_eval::experiments::{run_experiment, EvalOptions, ExperimentKind};
 use efd_telemetry::catalog::small_catalog;
 
@@ -21,7 +21,7 @@ fn headline(d: &Dataset) -> MetricId {
 #[test]
 fn f_score_above_95_with_one_metric_and_two_minutes() {
     let d = dataset();
-    let mut c = EfdClassifier::new(headline(&d));
+    let mut c = efd_classifier(headline(&d), Interval::PAPER_DEFAULT);
     let r = run_experiment(
         ExperimentKind::NormalFold,
         &mut c,
@@ -36,7 +36,7 @@ fn f_score_above_95_with_one_metric_and_two_minutes() {
     );
     // The model fitted along the way used exactly one metric and the
     // [60:120] window.
-    let model = c.model().unwrap();
+    let model = c.engine().unwrap();
     assert_eq!(model.config().metrics.len(), 1);
     assert_eq!(model.config().intervals, vec![Interval::PAPER_DEFAULT]);
 }
@@ -148,7 +148,7 @@ fn miniamr_fingerprints_track_input_while_ft_repeats() {
 #[test]
 fn unknown_applications_fall_through_to_unknown() {
     let d = dataset();
-    let mut c = EfdClassifier::new(headline(&d));
+    let mut c = efd_classifier(headline(&d), Interval::PAPER_DEFAULT);
     let labels = d.labels();
     let train: Vec<usize> = (0..d.len()).filter(|&i| labels[i].app != "CoMD").collect();
     let held_out: Vec<usize> = (0..d.len()).filter(|&i| labels[i].app == "CoMD").collect();
