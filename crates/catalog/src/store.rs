@@ -383,8 +383,8 @@ impl Catalog {
     /// Read and integrity-check an artifact's bytes.
     pub fn read_bytes(&self, artifact: &Artifact) -> Result<Vec<u8>> {
         let path = self.dir.join(&artifact.file);
-        let bytes =
-            fs::read(&path).map_err(|e| CatalogError::Io(format!("{}: {e}", path.display())))?;
+        let bytes = efd_util::read_file(&path)
+            .map_err(|e| CatalogError::Io(format!("{}: {e}", path.display())))?;
         let digest = hash_bytes(&bytes);
         if digest != artifact.digest {
             return Err(CatalogError::Corrupt(format!(

@@ -223,8 +223,9 @@ COMMANDS
                          |input-extrapolation|concept-drift> (comma lists ok)
                          [--backend all|dict|snapshot|combo|wal|forest|knn|gaussian-nb]
                          [--intensity X in [0,1], default grid 0..1 by .25]
-                         [--seed <u64>] [--out SCENARIO_9.json]; --seed sets both
-                         the dataset master seed and the perturbation seed
+                         [--seed <u64>] --out <path> (the matrix JSON; required);
+                         --seed sets both the dataset master seed and the
+                         perturbation seed
   screen                 rank all 562 metrics by normal-fold F-score [--top N]
   recognize              leave-one-out recognition demo: --run <idx>
   generate               export runs as LDMS-style CSVs: --out <dir> [--count N]

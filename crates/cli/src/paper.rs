@@ -185,6 +185,11 @@ fn all_or_list<T: Copy>(
 /// `OnlineRecognizer` with aging/eviction maintenance between chunks.
 fn evaluate_scenario(args: &Args) -> Result<(), String> {
     let scenario = args.flag("scenario").expect("checked by caller");
+    // No default path: a default would overwrite any file of that name
+    // in the working directory, a checkout's committed matrix included.
+    let out = args
+        .flag("out")
+        .ok_or("--scenario needs --out <path> for the matrix JSON")?;
     let kinds = all_or_list(scenario, "scenario", &ScenarioKind::ALL, ScenarioKind::name)?;
     let backend = args.flag("backend").unwrap_or("all");
     let backends = all_or_list(backend, "backend", &BackendKind::ALL, BackendKind::name)?;
@@ -194,7 +199,6 @@ fn evaluate_scenario(args: &Args) -> Result<(), String> {
         Some(i) => return Err(format!("--intensity must be in [0, 1], got {i}")),
         None => SCENARIO_GRID.to_vec(),
     };
-    let out = args.flag("out").unwrap_or("SCENARIO_9.json");
 
     let d = dataset_from(args)?;
     let metric = headline(&d);

@@ -107,6 +107,49 @@ fn missing_load_file_is_a_clean_error() {
 }
 
 #[test]
+fn missing_load_file_names_the_path_and_the_os_error() {
+    let dir = wal_fixture_dir("missing-load");
+    let path = dir.join("missing.efdb");
+    let path = path.to_str().unwrap();
+    assert_clean_error(
+        &["serve", "--load", path],
+        &format!("{path}: No such file or directory"),
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn scenario_without_out_is_a_clean_error_and_writes_nothing() {
+    // Run where a default output file would land: the directory must
+    // stay empty.
+    let dir = wal_fixture_dir("scenario-no-out");
+    let args = [
+        "evaluate",
+        "--scenario",
+        "metric-dropout",
+        "--backend",
+        "dict",
+        "--intensity",
+        "0",
+    ];
+    let out = Command::new(env!("CARGO_BIN_EXE_efd"))
+        .args(args)
+        .current_dir(&dir)
+        .output()
+        .expect("spawn efd");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.starts_with("error: ") && stderr.contains("--out"),
+        "{stderr}"
+    );
+    let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(left.is_empty(), "{args:?} wrote {left:?}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn serve_without_load_is_a_clean_error() {
     assert_clean_error(&["serve"], "--load");
 }

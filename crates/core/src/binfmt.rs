@@ -74,7 +74,7 @@ pub const KEY_RECORD_LEN: usize = 26;
 /// thread while [`check`] validates the sections: on a 34 MB file the
 /// checksum is ~10 ms of a ~26 ms check, while a thread spawn costs tens
 /// of microseconds, which only pays off on large files.
-const CONCURRENT_CHECKSUM_MIN: usize = 1 << 20;
+const CONCURRENT_CHECKSUM_MIN: usize = efd_util::parallel::PART_MIN_BYTES;
 
 /// Errors decoding an EFDB byte stream.
 ///
@@ -1182,31 +1182,58 @@ fn check_sections(
         check_id("label input string", input, n_strings as usize)?;
     }
 
-    // keys (fixed records, strictly ascending)
+    // keys (fixed records, strictly ascending). Every record the buffer
+    // holds whole is checked at fixed offsets; only one the buffer cuts
+    // short goes through the cursor, field by field, so the checks and
+    // the truncation report come in the order of the record's fields.
     section(4, &mut c)?;
     let n_keys = c.u32("key count")?;
     let keys_payload_at = c.pos;
-    let mut prev: Option<(u32, u16, u32, u32, u64)> = None;
-    for i in 0..n_keys as usize {
-        let metric = c.u32("key metric id")?;
-        check_id("key metric", metric, n_metrics as usize)?;
-        let node = c.u16("key node")?;
-        let start = c.u32("key interval start")?;
-        let end = c.u32("key interval end")?;
+    let check_interval = |start: u32, end: u32| {
         if end <= start {
             return Err(BinFormatError::EmptyInterval { start, end });
         }
-        let mean_bits = c.u64("key mean bits")?;
+        Ok(())
+    };
+    let check_mean = |mean_bits: u64| {
         if !f64::from_bits(mean_bits).is_finite() {
             return Err(BinFormatError::Layout {
                 what: "non-finite mean bits in key record",
             });
         }
-        let ord = (metric, node, start, end, mean_bits);
+        Ok(())
+    };
+    let mut prev: Option<(u32, u16, u32, u32, u64)> = None;
+    let mut check_order = |index: usize, ord: (u32, u16, u32, u32, u64)| {
         if prev.is_some_and(|p| p >= ord) {
-            return Err(BinFormatError::UnsortedKeys { index: i });
+            return Err(BinFormatError::UnsortedKeys { index });
         }
         prev = Some(ord);
+        Ok(())
+    };
+    let whole = ((bytes.len() - c.pos) / KEY_RECORD_LEN).min(n_keys as usize);
+    let records = &bytes[c.pos..c.pos + whole * KEY_RECORD_LEN];
+    for (i, r) in records.chunks_exact(KEY_RECORD_LEN).enumerate() {
+        let metric = le_u32(r, 0);
+        check_id("key metric", metric, n_metrics as usize)?;
+        let node = u16::from_le_bytes([r[4], r[5]]);
+        let (start, end) = (le_u32(r, 6), le_u32(r, 10));
+        check_interval(start, end)?;
+        let mean_bits = u64::from_le_bytes(r[14..22].try_into().expect("8 bytes"));
+        check_mean(mean_bits)?;
+        check_order(i, (metric, node, start, end, mean_bits))?;
+    }
+    c.pos += records.len();
+    for i in whole..n_keys as usize {
+        let metric = c.u32("key metric id")?;
+        check_id("key metric", metric, n_metrics as usize)?;
+        let node = c.u16("key node")?;
+        let start = c.u32("key interval start")?;
+        let end = c.u32("key interval end")?;
+        check_interval(start, end)?;
+        let mean_bits = c.u64("key mean bits")?;
+        check_mean(mean_bits)?;
+        check_order(i, (metric, node, start, end, mean_bits))?;
         c.u32("key postings offset")?;
     }
 

@@ -304,3 +304,197 @@ fn large_file_flipped_postings_byte_is_a_checksum_mismatch() {
         BinFormatError::ChecksumMismatch { .. }
     ));
 }
+
+// --- Key-record faults on the large-file path. The values below are the
+// errors the field-at-a-time key check reported for these exact bytes;
+// checking whole records at fixed offsets must report each unchanged.
+
+/// Byte offset of key record `k` in `bytes`.
+fn key_record_at(bytes: &[u8], k: usize) -> usize {
+    section_offset(bytes, 4) + 4 + k * binfmt::KEY_RECORD_LEN
+}
+
+/// `large` with one field of key record `k` overwritten at byte `field`
+/// of the record, and a fresh checksum.
+fn with_key_field(large: &[u8], k: usize, field: usize, value: &[u8]) -> Vec<u8> {
+    let mut bytes = large.to_vec();
+    let at = key_record_at(&bytes, k) + field;
+    bytes[at..at + value.len()].copy_from_slice(value);
+    restamp(&mut bytes);
+    bytes
+}
+
+#[test]
+fn large_file_truncated_inside_the_last_key_record_reports_what_it_did() {
+    // The file ends `cut` bytes into the last key record; the postings
+    // and checksum offsets move to the new end, and its last 8 bytes
+    // become the (fresh) checksum trailer. The record's first `cut - 8`
+    // bytes are its own, so a cut past byte 22 leaves a whole key whose
+    // postings offset is cut short.
+    use BinFormatError::{EmptyInterval, IdOutOfRange, Truncated};
+    let metric = |id| IdOutOfRange {
+        what: "key metric",
+        id,
+        limit: 1,
+    };
+    let cut_short = |what, need, have| Truncated { what, need, have };
+    let expected = [
+        cut_short("key metric id", 4, 0),
+        cut_short("key metric id", 4, 1),
+        cut_short("key metric id", 4, 2),
+        cut_short("key metric id", 4, 3),
+        metric(3_312_748_543),
+        metric(1_240_800_045),
+        metric(1_479_978_648),
+        metric(2_853_802_884),
+        metric(3_916_748_710),
+        metric(3_962_098_944),
+        metric(363_397_120),
+        metric(4_060_086_272),
+        cut_short("key interval end", 4, 2),
+        cut_short("key interval end", 4, 3),
+        cut_short("key mean bits", 8, 0),
+        EmptyInterval {
+            start: 1_320_076_348,
+            end: 1_138_937_446,
+        },
+        EmptyInterval {
+            start: 3_889_561_660,
+            end: 686_417_850,
+        },
+        cut_short("key mean bits", 8, 3),
+        cut_short("key mean bits", 8, 4),
+        cut_short("key mean bits", 8, 5),
+        cut_short("key mean bits", 8, 6),
+        cut_short("key mean bits", 8, 7),
+        cut_short("key postings offset", 4, 0),
+        cut_short("key postings offset", 4, 1),
+        cut_short("key postings offset", 4, 2),
+        cut_short("key postings offset", 4, 3),
+    ];
+    assert_eq!(expected.len(), binfmt::KEY_RECORD_LEN);
+    let large = large_bytes();
+    for (cut, expected) in expected.into_iter().enumerate() {
+        let mut bytes = large.clone();
+        let end = key_record_at(&bytes, 49_999) + cut;
+        bytes.truncate(end);
+        let trailer = u32::try_from(end - 8).unwrap().to_le_bytes();
+        bytes[40..44].copy_from_slice(&trailer);
+        bytes[44..48].copy_from_slice(&trailer);
+        restamp(&mut bytes);
+        assert_eq!(check_and_load_error(&bytes), expected, "cut {cut}");
+    }
+}
+
+#[test]
+fn large_file_key_metric_out_of_range_is_reported() {
+    let large = large_bytes();
+    for k in [0, 25_000, 49_999] {
+        let bytes = with_key_field(&large, k, 0, &7u32.to_le_bytes());
+        assert_eq!(
+            check_and_load_error(&bytes),
+            BinFormatError::IdOutOfRange {
+                what: "key metric",
+                id: 7,
+                limit: 1
+            },
+            "record {k}"
+        );
+    }
+}
+
+#[test]
+fn large_file_key_with_an_empty_interval_is_reported() {
+    let large = large_bytes();
+    for k in [0, 25_000, 49_999] {
+        // The interval's end moves from 120 to 0, before its start.
+        let bytes = with_key_field(&large, k, 10, &0u32.to_le_bytes());
+        assert_eq!(
+            check_and_load_error(&bytes),
+            BinFormatError::EmptyInterval { start: 60, end: 0 },
+            "record {k}"
+        );
+    }
+}
+
+#[test]
+fn large_file_key_with_a_nan_mean_is_reported() {
+    let large = large_bytes();
+    for k in [0, 25_000, 49_999] {
+        let bytes = with_key_field(&large, k, 14, &f64::NAN.to_bits().to_le_bytes());
+        assert_eq!(
+            check_and_load_error(&bytes),
+            BinFormatError::Layout {
+                what: "non-finite mean bits in key record"
+            },
+            "record {k}"
+        );
+    }
+}
+
+#[test]
+fn large_file_unsorted_key_is_reported_at_its_index() {
+    let large = large_bytes();
+    for k in [0, 24_999, 49_998] {
+        let mut bytes = large.clone();
+        swap_key_records(&mut bytes, k);
+        restamp(&mut bytes);
+        assert_eq!(
+            check_and_load_error(&bytes),
+            BinFormatError::UnsortedKeys { index: k + 1 },
+            "records {k} and {} swapped",
+            k + 1
+        );
+    }
+}
+
+/// A byte offset in a key record and the bytes written there.
+type Field<'a> = (usize, &'a [u8]);
+
+#[test]
+fn large_file_key_with_several_faults_reports_its_first_field_check() {
+    // Record 25,000 (node 25, the first of its node) gets faults in more
+    // than one field; the report is the check of its earliest checked
+    // field: metric, then interval, then mean, then order. Node 0 puts
+    // the record before its predecessor (node 24).
+    let large = large_bytes();
+    let metric: &[u8] = &7u32.to_le_bytes();
+    let node_0: &[u8] = &0u16.to_le_bytes();
+    let empty: &[u8] = &0u32.to_le_bytes();
+    let nan: &[u8] = &f64::NAN.to_bits().to_le_bytes();
+    let non_finite = BinFormatError::Layout {
+        what: "non-finite mean bits in key record",
+    };
+    let cases: [(&[Field<'_>], BinFormatError); 5] = [
+        (
+            &[(0, metric), (4, node_0), (10, empty), (14, nan)],
+            BinFormatError::IdOutOfRange {
+                what: "key metric",
+                id: 7,
+                limit: 1,
+            },
+        ),
+        (
+            &[(4, node_0), (10, empty), (14, nan)],
+            BinFormatError::EmptyInterval { start: 60, end: 0 },
+        ),
+        (&[(4, node_0), (14, nan)], non_finite),
+        (
+            &[(4, node_0), (10, empty)],
+            BinFormatError::EmptyInterval { start: 60, end: 0 },
+        ),
+        (
+            &[(4, node_0)],
+            BinFormatError::UnsortedKeys { index: 25_000 },
+        ),
+    ];
+    for (fields, expected) in cases {
+        let mut bytes = large.clone();
+        let at = key_record_at(&bytes, 25_000);
+        for &(field, value) in fields {
+            bytes[at + field..at + field + value.len()].copy_from_slice(value);
+        }
+        restamp(&mut bytes);
+        assert_eq!(check_and_load_error(&bytes), expected, "{fields:?}");
+    }
+}

@@ -9,6 +9,10 @@
 //! name means one construction everywhere. Every served dictionary file
 //! is read once, by [`DictSource::open`]: a catalog artifact's bytes are
 //! the very buffer its digest was checked over, moved into the backend.
+//! Both a plain file and an artifact are read by one reader,
+//! [`efd_util::read_file`], which reads a file of 2 MiB or more in
+//! contiguous parts on every core, so a 1M-key EFDB's page faults and
+//! copies do not all land on one thread.
 //!
 //! ```
 //! use efd_core::{binfmt, EfdDictionary, Query, RoundingDepth};
@@ -157,7 +161,7 @@ impl DictSource {
             CatalogRef::parse(spec).filter(|_| catalog_dir.is_some() || spec.contains('@'));
         let Some(reference) = reference else {
             return Ok(DictSource {
-                bytes: std::fs::read(spec).map_err(|e| format!("{spec}: {e}"))?,
+                bytes: efd_util::read_file(spec).map_err(|e| format!("{spec}: {e}"))?,
                 shown: spec.to_string(),
                 provenance: None,
                 version: None,

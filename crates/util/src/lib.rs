@@ -19,7 +19,8 @@
 //!   extraction without ever holding full traces in memory.
 //! * [`parallel`] — a scoped-thread `parallel_map` with dynamic load
 //!   balancing and deterministic output ordering (std scoped threads, no
-//!   global pool).
+//!   global pool), `parallel_parts_mut` over contiguous parts of a slice,
+//!   and `read_file`, a whole-file read in parts.
 //! * [`table`] — plain-text/markdown table rendering for the experiment
 //!   harness so benches can print the paper's tables verbatim.
 
@@ -34,7 +35,9 @@ pub mod stats;
 pub mod table;
 
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher, FxMapHasher};
-pub use parallel::{num_threads, parallel_for_each, parallel_map, parallel_map_init};
+pub use parallel::{
+    num_threads, parallel_for_each, parallel_map, parallel_map_init, parallel_parts_mut, read_file,
+};
 pub use rng::{derive_seed, str_tag, SplitMix64};
 pub use split::{stratified_k_fold_by, FoldIndices};
 pub use stats::{percentile, OnlineStats, P2Quantile};
