@@ -4,32 +4,26 @@
 //! the EFD is periodically re-learned, and operators need to track which
 //! version is serving, how versions differ, and when live traffic has
 //! drifted far enough from a version's baseline that a re-learn is due.
-//! This crate supplies the two persistent pieces of that lifecycle:
+//! This crate supplies the persistent piece of that lifecycle,
+//! [`store`], the **catalog directory**: named, monotonically versioned
+//! EFDB artifacts (`hpc-apps.v3.efdb`) described by a digest-signed JSON
+//! index carrying provenance (source dump, depth, key/app counts, parent
+//! version) and the published version's abstention **baseline** — the
+//! reference point for the serve layer's drift alarms. The
+//! `recognizer.v1` manifests that stack backends over its artifacts are
+//! parsed by `efd_serve::Manifest`, next to the backend registry whose
+//! names their stages use.
 //!
-//! * [`store`] — the **catalog directory**: named, monotonically
-//!   versioned EFDB artifacts (`hpc-apps.v3.efdb`) described by a
-//!   digest-signed JSON index carrying provenance (source dump, depth,
-//!   key/app counts, parent version) and the published version's
-//!   abstention **baseline** — the reference point for the serve layer's
-//!   drift alarms.
-//! * [`manifest`] — the **`recognizer.v1` manifest**: a declarative
-//!   stack of recognizer backends with explicit precedence (exact
-//!   dictionary → combo → ml fallback) evaluated first-confident-verdict
-//!   wins. `efd serve --manifest` builds a `StackedRecognizer` from it;
-//!   the manifest is data, so a stack can be versioned, reviewed, and
-//!   hot-swapped like any other artifact.
-//!
-//! The byte-level index and manifest schemas are documented in
-//! `docs/FORMAT.md`; `efd catalog publish/list/show/rollback`, `efd
-//! diff`, and `efd serve --manifest` are the CLI surface.
+//! The byte-level index schema is documented in `docs/FORMAT.md`; `efd
+//! catalog publish/list/show/rollback` and `efd diff` are the CLI
+//! surface, and `efd serve --load <ref> --catalog <dir>` serves an
+//! artifact.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod manifest;
 pub mod store;
 
-pub use manifest::{Manifest, ManifestStage, StageBackend, MANIFEST_SCHEMA};
 pub use store::{
     Artifact, Baseline, Catalog, CatalogError, CatalogRef, PublishMeta, INDEX_FILE, INDEX_SCHEMA,
 };

@@ -237,9 +237,10 @@ COMMANDS
   convert                convert a dump between JSON and EFDB: --in <a> --out <b>
                          [--format efdb|json]; verifies the output round-trips
   serve                  batch recognition service demo: --load <dump.json|dict.efdb>
-                         [--backend snapshot|combo] [--queries <csv|json>]
-                         [--synth N] [--repeat N]; either backend takes EFDB
-                         or a JSON dump
+                         [--backend snapshot|combo|knn|gaussian-nb|forest]
+                         [--queries <csv|json>] [--synth N] [--repeat N]; every
+                         backend takes EFDB or a JSON dump, and the ml ones
+                         (knn with k = 3) train on the dictionary's entries
                          or durable: --wal <dir> [--learn N] [--wal-sync always|batch|none|<n>]
                          [--depth D] — write-ahead logged learning, recovery on restart
                          or daemon: --listen <addr> (e.g. 127.0.0.1:7070) — TCP frame
@@ -247,9 +248,10 @@ COMMANDS
                          connection; [--idle-timeout SECS]; hot reload on SIGHUP
                          or `efd ctl swap`
                          or stacked: --manifest <stack.json> — recognizer.v1 stack
-                         (exact -> combo -> ml fallback, first confident verdict
-                         wins); works batch or with --listen (hot-swappable);
-                         --backend applies to --load only
+                         of --backend names (exact = snapshot; exact -> combo -> ml
+                         fallback, first confident verdict wins); works batch or
+                         with --listen (hot-swappable); --backend applies to --load
+                         only
                          --load also accepts a catalog ref (name@latest, name@vN)
                          with --catalog <dir>; its digest is checked on every load
   catalog                versioned artifact store: <publish|list|show|rollback>

@@ -2,12 +2,14 @@
 //! matrix, metric screening, the recognize demo and EXPERIMENTS.md.
 
 use efd_eval::classifier::{efd_classifier, ExecutionClassifier, TaxonomistClassifier};
-use efd_eval::engine::{EngineClassifier, MlBackend, MlFamily};
+use efd_eval::engine::EngineClassifier;
 use efd_eval::experiments::{run_experiment, EvalOptions, ExperimentKind, ExperimentResult};
 use efd_eval::report;
+use efd_eval::robustness::KNN_K;
 use efd_eval::screening::screen_metrics;
 use efd_eval::BackendKind;
 use efd_ml::taxonomist::TaxonomistConfig;
+use efd_serve::Backend;
 use efd_telemetry::Interval;
 use efd_workload::scenario::{build as scenario_build, CleanRuns, ScenarioKind, ScenarioSpec};
 use efd_workload::Dataset;
@@ -100,13 +102,13 @@ pub(crate) fn evaluate(args: &Args) -> Result<(), String> {
     let d = dataset_from(args)?;
     let opts = EvalOptions::default();
     let metric = headline(&d);
-    // `knn` / `gaussian-nb` run through the engine API: an `MlBackend`
-    // (the ml family fitted as a `Recognize` backend) adapted into the
-    // experiment harness by `EngineClassifier` — the same plumbing that
-    // hosts the EFD and would host any other engine backend.
-    let ml = |name, family| {
+    // `knn` / `gaussian-nb` run through the engine API: a registry
+    // backend, built exactly as the scenario matrix builds it, adapted
+    // into the experiment harness by `EngineClassifier` — the same
+    // plumbing that hosts the EFD and would host any other engine backend.
+    let ml = |name, backend| {
         EngineClassifier::new(name, metric, move |train| {
-            MlBackend::fit(family, 0.5, train)
+            efd_eval::train_backend(backend, train)
         })
     };
     let result = match args.flag("classifier").unwrap_or("efd") {
@@ -122,9 +124,9 @@ pub(crate) fn evaluate(args: &Args) -> Result<(), String> {
             &d,
             &opts,
         ),
-        "knn" => run_experiment(kind, &mut ml("kNN", MlFamily::Knn { k: 5 }), &d, &opts),
+        "knn" => run_experiment(kind, &mut ml("kNN", Backend::Knn { k: KNN_K }), &d, &opts),
         "gaussian-nb" => {
-            run_experiment(kind, &mut ml("GaussianNB", MlFamily::GaussianNb), &d, &opts)
+            run_experiment(kind, &mut ml("GaussianNB", Backend::GaussianNb), &d, &opts)
         }
         other => {
             return Err(format!(
@@ -203,7 +205,6 @@ fn evaluate_scenario(args: &Args) -> Result<(), String> {
     let d = dataset_from(args)?;
     let metric = headline(&d);
     let interval = Interval::PAPER_DEFAULT;
-    let opts = efd_eval::CellOptions::default();
     let clean = CleanRuns::from_dataset(&d, metric, interval);
 
     // One fit per backend: the clean training split is identical for
@@ -213,7 +214,7 @@ fn evaluate_scenario(args: &Args) -> Result<(), String> {
         .iter()
         .map(|&b| {
             eprintln!("fitting {b}…");
-            (b, efd_eval::fit_backend(b, &d, metric, interval, opts))
+            (b, efd_eval::fit_backend(b, &d, metric, interval))
         })
         .collect();
 
@@ -241,7 +242,7 @@ fn evaluate_scenario(args: &Args) -> Result<(), String> {
                     backend: "snapshot+relearn".to_string(),
                     intensity,
                     relearn: true,
-                    report: efd_eval::drift_relearn(&data, metric, interval, &opts),
+                    report: efd_eval::drift_relearn(&data, metric, interval),
                 });
             }
         }

@@ -3,12 +3,12 @@
 
 use std::path::{Path, PathBuf};
 
-use efd_catalog::{CatalogRef, Manifest, StageBackend};
+use efd_catalog::CatalogRef;
 use efd_core::engine::{ParallelRecognize, Recognize};
 use efd_core::{binfmt, EfdDictionary};
-use efd_eval::engine::{MlBackend, MlFamily};
 use efd_serve::backend::decode_dictionary;
-use efd_serve::{Backend, DictSource};
+use efd_serve::manifest::DEFAULT_MIN_CONFIDENCE;
+use efd_serve::{Backend, Manifest};
 use efd_workload::Dataset;
 
 use crate::{dataset_from, open_dict, synth_stream, Args, LEARN_JITTER, QUERY_JITTER};
@@ -349,7 +349,8 @@ pub(crate) fn serve(args: &Args) -> Result<(), String> {
         dict.app_names().len()
     );
     let t = Instant::now();
-    let (engine, keys) = backend.load(src.bytes, d.catalog(), &src.shown)?;
+    let (engine, keys) =
+        backend.load(src.bytes, d.catalog(), &src.shown, DEFAULT_MIN_CONFIDENCE)?;
     println!(
         "backend:    {} — {keys} keys, built in {:.2} ms",
         backend.name(),
@@ -464,58 +465,18 @@ fn serve_listen(args: &Args, addr: &str, source: ServeSource<'_>) -> Result<(), 
     Ok(())
 }
 
-/// Train an ml fallback stage (`knn` or `gaussian-nb`) on a
-/// dictionary's own entries — how it learns the knowledge the exact
-/// stages serve (one single-point observation per key-label pair). The
-/// stage is fitted here, at load, so no request pays for training.
-fn ml_stage(
-    stage: &efd_catalog::ManifestStage,
-    src: &DictSource,
-    catalog: &efd_telemetry::MetricCatalog,
-) -> Result<efd_serve::backend::Built, String> {
-    let family = match stage.backend {
-        StageBackend::Knn { k } => MlFamily::Knn { k },
-        StageBackend::GaussianNb => MlFamily::GaussianNb,
-        StageBackend::Exact | StageBackend::Combo => {
-            return Err(format!(
-                "{}: stage backend {} is not an ml family",
-                src.shown,
-                stage.backend.name()
-            ))
-        }
-    };
-    let dict = decode_dictionary(&src.bytes, catalog, &src.shown)?;
-    let mut train = Vec::new();
-    for (fp, labels) in dict.entries() {
-        for l in labels {
-            train.push(efd_core::LabeledObservation {
-                label: (*l).clone(),
-                query: efd_core::Query {
-                    points: vec![efd_core::observation::ObsPoint {
-                        metric: fp.metric,
-                        node: fp.node,
-                        interval: fp.interval,
-                        mean: fp.mean(),
-                    }],
-                },
-            });
-        }
-    }
-    let ml = MlBackend::fit(family, stage.min_confidence, &train);
-    Ok((std::sync::Arc::new(ml), dict.len()))
-}
-
 /// Build the stacked engine a manifest declares. Every stage's artifact
 /// resolves through the manifest's catalog (or a file path relative to
-/// the manifest); dictionary stages build through the backend registry
-/// and ml stages train on the artifact. The served version and drift
+/// the manifest) and builds through the backend registry; an ml stage
+/// trains on the artifact and abstains below the stage's
+/// `min_confidence`. The served version and drift
 /// baseline come from the primary stage's artifact record; the report
 /// lines name the stack and every artifact's provenance.
 fn engine_from_manifest(
     path: &Path,
     catalog: &efd_telemetry::MetricCatalog,
 ) -> Result<(efd_serve::net::Engine, Vec<String>), String> {
-    let m = Manifest::load(path).map_err(|e| e.to_string())?;
+    let m = Manifest::load(path)?;
     let manifest_dir = path.parent().unwrap_or(Path::new("."));
     let mut stages = Vec::new();
     let mut provenance = Vec::new();
@@ -528,10 +489,10 @@ fn engine_from_manifest(
                 open_dict(&path.to_string_lossy(), None, &mut provenance)?
             }
         };
-        let (engine, stage_keys) = match Backend::for_stage(&stage.backend) {
-            Some(backend) => backend.load(src.bytes, catalog, &src.shown)?,
-            None => ml_stage(stage, &src, catalog)?,
-        };
+        let (engine, stage_keys) =
+            stage
+                .backend
+                .load(src.bytes, catalog, &src.shown, stage.min_confidence)?;
         if i == 0 {
             (keys, version, baseline) = (stage_keys, src.version, src.baseline);
         }

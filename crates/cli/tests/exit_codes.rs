@@ -53,7 +53,10 @@ fn unknown_backend_is_a_clean_error() {
             "--backend",
         );
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("(snapshot|combo)"), "{stderr}");
+        assert!(
+            stderr.contains("(snapshot|combo|knn|gaussian-nb|forest)"),
+            "{stderr}"
+        );
     }
 }
 
@@ -573,7 +576,10 @@ fn help_exits_zero() {
     let out = efd(&["help"]);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("--backend snapshot|combo]"), "{stdout}");
+    assert!(
+        stdout.contains("--backend snapshot|combo|knn|gaussian-nb|forest]"),
+        "{stdout}"
+    );
 }
 
 /// The EFDB golden fixture (a 2-app dictionary).

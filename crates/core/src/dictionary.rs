@@ -19,6 +19,7 @@ use efd_telemetry::{AppLabel, Interval, MetricId, NodeId};
 use efd_util::table::TextTable;
 use efd_util::{Align, FxHashMap};
 
+use crate::engine::Answer;
 use crate::fingerprint::{fmt_mean, Fingerprint};
 use crate::observation::{LabeledObservation, Query};
 use crate::rounding::RoundingDepth;
@@ -124,6 +125,68 @@ pub enum Verdict {
     /// No fingerprint matched: never-seen execution (the paper's safeguard
     /// against unknown applications).
     Unknown,
+}
+
+impl Verdict {
+    /// Which of the three kinds this verdict is.
+    pub fn kind(&self) -> VerdictKind {
+        match self {
+            Verdict::Recognized(_) => VerdictKind::Recognized,
+            Verdict::Ambiguous(_) => VerdictKind::Ambiguous,
+            Verdict::Unknown => VerdictKind::Unknown,
+        }
+    }
+}
+
+/// The three verdict kinds a reply, a counter, the drift window or a
+/// scored histogram tells apart. Declared in `efd_verdicts_total`
+/// registration order, so [`VerdictKind::index`] indexes per-verdict
+/// arrays directly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VerdictKind {
+    /// One application won the vote.
+    Recognized,
+    /// Several applications tied (the paper's tie array).
+    Ambiguous,
+    /// No key matched (or every point abstained).
+    Unknown,
+}
+
+impl VerdictKind {
+    /// The kind of an [`Answer`], by the size of its tie array.
+    #[inline]
+    pub fn of(answer: &Answer) -> VerdictKind {
+        match answer.tied() {
+            0 => VerdictKind::Unknown,
+            1 => VerdictKind::Recognized,
+            _ => VerdictKind::Ambiguous,
+        }
+    }
+
+    /// The kind named by a stable label; anything but `unknown` and
+    /// `ambiguous` reads as recognized.
+    pub fn from_label(label: &str) -> VerdictKind {
+        match label {
+            "unknown" => VerdictKind::Unknown,
+            "ambiguous" => VerdictKind::Ambiguous,
+            _ => VerdictKind::Recognized,
+        }
+    }
+
+    /// Stable label value: `recognized`, `ambiguous` or `unknown`.
+    pub const fn label(self) -> &'static str {
+        match self {
+            VerdictKind::Recognized => "recognized",
+            VerdictKind::Ambiguous => "ambiguous",
+            VerdictKind::Unknown => "unknown",
+        }
+    }
+
+    /// Index into per-verdict arrays (declaration order).
+    #[inline]
+    pub fn index(self) -> usize {
+        self as usize
+    }
 }
 
 /// Full recognition report.

@@ -64,6 +64,7 @@ pub mod wal;
 pub use binfmt::{BinFormatError, Efdb};
 pub use dictionary::{
     AppNameId, DictionaryParts, DictionaryStats, EfdDictionary, LabelId, Recognition, Verdict,
+    VerdictKind,
 };
 pub use engine::{Answer, ParallelRecognize, Recognize, VoteScratch};
 pub use fingerprint::Fingerprint;

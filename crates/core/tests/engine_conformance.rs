@@ -7,11 +7,12 @@
 //! * `exact:` — the full [`Recognition`] equals
 //!   `oracle.recognize(q).normalized()` on every query (dictionary-family
 //!   backends: core, combo, snapshot, sharded, online session, batch
-//!   front end, boxed trait objects, and every registry `Backend` built
-//!   from EFDB and from JSON bytes);
+//!   front end, boxed trait objects, and the registry's `snapshot` and
+//!   `combo` built from EFDB and from JSON bytes);
 //! * `verdict:` — the scored answer ([`Recognition::best`]) matches on
-//!   cleanly-separable queries (the eval crate's ml-classifier backends,
-//!   whose vote *counts* legitimately differ from dictionary votes).
+//!   cleanly-separable queries (the registry's ml backends, fitted on
+//!   the observations or trained on a dictionary file's entries, whose
+//!   vote *counts* legitimately differ from dictionary votes).
 //!
 //! Each instantiation also cross-checks the trait's entry points against
 //! each other: `recognize`, `recognize_into` (scratch reuse),
@@ -25,8 +26,6 @@ use std::sync::Arc;
 use efd_core::engine::{Answer, ParallelRecognize, Recognize, VoteScratch};
 use efd_core::multi::ComboDictionary;
 use efd_core::{binfmt, serialize, EfdDictionary, LabeledObservation, Query, RoundingDepth};
-use efd_eval::engine::{MlBackend, MlFamily};
-use efd_ml::taxonomist::TaxonomistConfig;
 use efd_serve::{Backend, EfdbSnapshot, ShardedDictionary, Snapshot};
 use efd_telemetry::catalog::small_catalog;
 use efd_telemetry::{AppLabel, Interval, MetricId};
@@ -259,7 +258,7 @@ fn registry_load(
         binfmt::write_dictionary(&dict, &catalog)
     };
     let (recognizer, _keys) = backend
-        .load(bytes, &catalog, "conformance")
+        .load(bytes, &catalog, "conformance", 0.5)
         .expect("the registry builds every backend from valid bytes");
     recognizer
 }
@@ -280,10 +279,24 @@ conformance!(exact: registry_combo_from_json, |o: &[LabeledObservation]| {
     registry_load(Backend::Combo, o, true)
 });
 
+// An ml backend loaded from a dictionary file trains on the file's
+// entries, one single-point row per key and label.
+conformance!(verdict: registry_knn_from_efdb, |o: &[LabeledObservation]| {
+    registry_load(Backend::Knn { k: 3 }, o, false)
+});
+
+conformance!(verdict: registry_knn_from_json, |o: &[LabeledObservation]| {
+    registry_load(Backend::Knn { k: 3 }, o, true)
+});
+
+conformance!(verdict: registry_forest_from_efdb, |o: &[LabeledObservation]| {
+    registry_load(Backend::Forest, o, false)
+});
+
 #[test]
 fn registry_rejects_unknown_backend_names() {
     let names = Backend::ALL.map(Backend::name).join("|");
-    assert_eq!(names, "snapshot|combo");
+    assert_eq!(names, "snapshot|combo|knn|gaussian-nb|forest");
     for name in ["bogus", "exact", "Snapshot", "", "sharded", "efdb"] {
         let err = Backend::parse(name).expect_err(name);
         assert!(err.contains(&format!("{name:?}")), "{err}");
@@ -302,7 +315,7 @@ fn registry_errors_name_the_source() {
     for backend in Backend::ALL {
         for bytes in [b"not a dictionary".to_vec(), bad_efdb.clone()] {
             let err = backend
-                .load(bytes, &catalog, "garbage.bin")
+                .load(bytes, &catalog, "garbage.bin", 0.5)
                 .err()
                 .expect("garbage bytes never build");
             assert!(
@@ -315,23 +328,30 @@ fn registry_errors_name_the_source() {
 }
 
 // ---------------------------------------------------------------------
-// The eval crate's classifier adapter: ml families under the same API.
+// The registry's ml baselines trained on the observations, as the
+// scenario matrix and `efd evaluate` train them.
 // ---------------------------------------------------------------------
 
-conformance!(verdict: ml_backend_knn, |observations: &[LabeledObservation]| {
-    MlBackend::fit(MlFamily::Knn { k: 3 }, 0.5, observations)
+/// `backend` fitted on the observations, abstaining below 0.5.
+fn registry_fit(
+    backend: Backend,
+    observations: &[LabeledObservation],
+) -> Arc<dyn Recognize + Send + Sync> {
+    backend
+        .fit(observations, depth(), 0.5)
+        .expect("an ml backend always fits")
+}
+
+conformance!(verdict: ml_backend_knn, |o: &[LabeledObservation]| {
+    registry_fit(Backend::Knn { k: 3 }, o)
 });
 
-conformance!(verdict: ml_backend_gaussian_nb, |observations: &[LabeledObservation]| {
-    MlBackend::fit(MlFamily::GaussianNb, 0.5, observations)
+conformance!(verdict: ml_backend_gaussian_nb, |o: &[LabeledObservation]| {
+    registry_fit(Backend::GaussianNb, o)
 });
 
-conformance!(verdict: ml_backend_forest, |observations: &[LabeledObservation]| {
-    let cfg = TaxonomistConfig {
-        n_trees: 15,
-        ..Default::default()
-    };
-    MlBackend::fit(MlFamily::Forest(cfg), cfg.confidence_threshold, observations)
+conformance!(verdict: ml_backend_forest, |o: &[LabeledObservation]| {
+    registry_fit(Backend::Forest, o)
 });
 
 // ---------------------------------------------------------------------

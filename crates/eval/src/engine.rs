@@ -1,183 +1,27 @@
-//! Engine ↔ classifier adapters: one harness over every recognizer.
+//! Engine → classifier adapter: one harness over every recognizer.
 //!
 //! The malware-detection companion paper (Jakobsche & Ciorba, 2024) swaps
 //! classifiers over the *same* telemetry; SIREN argues a recognition
-//! pipeline should treat identification methods as interchangeable. This
-//! module provides the two adapters that make that real here:
-//!
-//! * [`MlBackend`] — runs the ml baseline families (random forest à la
-//!   Taxonomist, kNN, Gaussian naive Bayes) as engine backends: it is
-//!   fitted once on a training set and implements [`Recognize`], so a
-//!   feature classifier can be dropped anywhere a dictionary backend goes
-//!   (conformance harness, `recognize_batch_parallel`, a
-//!   `Box<dyn Recognize>` behind the CLI).
-//! * [`EngineClassifier`] — the reverse direction: wraps any [`Recognize`]
-//!   engine built from a training set as an [`ExecutionClassifier`], so
-//!   engine backends run under the paper's five-experiment evaluation
-//!   harness next to [`crate::efd_classifier`] and
-//!   [`crate::TaxonomistClassifier`].
-//!
-//! Together: the EFD, Taxonomist-style forests, kNN, and GaussianNb all
-//! answer through one `Recognize` interface *and* all score under one
-//! evaluation harness.
+//! pipeline should treat identification methods as interchangeable. The
+//! backend registry, [`efd_serve::Backend`], builds every recognizer —
+//! the dictionary stores and the ml baselines (kNN, Gaussian naive
+//! Bayes, the Taxonomist-style forest) — behind one [`Recognize`]
+//! interface. [`EngineClassifier`] is the other direction: it wraps any
+//! [`Recognize`] engine built from a training set as an
+//! [`ExecutionClassifier`], so engine backends run under the paper's
+//! five-experiment evaluation harness next to [`crate::efd_classifier`]
+//! and [`crate::TaxonomistClassifier`].
 
 use std::sync::OnceLock;
 
-use efd_core::dictionary::AppNameId;
 use efd_core::engine::{Recognize, VoteScratch};
 use efd_core::observation::{LabeledObservation, Query};
-use efd_core::Recognition;
 use efd_ml::metrics::UNKNOWN_LABEL;
-use efd_ml::taxonomist::TaxonomistConfig;
-use efd_ml::{Classifier, GaussianNb, KNearestNeighbors, RandomForest, RandomForestParams};
 use efd_telemetry::trace::MetricSelection;
 use efd_telemetry::{Interval, MetricId};
 use efd_workload::Dataset;
 
 use crate::classifier::ExecutionClassifier;
-
-/// Which ml family an [`MlBackend`] trains.
-#[derive(Debug, Clone, Copy)]
-pub enum MlFamily {
-    /// Bagged random forest with Taxonomist's tree settings.
-    Forest(TaxonomistConfig),
-    /// Brute-force k-nearest-neighbors with `k` neighbors.
-    Knn {
-        /// Neighbor count.
-        k: usize,
-    },
-    /// Gaussian naive Bayes.
-    GaussianNb,
-}
-
-/// An ml classifier family behind the engine API.
-///
-/// [`MlBackend::fit`] trains on each observation point as one
-/// single-feature row (`[window mean]`) labeled with the observation's
-/// application; [`Recognize`] classifies every query point and lets
-/// confident predictions vote, Taxonomist-style — a prediction whose
-/// probability falls below the confidence threshold abstains (the
-/// unknown-application safeguard), and a query where every point abstains
-/// is [`efd_core::Verdict::Unknown`].
-///
-/// ```
-/// use efd_core::engine::Recognize;
-/// use efd_core::{LabeledObservation, Query};
-/// use efd_eval::engine::{MlBackend, MlFamily};
-/// use efd_telemetry::{AppLabel, Interval, MetricId};
-///
-/// let train: Vec<LabeledObservation> = [("ft", 6020.0), ("cg", 8110.0)]
-///     .into_iter()
-///     .map(|(app, mean)| LabeledObservation {
-///         label: AppLabel::new(app, "X"),
-///         query: Query::from_node_means(MetricId(0), Interval::PAPER_DEFAULT, &[mean; 4]),
-///     })
-///     .collect();
-/// let knn = MlBackend::fit(MlFamily::Knn { k: 3 }, 0.5, &train);
-/// let q = Query::from_node_means(MetricId(0), Interval::PAPER_DEFAULT, &[8100.0; 4]);
-/// assert_eq!(Recognize::recognize(&knn, &q).best(), Some("cg"));
-/// ```
-pub struct MlBackend {
-    /// Below this per-point confidence a prediction abstains.
-    confidence_threshold: f64,
-    /// Sorted application names; class `c` is `classes[c]`.
-    classes: Vec<String>,
-    /// `None` when the training set held no finite point: every query
-    /// is then [`efd_core::Verdict::Unknown`].
-    model: Option<Box<dyn Classifier + Send + Sync>>,
-}
-
-impl MlBackend {
-    /// Train `family` on every finite point of `observations`, abstaining
-    /// below `confidence_threshold` (a forest's own
-    /// `TaxonomistConfig::confidence_threshold` is not read).
-    pub fn fit(
-        family: MlFamily,
-        confidence_threshold: f64,
-        observations: &[LabeledObservation],
-    ) -> Self {
-        let mut rows: Vec<Vec<f64>> = Vec::new();
-        let mut apps: Vec<&str> = Vec::new();
-        for obs in observations {
-            for p in &obs.query.points {
-                if p.mean.is_finite() {
-                    rows.push(vec![p.mean]);
-                    apps.push(&obs.label.app);
-                }
-            }
-        }
-        let mut classes = apps.clone();
-        classes.sort_unstable();
-        classes.dedup();
-        let model: Option<Box<dyn Classifier + Send + Sync>> = if rows.is_empty() {
-            None
-        } else {
-            let y: Vec<usize> = apps
-                .iter()
-                .map(|a| classes.binary_search(a).expect("class interned"))
-                .collect();
-            Some(match family {
-                MlFamily::Forest(cfg) => Box::new(RandomForest::fit(
-                    RandomForestParams {
-                        n_trees: cfg.n_trees,
-                        tree: efd_ml::TreeParams {
-                            max_depth: cfg.max_depth,
-                            ..efd_ml::TreeParams::default()
-                        },
-                        seed: cfg.seed,
-                        bootstrap: true,
-                    },
-                    &rows,
-                    &y,
-                    classes.len(),
-                )),
-                MlFamily::Knn { k } => Box::new(KNearestNeighbors::fit(k, rows, y, classes.len())),
-                MlFamily::GaussianNb => Box::new(GaussianNb::fit(&rows, &y, classes.len())),
-            })
-        };
-        Self {
-            confidence_threshold,
-            classes: classes.into_iter().map(str::to_string).collect(),
-            model,
-        }
-    }
-}
-
-impl Recognize for MlBackend {
-    fn recognize_into(&self, query: &Query, scratch: &mut VoteScratch) -> Recognition {
-        let total = query.points.len();
-        let Some(model) = &self.model else {
-            return scratch.finish(&[], &[], 0, total);
-        };
-        scratch.ensure(0, self.classes.len());
-        let mut matched = 0usize;
-        for p in &query.points {
-            if !p.mean.is_finite() {
-                continue;
-            }
-            let proba = model.predict_proba(&[p.mean]);
-            let (best, conf) = proba
-                .iter()
-                .enumerate()
-                .fold(
-                    (0usize, 0.0f64),
-                    |acc, (i, &v)| {
-                        if v > acc.1 {
-                            (i, v)
-                        } else {
-                            acc
-                        }
-                    },
-                );
-            if conf < self.confidence_threshold {
-                continue; // abstain: the unknown-application safeguard
-            }
-            matched += 1;
-            scratch.vote_app(AppNameId::from_index(best));
-        }
-        scratch.finish(&[], &self.classes, matched, total)
-    }
-}
 
 /// Any engine behind the evaluation harness.
 ///
@@ -185,14 +29,15 @@ impl Recognize for MlBackend {
 /// reduces the training runs to their window means over one
 /// metric/interval and has the factory build a fitted engine from those
 /// observations, and `predict_batch` recognizes each test run, scoring
-/// [`Recognition::best`] (or [`UNKNOWN_LABEL`]). Per-run means are
+/// [`efd_core::Recognition::best`] (or [`UNKNOWN_LABEL`]). Per-run means are
 /// cached, since experiments refit dozens of times on subsets of the same
 /// runs.
 ///
 /// ```no_run
 /// use efd_core::{EfdDictionary, RoundingDepth};
-/// use efd_eval::engine::{EngineClassifier, MlBackend, MlFamily};
+/// use efd_eval::engine::EngineClassifier;
 /// use efd_eval::{run_experiment, EvalOptions, ExperimentKind};
+/// use efd_serve::Backend;
 /// use efd_telemetry::MetricId;
 /// # let dataset: efd_workload::Dataset = unimplemented!();
 ///
@@ -203,7 +48,7 @@ impl Recognize for MlBackend {
 ///     dict
 /// });
 /// let mut knn = EngineClassifier::new("kNN(engine)", MetricId(0), |train| {
-///     MlBackend::fit(MlFamily::Knn { k: 5 }, 0.5, train)
+///     Backend::Knn { k: 5 }.fit(train, RoundingDepth::new(2), 0.5).unwrap()
 /// });
 /// for c in [&mut efd as &mut dyn efd_eval::ExecutionClassifier, &mut knn] {
 ///     let r = run_experiment(ExperimentKind::NormalFold, c, &dataset,
@@ -320,7 +165,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use efd_core::{EfdDictionary, RoundingDepth, Verdict};
+    use efd_serve::Backend;
     use efd_telemetry::catalog::small_catalog;
     use efd_telemetry::AppLabel;
     use efd_workload::{DatasetSpec, SubsetKind};
@@ -335,15 +183,19 @@ mod tests {
         }
     }
 
-    fn families() -> [MlFamily; 3] {
-        [
-            MlFamily::Forest(TaxonomistConfig {
-                n_trees: 10,
-                ..Default::default()
-            }),
-            MlFamily::Knn { k: 3 },
-            MlFamily::GaussianNb,
-        ]
+    fn families() -> [Backend; 3] {
+        [Backend::Forest, Backend::Knn { k: 3 }, Backend::GaussianNb]
+    }
+
+    /// `family` trained on `train` through the registry.
+    fn fit(
+        family: Backend,
+        min_confidence: f64,
+        train: &[LabeledObservation],
+    ) -> Arc<dyn Recognize + Send + Sync> {
+        family
+            .fit(train, RoundingDepth::new(2), min_confidence)
+            .expect("an ml backend always fits")
     }
 
     #[test]
@@ -353,10 +205,10 @@ mod tests {
             .map(|(app, mean)| obs(app, mean))
             .collect();
         for family in families() {
-            let b = MlBackend::fit(family, 0.5, &train);
+            let b = fit(family, 0.5, &train);
             for (app, mean) in [("ft", 6015.0), ("cg", 8100.0), ("lu", 4310.0)] {
                 let q = Query::from_node_means(M, W, &[mean; 4]);
-                let r = Recognize::recognize(&b, &q);
+                let r = b.recognize(&q);
                 assert_eq!(r.best(), Some(app), "{family:?}");
                 assert_eq!(r.total_points, 4);
                 assert_eq!(r.matched_points, 4, "{family:?}");
@@ -367,8 +219,8 @@ mod tests {
     #[test]
     fn fit_on_no_observations_answers_unknown() {
         for family in families() {
-            let b = MlBackend::fit(family, 0.5, &[]);
-            let r = Recognize::recognize(&b, &Query::from_node_means(M, W, &[1.0; 2]));
+            let b = fit(family, 0.5, &[]);
+            let r = b.recognize(&Query::from_node_means(M, W, &[1.0; 2]));
             assert_eq!(r.verdict, Verdict::Unknown, "{family:?}");
             assert_eq!(r.total_points, 2);
         }
@@ -385,12 +237,12 @@ mod tests {
             obs("cg", 8100.0),
             obs("cg", 8140.0),
         ];
-        let b = MlBackend::fit(MlFamily::GaussianNb, 0.9, &train);
-        let r = Recognize::recognize(&b, &Query::from_node_means(M, W, &[7070.0; 4]));
+        let b = fit(Backend::GaussianNb, 0.9, &train);
+        let r = b.recognize(&Query::from_node_means(M, W, &[7070.0; 4]));
         assert_eq!(r.verdict, Verdict::Unknown, "votes: {:?}", r.app_votes);
         assert_eq!(r.matched_points, 0);
         // Near a learned level the same backend stays confident.
-        let r = Recognize::recognize(&b, &Query::from_node_means(M, W, &[6010.0; 4]));
+        let r = b.recognize(&Query::from_node_means(M, W, &[6010.0; 4]));
         assert_eq!(r.best(), Some("ft"));
     }
 
@@ -412,7 +264,7 @@ mod tests {
             dict
         });
         let mut knn = EngineClassifier::new("kNN(engine)", metric, |train| {
-            MlBackend::fit(MlFamily::Knn { k: 5 }, 0.5, train)
+            fit(Backend::Knn { k: 5 }, 0.5, train)
         });
         let classifiers: [&mut dyn ExecutionClassifier; 2] = [&mut efd, &mut knn];
         for c in classifiers {

@@ -4,15 +4,16 @@
 //! * [`classifier`] — one trait over both systems (EFD and the Taxonomist
 //!   baseline) so every experiment runs them identically, plus the
 //!   baseline's feature cache so repeated fits don't regenerate telemetry.
-//! * [`engine`] — adapters between the engine API and the harness:
-//!   ml classifier families (forest / kNN / Gaussian NB) fitted once as
-//!   `Recognize` backends, and any engine built from a training set as an
-//!   [`ExecutionClassifier`] (with the window-mean cache).
+//! * [`engine`] — the adapter from the engine API to the harness: any
+//!   engine built from a training set (a dictionary, or any registry
+//!   backend, `efd_serve::Backend`) as an [`ExecutionClassifier`], with
+//!   the window-mean cache.
 //! * [`experiments`] — normal fold, soft/hard input, soft/hard unknown
 //!   (paper §4), scored with scikit-learn-compatible macro F1.
 //! * [`scoring`] — abstention-quality scoring: unknown-detection
 //!   precision/recall, ambiguity calibration, verdict histograms.
-//! * [`robustness`] — the scenario × backend matrix: every engine backend
+//! * [`robustness`] — the scenario × backend matrix: the in-memory
+//!   oracle, the WAL-recovered store and every registry backend
 //!   (dictionary family and ml family) scored on the adversarial & drift
 //!   scenarios from `efd_workload::scenario`, plus the online-relearning
 //!   arm for concept drift.
@@ -35,10 +36,10 @@ pub mod scoring;
 pub mod screening;
 
 pub use classifier::{efd_classifier, ExecutionClassifier, TaxonomistClassifier};
-pub use engine::{EngineClassifier, MlBackend, MlFamily};
+pub use engine::EngineClassifier;
 pub use experiments::{run_experiment, EvalOptions, ExperimentKind, ExperimentResult};
 pub use robustness::{
-    drift_relearn, fit_backend, query_from_means, run_cell, BackendKind, CellOptions,
+    drift_relearn, fit_backend, query_from_means, run_cell, train_backend, BackendKind,
 };
-pub use scoring::{score, AbstentionReport, ScoredQuery, VerdictHistogram, VerdictKind};
+pub use scoring::{score, AbstentionReport, ScoredQuery, VerdictHistogram};
 pub use screening::{screen_metrics, MetricScore};

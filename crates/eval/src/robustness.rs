@@ -2,17 +2,20 @@
 //!
 //! `efd_workload::scenario` builds the hostile inputs; this module runs
 //! them against **every** engine backend — the whole dictionary family
-//! (in-memory oracle, EFDB-loaded snapshot, combo, WAL-recovered) and
+//! (in-memory oracle, snapshot, combo, WAL-recovered) and
 //! the ml family (forest / kNN / Gaussian NB) — and
 //! scores each cell with [`crate::scoring`]'s abstention-quality metrics.
 //!
 //! The plumbing is the engine API end to end: [`fit_backend`] has an
-//! [`EngineClassifier`] build each of the seven [`BackendKind`]s from the
-//! training observations as an `Arc<dyn Recognize + Send + Sync>` (the
-//! WAL backend round-trips through close-and-recover), and [`run_cell`]
-//! scores any of them. Dictionary-family cells must produce identical
-//! verdict histograms — the conformance suite pins that on the
-//! masquerade scenario.
+//! [`EngineClassifier`] build each [`BackendKind`] from the training
+//! observations as an `Arc<dyn Recognize + Send + Sync>`, and
+//! [`run_cell`] scores any of them. Two arms exist only here — the
+//! in-memory oracle and the WAL-recovered store (which round-trips
+//! through close-and-recover); every other arm is a registry
+//! [`Backend`], built by [`train_backend`], the same build `efd evaluate
+//! --classifier knn|gaussian-nb` runs. Dictionary-family cells must
+//! produce identical verdict histograms — the conformance suite pins
+//! that on the masquerade scenario.
 //!
 //! [`drift_relearn`] is the online-relearning arm of `concept-drift`: an
 //! [`AgingDictionary`] keeps learning each drifted run after its verdict,
@@ -29,8 +32,7 @@ use efd_core::engine::{Recognize, VoteScratch};
 use efd_core::maintenance::AgingDictionary;
 use efd_core::online::OnlineRecognizer;
 use efd_core::wal::WalOptions;
-use efd_core::{binfmt, EfdDictionary, LabeledObservation, ObsPoint, Query, RoundingDepth};
-use efd_ml::taxonomist::TaxonomistConfig;
+use efd_core::{EfdDictionary, LabeledObservation, ObsPoint, Query, RoundingDepth};
 use efd_serve::{Backend, DurableDictionary, Snapshot};
 use efd_telemetry::metric::MetricCatalog;
 use efd_telemetry::{Interval, MetricId, NodeId};
@@ -38,52 +40,52 @@ use efd_workload::scenario::{split, ScenarioData};
 use efd_workload::Dataset;
 
 use crate::classifier::ExecutionClassifier;
-use crate::engine::{EngineClassifier, MlBackend, MlFamily};
+use crate::engine::EngineClassifier;
 use crate::scoring::{score, AbstentionReport, ScoredQuery};
 
-/// Every engine backend the matrix can run a scenario against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Rounding depth of every dictionary-family arm.
+pub const DEPTH: u8 = 2;
+/// Neighbours of the matrix's (and `efd evaluate`'s) kNN.
+pub const KNN_K: usize = 5;
+/// Abstention threshold of the matrix's (and `efd evaluate`'s) ml
+/// backends.
+pub const ML_CONFIDENCE: f64 = 0.5;
+/// Online-relearning arm: epochs a key survives without refresh.
+pub const DRIFT_MAX_AGE: u64 = 3;
+/// Online-relearning arm: runs between republish + epoch advance.
+pub const DRIFT_CHUNK: usize = 8;
+
+/// Every backend the matrix can run a scenario against: the two
+/// harness-only arms, and the registry's backends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
     /// The single-threaded in-memory oracle ([`EfdDictionary`]).
     Dict,
-    /// The read-only [`Snapshot`], loaded from canonical EFDB bytes
-    /// through [`Backend::load`] — the daemon's own load path.
-    Snapshot,
-    /// Conjunctive multi-metric combo ([`efd_core::multi::ComboDictionary`]).
-    Combo,
     /// WAL-backed [`DurableDictionary`], closed and *recovered* before
     /// serving — every cell also exercises the durability path.
     Wal,
-    /// Random forest (Taxonomist configuration) behind the engine API.
-    Forest,
-    /// k-nearest-neighbors behind the engine API.
-    Knn,
-    /// Gaussian naive Bayes behind the engine API.
-    GaussianNb,
+    /// A registry backend, built by [`train_backend`].
+    Served(Backend),
 }
 
 impl BackendKind {
     /// Every backend, in canonical (report) order.
     pub const ALL: [BackendKind; 7] = [
         BackendKind::Dict,
-        BackendKind::Snapshot,
-        BackendKind::Combo,
+        BackendKind::Served(Backend::Snapshot),
+        BackendKind::Served(Backend::Combo),
         BackendKind::Wal,
-        BackendKind::Forest,
-        BackendKind::Knn,
-        BackendKind::GaussianNb,
+        BackendKind::Served(Backend::Forest),
+        BackendKind::Served(Backend::Knn { k: KNN_K }),
+        BackendKind::Served(Backend::GaussianNb),
     ];
 
     /// CLI / report name.
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Dict => "dict",
-            BackendKind::Snapshot => "snapshot",
-            BackendKind::Combo => "combo",
             BackendKind::Wal => "wal",
-            BackendKind::Forest => "forest",
-            BackendKind::Knn => "knn",
-            BackendKind::GaussianNb => "gaussian-nb",
+            BackendKind::Served(b) => b.name(),
         }
     }
 
@@ -96,9 +98,11 @@ impl BackendKind {
     /// vote semantics (identical verdict histograms required) rather than
     /// the ml family's confidence-threshold semantics.
     pub fn dictionary_family(self) -> bool {
-        !matches!(
+        matches!(
             self,
-            BackendKind::Forest | BackendKind::Knn | BackendKind::GaussianNb
+            BackendKind::Dict
+                | BackendKind::Wal
+                | BackendKind::Served(Backend::Snapshot | Backend::Combo)
         )
     }
 }
@@ -109,70 +113,39 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-/// Knobs shared by every cell of a matrix run.
-#[derive(Debug, Clone, Copy)]
-pub struct CellOptions {
-    /// Rounding depth of every dictionary-family backend.
-    pub depth: u8,
-    /// Trees in the forest backend.
-    pub forest_trees: usize,
-    /// Abstention threshold of the ml backends.
-    pub ml_confidence: f64,
-    /// Online-relearning arm: epochs a key survives without refresh.
-    pub drift_max_age: u64,
-    /// Online-relearning arm: runs between republish + epoch advance.
-    pub drift_chunk: usize,
-}
-
-impl Default for CellOptions {
-    fn default() -> Self {
-        Self {
-            depth: 2,
-            forest_trees: 20,
-            ml_confidence: 0.5,
-            drift_max_age: 3,
-            drift_chunk: 8,
-        }
-    }
-}
-
 /// Distinguishes concurrent WAL scratch directories within one process.
 static WAL_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// `backend` built by the registry from the training `observations`: a
+/// dictionary store learns them at [`DEPTH`], an ml backend trains on
+/// them and abstains below [`ML_CONFIDENCE`]. Every registry arm of the
+/// matrix and `efd evaluate --classifier knn|gaussian-nb` build here.
+pub fn train_backend(
+    backend: Backend,
+    observations: &[LabeledObservation],
+) -> Arc<dyn Recognize + Send + Sync> {
+    backend
+        .fit(observations, RoundingDepth::new(DEPTH), ML_CONFIDENCE)
+        .unwrap_or_else(|e| panic!("{backend}: {e}"))
+}
+
 /// `kind` built from the training `observations`; `catalog` resolves
-/// metric names for EFDB/WAL bytes. The WAL variant writes a real log in
-/// a scratch directory, closes it, and *recovers* — the answer path is
-/// the one a crash-restarted server would take.
+/// metric names for the WAL's bytes. The WAL arm writes a real log in a
+/// scratch directory, closes it, and *recovers* — the answer path is the
+/// one a crash-restarted server would take.
 fn build_backend(
     kind: BackendKind,
     catalog: &MetricCatalog,
-    opts: CellOptions,
     observations: &[LabeledObservation],
 ) -> Arc<dyn Recognize + Send + Sync> {
-    let depth = RoundingDepth::new(opts.depth);
-    let learned_dict = || {
-        let mut d = EfdDictionary::new(depth);
-        d.learn_all(observations);
-        d
-    };
-    let ml = |family| Arc::new(MlBackend::fit(family, opts.ml_confidence, observations));
+    let depth = RoundingDepth::new(DEPTH);
     match kind {
-        BackendKind::Dict => Arc::new(learned_dict()),
-        // The registry backends build exactly as `efd serve` builds
-        // them: the snapshot from a dictionary file's bytes.
-        BackendKind::Snapshot => {
-            let bytes = binfmt::write_dictionary(&learned_dict(), catalog);
-            Backend::Snapshot
-                .load(bytes, catalog, "scenario")
-                .expect("canonical EFDB bytes load")
-                .0
+        BackendKind::Dict => {
+            let mut d = EfdDictionary::new(depth);
+            d.learn_all(observations);
+            Arc::new(d)
         }
-        BackendKind::Combo => {
-            Backend::Combo
-                .from_dictionary(&learned_dict())
-                .expect("a trained single-metric dictionary builds a combo")
-                .0
-        }
+        BackendKind::Served(backend) => train_backend(backend, observations),
         BackendKind::Wal => {
             let dir = std::env::temp_dir().join(format!(
                 "efd-scenario-wal-{}-{}",
@@ -198,12 +171,6 @@ fn build_backend(
             let _ = std::fs::remove_dir_all(&dir);
             Arc::new(snapshot)
         }
-        BackendKind::Forest => ml(MlFamily::Forest(TaxonomistConfig {
-            n_trees: opts.forest_trees,
-            ..TaxonomistConfig::default()
-        })),
-        BackendKind::Knn => ml(MlFamily::Knn { k: 5 }),
-        BackendKind::GaussianNb => ml(MlFamily::GaussianNb),
     }
 }
 
@@ -234,11 +201,10 @@ pub fn fit_backend(
     dataset: &Dataset,
     metric: MetricId,
     interval: Interval,
-    opts: CellOptions,
 ) -> Arc<dyn Recognize + Send + Sync> {
     let catalog = dataset.catalog();
     let mut clf = EngineClassifier::with_interval(backend.name(), metric, interval, |train| {
-        build_backend(backend, catalog, opts, train)
+        build_backend(backend, catalog, train)
     });
     let (train_idx, _) = split(dataset.len());
     clf.fit(dataset, &train_idx);
@@ -273,9 +239,8 @@ pub fn run_cell(
 /// current [`Snapshot`] publication (swapping to the newest publication
 /// mid-stream, at the fingerprint window's open), is scored, and is then
 /// learned — labeled with its ground truth — into an [`AgingDictionary`].
-/// Every [`CellOptions::drift_chunk`] runs the dictionary advances an
-/// epoch (evicting keys not refreshed for
-/// [`CellOptions::drift_max_age`] epochs) and republishes.
+/// Every [`DRIFT_CHUNK`] runs the dictionary advances an epoch (evicting
+/// keys not refreshed for [`DRIFT_MAX_AGE`] epochs) and republishes.
 ///
 /// Returns the arm's report; compare against the static cell from
 /// [`run_cell`] to see what relearning buys under drift.
@@ -283,9 +248,8 @@ pub fn drift_relearn(
     data: &ScenarioData,
     metric: MetricId,
     interval: Interval,
-    opts: &CellOptions,
 ) -> AbstentionReport {
-    let mut aging = AgingDictionary::new(RoundingDepth::new(opts.depth), opts.drift_max_age);
+    let mut aging = AgingDictionary::new(RoundingDepth::new(DEPTH), DRIFT_MAX_AGE);
     for run in &data.train {
         let label = run.truth.clone().expect("training runs are labeled");
         aging.learn(&LabeledObservation {
@@ -297,7 +261,7 @@ pub fn drift_relearn(
     let mut previous = Arc::clone(&current);
 
     let mut scored = Vec::with_capacity(data.test.len());
-    for chunk in data.test.chunks(opts.drift_chunk.max(1)) {
+    for chunk in data.test.chunks(DRIFT_CHUNK) {
         for run in chunk {
             let nodes: Vec<NodeId> = run
                 .means
@@ -383,14 +347,12 @@ mod tests {
     fn clean_baseline_recognizes_well_on_every_dictionary_backend() {
         let (d, metric, clean) = fixture();
         let data = build(&clean, &spec(ScenarioKind::MetricDropout, 0.0));
-        for kind in [BackendKind::Dict, BackendKind::Snapshot, BackendKind::Wal] {
-            let clf = fit_backend(
-                kind,
-                &d,
-                metric,
-                Interval::PAPER_DEFAULT,
-                CellOptions::default(),
-            );
+        for kind in [
+            BackendKind::Dict,
+            BackendKind::Served(Backend::Snapshot),
+            BackendKind::Wal,
+        ] {
+            let clf = fit_backend(kind, &d, metric, Interval::PAPER_DEFAULT);
             let r = run_cell(&clf, &data, metric, Interval::PAPER_DEFAULT);
             assert!(
                 r.macro_f1 > 0.6,
@@ -404,13 +366,7 @@ mod tests {
     #[test]
     fn masquerade_degrades_unknown_recall_with_intensity() {
         let (d, metric, clean) = fixture();
-        let clf = fit_backend(
-            BackendKind::Dict,
-            &d,
-            metric,
-            Interval::PAPER_DEFAULT,
-            CellOptions::default(),
-        );
+        let clf = fit_backend(BackendKind::Dict, &d, metric, Interval::PAPER_DEFAULT);
         let faint = build(&clean, &spec(ScenarioKind::CryptominingMasquerade, 0.25));
         let perfect = build(&clean, &spec(ScenarioKind::CryptominingMasquerade, 1.0));
         let r_faint = run_cell(&clf, &faint, metric, Interval::PAPER_DEFAULT);
@@ -437,16 +393,14 @@ mod tests {
     fn drift_relearn_beats_static_dictionary_at_high_intensity() {
         let (d, metric, clean) = fixture();
         let data = build(&clean, &spec(ScenarioKind::ConceptDrift, 1.0));
-        let opts = CellOptions::default();
         let clf = fit_backend(
-            BackendKind::Snapshot,
+            BackendKind::Served(Backend::Snapshot),
             &d,
             metric,
             Interval::PAPER_DEFAULT,
-            opts,
         );
         let static_arm = run_cell(&clf, &data, metric, Interval::PAPER_DEFAULT);
-        let relearn_arm = drift_relearn(&data, metric, Interval::PAPER_DEFAULT, &opts);
+        let relearn_arm = drift_relearn(&data, metric, Interval::PAPER_DEFAULT);
         assert!(
             relearn_arm.macro_f1 > static_arm.macro_f1 + 0.2,
             "relearn {:.3} must clearly beat static {:.3}",

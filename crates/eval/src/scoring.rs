@@ -23,19 +23,8 @@
 //! usual macro-F1/accuracy, plus the verdict histogram the conformance
 //! suite pins across backends.
 
-use efd_core::{Recognition, Verdict};
+use efd_core::{Recognition, Verdict, VerdictKind};
 use efd_ml::metrics::{evaluate, UNKNOWN_LABEL};
-
-/// Which verdict variant a query produced (the histogram dimension).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VerdictKind {
-    /// Exactly one application won.
-    Recognized,
-    /// Several applications tied.
-    Ambiguous,
-    /// Abstained: no fingerprint matched (or every point abstained).
-    Unknown,
-}
 
 /// One scored query: ground truth vs what the backend answered.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,10 +47,9 @@ impl ScoredQuery {
     /// Score one recognition against its ground truth (`None` = the
     /// backend should have abstained).
     pub fn from_recognition(truth: Option<&str>, r: &Recognition) -> ScoredQuery {
-        let (verdict, tie) = match &r.verdict {
-            Verdict::Recognized(_) => (VerdictKind::Recognized, Vec::new()),
-            Verdict::Ambiguous(tie) => (VerdictKind::Ambiguous, tie.clone()),
-            _ => (VerdictKind::Unknown, Vec::new()),
+        let tie = match &r.verdict {
+            Verdict::Ambiguous(tie) => tie.clone(),
+            _ => Vec::new(),
         };
         let confidence = if r.total_points == 0 {
             0.0
@@ -71,7 +59,7 @@ impl ScoredQuery {
         ScoredQuery {
             truth: truth.unwrap_or(UNKNOWN_LABEL).to_string(),
             predicted: r.best().unwrap_or(UNKNOWN_LABEL).to_string(),
-            verdict,
+            verdict: r.verdict.kind(),
             confidence,
             tie,
         }

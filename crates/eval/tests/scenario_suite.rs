@@ -15,7 +15,7 @@
 
 use std::sync::OnceLock;
 
-use efd_eval::{fit_backend, run_cell, AbstentionReport, BackendKind, CellOptions};
+use efd_eval::{fit_backend, run_cell, AbstentionReport, BackendKind};
 use efd_telemetry::catalog::small_catalog;
 use efd_telemetry::Interval;
 use efd_workload::scenario::{build, CleanRuns, ScenarioKind, ScenarioSpec};
@@ -66,7 +66,6 @@ fn intensity_zero_scores_equal_clean_baseline_for_every_scenario() {
         &fix.dataset,
         fix.metric,
         Interval::PAPER_DEFAULT,
-        CellOptions::default(),
     );
     let mut baseline: Option<Vec<u64>> = None;
     for kind in ScenarioKind::ALL {
@@ -105,13 +104,7 @@ fn dictionary_family_backends_agree_on_masquerade_verdicts() {
         .into_iter()
         .filter(|b| b.dictionary_family())
     {
-        let clf = fit_backend(
-            backend,
-            &fix.dataset,
-            fix.metric,
-            Interval::PAPER_DEFAULT,
-            CellOptions::default(),
-        );
+        let clf = fit_backend(backend, &fix.dataset, fix.metric, Interval::PAPER_DEFAULT);
         let report = run_cell(&clf, &data, fix.metric, Interval::PAPER_DEFAULT);
         match &reference {
             None => reference = Some((backend, report)),
@@ -170,13 +163,7 @@ fn clean_baseline_matches_blessed_fixture() {
         .into_iter()
         .filter(|b| b.dictionary_family())
     {
-        let clf = fit_backend(
-            backend,
-            &fix.dataset,
-            fix.metric,
-            Interval::PAPER_DEFAULT,
-            CellOptions::default(),
-        );
+        let clf = fit_backend(backend, &fix.dataset, fix.metric, Interval::PAPER_DEFAULT);
         let report = run_cell(&clf, &data, fix.metric, Interval::PAPER_DEFAULT);
         lines.push(render_baseline_line(backend, &report));
     }

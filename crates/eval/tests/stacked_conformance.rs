@@ -4,16 +4,14 @@
 //! an augmentation of the primary dictionary, never an override — the
 //! abstention-safeguard contract `efd_serve::stacked` documents,
 //! checked here across the full dataset with a real ml fallback in the
-//! third slot (which is why this test lives in `efd-eval`, the crate
-//! that owns [`MlBackend`]).
+//! third slot, built by the backend registry.
 
 use std::sync::Arc;
 
 use efd_core::engine::Recognize;
 use efd_core::multi::ComboDictionary;
 use efd_core::{EfdDictionary, LabeledObservation, Query, RoundingDepth, Verdict};
-use efd_eval::{MlBackend, MlFamily};
-use efd_serve::{Snapshot, StackedRecognizer, StackedStage};
+use efd_serve::{Backend, Snapshot, StackedRecognizer, StackedStage};
 use efd_telemetry::catalog::small_catalog;
 use efd_telemetry::{Interval, MetricId};
 use efd_workload::scenario::{build, CleanRuns, ScenarioKind, ScenarioSpec};
@@ -44,7 +42,9 @@ fn stack_over(train: &[efd_workload::scenario::ScenarioRun]) -> (EfdDictionary, 
         .collect();
     let mut dict = EfdDictionary::new(RoundingDepth::new(3));
     dict.learn_all(&observations);
-    let knn = MlBackend::fit(MlFamily::Knn { k: 3 }, 0.5, &observations);
+    let knn = Backend::Knn { k: 3 }
+        .fit(&observations, RoundingDepth::new(3), 0.5)
+        .expect("an ml backend always fits");
     let combo = ComboDictionary::from_single_metric(&dict).expect("non-empty dict");
     let stack = StackedRecognizer::new(vec![
         StackedStage {
@@ -59,7 +59,7 @@ fn stack_over(train: &[efd_workload::scenario::ScenarioRun]) -> (EfdDictionary, 
         },
         StackedStage {
             name: "knn(k=3)".into(),
-            engine: Arc::new(knn),
+            engine: knn,
             min_confidence: 0.5,
         },
     ]);

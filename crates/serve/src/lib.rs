@@ -28,14 +28,18 @@
 //!   written ahead to an [`efd_core::wal`] directory: crash the process,
 //!   reopen, and serve exactly the durably-acknowledged state.
 //! * [`StackedRecognizer`] — the served form of a `recognizer.v1`
-//!   manifest (`efd-catalog`): backends stacked in precedence order,
-//!   first confident verdict wins, primary abstention preserved.
-//! * [`Backend`] — the **registry**: a backend name (`snapshot|combo`,
-//!   one per store whose keys differ) plus dictionary bytes (or a live
-//!   dictionary) in, `Arc<dyn Recognize + Send + Sync>` out. Batch serving, the daemon's load and reload, and manifest
-//!   stages all construct backends through it, from the bytes one
-//!   loader, [`DictSource::open`], read (and, for a catalog artifact,
-//!   digest-verified) once.
+//!   [`Manifest`]: backends stacked in precedence order, first confident
+//!   verdict wins, primary abstention preserved.
+//! * [`Backend`] — the **registry**: one enum names, parses and builds
+//!   every recognizer that is served or scored — the dictionary stores
+//!   (`snapshot`, `combo`, one per store whose keys differ) and the ml
+//!   baselines (`knn`, `gaussian-nb`, `forest`) — from dictionary bytes,
+//!   a live dictionary or training observations, as an
+//!   `Arc<dyn Recognize + Send + Sync>`. Batch serving, the daemon's
+//!   load and reload, manifest stages, the scenario matrix and `efd
+//!   evaluate`'s ml classifiers all construct backends through it;
+//!   served bytes come from one loader, [`DictSource::open`], read
+//!   (and, for a catalog artifact, digest-verified) once.
 //! * [`net`] — the **network** form: a TCP recognition daemon
 //!   (`efd serve --listen`) speaking a length-prefixed line protocol
 //!   with one thread per connection, atomic engine hot-swap, a same-port
@@ -98,6 +102,8 @@ pub mod backend;
 pub mod durable;
 pub mod efdb;
 pub mod keystore;
+pub mod manifest;
+mod ml;
 pub mod net;
 pub mod shard;
 pub mod snapshot;
@@ -107,6 +113,7 @@ pub use backend::{Backend, DictSource};
 pub use durable::DurableDictionary;
 pub use efdb::EfdbSnapshot;
 pub use keystore::KeyStore;
+pub use manifest::{Manifest, ManifestStage, MANIFEST_SCHEMA};
 pub use shard::ShardedDictionary;
 pub use snapshot::Snapshot;
 pub use stacked::{StackedRecognizer, StackedStage};

@@ -20,69 +20,36 @@
 //! }
 //! ```
 //!
-//! `artifact` is a catalog reference (`name`, `name@latest`, `name@vN`)
-//! resolved against `catalog` — a directory path, relative to the
-//! manifest file's own location — or a direct `.efdb`/`.json` file path.
-//! The manifest is *data*: the same file drives `efd serve --manifest`,
-//! hot reload over SWAP/SIGHUP, and the CI lifecycle smoke. Field-level
-//! schema reference lives in `docs/FORMAT.md`.
+//! A stage's `backend` is any [`Backend`] name; `exact`, and the store
+//! names `efdb` and `sharded` that older manifests carry, read as
+//! [`Backend::Snapshot`]. A `knn` stage may set `k` (default
+//! [`crate::backend::DEFAULT_K`]); an ml stage abstains below its own
+//! `min_confidence`. `artifact` is a catalog reference (`name`,
+//! `name@latest`, `name@vN`) resolved against `catalog` — a directory
+//! path, relative to the manifest file's own location — or a direct
+//! `.efdb`/`.json` file path. The manifest is *data*: the same file
+//! drives `efd serve --manifest` and hot reload over SWAP/SIGHUP.
+//! Field-level schema reference lives in `docs/FORMAT.md`.
 
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::store::CatalogError;
+use crate::Backend;
 
 /// Schema tag a manifest must carry.
 pub const MANIFEST_SCHEMA: &str = "recognizer.v1";
 
-/// Which engine a stage runs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StageBackend {
-    /// The read-only snapshot of the exact dictionary. `efdb` and
-    /// `sharded`, names older manifests may carry, read as this.
-    Exact,
-    /// Combinatorial (multi-point) fingerprint snapshot.
-    Combo,
-    /// k-nearest-neighbour fallback with abstention.
-    Knn {
-        /// Neighbour count.
-        k: usize,
-    },
-    /// Gaussian naive-Bayes fallback with abstention.
-    GaussianNb,
-}
-
-impl StageBackend {
-    /// Every stage backend's manifest name, in `docs/FORMAT.md` order.
-    pub const NAMES: [&'static str; 4] = ["exact", "combo", "knn", "gaussian-nb"];
-
-    /// The manifest's string form.
-    pub fn name(&self) -> &'static str {
-        match self {
-            StageBackend::Exact => "exact",
-            StageBackend::Combo => "combo",
-            StageBackend::Knn { .. } => "knn",
-            StageBackend::GaussianNb => "gaussian-nb",
-        }
-    }
-}
-
-impl fmt::Display for StageBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StageBackend::Knn { k } => write!(f, "knn(k={k})"),
-            other => f.write_str(other.name()),
-        }
-    }
-}
+/// A stage's `min_confidence` when the manifest gives none: any
+/// recognition wins, and an ml stage never abstains on a finite point.
+pub const DEFAULT_MIN_CONFIDENCE: f64 = 0.0;
 
 /// One stage of the stack: a backend over an artifact, with the
 /// confidence bar a verdict must clear to end evaluation here.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ManifestStage {
-    /// Engine kind.
-    pub backend: StageBackend,
+    /// The backend the stage builds over its artifact.
+    pub backend: Backend,
     /// Catalog reference or file path of the dictionary it serves.
     pub artifact: String,
     /// Minimum matched-point fraction for a `Recognized` verdict to win
@@ -102,36 +69,28 @@ pub struct Manifest {
     pub stack: Vec<ManifestStage>,
 }
 
-fn invalid(msg: impl fmt::Display) -> CatalogError {
-    CatalogError::Corrupt(format!("manifest: {msg}"))
+fn invalid(msg: impl fmt::Display) -> String {
+    format!("manifest: {msg}")
 }
 
-fn parse_stage(i: usize, v: &serde::Value) -> Result<ManifestStage, CatalogError> {
+fn parse_stage(i: usize, v: &serde::Value) -> Result<ManifestStage, String> {
     let backend_name = v
         .get("backend")
         .and_then(|b| b.as_str())
         .ok_or_else(|| invalid(format!("stack[{i}]: missing string field \"backend\"")))?;
-    let backend = match backend_name {
-        "exact" | "efdb" | "sharded" => StageBackend::Exact,
-        "combo" => StageBackend::Combo,
-        "knn" => {
-            let k =
-                match v.get("k") {
-                    None => 3,
-                    Some(k) => k.as_u64().filter(|k| *k >= 1).ok_or_else(|| {
-                        invalid(format!("stack[{i}]: \"k\" must be an integer >= 1"))
-                    })? as usize,
-                };
-            StageBackend::Knn { k }
-        }
-        "gaussian-nb" => StageBackend::GaussianNb,
-        other => {
-            return Err(invalid(format!(
-                "stack[{i}]: unknown backend {other:?} (want {})",
-                StageBackend::NAMES.join("|")
-            )))
-        }
+    // `recognizer.v1` files are persisted: `exact` and the retired store
+    // names keep loading, as the snapshot.
+    let mut backend = match backend_name {
+        "exact" | "efdb" | "sharded" => Backend::Snapshot,
+        name => Backend::parse(name).map_err(|e| invalid(format!("stack[{i}]: {e}")))?,
     };
+    if let (Backend::Knn { k }, Some(given)) = (&mut backend, v.get("k")) {
+        *k = given
+            .as_u64()
+            .filter(|k| *k >= 1)
+            .ok_or_else(|| invalid(format!("stack[{i}]: \"k\" must be an integer >= 1")))?
+            as usize;
+    }
     let artifact = v
         .get("artifact")
         .and_then(|a| a.as_str())
@@ -143,7 +102,7 @@ fn parse_stage(i: usize, v: &serde::Value) -> Result<ManifestStage, CatalogError
         )));
     }
     let min_confidence = match v.get("min_confidence") {
-        None => 0.0,
+        None => DEFAULT_MIN_CONFIDENCE,
         Some(c) => c
             .as_f64()
             .filter(|c| c.is_finite() && (0.0..=1.0).contains(c))
@@ -163,7 +122,7 @@ fn parse_stage(i: usize, v: &serde::Value) -> Result<ManifestStage, CatalogError
 impl Manifest {
     /// Parse and validate manifest JSON. `catalog_dir` comes back exactly
     /// as written; use [`Manifest::load`] to resolve it against the file.
-    pub fn parse(text: &str) -> Result<Manifest, CatalogError> {
+    pub fn parse(text: &str) -> Result<Manifest, String> {
         let root: serde::Value =
             serde_json::from_str(text).map_err(|e| invalid(format!("bad JSON: {e}")))?;
         let schema = root
@@ -210,10 +169,10 @@ impl Manifest {
     /// Load a manifest file; a relative `catalog` directory resolves
     /// against the manifest's own parent directory, so a manifest and its
     /// catalog travel together.
-    pub fn load(path: &Path) -> Result<Manifest, CatalogError> {
-        let text = fs::read_to_string(path)
-            .map_err(|e| CatalogError::Io(format!("{}: {e}", path.display())))?;
-        let mut m = Self::parse(&text).map_err(|e| invalid(format!("{}: {e}", path.display())))?;
+    pub fn load(path: &Path) -> Result<Manifest, String> {
+        let text =
+            fs::read_to_string(path).map_err(|e| invalid(format!("{}: {e}", path.display())))?;
+        let mut m = Self::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
         if let Some(dir) = &m.catalog_dir {
             if dir.is_relative() {
                 let base = path.parent().unwrap_or(Path::new("."));
@@ -250,8 +209,8 @@ mod tests {
         assert_eq!(m.name, "prod");
         assert_eq!(m.catalog_dir.as_deref(), Some(Path::new("cat")));
         assert_eq!(m.stack.len(), 3);
-        assert_eq!(m.primary().backend, StageBackend::Exact);
-        assert_eq!(m.stack[2].backend, StageBackend::Knn { k: 5 });
+        assert_eq!(m.primary().backend, Backend::Snapshot);
+        assert_eq!(m.stack[2].backend, Backend::Knn { k: 5 });
         assert_eq!(m.stack[2].min_confidence, 0.0, "defaults to 0");
     }
 
@@ -261,15 +220,15 @@ mod tests {
             let text = format!(
                 r#"{{"schema":"recognizer.v1","name":"x","stack":[{{"backend":"{name}","artifact":"a"}}]}}"#
             );
-            Manifest::parse(&text).unwrap().primary().backend.clone()
+            Manifest::parse(&text).unwrap().primary().backend
         };
-        for name in StageBackend::NAMES {
-            assert_eq!(stage(name).name(), name);
+        for backend in Backend::ALL {
+            assert_eq!(stage(backend.name()), backend);
         }
-        // `recognizer.v1` files are persisted: the store names older
-        // manifests carry must keep loading, as `exact`.
-        for name in ["efdb", "sharded"] {
-            assert_eq!(stage(name), StageBackend::Exact, "{name}");
+        // `recognizer.v1` files are persisted: `exact` and the store
+        // names older manifests carry must keep loading, as the snapshot.
+        for name in ["exact", "efdb", "sharded"] {
+            assert_eq!(stage(name), Backend::Snapshot, "{name}");
         }
     }
 
@@ -298,7 +257,7 @@ mod tests {
             ),
             (
                 r#"{"schema":"recognizer.v1","name":"x","stack":[{"backend":"nope","artifact":"a"}]}"#,
-                "unknown backend \"nope\" (want exact|combo|knn|gaussian-nb)",
+                "unknown backend \"nope\" (snapshot|combo|knn|gaussian-nb|forest)",
             ),
             (
                 r#"{"schema":"recognizer.v1","name":"x","stack":[{"backend":"exact"}]}"#,

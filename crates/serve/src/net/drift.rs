@@ -44,7 +44,7 @@
 
 use std::sync::Mutex;
 
-use super::protocol::VerdictKind;
+use efd_core::VerdictKind;
 
 /// The published version's reference rates.
 #[derive(Debug, Clone, Copy, PartialEq)]

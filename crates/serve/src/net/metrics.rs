@@ -35,10 +35,11 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use efd_core::VerdictKind;
 use efd_telemetry::prom::{bucket_index, Counter, FloatGauge, Gauge, Histogram, Registry};
 
 use super::drift::{DriftSnapshot, DriftState};
-use super::protocol::{Command, VerdictKind, COMMANDS};
+use super::protocol::{Command, COMMANDS};
 
 /// Latency buckets for `efd_request_duration_seconds`: 1 µs … 1 s,
 /// roughly ×2–×2.5 steps — tight enough at the bottom to resolve a warm

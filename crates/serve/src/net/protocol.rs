@@ -64,7 +64,7 @@ use std::io::{self, Read, Write};
 use std::time::Instant;
 
 use efd_core::engine::Answer;
-use efd_core::{Recognition, Verdict};
+use efd_core::{Recognition, VerdictKind};
 
 /// Hard ceiling on a frame payload (1 MiB). A `RECOGNIZE` for 4096
 /// nodes is ~100 KB, so real traffic sits far below; anything above is
@@ -688,64 +688,10 @@ fn parse_means<'a>(it: impl Iterator<Item = &'a str>, out: &mut Vec<f64>) -> Res
     Ok(())
 }
 
-/// The three verdict kinds a reply, a counter or the drift window
-/// tells apart. Declared in `efd_verdicts_total` registration order, so
-/// [`VerdictKind::index`] indexes per-verdict arrays directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VerdictKind {
-    /// One application won the vote.
-    Recognized,
-    /// Several applications tied (the paper's tie array).
-    Ambiguous,
-    /// No key matched.
-    Unknown,
-}
-
-impl VerdictKind {
-    /// The kind of an [`Answer`], by the size of its tie array.
-    #[inline]
-    pub fn of(answer: &Answer) -> VerdictKind {
-        match answer.tied() {
-            0 => VerdictKind::Unknown,
-            1 => VerdictKind::Recognized,
-            _ => VerdictKind::Ambiguous,
-        }
-    }
-
-    /// The kind named by a stable label; anything but `unknown` and
-    /// `ambiguous` reads as recognized.
-    pub fn from_label(label: &str) -> VerdictKind {
-        match label {
-            "unknown" => VerdictKind::Unknown,
-            "ambiguous" => VerdictKind::Ambiguous,
-            _ => VerdictKind::Recognized,
-        }
-    }
-
-    /// Stable label value: `recognized`, `ambiguous` or `unknown`.
-    pub const fn label(self) -> &'static str {
-        match self {
-            VerdictKind::Recognized => "recognized",
-            VerdictKind::Ambiguous => "ambiguous",
-            VerdictKind::Unknown => "unknown",
-        }
-    }
-
-    /// Index into per-verdict arrays (declaration order).
-    #[inline]
-    pub fn index(self) -> usize {
-        self as usize
-    }
-}
-
 /// Stable label value for per-verdict counters: `recognized`,
 /// `ambiguous`, or `unknown`.
 pub fn verdict_label(rec: &Recognition) -> &'static str {
-    match &rec.verdict {
-        Verdict::Recognized(_) => "recognized",
-        Verdict::Ambiguous(_) => "ambiguous",
-        _ => "unknown",
-    }
+    rec.verdict.kind().label()
 }
 
 /// Append a full `OK`/`VERDICT` response line for `answer` to `out`:
@@ -801,6 +747,7 @@ pub fn render_answer(head: &str, gen: u64, rec: &Recognition) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use efd_core::Verdict;
 
     #[test]
     fn frames_round_trip_through_a_buffer() {

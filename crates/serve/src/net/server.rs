@@ -118,15 +118,15 @@ use std::time::{Duration, Instant};
 use efd_core::engine::{Answer, Recognize, VoteScratch};
 use efd_core::online::OnlineRecognizer;
 use efd_core::wal::WalError;
-use efd_core::{LabeledObservation, Query, Recognition};
+use efd_core::{LabeledObservation, Query, Recognition, VerdictKind};
 use efd_telemetry::{AppLabel, Interval, MetricCatalog, MetricId, NodeId};
 
 use super::drift::{DriftBaseline, DriftConfig, DriftMonitor, DriftSnapshot};
 use super::metrics::{DaemonMetrics, RequestTally};
 use super::protocol::{
-    write_answer, write_frame, Command, FrameError, FrameReader, RequestRef, VerdictKind,
-    MAX_FRAME, READ_CHUNK,
+    write_answer, write_frame, Command, FrameError, FrameReader, RequestRef, MAX_FRAME, READ_CHUNK,
 };
+use crate::manifest::DEFAULT_MIN_CONFIDENCE;
 use crate::{Backend, DictSource, DurableDictionary};
 
 /// Connection read-timeout tick: how often a quiet connection checks
@@ -210,13 +210,15 @@ impl Engine {
 
     /// Serve a loaded dictionary operand as `backend`, tagged with its
     /// catalog version and drift baseline. The source's bytes move into
-    /// [`Backend::load`] uncopied.
+    /// [`Backend::load`] uncopied; an ml backend abstains below
+    /// [`DEFAULT_MIN_CONFIDENCE`], as a one-stage manifest's does.
     pub fn load(
         src: DictSource,
         backend: Backend,
         catalog: &MetricCatalog,
     ) -> Result<Engine, String> {
-        let (recognizer, keys) = backend.load(src.bytes, catalog, &src.shown)?;
+        let (recognizer, keys) =
+            backend.load(src.bytes, catalog, &src.shown, DEFAULT_MIN_CONFIDENCE)?;
         Ok(Engine {
             version: src.version,
             baseline: src.baseline,

@@ -1,6 +1,6 @@
 //! First-confident-verdict-wins stacking of recognizer backends.
 //!
-//! A `recognizer.v1` manifest (the `efd-catalog` crate) declares an
+//! A `recognizer.v1` manifest ([`crate::manifest`]) declares an
 //! ordered stack — typically exact dictionary → combo → ml fallback —
 //! and [`StackedRecognizer`] is its served form: one [`Recognize`]
 //! whose answer is the first stage's verdict that clears that stage's

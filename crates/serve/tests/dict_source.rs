@@ -8,6 +8,7 @@ mod common;
 use common::*;
 use efd_catalog::Catalog;
 use efd_core::engine::Recognize;
+use efd_serve::manifest::DEFAULT_MIN_CONFIDENCE;
 use efd_serve::net::Engine;
 use efd_serve::{Backend, DictSource};
 
@@ -49,11 +50,16 @@ fn the_served_bytes_are_the_verified_bytes() {
     for (backend, src) in Backend::ALL.into_iter().zip(sources) {
         let engine = Engine::load(src, backend, &catalog()).expect("engine from the source");
         assert_eq!(engine.version.as_deref(), Some("apps@v1"));
+        // What this backend builds from dictionary A itself (for a store,
+        // the oracle's answers; for an ml backend, a model of A's keys).
+        let (from_a, _keys) = backend
+            .from_dictionary(&dict_a, DEFAULT_MIN_CONFIDENCE)
+            .expect("build from dictionary A");
         for means in &probes {
             let q = query(means);
             assert_eq!(
                 engine.recognizer.recognize(&q).normalized(),
-                dict_a.recognize(&q).normalized(),
+                from_a.recognize(&q).normalized(),
                 "{} over {means:?}",
                 backend.name()
             );

@@ -13,11 +13,10 @@ mod common;
 use std::sync::Arc;
 
 use common::*;
-use efd_catalog::Manifest;
 use efd_core::engine::Recognize;
 use efd_core::{EfdDictionary, LabeledObservation, Query, RoundingDepth, Verdict};
 use efd_serve::net::{DriftBaseline, DriftConfig, DriftState, Engine};
-use efd_serve::{Backend, StackedRecognizer, StackedStage};
+use efd_serve::{Manifest, StackedRecognizer, StackedStage};
 use efd_telemetry::Interval;
 use efd_workload::scenario::{build, CleanRuns, ScenarioKind, ScenarioSpec};
 use efd_workload::{Dataset, DatasetSpec};
@@ -55,9 +54,9 @@ fn stack_for(dict: &EfdDictionary) -> StackedRecognizer {
         .stack
         .iter()
         .map(|s| {
-            let (engine, _keys) = Backend::for_stage(&s.backend)
-                .expect("manifest stacks dictionary stages")
-                .from_dictionary(dict)
+            let (engine, _keys) = s
+                .backend
+                .from_dictionary(dict, s.min_confidence)
                 .expect("registry builds every dictionary stage");
             StackedStage {
                 name: s.backend.to_string(),

@@ -18,6 +18,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use efd::prelude::*;
+use efd::serve::manifest::DEFAULT_MIN_CONFIDENCE;
 use efd::serve::Backend;
 use efd_telemetry::catalog::small_catalog;
 use efd_util::SplitMix64;
@@ -44,7 +45,8 @@ fn main() -> Result<(), String> {
     // Publish behind the object-safe engine trait, built by name through
     // the registry `efd serve` uses. This is the whole point of the API:
     // the serving loop below never names a concrete backend type.
-    let (backend, _keys) = Backend::parse(&backend_kind)?.from_dictionary(dict)?;
+    let (backend, _keys) =
+        Backend::parse(&backend_kind)?.from_dictionary(dict, DEFAULT_MIN_CONFIDENCE)?;
     println!("published: backend = {backend_kind}");
 
     // A 10k-query stream: the dataset's runs with small jitter.

@@ -25,11 +25,11 @@
 //! * [`eval`] (`efd-eval`) — the paper's five experiments, Table 3
 //!   screening, and paper-vs-measured reporting.
 //! * [`serve`] (`efd-serve`) — the concurrent serving layer: sharded
-//!   dictionaries, immutable published snapshots, parallel batch and
-//!   streaming recognition.
+//!   dictionaries, immutable published snapshots, the backend registry,
+//!   `recognizer.v1` manifests stacking backends with explicit
+//!   precedence, parallel batch and streaming recognition.
 //! * [`catalog`] (`efd-catalog`) — versioned dictionary artifacts: the
-//!   named catalog store with its signed index, and `recognizer.v1`
-//!   manifests stacking backends with explicit precedence.
+//!   named catalog store with its signed index.
 //! * [`util`] (`efd-util`) — hashing, RNG derivation, online statistics,
 //!   scoped-thread parallelism, text tables.
 //!
