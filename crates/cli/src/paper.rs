@@ -183,8 +183,8 @@ fn all_or_list<T: Copy>(
 /// split (through `EngineClassifier`, the adapter every engine backend
 /// shares), then scored on every requested scenario × intensity cell.
 /// `concept-drift` cells grow an extra online-relearning arm
-/// (`snapshot+relearn`): the same drifted sequence served live through
-/// `OnlineRecognizer` with aging/eviction maintenance between chunks.
+/// (`wal+relearn`): the same drifted sequence answered by the store a
+/// `--wal` daemon serves, each flagged run learned after its verdict.
 fn evaluate_scenario(args: &Args) -> Result<(), String> {
     let scenario = args.flag("scenario").expect("checked by caller");
     // No default path: a default would overwrite any file of that name
@@ -239,10 +239,10 @@ fn evaluate_scenario(args: &Args) -> Result<(), String> {
             if kind == ScenarioKind::ConceptDrift {
                 cells.push(ScenarioCell {
                     scenario: kind,
-                    backend: "snapshot+relearn".to_string(),
+                    backend: "wal+relearn".to_string(),
                     intensity,
                     relearn: true,
-                    report: efd_eval::drift_relearn(&data, metric, interval),
+                    report: efd_eval::drift_relearn(d.catalog(), &data, metric, interval),
                 });
             }
         }
@@ -294,7 +294,7 @@ fn evaluate_scenario(args: &Args) -> Result<(), String> {
                 })
                 .map(|c| c.report.macro_f1)
         };
-        if let (Some(relearn), Some(stat)) = (at("snapshot+relearn"), at("snapshot")) {
+        if let (Some(relearn), Some(stat)) = (at("wal+relearn"), at("snapshot")) {
             println!(
                 "concept-drift @ intensity {max_i:.2}: online relearning macro-F1 \
                  {relearn:.3} vs static snapshot {stat:.3} ({:+.3})",

@@ -5,6 +5,12 @@
 //! compacted canonical EFDB — recovery lost nothing it acknowledged and
 //! invented nothing it did not.
 //!
+//! `compact` recovers through the same `wal::recover` as `serve --wal`,
+//! so the two agree on any fault they share. The second test therefore
+//! checks recovery against a reference that never recovers: a fresh
+//! learner fed the same stream prefix, as many records as `wal-verify`
+//! counts in the crashed log.
+//!
 //! Every file lives in a scratch directory, and every child is killed if
 //! it outlives its deadline (or the test panics).
 
@@ -23,6 +29,17 @@ const LEARN_FOR: Duration = Duration::from_secs(2);
 /// Bytes of the log header; a longer log holds a record.
 const WAL_HEADER_LEN: u64 = 16;
 
+/// Log size at which the reference test's learner is killed: a few
+/// hundred records, well below the 1 MiB at which the log would be
+/// frozen into a segment (which would leave earlier learns uncounted).
+const KILL_AT_LOG_BYTES: u64 = 64 << 10;
+
+/// Rounding depth of the reference test's learner: deep enough that
+/// every jittered learn adds keys of its own, so losing any one record
+/// changes the dictionary. At the default depth 2 the stream saturates
+/// after a few hundred learns, and a lost trailing record is invisible.
+const DEEP: &str = "17";
+
 /// A child process, killed and reaped on drop.
 struct Guard(Child);
 
@@ -37,8 +54,8 @@ impl Drop for Guard {
 struct Scratch(PathBuf);
 
 impl Scratch {
-    fn new() -> Scratch {
-        let dir = std::env::temp_dir().join(format!("efd-wal-crash-{}", std::process::id()));
+    fn new(tag: &str) -> Scratch {
+        let dir = std::env::temp_dir().join(format!("efd-wal-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         Scratch(dir)
@@ -93,17 +110,48 @@ impl Drop for Scratch {
     }
 }
 
-/// The `verdicts:` line of a run's stdout.
-fn verdicts(stdout: &str) -> &str {
+/// The line of a run's stdout that starts with `prefix`.
+fn line<'a>(stdout: &'a str, prefix: &str) -> &'a str {
     stdout
         .lines()
-        .find(|l| l.starts_with("verdicts:"))
-        .unwrap_or_else(|| panic!("no verdicts line in {stdout}"))
+        .find(|l| l.starts_with(prefix))
+        .unwrap_or_else(|| panic!("no {prefix} line in {stdout}"))
+}
+
+/// The number that follows `prefix` in `text`.
+fn number_after(text: &str, prefix: &str) -> u64 {
+    let at = text
+        .find(prefix)
+        .unwrap_or_else(|| panic!("no {prefix:?} in {text}"));
+    let digits: String = text[at + prefix.len()..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits
+        .parse()
+        .unwrap_or_else(|_| panic!("no number after {prefix:?} in {text}"))
+}
+
+/// Wait until the learner has logged `bytes` of its WAL, checking that
+/// it is still running.
+fn await_log(learner: &mut Guard, log: &std::path::Path, bytes: u64) {
+    let deadline = Instant::now() + DEADLINE;
+    while std::fs::metadata(log).map_or(0, |m| m.len()) <= bytes {
+        assert!(
+            learner.0.try_wait().unwrap().is_none(),
+            "the learner exited before it logged {bytes} bytes"
+        );
+        assert!(
+            Instant::now() < deadline,
+            "{bytes} bytes not logged in {DEADLINE:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 #[test]
 fn a_killed_learner_recovers_exactly_what_its_compaction_serves() {
-    let scratch = Scratch::new();
+    let scratch = Scratch::new("crash");
     let wal = scratch.path("wal");
     let log = scratch.0.join("wal").join("wal.log");
 
@@ -120,18 +168,7 @@ fn a_killed_learner_recovers_exactly_what_its_compaction_serves() {
         "--synth",
         "100",
     ]);
-    let deadline = Instant::now() + DEADLINE;
-    while std::fs::metadata(&log).map_or(0, |m| m.len()) <= WAL_HEADER_LEN {
-        assert!(
-            learner.0.try_wait().unwrap().is_none(),
-            "the learner exited before it logged a record"
-        );
-        assert!(
-            Instant::now() < deadline,
-            "no record logged in {DEADLINE:?}"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    await_log(&mut learner, &log, WAL_HEADER_LEN);
     std::thread::sleep(LEARN_FOR);
     assert!(
         learner.0.try_wait().unwrap().is_none(),
@@ -146,5 +183,53 @@ fn a_killed_learner_recovers_exactly_what_its_compaction_serves() {
     scratch.efd_ok(&["compact", "--wal", &wal, "--out", &compacted]);
     let recovered = scratch.efd_ok(&["serve", "--wal", &wal, "--synth", "2000"]);
     let served = scratch.efd_ok(&["serve", "--load", &compacted, "--synth", "2000"]);
-    assert_eq!(verdicts(&recovered), verdicts(&served));
+    assert_eq!(line(&recovered, "verdicts:"), line(&served, "verdicts:"));
+}
+
+#[test]
+fn a_killed_learner_recovers_what_a_fresh_learner_of_its_log_serves() {
+    let scratch = Scratch::new("reference");
+    let wal = scratch.path("wal");
+    let log = scratch.0.join("wal").join("wal.log");
+    let mut learner = scratch.spawn(&[
+        "serve",
+        "--wal",
+        &wal,
+        "--depth",
+        DEEP,
+        "--learn",
+        "200000",
+        "--wal-sync",
+        "always",
+        "--synth",
+        "100",
+    ]);
+    await_log(&mut learner, &log, KILL_AT_LOG_BYTES);
+    learner.0.kill().expect("SIGKILL the learner");
+    learner.0.wait().unwrap();
+    drop(learner);
+
+    // `wal-verify` counts the log's valid records with the plain log
+    // scanner. With no segment, they are the whole acknowledged prefix
+    // of the learner's stream.
+    let audit = scratch.efd_ok(&["wal-verify", "--wal", &wal]);
+    assert_eq!(
+        number_after(&audit, "requires segment "),
+        0,
+        "the learner froze a segment before the kill: {audit}"
+    );
+    let records = number_after(&audit, "records:    ").to_string();
+
+    let reference = scratch.path("reference");
+    let learned = scratch.efd_ok(&[
+        "serve", "--wal", &reference, "--depth", DEEP, "--learn", &records, "--synth", "2000",
+    ]);
+    let recovered = scratch.efd_ok(&["serve", "--wal", &wal, "--synth", "2000"]);
+    for prefix in ["dictionary:", "verdicts:"] {
+        assert_eq!(
+            line(&recovered, prefix),
+            line(&learned, prefix),
+            "recovered {records} records"
+        );
+    }
 }

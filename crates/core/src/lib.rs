@@ -17,14 +17,10 @@
 //!   arrays and the `Unknown` safeguard, statistics, Table 4 rendering.
 //! * [`training`] — rounding-depth selection by cross-fold validation
 //!   inside the training set, and the high-level [`Efd`] facade.
-//! * [`maintenance`] — dictionary lifecycle operations: merge dictionaries
-//!   across clusters, forget/relearn applications, retain metric subsets.
+//! * [`maintenance`] — forgetting an application, or one of its inputs,
+//!   everywhere: what WAL replay and the live store apply.
 //! * [`multi`] — combinatorial fingerprints over several metrics /
 //!   intervals (paper's future work §6).
-//! * [`align`] — Shazam-style temporal alignment across interval tilings
-//!   (future work §6): recognition robust to unknown start offsets.
-//! * [`reverse`] — reverse lookup: predict future resource usage of a known
-//!   application from its stored fingerprints (future work §6).
 //! * [`engine`] — the engine API: the object-safe [`Recognize`] trait
 //!   (and the [`VoteScratch`] dense-vote contract) unifying every
 //!   backend — core dictionaries, combo keys, and the `efd-serve` forms —
@@ -45,7 +41,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod align;
 pub mod binfmt;
 pub mod dictionary;
 pub mod diff;
@@ -55,7 +50,6 @@ pub mod maintenance;
 pub mod multi;
 pub mod observation;
 pub mod online;
-pub mod reverse;
 pub mod rounding;
 pub mod serialize;
 pub mod training;

@@ -85,31 +85,6 @@ proptest! {
         }
     }
 
-    /// merge(A, B) recognizes everything A or B recognized (app contained
-    /// in the verdict array).
-    #[test]
-    fn merge_is_a_union(
-        a_obs in arb_observations(),
-        b_obs in arb_observations(),
-    ) {
-        let mut a = EfdDictionary::new(RoundingDepth::new(3));
-        a.learn_all(&a_obs);
-        let mut b = EfdDictionary::new(RoundingDepth::new(3));
-        b.learn_all(&b_obs);
-        maintenance::merge(&mut a, &b).unwrap();
-        for obs in a_obs.iter().chain(&b_obs) {
-            let r = a.recognize(&obs.query);
-            let hit = match &r.verdict {
-                Verdict::Recognized(x) => x == &obs.label.app,
-                Verdict::Ambiguous(apps) => apps.iter().any(|x| x == &obs.label.app),
-                Verdict::Unknown => false,
-                // Verdict is #[non_exhaustive].
-                _ => false,
-            };
-            prop_assert!(hit, "merge lost {}", obs.label);
-        }
-    }
-
     /// After forget_app, the app never appears in any verdict.
     #[test]
     fn forget_app_is_complete(observations in arb_observations()) {

@@ -17,23 +17,20 @@
 //! produce identical verdict histograms — the conformance suite pins
 //! that on the masquerade scenario.
 //!
-//! [`drift_relearn`] is the online-relearning arm of `concept-drift`: an
-//! [`AgingDictionary`] keeps learning each drifted run after its verdict,
-//! republishing [`Snapshot`]s that live [`OnlineRecognizer`]s [`swap`] to
-//! mid-stream, with epoch advances aging out stale keys — the
-//! learn-while-serve loop a production deployment would run.
-//!
-//! [`swap`]: OnlineRecognizer::swap
+//! [`drift_relearn`] is the online-relearning arm of `concept-drift`: the
+//! drifted test sequence is answered by the store a `--wal` daemon
+//! serves, a [`DurableDictionary`], and each run flagged for relearning
+//! is learned into it after its verdict — the next run sees it, as a
+//! daemon's `LEARNED` reply promises.
 
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use efd_core::engine::{Recognize, VoteScratch};
-use efd_core::maintenance::AgingDictionary;
-use efd_core::online::OnlineRecognizer;
 use efd_core::wal::WalOptions;
 use efd_core::{EfdDictionary, LabeledObservation, ObsPoint, Query, RoundingDepth};
-use efd_serve::{Backend, DurableDictionary, Snapshot};
+use efd_serve::{Backend, DurableDictionary};
 use efd_telemetry::metric::MetricCatalog;
 use efd_telemetry::{Interval, MetricId, NodeId};
 use efd_workload::scenario::{split, ScenarioData};
@@ -50,10 +47,6 @@ pub const KNN_K: usize = 5;
 /// Abstention threshold of the matrix's (and `efd evaluate`'s) ml
 /// backends.
 pub const ML_CONFIDENCE: f64 = 0.5;
-/// Online-relearning arm: epochs a key survives without refresh.
-pub const DRIFT_MAX_AGE: u64 = 3;
-/// Online-relearning arm: runs between republish + epoch advance.
-pub const DRIFT_CHUNK: usize = 8;
 
 /// Every backend the matrix can run a scenario against: the two
 /// harness-only arms, and the registry's backends.
@@ -116,6 +109,38 @@ impl std::fmt::Display for BackendKind {
 /// Distinguishes concurrent WAL scratch directories within one process.
 static WAL_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// A WAL directory of its own under the system temp dir, removed on
+/// drop: where the `wal` and relearning arms keep their store.
+struct ScratchWal(PathBuf);
+
+impl ScratchWal {
+    fn new() -> ScratchWal {
+        let dir = std::env::temp_dir().join(format!(
+            "efd-scenario-wal-{}-{}",
+            std::process::id(),
+            WAL_SEQ.fetch_add(1, Ordering::Relaxed),
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        ScratchWal(dir)
+    }
+
+    /// Open — or, when it already holds a log, recover — the store a
+    /// `--wal` daemon serves, at [`DEPTH`]; `catalog` resolves metric
+    /// names for the log's bytes.
+    fn open(&self, catalog: &MetricCatalog) -> DurableDictionary {
+        let depth = RoundingDepth::new(DEPTH);
+        DurableDictionary::open(&self.0, depth, catalog, WalOptions::default())
+            .expect("open scratch WAL")
+            .0
+    }
+}
+
+impl Drop for ScratchWal {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// `backend` built by the registry from the training `observations`: a
 /// dictionary store learns them at [`DEPTH`], an ml backend trains on
 /// them and abstains below [`ML_CONFIDENCE`]. Every registry arm of the
@@ -147,29 +172,17 @@ fn build_backend(
         }
         BackendKind::Served(backend) => train_backend(backend, observations),
         BackendKind::Wal => {
-            let dir = std::env::temp_dir().join(format!(
-                "efd-scenario-wal-{}-{}",
-                std::process::id(),
-                WAL_SEQ.fetch_add(1, Ordering::Relaxed),
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
+            let wal = ScratchWal::new();
             {
-                let (served, _recovery) =
-                    DurableDictionary::open(&dir, depth, catalog, WalOptions::default())
-                        .expect("open scratch WAL");
+                let served = wal.open(catalog);
                 for obs in observations {
                     served.learn(obs).expect("WAL learn");
                 }
                 served.sync().expect("WAL sync");
             }
             // Reopen: the serving state is the *recovered* one.
-            let (served, _recovery) =
-                DurableDictionary::open(&dir, depth, catalog, WalOptions::default())
-                    .expect("recover scratch WAL");
-            let snapshot = served.dictionary().snapshot();
-            drop(served);
-            let _ = std::fs::remove_dir_all(&dir);
-            Arc::new(snapshot)
+            let recovered = wal.open(catalog);
+            Arc::new(recovered.dictionary().snapshot())
         }
     }
 }
@@ -234,74 +247,46 @@ pub fn run_cell(
 
 /// The online-relearning arm of `concept-drift`.
 ///
-/// Serves the drifted test sequence the way a live deployment would:
-/// each run streams its samples into an [`OnlineRecognizer`] against the
-/// current [`Snapshot`] publication (swapping to the newest publication
-/// mid-stream, at the fingerprint window's open), is scored, and is then
-/// learned — labeled with its ground truth — into an [`AgingDictionary`].
-/// Every [`DRIFT_CHUNK`] runs the dictionary advances an epoch (evicting
-/// keys not refreshed for [`DRIFT_MAX_AGE`] epochs) and republishes.
+/// Serves the drifted test sequence the way a `--wal` daemon would: the
+/// training runs are learned into a [`DurableDictionary`] (in a scratch
+/// directory; `catalog` resolves metric names for its log), then each
+/// test run is answered from it and scored, and — when flagged
+/// [`relearn`](efd_workload::scenario::ScenarioRun::relearn) — learned
+/// with its ground truth, so the next run is answered with it.
 ///
 /// Returns the arm's report; compare against the static cell from
 /// [`run_cell`] to see what relearning buys under drift.
 pub fn drift_relearn(
+    catalog: &MetricCatalog,
     data: &ScenarioData,
     metric: MetricId,
     interval: Interval,
 ) -> AbstentionReport {
-    let mut aging = AgingDictionary::new(RoundingDepth::new(DEPTH), DRIFT_MAX_AGE);
+    let wal = ScratchWal::new();
+    let store = wal.open(catalog);
     for run in &data.train {
         let label = run.truth.clone().expect("training runs are labeled");
-        aging.learn(&LabeledObservation {
-            label,
-            query: query_from_means(metric, interval, &run.means),
-        });
+        let query = query_from_means(metric, interval, &run.means);
+        store
+            .learn(&LabeledObservation { label, query })
+            .expect("WAL learn");
     }
-    let mut current = Arc::new(Snapshot::freeze(aging.dictionary()));
-    let mut previous = Arc::clone(&current);
 
+    let mut scratch = VoteScratch::default();
     let mut scored = Vec::with_capacity(data.test.len());
-    for chunk in data.test.chunks(DRIFT_CHUNK) {
-        for run in chunk {
-            let nodes: Vec<NodeId> = run
-                .means
-                .iter()
-                .enumerate()
-                .filter(|(_, m)| m.is_finite())
-                .map(|(n, _)| NodeId(n as u16))
-                .collect();
-            // The session opens against the previous publication and
-            // swaps to the newest one mid-stream, exactly when the
-            // fingerprint window opens — the learn-while-serve handoff.
-            let mut session =
-                OnlineRecognizer::new(Arc::clone(&previous), &[metric], &nodes, vec![interval]);
-            for t in 0..=interval.end {
-                if t == interval.start {
-                    session.swap(Arc::clone(&current));
-                }
-                for &n in &nodes {
-                    session.push(n, metric, t, run.means[n.0 as usize]);
-                }
-            }
-            let r = session.finish();
-            scored.push(ScoredQuery::from_recognition(
-                run.truth.as_ref().map(|l| l.app.as_str()),
-                &r,
-            ));
-            if run.relearn {
-                if let Some(label) = &run.truth {
-                    aging.learn(&LabeledObservation {
-                        label: label.clone(),
-                        query: query_from_means(metric, interval, &run.means),
-                    });
-                }
-            }
+    for run in &data.test {
+        let query = query_from_means(metric, interval, &run.means);
+        let r = store.recognize_into(&query, &mut scratch);
+        scored.push(ScoredQuery::from_recognition(
+            run.truth.as_ref().map(|l| l.app.as_str()),
+            &r,
+        ));
+        if let (true, Some(label)) = (run.relearn, &run.truth) {
+            let label = label.clone();
+            store
+                .learn(&LabeledObservation { label, query })
+                .expect("WAL learn");
         }
-        // Age, evict, republish: live sessions pick the new publication
-        // up at their next swap point.
-        aging.advance();
-        previous = current;
-        current = Arc::new(Snapshot::freeze(aging.dictionary()));
     }
     score(&scored)
 }
@@ -314,7 +299,15 @@ mod tests {
     use efd_workload::{Dataset, DatasetSpec};
 
     fn fixture() -> (Dataset, MetricId, CleanRuns) {
-        let d = Dataset::with_catalog(DatasetSpec::default(), small_catalog());
+        seeded_fixture(DatasetSpec::default().master_seed)
+    }
+
+    fn seeded_fixture(master_seed: u64) -> (Dataset, MetricId, CleanRuns) {
+        let spec = DatasetSpec {
+            master_seed,
+            ..DatasetSpec::default()
+        };
+        let d = Dataset::with_catalog(spec, small_catalog());
         let metric = d.catalog().id("nr_mapped_vmstat").unwrap();
         let clean = CleanRuns::from_dataset(&d, metric, Interval::PAPER_DEFAULT);
         (d, metric, clean)
@@ -391,21 +384,42 @@ mod tests {
 
     #[test]
     fn drift_relearn_beats_static_dictionary_at_high_intensity() {
-        let (d, metric, clean) = fixture();
-        let data = build(&clean, &spec(ScenarioKind::ConceptDrift, 1.0));
-        let clf = fit_backend(
-            BackendKind::Served(Backend::Snapshot),
-            &d,
-            metric,
-            Interval::PAPER_DEFAULT,
-        );
-        let static_arm = run_cell(&clf, &data, metric, Interval::PAPER_DEFAULT);
-        let relearn_arm = drift_relearn(&data, metric, Interval::PAPER_DEFAULT);
+        let mut margins = Vec::new();
+        for master_seed in [0xEFD_2021, 1, 2, 3, 4, 5, 6, 7] {
+            let (d, metric, clean) = seeded_fixture(master_seed);
+            let clf = fit_backend(
+                BackendKind::Served(Backend::Snapshot),
+                &d,
+                metric,
+                Interval::PAPER_DEFAULT,
+            );
+            for intensity in [0.0, 1.0] {
+                let data = build(&clean, &spec(ScenarioKind::ConceptDrift, intensity));
+                let static_arm = run_cell(&clf, &data, metric, Interval::PAPER_DEFAULT);
+                let relearn_arm =
+                    drift_relearn(d.catalog(), &data, metric, Interval::PAPER_DEFAULT);
+                if intensity == 0.0 {
+                    // Clean data: learning what is recognized costs nothing.
+                    assert!(
+                        relearn_arm.macro_f1 >= static_arm.macro_f1,
+                        "seed {master_seed:#x}, clean: relearn {:.3} below static {:.3}",
+                        relearn_arm.macro_f1,
+                        static_arm.macro_f1
+                    );
+                } else {
+                    margins.push((master_seed, relearn_arm.macro_f1, static_arm.macro_f1));
+                }
+            }
+        }
+        let (seed, relearn, stat) = margins
+            .iter()
+            .copied()
+            .min_by(|a, b| (a.1 - a.2).total_cmp(&(b.1 - b.2)))
+            .unwrap();
         assert!(
-            relearn_arm.macro_f1 > static_arm.macro_f1 + 0.2,
-            "relearn {:.3} must clearly beat static {:.3}",
-            relearn_arm.macro_f1,
-            static_arm.macro_f1
+            relearn > stat + 0.2,
+            "seed {seed:#x}: relearn {relearn:.3} must clearly beat static {stat:.3} \
+             (every seed: {margins:?})"
         );
     }
 }

@@ -12,7 +12,7 @@
 //!   fingerprints, learning/recognition, depth selection, persistence
 //!   (JSON dumps and the EFDB binary format, spec in `docs/FORMAT.md`),
 //!   plus the paper's future-work extensions (combinatorial fingerprints,
-//!   temporal alignment, reverse lookup, streaming recognition) — and the
+//!   streaming recognition) — and the
 //!   **engine API** (`efd_core::engine`): the object-safe
 //!   [`Recognize`](prelude::Recognize) trait unifying every backend,
 //!   re-exported through the [`prelude`].
