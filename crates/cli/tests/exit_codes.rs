@@ -235,6 +235,30 @@ fn garbage_after_efdb_magic_is_a_clean_error() {
 }
 
 #[test]
+fn ingest_csv_of_a_malformed_node_file_is_a_format_error() {
+    // A non-numeric cell: the CSV reader's format error reaches the user
+    // with the file name, as `efd ingest-csv` has always printed it.
+    let dir = wal_fixture_dir("bad-csv");
+    std::fs::write(
+        dir.join("run0000_node0.csv"),
+        "# app: ft\n# input: X\n#Time,nr_mapped_vmstat\n0,6020.5\n1,abc\n",
+    )
+    .unwrap();
+    let out = assert_clean_error(
+        &[
+            "ingest-csv",
+            "--dir",
+            dir.to_str().unwrap(),
+            "--run",
+            "run0000",
+        ],
+        "run0000_node0.csv: format error: bad value \"abc\" at line 5",
+    );
+    assert_eq!(out.status.code(), Some(1));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn compact_without_wal_flag_is_a_clean_error() {
     assert_clean_error(&["compact"], "--wal");
 }

@@ -88,6 +88,10 @@ pub const RECORD_FRAME_LEN: usize = 12;
 /// Name of the log file inside a WAL directory.
 pub const LOG_FILE: &str = "wal.log";
 
+/// Where a fresh log header is written and synced before it is renamed
+/// over [`LOG_FILE`].
+const LOG_TMP_FILE: &str = "wal.log.tmp";
+
 /// Errors reading, replaying, or managing a WAL directory.
 ///
 /// Marked `#[non_exhaustive]` like [`BinFormatError`]: future recovery
@@ -754,6 +758,39 @@ fn list_segments(dir: &Path) -> Result<Vec<(u32, PathBuf)>, WalError> {
     Ok(out)
 }
 
+/// `fsync` a directory, making the renames inside it durable.
+fn sync_dir(dir: &Path) -> Result<(), WalError> {
+    fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err(dir, &e))
+}
+
+/// Replace `dir`'s log with a fresh header: write it to [`LOG_TMP_FILE`],
+/// sync it, rename it over [`LOG_FILE`] and sync the directory. A crash
+/// at any point leaves either the old log or the new one whole. Returns
+/// the new log, positioned for appends.
+fn write_fresh_log(
+    dir: &Path,
+    depth: RoundingDepth,
+    base_segments: u32,
+) -> Result<fs::File, WalError> {
+    let tmp = dir.join(LOG_TMP_FILE);
+    let mut file = fs::OpenOptions::new()
+        .create(true)
+        .truncate(true)
+        .read(true)
+        .write(true)
+        .open(&tmp)
+        .map_err(|e| io_err(&tmp, &e))?;
+    file.write_all(&encode_header(depth, base_segments))
+        .and_then(|()| file.sync_all())
+        .map_err(|e| io_err(&tmp, &e))?;
+    let log_path = dir.join(LOG_FILE);
+    fs::rename(&tmp, &log_path).map_err(|e| io_err(&log_path, &e))?;
+    sync_dir(dir)?;
+    Ok(file)
+}
+
 /// The outcome of recovering a WAL directory.
 #[derive(Debug)]
 #[must_use = "recovery holds the rebuilt dictionary and the tail report"]
@@ -871,6 +908,12 @@ impl WalDir {
         options: WalOptions,
     ) -> Result<(WalDir, Recovery), WalError> {
         fs::create_dir_all(dir).map_err(|e| io_err(dir, &e))?;
+        // A leftover temp log is a fresh header whose rename never landed;
+        // `wal.log` (or its absence) is still the truth.
+        let tmp_path = dir.join(LOG_TMP_FILE);
+        if tmp_path.exists() {
+            fs::remove_file(&tmp_path).map_err(|e| io_err(&tmp_path, &e))?;
+        }
         let log_path = dir.join(LOG_FILE);
         if !log_path.exists() {
             if !list_segments(dir)?.is_empty() {
@@ -880,16 +923,7 @@ impl WalDir {
                         .to_string(),
                 });
             }
-            let mut file = fs::OpenOptions::new()
-                .create(true)
-                .truncate(true)
-                .read(true)
-                .write(true)
-                .open(&log_path)
-                .map_err(|e| io_err(&log_path, &e))?;
-            file.write_all(&encode_header(default_depth, 0))
-                .and_then(|()| file.sync_data())
-                .map_err(|e| io_err(&log_path, &e))?;
+            let file = write_fresh_log(dir, default_depth, 0)?;
             let me = WalDir {
                 dir: dir.to_path_buf(),
                 file,
@@ -1001,8 +1035,10 @@ impl WalDir {
     /// canonical-EFDB segment, then reset the log.
     ///
     /// Write order is crash-safe: the segment is written to a temp file,
-    /// synced, renamed into place, and only then is the log truncated to
-    /// a fresh header recording the new segment count.
+    /// synced and renamed into place, and only then is the log replaced by
+    /// a fresh header recording the new segment count (itself written to
+    /// a temp file and renamed over `wal.log`, so no crash leaves the log
+    /// empty).
     pub fn freeze(
         &mut self,
         parts: &DictionaryParts,
@@ -1019,17 +1055,10 @@ impl WalDir {
                 .map_err(|e| io_err(&tmp, &e))?;
         }
         fs::rename(&tmp, &path).map_err(|e| io_err(&path, &e))?;
+        sync_dir(&self.dir)?;
 
         // Reset the log: everything it held now lives in the segment.
-        let log_path = self.dir.join(LOG_FILE);
-        self.file.set_len(0).map_err(|e| io_err(&log_path, &e))?;
-        self.file
-            .seek(SeekFrom::Start(0))
-            .map_err(|e| io_err(&log_path, &e))?;
-        self.file
-            .write_all(&encode_header(self.depth, seq))
-            .and_then(|()| self.file.sync_data())
-            .map_err(|e| io_err(&log_path, &e))?;
+        self.file = write_fresh_log(&self.dir, self.depth, seq)?;
         self.segments = seq;
         self.log_len = WAL_HEADER_LEN as u64;
         self.unsynced = 0;
@@ -1397,6 +1426,75 @@ mod tests {
             let q = Query::from_node_means(metric, Interval::PAPER_DEFAULT, &means);
             assert_eq!(rec.dictionary.recognize(&q), oracle.recognize(&q));
         }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn freeze_replaces_the_log_instead_of_truncating_it() {
+        use std::io::Read;
+        let catalog = small_catalog();
+        let dir = std::env::temp_dir().join(format!("efd-wal-replace-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let depth = RoundingDepth::new(2);
+        let (mut wal, _) = WalDir::open(&dir, depth, &catalog, WalOptions::default()).unwrap();
+        let mut oracle = EfdDictionary::new(depth);
+        for rec in learn_records(&catalog) {
+            wal.append(&rec).unwrap();
+            apply_record(&mut oracle, &rec, &catalog, 0).unwrap();
+        }
+        wal.sync().unwrap();
+        let before = fs::read(dir.join(LOG_FILE)).unwrap();
+        let mut old_log = fs::File::open(dir.join(LOG_FILE)).unwrap();
+
+        wal.freeze(&oracle.to_parts(), &catalog).unwrap();
+
+        // Until the rename, a crash finds the old log whole: the freeze
+        // never writes through the file the old log lives in.
+        let mut after = Vec::new();
+        old_log.read_to_end(&mut after).unwrap();
+        assert_eq!(after, before, "freeze must not touch the pre-freeze log");
+        assert_eq!(
+            fs::read(dir.join(LOG_FILE)).unwrap(),
+            encode_header(depth, 1)
+        );
+        assert!(!dir.join(LOG_TMP_FILE).exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_stale_temp_log_is_ignored_on_open() {
+        let catalog = small_catalog();
+        let dir = std::env::temp_dir().join(format!("efd-wal-stale-tmp-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let depth = RoundingDepth::new(2);
+        let records = learn_records(&catalog);
+        let mut oracle = EfdDictionary::new(depth);
+        {
+            let (mut wal, _) = WalDir::open(&dir, depth, &catalog, WalOptions::default()).unwrap();
+            for (i, rec) in records.iter().enumerate() {
+                wal.append(rec).unwrap();
+                apply_record(&mut oracle, rec, &catalog, i).unwrap();
+                if i == 0 {
+                    wal.freeze(&oracle.to_parts(), &catalog).unwrap();
+                }
+            }
+            wal.sync().unwrap();
+        }
+        // A crash after the temp header was written but before its rename:
+        // the log still holds the records, the temp file claims none.
+        fs::write(dir.join(LOG_TMP_FILE), encode_header(depth, 2)).unwrap();
+
+        let (mut wal, rec) = WalDir::open(&dir, depth, &catalog, WalOptions::default()).unwrap();
+        assert!(!dir.join(LOG_TMP_FILE).exists());
+        assert_eq!(rec.segments, 1);
+        assert_eq!(rec.replayed, records.len() - 1);
+        let canonical = |d: &EfdDictionary| binfmt::write_dictionary(d, &catalog);
+        assert_eq!(canonical(&rec.dictionary), canonical(&oracle));
+        // And the directory keeps working: a later freeze lands whole.
+        wal.freeze(&oracle.to_parts(), &catalog).unwrap();
+        let again = recover(&dir, &catalog).unwrap();
+        assert_eq!(again.segments, 2);
+        assert_eq!(canonical(&again.dictionary), canonical(&oracle));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -295,6 +295,14 @@ conformance!(verdict: registry_knn_from_json, |o: &[LabeledObservation]| {
     registry_load(Backend::Knn { k: 3 }, o, true)
 });
 
+conformance!(verdict: registry_gaussian_nb_from_efdb, |o: &[LabeledObservation]| {
+    registry_load(Backend::GaussianNb, o, false)
+});
+
+conformance!(verdict: registry_gaussian_nb_from_json, |o: &[LabeledObservation]| {
+    registry_load(Backend::GaussianNb, o, true)
+});
+
 conformance!(verdict: registry_forest_from_efdb, |o: &[LabeledObservation]| {
     registry_load(Backend::Forest, o, false)
 });

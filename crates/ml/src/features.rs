@@ -6,7 +6,7 @@
 //! percentiles, skewness and kurtosis — **streamed** through
 //! [`efd_util::OnlineStats`] and [`efd_util::P2Quantile`] so a 562-metric ×
 //! full-window extraction never buffers raw series (contrast with the EFD's
-//! single 60-sample mean; the `perf_learning` bench quantifies the gap).
+//! single 60-sample mean).
 
 use efd_telemetry::trace::ExecutionTrace;
 use efd_telemetry::Interval;

@@ -1,8 +1,9 @@
 //! Gaussian naive Bayes.
 //!
 //! The cheapest baseline family: per-class feature Gaussians with variance
-//! smoothing (sklearn's `var_smoothing` scheme), log-likelihood scoring,
-//! and softmax-normalized probabilities.
+//! smoothing (sklearn's `var_smoothing` scheme, floored at the data's
+//! resolution), log-likelihood scoring, and softmax-normalized
+//! probabilities.
 
 use crate::Classifier;
 
@@ -68,9 +69,31 @@ impl GaussianNb {
             }
         }
         let eps = 1e-9 * global.iter().cloned().fold(f64::MIN_POSITIVE, f64::max);
+        // No class is narrower than the finest spread the data shows
+        // within a class: a class seen at one value (a single row, or one
+        // dictionary key per label) would otherwise get an `eps`-wide
+        // spike that every query misses, and any wider class would win
+        // every point. Floor each feature's variance at the square of
+        // its smallest gap between two distinct values of one class.
+        let floor: Vec<f64> = (0..width)
+            .map(|f| {
+                let mut col: Vec<(usize, f64)> =
+                    x.iter().zip(y).map(|(xi, &yi)| (yi, xi[f])).collect();
+                col.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+                col.windows(2)
+                    .filter(|w| w[0].0 == w[1].0 && w[1].1 > w[0].1)
+                    .map(|w| (w[1].1 - w[0].1).powi(2))
+                    .min_by(f64::total_cmp)
+                    .unwrap_or(0.0)
+            })
+            .collect();
         for (class_var, &c) in var.iter_mut().zip(&count) {
-            for v in class_var.iter_mut() {
-                *v = if c > 0 { *v / c as f64 + eps } else { 1.0 };
+            for (v, &fl) in class_var.iter_mut().zip(&floor) {
+                *v = if c > 0 {
+                    (*v / c as f64 + eps).max(fl)
+                } else {
+                    1.0
+                };
             }
         }
 
@@ -169,6 +192,23 @@ mod tests {
         let nb = GaussianNb::fit(&x, &y, 3); // class 2 never observed
         let p = nb.predict_proba(&[0.0, 0.0]);
         assert_eq!(p[2], 0.0);
+    }
+
+    #[test]
+    fn a_one_value_class_still_claims_its_neighborhood() {
+        // Dictionary-shaped rows: class 0 seen at one key, class 1 spread
+        // over three. A point 15 off class 0's key is class 0's.
+        let x = vec![
+            vec![6000.0],
+            vec![6000.0],
+            vec![7100.0],
+            vec![7500.0],
+            vec![7600.0],
+        ];
+        let y = vec![0, 0, 1, 1, 1];
+        let nb = GaussianNb::fit(&x, &y, 2);
+        let p = nb.predict_proba(&[6015.0]);
+        assert!(p[0] > 0.99, "{p:?}");
     }
 
     #[test]

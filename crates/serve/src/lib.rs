@@ -21,9 +21,8 @@
 //!   costs one checked pass over the file and resident memory is the
 //!   file plus the index. Reads are lock-free; recognition uses dense
 //!   per-thread vote counters instead of per-query hash maps, so the
-//!   single-query path is also measurably faster than the core oracle
-//!   (see the `perf_serving` bench). [`EfdbSnapshot`] is an alias of
-//!   it.
+//!   single-query path is also faster than the core oracle (`efd serve`
+//!   prints the speedup). [`EfdbSnapshot`] is an alias of it.
 //! * [`DurableDictionary`] — a [`ShardedDictionary`] whose learns are
 //!   written ahead to an [`efd_core::wal`] directory: crash the process,
 //!   reopen, and serve exactly the durably-acknowledged state.

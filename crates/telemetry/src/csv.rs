@@ -18,12 +18,38 @@
 //! `# key: value` comment lines so a directory of CSVs reassembles into an
 //! [`ExecutionTrace`].
 
-use std::io::{BufRead, Write};
+use std::fmt;
+use std::io::{self, BufRead, Write};
 
 use crate::metric::MetricCatalog;
 use crate::series::TimeSeries;
-use crate::storage::StorageError;
 use crate::trace::{AppLabel, ExecutionTrace, MetricSelection, NodeId, NodeTrace};
+
+/// Errors from writing, parsing or assembling node CSVs.
+#[derive(Debug)]
+pub enum CsvError {
+    /// Underlying I/O failure.
+    Io(io::Error),
+    /// Layout violation: a bad cell, header or label.
+    Format(String),
+}
+
+impl fmt::Display for CsvError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CsvError::Io(e) => write!(f, "i/o error: {e}"),
+            CsvError::Format(m) => write!(f, "format error: {m}"),
+        }
+    }
+}
+
+impl std::error::Error for CsvError {}
+
+impl From<io::Error> for CsvError {
+    fn from(e: io::Error) -> Self {
+        CsvError::Io(e)
+    }
+}
 
 /// Write one node's series as LDMS-style CSV.
 pub fn write_node_csv<W: Write>(
@@ -31,11 +57,11 @@ pub fn write_node_csv<W: Write>(
     node: NodeId,
     catalog: &MetricCatalog,
     mut w: W,
-) -> Result<(), StorageError> {
+) -> Result<(), CsvError> {
     let node_trace = trace
         .nodes
         .get(node.index())
-        .ok_or_else(|| StorageError::Format(format!("no node {node} in trace")))?;
+        .ok_or_else(|| CsvError::Format(format!("no node {node} in trace")))?;
 
     writeln!(w, "# app: {}", trace.label.app)?;
     writeln!(w, "# input: {}", trace.label.input)?;
@@ -83,7 +109,7 @@ pub struct NodeCsv {
 
 /// Parse one node CSV produced by [`write_node_csv`] (or the artifact's
 /// layout plus our metadata comments).
-pub fn read_node_csv<R: BufRead>(r: R) -> Result<NodeCsv, StorageError> {
+pub fn read_node_csv<R: BufRead>(r: R) -> Result<NodeCsv, CsvError> {
     let mut app = String::new();
     let mut input = String::new();
     let mut node = 0u16;
@@ -106,12 +132,12 @@ pub fn read_node_csv<R: BufRead>(r: R) -> Result<NodeCsv, StorageError> {
                     "node" => {
                         node = value
                             .parse()
-                            .map_err(|_| StorageError::Format(format!("bad node id {value:?}")))?
+                            .map_err(|_| CsvError::Format(format!("bad node id {value:?}")))?
                     }
                     "exec_id" => {
                         exec_id = value
                             .parse()
-                            .map_err(|_| StorageError::Format(format!("bad exec_id {value:?}")))?
+                            .map_err(|_| CsvError::Format(format!("bad exec_id {value:?}")))?
                     }
                     _ => {} // unknown metadata: ignore
                 }
@@ -130,7 +156,7 @@ pub fn read_node_csv<R: BufRead>(r: R) -> Result<NodeCsv, StorageError> {
         }
         // Data row.
         if metric_names.is_empty() {
-            return Err(StorageError::Format(format!(
+            return Err(CsvError::Format(format!(
                 "data before #Time header at line {}",
                 lineno + 1
             )));
@@ -139,7 +165,7 @@ pub fn read_node_csv<R: BufRead>(r: R) -> Result<NodeCsv, StorageError> {
         let _time = cells.next(); // dense 1 Hz; the row index is the time
         for (c, cell) in cells.enumerate() {
             if c >= columns.len() {
-                return Err(StorageError::Format(format!(
+                return Err(CsvError::Format(format!(
                     "row at line {} has more cells than the header",
                     lineno + 1
                 )));
@@ -148,7 +174,7 @@ pub fn read_node_csv<R: BufRead>(r: R) -> Result<NodeCsv, StorageError> {
                 f64::NAN
             } else {
                 cell.parse().map_err(|_| {
-                    StorageError::Format(format!("bad value {cell:?} at line {}", lineno + 1))
+                    CsvError::Format(format!("bad value {cell:?} at line {}", lineno + 1))
                 })?
             };
             columns[c].push(v);
@@ -170,17 +196,17 @@ pub fn read_node_csv<R: BufRead>(r: R) -> Result<NodeCsv, StorageError> {
 pub fn assemble_trace(
     mut nodes: Vec<NodeCsv>,
     catalog: &MetricCatalog,
-) -> Result<ExecutionTrace, StorageError> {
+) -> Result<ExecutionTrace, CsvError> {
     let first = nodes
         .first()
-        .ok_or_else(|| StorageError::Format("no node CSVs".into()))?;
+        .ok_or_else(|| CsvError::Format("no node CSVs".into()))?;
     let ids = first
         .metric_names
         .iter()
         .map(|n| {
             catalog
                 .id(n)
-                .ok_or_else(|| StorageError::Format(format!("unknown metric {n:?}")))
+                .ok_or_else(|| CsvError::Format(format!("unknown metric {n:?}")))
         })
         .collect::<Result<Vec<_>, _>>()?;
     let label = AppLabel::new(first.app.clone(), first.input.clone());
@@ -192,7 +218,7 @@ pub fn assemble_trace(
         .into_iter()
         .map(|n| {
             if n.app != label.app || n.input != label.input {
-                return Err(StorageError::Format(format!(
+                return Err(CsvError::Format(format!(
                     "node {} labeled {} {}, expected {label}",
                     n.node, n.app, n.input
                 )));

@@ -22,7 +22,8 @@
 //! * [`noise`] — measurement-noise processes (Gaussian, OU drift, spikes).
 //! * [`streaming`] — online window aggregation for during-execution
 //!   recognition (the paper's low-latency motivation).
-//! * [`storage`] — JSON and compact binary (de)serialization of traces.
+//! * [`csv`] — the LDMS per-node CSV layout `efd generate` writes and
+//!   `efd ingest-csv` reads.
 //! * [`prom`] — Prometheus text-exposition primitives (counters, gauges,
 //!   explicit-bucket histograms) backing the serving daemon's `/metrics`
 //!   endpoint.
@@ -38,7 +39,6 @@ pub mod noise;
 pub mod prom;
 pub mod sampler;
 pub mod series;
-pub mod storage;
 pub mod streaming;
 pub mod trace;
 

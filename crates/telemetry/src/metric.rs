@@ -5,8 +5,6 @@
 //! per-metric metadata the workload models need (category, typical
 //! magnitude, a stable salt for deterministic per-metric variation).
 
-use serde::{Deserialize, Error, Serialize, Value};
-
 use efd_util::rng::str_tag;
 use efd_util::FxHashMap;
 
@@ -79,18 +77,6 @@ impl MetricCategory {
     }
 }
 
-serde::impl_serde_unit_enum!(MetricCategory {
-    Vmstat,
-    Meminfo,
-    Procstat,
-    Nic,
-    Router,
-    Loadavg,
-    Netdev,
-    Power,
-    Misc,
-});
-
 /// Metadata for one metric.
 #[derive(Debug, Clone)]
 pub struct MetricInfo {
@@ -107,13 +93,6 @@ pub struct MetricInfo {
     pub salt: u64,
 }
 
-serde::impl_serde_struct!(MetricInfo {
-    name,
-    category,
-    base_scale,
-    salt,
-});
-
 /// Owning interner for metric names and metadata.
 ///
 /// Ids are assigned densely in insertion order, so `Vec`s indexed by
@@ -122,27 +101,6 @@ serde::impl_serde_struct!(MetricInfo {
 pub struct MetricCatalog {
     infos: Vec<MetricInfo>,
     by_name: FxHashMap<String, MetricId>,
-}
-
-// The name index is skipped on the wire (serde's `#[serde(skip)]`):
-// deserialized catalogs start with an empty index until
-// [`MetricCatalog::rebuild_index`] runs.
-impl Serialize for MetricCatalog {
-    fn to_value(&self) -> Value {
-        Value::Obj(vec![("infos".to_string(), self.infos.to_value())])
-    }
-}
-
-impl Deserialize for MetricCatalog {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let infos = v
-            .get("infos")
-            .ok_or_else(|| Error::msg("missing field `infos`"))?;
-        Ok(MetricCatalog {
-            infos: Vec::<MetricInfo>::from_value(infos)?,
-            by_name: FxHashMap::default(),
-        })
-    }
 }
 
 impl MetricCatalog {
@@ -212,17 +170,6 @@ impl MetricCatalog {
             .filter(|&id| self.info(id).category == category)
             .collect()
     }
-
-    /// Rebuild the name index (needed after deserialization, where the map
-    /// is skipped).
-    pub fn rebuild_index(&mut self) {
-        self.by_name = self
-            .infos
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.name.clone(), MetricId(i as u32)))
-            .collect();
-    }
 }
 
 #[cfg(test)]
@@ -269,17 +216,6 @@ mod tests {
         let a = c.register("a_vmstat", MetricCategory::Vmstat, 1.0);
         let b = c.register("b_vmstat", MetricCategory::Vmstat, 1.0);
         assert_ne!(c.info(a).salt, c.info(b).salt);
-    }
-
-    #[test]
-    fn rebuild_index_restores_lookup() {
-        let mut c = MetricCatalog::new();
-        c.register("a_vmstat", MetricCategory::Vmstat, 1.0);
-        let json = serde_json::to_string(&c).unwrap();
-        let mut back: MetricCatalog = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.id("a_vmstat"), None); // index skipped by serde
-        back.rebuild_index();
-        assert_eq!(back.id("a_vmstat"), Some(MetricId(0)));
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! can skip them — the paper's fingerprints are means over whatever samples
 //! actually landed in the window.
 
-use serde::{Deserialize, Error, Serialize, Value};
-
 use efd_util::stats::OnlineStats;
 
 use crate::interval::Interval;
@@ -14,54 +12,9 @@ use crate::interval::Interval;
 /// A dense, fixed-rate time series (default 1 Hz), starting at t = 0
 /// relative to execution start. Element `k` is the sample for second `k`;
 /// missing samples are NaN.
-///
-/// Serialized as a list of nullable numbers: JSON cannot represent NaN, so
-/// gaps round-trip as `null`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     values: Vec<f64>,
-}
-
-// Serde representation: `Vec<Option<f64>>` (the vendored-serde equivalent
-// of `#[serde(from/into = "Vec<Option<f64>>")]`).
-impl Serialize for TimeSeries {
-    fn to_value(&self) -> Value {
-        Value::Arr(
-            self.values
-                .iter()
-                .map(|&x| {
-                    if x.is_finite() {
-                        Value::F64(x)
-                    } else {
-                        Value::Null
-                    }
-                })
-                .collect(),
-        )
-    }
-}
-
-impl Deserialize for TimeSeries {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Vec::<Option<f64>>::from_value(v).map(TimeSeries::from)
-    }
-}
-
-impl From<Vec<Option<f64>>> for TimeSeries {
-    fn from(v: Vec<Option<f64>>) -> Self {
-        Self {
-            values: v.into_iter().map(|x| x.unwrap_or(f64::NAN)).collect(),
-        }
-    }
-}
-
-impl From<TimeSeries> for Vec<Option<f64>> {
-    fn from(s: TimeSeries) -> Self {
-        s.values
-            .into_iter()
-            .map(|x| if x.is_finite() { Some(x) } else { None })
-            .collect()
-    }
 }
 
 impl TimeSeries {

@@ -68,8 +68,6 @@ pub struct MetricSelection {
     ids: Vec<MetricId>,
 }
 
-serde::impl_serde_struct!(MetricSelection { ids });
-
 impl MetricSelection {
     /// Selection over the given metrics, in the given order.
     pub fn new(ids: Vec<MetricId>) -> Self {
@@ -114,8 +112,6 @@ pub struct NodeTrace {
     pub series: Vec<TimeSeries>,
 }
 
-serde::impl_serde_struct!(NodeTrace { node, series });
-
 /// One labeled job execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionTrace {
@@ -131,14 +127,6 @@ pub struct ExecutionTrace {
     /// collector died; normally equal to every series length).
     pub duration_s: u32,
 }
-
-serde::impl_serde_struct!(ExecutionTrace {
-    exec_id,
-    label,
-    selection,
-    nodes,
-    duration_s,
-});
 
 impl ExecutionTrace {
     /// Number of allocated nodes.

@@ -3,99 +3,10 @@
 use proptest::prelude::*;
 
 use efd_telemetry::series::TimeSeries;
-use efd_telemetry::storage;
 use efd_telemetry::trace::{AppLabel, ExecutionTrace, MetricSelection, NodeId, NodeTrace};
-use efd_telemetry::{Interval, MetricId};
-
-/// Strategy: an arbitrary (small) execution trace, including NaN gaps.
-fn arb_trace() -> impl Strategy<Value = ExecutionTrace> {
-    let sample = prop_oneof![
-        8 => (-1e9f64..1e9).prop_map(Some),
-        1 => Just(None), // missing sample
-    ];
-    let series = prop::collection::vec(sample, 1..40).prop_map(|v| {
-        TimeSeries::from_values(v.into_iter().map(|x| x.unwrap_or(f64::NAN)).collect())
-    });
-    (
-        1u16..4,      // nodes
-        1usize..4,    // metrics
-        "[a-z]{1,8}", // app
-        "[A-Z]{1}",   // input
-        any::<u64>(), // exec id
-    )
-        .prop_flat_map(move |(nodes, metrics, app, input, exec_id)| {
-            prop::collection::vec(
-                prop::collection::vec(series.clone(), metrics..=metrics),
-                nodes as usize..=nodes as usize,
-            )
-            .prop_map(move |node_series| {
-                let selection = MetricSelection::new((0..metrics as u32).map(MetricId).collect());
-                let duration = node_series[0][0].len() as u32;
-                ExecutionTrace {
-                    exec_id,
-                    label: AppLabel::new(app.clone(), input.clone()),
-                    selection,
-                    nodes: node_series
-                        .into_iter()
-                        .enumerate()
-                        .map(|(n, series)| NodeTrace {
-                            node: NodeId(n as u16),
-                            series,
-                        })
-                        .collect(),
-                    duration_s: duration,
-                }
-            })
-        })
-}
-
-fn series_eq(a: &TimeSeries, b: &TimeSeries) -> bool {
-    a.len() == b.len()
-        && a.values()
-            .iter()
-            .zip(b.values())
-            .all(|(x, y)| (x == y) || (x.is_nan() && y.is_nan()))
-}
+use efd_telemetry::Interval;
 
 proptest! {
-    /// Binary storage round-trips arbitrary traces exactly (incl. NaN).
-    #[test]
-    fn binary_roundtrip(trace in arb_trace()) {
-        let bytes = storage::to_bytes(&trace);
-        let back = storage::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(&back.label, &trace.label);
-        prop_assert_eq!(back.exec_id, trace.exec_id);
-        prop_assert_eq!(&back.selection, &trace.selection);
-        prop_assert_eq!(back.nodes.len(), trace.nodes.len());
-        for (na, nb) in trace.nodes.iter().zip(&back.nodes) {
-            prop_assert_eq!(na.node, nb.node);
-            for (sa, sb) in na.series.iter().zip(&nb.series) {
-                prop_assert!(series_eq(sa, sb));
-            }
-        }
-    }
-
-    /// JSON storage also round-trips (NaN via null).
-    #[test]
-    fn json_roundtrip(trace in arb_trace()) {
-        let json = storage::to_json(&trace).unwrap();
-        let back = storage::from_json(&json).unwrap();
-        for (na, nb) in trace.nodes.iter().zip(&back.nodes) {
-            for (sa, sb) in na.series.iter().zip(&nb.series) {
-                prop_assert!(series_eq(sa, sb));
-            }
-        }
-    }
-
-    /// Truncating a binary blob never round-trips successfully.
-    #[test]
-    fn truncation_always_detected(trace in arb_trace(), frac in 0.0f64..1.0) {
-        let bytes = storage::to_bytes(&trace);
-        let cut = ((bytes.len() as f64) * frac) as usize;
-        prop_assume!(cut < bytes.len());
-        prop_assert!(storage::from_bytes(&bytes[..cut]).is_err());
-    }
-
     /// Window means over a split window combine to the full-window mean.
     #[test]
     fn window_means_compose(

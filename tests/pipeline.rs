@@ -4,7 +4,6 @@
 use efd::prelude::*;
 use efd_core::serialize;
 use efd_telemetry::catalog::small_catalog;
-use efd_telemetry::storage;
 
 fn dataset() -> Dataset {
     Dataset::with_catalog(DatasetSpec::default(), small_catalog())
@@ -76,31 +75,6 @@ fn online_verdict_matches_offline() {
     let online = online.expect("online verdict by 120 s");
     assert_eq!(online.verdict, offline.verdict);
     assert_eq!(online.matched_points, offline.matched_points);
-}
-
-#[test]
-fn trace_binary_storage_roundtrip_through_real_data() {
-    let d = dataset();
-    let selection = MetricSelection::new(d.catalog().ids().collect());
-    let trace = d.materialize_prefix(5, &selection, 60);
-
-    let bytes = storage::to_bytes(&trace);
-    let back = storage::from_bytes(&bytes).unwrap();
-    assert_eq!(back.label, trace.label);
-    assert_eq!(back.node_count(), trace.node_count());
-    assert_eq!(back.sample_count(), trace.sample_count());
-    // Window means survive exactly (fingerprints would be identical).
-    for node in &trace.nodes {
-        for (pos, series) in node.series.iter().enumerate() {
-            let a = series.window_mean(Interval::new(0, 60));
-            let b = back.nodes[node.node.index()].series[pos].window_mean(Interval::new(0, 60));
-            assert!(a == b || (a.is_nan() && b.is_nan()));
-        }
-    }
-
-    let json = storage::to_json(&trace).unwrap();
-    let back = storage::from_json(&json).unwrap();
-    assert_eq!(back.label, trace.label);
 }
 
 #[test]
