@@ -9,12 +9,15 @@
 //! so the two agree on any fault they share. The second test therefore
 //! checks recovery against a reference that never recovers: a fresh
 //! learner fed the same stream prefix, as many records as `wal-verify`
-//! counts in the crashed log.
+//! counts in the crashed log. The third does the same for a learner
+//! killed after it froze its first segment, so recovery must load that
+//! segment and replay the log on top of it.
 //!
 //! Every file lives in a scratch directory, and every child is killed if
 //! it outlives its deadline (or the test panics).
 
 use std::fs::File;
+use std::io::Read;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -29,12 +32,16 @@ const LEARN_FOR: Duration = Duration::from_secs(2);
 /// Bytes of the log header; a longer log holds a record.
 const WAL_HEADER_LEN: u64 = 16;
 
-/// Log size at which the reference test's learner is killed: a few
-/// hundred records, well below the 1 MiB at which the log would be
-/// frozen into a segment (which would leave earlier learns uncounted).
+/// Log size at which the reference tests' learners are killed: a few
+/// hundred records, well below the 1 MiB at which the log is frozen
+/// into a segment.
 const KILL_AT_LOG_BYTES: u64 = 64 << 10;
 
-/// Rounding depth of the reference test's learner: deep enough that
+/// Learns of the probe run that finds how many learns the first
+/// segment freezes: past the first freeze, short of a second one.
+const PROBE_LEARNS: u64 = 8000;
+
+/// Rounding depth of the reference tests' learners: deep enough that
 /// every jittered learn adds keys of its own, so losing any one record
 /// changes the dictionary. At the default depth 2 the stream saturates
 /// after a few hundred learns, and a lost trailing record is invisible.
@@ -132,20 +139,84 @@ fn number_after(text: &str, prefix: &str) -> u64 {
         .unwrap_or_else(|_| panic!("no number after {prefix:?} in {text}"))
 }
 
-/// Wait until the learner has logged `bytes` of its WAL, checking that
-/// it is still running.
-fn await_log(learner: &mut Guard, log: &std::path::Path, bytes: u64) {
+/// The segments the log's header requires (its last 4 bytes,
+/// little-endian) and the log's length, once the header is whole.
+fn log_state(log: &std::path::Path) -> Option<(u32, u64)> {
+    let mut file = File::open(log).ok()?;
+    let mut header = [0u8; WAL_HEADER_LEN as usize];
+    file.read_exact(&mut header).ok()?;
+    let segments = u32::from_le_bytes(header[12..16].try_into().unwrap());
+    Some((segments, file.metadata().ok()?.len()))
+}
+
+/// Wait until the learner's log requires `segments` segments and holds
+/// more than `bytes`, checking that the learner is still running.
+fn await_log(learner: &mut Guard, log: &std::path::Path, segments: u32, bytes: u64) {
     let deadline = Instant::now() + DEADLINE;
-    while std::fs::metadata(log).map_or(0, |m| m.len()) <= bytes {
+    while !log_state(log).is_some_and(|(s, len)| s == segments && len > bytes) {
         assert!(
             learner.0.try_wait().unwrap().is_none(),
-            "the learner exited before it logged {bytes} bytes"
+            "the learner exited before segment {segments}'s log held {bytes} bytes"
         );
         assert!(
             Instant::now() < deadline,
-            "{bytes} bytes not logged in {DEADLINE:?}"
+            "segment {segments}'s log did not reach {bytes} bytes in {DEADLINE:?}"
         );
         std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// Start a synced depth-17 learner of a long stream in `wal`, and
+/// SIGKILL it once its log requires `segments` segments and holds more
+/// than [`KILL_AT_LOG_BYTES`].
+fn kill_deep_learner(scratch: &Scratch, wal: &str, segments: u32) {
+    let log = std::path::Path::new(wal).join("wal.log");
+    let mut learner = scratch.spawn(&[
+        "serve",
+        "--wal",
+        wal,
+        "--depth",
+        DEEP,
+        "--learn",
+        "200000",
+        "--wal-sync",
+        "always",
+        "--synth",
+        "100",
+    ]);
+    await_log(&mut learner, &log, segments, KILL_AT_LOG_BYTES);
+    learner.0.kill().expect("SIGKILL the learner");
+    learner.0.wait().unwrap();
+}
+
+/// `wal-verify`'s audit of `wal`, which must require `segments`
+/// segments; returns the number of valid log records.
+fn audit_records(scratch: &Scratch, wal: &str, segments: u64) -> u64 {
+    let audit = scratch.efd_ok(&["wal-verify", "--wal", wal]);
+    assert_eq!(
+        number_after(&audit, "requires segment "),
+        segments,
+        "{wal}: {audit}"
+    );
+    number_after(&audit, "records:    ")
+}
+
+/// Require that recovered serving of `wal` prints the `dictionary:` and
+/// `verdicts:` lines of a fresh depth-17 learner of the stream's first
+/// `learns` items.
+fn assert_recovers_a_fresh_learner(scratch: &Scratch, wal: &str, learns: u64) {
+    let reference = scratch.path("reference");
+    let learns = learns.to_string();
+    let learned = scratch.efd_ok(&[
+        "serve", "--wal", &reference, "--depth", DEEP, "--learn", &learns, "--synth", "2000",
+    ]);
+    let recovered = scratch.efd_ok(&["serve", "--wal", wal, "--synth", "2000"]);
+    for prefix in ["dictionary:", "verdicts:"] {
+        assert_eq!(
+            line(&recovered, prefix),
+            line(&learned, prefix),
+            "recovered {learns} learns"
+        );
     }
 }
 
@@ -168,7 +239,7 @@ fn a_killed_learner_recovers_exactly_what_its_compaction_serves() {
         "--synth",
         "100",
     ]);
-    await_log(&mut learner, &log, WAL_HEADER_LEN);
+    await_log(&mut learner, &log, 0, WAL_HEADER_LEN);
     std::thread::sleep(LEARN_FOR);
     assert!(
         learner.0.try_wait().unwrap().is_none(),
@@ -190,46 +261,30 @@ fn a_killed_learner_recovers_exactly_what_its_compaction_serves() {
 fn a_killed_learner_recovers_what_a_fresh_learner_of_its_log_serves() {
     let scratch = Scratch::new("reference");
     let wal = scratch.path("wal");
-    let log = scratch.0.join("wal").join("wal.log");
-    let mut learner = scratch.spawn(&[
-        "serve",
-        "--wal",
-        &wal,
-        "--depth",
-        DEEP,
-        "--learn",
-        "200000",
-        "--wal-sync",
-        "always",
-        "--synth",
-        "100",
-    ]);
-    await_log(&mut learner, &log, KILL_AT_LOG_BYTES);
-    learner.0.kill().expect("SIGKILL the learner");
-    learner.0.wait().unwrap();
-    drop(learner);
+    kill_deep_learner(&scratch, &wal, 0);
 
     // `wal-verify` counts the log's valid records with the plain log
     // scanner. With no segment, they are the whole acknowledged prefix
     // of the learner's stream.
-    let audit = scratch.efd_ok(&["wal-verify", "--wal", &wal]);
-    assert_eq!(
-        number_after(&audit, "requires segment "),
-        0,
-        "the learner froze a segment before the kill: {audit}"
-    );
-    let records = number_after(&audit, "records:    ").to_string();
+    let records = audit_records(&scratch, &wal, 0);
+    assert_recovers_a_fresh_learner(&scratch, &wal, records);
+}
 
-    let reference = scratch.path("reference");
-    let learned = scratch.efd_ok(&[
-        "serve", "--wal", &reference, "--depth", DEEP, "--learn", &records, "--synth", "2000",
+#[test]
+fn a_learner_killed_past_its_first_segment_recovers_what_a_fresh_learner_serves() {
+    let scratch = Scratch::new("segment");
+    let wal = scratch.path("wal");
+    kill_deep_learner(&scratch, &wal, 1);
+    let records = audit_records(&scratch, &wal, 1);
+
+    // The log holds only the learns after the freeze. A probe learner
+    // of the same stream freezes at the same learn, so its log tells
+    // how many learns the first segment holds.
+    let probe = scratch.path("probe");
+    let learns = PROBE_LEARNS.to_string();
+    scratch.efd_ok(&[
+        "serve", "--wal", &probe, "--depth", DEEP, "--learn", &learns, "--synth", "100",
     ]);
-    let recovered = scratch.efd_ok(&["serve", "--wal", &wal, "--synth", "2000"]);
-    for prefix in ["dictionary:", "verdicts:"] {
-        assert_eq!(
-            line(&recovered, prefix),
-            line(&learned, prefix),
-            "recovered {records} records"
-        );
-    }
+    let frozen = PROBE_LEARNS - audit_records(&scratch, &probe, 1);
+    assert_recovers_a_fresh_learner(&scratch, &wal, frozen + records);
 }

@@ -134,9 +134,9 @@ mod tests {
         let bytes = binfmt::write(&dict.to_parts(), &catalog);
         let file_len = bytes.len();
         let loaded = EfdbSnapshot::load(bytes, &catalog).unwrap();
-        // The file itself plus one index slot pair per slot: twice the
+        // The file itself plus one 4-byte index slot per slot: twice the
         // key count, rounded up to a power of two.
         let slots = (2 * dict.len()).next_power_of_two();
-        assert_eq!(loaded.byte_len(), file_len + 8 * slots);
+        assert_eq!(loaded.byte_len(), file_len + 4 * slots);
     }
 }

@@ -19,9 +19,13 @@
 //!
 //! ```text
 //! metrics : MetricId -> metric index of the records (dense table)
-//! index   : [record, app] per slot, open addressing, linear probing
-//!             app = the key's one application when all its labels
-//!                   belong to it, MULTI otherwise
+//! index   : one u32 per slot, open addressing, linear probing
+//!             bits 31..b  app    = the key's one application when all
+//!                                  its labels belong to it and its id
+//!                                  fits the field; all ones (MULTI)
+//!                                  otherwise
+//!             bits b-1..0 record = the key's record number
+//!             (b = bit length of the key count; all ones = vacant)
 //!                  │ record
 //!                  v
 //! bytes   : … | metric node start end mean_bits postings_off | …   (records)
@@ -31,7 +35,11 @@
 //! A probe hashes the record's first 22 bytes (read as three `u64`
 //! words) with `FxMapHasher`, walks the slots, and compares those words
 //! with the record a slot points at. The index has at least twice as
-//! many slots as keys, so probe chains stay short. Most keys belong to
+//! many slots as keys, so probe chains stay short. Every record number
+//! is below `2^b - 1`, so no key's slot is all ones, the vacant slot.
+//! A 1M-key store packs 20 record bits and 12 app bits, a 10k-key store
+//! 14 and 18; an app id too wide for its field is voted through its
+//! postings, like a key of several apps. Most keys belong to
 //! one application, and the verdict-only path ([`Recognize::answer_into`])
 //! votes a slot's inline app without touching the postings; full
 //! recognition and keys of several apps walk the postings in place.
@@ -50,7 +58,7 @@
 //! 4. vote the matched keys in point order.
 //!
 //! No load of pass 2 or 3 depends on another point's, so on a store
-//! larger than the CPU caches (a 1M-key store is 48 MiB) a chunk's
+//! larger than the CPU caches (a 1M-key store is 40 MiB) a chunk's
 //! index and record misses are in flight together instead of one after
 //! another. Pass 4 runs in point order, so the votes, and so the
 //! answers, are those of a point-at-a-time loop. A single probe
@@ -62,7 +70,7 @@
 //! Every constructor builds the index the same way, in the probe
 //! pipeline's shape. Every slot is set vacant first, in contiguous
 //! parts of at least 1 MiB, one per core (`efd_util::parallel_parts_mut`),
-//! so the page faults of a 16 MiB index are taken on every core rather
+//! so the page faults of an 8 MiB index are taken on every core rather
 //! than one. Then the build takes the records in chunks of `BUILD_CHUNK`
 //! (32) and makes three passes over each chunk:
 //!
@@ -73,7 +81,7 @@
 //!    from its home (linear probing).
 //!
 //! The reads of pass 2 are independent, so a chunk's misses into a
-//! table larger than the caches (16 MiB for 1M keys) overlap. A slot
+//! table larger than the caches (8 MiB for 1M keys) overlap. A slot
 //! once taken stays taken, so pass 3 places every record where a
 //! record-at-a-time build would: the index comes out slot for slot the
 //! same.
@@ -92,12 +100,13 @@ use efd_util::hash::FxMapHasher;
 
 use crate::keystore::KeyStore;
 
-/// The record word of a vacant index slot, and the metrics-table entry
-/// of a catalog metric the store holds no key for.
+/// A vacant index slot, and the metrics-table entry of a catalog metric
+/// the store holds no key for.
 const VACANT: u32 = u32::MAX;
 
-/// The app word of an index slot whose key's labels span several
-/// applications (or none): votes walk its postings.
+/// The inline app of a key whose labels span several applications (or
+/// none), or whose app id is too wide for its slot's field: votes walk
+/// its postings.
 const MULTI: u32 = u32::MAX;
 
 /// Query points probed as one batch: enough independent index and
@@ -111,8 +120,59 @@ const PROBE_CHUNK: usize = 16;
 const BUILD_CHUNK: usize = 32;
 
 /// Index slots a thread fills at least when the index is built
-/// (1 MiB): a 10k-key index, 256 KiB, fills on the calling thread.
-const FILL_PART_MIN: usize = efd_util::parallel::PART_MIN_BYTES / std::mem::size_of::<[u32; 2]>();
+/// (1 MiB): a 10k-key index, 128 KiB, fills on the calling thread.
+const FILL_PART_MIN: usize = efd_util::parallel::PART_MIN_BYTES / std::mem::size_of::<u32>();
+
+/// How an index slot packs a record number and an inline app into one
+/// `u32` (module docs, "Layout"): the record in the low `record_bits`
+/// bits, the app code in the rest, an all-ones code meaning [`MULTI`].
+#[derive(Debug, Clone, Copy)]
+struct SlotPacking {
+    record_bits: u32,
+}
+
+impl SlotPacking {
+    /// The packing of a store of `keys` keys: as many record bits as
+    /// the key count's bit length, so every record number, being below
+    /// `keys`, is below the all-ones record field.
+    fn for_keys(keys: usize) -> Self {
+        let record_bits = usize::BITS - keys.leading_zeros();
+        assert!(record_bits <= 32, "{keys} keys overflow u32 record numbers");
+        Self { record_bits }
+    }
+
+    /// The app field's all-ones code, [`MULTI`]'s code.
+    #[inline]
+    fn multi_code(self) -> u64 {
+        u64::from(u32::MAX) >> self.record_bits
+    }
+
+    /// The slot of `record` with inline app `app`; an app at or past the
+    /// field's all-ones code is stored as [`MULTI`].
+    #[inline]
+    fn pack(self, record: u32, app: u32) -> u32 {
+        let code = u64::from(app).min(self.multi_code());
+        (u64::from(record) | (code << self.record_bits)) as u32
+    }
+
+    /// The record number of an occupied slot.
+    #[inline]
+    fn record(self, slot: u32) -> u32 {
+        (u64::from(slot) & ((1 << self.record_bits) - 1)) as u32
+    }
+
+    /// The inline app of an occupied slot, [`MULTI`] for the all-ones
+    /// code.
+    #[inline]
+    fn app(self, slot: u32) -> u32 {
+        let code = u64::from(slot) >> self.record_bits;
+        if code == self.multi_code() {
+            MULTI
+        } else {
+            code as u32
+        }
+    }
+}
 
 /// What the pipeline's last pass counts for each matched point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,8 +218,10 @@ pub struct Snapshot {
     bytes: Vec<u8>,
     records: Range<usize>,
     postings: Range<usize>,
-    /// Open-addressed `[record index, app]` slots, a power of two long.
-    index: Box<[[u32; 2]]>,
+    /// Open-addressed slots, a power of two long, each a record number
+    /// and inline app packed by `packing`.
+    index: Box<[u32]>,
+    packing: SlotPacking,
     /// Catalog [`MetricId`] → the records' metric index, [`VACANT`]
     /// for a metric no key uses.
     metrics: Box<[u32]>,
@@ -214,14 +276,16 @@ fn inline_app(r: &[u8], blob: Postings<'_>, label_app: &[AppNameId]) -> u32 {
     }
 }
 
-/// The `[record, app]` index over `keys` (module docs, "Index build"):
-/// at least twice as many slots as keys, a power of two, each record at
-/// the first vacant slot from its home in record order.
+/// The index over `keys` (module docs, "Index build"): at least twice
+/// as many slots as keys, a power of two, each record, packed with its
+/// inline app by `packing`, at the first vacant slot from its home in
+/// record order.
 fn build_index(
     keys: KeyRecords<'_>,
     blob: Postings<'_>,
     label_app: &[AppNameId],
-) -> Box<[[u32; 2]]> {
+    packing: SlotPacking,
+) -> Box<[u32]> {
     // The slots are set vacant in parts, on every core for a large
     // index, so the page faults of the fresh allocation are spread out.
     // The allocation is left uninitialised rather than zeroed: probes of
@@ -229,7 +293,7 @@ fn build_index(
     // traced process.
     let mut index = Box::new_uninit_slice((2 * keys.len()).next_power_of_two());
     let filled: usize = efd_util::parallel_parts_mut(&mut index, FILL_PART_MIN, |_, part| {
-        part.fill(MaybeUninit::new([VACANT, MULTI]));
+        part.fill(MaybeUninit::new(VACANT));
         part.len()
     })
     .into_iter()
@@ -243,12 +307,14 @@ fn build_index(
     let chunks = keys.bytes().chunks(BUILD_CHUNK * KEY_RECORD_LEN);
     for (first, chunk) in (0..).step_by(BUILD_CHUNK).zip(chunks) {
         let n = chunk.len() / KEY_RECORD_LEN;
-        // 1. Home slot and inline app of every record.
-        let mut homes = [(0, MULTI); BUILD_CHUNK];
-        for (home, r) in homes.iter_mut().zip(chunk.chunks_exact(KEY_RECORD_LEN)) {
+        // 1. Home slot and packed slot of every record.
+        let mut homes = [(0, VACANT); BUILD_CHUNK];
+        let records = chunk.chunks_exact(KEY_RECORD_LEN);
+        for ((i, home), r) in homes.iter_mut().enumerate().zip(records) {
+            let app = inline_app(r, blob, label_app);
             *home = (
                 home_slot(&record_words(r), mask),
-                inline_app(r, blob, label_app),
+                packing.pack((first + i) as u32, app),
             );
         }
         // 2. Read every home slot. A slot that is taken stays taken, so
@@ -256,15 +322,15 @@ fn build_index(
         //    one slot on.
         let mut taken = [false; BUILD_CHUNK];
         for (taken, &(slot, _)) in taken.iter_mut().zip(&homes[..n]) {
-            *taken = index[slot][0] != VACANT;
+            *taken = index[slot] != VACANT;
         }
         // 3. Place the records in record order.
-        for (i, (&(home, app), &taken)) in homes[..n].iter().zip(&taken).enumerate() {
+        for (&(home, packed), &taken) in homes[..n].iter().zip(&taken) {
             let mut slot = if taken { (home + 1) & mask } else { home };
-            while index[slot][0] != VACANT {
+            while index[slot] != VACANT {
                 slot = (slot + 1) & mask;
             }
-            index[slot] = [(first + i) as u32, app];
+            index[slot] = packed;
         }
     }
     index
@@ -405,20 +471,19 @@ impl Snapshot {
         metric_ids: Vec<MetricId>,
         (apps, labels, label_app): (Vec<String>, Vec<AppLabel>, Vec<AppNameId>),
     ) -> Self {
-        assert!(
-            apps.len() < MULTI as usize,
-            "app table too large for inline slots"
-        );
         let width = metric_ids.iter().map(|m| m.0 as usize + 1).max();
         let mut metrics = vec![VACANT; width.unwrap_or(0)].into_boxed_slice();
         for (at, id) in metric_ids.iter().enumerate() {
             metrics[id.0 as usize] = at as u32;
         }
 
+        let keys = KeyRecords::over(&bytes[records.clone()]);
+        let packing = SlotPacking::for_keys(keys.len());
         let index = build_index(
-            KeyRecords::over(&bytes[records.clone()]),
+            keys,
             Postings::over(&bytes[postings.clone()]),
             &label_app,
+            packing,
         );
         Self {
             depth,
@@ -426,6 +491,7 @@ impl Snapshot {
             records,
             postings,
             index,
+            packing,
             metrics,
             metric_ids,
             labels,
@@ -468,19 +534,18 @@ impl Snapshot {
     /// Returns the key's postings offset and inline app ([`MULTI`] if
     /// none), if it exists.
     #[inline]
-    fn walk(&self, key: &[u64; 3], mut slot: usize, mut entry: [u32; 2]) -> Option<(u32, u32)> {
+    fn walk(&self, key: &[u64; 3], mut slot: usize, mut entry: u32) -> Option<(u32, u32)> {
         let keys = self.keys();
         let mask = self.index.len() - 1;
         loop {
-            let [record, app] = entry;
-            if record == VACANT {
+            if entry == VACANT {
                 return None;
             }
-            let at = record as usize * KEY_RECORD_LEN;
+            let at = self.packing.record(entry) as usize * KEY_RECORD_LEN;
             let r = &keys[at..at + KEY_RECORD_LEN];
             if record_words(r) == *key {
                 let off = u32::from_le_bytes(r[22..26].try_into().expect("4 bytes"));
-                return Some((off, app));
+                return Some((off, self.packing.app(entry)));
             }
             slot = (slot + 1) & mask;
             entry = self.index[slot];
@@ -554,7 +619,7 @@ impl Snapshot {
                 });
             }
             // 2. Read every home slot.
-            let mut entries = [[VACANT, MULTI]; PROBE_CHUNK];
+            let mut entries = [VACANT; PROBE_CHUNK];
             for (entry, home) in entries.iter_mut().zip(&homes[..n]) {
                 if let Some((_, slot)) = *home {
                     *entry = self.index[slot];
@@ -865,6 +930,52 @@ mod tests {
         assert_eq!(snap.to_dictionary().to_parts().entries.len(), 3);
     }
 
+    /// The snapshot's index slots unpacked to `[record, app]`, a vacant
+    /// slot as `[VACANT, MULTI]`.
+    fn slots(snap: &Snapshot) -> Vec<[u32; 2]> {
+        snap.index
+            .iter()
+            .map(|&slot| match slot {
+                VACANT => [VACANT, MULTI],
+                _ => [snap.packing.record(slot), snap.packing.app(slot)],
+            })
+            .collect()
+    }
+
+    #[test]
+    fn slot_packing_round_trips_and_never_packs_vacant() {
+        assert_eq!(SlotPacking::for_keys(0).record_bits, 0);
+        assert_eq!(SlotPacking::for_keys(1_000_000).record_bits, 20);
+        assert_eq!(SlotPacking::for_keys(10_228).record_bits, 14);
+        for bits in [1, 20, 31, 32] {
+            let keys = (1u64 << bits) - 1;
+            let packing = SlotPacking::for_keys(keys as usize);
+            assert_eq!(packing.record_bits, bits);
+            // The field's all-ones code, as an app id.
+            let multi = u64::from(u32::MAX) >> bits;
+            let last = (keys - 1) as u32;
+            let records = [0, last / 2, last];
+            let fits = [0, 1, multi.saturating_sub(1)]
+                .into_iter()
+                .filter(|&app| app < multi);
+            for record in records {
+                for app in fits.clone() {
+                    let slot = packing.pack(record, app as u32);
+                    assert_ne!(slot, VACANT, "width {bits}: record {record}, app {app}");
+                    assert_eq!(packing.record(slot), record, "width {bits}");
+                    assert_eq!(u64::from(packing.app(slot)), app, "width {bits}");
+                }
+                let wide = [multi, multi + 1, u64::from(MULTI) - 1, u64::from(MULTI)];
+                for app in wide {
+                    let slot = packing.pack(record, app as u32);
+                    assert_ne!(slot, VACANT, "width {bits}: record {record}, app {app}");
+                    assert_eq!(packing.record(slot), record, "width {bits}");
+                    assert_eq!(packing.app(slot), MULTI, "width {bits}: app {app}");
+                }
+            }
+        }
+    }
+
     /// `n` keys with consecutive means on one metric and node: keys that
     /// differ only in a few mean bits. Key `i` belongs to app `i % 7`.
     fn adjacent_keys(n: usize) -> EfdDictionary {
@@ -880,8 +991,7 @@ mod tests {
     fn adjacent_keys_form_probe_chains_that_resolve() {
         let snap = Snapshot::freeze(&adjacent_keys(4096));
         let mask = snap.index.len() - 1;
-        let displaced = snap
-            .index
+        let displaced = slots(&snap)
             .iter()
             .enumerate()
             .filter(|(slot, [record, _])| {
@@ -942,8 +1052,7 @@ mod tests {
                 mixed.insert_raw(M, node, W, mean, &label);
             }
         }
-        let inline: Vec<u32> = Snapshot::freeze(&mixed)
-            .index
+        let inline: Vec<u32> = slots(&Snapshot::freeze(&mixed))
             .iter()
             .filter(|[record, _]| *record != VACANT)
             .map(|[_, app]| *app)
@@ -955,7 +1064,9 @@ mod tests {
             ("31 keys", adjacent_keys(31)),
             ("32 keys", adjacent_keys(32)),
             ("33 keys", adjacent_keys(33)),
+            ("4095 adjacent keys", adjacent_keys(4095)),
             ("4096 adjacent keys", adjacent_keys(4096)),
+            ("4097 adjacent keys", adjacent_keys(4097)),
             ("mixed one-app and multi-app keys", mixed),
         ];
         let catalog = efd_telemetry::catalog::small_catalog();
@@ -967,7 +1078,7 @@ mod tests {
             ] {
                 assert_eq!(snap.len(), dict.len(), "{name}");
                 assert!(
-                    *snap.index == *index_one_at_a_time(&snap),
+                    slots(&snap) == index_one_at_a_time(&snap),
                     "{name}: the chunked build placed some record elsewhere"
                 );
             }
