@@ -38,8 +38,9 @@
 //! accessors over the raw bytes; [`read`] is the owned decode on top of
 //! it, returning [`Efdb`] sections that thaw into [`DictionaryParts`].
 //! The serving layer's read-only store (`efd_serve::Snapshot::load`)
-//! keeps the checked buffer and answers queries from its key records
-//! and postings in place.
+//! keeps the checked buffer, with its postings interned in place (one
+//! copy of each distinct label list), and answers queries from its key
+//! records and postings there.
 
 use std::fmt;
 

@@ -1,8 +1,9 @@
 //! The `EfdbSnapshot` name for the one read-only store.
 //!
 //! Serving an EFDB file in place is what [`crate::Snapshot::load`] does:
-//! the checked buffer is moved into the store and its key records are
-//! indexed where they lie. [`EfdbSnapshot`] is that same type under the
+//! the checked buffer is moved into the store, its postings are interned
+//! in place (one copy of each distinct label list, the rest of the
+//! buffer released) and its key records are indexed where they lie. [`EfdbSnapshot`] is that same type under the
 //! name the benchmark's trace (`perfbench/`) still calls; it goes once
 //! that trace replays the daemon's own load path (ROADMAP, item 1).
 
@@ -127,16 +128,29 @@ mod tests {
     }
 
     #[test]
-    fn load_keeps_the_file_buffer_it_is_given() {
+    fn load_keeps_the_file_buffer_with_its_postings_interned() {
         let catalog = small_catalog();
         let m = catalog.id("nr_mapped_vmstat").unwrap();
         let dict = toy_dict(m);
         let bytes = binfmt::write(&dict.to_parts(), &catalog);
         let file_len = bytes.len();
+        // The file's postings blob holds one list per key; the store
+        // keeps one copy of each distinct list and drops the 8-byte
+        // checksum trailer after the blob.
+        let list_len = |ids: &Vec<_>| 4 + 4 * ids.len();
+        let parts = dict.to_parts();
+        let blob_len: usize = parts.entries.iter().map(|(_, ids)| list_len(ids)).sum();
+        let distinct: std::collections::HashSet<_> =
+            parts.entries.iter().map(|(_, ids)| ids).collect();
+        let interned: usize = distinct.into_iter().map(list_len).sum();
+        assert!(interned < blob_len, "the toy dictionary shares lists");
         let loaded = EfdbSnapshot::load(bytes, &catalog).unwrap();
-        // The file itself plus one 4-byte index slot per slot: twice the
-        // key count, rounded up to a power of two.
+        // The file up to its postings, the interned postings, then one
+        // 4-byte index slot per slot: twice the key count, rounded up
+        // to a power of two.
+        let held = file_len - 8 - blob_len + interned;
         let slots = (2 * dict.len()).next_power_of_two();
-        assert_eq!(loaded.byte_len(), file_len + 4 * slots);
+        assert_eq!(loaded.byte_len(), held + 4 * slots);
+        assert!(held < file_len);
     }
 }

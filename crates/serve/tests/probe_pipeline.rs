@@ -82,8 +82,13 @@ proptest! {
         let bytes = binfmt::write(&dict.to_parts(), &catalog);
         let forms = [
             ("freeze", Snapshot::freeze(&dict)),
-            ("load", Snapshot::load(bytes, &catalog).expect("canonical EFDB bytes")),
+            ("load", Snapshot::load(bytes.clone(), &catalog).expect("canonical EFDB bytes")),
         ];
+        // Interned postings thaw back to the file's dictionary.
+        for (form, snap) in &forms {
+            let thawed = binfmt::write(&snap.to_dictionary().to_parts(), &catalog);
+            prop_assert!(thawed == bytes, "{} thaws to other bytes", form);
+        }
         let mut scratch = VoteScratch::default();
         let mut answer = Answer::default();
         for _ in 0..24 {

@@ -13,7 +13,9 @@
 //! packs adjacent keys onto one metric and node so the hash index forms
 //! probe chains, and one mixes keys of one app (voted from the index
 //! slot) with keys whose labels span several apps (voted from the
-//! postings).
+//! postings). Hand-laid, checksum-valid postings layouts (reordered,
+//! shared and nested lists) check that the load-time interning of the
+//! postings answers like `binfmt::read_dictionary` of the same bytes.
 
 use efd_core::engine::Answer;
 use efd_core::{binfmt, EfdDictionary, LabeledObservation, Query, Recognition, RoundingDepth};
@@ -191,11 +193,11 @@ fn adjacent_keys_on_one_metric_and_node_resolve_through_probe_chains() {
     assert!(matched > 500, "degenerate query mix ({matched} hits)");
 }
 
-#[test]
-fn keys_of_one_app_and_of_several_apps_both_vote_like_the_oracle() {
-    // Per key, a label pattern over apps a0..a3: one label, one app under
-    // several inputs (inline app), several apps, and several apps with
-    // one of them repeated (postings walk with per-point dedup).
+/// `keys` keys on metric 1, 16 nodes and `keys / 16` levels ten apart,
+/// each with a random label pattern over apps a0..a3: one label, one
+/// app under several inputs (inline app), several apps, and several
+/// apps with one of them repeated (postings walk with per-point dedup).
+fn app_patterns(keys: usize, rng: &mut SplitMix64) -> EfdDictionary {
     let patterns: [&[(usize, &str)]; 5] = [
         &[(0, "X")],
         &[(1, "X"), (1, "Y"), (1, "Z")],
@@ -203,18 +205,21 @@ fn keys_of_one_app_and_of_several_apps_both_vote_like_the_oracle() {
         &[(0, "Y"), (2, "Y"), (0, "Z")],
         &[(3, "Y"), (3, "Z"), (1, "Y"), (2, "Z")],
     ];
-    let mut oracle = EfdDictionary::new(RoundingDepth::new(3));
-    let mut rng = SplitMix64::new(0xA995);
-    for key in 0..400 {
+    let mut dict = EfdDictionary::new(RoundingDepth::new(3));
+    for key in 0..keys {
         let (node, mean) = (NodeId((key % 16) as u16), 1000.0 + 10.0 * (key / 16) as f64);
         let pattern = patterns[(rng.next_u64() % patterns.len() as u64) as usize];
         for &(app, input) in pattern {
             let label = AppLabel::new(format!("a{app}"), input);
-            oracle.insert_raw(MetricId(1), node, Interval::PAPER_DEFAULT, mean, &label);
+            dict.insert_raw(MetricId(1), node, Interval::PAPER_DEFAULT, mean, &label);
         }
     }
-    assert_eq!(key_shapes(&oracle), (true, true));
-    let queries: Vec<Query> = (0..800)
+    dict
+}
+
+/// Random 16-point queries around the levels of [`app_patterns`].
+fn pattern_queries(count: usize, rng: &mut SplitMix64) -> Vec<Query> {
+    (0..count)
         .map(|_| {
             let level = (rng.next_u64() % 28) as f64;
             let means: Vec<f64> = (0..16)
@@ -222,9 +227,109 @@ fn keys_of_one_app_and_of_several_apps_both_vote_like_the_oracle() {
                 .collect();
             Query::from_node_means(MetricId(1), Interval::PAPER_DEFAULT, &means)
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn keys_of_one_app_and_of_several_apps_both_vote_like_the_oracle() {
+    let mut rng = SplitMix64::new(0xA995);
+    let oracle = app_patterns(400, &mut rng);
+    assert_eq!(key_shapes(&oracle), (true, true));
+    let queries = pattern_queries(800, &mut rng);
     let matched = assert_agree("app patterns", &oracle, &queries);
     assert!(matched > 600, "degenerate query mix ({matched} hits)");
+}
+
+/// `file` (canonical EFDB bytes) with its postings section replaced by
+/// `blob`, key record `i` pointing at `offsets[i]`, and the checksum
+/// trailer moved and re-hashed: bytes `binfmt::check` accepts, since it
+/// checks every list's bounds and ids but not how the blob is laid out.
+fn with_postings(file: &[u8], offsets: &[u32], blob: &[u8]) -> Vec<u8> {
+    let view = binfmt::check(file).unwrap();
+    let (keys, postings) = (view.key_records_range(), view.postings_blob_range());
+    let mut out = file[..postings.start - 4].to_vec();
+    let records = out[keys].chunks_exact_mut(binfmt::KEY_RECORD_LEN);
+    assert_eq!(records.len(), offsets.len());
+    for (r, off) in records.zip(offsets) {
+        r[22..26].copy_from_slice(&off.to_le_bytes());
+    }
+    out.extend_from_slice(&(blob.len() as u32).to_le_bytes());
+    out.extend_from_slice(blob);
+    // The header's checksum_off, then the trailer.
+    let checksum_off = out.len() as u32;
+    out[44..48].copy_from_slice(&checksum_off.to_le_bytes());
+    let sum = efd_util::hash::hash_bytes(&out);
+    out.extend_from_slice(&sum.to_le_bytes());
+    out
+}
+
+#[test]
+fn a_non_canonical_postings_layout_answers_like_the_file() {
+    let catalog = small_catalog();
+    let mut rng = SplitMix64::new(0x1A70);
+    let canonical = app_patterns(160, &mut rng);
+    let file = binfmt::write(&canonical.to_parts(), &catalog);
+    let view = binfmt::check(&file).unwrap();
+    let lists: Vec<Vec<u32>> = view
+        .keys()
+        .iter()
+        .map(|r| view.postings().label_ids(r.postings_off).collect())
+        .collect();
+    let words = |ids: &[u32]| -> Vec<u8> { ids.iter().flat_map(|id| id.to_le_bytes()).collect() };
+    // The lists in reverse key order, and key 1 pointing at key 0's.
+    let mut reversed = Vec::new();
+    let mut offsets = vec![0; lists.len()];
+    for (off, ids) in offsets.iter_mut().zip(&lists).rev() {
+        *off = reversed.len() as u32;
+        reversed.extend(words(&[ids.len() as u32]));
+        reversed.extend(words(ids));
+    }
+    offsets[1] = offsets[0];
+    // Lists inside one another: 3 2 1 0 holds [2, 1, 0] at byte 0,
+    // [1, 0] at 4 and [0] at 8, which copied apart take 36 bytes, more
+    // than the blob's 16.
+    let nested = words(&[3, 2, 1, 0]);
+    let inside: Vec<u32> = (0..lists.len()).map(|i| [8, 8, 4, 0][i % 4]).collect();
+    let index_len = 4 * (2 * canonical.len()).next_power_of_two();
+    let queries = pattern_queries(300, &mut rng);
+    for (layout, bytes, interned) in [
+        (
+            "reversed, shared",
+            with_postings(&file, &offsets, &reversed),
+            true,
+        ),
+        ("nested", with_postings(&file, &inside, &nested), false),
+    ] {
+        let oracle = binfmt::read_dictionary(&bytes, &catalog).unwrap();
+        assert_eq!(oracle.len(), canonical.len(), "{layout}");
+        let file_len = bytes.len();
+        let snap = Snapshot::load(bytes, &catalog).unwrap();
+        // Interned, the buffer is shorter than the file; nested lists
+        // are served as the file lays them out.
+        let held = snap.byte_len() - index_len;
+        assert_eq!(
+            held < file_len,
+            interned,
+            "{layout}: {held} of {file_len} bytes held"
+        );
+        let mut scratch = VoteScratch::default();
+        let mut answer = Answer::default();
+        for (i, q) in queries.iter().enumerate() {
+            let expected = oracle.recognize(q).normalized();
+            assert_eq!(
+                snap.recognize_into(q, &mut scratch),
+                expected,
+                "{layout}, query #{i}"
+            );
+            snap.answer_into(q, &mut scratch, &mut answer);
+            assert_eq!(answer, Answer::from(&expected), "{layout}, query #{i}");
+        }
+        let thawed = binfmt::write(&snap.to_dictionary().to_parts(), &catalog);
+        assert!(
+            thawed == binfmt::write(&oracle.to_parts(), &catalog),
+            "{layout}: thaws to another dictionary"
+        );
+    }
 }
 
 #[test]
